@@ -1,6 +1,6 @@
 # Canonical targets; `make check` is the tier-1 gate CI and reviewers run.
 
-.PHONY: check build test bench bench-wire bench-spec bench-overload bench-engine chaos-smoke spec-smoke overload-smoke engine-smoke scenario-smoke trace-smoke federation-smoke stress
+.PHONY: check build test bench bench-check bench-wire bench-spec bench-overload bench-engine chaos-smoke spec-smoke overload-smoke engine-smoke scenario-smoke trace-smoke federation-smoke stress
 
 check:
 	./scripts/check.sh
@@ -13,6 +13,13 @@ test:
 
 bench:
 	go test -bench=. -benchmem .
+
+# The benchmark/ module (BENCHMARK.json's entry point) is its own Go
+# module, so the root `go build ./...`, vet and test never reach it and
+# an internal/* API change can break it unnoticed: format, vet and test
+# it from inside (also part of `make check`).
+bench-check:
+	cd benchmark && test -z "$$(gofmt -l .)" && go vet ./... && go test -race ./...
 
 # Wire-protocol hot path: microbenchmarks (ns/op, B/op, allocs/op) plus
 # the end-to-end loopback throughput run recorded in BENCH_wire.json.

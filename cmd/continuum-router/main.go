@@ -2,7 +2,7 @@
 // and router that many continuumd daemons register with over the wire
 // protocol. Daemons join with -router, heartbeat their live load, and
 // the router routes client invocations across the fleet with a
-// pluggable policy — consistent hashing on function+payload affinity
+// pluggable policy — rendezvous hashing on function+payload affinity
 // (the default: warm containers stay warm) or least-loaded (new work
 // flows toward spare capacity).
 //
@@ -63,7 +63,7 @@ import (
 
 func main() {
 	listen := flag.String("listen", "127.0.0.1:9080", "address to serve on")
-	policyName := flag.String("policy", "hash", "routing policy: hash (consistent hashing on function+payload) or least-loaded")
+	policyName := flag.String("policy", "hash", "routing policy: hash (rendezvous hashing on function+payload) or least-loaded")
 	heartbeat := flag.Duration("heartbeat", 0, "heartbeat interval granted to members (0 = default 2s)")
 	suspectAfter := flag.Int("suspect-after", 0, "missed heartbeat intervals before a member stops receiving new work (0 = default 2)")
 	expireAfter := flag.Int("expire-after", 0, "missed heartbeat intervals before a member is expired and dropped (0 = default 4)")

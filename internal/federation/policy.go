@@ -1,8 +1,11 @@
 package federation
 
 import (
-	"hash/fnv"
-	"sort"
+	"cmp"
+	"hash/crc32"
+	"math"
+	"slices"
+	"strings"
 
 	"continuum/internal/wire"
 )
@@ -32,26 +35,46 @@ func serves(m *wire.MemberStatus, fn string) bool {
 	return false
 }
 
-// hashVnodes is how many virtual nodes each member contributes to the
-// consistent-hash ring. More vnodes smooth the key distribution across
-// unevenly-named members at the cost of a bigger per-call sort; 64 is
-// plenty for the fleet sizes one router fronts.
-const hashVnodes = 64
-
-// HashPolicy is consistent hashing on function+payload affinity: the
-// invocation key (fn and the payload bytes) hashes to a point on a ring
-// of member virtual nodes, and the preference order is the ring walk
-// from that point. The same arguments keep landing on the same member —
-// warm containers and caches stay warm — while membership churn remaps
-// only the keys the departed member owned, not the whole keyspace. The
-// ring is rebuilt per call from the routable set (fleets a single
-// router fronts are small, and members carry live state a cached ring
-// would go stale on).
+// HashPolicy is rendezvous (highest-random-weight) hashing on
+// function+payload affinity. The key covers the function name, every
+// payload byte and the payload length; each capable member is weighted
+// mix64(key ^ hash(name)) and the preference order is the members by
+// descending weight, so the same arguments keep landing on the same
+// member — warm containers and caches stay warm — and the rest of the
+// list is that key's failover order. A weight depends only on its own
+// key and member, so churn remaps the minimum: a leave moves just the
+// keys the leaver held, a join just the keys the newcomer wins. There
+// is no ring and no state: one pass over the members, one sort, and up
+// to rankedOnStack members one allocation (the returned list).
+//
+// The mapping must agree across router restarts, replicas and
+// architectures, so the hashes are fixed functions — CRC-32C, FNV-1a,
+// the murmur3 finalizer — and TestHashPolicyGoldenVector pins them.
 type HashPolicy struct{}
 
-// mix64 is the murmur3 finalizer: full avalanche, so the clustered
-// outputs FNV produces for similar inputs (adjacent vnode indexes,
-// sequential payloads) still spread uniformly over the ring.
+// castagnoli is CRC-32C, which amd64 and arm64 compute in hardware.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// hashString is FNV-1a, for function and member names: strings short
+// enough that a byte loop beats setting up anything wider.
+func hashString(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 1099511628211
+	}
+	return h
+}
+
+// affinityKey is an invocation's identity: the function name, the whole
+// payload (CRC-32C, low word) and its length (high word), left for
+// mix64 to spread.
+func affinityKey(fn string, payload []byte) uint64 {
+	return hashString(fn) ^ (uint64(len(payload))<<32 | uint64(crc32.Checksum(payload, castagnoli)))
+}
+
+// mix64 is the murmur3 finalizer: full avalanche, so keys that differ
+// in a few low bits (sequential payloads) and names that differ in one
+// character still draw independent weights.
 func mix64(x uint64) uint64 {
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
@@ -61,71 +84,24 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Order implements Policy: the ring walk from the invocation key's
-// point, capability-filtered, deduplicated to distinct members.
+// Order implements Policy.
 func (HashPolicy) Order(fn string, payload []byte, members []wire.MemberStatus) []string {
-	type vnode struct {
-		point uint64
-		addr  string
-	}
-	ring := make([]vnode, 0, hashVnodes*len(members))
-	for i := range members {
-		m := &members[i]
-		if !serves(m, fn) {
-			continue
-		}
-		h := fnv.New64a()
-		h.Write([]byte(m.Name))
-		base := h.Sum64()
-		for v := 0; v < hashVnodes; v++ {
-			point := mix64(base + uint64(v)*0x9e3779b97f4a7c15) // golden-ratio stride per vnode
-			ring = append(ring, vnode{point: point, addr: m.Addr})
-		}
-	}
-	if len(ring) == 0 {
-		return nil
-	}
-	sort.Slice(ring, func(i, j int) bool { return ring[i].point < ring[j].point })
-
-	kh := fnv.New64a()
-	kh.Write([]byte(fn))
-	kh.Write(payload)
-	key := mix64(kh.Sum64())
-	start := sort.Search(len(ring), func(i int) bool { return ring[i].point >= key })
-
-	seen := make(map[string]struct{}, len(members))
-	out := make([]string, 0, len(members))
-	for i := 0; i < len(ring) && len(seen) < len(members); i++ {
-		addr := ring[(start+i)%len(ring)].addr
-		if _, dup := seen[addr]; dup {
-			continue
-		}
-		seen[addr] = struct{}{}
-		out = append(out, addr)
-	}
-	return out
+	key := affinityKey(fn, payload)
+	return rankBy(fn, members, func(m *wire.MemberStatus) uint64 {
+		return ^mix64(key ^ hashString(m.Name)) // complemented: rankBy sorts ascending
+	})
 }
 
 // LeastLoadedPolicy orders members by instantaneous load pressure —
 // (queue depth + in-flight) normalized by the advertised slot limit —
 // so new work flows toward spare capacity. Load figures are one
 // heartbeat old by construction; the router's breakers and retries
-// absorb the staleness. Ties break by name for determinism.
+// absorb the staleness.
 type LeastLoadedPolicy struct{}
 
 // Order implements Policy.
 func (LeastLoadedPolicy) Order(fn string, _ []byte, members []wire.MemberStatus) []string {
-	type scored struct {
-		score float64
-		name  string
-		addr  string
-	}
-	out := make([]scored, 0, len(members))
-	for i := range members {
-		m := &members[i]
-		if !serves(m, fn) {
-			continue
-		}
+	return rankBy(fn, members, func(m *wire.MemberStatus) uint64 {
 		slots := m.SlotLimit
 		if slots <= 0 {
 			slots = m.Capacity
@@ -133,27 +109,50 @@ func (LeastLoadedPolicy) Order(fn string, _ []byte, members []wire.MemberStatus)
 		if slots <= 0 {
 			slots = 1
 		}
-		out = append(out, scored{
-			score: float64(m.QueueDepth+int(m.InFlight)) / float64(slots),
-			name:  m.Name,
-			addr:  m.Addr,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].score != out[j].score {
-			return out[i].score < out[j].score
-		}
-		return out[i].name < out[j].name
+		// A non-negative float64's bit pattern sorts as the float does.
+		return math.Float64bits(float64(max(m.QueueDepth+int(m.InFlight), 0)) / float64(slots))
 	})
-	addrs := make([]string, len(out))
-	for i, s := range out {
-		addrs[i] = s.addr
+}
+
+// rankedOnStack is how many members rankBy ranks in a stack buffer; a
+// bigger fleet costs a second allocation.
+const rankedOnStack = 64
+
+// rankBy lists the dial addresses of the members that serve fn by
+// ascending key, ties by name so input order never shows in the result.
+func rankBy(fn string, members []wire.MemberStatus, key func(*wire.MemberStatus) uint64) []string {
+	type ranked struct {
+		key uint64
+		idx int // into members
 	}
-	return addrs
+	var buf [rankedOnStack]ranked
+	r := buf[:0]
+	if len(members) > len(buf) {
+		r = make([]ranked, 0, len(members))
+	}
+	for i := range members {
+		if m := &members[i]; serves(m, fn) {
+			r = append(r, ranked{key(m), i})
+		}
+	}
+	if len(r) == 0 {
+		return nil
+	}
+	slices.SortFunc(r, func(a, b ranked) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return strings.Compare(members[a.idx].Name, members[b.idx].Name)
+	})
+	out := make([]string, len(r))
+	for i, e := range r {
+		out[i] = members[e.idx].Addr
+	}
+	return out
 }
 
 // PolicyByName maps the -policy flag values to implementations:
-// "hash" (consistent hashing, the default) and "least-loaded".
+// "hash" (rendezvous hashing, the default) and "least-loaded".
 func PolicyByName(name string) (Policy, bool) {
 	switch name {
 	case "", "hash":

@@ -1,7 +1,10 @@
 package federation
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"continuum/internal/wire"
@@ -43,28 +46,160 @@ func TestHashPolicyAffinity(t *testing.T) {
 	}
 }
 
-// TestHashPolicyMinimalRemap is the point of CONSISTENT hashing: losing
-// one member remaps only the keys it owned — everything else keeps its
-// assignment, so the fleet's warm containers stay warm through churn.
+// fleet is n routable members named m00, m01, … — the benchmark
+// probe's naming, so the properties below hold for the shape measured.
+func fleet(n int) []wire.MemberStatus {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("m%02d", i)
+	}
+	return routableSet(names...)
+}
+
+// counterPayload is the benchmark's payload shape: size bytes of fixed
+// filler whose first 8 carry the request number.
+func counterPayload(buf []byte, n uint64) []byte {
+	binary.BigEndian.PutUint64(buf, n)
+	return buf
+}
+
+// TestHashPolicyMinimalRemap is the point of rendezvous hashing, in both
+// directions at fleet scale: a leave remaps only the keys the leaver
+// held, a join only the keys the newcomer wins (about 1/n of them), and
+// either way the rest of each key's failover order is undisturbed.
 func TestHashPolicyMinimalRemap(t *testing.T) {
-	full := routableSet("a", "b", "c", "d")
-	without := routableSet("a", "b", "c") // d left
+	const n, keys = 64, 5000
+	full := fleet(n)
+	gone := full[17]
+	without := slices.Delete(slices.Clone(full), 17, 18)
 	var p HashPolicy
-	moved := 0
-	const keys = 400
+	buf := make([]byte, 8)
+	won := 0
 	for i := 0; i < keys; i++ {
-		key := []byte(fmt.Sprintf("payload-%d", i))
-		before := p.Order("fn", key, full)[0]
-		after := p.Order("fn", key, without)[0]
-		if before == "addr-d" {
-			continue // d's keys must move; that's the remap we accept
+		key := counterPayload(buf, uint64(i))
+		small := p.Order("fn", key, without)
+		big := p.Order("fn", key, full)
+		// Leave and join are the same pair of fleets read in opposite
+		// directions: the two orders must differ by exactly the one
+		// member, wherever it ranks.
+		at := slices.Index(big, gone.Addr)
+		if at < 0 || !slices.Equal(slices.Delete(slices.Clone(big), at, at+1), small) {
+			t.Fatalf("key %d: order with %s is not the order without it plus one insertion:\n%v\n%v", i, gone.Name, big, small)
 		}
-		if before != after {
-			moved++
+		if at == 0 {
+			won++
 		}
 	}
-	if moved != 0 {
-		t.Fatalf("%d/%d keys not owned by the departed member were remapped; consistent hashing must move only the departed member's keys", moved, keys)
+	if fair := keys / n; won < fair/2 || won > 2*fair {
+		t.Fatalf("member %s holds %d of %d keys, fair share is %d", gone.Name, won, keys, fair)
+	}
+}
+
+// TestOrderIsPermutationOfCapable: both policies return every capable
+// member's address exactly once and nothing else, and the answer does
+// not depend on the order the members are passed in.
+func TestOrderIsPermutationOfCapable(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, p := range []Policy{HashPolicy{}, LeastLoadedPolicy{}} {
+		for round := 0; round < 200; round++ {
+			members := fleet(1 + rng.Intn(100))
+			var want []string
+			for i := range members {
+				m := &members[i]
+				m.QueueDepth, m.InFlight = rng.Intn(4), int64(rng.Intn(4)) // few values: ties by name
+				switch rng.Intn(4) {
+				case 0:
+					m.Functions = []string{"other"}
+				case 1:
+					m.Functions = []string{"other", "fn"}
+				}
+				if serves(m, "fn") {
+					want = append(want, m.Addr)
+				}
+			}
+			payload := counterPayload(make([]byte, 8+rng.Intn(64)), rng.Uint64())
+			got := p.Order("fn", payload, members)
+			sorted := slices.Clone(got)
+			slices.Sort(sorted)
+			slices.Sort(want)
+			if !slices.Equal(sorted, want) {
+				t.Fatalf("%T round %d: ordered %v, capable members are %v", p, round, sorted, want)
+			}
+			rng.Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
+			if again := p.Order("fn", payload, members); !slices.Equal(again, got) {
+				t.Fatalf("%T round %d: order depends on input order:\n%v\n%v", p, round, got, again)
+			}
+		}
+	}
+}
+
+// maxShare routes keys sequential request numbers in a payload of size
+// bytes over members and returns the busiest member's share of them.
+func maxShare(members []wire.MemberStatus, keys, size int) float64 {
+	var p HashPolicy
+	hits := map[string]int{}
+	buf := make([]byte, size)
+	for i := 0; i < keys; i++ {
+		hits[p.Order("echo", counterPayload(buf, uint64(i)), members)[0]]++
+	}
+	most := 0
+	for _, n := range hits {
+		most = max(most, n)
+	}
+	return float64(most) / float64(keys)
+}
+
+// TestHashPolicyBalance: first choices spread evenly, at fleet scale and
+// on the benchmark's own shape (3 members, payloads that differ only in
+// an 8-byte counter — the low-entropy case a weak mix would clump).
+func TestHashPolicyBalance(t *testing.T) {
+	if got, limit := maxShare(fleet(64), 20000, 8), 1.3/64; got > limit {
+		t.Errorf("64 members x 20k keys: busiest member holds %.4f of the keys, limit %.4f (1.3x fair)", got, limit)
+	}
+	for _, size := range []int{64, 64 << 10} {
+		if got := maxShare(routableSet("d1", "d2", "d3"), 3000, size); got > 0.40 {
+			t.Errorf("3 members, sequential %d-byte payloads: busiest member holds %.3f of the keys, limit 0.40", size, got)
+		}
+	}
+}
+
+// TestHashPolicyGoldenVector pins (fn, payload, names) -> order. The
+// mapping is what keeps a key on its warm container across router
+// restarts, replicas and architectures; a change to any of the hashes
+// shows up here as a deliberate edit, not as a silent fleet-wide remap.
+func TestHashPolicyGoldenVector(t *testing.T) {
+	members := routableSet("d1", "d2", "d3", "edge-7", "hpc-login")
+	seq := make([]byte, 300)
+	for i := range seq {
+		seq[i] = byte(i)
+	}
+	for _, tc := range []struct {
+		fn      string
+		payload []byte
+		want    string
+	}{
+		{"echo", nil, "[addr-edge-7 addr-hpc-login addr-d3 addr-d1 addr-d2]"},
+		{"echo", []byte{0, 0, 0, 0, 0, 0, 0, 1}, "[addr-hpc-login addr-d3 addr-d1 addr-d2 addr-edge-7]"},
+		{"matmul", []byte(`{"n":32}`), "[addr-edge-7 addr-d3 addr-d2 addr-hpc-login addr-d1]"},
+		{"echo", seq, "[addr-d3 addr-d2 addr-d1 addr-hpc-login addr-edge-7]"},
+	} {
+		if got := fmt.Sprint(HashPolicy{}.Order(tc.fn, tc.payload, members)); got != tc.want {
+			t.Errorf("Order(%q, %d bytes) = %s, pinned %s", tc.fn, len(tc.payload), got, tc.want)
+		}
+	}
+}
+
+// TestOrderAllocations: one allocation — the returned list — per call,
+// for either policy, at the benchmark probe's fleet sizes.
+func TestOrderAllocations(t *testing.T) {
+	payload := make([]byte, 64)
+	for _, p := range []Policy{HashPolicy{}, LeastLoadedPolicy{}} {
+		for _, n := range []int{3, 64} {
+			members := fleet(n)
+			if got := testing.AllocsPerRun(100, func() { p.Order("echo", payload, members) }); got > 1 {
+				t.Errorf("%T.Order over %d members: %.0f allocations per call, want at most 1", p, n, got)
+			}
+		}
 	}
 }
 

@@ -4,7 +4,7 @@
 // their registration alive with periodic heartbeats carrying a load
 // snapshot (queue depth, in-flight, slot limit, cordon state); the
 // router routes client invocations across the live membership with a
-// pluggable policy — consistent hashing on function+payload affinity,
+// pluggable policy — rendezvous hashing on function+payload affinity,
 // or least-loaded — on top of wire.ReliableClient's existing
 // retry/breaker/hedge machinery, so endpoint churn (join, leave, drain,
 // crash) degrades to ordinary failover instead of lost requests.
@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"continuum/internal/wire"
@@ -98,6 +99,22 @@ type Registry struct {
 	mu      sync.Mutex
 	members map[string]*member
 	nextGen int64
+
+	// routable is the request path's view of members: built under mu,
+	// read without it. Every mutation of members clears it (under mu).
+	routable atomic.Pointer[routableView]
+}
+
+// routableView is one immutable answer to Routable, good until the
+// clock passes validUntil: the earliest instant at which some member
+// turns suspect or expires with no call into the registry to say so.
+type routableView struct {
+	members    []wire.MemberStatus
+	validUntil time.Time
+}
+
+func (v *routableView) validAt(now time.Time) bool {
+	return v != nil && !now.After(v.validUntil)
 }
 
 // NewRegistry builds an empty registry.
@@ -135,6 +152,9 @@ func (r *Registry) expireLocked(now time.Time) bool {
 			changed = true
 		}
 	}
+	if changed {
+		r.routable.Store(nil)
+	}
 	return changed
 }
 
@@ -166,6 +186,7 @@ func (r *Registry) Register(info wire.MemberInfo) (int64, error) {
 	info.Generation = r.nextGen
 	info.Draining = false
 	r.members[info.Name] = &member{info: info, last: now}
+	r.routable.Store(nil)
 	r.mu.Unlock()
 	r.notify(true)
 	return info.Generation, nil
@@ -200,6 +221,7 @@ func (r *Registry) Heartbeat(info wire.MemberInfo) error {
 		m.info.Functions = info.Functions
 	}
 	m.last = now
+	r.routable.Store(nil) // load figures and validUntil both moved
 	isRoutable := r.routableLocked(m, now)
 	r.mu.Unlock()
 	r.notify(expired || wasRoutable != isRoutable)
@@ -228,6 +250,7 @@ func (r *Registry) Deregister(name string, generation int64, drain bool) error {
 	} else {
 		delete(r.members, name)
 	}
+	r.routable.Store(nil)
 	r.mu.Unlock()
 	r.notify(true)
 	return nil
@@ -304,25 +327,50 @@ func (r *Registry) MemberAddrs() []string {
 // Routable returns the members that should receive new work — fresh
 // heartbeat, not cordoned, not draining — sorted by name. Routing
 // policies order their preferences over this set.
+//
+// This is the per-invocation read, so it is served from a cached view:
+// in the steady state it reads the clock and one atomic pointer, takes
+// no lock and allocates nothing. The returned slice is therefore shared
+// between callers and read-only, and each AgeMS is the heartbeat's age
+// when the view was built (at most one heartbeat arrival ago), not at
+// the call. The view is rebuilt after any mutation and once the clock
+// passes the first instant a member in it could turn suspect or expire.
 func (r *Registry) Routable() []wire.MemberStatus {
 	now := r.now()
-	r.mu.Lock()
-	changed := r.expireLocked(now)
-	out := make([]wire.MemberStatus, 0, len(r.members))
-	for _, m := range r.members {
-		if !r.routableLocked(m, now) {
-			continue
-		}
-		out = append(out, wire.MemberStatus{
-			MemberInfo: m.info,
-			State:      StateAlive,
-			AgeMS:      now.Sub(m.last).Milliseconds(),
-		})
+	if v := r.routable.Load(); v.validAt(now) {
+		return v.members
 	}
+	r.mu.Lock()
+	if v := r.routable.Load(); v.validAt(now) {
+		r.mu.Unlock() // another caller rebuilt it while this one waited
+		return v.members
+	}
+	changed := r.expireLocked(now)
+	suspectAt := time.Duration(r.cfg.SuspectAfter) * r.cfg.HeartbeatInterval
+	horizon := time.Duration(r.cfg.ExpireAfter) * r.cfg.HeartbeatInterval
+	v := &routableView{
+		members:    make([]wire.MemberStatus, 0, len(r.members)),
+		validUntil: now.Add(horizon), // no members: nothing can change on time alone
+	}
+	for _, m := range r.members {
+		until := m.last.Add(horizon)
+		if r.routableLocked(m, now) {
+			until = m.last.Add(min(suspectAt, horizon))
+			v.members = append(v.members, wire.MemberStatus{
+				MemberInfo: m.info,
+				State:      StateAlive,
+				AgeMS:      now.Sub(m.last).Milliseconds(),
+			})
+		}
+		if until.Before(v.validUntil) {
+			v.validUntil = until
+		}
+	}
+	sort.Slice(v.members, func(i, j int) bool { return v.members[i].Name < v.members[j].Name })
+	r.routable.Store(v)
 	r.mu.Unlock()
 	r.notify(changed)
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return v.members
 }
 
 // Len returns the current (non-expired) member count.

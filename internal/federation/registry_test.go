@@ -7,7 +7,11 @@ package federation
 
 import (
 	"errors"
+	"math/rand"
+	"reflect"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -240,4 +244,229 @@ func TestOnChangeFires(t *testing.T) {
 	if calls == before {
 		t.Fatal("expiry sweep did not fire OnChange")
 	}
+}
+
+// modelMember is the reference model's whole state for one member: the
+// registry's contract restated over a plain map, with no cache.
+type modelMember struct {
+	info wire.MemberInfo
+	last time.Time
+}
+
+// registryModel mirrors testRegistry's configuration (1 s interval,
+// suspect after 2, expired after 4).
+type registryModel map[string]*modelMember
+
+func (md registryModel) expire(now time.Time) {
+	for name, m := range md {
+		if now.Sub(m.last) > 4*time.Second {
+			delete(md, name)
+		}
+	}
+}
+
+// routable computes the routable set from scratch, sorted by name.
+func (md registryModel) routable(now time.Time) []wire.MemberStatus {
+	md.expire(now)
+	var out []wire.MemberStatus
+	for _, m := range md {
+		if now.Sub(m.last) <= 2*time.Second && !m.info.Cordoned && !m.info.Draining {
+			out = append(out, wire.MemberStatus{MemberInfo: m.info, State: StateAlive, AgeMS: now.Sub(m.last).Milliseconds()})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}
+
+// TestRoutableMatchesModel drives seeded random sequences of register,
+// heartbeat (load, cordon flips, stale generations), drain, deregister
+// and pure clock advances — landing on, one tick before and one tick
+// after the suspect and expiry instants, where a cached view that
+// outlives its validity would show — and after every step compares the
+// cached Routable with the model's from-scratch answer.
+func TestRoutableMatchesModel(t *testing.T) {
+	names := []string{"a", "b", "c", "d", "e"}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		clk := newFakeClock()
+		r := testRegistry(clk)
+		model := registryModel{}
+		for step := 0; step < 400; step++ {
+			name := names[rng.Intn(len(names))]
+			now := clk.now()
+			model.expire(now)
+			m := model[name]
+			// Mostly the live generation; sometimes a stale or unknown one.
+			gen := int64(rng.Intn(3))
+			if m != nil && rng.Intn(5) > 0 {
+				gen = m.info.Generation
+			}
+			known := m != nil && m.info.Generation == gen
+			var op string
+			var err error
+			switch rng.Intn(8) {
+			case 0:
+				op = "register"
+				info := memberInfo(name, "addr-"+name)
+				if rng.Intn(3) == 0 {
+					info.Functions = []string{"fn"}
+				}
+				if info.Generation, err = r.Register(info); err == nil {
+					model[name] = &modelMember{info: info, last: now}
+				}
+				known = true
+			case 1, 2, 3:
+				op = "heartbeat"
+				hb := wire.MemberInfo{Name: name, Generation: gen, QueueDepth: rng.Intn(9), InFlight: int64(rng.Intn(9)), SlotLimit: 4, Cordoned: rng.Intn(4) == 0}
+				err = r.Heartbeat(hb)
+				if known {
+					m.info.QueueDepth, m.info.InFlight, m.info.SlotLimit, m.info.Cordoned = hb.QueueDepth, hb.InFlight, hb.SlotLimit, hb.Cordoned
+					m.last = now
+				}
+			case 4:
+				op = "drain"
+				err = r.Deregister(name, gen, true)
+				if known {
+					m.info.Draining, m.last = true, now
+				}
+			case 5:
+				op = "deregister"
+				err = r.Deregister(name, gen, false)
+				if known {
+					delete(model, name)
+				}
+			default:
+				op = "advance"
+				known = true
+				d := time.Duration(rng.Intn(1500)) * time.Millisecond
+				if m != nil && rng.Intn(2) == 0 {
+					// To a boundary of this member's ladder, give or take a tick.
+					edge := m.last.Add([]time.Duration{2 * time.Second, 4 * time.Second}[rng.Intn(2)])
+					if to := edge.Add(time.Duration(rng.Intn(3)-1) * time.Nanosecond).Sub(now); to > 0 {
+						d = to
+					}
+				}
+				clk.advance(d)
+			}
+			if wantErr := !known; (err != nil) != wantErr || (wantErr && !errors.Is(err, ErrUnknownMember)) {
+				t.Fatalf("seed %d step %d: %s %s gen %d: error %v, model says known=%v", seed, step, op, name, gen, err, known)
+			}
+
+			now = clk.now()
+			got, want := r.Routable(), model.routable(now)
+			if len(got) != len(want) {
+				t.Fatalf("seed %d step %d after %s %s: routable %v, model %v", seed, step, op, name, got, want)
+			}
+			for i := range want {
+				// AgeMS is as of view build: anywhere from 0 to the true age.
+				if got[i].AgeMS < 0 || got[i].AgeMS > want[i].AgeMS {
+					t.Fatalf("seed %d step %d after %s %s: %s AgeMS %d, true age %d", seed, step, op, name, got[i].Name, got[i].AgeMS, want[i].AgeMS)
+				}
+				g := got[i] // a copy: the slice is the registry's shared view
+				g.AgeMS = want[i].AgeMS
+				if !reflect.DeepEqual(g, want[i]) {
+					t.Fatalf("seed %d step %d after %s %s: routable[%d] = %+v, model %+v", seed, step, op, name, i, g, want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestRoutableSteadyStateTakesNoLock: with a valid view in place,
+// Routable must return while another goroutine holds the registry lock,
+// and must allocate nothing.
+func TestRoutableSteadyStateTakesNoLock(t *testing.T) {
+	r := testRegistry(newFakeClock())
+	for _, n := range []string{"a", "b", "c"} {
+		if _, err := r.Register(memberInfo(n, "addr-"+n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.Routable() // builds the view
+	r.mu.Lock()
+	done := make(chan float64, 1)
+	go func() {
+		done <- testing.AllocsPerRun(100, func() {
+			if len(r.Routable()) != 3 {
+				t.Error("cached view lost members")
+			}
+		})
+	}()
+	select {
+	case allocs := <-done:
+		r.mu.Unlock()
+		if allocs != 0 {
+			t.Fatalf("steady-state Routable allocates %.0f objects per call, want 0", allocs)
+		}
+	case <-time.After(5 * time.Second):
+		r.mu.Unlock()
+		t.Fatal("steady-state Routable blocked on the registry lock")
+	}
+}
+
+// TestRoutableHammer is the -race gate for the lock-free view: readers
+// race heartbeats, cordon flips, register/deregister churn, sweeps and
+// a clock that keeps crossing the suspect and expiry instants. Every
+// answer must be a well-formed routable set.
+func TestRoutableHammer(t *testing.T) {
+	clk := newFakeClock()
+	r := testRegistry(clk)
+	names := []string{"a", "b", "c", "d"}
+	gens := make([]atomic.Int64, len(names))
+	register := func(i int) {
+		gen, err := r.Register(memberInfo(names[i], "addr-"+names[i]))
+		if err != nil {
+			t.Error(err)
+		}
+		gens[i].Store(gen)
+	}
+	for i := range names {
+		register(i)
+	}
+	const rounds = 2000
+	var wg sync.WaitGroup
+	start := func(f func(n int)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < rounds; n++ {
+				f(n)
+			}
+		}()
+	}
+	for reader := 0; reader < 4; reader++ {
+		start(func(int) {
+			ms := r.Routable()
+			for i, m := range ms {
+				if m.State != StateAlive || m.Cordoned || m.Draining || m.Addr != "addr-"+m.Name || (i > 0 && ms[i-1].Name >= m.Name) {
+					t.Errorf("malformed routable set: %+v", ms)
+					return
+				}
+			}
+		})
+	}
+	start(func(n int) { // heartbeats; a stale generation is just rejected
+		i := n % len(names)
+		_ = r.Heartbeat(wire.MemberInfo{Name: names[i], Generation: gens[i].Load(), InFlight: int64(n % 7), Cordoned: n%11 == 0})
+	})
+	start(func(n int) { // churn: d leaves (drain, then for good) and comes back
+		switch n % 50 {
+		case 10:
+			_ = r.Deregister("d", gens[3].Load(), true)
+		case 20:
+			_ = r.Deregister("d", gens[3].Load(), false)
+		case 30:
+			register(3)
+		}
+	})
+	start(func(n int) { // time passes; silent members lapse and are swept
+		clk.advance(700 * time.Millisecond)
+		r.Sweep()
+		if n%100 == 0 { // a, b, c expire whenever the heartbeater falls behind
+			for i := 0; i < 3; i++ {
+				register(i)
+			}
+		}
+	})
+	wg.Wait()
 }

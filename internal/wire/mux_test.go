@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -42,6 +43,70 @@ func TestMultiplexedOutOfOrder(t *testing.T) {
 	}
 	if err := <-slowDone; err != nil {
 		t.Fatalf("slow call: %v", err)
+	}
+}
+
+// TestPipelinedRequestNotStuckBehindHeldHandler: two requests arrive on
+// one connection in one segment, right after the pool's only worker
+// went idle; the first one's handler is held. The second must complete
+// anyway. A reader that asks "is a worker idle?" sees the worker that
+// is about to take the first request, spawns nothing, and leaves the
+// second queued behind the held handler with the pool far below its
+// bound.
+func TestPipelinedRequestNotStuckBehindHeldHandler(t *testing.T) {
+	release, giveUp := make(chan struct{}), make(chan struct{})
+	reg := faas.NewRegistry()
+	reg.Register("echo", func(p []byte) ([]byte, error) { return p, nil })
+	reg.Register("hold", func(p []byte) ([]byte, error) {
+		select {
+		case <-release:
+		case <-giveUp:
+		}
+		return p, nil
+	})
+	ep := faas.NewEndpoint(faas.EndpointConfig{Name: "held", Capacity: 8}, reg)
+	addr := startServerOn(t, &Server{Invoker: ep, Registry: reg, Endpoints: []*faas.Endpoint{ep}})
+	t.Cleanup(func() { close(giveUp) }) // before the server's Close: a failed round leaves a handler held
+
+	// The race needs the reader to decode the second frame before the
+	// idle worker wakes; a fresh connection per round retries it.
+	for round := 0; round < 20; round++ {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		read := func(wantID string) {
+			t.Helper()
+			var resp Response
+			conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+			if err := ReadFrame(conn, &resp); err != nil {
+				t.Fatalf("round %d: waiting for response %q: %v", round, wantID, err)
+			}
+			if resp.ID != wantID || !resp.OK {
+				t.Fatalf("round %d: got response %+v, want ok %q", round, resp, wantID)
+			}
+		}
+		// One request through, so the pool has exactly one worker, idle.
+		if err := WriteFrame(conn, &Request{Op: OpInvoke, ID: "warm", Fn: "echo"}); err != nil {
+			t.Fatal(err)
+		}
+		read("warm")
+		time.Sleep(time.Millisecond) // the worker is back at its receive
+
+		burst, err := appendFrame(nil, &Request{Op: OpInvoke, ID: "held", Fn: "hold"}, CodecJSON)
+		if err == nil {
+			burst, err = appendFrame(burst, &Request{Op: OpInvoke, ID: "fast", Fn: "echo"}, CodecJSON)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(burst); err != nil {
+			t.Fatal(err)
+		}
+		read("fast") // while "held" is still in its handler
+		release <- struct{}{}
+		read("held")
+		conn.Close()
 	}
 }
 

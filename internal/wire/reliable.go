@@ -549,7 +549,7 @@ func (r *ReliableClient) InvokeContext(ctx context.Context, fn string, payload [
 }
 
 // InvokeRouted is InvokeContext steered by a routing policy: prefer is
-// a preference-ordered address list (a consistent-hash ring walk, a
+// a preference-ordered address list (a rendezvous-hash order, a
 // least-loaded ordering) that successive attempts consume in order —
 // the first attempt takes the first admitted preferred endpoint, a
 // retry after its failure moves to the next, and an exhausted list

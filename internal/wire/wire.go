@@ -474,8 +474,14 @@ func (s *Server) handle(conn net.Conn) {
 	// bound: the reader blocks once `workers` requests are queued beyond
 	// the ones being processed.
 	tasks := make(chan connTask, workers)
-	var spawned int
-	var idle atomic.Int64
+	// The reader grows the pool from its own accounting: dispatched
+	// minus finished is an upper bound on busy workers, so spawning while
+	// it reaches spawned never leaves a request queued behind a blocked
+	// handler with the pool below its bound. A count of idle workers
+	// kept by the workers cannot say that: an idle worker may be about
+	// to take the task sent just before.
+	var spawned, dispatched int64
+	var finished atomic.Int64
 	var cwg sync.WaitGroup
 	defer func() {
 		close(tasks)
@@ -504,22 +510,18 @@ func (s *Server) handle(conn net.Conn) {
 		if req.ID == "" {
 			s.process(cc, req, codec, inB, read)
 		} else {
-			if idle.Load() == 0 && spawned < workers {
+			if dispatched-finished.Load() >= spawned && spawned < int64(workers) {
 				spawned++
 				cwg.Add(1)
 				go func() {
 					defer cwg.Done()
-					for {
-						idle.Add(1)
-						t, ok := <-tasks
-						idle.Add(-1)
-						if !ok {
-							return
-						}
+					for t := range tasks {
 						s.process(cc, t.req, t.codec, t.inB, t.read)
+						finished.Add(1)
 					}
 				}()
 			}
+			dispatched++
 			tasks <- connTask{req, codec, inB, read}
 		}
 		if s.isDraining() {

@@ -23,10 +23,16 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
-echo "== wire bench smoke =="
-# One iteration of every wire benchmark: catches a hot path that stops
-# compiling or panics without paying for a full measurement run.
-go test -run '^$' -bench 'BenchmarkWire' -benchtime=1x ./internal/wire
+echo "== bench smoke =="
+# One iteration of every wire and router-decision benchmark: catches a
+# hot path that stops compiling or panics without paying for a full
+# measurement run.
+go test -run '^$' -bench 'BenchmarkWire|BenchmarkHashPolicyOrder|BenchmarkLeastLoadedOrder|BenchmarkRegistryRoutable' -benchtime=1x ./internal/wire ./internal/federation
+
+echo "== benchmark module =="
+# benchmark/ is a module of its own that imports internal/*; the steps
+# above do not compile it.
+make bench-check
 
 echo "== chaos smoke (-race) =="
 # End-to-end reliability gate: fault injection active, one endpoint
