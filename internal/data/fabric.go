@@ -12,6 +12,8 @@ package data
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"continuum/internal/netsim"
 	"continuum/internal/workload"
@@ -271,7 +273,9 @@ func (s *Store) evictOne(rng *workload.RNG) bool {
 	case TwoRandom:
 		// Choose two random unpinned entries, evict the least recently
 		// used of the pair — the classic power-of-two-choices
-		// approximation to LRU without a global ordering.
+		// approximation to LRU without a global ordering. The pool is
+		// ordered by name so the seeded draws pick the same victims on
+		// every run.
 		var pool []*entry
 		for _, e := range s.entries {
 			if !e.pinned {
@@ -281,6 +285,7 @@ func (s *Store) evictOne(rng *workload.RNG) bool {
 		if len(pool) == 0 {
 			return false
 		}
+		slices.SortFunc(pool, func(a, b *entry) int { return strings.Compare(a.ds.Name, b.ds.Name) })
 		a := pool[rng.Intn(len(pool))]
 		b := pool[rng.Intn(len(pool))]
 		victim = a

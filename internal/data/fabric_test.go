@@ -307,3 +307,47 @@ func TestPropertyCacheInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTwoRandomEvictionDeterministic: the same seed must pick the same
+// 2-random victims on every run. Go randomises map iteration per range,
+// so a pool built in map order draws different victims each time.
+func TestTwoRandomEvictionDeterministic(t *testing.T) {
+	run := func() (string, int64) {
+		k := sim.NewKernel()
+		net, _ := netsim.Line(k, 2, 0.001, 1e9)
+		rng := workload.NewRNG(7)
+		fab := NewFabric(net, rng.Split())
+		cache := fab.AddStore(0, 600, TwoRandom)
+		fab.AddStore(1, 0, NoCache)
+		sets := make([]Dataset, 24)
+		for i := range sets {
+			sets[i] = Dataset{Name: string(rune('a' + i)), Bytes: 100}
+			fab.Pin(sets[i], 1)
+		}
+		z := workload.NewZipf(rng.Split(), len(sets), 0.8)
+		hits := make([]byte, 0, 400)
+		for i := 0; i < cap(hits); i++ {
+			ds := sets[z.Next()]
+			k.At(float64(i), func() {
+				fab.Stage(ds, 0, func(hit bool) {
+					if hit {
+						hits = append(hits, 'h')
+					} else {
+						hits = append(hits, 'm')
+					}
+				})
+			})
+		}
+		k.Run()
+		return string(hits), cache.Evictions
+	}
+	wantHits, wantEv := run()
+	if wantEv == 0 {
+		t.Fatal("workload never evicted; test is vacuous")
+	}
+	for i := 0; i < 5; i++ {
+		if hits, ev := run(); hits != wantHits || ev != wantEv {
+			t.Fatalf("run %d: evictions %d, want %d; hit sequence differs: %v", i, ev, wantEv, hits != wantHits)
+		}
+	}
+}

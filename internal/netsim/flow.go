@@ -1,8 +1,10 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"continuum/internal/sim"
 )
@@ -52,14 +54,13 @@ func (n *Network) Transfer(a, b int, size float64, done func(*Flow)) *Flow {
 		panic(err)
 	}
 	f.path = path
-	prop := pathLatency(path)
 	// The flow joins bandwidth contention after propagation: the pipe fills,
 	// then bytes drain at the fair-shared rate.
-	n.k.After(prop, func() {
+	n.k.After(n.Latency(a, b), func() {
 		f.lastUpdate = n.k.Now()
-		n.active[f] = struct{}{}
+		n.active = append(n.active, f)
 		for _, l := range f.path {
-			l.flows[f] = struct{}{}
+			l.flows = append(l.flows, f)
 		}
 		n.reallocate()
 	})
@@ -88,63 +89,71 @@ func (f *Flow) advance(now float64) {
 
 // reallocate recomputes max-min fair rates for all active flows
 // (progressive filling) and reschedules completion events. Called whenever
-// a flow joins or leaves.
+// a flow joins or leaves. Flows are visited in join order and links in ID
+// order, and a bottleneck tie goes to the lower link ID, so equal shares
+// and equal ETAs resolve the same way on every run.
 func (n *Network) reallocate() {
 	now := n.k.Now()
-	for f := range n.active {
+	touched := n.touched[:0]
+	for _, f := range n.active {
 		f.advance(now)
 		f.timer.Cancel()
 		f.timer = sim.Timer{}
-	}
-
-	// Progressive filling: repeatedly saturate the tightest link.
-	avail := make(map[*Link]float64)
-	count := make(map[*Link]int) // unfrozen flows per link
-	for f := range n.active {
 		f.rate = -1 // unfrozen marker
 		for _, l := range f.path {
-			count[l]++
-			avail[l] = l.Capacity
+			if l.unfrozen == 0 {
+				l.avail = l.Capacity
+				touched = append(touched, l)
+			}
+			l.unfrozen++
 		}
 	}
+	slices.SortFunc(touched, func(a, b *Link) int { return cmp.Compare(a.ID, b.ID) })
+	n.touched = touched
+
+	// Progressive filling: repeatedly saturate the tightest link.
 	unfrozen := len(n.active)
 	for unfrozen > 0 {
-		// Find the bottleneck: link minimizing avail/count over links with
-		// unfrozen flows.
+		// Find the bottleneck: link minimizing avail/unfrozen over links
+		// with unfrozen flows.
 		var bottleneck *Link
 		best := math.Inf(1)
-		for l, c := range count {
-			if c == 0 {
+		for _, l := range touched {
+			if l.unfrozen == 0 {
 				continue
 			}
-			if share := avail[l] / float64(c); share < best {
+			if share := l.avail / float64(l.unfrozen); share < best {
 				best = share
 				bottleneck = l
 			}
 		}
 		if bottleneck == nil {
-			break
+			break // only +Inf-capacity links left
 		}
 		// Freeze every unfrozen flow through the bottleneck at the fair
 		// share; charge its rate to all its links.
-		for f := range bottleneck.flows {
+		for _, f := range bottleneck.flows {
 			if f.rate >= 0 {
 				continue
 			}
 			f.rate = best
 			unfrozen--
 			for _, l := range f.path {
-				avail[l] -= best
-				if avail[l] < 0 {
-					avail[l] = 0
+				l.avail -= best
+				if l.avail < 0 {
+					l.avail = 0
 				}
-				count[l]--
+				l.unfrozen--
 			}
 		}
 	}
 
+	for _, l := range touched {
+		l.unfrozen = 0
+	}
+
 	// Schedule completions at the new rates.
-	for f := range n.active {
+	for _, f := range n.active {
 		if f.rate <= 0 {
 			// Degenerate (should not happen on positive-capacity links);
 			// avoid scheduling at +Inf.
@@ -159,9 +168,9 @@ func (n *Network) reallocate() {
 
 func (n *Network) finishFlow(f *Flow) {
 	f.advance(n.k.Now())
-	delete(n.active, f)
+	n.active = slices.DeleteFunc(n.active, func(g *Flow) bool { return g == f })
 	for _, l := range f.path {
-		delete(l.flows, f)
+		l.flows = slices.DeleteFunc(l.flows, func(g *Flow) bool { return g == f })
 	}
 	f.timer = sim.Timer{}
 	f.rate = 0

@@ -280,3 +280,50 @@ func TestPropertyFlowLowerBound(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFlowSharingDeterministic: max-min sharing must resolve bottleneck
+// ties, avail bookkeeping and equal-ETA completions the same way on every
+// run. Equal sizes, a coarse start grid and access links whose capacity
+// ties with the shared bottleneck's fair share make every kind of tie
+// occur; Go randomises map iteration per range, so any map-ordered step
+// shows up as a different completion order or Finish bit pattern.
+func TestFlowSharingDeterministic(t *testing.T) {
+	run := func() []uint64 {
+		k := sim.NewKernel()
+		n, left, right, _, _ := Dumbbell(k, DumbbellSpec{
+			LeftLeaves: 4, RightLeaves: 4,
+			AccessLatency: 0.001, AccessCapacity: 2.5e5,
+			BottleneckLatency: 0.010, BottleneckCapacity: 1e6,
+		})
+		rng := workload.NewRNG(3)
+		var out []uint64
+		for i := 0; i < 40; i++ {
+			a, b := left[rng.Intn(len(left))], right[rng.Intn(len(right))]
+			if rng.Intn(2) == 0 {
+				a, b = b, a
+			}
+			size := float64(1+rng.Intn(3)) * 1e5
+			at := float64(rng.Intn(8)) * 0.05
+			id := uint64(i)
+			k.At(at, func() {
+				n.Transfer(a, b, size, func(f *Flow) {
+					out = append(out, id, math.Float64bits(f.Finish))
+				})
+			})
+		}
+		k.Run()
+		return out
+	}
+	want := run()
+	if len(want) != 80 {
+		t.Fatalf("%d completions, want 40", len(want)/2)
+	}
+	for r := 0; r < 10; r++ {
+		got := run()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("run %d differs at completion %d: %v vs %v", r, i/2, got[i], want[i])
+			}
+		}
+	}
+}

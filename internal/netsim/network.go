@@ -39,7 +39,11 @@ type Link struct {
 	Latency  float64 // one-way propagation, seconds
 	Capacity float64 // bytes/second
 
-	flows map[*Flow]struct{}
+	// flows crossing the link in join order; avail and unfrozen are
+	// reallocate's scratch state (unfrozen is 0 between calls).
+	flows    []*Flow
+	avail    float64
+	unfrozen int
 
 	// BytesCarried accumulates delivered bytes for accounting (egress
 	// billing, WAN savings experiments).
@@ -52,20 +56,34 @@ type Network struct {
 	adj   [][]*Link
 	links []*Link
 
-	active map[*Flow]struct{}
+	// active holds the bandwidth-active flows in join order; touched is
+	// reallocate's scratch list of the links they cross.
+	active  []*Flow
+	touched []*Link
 
-	// spt caches the shortest-path tree per source; invalidated whenever
-	// the topology changes. Routing is latency-static, so caching is exact.
-	spt map[int]*spTree
+	// spt caches the shortest-path tree per source vertex (nil until
+	// first asked); invalidated whenever the topology changes. Routing is
+	// latency-static, so caching is exact.
+	spt []spTree
 
 	// Transfers counts completed Transfer flows; Messages counts Message
 	// sends.
 	Transfers, Messages int64
 }
 
-type spTree struct {
-	dist []float64
-	prev []*Link
+// spTree is the latency-shortest-path tree from one source, holding for
+// each destination what the path metrics need so that none of them has
+// to materialise the path.
+type spTree []hop
+
+// hop is one destination's entry: dist is the path latency, summed from
+// the source outward ((0+l₁)+l₂)+… exactly as a walk of the path would;
+// bn is the path's minimum link capacity (+Inf at the source, 0 when
+// unreachable); prev is the incoming link (nil at the source and when
+// unreachable).
+type hop struct {
+	dist, bn float64
+	prev     *Link
 }
 
 // New creates a network with n nodes and no links.
@@ -74,10 +92,9 @@ func New(k *sim.Kernel, n int) *Network {
 		panic("netsim: negative node count")
 	}
 	return &Network{
-		k:      k,
-		adj:    make([][]*Link, n),
-		active: make(map[*Flow]struct{}),
-		spt:    make(map[int]*spTree),
+		k:   k,
+		adj: make([][]*Link, n),
+		spt: make([]spTree, n),
 	}
 }
 
@@ -93,6 +110,7 @@ func (n *Network) NumLinks() int { return len(n.links) }
 // AddNode appends a vertex and returns its id.
 func (n *Network) AddNode() int {
 	n.adj = append(n.adj, nil)
+	n.spt = append(n.spt, nil)
 	clear(n.spt)
 	return len(n.adj) - 1
 }
@@ -111,7 +129,6 @@ func (n *Network) AddLink(from, to int, latency, capacity float64) *Link {
 	l := &Link{
 		ID: len(n.links), From: from, To: to,
 		Latency: latency, Capacity: capacity,
-		flows: make(map[*Flow]struct{}),
 	}
 	n.links = append(n.links, l)
 	n.adj[from] = append(n.adj[from], l)
@@ -151,6 +168,25 @@ func (n *Network) checkNode(id int) {
 	}
 }
 
+// tree returns the cached shortest-path tree from src, building it on
+// first use.
+func (n *Network) tree(src int) spTree {
+	n.checkNode(src)
+	t := n.spt[src]
+	if t == nil {
+		t = n.dijkstra(src)
+		n.spt[src] = t
+	}
+	return t
+}
+
+// to returns the tree entry for the path a→b.
+func (n *Network) to(a, b int) hop {
+	t := n.tree(a)
+	n.checkNode(b)
+	return t[b]
+}
+
 // Path returns the minimum-latency link path from a to b, or an error if b
 // is unreachable. Same-node paths are empty and nil error.
 func (n *Network) Path(a, b int) ([]*Link, error) {
@@ -159,27 +195,59 @@ func (n *Network) Path(a, b int) ([]*Link, error) {
 	if a == b {
 		return nil, nil
 	}
-	tree, ok := n.spt[a]
-	if !ok {
-		dist, prev := n.dijkstra(a)
-		tree = &spTree{dist: dist, prev: prev}
-		n.spt[a] = tree
+	t := n.tree(a)
+	if t[b].prev == nil {
+		return nil, &UnreachableError{From: a, To: b}
 	}
-	dist, prev := tree.dist, tree.prev
-	if math.IsInf(dist[b], 1) {
-		return nil, fmt.Errorf("netsim: node %d unreachable from %d", b, a)
+	hops := 0
+	for at := b; at != a; at = t[at].prev.From {
+		hops++
 	}
-	var path []*Link
-	for at := b; at != a; {
-		l := prev[at]
-		path = append(path, l)
-		at = l.From
-	}
-	// Reverse into forward order.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
+	path := make([]*Link, hops)
+	for at := b; at != a; at = t[at].prev.From {
+		hops--
+		path[hops] = t[at].prev
 	}
 	return path, nil
+}
+
+// UnreachableError reports that no path leads from From to To.
+type UnreachableError struct{ From, To int }
+
+func (e *UnreachableError) Error() string {
+	return fmt.Sprintf("netsim: node %d unreachable from %d", e.To, e.From)
+}
+
+// Reachable reports, per vertex, whether a path leads to it from src — or,
+// with reverse, whether a path leads from it to src. It is one O(V+E)
+// search and touches no route cache.
+func (n *Network) Reachable(src int, reverse bool) []bool {
+	n.checkNode(src)
+	adj := n.adj
+	if reverse {
+		adj = make([][]*Link, len(n.adj))
+		for _, l := range n.links {
+			adj[l.To] = append(adj[l.To], l)
+		}
+	}
+	seen := make([]bool, len(n.adj))
+	seen[src] = true
+	stack := []int{src}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, l := range adj[v] {
+			w := l.To
+			if reverse {
+				w = l.From
+			}
+			if !seen[w] {
+				seen[w] = true
+				stack = append(stack, w)
+			}
+		}
+	}
+	return seen
 }
 
 // Latency returns the one-way minimum propagation latency from a to b, or
@@ -188,11 +256,7 @@ func (n *Network) Latency(a, b int) float64 {
 	if a == b {
 		return 0
 	}
-	path, err := n.Path(a, b)
-	if err != nil {
-		return math.Inf(1)
-	}
-	return pathLatency(path)
+	return n.to(a, b).dist
 }
 
 // RTT returns the round-trip latency between a and b.
@@ -206,52 +270,33 @@ func (n *Network) Bottleneck(a, b int) float64 {
 	if a == b {
 		return math.Inf(1)
 	}
-	path, err := n.Path(a, b)
-	if err != nil {
-		return 0
-	}
-	bn := math.Inf(1)
-	for _, l := range path {
-		if l.Capacity < bn {
-			bn = l.Capacity
-		}
-	}
-	return bn
+	return n.to(a, b).bn
 }
 
-func pathLatency(path []*Link) float64 {
-	sum := 0.0
-	for _, l := range path {
-		sum += l.Latency
+// dijkstra computes the latency-shortest-path tree from src. A vertex's
+// entry is final once it pops (latencies are >= 0), so deriving dist and
+// bn from the popped predecessor equals a walk of the final path.
+func (n *Network) dijkstra(src int) spTree {
+	t := make(spTree, len(n.adj))
+	for i := range t {
+		t[i].dist = math.Inf(1)
 	}
-	return sum
-}
-
-// dijkstra computes latency-shortest paths from src, returning the distance
-// array and the incoming link for each reached vertex.
-func (n *Network) dijkstra(src int) ([]float64, []*Link) {
-	dist := make([]float64, len(n.adj))
-	prev := make([]*Link, len(n.adj))
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	dist[src] = 0
+	t[src] = hop{dist: 0, bn: math.Inf(1)}
 	pq := &nodeHeap{{src, 0}}
 	for pq.Len() > 0 {
 		it := heap.Pop(pq).(nodeDist)
-		if it.d > dist[it.id] {
+		if it.d > t[it.id].dist {
 			continue
 		}
 		for _, l := range n.adj[it.id] {
 			nd := it.d + l.Latency
-			if nd < dist[l.To] {
-				dist[l.To] = nd
-				prev[l.To] = l
+			if nd < t[l.To].dist {
+				t[l.To] = hop{dist: nd, bn: min(t[it.id].bn, l.Capacity), prev: l}
 				heap.Push(pq, nodeDist{l.To, nd})
 			}
 		}
 	}
-	return dist, prev
+	return t
 }
 
 type nodeDist struct {
@@ -285,22 +330,15 @@ func (n *Network) Message(a, b int, size float64, fn func()) {
 		n.k.After(0, fn)
 		return
 	}
-	path, err := n.Path(a, b)
-	if err != nil {
-		panic(err)
+	h := n.to(a, b)
+	if h.prev == nil {
+		panic(&UnreachableError{From: a, To: b})
 	}
-	d := pathLatency(path)
-	bn := math.Inf(1)
-	for _, l := range path {
-		if l.Capacity < bn {
-			bn = l.Capacity
-		}
-		l.BytesCarried += size
+	t := n.spt[a] // built by n.to
+	for at := b; at != a; at = t[at].prev.From {
+		t[at].prev.BytesCarried += size
 	}
-	if size > 0 && !math.IsInf(bn, 1) {
-		d += size / bn
-	}
-	n.k.After(d, fn)
+	n.k.After(h.time(size), fn)
 }
 
 // MessageTime returns the uncontended delivery time Message would use,
@@ -309,19 +347,14 @@ func (n *Network) MessageTime(a, b int, size float64) float64 {
 	if a == b {
 		return 0
 	}
-	path, err := n.Path(a, b)
-	if err != nil {
-		return math.Inf(1)
+	return n.to(a, b).time(size)
+}
+
+// time is the uncontended delivery time of size bytes along the entry's
+// path: propagation plus size/bottleneck (+Inf when unreachable).
+func (h hop) time(size float64) float64 {
+	if size > 0 && h.prev != nil {
+		return h.dist + size/h.bn
 	}
-	d := pathLatency(path)
-	bn := math.Inf(1)
-	for _, l := range path {
-		if l.Capacity < bn {
-			bn = l.Capacity
-		}
-	}
-	if size > 0 && !math.IsInf(bn, 1) {
-		d += size / bn
-	}
-	return d
+	return h.dist
 }

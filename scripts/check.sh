@@ -24,10 +24,10 @@ echo "== go test -race =="
 go test -race ./...
 
 echo "== bench smoke =="
-# One iteration of every wire and router-decision benchmark: catches a
-# hot path that stops compiling or panics without paying for a full
-# measurement run.
-go test -run '^$' -bench 'BenchmarkWire|BenchmarkHashPolicyOrder|BenchmarkLeastLoadedOrder|BenchmarkRegistryRoutable' -benchtime=1x ./internal/wire ./internal/federation
+# One iteration of every wire, router-decision and simulator-placement
+# benchmark: catches a hot path that stops compiling or panics without
+# paying for a full measurement run.
+go test -run '^$' -bench 'BenchmarkWire|BenchmarkHashPolicyOrder|BenchmarkLeastLoadedOrder|BenchmarkRegistryRoutable|BenchmarkMessageTime|BenchmarkGreedyLatencySelect|BenchmarkContinuumValidate' -benchtime=1x ./internal/wire ./internal/federation ./internal/netsim ./internal/placement ./internal/core
 
 echo "== benchmark module =="
 # benchmark/ is a module of its own that imports internal/*; the steps
