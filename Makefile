@@ -1,6 +1,6 @@
 # Canonical targets; `make check` is the tier-1 gate CI and reviewers run.
 
-.PHONY: check build test bench bench-check bench-wire bench-spec bench-overload bench-engine chaos-smoke spec-smoke overload-smoke engine-smoke scenario-smoke trace-smoke federation-smoke stress
+.PHONY: check build test bench bench-check bench-overload bench-engine chaos-smoke spec-smoke overload-smoke engine-smoke scenario-smoke trace-smoke federation-smoke stress
 
 check:
 	./scripts/check.sh
@@ -20,17 +20,6 @@ bench:
 # it from inside (also part of `make check`).
 bench-check:
 	cd benchmark && test -z "$$(gofmt -l .)" && go vet ./... && go test -race ./...
-
-# Wire-protocol hot path: microbenchmarks (ns/op, B/op, allocs/op) plus
-# the end-to-end loopback throughput run recorded in BENCH_wire.json.
-bench-wire:
-	go test -run '^$$' -bench 'BenchmarkWire' -benchmem ./internal/wire
-	go run ./cmd/continuum-bench -wire -wire-out BENCH_wire.json
-
-# Speculation/hedging tail-latency run: the simulated F11 distillation
-# plus live hedged-vs-unhedged p99, recorded in BENCH_speculation.json.
-bench-spec:
-	go run ./cmd/continuum-bench -spec -spec-out BENCH_speculation.json
 
 # Overload-control run: goodput under a sustained flash crowd with and
 # without admission control, recorded in BENCH_overload.json.
@@ -60,17 +49,20 @@ spec-smoke:
 # a 10x flash crowd against an admission-controlled endpoint must lose no
 # accepted request, shed fail-fast with Retry-After, and keep
 # high-priority p99 bounded — plus a short goodput comparison asserting
-# admission-on goodput >= admission-off (also part of `make check`).
+# admission-on goodput >= admission-off (also part of `make check`). The
+# gate discards its report: only `make bench-overload` rewrites the
+# checked-in baseline.
 overload-smoke:
 	go test -race -count=1 -run 'TestE2EOverloadGracefulDegradation' .
-	go run ./cmd/continuum-bench -overload -overload-gate -overload-dur 1s -overload-out BENCH_overload.json
+	go run ./cmd/continuum-bench -overload -overload-gate -overload-dur 1s -overload-out /dev/null
 
 # Engine smoke: trimmed kernel benchmark under the regression gate — the
 # calendar must hold the events/sec floor, stay allocation-free in steady
 # state, beat the heap reference, and the sharded-parallel group must be
-# deterministic (also part of `make check`).
+# deterministic (also part of `make check`). Like overload-smoke it
+# discards its report; `make bench-engine` rewrites the baseline.
 engine-smoke:
-	go run ./cmd/continuum-bench -engine -engine-quick -engine-gate -engine-out BENCH_engine.json
+	go run ./cmd/continuum-bench -engine -engine-quick -engine-gate -engine-out /dev/null
 
 # Scenario smoke: validate the shipped scenario library, then run one
 # scenario on both backends — simulator and live in-process fleet — under

@@ -28,8 +28,8 @@ func liveEndpoint(t *testing.T, name string, chaos *fault.Chaos) (*wire.Server, 
 	srv := &wire.Server{
 		Invoker: ep, Batcher: ep, Registry: reg,
 		Endpoints: []*faas.Endpoint{ep},
-		Chaos:     chaos,
 	}
+	srv.SetChaos(chaos)
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -151,8 +151,8 @@ func slowableEndpoint(t *testing.T, name string, delay func() time.Duration) str
 // TestE2EChaosHedgedNoRequestLost is the hedging end-to-end claim: with
 // hedged requests racing two endpoints — one of which stalls a fraction
 // of its calls — every invocation still completes exactly once with its
-// own payload. A leaked pending entry, a crossed FIFO, or a duplicated
-// response would surface as a mismatched echo; a hedge arm misreported
+// own payload. A leaked pending entry, a crossed response, or a
+// duplicated one would surface as a mismatched echo; a hedge arm misreported
 // to a breaker would surface as a trip on a healthy endpoint.
 func TestE2EChaosHedgedNoRequestLost(t *testing.T) {
 	var n int64

@@ -8,8 +8,6 @@
 //	continuum-bench -ablations      # the A* ablation studies
 //	continuum-bench -size small     # trimmed parameters (quick look)
 //	continuum-bench -csv            # tables as CSV
-//	continuum-bench -wire           # wire-protocol throughput -> BENCH_wire.json
-//	continuum-bench -spec           # speculation/hedging tail latency -> BENCH_speculation.json
 //	continuum-bench -overload       # goodput under flash crowd, admission on/off -> BENCH_overload.json
 package main
 
@@ -28,14 +26,6 @@ func main() {
 	ablations := flag.Bool("ablations", false, "run the ablation studies instead of the main experiments")
 	sizeFlag := flag.String("size", "full", "experiment size: 'full' or 'small'")
 	csv := flag.Bool("csv", false, "emit tables as CSV")
-	wireBench := flag.Bool("wire", false, "measure wire-protocol throughput over loopback instead of the experiments")
-	wireN := flag.Int("wire-n", 20000, "wire bench: calls per scenario")
-	wirePayload := flag.Int("wire-payload", 256, "wire bench: invoke payload bytes")
-	wireC := flag.Int("wire-c", 64, "wire bench: concurrent callers on the shared connection")
-	wireOut := flag.String("wire-out", "BENCH_wire.json", "wire bench: JSON report path")
-	specBench := flag.Bool("spec", false, "measure speculative-execution tail latency (sim + live hedging) instead of the experiments")
-	specN := flag.Int("spec-n", 4000, "spec bench: live calls per mode")
-	specOut := flag.String("spec-out", "BENCH_speculation.json", "spec bench: JSON report path")
 	overloadBench := flag.Bool("overload", false, "measure goodput under a flash crowd with and without admission control instead of the experiments")
 	overloadDur := flag.Duration("overload-dur", 2*time.Second, "overload bench: driven duration per mode")
 	overloadOut := flag.String("overload-out", "BENCH_overload.json", "overload bench: JSON report path")
@@ -47,20 +37,6 @@ func main() {
 	engineFloor := flag.Float64("engine-floor", 1_000_000, "engine bench: minimum calendar events/sec at the largest population")
 	flag.Parse()
 
-	if *wireBench {
-		if err := runWireBench(*wireN, *wirePayload, *wireC, *wireOut); err != nil {
-			fmt.Fprintf(os.Stderr, "continuum-bench: wire: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *specBench {
-		if err := runSpecBench(*specN, *specOut); err != nil {
-			fmt.Fprintf(os.Stderr, "continuum-bench: spec: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *engineBench {
 		if err := runEngineBench(*engineQuick, *engineOut, *engineGate, *engineFloor); err != nil {
 			fmt.Fprintf(os.Stderr, "continuum-bench: engine: %v\n", err)

@@ -159,7 +159,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "continuumd: -chaos:", err)
 			os.Exit(2)
 		}
-		srv.Chaos = fault.NewChaos(spec)
+		srv.SetChaos(fault.NewChaos(spec))
 		fmt.Printf("continuumd: chaos enabled (%s)\n", *chaos)
 	}
 	var m *metrics.Registry

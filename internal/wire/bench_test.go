@@ -1,8 +1,10 @@
 package wire
 
-// Wire hot-path benchmarks. `make bench-wire` runs these with -benchmem
-// and continuum-bench -wire records the e2e throughput trajectory in
-// BENCH_wire.json.
+// Wire hot-path benchmarks:
+//
+//	go test -run '^$' -bench BenchmarkWire -benchmem ./internal/wire
+//
+// End-to-end figures come from the benchmark module (BENCHMARK.json).
 
 import (
 	"bytes"
@@ -33,17 +35,14 @@ func benchServer(b *testing.B) string {
 	return lis.Addr().String()
 }
 
-func benchClient(b *testing.B, addr string, forceJSON bool) *Client {
+func benchClient(b *testing.B, addr string) *Client {
 	b.Helper()
 	c, err := Dial(addr)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if forceJSON {
-		c.ForceJSON()
-	}
 	b.Cleanup(func() { c.Close() })
-	// Prime the connection (and codec negotiation) outside the timer.
+	// Prime the connection and the warm container outside the timer.
 	if _, err := c.Invoke("echo", []byte("warm")); err != nil {
 		b.Fatal(err)
 	}
@@ -53,21 +52,14 @@ func benchClient(b *testing.B, addr string, forceJSON bool) *Client {
 // BenchmarkWireInvoke is the serial round-trip floor: one call in
 // flight at a time over one connection.
 func BenchmarkWireInvoke(b *testing.B) {
-	for _, variant := range []struct {
-		name      string
-		forceJSON bool
-	}{{"binary", false}, {"json", true}} {
-		b.Run(variant.name, func(b *testing.B) {
-			c := benchClient(b, benchServer(b), variant.forceJSON)
-			payload := bytes.Repeat([]byte{'x'}, 256)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := c.Invoke("echo", payload); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	c := benchClient(b, benchServer(b))
+	payload := bytes.Repeat([]byte{'x'}, 256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Invoke("echo", payload); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -75,61 +67,46 @@ func BenchmarkWireInvoke(b *testing.B) {
 // concurrent callers share ONE connection. Compare ops/sec against
 // BenchmarkWireInvoke for the pipelining speedup.
 func BenchmarkWireInvokeParallel(b *testing.B) {
-	for _, variant := range []struct {
-		name      string
-		forceJSON bool
-	}{{"binary", false}, {"json", true}} {
-		b.Run(variant.name, func(b *testing.B) {
-			c := benchClient(b, benchServer(b), variant.forceJSON)
-			payload := bytes.Repeat([]byte{'x'}, 256)
-			// RunParallel spawns GOMAXPROCS*parallelism goroutines; aim
-			// for ~64 in-flight calls regardless of core count.
-			par := 64 / runtime.GOMAXPROCS(0)
-			if par < 1 {
-				par = 1
-			}
-			b.SetParallelism(par)
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if _, err := c.Invoke("echo", payload); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
+	c := benchClient(b, benchServer(b))
+	payload := bytes.Repeat([]byte{'x'}, 256)
+	// RunParallel spawns GOMAXPROCS*parallelism goroutines; aim for ~64
+	// in-flight calls regardless of core count.
+	par := 64 / runtime.GOMAXPROCS(0)
+	if par < 1 {
+		par = 1
 	}
+	b.SetParallelism(par)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if _, err := c.Invoke("echo", payload); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
-// BenchmarkWireCodec isolates encode+decode cost for a 64 KiB payload —
-// the B/op gap is base64-in-JSON vs raw bytes.
+// BenchmarkWireCodec isolates encode+decode cost for a 64 KiB payload.
 func BenchmarkWireCodec(b *testing.B) {
 	payload := bytes.Repeat([]byte{0xAB}, 64<<10)
 	req := &Request{Op: OpInvoke, ID: "bench-1", Fn: "echo", Payload: payload}
-	for _, variant := range []struct {
-		name  string
-		codec Codec
-	}{{"json-64k", CodecJSON}, {"binary-64k", CodecBinary}} {
-		b.Run(variant.name, func(b *testing.B) {
-			var buf bytes.Buffer
-			if err := WriteFrameCodec(&buf, req, variant.codec); err != nil {
-				b.Fatal(err)
-			}
-			frame := append([]byte(nil), buf.Bytes()...)
-			b.SetBytes(int64(len(frame)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				buf.Reset()
-				if err := WriteFrameCodec(&buf, req, variant.codec); err != nil {
-					b.Fatal(err)
-				}
-				out := new(Request)
-				if _, err := ReadFrameCodec(bytes.NewReader(frame), out); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	var buf bytes.Buffer
+	if err := WriteFrameCodec(&buf, req, CodecBinary); err != nil {
+		b.Fatal(err)
+	}
+	frame := append([]byte(nil), buf.Bytes()...)
+	b.SetBytes(int64(len(frame)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := WriteFrameCodec(&buf, req, CodecBinary); err != nil {
+			b.Fatal(err)
+		}
+		out := new(Request)
+		if _, err := ReadFrameCodec(bytes.NewReader(frame), out); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

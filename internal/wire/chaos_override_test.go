@@ -9,10 +9,8 @@ import (
 )
 
 // TestSetChaosOverridesAndRestores: SetChaos installs an injector on a
-// running server, and SetChaos(nil) restores clean service — including
-// when the server was constructed with a baseline Chaos, which nil
-// explicitly overrides (the scenario live backend relies on both
-// directions).
+// running server, and SetChaos(nil) restores clean service (the scenario
+// live backend relies on both directions).
 func TestSetChaosOverridesAndRestores(t *testing.T) {
 	srv, addr := startServer(t)
 	c, err := Dial(addr)
@@ -33,26 +31,6 @@ func TestSetChaosOverridesAndRestores(t *testing.T) {
 	srv.SetChaos(nil)
 	if _, err := c.Invoke("echo", []byte("hi")); err != nil {
 		t.Fatalf("SetChaos(nil) did not restore service: %v", err)
-	}
-}
-
-func TestSetChaosNilOverridesBaseline(t *testing.T) {
-	srv, addr := startServer(t)
-	// Simulate a server booted with -chaos: baseline injector that fails
-	// everything.
-	srv.Chaos = fault.NewChaos(fault.ChaosSpec{ErrProb: 1, Seed: 1})
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	if _, err := c.Invoke("echo", []byte("hi")); err == nil {
-		t.Fatal("baseline chaos inactive")
-	}
-	srv.SetChaos(nil) // override-with-nil beats the baseline
-	if _, err := c.Invoke("echo", []byte("hi")); err != nil {
-		t.Fatalf("SetChaos(nil) did not mask the baseline: %v", err)
 	}
 }
 

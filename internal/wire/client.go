@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"net"
 	"strconv"
@@ -20,26 +21,18 @@ import (
 // one connection, matched to their responses by request ID, so a slow
 // invocation never head-of-line-blocks the calls behind it. It is safe
 // for concurrent use. Every request is stamped with a unique ID
-// ("<connection-prefix>-<seq>") the server echoes back; a legacy server
-// that strips IDs is handled by matching responses to requests in wire
-// order, which is exact because such servers process serially.
-//
-// The client starts in JSON frames and advertises the binary codec on
-// every request; the first response acking it (Response.Codec) upgrades
-// the connection, so a legacy JSON-only server simply keeps JSON.
+// ("<connection-prefix>-<seq>") the server echoes back. A response the
+// client cannot decode, or one without an ID, breaks the connection: no
+// call ever receives a response meant for another.
 type Client struct {
 	conn    net.Conn
 	gw      *groupWriter // serializes and batches request frames onto conn
 	prefix  string
 	seq     atomic.Int64
 	timeout atomic.Int64 // per-call deadline in nanoseconds, 0 = none
-	binary  atomic.Bool  // server acked the binary codec
-	noBin   atomic.Bool  // pinned to JSON (ForceJSON)
 
 	pmu     sync.Mutex
 	pending map[string]chan *Response // in-flight calls by request ID
-	fifo    []string                  // wire order, for ID-less responses
-	idEcho  bool                      // server echoes IDs: fifo bookkeeping unnecessary
 	broken  error                     // set once the reader dies
 
 	spans   *trace.SpanStore // send spans for traced calls, nil = record nothing
@@ -119,14 +112,6 @@ func (c *Client) SetCallTimeout(d time.Duration) {
 	c.timeout.Store(int64(d))
 }
 
-// ForceJSON pins the connection to JSON frames: the client never
-// advertises the binary codec and ignores any ack. This is the
-// mixed-version baseline for benchmarks and interop tests.
-func (c *Client) ForceJSON() {
-	c.noBin.Store(true)
-	c.binary.Store(false)
-}
-
 // Broken reports whether the connection has failed; a broken client
 // fails every call immediately and must be redialed.
 func (c *Client) Broken() bool {
@@ -146,45 +131,29 @@ func (c *Client) readLoop() {
 	br := bufio.NewReaderSize(c.conn, 64<<10)
 	for {
 		resp := new(Response)
-		if _, err := ReadFrameCodec(br, resp); err != nil {
+		if _, err := readFrameN(br, resp); err != nil {
 			c.fail(err)
 			return
 		}
-		if resp.Codec == codecBinaryName && !c.noBin.Load() {
-			c.binary.Store(true)
+		if resp.ID == "" {
+			c.fail(errNoResponseID)
+			return
 		}
 		c.deliver(resp)
 	}
 }
 
-// deliver routes one response to its call: by ID when the server echoed
-// one, else to the oldest in-flight call (legacy serial servers answer
-// strictly in wire order). Responses for calls that already timed out
-// are dropped.
+// errNoResponseID breaks a connection whose server did not echo a
+// request ID: every request carries one, so such a response belongs to
+// no call.
+var errNoResponseID = errors.New("wire: response without a request ID")
+
+// deliver routes one response to its call by ID. Responses for calls
+// that already timed out or were cancelled are dropped.
 func (c *Client) deliver(resp *Response) {
-	var ch chan *Response
 	c.pmu.Lock()
-	if resp.ID != "" {
-		// The server echoes IDs, so the FIFO fallback will never fire:
-		// stop maintaining it, or it would grow for the connection's
-		// lifetime (by-ID delivery never drains it).
-		if !c.idEcho {
-			c.idEcho = true
-			c.fifo = nil
-		}
-		ch = c.pending[resp.ID]
-		delete(c.pending, resp.ID)
-	} else if len(c.fifo) > 0 {
-		// A serial legacy server sends exactly one response per request,
-		// in wire order, so consume exactly one fifo entry here. If that
-		// call was forgotten (timed out, cancelled), this response is its
-		// now-unwanted answer and must be dropped — handing it to the
-		// next fifo entry would leave every later response off by one.
-		id := c.fifo[0]
-		c.fifo = c.fifo[1:]
-		ch = c.pending[id]
-		delete(c.pending, id)
-	}
+	ch := c.pending[resp.ID]
+	delete(c.pending, resp.ID)
 	c.pmu.Unlock()
 	if ch != nil {
 		ch <- resp // buffered: never blocks the reader
@@ -201,7 +170,6 @@ func (c *Client) fail(err error) {
 	}
 	pend := c.pending
 	c.pending = nil
-	c.fifo = nil
 	c.pmu.Unlock()
 	for _, ch := range pend {
 		close(ch)
@@ -237,8 +205,7 @@ func (c *Client) roundTrip(req *Request) (*Response, error) {
 // untraced path pays one context lookup and nothing else.
 func (c *Client) roundTripContext(ctx context.Context, req *Request) (*Response, error) {
 	// A non-normal priority (faas.WithPriority) rides the request so the
-	// server's admission controller sheds in class order; the normal
-	// default keeps the frame byte-identical to priority-unaware peers.
+	// server's admission controller sheds in class order.
 	if p := faas.PriorityFromContext(ctx); p != faas.PriorityNormal {
 		req.Priority = int(p)
 	}
@@ -273,12 +240,6 @@ func (c *Client) doRoundTrip(ctx context.Context, req *Request) (*Response, erro
 		b = append(b, '-')
 		req.ID = string(strconv.AppendInt(b, c.seq.Add(1), 10))
 	}
-	codec := CodecJSON
-	if c.binary.Load() {
-		codec = CodecBinary
-	} else if !c.noBin.Load() {
-		req.Accept = AcceptBinary
-	}
 	var deadline time.Time
 	if d := time.Duration(c.timeout.Load()); d > 0 {
 		deadline = time.Now().Add(d)
@@ -288,37 +249,20 @@ func (c *Client) doRoundTrip(ctx context.Context, req *Request) (*Response, erro
 	}
 	ch := make(chan *Response, 1)
 
-	bp := getBuf()
-	frame, err := appendFrame((*bp)[:0], req, codec)
-	if err != nil {
-		putBuf(bp)
-		return nil, err
-	}
-
-	// Register and enqueue under the writer's lock so fifo order matches
-	// wire order — the invariant the legacy ID-less matching relies on.
-	c.gw.mu.Lock()
+	// Register before the frame can reach the wire, so the reader always
+	// finds the call its response belongs to.
 	c.pmu.Lock()
 	if err := c.broken; err != nil {
 		c.pmu.Unlock()
-		c.gw.mu.Unlock()
-		putBuf(bp)
 		return nil, fmt.Errorf("wire: connection failed: %w", err)
 	}
 	c.pending[req.ID] = ch
-	if !c.idEcho {
-		c.fifo = append(c.fifo, req.ID)
-	}
 	c.pmu.Unlock()
-	err = c.gw.enqueueLocked(frame)
-	c.gw.mu.Unlock()
-	*bp = frame
-	putBuf(bp)
-	if err != nil {
-		// The writer is dead (a flush failure severs the connection,
-		// since a partial write desyncs the framing for every call
-		// sharing it); drop our registration and fail now instead of
-		// waiting for the reader to notice.
+	if _, err := c.gw.writeFrame(req); err != nil {
+		// The frame did not encode, or the writer is dead (a flush
+		// failure severs the connection, since a partial write desyncs
+		// the framing for every call sharing it); drop our registration
+		// and fail now instead of waiting for the reader to notice.
 		c.forget(req.ID)
 		return nil, err
 	}

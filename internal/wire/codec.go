@@ -1,48 +1,30 @@
 package wire
 
 // Frame codec: every frame on the wire is a 4-byte big-endian length
-// followed by a body in one of two encodings, distinguished by the
-// body's first byte:
+// followed by one binary body. Hot fields are encoded natively — JSON
+// never runs on the invoke hot path:
 //
-//	'{'      JSON — the original encoding, understood by every peer.
-//	0xC5     binary — an opt-in encoding that carries Payload/Batch
-//	         bytes raw instead of base64 inside JSON, and every hot
-//	         field without reflection.
-//
-// The binary body encodes the common fields natively — JSON never runs
-// on the invoke hot path:
-//
-//	[0]      0xC5 magic
+//	[0]      0xC6 magic — the protocol version
 //	[1]      kind: 0x01 request, 0x02 response
-//	Request  str Op, str ID, str Accept, str Fn, blob Payload, batch,
-//	         then — only when the request is traced, carries a
-//	         non-normal priority, or carries a federation member body —
-//	         str TraceID, str SpanID, then — only when the priority is
-//	         non-normal or a member body follows — varint Priority,
-//	         then — only for federation control frames — a uvarint
-//	         length and a JSON-encoded MemberInfo. The trailer is
-//	         backward compatible both ways: decoders predating it
-//	         discard trailing request bytes, and new decoders treat an
-//	         exhausted buffer as untraced / normal priority / no member.
+//	Request  str Op, str ID, str Fn, blob Payload, batch, str TraceID,
+//	         str SpanID, varint Priority, uvarint length + JSON-encoded
+//	         MemberInfo (length 0 = no member)
 //	Response [2] flags (bit0 OK, bit1 Retryable, bit2 extension),
-//	         str ID, str Codec, str Error, blob Payload, batch,
-//	         then — only when the extension bit is set — a uvarint
-//	         length and a JSON object carrying the rare
-//	         list/stats/top/spans/retry-after/federation fields.
+//	         str ID, str Error, blob Payload, batch, then — only when the
+//	         extension bit is set — a uvarint length and a JSON object
+//	         carrying the rare list/stats/top/spans/retry-after/federation
+//	         fields.
 //
 // where str is uvarint length + bytes, blob is the same but with
 // uvarint 0 meaning nil and length+1 otherwise (nil and empty payloads
 // survive a round trip distinctly), and batch is uvarint 0 = nil or
-// count+1 followed by one blob per item. A protocol field added later
-// must be added here too; the codec round-trip test's all-fields guard
-// fails until it is.
-//
-// Negotiation is in-band and backward compatible: a client advertises
-// support with Request.Accept = AcceptBinary (an optional JSON field old
-// servers ignore); a server that understands it replies in binary with
-// Response.Codec set, and the client upgrades the connection from then
-// on. A peer that never advertises — or never acks — keeps speaking
-// JSON, so mixed-version federations interoperate frame by frame.
+// count+1 followed by one blob per item. Every field is always present
+// and a body must be consumed exactly, so any strict prefix of a frame,
+// and any frame with trailing bytes, fails to decode. A peer speaking
+// another protocol version fails on its first frame's magic byte rather
+// than being mis-decoded. A protocol field added later must be added
+// here too; the codec round-trip test's all-fields guard fails until it
+// is.
 
 import (
 	"bytes"
@@ -50,39 +32,31 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"continuum/internal/trace"
 )
 
-// Codec identifies a frame body encoding.
+// Codec identifies a frame body encoding. CodecBinary is the only one;
+// WriteFrameCodec rejects any other value.
 type Codec uint8
 
-// Frame body encodings.
-const (
-	CodecJSON Codec = iota
-	CodecBinary
-)
+// CodecBinary is the protocol's frame encoding.
+const CodecBinary Codec = 1
 
-// String returns the codec name as used in negotiation fields.
-func (c Codec) String() string {
-	if c == CodecBinary {
-		return codecBinaryName
-	}
-	return "json"
-}
+// binMagic starts every frame body. It doubles as the protocol version:
+// a frame from a peer built against another layout is rejected on this
+// byte instead of being decoded field by field into garbage.
+const binMagic = 0xC6
 
-// binMagic starts every binary frame body. It can never begin a JSON
-// body (JSON frames always start with '{'), so the codec is detected
-// per frame with no out-of-band state.
-const binMagic = 0xC5
-
-// AcceptBinary is the Request.Accept value advertising that the sender
-// understands binary response frames.
+// AcceptBinary was the Request.Accept value that advertised the binary
+// codec.
+//
+// Deprecated: every frame is binary. It stays declared only because the
+// benchmark's codec probe still sets it; it is removed together with
+// that probe line.
 const AcceptBinary = "bin"
-
-// codecBinaryName is the Response.Codec value acking binary frames.
-const codecBinaryName = "bin"
 
 // maxPooledBuf caps the capacity of buffers returned to the frame pool,
 // so one oversized frame cannot pin megabytes for the process lifetime.
@@ -107,20 +81,16 @@ func putBuf(bp *[]byte) {
 	framePool.Put(bp)
 }
 
-// WriteFrame writes v as a length-prefixed JSON frame. The header and
-// body are coalesced into a single Write, so a frame is never torn
-// across a write deadline and a small call costs one syscall.
-func WriteFrame(w io.Writer, v any) error {
-	return WriteFrameCodec(w, v, CodecJSON)
-}
-
-// WriteFrameCodec writes v as one length-prefixed frame in the given
-// codec. CodecBinary is only defined for *Request and *Response; other
-// values fall back to JSON. The whole frame (header + body) is issued
-// as a single Write from a pooled buffer.
+// WriteFrameCodec writes v, a *Request or *Response, as one
+// length-prefixed frame. codec must be CodecBinary. The header and body
+// are issued as a single Write from a pooled buffer, so a frame is never
+// torn across a write deadline and a small call costs one syscall.
 func WriteFrameCodec(w io.Writer, v any, codec Codec) error {
+	if codec != CodecBinary {
+		return fmt.Errorf("wire: unknown codec %d", codec)
+	}
 	bp := getBuf()
-	frame, err := appendFrame((*bp)[:0], v, codec)
+	frame, err := appendFrame((*bp)[:0], v)
 	if err == nil {
 		_, err = w.Write(frame)
 	}
@@ -132,29 +102,10 @@ func WriteFrameCodec(w io.Writer, v any, codec Codec) error {
 // appendFrame appends one complete frame — length prefix and encoded
 // body — to dst. This is the shared encode path: WriteFrameCodec issues
 // the result as one Write, and groupWriter queues it for a batched one.
-func appendFrame(dst []byte, v any, codec Codec) ([]byte, error) {
-	if codec == CodecBinary {
-		// The binary framing is only defined for the two frame types;
-		// anything else falls back to JSON, which readers auto-detect.
-		switch v.(type) {
-		case *Request, *Response:
-		default:
-			codec = CodecJSON
-		}
-	}
+func appendFrame(dst []byte, v any) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0) // length prefix placeholder
-	var err error
-	if codec == CodecBinary {
-		dst, err = appendBinary(dst, v)
-	} else {
-		var body []byte
-		body, err = json.Marshal(v)
-		if err != nil {
-			err = fmt.Errorf("wire: marshal: %w", err)
-		}
-		dst = append(dst, body...)
-	}
+	dst, err := appendBody(dst, v)
 	if err != nil {
 		return dst[:start], err
 	}
@@ -166,52 +117,54 @@ func appendFrame(dst []byte, v any, codec Codec) ([]byte, error) {
 	return dst, nil
 }
 
-// ReadFrame reads one frame into v, auto-detecting the body codec.
-func ReadFrame(r io.Reader, v any) error {
-	_, err := ReadFrameCodec(r, v)
-	return err
-}
-
-// ReadFrameCodec reads one frame into v and reports which codec the
-// peer used — servers mirror it on the response so a binary-speaking
-// client is answered in kind.
+// ReadFrameCodec reads one frame into v, a *Request or *Response. The
+// returned Codec is always CodecBinary.
 func ReadFrameCodec(r io.Reader, v any) (Codec, error) {
-	c, _, err := readFrameCodecN(r, v)
-	return c, err
+	_, err := readFrameN(r, v)
+	return CodecBinary, err
 }
 
-// readFrameCodecN is ReadFrameCodec plus the frame's wire size (header
-// and body), so per-request byte accounting stays exact when the server
+// readFrameN is ReadFrameCodec plus the frame's wire size (header and
+// body), so per-request byte accounting stays exact when the server
 // reads through a buffered reader.
-func readFrameCodecN(r io.Reader, v any) (Codec, int64, error) {
+func readFrameN(r io.Reader, v any) (int64, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return CodecJSON, 0, err
+		return 0, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr[:]))
 	if n > MaxFrame {
-		return CodecJSON, 0, ErrFrameTooLarge
+		return 0, ErrFrameTooLarge
 	}
-	size := int64(4 + n)
 	bp := getBuf()
-	buf := *bp
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
-	} else {
-		buf = buf[:n]
-	}
-	*bp = buf
 	defer putBuf(bp)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return CodecJSON, 0, err
+	body, err := readBody(r, (*bp)[:0], n)
+	*bp = body
+	if err != nil {
+		return 0, err
 	}
-	if n > 0 && buf[0] == binMagic {
-		return CodecBinary, size, decodeBinary(buf, v)
+	return int64(4 + n), decodeBody(body, v)
+}
+
+// readBody reads exactly n bytes onto buf. The buffer grows only as
+// bytes arrive, at most doubling what has been received, so a length
+// prefix a peer announces but never sends costs nothing beyond the
+// pooled buffer. A frame that fits the buffer is one read.
+func readBody(r io.Reader, buf []byte, n int) ([]byte, error) {
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), max(cap(buf), 4096)))
+		}
+		k, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+k]
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the header promised a body
+		}
+		if err != nil {
+			return buf, err
+		}
 	}
-	if err := json.Unmarshal(buf, v); err != nil {
-		return CodecJSON, 0, fmt.Errorf("wire: unmarshal: %w", err)
-	}
-	return CodecJSON, size, nil
+	return buf, nil
 }
 
 // Binary body kinds (second byte, after the magic).
@@ -229,8 +182,7 @@ const (
 
 // respExt carries the rare Response fields (list/stats/top/trace
 // results) as a JSON extension section, keeping struct-heavy encoding
-// off the invoke hot path. Old peers ignore unknown keys, so adding a
-// field here never breaks a mixed-version federation.
+// off the invoke hot path.
 type respExt struct {
 	Names        []string        `json:"names,omitempty"`
 	Stats        []EndpointStats `json:"stats,omitempty"`
@@ -242,44 +194,30 @@ type respExt struct {
 	Generation   int64           `json:"generation,omitempty"`
 }
 
-// appendBinary encodes v (a *Request or *Response) onto buf in the
-// binary framing.
-func appendBinary(buf []byte, v any) ([]byte, error) {
+// appendBody encodes v (a *Request or *Response) onto buf.
+func appendBody(buf []byte, v any) ([]byte, error) {
 	switch t := v.(type) {
 	case *Request:
 		buf = append(buf, binMagic, binKindRequest)
 		buf = appendStr(buf, string(t.Op))
 		buf = appendStr(buf, t.ID)
-		buf = appendStr(buf, t.Accept)
 		buf = appendStr(buf, t.Fn)
 		buf = appendBlob(buf, t.Payload)
 		buf = appendBatch(buf, t.Batch)
-		// Trace/priority/member trailer: appended only for traced,
-		// non-normal-priority, or federation-control requests, so default
-		// frames are byte-identical to the pre-trailer encoding and legacy
-		// decoders (which discard trailing bytes) interoperate unchanged.
-		// Priority rides after the trace strings — elided when normal
-		// unless a member body follows (the member blob needs every
-		// preceding trailer field present so the decoder's position is
-		// unambiguous) — and the member body last, as a uvarint-length
-		// JSON blob: control frames are rare and tiny, so reflection
+		buf = appendStr(buf, t.TraceID)
+		buf = appendStr(buf, t.SpanID)
+		buf = binary.AppendVarint(buf, int64(t.Priority))
+		// The member body is a rare, tiny control frame, so reflection
 		// there costs nothing the invoke hot path ever sees.
-		if t.TraceID != "" || t.SpanID != "" || t.Priority != 0 || t.Member != nil {
-			buf = appendStr(buf, t.TraceID)
-			buf = appendStr(buf, t.SpanID)
-			if t.Priority != 0 || t.Member != nil {
-				buf = binary.AppendVarint(buf, int64(t.Priority))
-			}
-			if t.Member != nil {
-				mb, err := json.Marshal(t.Member)
-				if err != nil {
-					return buf, fmt.Errorf("wire: marshal member: %w", err)
-				}
-				buf = binary.AppendUvarint(buf, uint64(len(mb)))
-				buf = append(buf, mb...)
+		var mb []byte
+		if t.Member != nil {
+			var err error
+			if mb, err = json.Marshal(t.Member); err != nil {
+				return buf, fmt.Errorf("wire: marshal member: %w", err)
 			}
 		}
-		return buf, nil
+		buf = binary.AppendUvarint(buf, uint64(len(mb)))
+		return append(buf, mb...), nil
 	case *Response:
 		var flags byte
 		if t.OK {
@@ -288,9 +226,12 @@ func appendBinary(buf []byte, v any) ([]byte, error) {
 		if t.Retryable {
 			flags |= binFlagRetryable
 		}
+		// Gate on lengths, not nil-ness: empty lists vanish from the JSON
+		// anyway, and an extension that decodes to nothing must not be
+		// sent, or a re-encoded frame would differ from its source.
 		var ext []byte
-		if t.Names != nil || t.Stats != nil || t.Top != nil || t.Spans != nil ||
-			t.RetryAfterMS != 0 || t.Members != nil || t.HeartbeatMS != 0 || t.Generation != 0 {
+		if len(t.Names) > 0 || len(t.Stats) > 0 || len(t.Top) > 0 || len(t.Spans) > 0 ||
+			t.RetryAfterMS != 0 || len(t.Members) > 0 || t.HeartbeatMS != 0 || t.Generation != 0 {
 			var err error
 			if ext, err = json.Marshal(respExt{t.Names, t.Stats, t.Top, t.Spans, t.RetryAfterMS, t.Members, t.HeartbeatMS, t.Generation}); err != nil {
 				return buf, fmt.Errorf("wire: marshal extension: %w", err)
@@ -299,7 +240,6 @@ func appendBinary(buf []byte, v any) ([]byte, error) {
 		}
 		buf = append(buf, binMagic, binKindResponse, flags)
 		buf = appendStr(buf, t.ID)
-		buf = appendStr(buf, t.Codec)
 		buf = appendStr(buf, t.Error)
 		buf = appendBlob(buf, t.Payload)
 		buf = appendBatch(buf, t.Batch)
@@ -309,7 +249,7 @@ func appendBinary(buf []byte, v any) ([]byte, error) {
 		}
 		return buf, nil
 	default:
-		return buf, fmt.Errorf("wire: binary codec unsupported for %T", v)
+		return buf, fmt.Errorf("wire: no frame encoding for %T", v)
 	}
 }
 
@@ -408,130 +348,136 @@ func takeBlob(b []byte) (blob, rest []byte, err error) {
 	return bytes.Clone(b[:n]), b[n:], nil
 }
 
-// decodeBinary parses a binary frame body (magic byte already verified)
-// into v, which must be *Request or *Response.
-func decodeBinary(body []byte, v any) error {
-	b := body[1:]
+// takeJSON decodes one uvarint-length JSON section into v.
+func takeJSON(b []byte, v any, what string) ([]byte, error) {
+	n, k := binary.Uvarint(b)
+	if k <= 0 {
+		return nil, fmt.Errorf("wire: binary frame: bad %s length", what)
+	}
+	b = b[k:]
+	if uint64(len(b)) < n {
+		return nil, io.ErrUnexpectedEOF
+	}
+	if err := json.Unmarshal(b[:n], v); err != nil {
+		return nil, fmt.Errorf("wire: unmarshal %s: %w", what, err)
+	}
+	return b[n:], nil
+}
+
+// decodeBody parses one frame body into v, which must be *Request or
+// *Response, and rejects a body with bytes left over.
+func decodeBody(b []byte, v any) error {
 	if len(b) == 0 {
 		return io.ErrUnexpectedEOF
 	}
-	kind := b[0]
-	b = b[1:]
+	if b[0] != binMagic {
+		return fmt.Errorf("wire: frame magic %#x, want %#x: the peer speaks another protocol version", b[0], binMagic)
+	}
+	if len(b) < 2 {
+		return io.ErrUnexpectedEOF
+	}
+	kind := b[1]
 	var err error
 	switch t := v.(type) {
 	case *Request:
 		if kind != binKindRequest {
 			return fmt.Errorf("wire: binary frame: kind %#x is not a request", kind)
 		}
-		var op []byte
-		if op, b, err = takeStrBytes(b); err != nil {
-			return err
-		}
-		t.Op = internOp(op)
-		if t.ID, b, err = takeStr(b); err != nil {
-			return err
-		}
-		var accept []byte
-		if accept, b, err = takeStrBytes(b); err != nil {
-			return err
-		}
-		t.Accept = internAccept(accept)
-		if t.Fn, b, err = takeStr(b); err != nil {
-			return err
-		}
-		if t.Payload, b, err = takeBlob(b); err != nil {
-			return err
-		}
-		if t.Batch, b, err = takeBatch(b); err != nil {
-			return err
-		}
-		// Trace/priority/member trailer, absent on untraced
-		// normal-priority non-control and pre-trailer frames. Each stage
-		// treats an exhausted buffer as "the rest are defaults", so every
-		// historical frame layout decodes correctly.
-		t.TraceID, t.SpanID, t.Priority, t.Member = "", "", 0, nil
-		if len(b) > 0 {
-			if t.TraceID, b, err = takeStr(b); err != nil {
-				return err
-			}
-			if t.SpanID, b, err = takeStr(b); err != nil {
-				return err
-			}
-			if len(b) > 0 {
-				p, k := binary.Varint(b)
-				if k <= 0 {
-					return fmt.Errorf("wire: binary frame: bad priority")
-				}
-				t.Priority = int(p)
-				b = b[k:]
-			}
-			if len(b) > 0 {
-				n, k := binary.Uvarint(b)
-				if k <= 0 {
-					return fmt.Errorf("wire: binary frame: bad member length")
-				}
-				b = b[k:]
-				if uint64(len(b)) < n {
-					return io.ErrUnexpectedEOF
-				}
-				t.Member = new(MemberInfo)
-				if err := json.Unmarshal(b[:n], t.Member); err != nil {
-					return fmt.Errorf("wire: unmarshal member: %w", err)
-				}
-			}
-		}
-		return nil
+		b, err = decodeRequest(b[2:], t)
 	case *Response:
 		if kind != binKindResponse {
 			return fmt.Errorf("wire: binary frame: kind %#x is not a response", kind)
 		}
-		if len(b) == 0 {
-			return io.ErrUnexpectedEOF
-		}
-		flags := b[0]
-		b = b[1:]
-		t.OK = flags&binFlagOK != 0
-		t.Retryable = flags&binFlagRetryable != 0
-		if t.ID, b, err = takeStr(b); err != nil {
-			return err
-		}
-		var codec []byte
-		if codec, b, err = takeStrBytes(b); err != nil {
-			return err
-		}
-		t.Codec = internAccept(codec)
-		if t.Error, b, err = takeStr(b); err != nil {
-			return err
-		}
-		if t.Payload, b, err = takeBlob(b); err != nil {
-			return err
-		}
-		if t.Batch, b, err = takeBatch(b); err != nil {
-			return err
-		}
-		t.Names, t.Stats, t.Top, t.Spans, t.RetryAfterMS = nil, nil, nil, nil, 0
-		t.Members, t.HeartbeatMS, t.Generation = nil, 0, 0
-		if flags&binFlagExt != 0 {
-			n, k := binary.Uvarint(b)
-			if k <= 0 {
-				return fmt.Errorf("wire: binary frame: bad extension length")
-			}
-			b = b[k:]
-			if uint64(len(b)) < n {
-				return io.ErrUnexpectedEOF
-			}
-			var ext respExt
-			if err := json.Unmarshal(b[:n], &ext); err != nil {
-				return fmt.Errorf("wire: unmarshal extension: %w", err)
-			}
-			t.Names, t.Stats, t.Top, t.Spans = ext.Names, ext.Stats, ext.Top, ext.Spans
-			t.RetryAfterMS = ext.RetryAfterMS
-			t.Members, t.HeartbeatMS, t.Generation = ext.Members, ext.HeartbeatMS, ext.Generation
-		}
-		return nil
+		b, err = decodeResponse(b[2:], t)
 	default:
-		return fmt.Errorf("wire: binary codec unsupported for %T", v)
+		return fmt.Errorf("wire: no frame encoding for %T", v)
 	}
+	if err != nil {
+		return err
+	}
+	if len(b) != 0 {
+		return fmt.Errorf("wire: binary frame: %d trailing bytes", len(b))
+	}
+	return nil
+}
+
+// decodeRequest parses a request body after the magic and kind bytes and
+// returns what is left of b.
+func decodeRequest(b []byte, t *Request) ([]byte, error) {
+	op, b, err := takeStrBytes(b)
+	if err != nil {
+		return nil, err
+	}
+	t.Op = internOp(op)
+	if t.ID, b, err = takeStr(b); err != nil {
+		return nil, err
+	}
+	if t.Fn, b, err = takeStr(b); err != nil {
+		return nil, err
+	}
+	if t.Payload, b, err = takeBlob(b); err != nil {
+		return nil, err
+	}
+	if t.Batch, b, err = takeBatch(b); err != nil {
+		return nil, err
+	}
+	if t.TraceID, b, err = takeStr(b); err != nil {
+		return nil, err
+	}
+	if t.SpanID, b, err = takeStr(b); err != nil {
+		return nil, err
+	}
+	p, k := binary.Varint(b)
+	if k <= 0 {
+		return nil, fmt.Errorf("wire: binary frame: bad priority")
+	}
+	t.Priority = int(p)
+	b = b[k:]
+	t.Member = nil
+	if len(b) > 0 && b[0] == 0 {
+		return b[1:], nil // no member body
+	}
+	t.Member = new(MemberInfo)
+	return takeJSON(b, t.Member, "member")
+}
+
+// decodeResponse parses a response body after the magic and kind bytes
+// and returns what is left of b.
+func decodeResponse(b []byte, t *Response) ([]byte, error) {
+	if len(b) == 0 {
+		return nil, io.ErrUnexpectedEOF
+	}
+	flags := b[0]
+	t.OK = flags&binFlagOK != 0
+	t.Retryable = flags&binFlagRetryable != 0
+	var err error
+	if t.ID, b, err = takeStr(b[1:]); err != nil {
+		return nil, err
+	}
+	if t.Error, b, err = takeStr(b); err != nil {
+		return nil, err
+	}
+	if t.Payload, b, err = takeBlob(b); err != nil {
+		return nil, err
+	}
+	if t.Batch, b, err = takeBatch(b); err != nil {
+		return nil, err
+	}
+	t.Names, t.Stats, t.Top, t.Spans = nil, nil, nil, nil
+	t.RetryAfterMS, t.Members, t.HeartbeatMS, t.Generation = 0, nil, 0, 0
+	if flags&binFlagExt == 0 {
+		return b, nil
+	}
+	// Declared here, not above: JSON decoding moves it to the heap, and
+	// the invoke hot path carries no extension.
+	var ext respExt
+	if b, err = takeJSON(b, &ext, "extension"); err != nil {
+		return nil, err
+	}
+	t.Names, t.Stats, t.Top, t.Spans = ext.Names, ext.Stats, ext.Top, ext.Spans
+	t.RetryAfterMS = ext.RetryAfterMS
+	t.Members, t.HeartbeatMS, t.Generation = ext.Members, ext.HeartbeatMS, ext.Generation
+	return b, nil
 }
 
 // internOp maps the protocol's known ops back to their constants so
@@ -562,13 +508,4 @@ func internOp(s []byte) Op {
 		return OpEndpoints
 	}
 	return Op(s)
-}
-
-// internAccept interns the one defined codec name ("" and "bin" cover
-// every well-formed peer).
-func internAccept(s []byte) string {
-	if string(s) == AcceptBinary {
-		return AcceptBinary
-	}
-	return string(s)
 }

@@ -2,22 +2,25 @@ package wire
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/binary"
+	"net"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"continuum/internal/trace"
 )
 
-// fullRequest returns a Request with every field set to a non-zero
-// value. requireAllFieldsSet keeps it honest when fields are added.
+// fullRequest returns a Request with every encoded field set to a
+// non-zero value. requireAllFieldsSet keeps it honest when fields are
+// added.
 func fullRequest() *Request {
 	return &Request{
 		Op:      OpInvoke,
 		ID:      "req-1",
-		Accept:  AcceptBinary,
 		Fn:      "echo",
-		Payload: []byte{0x00, 0xC5, '{', 0xFF}, // bytes that would confuse sniffing if mishandled
+		Payload: []byte{0x00, 0xC6, '{', 0xFF}, // magic and JSON bytes inside a payload are just bytes
 		Batch:   [][]byte{{1}, {}, {2, 3}},
 		TraceID: "0123456789abcdef",
 		SpanID:  "89abcdef",
@@ -38,7 +41,6 @@ func fullResponse() *Response {
 	return &Response{
 		OK:           true,
 		ID:           "req-1",
-		Codec:        codecBinaryName,
 		Error:        "partial failure",
 		Retryable:    true,
 		RetryAfterMS: 40,
@@ -74,12 +76,16 @@ func fullResponse() *Response {
 
 // requireAllFieldsSet fails if any field of v is its zero value — the
 // guard that makes the round-trip test prove EVERY protocol field
-// survives both codecs, including fields added after this test was
+// survives the codec, including fields added after this test was
 // written (adding a field without extending the fixtures fails here).
+// Request.Accept is skipped by name: it is deprecated and not encoded.
 func requireAllFieldsSet(t *testing.T, v any) {
 	t.Helper()
 	rv := reflect.ValueOf(v).Elem()
 	for i := 0; i < rv.NumField(); i++ {
+		if rv.Type() == reflect.TypeOf(Request{}) && rv.Type().Field(i).Name == "Accept" {
+			continue
+		}
 		if rv.Field(i).IsZero() {
 			t.Fatalf("%s fixture leaves field %s at its zero value; extend the fixture so the codec round-trip covers it",
 				rv.Type().Name(), rv.Type().Field(i).Name)
@@ -87,44 +93,38 @@ func requireAllFieldsSet(t *testing.T, v any) {
 	}
 }
 
-// TestCodecRoundTripAllFields proves both codecs round-trip every
+// TestCodecRoundTripAllFields proves the codec round-trips every
 // Request and Response field bit for bit.
 func TestCodecRoundTripAllFields(t *testing.T) {
-	for _, codec := range []Codec{CodecJSON, CodecBinary} {
-		t.Run(codec.String(), func(t *testing.T) {
-			req := fullRequest()
-			requireAllFieldsSet(t, req)
-			var buf bytes.Buffer
-			if err := WriteFrameCodec(&buf, req, codec); err != nil {
-				t.Fatal(err)
-			}
-			gotReq := new(Request)
-			gotCodec, err := ReadFrameCodec(&buf, gotReq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotCodec != codec {
-				t.Fatalf("detected codec %v, wrote %v", gotCodec, codec)
-			}
-			if !reflect.DeepEqual(req, gotReq) {
-				t.Fatalf("request round trip mismatch:\nin:  %+v\nout: %+v", req, gotReq)
-			}
+	t.Run("bin", func(t *testing.T) {
+		req := fullRequest()
+		requireAllFieldsSet(t, req)
+		var buf bytes.Buffer
+		if err := WriteFrameCodec(&buf, req, CodecBinary); err != nil {
+			t.Fatal(err)
+		}
+		gotReq := new(Request)
+		if _, err := ReadFrameCodec(&buf, gotReq); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(req, gotReq) {
+			t.Fatalf("request round trip mismatch:\nin:  %+v\nout: %+v", req, gotReq)
+		}
 
-			resp := fullResponse()
-			requireAllFieldsSet(t, resp)
-			buf.Reset()
-			if err := WriteFrameCodec(&buf, resp, codec); err != nil {
-				t.Fatal(err)
-			}
-			gotResp := new(Response)
-			if _, err := ReadFrameCodec(&buf, gotResp); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(resp, gotResp) {
-				t.Fatalf("response round trip mismatch:\nin:  %+v\nout: %+v", resp, gotResp)
-			}
-		})
-	}
+		resp := fullResponse()
+		requireAllFieldsSet(t, resp)
+		buf.Reset()
+		if err := WriteFrameCodec(&buf, resp, CodecBinary); err != nil {
+			t.Fatal(err)
+		}
+		gotResp := new(Response)
+		if _, err := ReadFrameCodec(&buf, gotResp); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(resp, gotResp) {
+			t.Fatalf("response round trip mismatch:\nin:  %+v\nout: %+v", resp, gotResp)
+		}
+	})
 }
 
 // TestBinaryCodecPreservesNilVsEmpty: the blob sections distinguish a
@@ -154,15 +154,12 @@ func TestBinaryCodecPreservesNilVsEmpty(t *testing.T) {
 // payload bytes instead of base64-in-JSON.
 func TestBinaryCodecSmallerForLargePayloads(t *testing.T) {
 	req := &Request{Op: OpInvoke, ID: "big", Fn: "echo", Payload: bytes.Repeat([]byte{0xAB}, 64<<10)}
-	var js, bin bytes.Buffer
-	if err := WriteFrameCodec(&js, req, CodecJSON); err != nil {
-		t.Fatal(err)
-	}
+	var bin bytes.Buffer
 	if err := WriteFrameCodec(&bin, req, CodecBinary); err != nil {
 		t.Fatal(err)
 	}
-	if bin.Len() >= js.Len() {
-		t.Fatalf("binary frame %d B not smaller than JSON frame %d B", bin.Len(), js.Len())
+	if b64 := base64.StdEncoding.EncodedLen(len(req.Payload)); bin.Len() >= b64 {
+		t.Fatalf("binary frame %d B not smaller than the payload's base64 (%d B)", bin.Len(), b64)
 	}
 	// Base64 inflates 64 KiB to ~85 KiB; binary should be within ~1% of raw.
 	if bin.Len() > 65<<10 {
@@ -185,37 +182,41 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 // so a frame is never torn across a deadline and a small call costs one
 // syscall.
 func TestWriteFrameSingleWrite(t *testing.T) {
-	for _, codec := range []Codec{CodecJSON, CodecBinary} {
-		var w countingWriter
-		if err := WriteFrameCodec(&w, fullRequest(), codec); err != nil {
-			t.Fatal(err)
-		}
-		if w.writes != 1 {
-			t.Fatalf("%v frame issued %d writes, want 1", codec, w.writes)
-		}
-		// And the coalesced frame must still parse.
-		out := new(Request)
-		if _, err := ReadFrameCodec(&w.Buffer, out); err != nil {
-			t.Fatal(err)
-		}
+	var w countingWriter
+	if err := WriteFrameCodec(&w, fullRequest(), CodecBinary); err != nil {
+		t.Fatal(err)
+	}
+	if w.writes != 1 {
+		t.Fatalf("frame issued %d writes, want 1", w.writes)
+	}
+	// And the coalesced frame must still parse.
+	out := new(Request)
+	if _, err := ReadFrameCodec(&w.Buffer, out); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestBinaryFallsBackToJSONForOtherTypes: CodecBinary is only defined
-// for *Request/*Response; any other value must go out as a JSON frame
-// (which readers auto-detect) rather than erroring.
-func TestBinaryFallsBackToJSONForOtherTypes(t *testing.T) {
+// TestWriteFrameRejectsNonFrameTypes: a frame is a *Request or a
+// *Response in the one codec; any other value or codec is an error, and
+// nothing reaches the writer.
+func TestWriteFrameRejectsNonFrameTypes(t *testing.T) {
+	var w countingWriter
+	if err := WriteFrameCodec(&w, map[string]string{"k": "v"}, CodecBinary); err == nil {
+		t.Fatal("a map encoded as a frame")
+	}
+	if err := WriteFrameCodec(&w, fullRequest(), Codec(0)); err == nil {
+		t.Fatal("a request encoded under an unknown codec")
+	}
+	if w.writes != 0 {
+		t.Fatalf("rejected frames issued %d writes", w.writes)
+	}
 	var buf bytes.Buffer
-	in := map[string]string{"k": "v"}
-	if err := WriteFrameCodec(&buf, in, CodecBinary); err != nil {
-		t.Fatalf("non-frame type under CodecBinary: %v", err)
+	if err := WriteFrameCodec(&buf, fullRequest(), CodecBinary); err != nil {
+		t.Fatal(err)
 	}
 	out := map[string]string{}
-	if codec, err := ReadFrameCodec(&buf, &out); err != nil || codec != CodecJSON {
-		t.Fatalf("read back codec=%v err=%v, want JSON fallback", codec, err)
-	}
-	if out["k"] != "v" {
-		t.Fatalf("round trip = %v", out)
+	if _, err := ReadFrameCodec(&buf, &out); err == nil {
+		t.Fatal("a request frame decoded into a map")
 	}
 }
 
@@ -228,80 +229,79 @@ func TestBinaryFrameTooLarge(t *testing.T) {
 	}
 }
 
-// TestBinaryDecodeTruncated: a truncated binary body errors instead of
-// panicking or fabricating fields — with THREE deliberate exceptions,
-// one per historical frame layout: a cut landing exactly on the end of
-// the pre-trailer schema is indistinguishable from a frame a legacy
-// encoder wrote (decodes as the same request, untraced and normal
-// priority), a cut on the end of the trace strings is indistinguishable
-// from a pre-priority traced frame (decodes traced, normal priority),
-// and a cut on the end of the priority varint is indistinguishable from
-// a pre-federation frame (decodes with no member). Those ambiguities
-// are what make the trailer backward compatible across all three
-// protocol additions.
+// TestBinaryDecodeTruncated: every field is always present, so every
+// strict prefix of a full request or response body is rejected, and so
+// is a body with bytes after its last field.
 func TestBinaryDecodeTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrameCodec(&buf, fullRequest(), CodecBinary); err != nil {
-		t.Fatal(err)
-	}
-	whole := buf.Bytes()
-	frameLen := func(req *Request) int {
-		var b bytes.Buffer
-		if err := WriteFrameCodec(&b, req, CodecBinary); err != nil {
+	for _, tc := range []struct {
+		in  any
+		out func() any
+	}{
+		{fullRequest(), func() any { return new(Request) }},
+		{fullResponse(), func() any { return new(Response) }},
+	} {
+		var buf bytes.Buffer
+		if err := WriteFrameCodec(&buf, tc.in, CodecBinary); err != nil {
 			t.Fatal(err)
 		}
-		return b.Len()
-	}
-	// The legacy frame boundary: everything up to (not including) the
-	// trace/priority/member trailer.
-	legacy := fullRequest()
-	legacy.TraceID, legacy.SpanID, legacy.Priority, legacy.Member = "", "", 0, nil
-	legacyBoundary := frameLen(legacy)
-	// The pre-priority boundary: trace strings present, priority and
-	// member absent.
-	traced := fullRequest()
-	traced.Priority, traced.Member = 0, nil
-	tracedBoundary := frameLen(traced)
-	// The pre-federation boundary: trace strings and priority present,
-	// member absent.
-	preMember := fullRequest()
-	preMember.Member = nil
-	preMemberBoundary := frameLen(preMember)
-
-	for cut := 5; cut < len(whole); cut++ {
-		// Rewrite the length prefix to match the truncated body, so the
-		// decoder's own bounds checks are exercised, not just short reads.
-		trunc := append([]byte(nil), whole[:cut]...)
-		binary.BigEndian.PutUint32(trunc[:4], uint32(cut-4))
-		out := new(Request)
-		err := ReadFrame(bytes.NewReader(trunc), out)
-		switch cut {
-		case legacyBoundary:
-			if err != nil {
-				t.Fatalf("cut at the legacy boundary (%d) must decode as an untraced frame, got %v", cut, err)
-			}
-			if !reflect.DeepEqual(out, legacy) {
-				t.Fatalf("legacy-boundary decode:\nin:  %+v\nout: %+v", legacy, out)
-			}
-		case tracedBoundary:
-			if err != nil {
-				t.Fatalf("cut at the pre-priority boundary (%d) must decode as a traced normal-priority frame, got %v", cut, err)
-			}
-			if !reflect.DeepEqual(out, traced) {
-				t.Fatalf("pre-priority-boundary decode:\nin:  %+v\nout: %+v", traced, out)
-			}
-		case preMemberBoundary:
-			if err != nil {
-				t.Fatalf("cut at the pre-federation boundary (%d) must decode as a member-less frame, got %v", cut, err)
-			}
-			if !reflect.DeepEqual(out, preMember) {
-				t.Fatalf("pre-federation-boundary decode:\nin:  %+v\nout: %+v", preMember, out)
-			}
-		default:
-			if err == nil {
-				t.Fatalf("truncated binary frame (cut at %d/%d, boundaries %d/%d/%d) accepted",
-					cut, len(whole), legacyBoundary, tracedBoundary, preMemberBoundary)
+		whole := buf.Bytes()
+		for cut := 4; cut < len(whole); cut++ {
+			// Rewrite the length prefix to match the truncated body, so the
+			// decoder's own bounds checks are exercised, not just short reads.
+			trunc := append([]byte(nil), whole[:cut]...)
+			binary.BigEndian.PutUint32(trunc[:4], uint32(cut-4))
+			if _, err := ReadFrameCodec(bytes.NewReader(trunc), tc.out()); err == nil {
+				t.Fatalf("%T body cut at %d of %d bytes accepted", tc.in, cut-4, len(whole)-4)
 			}
 		}
+		long := append(append([]byte(nil), whole...), 0)
+		binary.BigEndian.PutUint32(long[:4], uint32(len(long)-4))
+		if _, err := ReadFrameCodec(bytes.NewReader(long), tc.out()); err == nil {
+			t.Fatalf("%T body with a trailing byte accepted", tc.in)
+		}
+	}
+}
+
+// TestReadFrameAllocatesAsBytesArrive: a length prefix is a claim, not
+// data. A peer that announces MaxFrame and then hangs up must not make
+// the reader allocate the announced 16 MiB, while a 64 KiB frame still
+// decodes into one pooled buffer.
+func TestReadFrameAllocatesAsBytesArrive(t *testing.T) {
+	client, server := net.Pipe()
+	go func() {
+		var hdr [4]byte
+		binary.BigEndian.PutUint32(hdr[:], MaxFrame)
+		client.Write(hdr[:])
+		client.Close()
+	}()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	_, err := ReadFrameCodec(server, new(Request))
+	runtime.ReadMemStats(&m1)
+	server.Close()
+	if err == nil {
+		t.Fatal("a frame with no body decoded")
+	}
+	if grew := m1.TotalAlloc - m0.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("an announced-but-unsent %d-byte frame allocated %d bytes", MaxFrame, grew)
+	}
+
+	var buf bytes.Buffer
+	req := &Request{Op: OpInvoke, ID: "big", Fn: "echo", Payload: bytes.Repeat([]byte{0xAB}, 64<<10)}
+	if err := WriteFrameCodec(&buf, req, CodecBinary); err != nil {
+		t.Fatal(err)
+	}
+	frame := buf.Bytes()
+	const reads = 100
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < reads; i++ {
+		if _, err := ReadFrameCodec(bytes.NewReader(frame), new(Request)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	// The decoded payload is a copy (64 KiB); the body buffer is pooled.
+	if perRead := (m1.TotalAlloc - m0.TotalAlloc) / reads; perRead > 2*64<<10 {
+		t.Fatalf("a 64 KiB frame read allocated %d bytes", perRead)
 	}
 }

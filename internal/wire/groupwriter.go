@@ -50,21 +50,19 @@ func newGroupWriter(conn net.Conn, deadline func() time.Time, onFatal func(error
 	return g
 }
 
-// writeFrame encodes v in the given codec and queues the frame for the
-// flusher, returning its wire size. The returned error covers only
-// queueing — a later flush failure severs the connection, which callers
-// observe through their read side.
-func (g *groupWriter) writeFrame(v any, codec Codec) (int64, error) {
+// writeFrame encodes v and queues the frame for the flusher, returning
+// its wire size. The returned error covers only queueing — a later flush
+// failure severs the connection, which callers observe through their
+// read side.
+func (g *groupWriter) writeFrame(v any) (int64, error) {
 	bp := getBuf()
-	frame, err := appendFrame((*bp)[:0], v, codec)
+	frame, err := appendFrame((*bp)[:0], v)
 	if err != nil {
 		putBuf(bp)
 		return 0, err
 	}
 	n := int64(len(frame))
-	g.mu.Lock()
-	err = g.enqueueLocked(frame)
-	g.mu.Unlock()
+	err = g.enqueue(frame)
 	*bp = frame
 	putBuf(bp)
 	if err != nil {
@@ -73,9 +71,11 @@ func (g *groupWriter) writeFrame(v any, codec Codec) (int64, error) {
 	return n, nil
 }
 
-// enqueueLocked appends one encoded frame to the queue and signals the
-// flusher. The caller holds mu.
-func (g *groupWriter) enqueueLocked(frame []byte) error {
+// enqueue appends one encoded frame to the queue and signals the
+// flusher.
+func (g *groupWriter) enqueue(frame []byte) error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	if g.err != nil {
 		return fmt.Errorf("wire: connection failed: %w", g.err)
 	}

@@ -4,9 +4,8 @@ package wire
 // ops a continuumd daemon sends to a continuum-router, and the endpoints
 // op clients use to list the router's membership view. These are
 // low-rate control frames (one heartbeat per daemon per interval), so
-// their bodies ride as ordinary optional fields — JSON omitempty in the
-// JSON codec, a JSON blob in the binary codec's rare-field trailers —
-// and legacy peers that predate them interoperate unchanged.
+// their bodies ride as JSON sections inside the binary frame: the
+// request's member body and the response's rare-field extension.
 
 // MemberInfo is the body of the federation control ops. A register op
 // carries the static half (Name, Addr, Capacity, Functions); heartbeats

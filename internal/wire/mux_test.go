@@ -79,7 +79,7 @@ func TestPipelinedRequestNotStuckBehindHeldHandler(t *testing.T) {
 			t.Helper()
 			var resp Response
 			conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-			if err := ReadFrame(conn, &resp); err != nil {
+			if _, err := ReadFrameCodec(conn, &resp); err != nil {
 				t.Fatalf("round %d: waiting for response %q: %v", round, wantID, err)
 			}
 			if resp.ID != wantID || !resp.OK {
@@ -87,15 +87,15 @@ func TestPipelinedRequestNotStuckBehindHeldHandler(t *testing.T) {
 			}
 		}
 		// One request through, so the pool has exactly one worker, idle.
-		if err := WriteFrame(conn, &Request{Op: OpInvoke, ID: "warm", Fn: "echo"}); err != nil {
+		if err := WriteFrameCodec(conn, &Request{Op: OpInvoke, ID: "warm", Fn: "echo"}, CodecBinary); err != nil {
 			t.Fatal(err)
 		}
 		read("warm")
 		time.Sleep(time.Millisecond) // the worker is back at its receive
 
-		burst, err := appendFrame(nil, &Request{Op: OpInvoke, ID: "held", Fn: "hold"}, CodecJSON)
+		burst, err := appendFrame(nil, &Request{Op: OpInvoke, ID: "held", Fn: "hold"})
 		if err == nil {
-			burst, err = appendFrame(burst, &Request{Op: OpInvoke, ID: "fast", Fn: "echo"}, CodecJSON)
+			burst, err = appendFrame(burst, &Request{Op: OpInvoke, ID: "fast", Fn: "echo"})
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -121,11 +121,9 @@ func TestMultiplexHammer(t *testing.T) {
 	reg := faas.NewRegistry()
 	reg.Register("echo", func(p []byte) ([]byte, error) { return p, nil })
 	ep := faas.NewEndpoint(faas.EndpointConfig{Name: "hammer", Capacity: 32}, reg)
-	srv := &Server{
-		Invoker: ep, Registry: reg, Endpoints: []*faas.Endpoint{ep},
-		// Errors and delay jitter, but no drops: every call must complete.
-		Chaos: fault.NewChaos(fault.ChaosSpec{ErrProb: 0.2, DelayProb: 0.2, DelayMean: time.Millisecond, Seed: 11}),
-	}
+	srv := &Server{Invoker: ep, Registry: reg, Endpoints: []*faas.Endpoint{ep}}
+	// Errors and delay jitter, but no drops: every call must complete.
+	srv.SetChaos(fault.NewChaos(fault.ChaosSpec{ErrProb: 0.2, DelayProb: 0.2, DelayMean: time.Millisecond, Seed: 11}))
 	addr := startServerOn(t, srv)
 	c, err := Dial(addr)
 	if err != nil {

@@ -215,7 +215,7 @@ func TestChaosErrorInjection(t *testing.T) {
 	srv := echoServer(t, "chaosbox")
 	m := metrics.NewRegistry()
 	srv.Metrics = m
-	srv.Chaos = fault.NewChaos(fault.ChaosSpec{ErrProb: 1, Seed: 1})
+	srv.SetChaos(fault.NewChaos(fault.ChaosSpec{ErrProb: 1, Seed: 1}))
 	addr := startServerOn(t, srv)
 	c, err := Dial(addr)
 	if err != nil {
@@ -240,7 +240,7 @@ func TestChaosErrorInjection(t *testing.T) {
 
 func TestChaosDropSeversConnection(t *testing.T) {
 	srv := echoServer(t, "dropbox")
-	srv.Chaos = fault.NewChaos(fault.ChaosSpec{DropProb: 1, Seed: 1})
+	srv.SetChaos(fault.NewChaos(fault.ChaosSpec{DropProb: 1, Seed: 1}))
 	addr := startServerOn(t, srv)
 	c, err := Dial(addr)
 	if err != nil {
@@ -261,7 +261,7 @@ func TestReliableClientRetriesThroughChaos(t *testing.T) {
 	srv := echoServer(t, "flaky")
 	// ~40% injected errors: plain clients fail often, the reliable client
 	// must always get through within its attempt budget.
-	srv.Chaos = fault.NewChaos(fault.ChaosSpec{ErrProb: 0.4, Seed: 7})
+	srv.SetChaos(fault.NewChaos(fault.ChaosSpec{ErrProb: 0.4, Seed: 7}))
 	addr := startServerOn(t, srv)
 	m := metrics.NewRegistry()
 	rc, err := NewReliableClient(ReliableConfig{
@@ -290,7 +290,7 @@ func TestReliableClientRetriesThroughChaos(t *testing.T) {
 
 func TestReliableClientFailsOverToHealthyEndpoint(t *testing.T) {
 	bad := echoServer(t, "bad")
-	bad.Chaos = fault.NewChaos(fault.ChaosSpec{ErrProb: 1, Seed: 3})
+	bad.SetChaos(fault.NewChaos(fault.ChaosSpec{ErrProb: 1, Seed: 3}))
 	badAddr := startServerOn(t, bad)
 	good := echoServer(t, "good")
 	goodAddr := startServerOn(t, good)

@@ -1,8 +1,7 @@
 package wire
 
 // Distributed-tracing tests for the live path: trace context must ride
-// both codecs (and degrade cleanly against legacy peers), every layer
-// must emit correctly parented spans, a hedged race must record both
+// every request frame, every layer must emit correctly parented spans, a hedged race must record both
 // arms under one trace with the loser marked cancelled, and OpTrace
 // must pull a daemon's spans for cross-process assembly.
 
@@ -11,6 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"log/slog"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -51,83 +51,55 @@ func spanBy(spans []*trace.Span, pred func(*trace.Span) bool) *trace.Span {
 	return nil
 }
 
-// TestBinaryTraceTrailerOptional: the binary codec must append trace
-// context strictly as a trailing extension — an untraced frame is a
-// byte-for-byte prefix of the traced one, which is exactly why a legacy
-// decoder (which stops reading after the batch section) parses traced
-// frames correctly, and why untraced frames are identical to the
-// pre-trace wire format.
-func TestBinaryTraceTrailerOptional(t *testing.T) {
-	plain := fullRequest()
-	plain.TraceID, plain.SpanID, plain.Priority, plain.Member = "", "", 0, nil // default frame: no trailer at all
-	traced := fullRequest()
-	traced.Member = nil // trace-only trailer: strictly the trace extension
-
-	var plainBuf, tracedBuf bytes.Buffer
-	if err := WriteFrameCodec(&plainBuf, plain, CodecBinary); err != nil {
-		t.Fatal(err)
+// TestRequestTrailerFixedLayout pins the request layout byte for byte:
+// the trace strings, priority and member length follow the batch on
+// every request, traced or not, and an all-default trailer decodes as
+// untraced, normal priority, no member.
+func TestRequestTrailerFixedLayout(t *testing.T) {
+	plain := []byte{
+		0xC6, binKindRequest,
+		4, 'p', 'i', 'n', 'g', // Op
+		1, 'a', // ID
+		0,    // Fn
+		0,    // Payload: nil
+		0,    // Batch: nil
+		0, 0, // TraceID, SpanID
+		0, // Priority
+		0, // member length: none
 	}
-	if err := WriteFrameCodec(&tracedBuf, traced, CodecBinary); err != nil {
-		t.Fatal(err)
-	}
-	// Compare bodies (skip the 4-byte length prefix, which differs).
-	pb, tb := plainBuf.Bytes()[4:], tracedBuf.Bytes()[4:]
-	if len(tb) <= len(pb) {
-		t.Fatalf("traced frame (%d B) not larger than untraced (%d B)", len(tb), len(pb))
-	}
-	if !bytes.Equal(tb[:len(pb)], pb) {
-		t.Fatal("untraced binary frame is not a prefix of the traced one — trace context must be a trailing extension")
-	}
-	// A frame with no trailer decodes as untraced, not as an error.
-	out := new(Request)
-	if _, err := ReadFrameCodec(&plainBuf, out); err != nil {
-		t.Fatal(err)
-	}
-	if out.TraceID != "" || out.SpanID != "" {
-		t.Fatalf("untraced frame decoded trace context %q/%q", out.TraceID, out.SpanID)
-	}
-}
-
-// TestTracedClientAgainstLegacyServer: a legacy JSON peer drops the
-// trace fields entirely. The call must succeed, the client's own spans
-// must still record and assemble into a coherent (client-only) trace,
-// and nothing may corrupt.
-func TestTracedClientAgainstLegacyServer(t *testing.T) {
-	addr := startLegacyServer(t, true)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	store := trace.NewSpanStore(64)
-	c.SetSpans(store, "ctl")
-
-	traceID := trace.NewTraceID()
-	ctx := trace.NewContext(context.Background(), trace.SpanContext{TraceID: traceID})
-	out, err := c.InvokeContext(ctx, "upper", []byte("legacy"))
-	if err != nil || string(out) != "LEGACY" {
-		t.Fatalf("traced call against legacy server = %q, %v", out, err)
-	}
-
-	spans := store.Trace(traceID)
-	if len(spans) != 1 {
-		t.Fatalf("client recorded %d spans, want 1 send span", len(spans))
-	}
-	send := spans[0]
-	if send.Kind != trace.KindClient || send.Service != "ctl" || send.Err != "" {
-		t.Fatalf("send span = %+v", send)
-	}
-	// Assembly degrades to the client's half, never corrupts: the merge
-	// of everything the federation retained is exactly that one span.
-	merged := trace.MergeSpans(store.Trace(traceID))
-	if len(merged) != 1 || merged[0].TraceID != traceID {
-		t.Fatalf("degraded assembly = %+v", merged)
+	traced := append(append([]byte(nil), plain[:len(plain)-4]...),
+		2, 't', '1', // TraceID
+		2, 's', '1', // SpanID
+		1, // Priority: zigzag(-1)
+		0, // member length: none
+	)
+	for _, tc := range []struct {
+		body []byte
+		req  *Request
+	}{
+		{plain, &Request{Op: OpPing, ID: "a"}},
+		{traced, &Request{Op: OpPing, ID: "a", TraceID: "t1", SpanID: "s1", Priority: -1}},
+	} {
+		var buf bytes.Buffer
+		if err := WriteFrameCodec(&buf, tc.req, CodecBinary); err != nil {
+			t.Fatal(err)
+		}
+		if got := buf.Bytes()[4:]; !bytes.Equal(got, tc.body) {
+			t.Fatalf("%+v encodes as % x, want % x", tc.req, got, tc.body)
+		}
+		out := new(Request)
+		if _, err := ReadFrameCodec(&buf, out); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(out, tc.req) {
+			t.Fatalf("decoded %+v, want %+v", out, tc.req)
+		}
 	}
 }
 
-// TestUntracedRequestRecordsNothing: a request without trace context —
-// e.g. from a peer that predates the fields — must leave the server's
-// span store untouched (tracing is strictly opt-in per request).
+// TestUntracedRequestRecordsNothing: a request without trace context
+// must leave the server's span store untouched (tracing is strictly
+// opt-in per request).
 func TestUntracedRequestRecordsNothing(t *testing.T) {
 	srv, store := tracedServer(t, "epA", 0)
 	addr := startServerOn(t, srv)

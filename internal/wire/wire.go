@@ -1,25 +1,21 @@
 // Package wire exposes the faas layer over TCP with a length-prefixed
-// frame protocol (JSON, with an opt-in binary codec — see codec.go),
-// giving the reproduction a real multi-process mode: continuumd serves
-// endpoints, continuumctl (or any Client) invokes functions across
-// them. Frames are capped to guard against runaway peers.
+// binary frame protocol (see codec.go), giving the reproduction a real
+// multi-process mode: continuumd serves endpoints, continuumctl (or any
+// Client) invokes functions across them. Frames are capped to guard
+// against runaway peers.
 //
 // The protocol is multiplexed: clients pipeline many calls over one
 // connection, and the server dispatches each connection's requests to a
 // bounded worker pool, writing responses as they complete — out of
 // order when a slow function would otherwise head-of-line-block the
-// calls behind it. Responses are matched to requests by ID. Requests
-// without an ID (legacy peers, which never pipeline) are processed
-// strictly serially, preserving the old in-order contract.
+// calls behind it. Responses are matched to requests by ID: clients
+// stamp every request with a generated ID which the server echoes.
 //
-// Observability: clients stamp every request with a generated ID which
-// the server echoes on the response (old peers that omit or drop the
-// field interoperate unchanged — it is a plain optional JSON field).
-// A server given a metrics registry counts requests, errors, and frame
-// bytes by op, and tracks in-flight requests as a gauge; given a logger
-// it emits one structured line per request carrying the request ID, so
-// a slow or failing invocation can be correlated across client and
-// server logs.
+// Observability: a server given a metrics registry counts requests,
+// errors, and frame bytes by op, and tracks in-flight requests as a
+// gauge; given a logger it emits one structured line per request
+// carrying the request ID, so a slow or failing invocation can be
+// correlated across client and server logs.
 //
 // ReliableClient layers retry, failover, per-endpoint circuit breaking,
 // and optional hedging (HedgeConfig) over the raw client: when a call
@@ -144,38 +140,35 @@ const (
 	OpEndpoints Op = "endpoints"
 )
 
-// Request is a client frame. ID, when set, is echoed verbatim on the
-// response; peers predating the field simply never see it (optional JSON
-// both ways), so mixed-version federations keep working. Accept, when
-// set to AcceptBinary, advertises that the sender understands binary
-// response frames — another optional field old servers ignore.
+// Request is a client frame. ID is echoed verbatim on the response;
+// Client stamps a unique one on every call.
 //
 // TraceID/SpanID carry distributed trace context: the trace this call
 // belongs to and the caller's span (the parent for every span the server
-// records while processing it). Like ID they are optional in both
-// codecs — a legacy peer drops them and the trace simply loses that
-// hop's spans, never its integrity.
+// records while processing it). Both are empty on an untraced call.
 //
 // Priority is the request's admission class (faas.PriorityLow = -1,
 // 0 = normal, faas.PriorityHigh = 1): under overload the server sheds
-// lower classes first. Zero — the wire default — is normal, so legacy
-// peers that never send the field land in the normal class, and frames
-// from priority-unaware clients stay byte-identical in both codecs.
+// lower classes first.
 // Member is the federation control-plane body (register, heartbeat,
-// deregister — see MemberInfo). Like the trace fields it is optional in
-// both codecs: requests that don't carry it stay byte-identical to
-// pre-federation frames, and legacy peers simply drop it.
+// deregister — see MemberInfo), nil on every other op.
 type Request struct {
-	Op       Op          `json:"op"`
-	ID       string      `json:"id,omitempty"`
-	Accept   string      `json:"accept,omitempty"`
-	Fn       string      `json:"fn,omitempty"`
-	Payload  []byte      `json:"payload,omitempty"`
-	Batch    [][]byte    `json:"batch,omitempty"`
-	TraceID  string      `json:"trace,omitempty"`
-	SpanID   string      `json:"span,omitempty"`
-	Priority int         `json:"prio,omitempty"`
-	Member   *MemberInfo `json:"member,omitempty"`
+	Op       Op
+	ID       string
+	Fn       string
+	Payload  []byte
+	Batch    [][]byte
+	TraceID  string
+	SpanID   string
+	Priority int
+	Member   *MemberInfo
+
+	// Accept is not encoded.
+	//
+	// Deprecated: it advertised the binary codec, which is now the only
+	// one. It stays declared only because the benchmark's codec probe
+	// still sets it; it is removed together with that probe line.
+	Accept string
 }
 
 // EndpointStats mirrors one endpoint's counters.
@@ -205,34 +198,29 @@ type FnMetrics struct {
 // Response is a server frame. ID echoes the request's ID. Retryable,
 // when set on an error response, marks the failure as transient — the
 // client may safely retry the request on this or another endpoint.
-// Codec acks the frame encoding the server chose (set when it answers
-// in binary), upgrading the connection for codec-aware clients. Like ID
-// these are optional JSON fields, so mixed-version peers interoperate.
 // RetryAfterMS, set on shed (admission-rejected) error responses, is the
 // server's Retry-After hint in milliseconds: how long the client should
-// back off before retrying. Optional in both codecs (JSON omitempty;
-// binary rides the rare-field extension), so unloaded responses stay
-// byte-identical and legacy peers simply never see it.
+// back off before retrying. It rides the rare-field extension, so an
+// unloaded response pays nothing for it.
 // Members, HeartbeatMS, and Generation are the federation control-plane
 // results: Members answers the endpoints op, HeartbeatMS and Generation
 // answer register (the interval the daemon must heartbeat at, and the
-// incarnation it must echo). All optional in both codecs.
+// incarnation it must echo).
 type Response struct {
-	OK           bool            `json:"ok"`
-	ID           string          `json:"id,omitempty"`
-	Codec        string          `json:"codec,omitempty"`
-	Error        string          `json:"error,omitempty"`
-	Retryable    bool            `json:"retryable,omitempty"`
-	RetryAfterMS int64           `json:"retry_after_ms,omitempty"`
-	Payload      []byte          `json:"payload,omitempty"`
-	Batch        [][]byte        `json:"batch,omitempty"`
-	Names        []string        `json:"names,omitempty"`
-	Stats        []EndpointStats `json:"stats,omitempty"`
-	Top          []FnMetrics     `json:"top,omitempty"`
-	Spans        []trace.Span    `json:"spans,omitempty"` // OpTrace result
-	Members      []MemberStatus  `json:"members,omitempty"`
-	HeartbeatMS  int64           `json:"heartbeat_ms,omitempty"`
-	Generation   int64           `json:"generation,omitempty"`
+	OK           bool
+	ID           string
+	Error        string
+	Retryable    bool
+	RetryAfterMS int64
+	Payload      []byte
+	Batch        [][]byte
+	Names        []string
+	Stats        []EndpointStats
+	Top          []FnMetrics
+	Spans        []trace.Span // OpTrace result
+	Members      []MemberStatus
+	HeartbeatMS  int64
+	Generation   int64
 }
 
 // OpsHandler extends a Server with additional ops without the Server
@@ -261,8 +249,7 @@ type Server struct {
 	Ops OpsHandler
 
 	// Workers bounds concurrent request processing per connection
-	// (0 = DefaultConnWorkers). Requests without an ID — legacy peers,
-	// which never pipeline — are always processed serially.
+	// (0 = DefaultConnWorkers).
 	Workers int
 
 	// Metrics, when set, receives per-op counters (wire_requests_total,
@@ -288,20 +275,8 @@ type Server struct {
 	// and costs nothing on the request path.
 	Spans *trace.SpanStore
 
-	// Chaos, when set, injects faults ahead of every dispatch: latency
-	// spikes, retryable error responses, dropped connections, and whole
-	// down phases (see fault.ChaosSpec). Injections are counted as
-	// wire_chaos_injections_total{kind} when Metrics is set. This is how
-	// a real daemon doubles as its own fault injector for end-to-end
-	// reliability tests (continuumd -chaos). Set it before Serve; to
-	// change injection while serving, use SetChaos.
-	Chaos *fault.Chaos
-
-	// chaosOverride, once SetChaos has been called, supersedes Chaos for
-	// every subsequent request. It holds a slot rather than the *Chaos
-	// itself so "override with nil" (chaos off) is distinguishable from
-	// "never overridden" (fall back to the Chaos field).
-	chaosOverride atomic.Pointer[chaosSlot]
+	// chaos is the fault injector in force, nil = none (see SetChaos).
+	chaos atomic.Pointer[fault.Chaos]
 
 	inflightOnce sync.Once
 	inflight     *metrics.Gauge // wire_inflight, nil without Metrics
@@ -331,13 +306,6 @@ func newCountConn(conn net.Conn) *countConn {
 	// severing it unblocks the reader, which tears the handler down.
 	cc.gw = newGroupWriter(conn, nil, func(error) { conn.Close() })
 	return cc
-}
-
-// writeFrame queues one response frame on the connection's batching
-// writer and returns its wire size. Concurrent workers' responses
-// coalesce into shared syscalls.
-func (c *countConn) writeFrame(v any, codec Codec) (int64, error) {
-	return c.gw.writeFrame(v, codec)
 }
 
 // Serve accepts connections until the listener closes. It returns nil
@@ -391,7 +359,7 @@ func (s *Server) drain(deadline <-chan time.Time) {
 	lis := s.lis
 	for c := range s.conns {
 		if c.inflight.Load() == 0 {
-			// Idle: unblock its ReadFrame. The barrier lets a response
+			// Idle: unblock its reader. The barrier lets a response
 			// that is still in the batching writer reach the wire first;
 			// run it off the lock so a wedged peer cannot stall the drain
 			// (the grace deadline force-closes it regardless).
@@ -443,9 +411,7 @@ func (s *Server) inflightGauge() *metrics.Gauge {
 // handle is one connection's reader loop: it reads frames and fans each
 // request out to a bounded worker pool, so a slow call never blocks the
 // calls pipelined behind it. Responses are written as they complete,
-// serialized by the connection's write mutex. Legacy ID-less requests
-// run inline, keeping strict-serial semantics for peers that expect
-// in-order responses.
+// batched by the connection's group writer.
 func (s *Server) handle(conn net.Conn) {
 	s.mu.Lock()
 	if s.draining {
@@ -496,7 +462,7 @@ func (s *Server) handle(conn net.Conn) {
 	br := bufio.NewReaderSize(cc.Conn, 64<<10) // a pipelined burst reads in one syscall
 	for {
 		req := new(Request)
-		codec, inB, err := readFrameCodecN(br, req)
+		inB, err := readFrameN(br, req)
 		if err != nil {
 			return // EOF, bad peer, or drain cut: drop the connection
 		}
@@ -507,23 +473,19 @@ func (s *Server) handle(conn net.Conn) {
 			read = time.Now()
 		}
 		cc.inflight.Add(1)
-		if req.ID == "" {
-			s.process(cc, req, codec, inB, read)
-		} else {
-			if dispatched-finished.Load() >= spawned && spawned < int64(workers) {
-				spawned++
-				cwg.Add(1)
-				go func() {
-					defer cwg.Done()
-					for t := range tasks {
-						s.process(cc, t.req, t.codec, t.inB, t.read)
-						finished.Add(1)
-					}
-				}()
-			}
-			dispatched++
-			tasks <- connTask{req, codec, inB, read}
+		if dispatched-finished.Load() >= spawned && spawned < int64(workers) {
+			spawned++
+			cwg.Add(1)
+			go func() {
+				defer cwg.Done()
+				for t := range tasks {
+					s.process(cc, t.req, t.inB, t.read)
+					finished.Add(1)
+				}
+			}()
 		}
+		dispatched++
+		tasks <- connTask{req, inB, read}
 		if s.isDraining() {
 			return // graceful shutdown: stop reading, finish what's in flight
 		}
@@ -532,10 +494,9 @@ func (s *Server) handle(conn net.Conn) {
 
 // connTask is one dispatched request on its way to a connection worker.
 type connTask struct {
-	req   *Request
-	codec Codec
-	inB   int64
-	read  time.Time // when the frame left the reader (traced requests only)
+	req  *Request
+	inB  int64
+	read time.Time // when the frame left the reader (traced requests only)
 }
 
 // serviceName labels this server's spans.
@@ -550,7 +511,7 @@ func (s *Server) serviceName() string {
 // response write, accounting. It decrements the connection's in-flight
 // count and, during a drain, closes the connection once it goes idle so
 // the blocked reader exits.
-func (s *Server) process(cc *countConn, req *Request, codec Codec, inB int64, read time.Time) {
+func (s *Server) process(cc *countConn, req *Request, inB int64, read time.Time) {
 	start := time.Now()
 	// Traced request on a traced server: record one server span parented
 	// to the caller's span, covering chaos, dispatch, and response
@@ -581,7 +542,7 @@ func (s *Server) process(cc *countConn, req *Request, codec Codec, inB int64, re
 		}
 	}
 	var resp *Response
-	if chaos := s.chaos(); chaos != nil {
+	if chaos := s.chaos.Load(); chaos != nil {
 		act, delay := chaos.Next()
 		if delay > 0 {
 			s.countChaos("delay")
@@ -612,40 +573,25 @@ func (s *Server) process(cc *countConn, req *Request, codec Codec, inB int64, re
 		}
 		sp.End()
 	}
-	// Answer in binary when the request arrived in binary or advertised
-	// it; the Codec ack tells the client the upgrade is on.
-	if codec == CodecBinary || req.Accept == AcceptBinary {
-		codec = CodecBinary
-		resp.Codec = codecBinaryName
-	} else {
-		codec = CodecJSON
-	}
-	outB, err := cc.writeFrame(resp, codec)
+	outB, err := cc.gw.writeFrame(resp)
 	done()
 	if err == nil {
 		s.observe(req, resp, time.Since(start), inB, outB)
 	}
 }
 
-// chaosSlot wraps an injector (possibly nil) for atomic replacement.
-type chaosSlot struct{ c *fault.Chaos }
-
-// SetChaos replaces the server's fault injector for all subsequent
-// requests; nil turns injection off. Safe to call while serving — this
-// is how a scenario's live runner flips endpoints between healthy,
-// flaky, and dead mid-run without restarting them. In-flight requests
-// finish under whatever injector they drew at dispatch.
+// SetChaos installs a fault injector ahead of every dispatch for all
+// subsequent requests: latency spikes, retryable error responses,
+// dropped connections, and whole down phases (see fault.ChaosSpec); nil
+// turns injection off. Injections are counted as
+// wire_chaos_injections_total{kind} when Metrics is set. This is how a
+// real daemon doubles as its own fault injector (continuumd -chaos), and
+// it is safe to call while serving — a scenario's live runner flips
+// endpoints between healthy, flaky, and dead mid-run without restarting
+// them. In-flight requests finish under whatever injector they drew at
+// dispatch.
 func (s *Server) SetChaos(c *fault.Chaos) {
-	s.chaosOverride.Store(&chaosSlot{c: c})
-}
-
-// chaos returns the injector in force: the last SetChaos value if any,
-// else the construction-time Chaos field.
-func (s *Server) chaos() *fault.Chaos {
-	if slot := s.chaosOverride.Load(); slot != nil {
-		return slot.c
-	}
-	return s.Chaos
+	s.chaos.Store(c)
 }
 
 // countChaos tallies one injected fault by kind.

@@ -37,11 +37,11 @@ func startServer(t *testing.T) (*Server, string) {
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	in := Request{Op: OpInvoke, Fn: "f", Payload: []byte{1, 2, 3}}
-	if err := WriteFrame(&buf, &in); err != nil {
+	if err := WriteFrameCodec(&buf, &in, CodecBinary); err != nil {
 		t.Fatal(err)
 	}
 	var out Request
-	if err := ReadFrame(&buf, &out); err != nil {
+	if _, err := ReadFrameCodec(&buf, &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.Op != in.Op || out.Fn != in.Fn || !bytes.Equal(out.Payload, in.Payload) {
@@ -53,7 +53,7 @@ func TestReadFrameRejectsHugeLength(t *testing.T) {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], MaxFrame+1)
 	var req Request
-	err := ReadFrame(bytes.NewReader(hdr[:]), &req)
+	_, err := ReadFrameCodec(bytes.NewReader(hdr[:]), &req)
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v", err)
 	}
@@ -66,7 +66,7 @@ func TestReadFrameShortBody(t *testing.T) {
 	buf.Write(hdr[:])
 	buf.WriteString("{}") // only 2 bytes of promised 100
 	var req Request
-	if err := ReadFrame(&buf, &req); err == nil {
+	if _, err := ReadFrameCodec(&buf, &req); err == nil {
 		t.Fatal("truncated frame accepted")
 	}
 }
@@ -195,11 +195,11 @@ func TestUnknownOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := WriteFrame(conn, &Request{Op: "nonsense"}); err != nil {
+	if err := WriteFrameCodec(conn, &Request{Op: "nonsense"}, CodecBinary); err != nil {
 		t.Fatal(err)
 	}
 	var resp Response
-	if err := ReadFrame(conn, &resp); err != nil {
+	if _, err := ReadFrameCodec(conn, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.OK || resp.Error == "" {
