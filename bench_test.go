@@ -5,7 +5,7 @@
 //
 //	go test -bench=. -benchmem
 //
-// Full-size tables come from cmd/continuum-bench.
+// Full-size tables come from `continuum-sim experiments`.
 package continuum_test
 
 import (

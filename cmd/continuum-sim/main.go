@@ -1,75 +1,44 @@
-// Command continuum-sim runs a JSON scenario through the continuum
-// simulator and prints the measured report.
+// Command continuum-sim is the simulator's one command line: it runs JSON
+// scenarios through the continuum simulator (or a live in-process fleet)
+// and regenerates the reconstructed evaluation.
 //
 // Usage:
 //
 //	continuum-sim scenario validate examples/scenarios/*.json
 //	continuum-sim scenario run -f flash-crowd.json            # sim backend
+//	continuum-sim scenario run -f flash-crowd.json -gantt 72  # plus an ASCII busy-timeline
+//	continuum-sim scenario run -f flash-crowd.json -trace out.jsonl        # span log, one JSON event per line
+//	continuum-sim scenario run -f flash-crowd.json -chrome-trace out.json  # open in Perfetto / chrome://tracing
 //	continuum-sim scenario run -f flash-crowd.json -backend live -time-scale 0.1
 //	continuum-sim scenario stress -nodes 1000 -budget 60s     # scale harness
-//	continuum-sim scenario example                            # documented sample
-//
-// The legacy single-shot flags remain:
-//
-//	continuum-sim -f scenario.json        # run a scenario file
-//	continuum-sim -example                # print a documented sample scenario
-//	continuum-sim -example | continuum-sim -f -
-//	continuum-sim -f scenario.json -trace out.jsonl        # span log, one JSON event per line
-//	continuum-sim -f scenario.json -chrome-trace out.json  # open in Perfetto / chrome://tracing
+//	continuum-sim scenario example | continuum-sim scenario run -f -
+//	continuum-sim experiments -exp F1,T3 -size small          # tables and figures
+//	continuum-sim experiments -ablations                      # design-choice ablations
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"os"
 )
 
-func main() {
-	if len(os.Args) > 1 && os.Args[1] == "scenario" {
-		scenarioMain(os.Args[2:])
-		return
-	}
-	file := flag.String("f", "", "scenario JSON file ('-' for stdin)")
-	example := flag.Bool("example", false, "print a sample scenario and exit")
-	csv := flag.Bool("csv", false, "emit the report as CSV")
-	gantt := flag.Int("gantt", 0, "also print an ASCII busy-timeline of the given width")
-	traceOut := flag.String("trace", "", "write the event trace as JSONL to this file")
-	chromeOut := flag.String("chrome-trace", "", "write a Chrome trace-event JSON file (Perfetto-compatible)")
-	flag.Parse()
+const usage = `usage:
+  continuum-sim scenario validate|run|stress|example [flags]
+  continuum-sim experiments [-exp ids] [-ablations] [-size full|small] [-csv]`
 
-	if *example {
-		printExample()
-		return
-	}
-	if *file == "" {
-		fmt.Fprintln(os.Stderr, "continuum-sim: -f scenario.json required (or -example, or the scenario subcommands)")
-		flag.Usage()
+func main() {
+	if len(os.Args) < 2 {
+		fmt.Fprintln(os.Stderr, usage)
 		os.Exit(2)
 	}
-
-	s, err := loadScenario(*file)
-	if err != nil {
-		fatal(err)
-	}
-	report, tr, err := s.RunTraced()
-	if err != nil {
-		fatal(err)
-	}
-	printReport(report, *csv)
-	if *gantt > 0 {
-		fmt.Println()
-		fmt.Print(tr.Gantt(*gantt))
-	}
-	if *traceOut != "" {
-		if err := writeFile(*traceOut, tr.WriteJSONL); err != nil {
-			fatal(err)
-		}
-	}
-	if *chromeOut != "" {
-		if err := writeFile(*chromeOut, tr.WriteChromeTrace); err != nil {
-			fatal(err)
-		}
+	switch os.Args[1] {
+	case "scenario":
+		scenarioMain(os.Args[2:])
+	case "experiments":
+		experimentsMain(os.Args[2:])
+	default:
+		fmt.Fprintf(os.Stderr, "continuum-sim: unknown command %q\n%s\n", os.Args[1], usage)
+		os.Exit(2)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package experiments implements the reconstructed evaluation of the
 // reproduction: one function per table/figure indexed in DESIGN.md. Each
 // returns a Result whose Table prints the rows the figure/table would
-// plot, so `continuum-bench -exp <id>` and the top-level benchmarks both
-// regenerate the full evaluation.
+// plot, so `continuum-sim experiments -exp <id>` and the top-level
+// benchmarks both regenerate the full evaluation.
 //
 // Scale parameters accept a Size knob so benchmarks can run trimmed
 // versions; the CLI defaults to full size.

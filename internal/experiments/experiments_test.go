@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -438,5 +439,29 @@ func TestF3RunsQuickly(t *testing.T) {
 	}
 	if byMode["warm"] <= byMode["cold"] {
 		t.Fatalf("warm %v not faster than cold %v", byMode["warm"], byMode["cold"])
+	}
+}
+
+// TestExperimentsDeterministic pins the claim that every table is a pure
+// function of its seed: each runner at Small, run once at the default
+// GOMAXPROCS and once on a single P, must render byte-identical output.
+// F3, F5, A1 and A4 are skipped because some of their columns are
+// wall-clock measurements (F3 serves real functions, F5 and A1 time the
+// kernel, A4 times batched invocations).
+func TestExperimentsDeterministic(t *testing.T) {
+	wallClock := map[string]bool{"F3": true, "F5": true, "A1": true, "A4": true}
+	for _, e := range append(All(), Ablations()...) {
+		if wallClock[e.ID] {
+			continue
+		}
+		t.Run(e.ID, func(t *testing.T) {
+			first := e.Run(Small).String()
+			prev := runtime.GOMAXPROCS(1)
+			second := e.Run(Small).String()
+			runtime.GOMAXPROCS(prev)
+			if first != second {
+				t.Fatalf("output differs between runs:\n--- GOMAXPROCS=%d\n%s\n--- GOMAXPROCS=1\n%s", prev, first, second)
+			}
+		})
 	}
 }

@@ -27,7 +27,7 @@ func (s *Scenario) Run() (*Report, error) {
 }
 
 // RunTraced is Run plus the event trace of the execution, for timeline
-// rendering (continuum-sim -gantt).
+// rendering (continuum-sim scenario run -gantt).
 func (s *Scenario) RunTraced() (*Report, *trace.Tracer, error) {
 	return s.RunTracedParallel(1)
 }

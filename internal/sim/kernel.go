@@ -116,7 +116,8 @@ const (
 	QueueCalendar QueueKind = iota
 	// QueueHeap pins the binary heap. It is the reference ordering the
 	// calendar queue is differentially tested against, and the baseline
-	// continuum-bench -engine measures speedups over.
+	// BenchmarkKernelSteadyState and the sim-kernel benchmark workload
+	// compare the calendar queue with.
 	QueueHeap
 )
 

@@ -10,7 +10,7 @@ import (
 // chrome://tracing require: a traceEvents array whose entries carry
 // name/ph/ts/pid/tid, with complete events ("X") adding a non-negative
 // dur. The schema assertions here are the acceptance gate for
-// continuum-sim -chrome-trace.
+// continuum-sim scenario run -chrome-trace.
 type chromeDoc struct {
 	TraceEvents []struct {
 		Name  string         `json:"name"`

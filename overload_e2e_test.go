@@ -14,11 +14,12 @@ import (
 	"continuum/internal/wire"
 )
 
-// overloadEndpoint assembles an in-process continuumd running admission
-// control — the composition `continuumd -max-queue` builds from flags.
-// The "work" function sleeps workDur then echoes, so capacity is the
-// only throughput limit and queue waits are predictable.
-func overloadEndpoint(t *testing.T, capacity, maxQueue int, workDur time.Duration) (*faas.Endpoint, string) {
+// overloadEndpoint assembles an in-process continuumd, with admission
+// control when admission is set — the composition `continuumd
+// -max-queue` builds from flags. The "work" function sleeps workDur then
+// echoes, so capacity is the only throughput limit and queue waits are
+// predictable.
+func overloadEndpoint(t *testing.T, capacity, maxQueue int, workDur time.Duration, admission bool) (*faas.Endpoint, string) {
 	t.Helper()
 	reg := faas.NewRegistry()
 	reg.Register("work", func(p []byte) ([]byte, error) {
@@ -29,7 +30,7 @@ func overloadEndpoint(t *testing.T, capacity, maxQueue int, workDur time.Duratio
 		Name: "overloaded", Capacity: capacity, WarmTTL: time.Minute,
 		QueueWait: 2 * time.Second,
 		Admission: faas.AdmissionConfig{
-			Enabled:         true,
+			Enabled:         admission,
 			MaxQueue:        maxQueue,
 			TargetQueueWait: 5 * time.Millisecond,
 			MinSlots:        capacity, // pin the pool: the gate measures admission, not elasticity
@@ -75,7 +76,7 @@ func TestE2EOverloadGracefulDegradation(t *testing.T) {
 		workers  = 40 // 10x the endpoint's capacity
 		perWkr   = 5
 	)
-	ep, addr := overloadEndpoint(t, capacity, capacity, workDur)
+	ep, addr := overloadEndpoint(t, capacity, capacity, workDur, true)
 
 	dial := func() *wire.Client {
 		c, err := wire.Dial(addr)
@@ -183,5 +184,77 @@ func TestE2EOverloadGracefulDegradation(t *testing.T) {
 	}
 	if hp := p99(highLats); hp > 3*baseP99 {
 		t.Fatalf("high-priority p99 %v exceeds 3x unloaded baseline %v", hp, baseP99)
+	}
+}
+
+// TestE2EAdmissionGoodputBeatsNoAdmission is the goodput claim of
+// overload control: under a sustained flash crowd — 64 callers against 4
+// slots of 5 ms work — admission control must deliver at least twice the
+// goodput (completions inside a 50 ms SLO per second) of the same
+// endpoint without it. Without admission every request queues toward
+// QueueWait, so once the queue builds almost nothing finishes in time;
+// with it the excess is shed fail-fast, callers honour the Retry-After
+// hint, and accepted requests keep finishing inside the SLO.
+func TestE2EAdmissionGoodputBeatsNoAdmission(t *testing.T) {
+	const (
+		capacity = 4
+		callers  = 64
+		workDur  = 5 * time.Millisecond
+		slo      = 50 * time.Millisecond
+		arm      = time.Second
+	)
+	goodput := func(admission bool) float64 {
+		_, addr := overloadEndpoint(t, capacity, 2*capacity, workDur, admission)
+		var mu sync.Mutex
+		var withinSLO int
+		var failure error
+		deadline := time.Now().Add(arm)
+		var wg sync.WaitGroup
+		for w := 0; w < callers; w++ {
+			c, err := wire.Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Close() })
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for time.Now().Before(deadline) {
+					t0 := time.Now()
+					_, err := c.InvokeContext(context.Background(), "work", []byte("x"))
+					elapsed := time.Since(t0)
+					var re *wire.RemoteError
+					switch {
+					case err == nil:
+						if elapsed <= slo {
+							mu.Lock()
+							withinSLO++
+							mu.Unlock()
+						}
+					case errors.As(err, &re) && re.Retryable:
+						time.Sleep(re.RetryAfter())
+					default:
+						mu.Lock()
+						if failure == nil {
+							failure = err
+						}
+						mu.Unlock()
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if failure != nil {
+			t.Fatalf("admission=%v: %v", admission, failure)
+		}
+		return float64(withinSLO) / arm.Seconds()
+	}
+	off := goodput(false)
+	on := goodput(true)
+	ratio := on / off
+	t.Logf("goodput: admission %.0f/s, no admission %.0f/s, ratio %.1fx", on, off, ratio)
+	if on == 0 || on < 2*off {
+		t.Fatalf("admission goodput %.0f/s is not at least 2x no-admission %.0f/s", on, off)
 	}
 }

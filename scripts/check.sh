@@ -37,9 +37,9 @@ go run ./scripts/doclint ./internal/federation ./internal/wire ./internal/faas
 
 # The end-to-end gates are written down once, as Makefile targets (each
 # target's comment says what it asserts): the benchmark module, chaos,
-# speculation, overload, engine, scenario, federation and trace smokes.
+# speculation, overload, scenario, federation and trace smokes.
 # None of them writes a tracked file.
-for gate in bench-check chaos-smoke spec-smoke overload-smoke engine-smoke scenario-smoke federation-smoke trace-smoke; do
+for gate in bench-check chaos-smoke spec-smoke overload-smoke scenario-smoke federation-smoke trace-smoke; do
     echo "== $gate =="
     make --no-print-directory "$gate"
 done
