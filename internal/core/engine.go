@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"continuum/internal/data"
+	"continuum/internal/fault"
 	"continuum/internal/netsim"
 	"continuum/internal/node"
 	"continuum/internal/placement"
@@ -37,17 +38,10 @@ type engine struct {
 	// placement.FeedbackPolicy (stream runs only).
 	fb placement.FeedbackPolicy
 
-	// hasFaults caches len(opts.Faults) > 0 so fault-free runs skip the
-	// per-dispatch epoch map lookups (three per attempt) entirely.
-	hasFaults bool
-
-	// Per-dispatch scratch, reused across attempts. The kernel is
-	// single-threaded and policies consume their Env synchronously
-	// without retaining it, so one buffer per purpose suffices — the
-	// steady-state dispatch path allocates nothing.
-	liveScratch   []*node.Node
-	backupScratch []*node.Node
-	envScratch    placement.Env
+	// faults is opts.Faults indexed by node ID (nil: always up), so the
+	// eligibility and epoch checks are slice reads. It is nil without
+	// faults.
+	faults []*fault.Target
 }
 
 // defaultRetryBackoff paces re-dispatch when ReliableOptions leaves
@@ -58,7 +52,39 @@ func newEngine(c *Continuum, opts ReliableOptions) *engine {
 	if opts.RetryBackoff <= 0 {
 		opts.RetryBackoff = defaultRetryBackoff
 	}
-	return &engine{c: c, st: &ReliableStats{Stats: newStats()}, opts: opts, hasFaults: len(opts.Faults) > 0}
+	e := &engine{c: c, st: &ReliableStats{Stats: newStats()}, opts: opts}
+	for id, t := range opts.Faults { //det: fills a slice by key
+		if id >= len(e.faults) {
+			e.faults = append(e.faults, make([]*fault.Target, id+1-len(e.faults))...)
+		}
+		e.faults[id] = t
+	}
+	return e
+}
+
+// target returns n's failure target, nil for a node that never fails.
+func (e *engine) target(n *node.Node) *fault.Target {
+	if n.ID < len(e.faults) {
+		return e.faults[n.ID]
+	}
+	return nil
+}
+
+// epoch returns n's failure epoch (0 for a node that never fails).
+func (e *engine) epoch(n *node.Node) uint64 {
+	if t := e.target(n); t != nil {
+		return t.Epoch()
+	}
+	return 0
+}
+
+// eligible reports whether n may receive new work right now: up and not
+// cordoned.
+func (e *engine) eligible(n *node.Node) bool {
+	if t := e.target(n); t != nil && !t.Up() {
+		return false
+	}
+	return e.opts.Cordoned == nil || !e.opts.Cordoned(n)
 }
 
 // unit is one attempt at executing a task on a chosen node.
@@ -132,14 +158,11 @@ func (e *engine) afterDisturb(u unit, drop bool) {
 // attempt number. Every record is nil-safe, so a continuum without a
 // tracer pays only the dead branch inside Tracer.RecordAttempt.
 func (e *engine) dispatch(u unit) {
-	var epoch0 uint64
-	if e.hasFaults {
-		epoch0 = e.opts.epoch(u.node)
-	}
+	epoch0 := e.epoch(u.node)
 	start := e.c.K.Now()
 	e.c.Tracer.RecordAttempt(start, trace.Dispatch, u.node.Name, u.task.Name, u.attempt)
 	e.stage(u, func() {
-		if e.hasFaults && e.opts.epoch(u.node) != epoch0 {
+		if e.epoch(u.node) != epoch0 {
 			e.c.Tracer.RecordAttempt(e.c.K.Now(), trace.Failure, u.node.Name, u.task.Name+" inputs lost", u.attempt)
 			u.lost()
 			return
@@ -150,7 +173,7 @@ func (e *engine) dispatch(u unit) {
 		e.c.Tracer.RecordAttempt(e.c.K.Now(), trace.TaskStart, u.node.Name, u.task.Name, u.attempt)
 		u.node.Execute(u.task.ScalarWork, u.task.TensorWork, u.task.Accel, func() {
 			now := e.c.K.Now()
-			if e.hasFaults && e.opts.epoch(u.node) != epoch0 {
+			if e.epoch(u.node) != epoch0 {
 				e.c.Tracer.RecordAttempt(now, trace.Failure, u.node.Name, u.task.Name+" lost", u.attempt)
 				u.lost()
 				return
@@ -378,9 +401,15 @@ func (c *Continuum) runStream(pol placement.Policy, jobs []StreamJob, candidates
 	e := newEngine(c, opts)
 	e.fb, _ = pol.(placement.FeedbackPolicy)
 
-	// Without faults every candidate is always live: build the placement
-	// env once and keep it off the per-job hot path.
-	staticEnv := &placement.Env{Net: c.Net, Nodes: candidates, Fabric: c.Fabric}
+	// The policy sees the fixed candidate set and asks Eligible about the
+	// nodes it touches. A speculative backup is chosen from a view that
+	// also excludes the straggling primary.
+	env := &placement.Env{Net: c.Net, Nodes: candidates, Fabric: c.Fabric}
+	if e.faults != nil || opts.Cordoned != nil {
+		env.Eligible = e.eligible
+	}
+	var primary *node.Node
+	backupEnv := env.Restrict(func(n *node.Node) bool { return n != primary })
 
 	// outstanding is the admission controller's state: jobs admitted at
 	// submit time and not yet completed or lost. The kernel is
@@ -393,26 +422,18 @@ func (c *Continuum) runStream(pol placement.Policy, jobs []StreamJob, candidates
 	}
 
 	var attempt func(j StreamJob, retriesLeft int, seq *int)
+	// retry re-dispatches j after the backoff, or counts it lost. The
+	// re-dispatch closure is built only when a retry actually happens.
+	retry := func(j StreamJob, retriesLeft int, seq *int) {
+		e.retry(retriesLeft, func() { attempt(j, retriesLeft-1, seq) }, release)
+	}
 	attempt = func(j StreamJob, retriesLeft int, seq *int) {
-		again := func() { attempt(j, retriesLeft-1, seq) }
-		env := staticEnv
-		if e.hasFaults || e.opts.Cordoned != nil {
-			live := e.liveScratch[:0]
-			for _, n := range candidates {
-				if e.opts.eligible(n) {
-					live = append(live, n)
-				}
-			}
-			e.liveScratch = live
-			if len(live) == 0 {
-				e.retry(retriesLeft, again, release)
-				return
-			}
-			e.envScratch = placement.Env{Net: c.Net, Nodes: live, Fabric: c.Fabric}
-			env = &e.envScratch
-		}
 		req := placement.Request{Task: j.Task, Origin: j.Origin}
 		n := pol.Select(env, req)
+		if n == nil {
+			retry(j, retriesLeft, seq) // nothing eligible right now
+			return
+		}
 		// mk binds a replica's delivery path to the node that actually runs
 		// it — under speculation a backup executes (and replies from) a
 		// different node than the primary.
@@ -429,7 +450,7 @@ func (c *Continuum) runStream(pol placement.Policy, jobs []StreamJob, candidates
 						release()
 					})
 				},
-				lost: func() { e.retry(retriesLeft, again, release) },
+				lost: func() { retry(j, retriesLeft, seq) },
 			}
 		}
 		if !e.opts.Speculate.enabled() {
@@ -442,18 +463,8 @@ func (c *Continuum) runStream(pol placement.Policy, jobs []StreamJob, candidates
 		// are still eligible (up, not cordoned) at hedge time, with the
 		// straggling primary excluded.
 		e.speculate(mk, n, seq, func() *node.Node {
-			rest := e.backupScratch[:0]
-			for _, cn := range candidates {
-				if cn != n && e.opts.eligible(cn) {
-					rest = append(rest, cn)
-				}
-			}
-			e.backupScratch = rest
-			if len(rest) == 0 {
-				return nil
-			}
-			e.envScratch = placement.Env{Net: c.Net, Nodes: rest, Fabric: c.Fabric}
-			return pol.Select(&e.envScratch, req)
+			primary = n
+			return pol.Select(backupEnv, req)
 		})
 	}
 
@@ -530,7 +541,7 @@ func (c *Continuum) runDAG(d *task.DAG, sched placement.Schedule, env *placement
 				func() { runTask(id, retriesLeft-1) },
 				func() { aborted = true })
 		}
-		if !e.opts.eligible(n) {
+		if !e.eligible(n) {
 			retry() // wait out the downtime/cordon; the schedule pins the task here
 			return
 		}
@@ -576,7 +587,7 @@ func (c *Continuum) runDAG(d *task.DAG, sched placement.Schedule, env *placement
 			var best *node.Node
 			bestT := math.Inf(1)
 			for _, cand := range env.Nodes {
-				if cand == n || !e.opts.eligible(cand) {
+				if cand == n || !e.eligible(cand) {
 					continue
 				}
 				if et := cand.ExecTime(tk.ScalarWork, tk.TensorWork, tk.Accel); et < bestT {

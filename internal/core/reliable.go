@@ -189,31 +189,6 @@ func (r *ReliableStats) SuccessRate() float64 {
 	return float64(r.Completed) / float64(total)
 }
 
-// up reports whether the node is currently up per opts.
-func (o *ReliableOptions) up(n *node.Node) bool {
-	t, ok := o.Faults[n.ID]
-	return !ok || t.Up()
-}
-
-// epoch returns the node's failure epoch (0 for fault-free nodes).
-func (o *ReliableOptions) epoch(n *node.Node) uint64 {
-	if t, ok := o.Faults[n.ID]; ok {
-		return t.Epoch()
-	}
-	return 0
-}
-
-// cordoned reports whether the node currently refuses new work.
-func (o *ReliableOptions) cordoned(n *node.Node) bool {
-	return o.Cordoned != nil && o.Cordoned(n)
-}
-
-// eligible reports whether the node may receive new work right now:
-// up and not cordoned.
-func (o *ReliableOptions) eligible(n *node.Node) bool {
-	return o.up(n) && !o.cordoned(n)
-}
-
 // RunStreamReliable executes jobs under pol on a continuum with failing
 // nodes: placement only considers currently-up candidates, and work whose
 // host fails mid-flight (epoch change between dispatch and completion) is

@@ -9,14 +9,18 @@ import (
 	"continuum/internal/trace"
 )
 
-// pinFirst always selects the first node of the env — with it the primary
-// placement is deterministic and the backup (the policy re-selected with
-// the primary excluded) deterministically falls to the next candidate.
+// pinFirst always selects the first eligible node of the env — with it
+// the primary placement is deterministic and the backup (the policy
+// re-selected with the primary excluded) deterministically falls to the
+// next candidate.
 type pinFirst struct{}
 
 func (pinFirst) Name() string { return "pin-first" }
 func (pinFirst) Select(env *placement.Env, req placement.Request) *node.Node {
-	return env.Nodes[0]
+	if cands := env.Candidates(); len(cands) > 0 {
+		return cands[0]
+	}
+	return nil
 }
 
 // specContinuum builds two single-core gateway-class nodes: one core each

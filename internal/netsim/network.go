@@ -63,8 +63,13 @@ type Network struct {
 
 	// spt caches the shortest-path tree per source vertex (nil until
 	// first asked); invalidated whenever the topology changes. Routing is
-	// latency-static, so caching is exact.
-	spt []spTree
+	// latency-static, so caching is exact. built records whether any tree
+	// was cached since the last invalidation, so building a topology link
+	// by link does not clear an all-nil cache V times (O(V²)).
+	spt   []spTree
+	built bool
+	// epoch counts route invalidations (see RouteEpoch).
+	epoch uint64
 
 	// Transfers counts completed Transfer flows; Messages counts Message
 	// sends.
@@ -111,7 +116,7 @@ func (n *Network) NumLinks() int { return len(n.links) }
 func (n *Network) AddNode() int {
 	n.adj = append(n.adj, nil)
 	n.spt = append(n.spt, nil)
-	clear(n.spt)
+	n.invalidate()
 	return len(n.adj) - 1
 }
 
@@ -132,7 +137,7 @@ func (n *Network) AddLink(from, to int, latency, capacity float64) *Link {
 	}
 	n.links = append(n.links, l)
 	n.adj[from] = append(n.adj[from], l)
-	clear(n.spt)
+	n.invalidate()
 	return l
 }
 
@@ -159,8 +164,24 @@ func (n *Network) SetLinkParams(l *Link, latency, capacity float64) {
 	}
 	l.Latency = latency
 	l.Capacity = capacity
-	clear(n.spt)
+	n.invalidate()
 }
+
+// invalidate drops every cached shortest-path tree and advances the
+// route epoch.
+func (n *Network) invalidate() {
+	n.epoch++
+	if n.built {
+		clear(n.spt)
+		n.built = false
+	}
+}
+
+// RouteEpoch identifies the current routes: it changes whenever a
+// topology change (AddNode, AddLink, SetLinkParams) may have changed a
+// path latency, so a caller holding values derived from Latency can tell
+// when to rebuild them.
+func (n *Network) RouteEpoch() uint64 { return n.epoch }
 
 func (n *Network) checkNode(id int) {
 	if id < 0 || id >= len(n.adj) {
@@ -176,6 +197,7 @@ func (n *Network) tree(src int) spTree {
 	if t == nil {
 		t = n.dijkstra(src)
 		n.spt[src] = t
+		n.built = true
 	}
 	return t
 }

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -271,5 +272,31 @@ func TestPropertyShortestPathTriangle(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkNetworkBuild builds a stress-shaped topology (a cloud, n/64
+// fog sites, gateways spread over them) vertex by vertex and link by
+// link, then routes once: AddNode and AddLink must not cost O(V) each
+// while no route is cached.
+func BenchmarkNetworkBuild(b *testing.B) {
+	for _, n := range []int{1000, 100000} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				net := New(sim.NewKernel(), 0)
+				cloud := net.AddNode()
+				fogs := max(n/64, 2)
+				for f := 0; f < fogs; f++ {
+					net.AddDuplexLink(net.AddNode(), cloud, 0.020, 1.25e9)
+				}
+				for g := 0; g < n-1-fogs; g++ {
+					net.AddDuplexLink(net.AddNode(), 1+g%fogs, 0.002, 1.25e8)
+				}
+				if math.IsInf(net.Latency(n-1, cloud), 1) {
+					b.Fatal("gateway cannot reach the cloud")
+				}
+			}
+		})
 	}
 }

@@ -69,12 +69,13 @@ func (a *Adaptive) MeanLatency(nodeID int) float64 {
 // Select implements Policy: unsampled arms first (in node order for
 // determinism), then lowest lower-confidence bound.
 func (a *Adaptive) Select(env *Env, req Request) *node.Node {
-	for _, n := range env.Nodes {
+	cands := env.Candidates()
+	for _, n := range cands {
 		if a.count[n.ID] == 0 {
 			return n
 		}
 	}
-	return argmin(env.Nodes, func(n *node.Node) float64 {
+	return argmin(cands, func(n *node.Node) float64 {
 		mean := a.sum[n.ID] / float64(a.count[n.ID])
 		radius := a.Explore * math.Sqrt(2*math.Log(float64(a.total))/float64(a.count[n.ID]))
 		return mean - radius

@@ -8,6 +8,7 @@ import (
 	"continuum/internal/node"
 	"continuum/internal/sim"
 	"continuum/internal/task"
+	"continuum/internal/workload"
 )
 
 // stressEnv mirrors scenario.GenerateStress's shape: one cloud, n/64 fog
@@ -39,19 +40,32 @@ func stressEnv(n int) *Env {
 var selected *node.Node
 
 // BenchmarkGreedyLatencySelect is one greedy-latency decision over a
-// 1000-node fleet from a rotating set of 64 warm origins: 1000 latency
-// estimates, each a path-metric lookup.
+// stress-shaped fleet from a rotating set of 64 warm origins (their trees
+// and candidate orders already built). The 10pct-ineligible case marks a
+// seeded tenth of the fleet ineligible through Env.Eligible, as faults
+// and cordons do in a run.
 func BenchmarkGreedyLatencySelect(b *testing.B) {
-	env := stressEnv(1000)
 	tk := &task.Task{ScalarWork: 5e9, OutputBytes: 1e4, Inputs: []task.DataRef{{Name: "in", Bytes: 2e5}}}
-	origins := env.Nodes[len(env.Nodes)-64:]
-	for _, o := range origins {
-		GreedyLatency{}.Select(env, Request{Task: tk, Origin: o.ID})
-	}
-	b.Run("1000nodes", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			selected = GreedyLatency{}.Select(env, Request{Task: tk, Origin: origins[i%len(origins)].ID})
+	bench := func(env *Env) func(*testing.B) {
+		origins := env.Nodes[len(env.Nodes)-64:]
+		for _, o := range origins {
+			GreedyLatency{}.Select(env, Request{Task: tk, Origin: o.ID})
 		}
-	})
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				selected = GreedyLatency{}.Select(env, Request{Task: tk, Origin: origins[i%len(origins)].ID})
+			}
+		}
+	}
+	b.Run("1000nodes", bench(stressEnv(1000)))
+	ineligible := stressEnv(1000)
+	rng := workload.NewRNG(1)
+	down := make([]bool, len(ineligible.Nodes))
+	for i := range down {
+		down[i] = rng.Float64() < 0.1
+	}
+	ineligible.Eligible = func(n *node.Node) bool { return !down[n.ID] }
+	b.Run("1000nodes-10pct-ineligible", bench(ineligible))
+	b.Run("10000nodes", bench(stressEnv(10000)))
 }

@@ -18,6 +18,7 @@ package placement
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"continuum/internal/data"
 	"continuum/internal/netsim"
@@ -28,11 +29,70 @@ import (
 
 // Env is the continuum view a policy sees when deciding.
 type Env struct {
-	Net   *netsim.Network
+	Net *netsim.Network
+	// Nodes is the fixed candidate set. Policies keep state derived from
+	// it between decisions (GreedyLatency's index), so give an Env a new
+	// slice rather than editing this one in place.
 	Nodes []*node.Node
 	// Fabric is optional; when present, data-aware policies use replica
 	// locations for staging estimates.
 	Fabric *data.Fabric
+	// Eligible, when set, reports whether a candidate may take new work
+	// right now (up, not cordoned). Policies choose among eligible
+	// candidates only, and Select returns nil when none is. Nil means
+	// every candidate is eligible.
+	Eligible func(*node.Node) bool
+
+	// state is what policies derive from the candidates, allocated on
+	// first use and shared with the views Restrict makes.
+	state *envState
+}
+
+// envState is the per-Env memory policies keep between decisions.
+type envState struct {
+	cands         []*node.Node // Candidates scratch
+	lat, eng, dol []float64    // MultiObjective scratch
+	index         latencyIndex // GreedyLatency's candidate order
+}
+
+func (e *Env) shared() *envState {
+	if e.state == nil {
+		e.state = &envState{}
+	}
+	return e.state
+}
+
+// Restrict returns a view of env whose eligible candidates are further
+// limited to those keep accepts. The view shares env's derived state, so
+// a second view over the same candidates (a speculative backup that must
+// avoid the primary) builds no index of its own.
+func (e *Env) Restrict(keep func(*node.Node) bool) *Env {
+	r := *e
+	r.state = e.shared()
+	r.Eligible = keep
+	if base := e.Eligible; base != nil {
+		r.Eligible = func(n *node.Node) bool { return base(n) && keep(n) }
+	}
+	return &r
+}
+
+// Candidates returns the eligible candidates in Nodes order: every policy
+// that considers the whole set reads it here, so RNG draws and
+// tie-breaks see the same list whether ineligible nodes are filtered by
+// the caller or by Eligible. With Eligible set the result is scratch,
+// valid until the next call on env or a view of it.
+func (e *Env) Candidates() []*node.Node {
+	if e.Eligible == nil {
+		return e.Nodes
+	}
+	st := e.shared()
+	st.cands = st.cands[:0]
+	for _, n := range e.Nodes {
+		if e.Eligible(n) {
+			st.cands = append(st.cands, n)
+		}
+	}
+	return st.cands
 }
 
 // Request is one task to place, originating (its input data, its caller)
@@ -42,9 +102,10 @@ type Request struct {
 	Origin int
 }
 
-// Policy selects a node for each request. Implementations must be
-// deterministic given their construction parameters (randomized policies
-// take an explicit RNG).
+// Policy selects a node for each request, or nil when env has no eligible
+// candidate. Implementations must be deterministic given their
+// construction parameters (randomized policies take an explicit RNG) and
+// must draw nothing when they return nil.
 type Policy interface {
 	Name() string
 	Select(env *Env, req Request) *node.Node
@@ -109,10 +170,10 @@ func EstimateDollars(env *Env, req Request, n *node.Node) float64 {
 }
 
 // argmin returns the node minimizing score, breaking ties on lower node ID
-// for determinism. It panics if nodes is empty.
+// for determinism, or nil if nodes is empty.
 func argmin(nodes []*node.Node, score func(*node.Node) float64) *node.Node {
 	if len(nodes) == 0 {
-		panic("placement: no candidate nodes")
+		return nil
 	}
 	best := nodes[0]
 	bestScore := score(best)
@@ -142,7 +203,9 @@ func filterClass(nodes []*node.Node, lo, hi node.Class) []*node.Node {
 }
 
 // EdgeOnly places every task on edge-tier nodes (Sensor..Fog), choosing
-// the least-loaded nearest one. The "never leave the edge" baseline.
+// the least-loaded nearest one. The "never leave the edge" baseline. Like
+// CloudOnly it scores with the fabric, so it scans every candidate (see
+// DataAware).
 type EdgeOnly struct{}
 
 // Name implements Policy.
@@ -150,7 +213,7 @@ func (EdgeOnly) Name() string { return "edge-only" }
 
 // Select implements Policy.
 func (EdgeOnly) Select(env *Env, req Request) *node.Node {
-	cands := filterClass(env.Nodes, node.Sensor, node.Fog)
+	cands := filterClass(env.Candidates(), node.Sensor, node.Fog)
 	return argmin(cands, func(n *node.Node) float64 {
 		return EstimateLatency(env, req, n)
 	})
@@ -165,7 +228,7 @@ func (CloudOnly) Name() string { return "cloud-only" }
 
 // Select implements Policy.
 func (CloudOnly) Select(env *Env, req Request) *node.Node {
-	cands := filterClass(env.Nodes, node.Cloud, node.HPC)
+	cands := filterClass(env.Candidates(), node.Cloud, node.HPC)
 	return argmin(cands, func(n *node.Node) float64 {
 		return EstimateLatency(env, req, n)
 	})
@@ -180,7 +243,11 @@ func (Random) Name() string { return "random" }
 
 // Select implements Policy.
 func (r Random) Select(env *Env, req Request) *node.Node {
-	return env.Nodes[r.RNG.Intn(len(env.Nodes))]
+	cands := env.Candidates()
+	if len(cands) == 0 {
+		return nil
+	}
+	return cands[r.RNG.Intn(len(cands))]
 }
 
 // RoundRobin cycles through nodes: oblivious load spreading.
@@ -191,13 +258,26 @@ func (*RoundRobin) Name() string { return "round-robin" }
 
 // Select implements Policy.
 func (r *RoundRobin) Select(env *Env, req Request) *node.Node {
-	n := env.Nodes[r.next%len(env.Nodes)]
+	cands := env.Candidates()
+	if len(cands) == 0 {
+		return nil
+	}
+	n := cands[r.next%len(cands)]
 	r.next++
 	return n
 }
 
 // GreedyLatency picks the node with the lowest estimated completion time,
 // ignoring data replicas (it ships inputs from the origin).
+//
+// It scores only the candidates that can win. With inputs shipped from
+// the origin, move ≥ Latency(origin, n) and wait ≥ 0, and rounding is
+// monotone, so fl(Latency(origin, n) + exec) is a lower bound on n's
+// score. Candidates whose specs give the same exec are scanned in
+// ascending (Latency, ID) order, and a part's scan stops once the bound
+// is strictly greater than the best score so far. Every candidate whose
+// bound equals the best is still scored, so the choice is the same
+// (score, ID) minimum a full scan returns.
 type GreedyLatency struct{}
 
 // Name implements Policy.
@@ -207,15 +287,38 @@ func (GreedyLatency) Name() string { return "greedy-latency" }
 func (GreedyLatency) Select(env *Env, req Request) *node.Node {
 	noFabric := *env
 	noFabric.Fabric = nil
-	return argmin(env.Nodes, func(n *node.Node) float64 {
-		return EstimateLatency(&noFabric, req, n)
-	})
+	ix := &env.shared().index
+	order := ix.order(env, req.Origin)
+	var best *node.Node
+	bestScore := math.Inf(1)
+	start := 0
+	for _, end := range ix.ends {
+		part := order[start:end]
+		start = end
+		exec := env.Nodes[part[0]].ExecTime(req.Task.ScalarWork, req.Task.TensorWork, req.Task.Accel)
+		for _, i := range part {
+			n := env.Nodes[i]
+			if env.Net.Latency(req.Origin, n.ID)+exec > bestScore {
+				break // the rest of the part is bounded at least this high
+			}
+			if env.Eligible != nil && !env.Eligible(n) {
+				continue
+			}
+			s := EstimateLatency(&noFabric, req, n)
+			if best == nil || s < bestScore || (s == bestScore && n.ID < best.ID) {
+				best, bestScore = n, s
+			}
+		}
+	}
+	return best
 }
 
 // DataAware is GreedyLatency plus replica knowledge: staging time is
 // computed from the nearest replica (and is zero on a cache hit), so
 // compute moves to data when data is big and to fast silicon when data is
-// small — the continuum tradeoff the keynote centers on.
+// small — the continuum tradeoff the keynote centers on. It scores every
+// candidate: a cache hit makes move 0, so GreedyLatency's bound does not
+// hold here.
 type DataAware struct{}
 
 // Name implements Policy.
@@ -223,7 +326,7 @@ func (DataAware) Name() string { return "data-aware" }
 
 // Select implements Policy.
 func (DataAware) Select(env *Env, req Request) *node.Node {
-	return argmin(env.Nodes, func(n *node.Node) float64 {
+	return argmin(env.Candidates(), func(n *node.Node) float64 {
 		return EstimateLatency(env, req, n)
 	})
 }
@@ -236,7 +339,7 @@ func (GreedyEnergy) Name() string { return "greedy-energy" }
 
 // Select implements Policy.
 func (GreedyEnergy) Select(env *Env, req Request) *node.Node {
-	return argmin(env.Nodes, func(n *node.Node) float64 {
+	return argmin(env.Candidates(), func(n *node.Node) float64 {
 		return EstimateEnergy(env, req, n)
 	})
 }
@@ -249,7 +352,7 @@ func (GreedyCost) Name() string { return "greedy-cost" }
 
 // Select implements Policy.
 func (GreedyCost) Select(env *Env, req Request) *node.Node {
-	return argmin(env.Nodes, func(n *node.Node) float64 {
+	return argmin(env.Candidates(), func(n *node.Node) float64 {
 		return EstimateDollars(env, req, n)
 	})
 }
@@ -277,11 +380,17 @@ func (m MultiObjective) Name() string {
 
 // Select implements Policy.
 func (m MultiObjective) Select(env *Env, req Request) *node.Node {
-	lat := make([]float64, len(env.Nodes))
-	eng := make([]float64, len(env.Nodes))
-	dol := make([]float64, len(env.Nodes))
+	cands := env.Candidates()
+	if len(cands) == 0 {
+		return nil
+	}
+	st := env.shared()
+	st.lat = slices.Grow(st.lat[:0], len(cands))[:len(cands)]
+	st.eng = slices.Grow(st.eng[:0], len(cands))[:len(cands)]
+	st.dol = slices.Grow(st.dol[:0], len(cands))[:len(cands)]
+	lat, eng, dol := st.lat, st.eng, st.dol
 	minLat, minEng, minDol := math.Inf(1), math.Inf(1), math.Inf(1)
-	for i, n := range env.Nodes {
+	for i, n := range cands {
 		lat[i] = EstimateLatency(env, req, n)
 		eng[i] = EstimateEnergy(env, req, n)
 		dol[i] = EstimateDollars(env, req, n)
@@ -295,8 +404,8 @@ func (m MultiObjective) Select(env *Env, req Request) *node.Node {
 		}
 		return v / min
 	}
-	best, bestScore := env.Nodes[0], math.Inf(1)
-	for i, n := range env.Nodes {
+	best, bestScore := cands[0], math.Inf(1)
+	for i, n := range cands {
 		s := m.W.Latency*norm(lat[i], minLat) +
 			m.W.Energy*norm(eng[i], minEng) +
 			m.W.Dollars*norm(dol[i], minDol)

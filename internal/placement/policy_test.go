@@ -221,13 +221,26 @@ func TestEstimateLatencyComponents(t *testing.T) {
 	}
 }
 
-func TestArgminPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("argmin on empty did not panic")
+// TestSelectNilWhenNothingEligible pins the empty-set contract: argmin of
+// nothing is nil, and every policy returns nil without drawing from its
+// RNG when no candidate is eligible.
+func TestSelectNilWhenNothingEligible(t *testing.T) {
+	if argmin(nil, func(*node.Node) float64 { return 0 }) != nil {
+		t.Fatal("argmin of no nodes is not nil")
+	}
+	_, env := testEnv(t)
+	env.Eligible = func(*node.Node) bool { return false }
+	rng := workload.NewRNG(1)
+	rr := &RoundRobin{}
+	for _, p := range []Policy{EdgeOnly{}, CloudOnly{}, Random{RNG: rng}, rr, GreedyLatency{},
+		DataAware{}, GreedyEnergy{}, GreedyCost{}, MultiObjective{W: Weights{Latency: 1}}, NewAdaptive(1)} {
+		if n := p.Select(env, Request{Task: smallTask(), Origin: 0}); n != nil {
+			t.Errorf("%s chose %s with nothing eligible", p.Name(), n.Name)
 		}
-	}()
-	argmin(nil, func(*node.Node) float64 { return 0 })
+	}
+	if got, want := rng.Uint64(), workload.NewRNG(1).Uint64(); got != want || rr.next != 0 {
+		t.Error("a policy advanced its state while returning nil")
+	}
 }
 
 func TestFilterClassFallsBack(t *testing.T) {
@@ -271,5 +284,18 @@ func TestParetoFrontDuplicates(t *testing.T) {
 	front := ParetoFront(pts)
 	if len(front) != 2 {
 		t.Fatalf("identical points should both survive, got %v", front)
+	}
+}
+
+// TestMultiObjectiveReusesScratch pins that the per-candidate score
+// slices live in the Env's scratch, not in a fresh allocation per
+// decision.
+func TestMultiObjectiveReusesScratch(t *testing.T) {
+	_, env := testEnv(t)
+	m := MultiObjective{W: Weights{Latency: 1, Energy: 1, Dollars: 1}}
+	req := Request{Task: smallTask(), Origin: 0}
+	m.Select(env, req)
+	if a := testing.AllocsPerRun(100, func() { m.Select(env, req) }); a != 0 {
+		t.Fatalf("MultiObjective.Select allocates %.0f times per decision", a)
 	}
 }

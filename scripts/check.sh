@@ -27,7 +27,7 @@ echo "== bench smoke =="
 # One iteration of every wire, router-decision and simulator-placement
 # benchmark: catches a hot path that stops compiling or panics without
 # paying for a full measurement run.
-go test -run '^$' -bench 'BenchmarkWire|BenchmarkHashPolicyOrder|BenchmarkLeastLoadedOrder|BenchmarkRegistryRoutable|BenchmarkMessageTime|BenchmarkGreedyLatencySelect|BenchmarkContinuumValidate' -benchtime=1x ./internal/wire ./internal/federation ./internal/netsim ./internal/placement ./internal/core
+go test -run '^$' -bench 'BenchmarkWire|BenchmarkHashPolicyOrder|BenchmarkLeastLoadedOrder|BenchmarkRegistryRoutable|BenchmarkMessageTime|BenchmarkNetworkBuild|BenchmarkGreedyLatencySelect|BenchmarkContinuumValidate' -benchtime=1x ./internal/wire ./internal/federation ./internal/netsim ./internal/placement ./internal/core
 
 echo "== doc lint =="
 # Every exported identifier in the operator-facing packages must carry a
