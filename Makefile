@@ -64,12 +64,14 @@ federation-smoke:
 	go test -race -count=1 -run 'TestE2EFederationChurnNoRequestLost' .
 	go test -race -count=1 -run 'TestLiveRouterChurnZeroLost' ./internal/scenario
 
-# Scale harness: generate a 1000-node and a 10k-node scenario, validate
+# Scale harness: generate 1000-, 10k- and 100k-node scenarios, validate
 # them, and run each through the simulator inside a wall-clock budget.
-# On a 2-vCPU Xeon (Go 1.24, GOMAXPROCS 2) the 1000-node run takes
-# ≈ 0.08 s and the 10k run ≈ 1.3 s with the bounded greedy-latency scan
-# (≈ 4.5 s scoring every candidate; ≈ 35 s with per-call path walks and
-# all-pairs Validate), so the 20 s budget is the scale gate.
+# On a 2-vCPU Xeon (Go 1.24.0, GOMAXPROCS 2) they take 0.06–0.08 s,
+# 0.26–0.37 s and 2.7–3.4 s (0.85–0.87 GB peak RSS) with resumable
+# shortest-path searches and nearest-first greedy-latency placement;
+# sorting every candidate per origin they took 0.12–0.14 s, 1.8–2.7 s
+# and 30–38 s. The 20 s budgets are the scale gate.
 stress:
 	go run ./cmd/continuum-sim scenario stress -nodes 1000 -seed 42 -budget 60s
 	go run ./cmd/continuum-sim scenario stress -nodes 10000 -seed 42 -budget 20s
+	go run ./cmd/continuum-sim scenario stress -nodes 100000 -seed 42 -budget 20s

@@ -15,7 +15,6 @@
 package netsim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -61,12 +60,13 @@ type Network struct {
 	active  []*Flow
 	touched []*Link
 
-	// spt caches the shortest-path tree per source vertex (nil until
-	// first asked); invalidated whenever the topology changes. Routing is
-	// latency-static, so caching is exact. built records whether any tree
-	// was cached since the last invalidation, so building a topology link
-	// by link does not clear an all-nil cache V times (O(V²)).
-	spt   []spTree
+	// spt holds the shortest-path search per source vertex (hops nil
+	// until first asked); every topology change drops them all. Routing
+	// is latency-static, so caching is exact. built records whether any
+	// search was started since the last invalidation, so building a
+	// topology link by link does not clear an all-empty cache V times
+	// (O(V²)).
+	spt   []search
 	built bool
 	// epoch counts route invalidations (see RouteEpoch).
 	epoch uint64
@@ -76,19 +76,25 @@ type Network struct {
 	Transfers, Messages int64
 }
 
-// spTree is the latency-shortest-path tree from one source, holding for
-// each destination what the path metrics need so that none of them has
-// to materialise the path.
-type spTree []hop
+// search is a resumable Dijkstra from one source. It settles vertices
+// only as far as a query needs, and every pop and relaxation is the one
+// a full run makes at the same step, so each settled entry is the full
+// run's entry bit for bit.
+type search struct {
+	hops  []hop
+	pq    nodeHeap // nil once every reachable vertex is settled
+	order []int32  // settled vertices, nearest first
+}
 
 // hop is one destination's entry: dist is the path latency, summed from
 // the source outward ((0+l₁)+l₂)+… exactly as a walk of the path would;
 // bn is the path's minimum link capacity (+Inf at the source, 0 when
-// unreachable); prev is the incoming link (nil at the source and when
-// unreachable).
+// unreachable); prev is the ID of the incoming link (-1 at the source
+// and when unreachable). Until settled, dist, bn and prev are tentative.
 type hop struct {
 	dist, bn float64
-	prev     *Link
+	prev     int32
+	settled  bool
 }
 
 // New creates a network with n nodes and no links.
@@ -99,7 +105,7 @@ func New(k *sim.Kernel, n int) *Network {
 	return &Network{
 		k:   k,
 		adj: make([][]*Link, n),
-		spt: make([]spTree, n),
+		spt: make([]search, n),
 	}
 }
 
@@ -115,7 +121,7 @@ func (n *Network) NumLinks() int { return len(n.links) }
 // AddNode appends a vertex and returns its id.
 func (n *Network) AddNode() int {
 	n.adj = append(n.adj, nil)
-	n.spt = append(n.spt, nil)
+	n.spt = append(n.spt, search{})
 	n.invalidate()
 	return len(n.adj) - 1
 }
@@ -167,8 +173,8 @@ func (n *Network) SetLinkParams(l *Link, latency, capacity float64) {
 	n.invalidate()
 }
 
-// invalidate drops every cached shortest-path tree and advances the
-// route epoch.
+// invalidate drops every shortest-path search and advances the route
+// epoch.
 func (n *Network) invalidate() {
 	n.epoch++
 	if n.built {
@@ -189,24 +195,72 @@ func (n *Network) checkNode(id int) {
 	}
 }
 
-// tree returns the cached shortest-path tree from src, building it on
+// search returns the shortest-path search from src, starting it on
 // first use.
-func (n *Network) tree(src int) spTree {
+func (n *Network) search(src int) *search {
 	n.checkNode(src)
-	t := n.spt[src]
-	if t == nil {
-		t = n.dijkstra(src)
-		n.spt[src] = t
+	s := &n.spt[src]
+	if s.hops == nil {
+		s.hops = make([]hop, len(n.adj))
+		for i := range s.hops {
+			s.hops[i] = hop{dist: math.Inf(1), prev: -1}
+		}
+		s.hops[src] = hop{dist: 0, bn: math.Inf(1), prev: -1}
+		s.pq = nodeHeap{{src, 0}}
 		n.built = true
 	}
-	return t
+	return s
 }
 
-// to returns the tree entry for the path a→b.
+// step settles the next vertex of s and reports false once every
+// reachable vertex is settled. A vertex's entry is final once it pops
+// (latencies are >= 0), so deriving dist and bn from the popped
+// predecessor equals a walk of the final path.
+func (n *Network) step(s *search) bool {
+	for len(s.pq) > 0 {
+		it := s.pq.pop()
+		h := &s.hops[it.id]
+		if it.d > h.dist {
+			continue
+		}
+		h.settled = true
+		s.order = append(s.order, int32(it.id))
+		for _, l := range n.adj[it.id] {
+			nd := it.d + l.Latency
+			if nd < s.hops[l.To].dist {
+				s.hops[l.To] = hop{dist: nd, bn: min(h.bn, l.Capacity), prev: int32(l.ID)}
+				s.pq.push(nodeDist{l.To, nd})
+			}
+		}
+		return true
+	}
+	s.pq = nil
+	return false
+}
+
+// to returns the settled entry for the path a→b, searching from a only
+// until b is settled (or every reachable vertex is).
 func (n *Network) to(a, b int) hop {
-	t := n.tree(a)
+	s := n.search(a)
 	n.checkNode(b)
-	return t[b]
+	for !s.hops[b].settled && n.step(s) {
+	}
+	return s.hops[b]
+}
+
+// Nearest returns the i-th vertex (from 0) in nondecreasing order of
+// latency from src, and that latency, extending the search from src only
+// as far as i. src itself is vertex 0. ok is false when fewer than i+1
+// vertices are reachable.
+func (n *Network) Nearest(src, i int) (v int, latency float64, ok bool) {
+	s := n.search(src)
+	for len(s.order) <= i {
+		if !n.step(s) {
+			return 0, 0, false
+		}
+	}
+	v = int(s.order[i])
+	return v, s.hops[v].dist, true
 }
 
 // Path returns the minimum-latency link path from a to b, or an error if b
@@ -217,18 +271,18 @@ func (n *Network) Path(a, b int) ([]*Link, error) {
 	if a == b {
 		return nil, nil
 	}
-	t := n.tree(a)
-	if t[b].prev == nil {
+	if n.to(a, b).prev < 0 {
 		return nil, &UnreachableError{From: a, To: b}
 	}
+	t := n.spt[a].hops // settled along the path by n.to
 	hops := 0
-	for at := b; at != a; at = t[at].prev.From {
+	for at := b; at != a; at = n.links[t[at].prev].From {
 		hops++
 	}
 	path := make([]*Link, hops)
-	for at := b; at != a; at = t[at].prev.From {
+	for at := b; at != a; at = n.links[t[at].prev].From {
 		hops--
-		path[hops] = t[at].prev
+		path[hops] = n.links[t[at].prev]
 	}
 	return path, nil
 }
@@ -295,49 +349,50 @@ func (n *Network) Bottleneck(a, b int) float64 {
 	return n.to(a, b).bn
 }
 
-// dijkstra computes the latency-shortest-path tree from src. A vertex's
-// entry is final once it pops (latencies are >= 0), so deriving dist and
-// bn from the popped predecessor equals a walk of the final path.
-func (n *Network) dijkstra(src int) spTree {
-	t := make(spTree, len(n.adj))
-	for i := range t {
-		t[i].dist = math.Inf(1)
-	}
-	t[src] = hop{dist: 0, bn: math.Inf(1)}
-	pq := &nodeHeap{{src, 0}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(nodeDist)
-		if it.d > t[it.id].dist {
-			continue
-		}
-		for _, l := range n.adj[it.id] {
-			nd := it.d + l.Latency
-			if nd < t[l.To].dist {
-				t[l.To] = hop{dist: nd, bn: min(t[it.id].bn, l.Capacity), prev: l}
-				heap.Push(pq, nodeDist{l.To, nd})
-			}
-		}
-	}
-	return t
-}
-
 type nodeDist struct {
 	id int
 	d  float64
 }
 
+// nodeHeap is a binary min-heap on d. push and pop make exactly the
+// swaps container/heap's Push and Pop make, so equal keys pop in the
+// same order (and give the same shortest-path tree), without boxing each
+// entry into an interface.
 type nodeHeap []nodeDist
 
-func (h nodeHeap) Len() int           { return len(h) }
-func (h nodeHeap) Less(i, j int) bool { return h[i].d < h[j].d }
-func (h nodeHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *nodeHeap) Push(x any)        { *h = append(*h, x.(nodeDist)) }
-func (h *nodeHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+func (h *nodeHeap) push(x nodeDist) {
+	q := append(*h, x)
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !(q[j].d < q[i].d) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+	*h = q
+}
+
+func (h *nodeHeap) pop() nodeDist {
+	q := *h
+	last := len(q) - 1
+	q[0], q[last] = q[last], q[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= last {
+			break
+		}
+		if j+1 < last && q[j+1].d < q[j].d {
+			j++
+		}
+		if !(q[j].d < q[i].d) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q[:last]
+	return q[last]
 }
 
 // Message schedules fn after the uncontended delivery time of a size-byte
@@ -353,12 +408,14 @@ func (n *Network) Message(a, b int, size float64, fn func()) {
 		return
 	}
 	h := n.to(a, b)
-	if h.prev == nil {
+	if h.prev < 0 {
 		panic(&UnreachableError{From: a, To: b})
 	}
-	t := n.spt[a] // built by n.to
-	for at := b; at != a; at = t[at].prev.From {
-		t[at].prev.BytesCarried += size
+	t := n.spt[a].hops // settled along the path by n.to
+	for at := b; at != a; {
+		l := n.links[t[at].prev]
+		l.BytesCarried += size
+		at = l.From
 	}
 	n.k.After(h.time(size), fn)
 }
@@ -375,7 +432,7 @@ func (n *Network) MessageTime(a, b int, size float64) float64 {
 // time is the uncontended delivery time of size bytes along the entry's
 // path: propagation plus size/bottleneck (+Inf when unreachable).
 func (h hop) time(size float64) float64 {
-	if size > 0 && h.prev != nil {
+	if size > 0 && h.prev >= 0 {
 		return h.dist + size/h.bn
 	}
 	return h.dist

@@ -1,0 +1,239 @@
+package netsim
+
+import (
+	"container/heap"
+	"math"
+	"slices"
+	"testing"
+
+	"continuum/internal/sim"
+	"continuum/internal/workload"
+)
+
+// refHeap is nodeHeap's reference: the container/heap implementation the
+// typed heap replaces.
+type refHeap []nodeDist
+
+func (h refHeap) Len() int           { return len(h) }
+func (h refHeap) Less(i, j int) bool { return h[i].d < h[j].d }
+func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)        { *h = append(*h, x.(nodeDist)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	it := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return it
+}
+
+// refDijkstra is the full, eager shortest-path run from src on
+// container/heap: every vertex's final entry and the order vertices
+// settle in. A resumable search must agree with it on every vertex it
+// has settled.
+func refDijkstra(n *Network, src int) ([]hop, []int32) {
+	t := make([]hop, n.NumNodes())
+	for i := range t {
+		t[i] = hop{dist: math.Inf(1), prev: -1}
+	}
+	t[src] = hop{dist: 0, bn: math.Inf(1), prev: -1}
+	var order []int32
+	pq := &refHeap{{src, 0}}
+	for pq.Len() > 0 {
+		it := heap.Pop(pq).(nodeDist)
+		if it.d > t[it.id].dist {
+			continue
+		}
+		t[it.id].settled = true
+		order = append(order, int32(it.id))
+		for _, l := range n.adj[it.id] {
+			nd := it.d + l.Latency
+			if nd < t[l.To].dist {
+				t[l.To] = hop{dist: nd, bn: min(t[it.id].bn, l.Capacity), prev: int32(l.ID)}
+				heap.Push(pq, nodeDist{l.To, nd})
+			}
+		}
+	}
+	return t, order
+}
+
+// checkSearches compares every started search with refDijkstra: the
+// settle order is a prefix of the reference's, exactly the vertices in
+// it are marked settled, their dist, bn and prev are bit-identical, and
+// an exhausted search has settled every reachable vertex.
+func checkSearches(t *testing.T, n *Network, stage string) {
+	t.Helper()
+	bits := math.Float64bits
+	for src := range n.spt {
+		s := &n.spt[src]
+		if s.hops == nil {
+			continue
+		}
+		ref, order := refDijkstra(n, src)
+		if len(s.order) > len(order) || !slices.Equal(s.order, order[:len(s.order)]) {
+			t.Fatalf("%s: source %d settled %v, reference order %v", stage, src, s.order, order)
+		}
+		if s.pq == nil && len(s.order) != len(order) {
+			t.Fatalf("%s: source %d exhausted after %d of %d reachable vertices", stage, src, len(s.order), len(order))
+		}
+		settled := 0
+		for v, h := range s.hops {
+			if !h.settled {
+				continue
+			}
+			settled++
+			r := ref[v]
+			if bits(h.dist) != bits(r.dist) || bits(h.bn) != bits(r.bn) || h.prev != r.prev {
+				t.Fatalf("%s: source %d vertex %d = %+v, reference %+v", stage, src, v, h, r)
+			}
+		}
+		if settled != len(s.order) {
+			t.Fatalf("%s: source %d marks %d vertices settled, order has %d", stage, src, settled, len(s.order))
+		}
+	}
+}
+
+// TestPropertySearchMatchesFullDijkstra drives the resumable searches
+// with every kind of query, in random order, on random graphs full of
+// equal latencies, and after every batch and every topology change
+// checks each settled entry against a full container/heap Dijkstra.
+func TestPropertySearchMatchesFullDijkstra(t *testing.T) {
+	bits := math.Float64bits
+	for seed := uint64(1); seed <= 80; seed++ {
+		rng := workload.NewRNG(seed)
+		n := randomTopology(rng)
+		for round := 0; round < 6; round++ {
+			for q := 0; q < 12; q++ {
+				a, b := rng.Intn(n.NumNodes()), rng.Intn(n.NumNodes())
+				ref, order := refDijkstra(n, a)
+				lat, bn, mt := 0.0, math.Inf(1), 0.0
+				if a != b {
+					lat, bn, mt = ref[b].dist, ref[b].bn, ref[b].dist
+					if ref[b].prev >= 0 {
+						mt += 1e5 / bn
+					}
+				}
+				switch rng.Intn(6) {
+				case 0:
+					if got := n.Latency(a, b); bits(got) != bits(lat) {
+						t.Fatalf("seed %d: Latency(%d,%d) = %v, want %v", seed, a, b, got, lat)
+					}
+				case 1:
+					if got := n.Bottleneck(a, b); bits(got) != bits(bn) {
+						t.Fatalf("seed %d: Bottleneck(%d,%d) = %v, want %v", seed, a, b, got, bn)
+					}
+				case 2:
+					if got := n.MessageTime(a, b, 1e5); bits(got) != bits(mt) {
+						t.Fatalf("seed %d: MessageTime(%d,%d) = %v, want %v", seed, a, b, got, mt)
+					}
+				case 3:
+					if math.IsInf(lat, 1) {
+						continue
+					}
+					before := make([]float64, n.NumLinks())
+					for i, l := range n.Links() {
+						before[i] = l.BytesCarried
+					}
+					n.Message(a, b, 3, func() {})
+					onPath := make([]bool, n.NumLinks())
+					for at := b; at != a; at = n.links[ref[at].prev].From {
+						onPath[ref[at].prev] = true
+					}
+					for i, l := range n.Links() {
+						want := before[i]
+						if onPath[i] {
+							want += 3
+						}
+						if l.BytesCarried != want {
+							t.Fatalf("seed %d: Message(%d,%d) left link %d at %v, want %v", seed, a, b, i, l.BytesCarried, want)
+						}
+					}
+				case 4:
+					i := rng.Intn(n.NumNodes() + 1)
+					v, d, ok := n.Nearest(a, i)
+					if ok != (i < len(order)) {
+						t.Fatalf("seed %d: Nearest(%d,%d) ok=%v with %d reachable", seed, a, i, ok, len(order))
+					}
+					if ok && (v != int(order[i]) || bits(d) != bits(ref[v].dist)) {
+						t.Fatalf("seed %d: Nearest(%d,%d) = %d at %v, reference %d at %v", seed, a, i, v, d, order[i], ref[order[i]].dist)
+					}
+				case 5:
+					path, err := n.Path(a, b)
+					var want []*Link
+					for at := b; at != a && ref[at].prev >= 0; at = n.links[ref[at].prev].From {
+						want = append([]*Link{n.links[ref[at].prev]}, want...)
+					}
+					if (err != nil) != (a != b && ref[b].prev < 0) || !slices.Equal(path, want) {
+						t.Fatalf("seed %d: Path(%d,%d) = %v, %v; reference %v", seed, a, b, path, err, want)
+					}
+				}
+			}
+			checkSearches(t, n, "queries")
+			switch round % 3 {
+			case 0:
+				l := n.Links()[rng.Intn(n.NumLinks())]
+				n.SetLinkParams(l, []float64{0, 0.001, 0.002}[rng.Intn(3)], rng.Range(1e5, 1e8))
+			case 1:
+				n.AddLink(rng.Intn(n.NumNodes()), rng.Intn(n.NumNodes()-2), 0.001, rng.Range(1e5, 1e8))
+			case 2:
+				v := n.AddNode()
+				n.AddDuplexLink(v, rng.Intn(v), 0.001, 1e6)
+			}
+			checkSearches(t, n, "topology change")
+		}
+	}
+}
+
+// TestNodeHeapMatchesContainerHeap: random push/pop sequences with
+// heavy key ties pop the same (id, d) sequence from nodeHeap as from
+// container/heap, so a shortest-path search breaks latency ties the way
+// it always has.
+func TestNodeHeapMatchesContainerHeap(t *testing.T) {
+	for seed := uint64(1); seed <= 200; seed++ {
+		rng := workload.NewRNG(seed)
+		var got nodeHeap
+		want := &refHeap{}
+		keys := 1 + rng.Intn(4)
+		for op := 0; op < 400; op++ {
+			if rng.Intn(3) > 0 || len(got) == 0 {
+				x := nodeDist{op, float64(rng.Intn(keys))}
+				got.push(x)
+				heap.Push(want, x)
+				continue
+			}
+			g, w := got.pop(), heap.Pop(want).(nodeDist)
+			if g != w {
+				t.Fatalf("seed %d op %d: popped %+v, container/heap %+v", seed, op, g, w)
+			}
+		}
+		for len(got) > 0 {
+			if g, w := got.pop(), heap.Pop(want).(nodeDist); g != w {
+				t.Fatalf("seed %d drain: popped %+v, container/heap %+v", seed, g, w)
+			}
+		}
+	}
+}
+
+// TestSearchExtendsOnlyAsFarAsAsked: on a line, a route query to the
+// third vertex out settles 4 vertices and asking for the 5th nearest
+// settles 6, not the whole line.
+func TestSearchExtendsOnlyAsFarAsAsked(t *testing.T) {
+	n, _ := Line(sim.NewKernel(), 100, 0.001, 1e9)
+	if got := n.Latency(0, 3); got != 0.003 {
+		t.Fatalf("Latency(0, 3) = %v", got)
+	}
+	if got := len(n.spt[0].order); got != 4 {
+		t.Fatalf("settled %d vertices to answer Latency(0, 3), want 4", got)
+	}
+	v, d, ok := n.Nearest(0, 5)
+	if !ok || v != 5 || d != n.Latency(0, 5) {
+		t.Fatalf("Nearest(0, 5) = %d, %v, %v", v, d, ok)
+	}
+	if got := len(n.spt[0].order); got != 6 {
+		t.Fatalf("settled %d vertices to answer Nearest(0, 5), want 6", got)
+	}
+	if _, _, ok := n.Nearest(0, 100); ok {
+		t.Fatal("Nearest(0, 100) on a 100-vertex line reported a vertex")
+	}
+	if n.spt[0].pq != nil {
+		t.Fatal("exhausted search kept its heap")
+	}
+}

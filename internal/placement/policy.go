@@ -16,6 +16,7 @@
 package placement
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -52,7 +53,7 @@ type Env struct {
 type envState struct {
 	cands         []*node.Node // Candidates scratch
 	lat, eng, dol []float64    // MultiObjective scratch
-	index         latencyIndex // GreedyLatency's candidate order
+	near          nearIndex    // GreedyLatency's candidates, nearest first
 }
 
 func (e *Env) shared() *envState {
@@ -273,11 +274,11 @@ func (r *RoundRobin) Select(env *Env, req Request) *node.Node {
 // It scores only the candidates that can win. With inputs shipped from
 // the origin, move ≥ Latency(origin, n) and wait ≥ 0, and rounding is
 // monotone, so fl(Latency(origin, n) + exec) is a lower bound on n's
-// score. Candidates whose specs give the same exec are scanned in
-// ascending (Latency, ID) order, and a part's scan stops once the bound
-// is strictly greater than the best score so far. Every candidate whose
-// bound equals the best is still scored, so the choice is the same
-// (score, ID) minimum a full scan returns.
+// score. Candidates whose specs give the same exec are scanned nearest
+// first, and a part's scan stops once the bound is strictly greater than
+// the best score so far. Every candidate whose bound equals the best is
+// still scored, so the choice is the same (score, ID) minimum a full scan
+// returns.
 type GreedyLatency struct{}
 
 // Name implements Policy.
@@ -287,20 +288,27 @@ func (GreedyLatency) Name() string { return "greedy-latency" }
 func (GreedyLatency) Select(env *Env, req Request) *node.Node {
 	noFabric := *env
 	noFabric.Fabric = nil
-	ix := &env.shared().index
-	order := ix.order(env, req.Origin)
+	ix := &env.shared().near
+	o := ix.origin(env, req.Origin)
 	var best *node.Node
 	bestScore := math.Inf(1)
-	start := 0
-	for _, end := range ix.ends {
-		part := order[start:end]
-		start = end
-		exec := env.Nodes[part[0]].ExecTime(req.Task.ScalarWork, req.Task.TensorWork, req.Task.Accel)
-		for _, i := range part {
-			n := env.Nodes[i]
-			if env.Net.Latency(req.Origin, n.ID)+exec > bestScore {
+	for p, rep := range ix.parts {
+		exec := env.Nodes[rep].ExecTime(req.Task.ScalarWork, req.Task.TensorWork, req.Task.Accel)
+	scan:
+		for k := 0; ; k++ {
+			for k == len(o.parts[p]) {
+				// The part's list is used up: settle the origin's next
+				// vertex. Every vertex settled after it is at least as far.
+				lat, ok := ix.extend(o, req.Origin)
+				if !ok || lat+exec > bestScore {
+					break scan
+				}
+			}
+			c := o.parts[p][k]
+			if c.lat+exec > bestScore {
 				break // the rest of the part is bounded at least this high
 			}
+			n := env.Nodes[c.pos]
 			if env.Eligible != nil && !env.Eligible(n) {
 				continue
 			}
@@ -310,7 +318,133 @@ func (GreedyLatency) Select(env *Env, req Request) *node.Node {
 			}
 		}
 	}
+	if math.IsInf(bestScore, 1) {
+		// Nothing scored below +Inf, so no part stopped early: the scan
+		// skipped only unreachable candidates, which score +Inf too, and
+		// a full scan breaks that tie on the lowest ID.
+		for _, n := range env.Nodes {
+			if (env.Eligible == nil || env.Eligible(n)) && (best == nil || n.ID < best.ID) {
+				best = n
+			}
+		}
+	}
 	return best
+}
+
+// nearIndex is GreedyLatency's view of an Env's candidates. They are
+// partitioned by the spec fields ExecTime reads, so every node of a part
+// runs a given task in the same time, and the parts are ordered fastest
+// cores first, so an early part tends to set a low best score. For each
+// origin, each part lists its candidates in the order the origin's
+// shortest-path search settles their vertices, which is nondecreasing
+// latency; a list grows only as far as decisions need.
+type nearIndex struct {
+	net   *netsim.Network
+	nodes []*node.Node // the candidate slice the index describes
+	// parts holds one candidate position per part; partOf maps a
+	// position to its part.
+	parts, partOf []int32
+	// at[v] is the first candidate position at vertex v and next[i] the
+	// one after position i there (-1 ends both).
+	at, next []int32
+	origins  []nearLists // by origin vertex
+}
+
+// nearLists is one origin's per-part candidate lists for one route
+// epoch, built from the first settled vertices of its search.
+type nearLists struct {
+	epoch   uint64
+	settled int
+	parts   [][]near
+}
+
+type near struct {
+	lat float64
+	pos int32
+}
+
+// execKey is what ExecTime reads from a spec.
+type execKey struct {
+	coreFlops, accelFlops float64
+	accelKind             node.AccelKind
+}
+
+func execKeyOf(n *node.Node) execKey {
+	k := execKey{coreFlops: n.CoreFlops}
+	if n.Accel.Count > 0 {
+		k.accelFlops, k.accelKind = n.Accel.Flops, n.Accel.Kind
+	}
+	return k
+}
+
+// origin returns the candidate lists for origin at the current route
+// epoch. It rebuilds the index when env's network, candidate slice or
+// vertex count is not the one it was built for.
+func (ix *nearIndex) origin(env *Env, origin int) *nearLists {
+	if ix.net != env.Net || len(ix.nodes) != len(env.Nodes) || (len(env.Nodes) > 0 && &ix.nodes[0] != &env.Nodes[0]) ||
+		len(ix.origins) != env.Net.NumNodes() {
+		ix.build(env)
+	}
+	o := &ix.origins[origin]
+	if epoch := env.Net.RouteEpoch(); o.parts == nil || o.epoch != epoch {
+		if o.parts == nil {
+			o.parts = make([][]near, len(ix.parts))
+		}
+		for p := range o.parts {
+			o.parts[p] = o.parts[p][:0]
+		}
+		o.epoch, o.settled = epoch, 0
+	}
+	return o
+}
+
+// extend appends the candidates at the origin's next settled vertex to
+// their parts' lists and returns that vertex's latency, or ok false once
+// every vertex reachable from the origin is settled.
+func (ix *nearIndex) extend(o *nearLists, origin int) (lat float64, ok bool) {
+	v, lat, ok := ix.net.Nearest(origin, o.settled)
+	if !ok {
+		return 0, false
+	}
+	o.settled++
+	for i := ix.at[v]; i >= 0; i = ix.next[i] {
+		p := ix.partOf[i]
+		o.parts[p] = append(o.parts[p], near{lat, i})
+	}
+	return lat, true
+}
+
+// build partitions env's candidates by execKey, fastest cores first, and
+// drops every origin's lists.
+func (ix *nearIndex) build(env *Env) {
+	byKey := make([]int32, len(env.Nodes))
+	for i := range byKey {
+		byKey[i] = int32(i)
+	}
+	key := func(i int32) execKey { return execKeyOf(env.Nodes[i]) }
+	slices.SortFunc(byKey, func(a, b int32) int {
+		ka, kb := key(a), key(b)
+		return cmp.Or(cmp.Compare(kb.coreFlops, ka.coreFlops), cmp.Compare(kb.accelFlops, ka.accelFlops),
+			cmp.Compare(ka.accelKind, kb.accelKind))
+	})
+	*ix = nearIndex{
+		net: env.Net, nodes: env.Nodes,
+		partOf: make([]int32, len(env.Nodes)), next: make([]int32, len(env.Nodes)),
+		at: make([]int32, env.Net.NumNodes()), origins: make([]nearLists, env.Net.NumNodes()),
+	}
+	for i, pos := range byKey {
+		if i == 0 || key(byKey[i-1]) != key(pos) {
+			ix.parts = append(ix.parts, pos)
+		}
+		ix.partOf[pos] = int32(len(ix.parts) - 1)
+	}
+	for v := range ix.at {
+		ix.at[v] = -1
+	}
+	for i := len(env.Nodes) - 1; i >= 0; i-- {
+		v := env.Nodes[i].ID
+		ix.at[v], ix.next[i] = int32(i), ix.at[v]
+	}
 }
 
 // DataAware is GreedyLatency plus replica knowledge: staging time is

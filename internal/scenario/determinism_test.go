@@ -6,6 +6,40 @@ import (
 	"testing"
 )
 
+// TestRunMatchesRunTraced: Run records no trace, and that must not change
+// the simulated result. Its marshalled Report equals RunTraced's for
+// every shipped scenario and the 1000-node stress runs at seeds 1 and 7.
+func TestRunMatchesRunTraced(t *testing.T) {
+	scenarios := goldenScenarios(t)
+	if len(scenarios) != 8 {
+		t.Fatalf("%d scenarios, want the 6 shipped examples and 2 stress runs", len(scenarios))
+	}
+	for name, s := range scenarios {
+		plain, err := s.Run()
+		if err != nil {
+			t.Fatalf("%s: Run: %v", name, err)
+		}
+		traced, tr, err := s.RunTraced()
+		if err != nil {
+			t.Fatalf("%s: RunTraced: %v", name, err)
+		}
+		if tr.Len() == 0 {
+			t.Fatalf("%s: RunTraced recorded no events", name)
+		}
+		pb, err := json.Marshal(plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb, err := json.Marshal(traced)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(pb, tb) {
+			t.Errorf("%s: Run and RunTraced reports differ:\n%s\n%s", name, pb, tb)
+		}
+	}
+}
+
 // TestScenarioBitReproducible is the determinism regression gate: the
 // same scenario with the same Seed must produce a byte-identical Report
 // and a byte-identical JSONL trace — not just equal aggregates. Every

@@ -39,26 +39,7 @@ func TestScenarioGoldenReports(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden hashes are pinned on amd64; GOARCH=%s may fuse FMAs", runtime.GOARCH)
 	}
-	scenarios := map[string]*Scenario{}
-	files, err := filepath.Glob("../../examples/scenarios/*.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range files {
-		raw, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := Parse(raw)
-		if err != nil {
-			t.Fatalf("%s: %v", f, err)
-		}
-		name := filepath.Base(f)
-		scenarios[name[:len(name)-len(".json")]] = s
-	}
-	for _, seed := range []uint64{1, 7} {
-		scenarios[fmt.Sprintf("stress-1000-seed%d", seed)] = GenerateStress(StressSpec{Nodes: 1000, Seed: seed, Rate: 8, Horizon: 8})
-	}
+	scenarios := goldenScenarios(t)
 	if len(scenarios) != len(goldenReports) {
 		t.Fatalf("%d scenarios to check, %d golden entries", len(scenarios), len(goldenReports))
 	}
@@ -89,4 +70,31 @@ func TestScenarioGoldenReports(t *testing.T) {
 			t.Errorf("%s: trace sha256 %s, golden %s", name, got[1], want[1])
 		}
 	}
+}
+
+// goldenScenarios parses every examples/scenarios/*.json and adds the
+// two 1000-node stress instances, keyed as in goldenReports.
+func goldenScenarios(t *testing.T) map[string]*Scenario {
+	t.Helper()
+	scenarios := map[string]*Scenario{}
+	files, err := filepath.Glob("../../examples/scenarios/*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Parse(raw)
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		name := filepath.Base(f)
+		scenarios[name[:len(name)-len(".json")]] = s
+	}
+	for _, seed := range []uint64{1, 7} {
+		scenarios[fmt.Sprintf("stress-1000-seed%d", seed)] = GenerateStress(StressSpec{Nodes: 1000, Seed: seed, Rate: 8, Horizon: 8})
+	}
+	return scenarios
 }

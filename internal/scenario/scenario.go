@@ -166,7 +166,7 @@ func (s *Scenario) Validate() error {
 	if len(s.Nodes) == 0 {
 		return fail("no nodes")
 	}
-	names := make(map[string]int) // name → first index, for duplicate reporting
+	names := make(map[string]int, len(s.Nodes)) // name → first index, for duplicate reporting
 	for i, n := range s.Nodes {
 		if n.Name == "" {
 			return fail("nodes[%d]: empty name", i)

@@ -20,10 +20,10 @@ import (
 // timeline against real endpoints; keeping both behind the same compile
 // step is what makes one scenario file mean one experiment.
 
-// Run executes the scenario on the simulator backend.
+// Run executes the scenario on the simulator backend. It records no
+// trace; the report is the one RunTraced returns.
 func (s *Scenario) Run() (*Report, error) {
-	r, _, err := s.RunTraced()
-	return r, err
+	return s.run(nil, 1)
 }
 
 // RunTraced is Run plus the event trace of the execution, for timeline
@@ -42,22 +42,30 @@ func (s *Scenario) RunTraced() (*Report, *trace.Tracer, error) {
 // concatenated in origin order. The result is bit-identical to workers=1
 // for any worker count.
 func (s *Scenario) RunTracedParallel(workers int) (*Report, *trace.Tracer, error) {
+	tr := trace.New(1 << 20)
+	r, err := s.run(tr, workers)
+	return r, tr, err
+}
+
+// run is the simulator backend with tr (nil for none) as the engine's
+// tracer.
+func (s *Scenario) run(tr *trace.Tracer, workers int) (*Report, error) {
 	if err := s.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	rng := workload.NewRNG(s.Seed)
 	ops, err := s.compile(rng.Split())
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	c := core.New()
-	c.Tracer = trace.New(1 << 20)
+	c.Tracer = tr
 	byName := make(map[string]*node.Node)
 	for _, nj := range s.Nodes {
 		spec, err := nj.spec()
 		if err != nil {
-			return nil, nil, err // unreachable after Validate
+			return nil, err // unreachable after Validate
 		}
 		byName[nj.Name] = c.AddNode(spec)
 	}
@@ -67,7 +75,7 @@ func (s *Scenario) RunTracedParallel(workers int) (*Report, *trace.Tracer, error
 		links[linkKey(lj.A, lj.B)] = [2]*netsim.Link{ab, ba}
 	}
 	if err := c.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	opts := core.ReliableOptions{MaxRetries: s.retries()}
@@ -80,13 +88,10 @@ func (s *Scenario) RunTracedParallel(workers int) (*Report, *trace.Tracer, error
 	}
 	s.installEvents(c, byName, links, ops, rng.Split(), horizon, &opts)
 
-	var rep *Report
 	if s.Stream != nil {
-		rep, err = s.runStream(c, byName, rng, ops, opts, workers)
-	} else {
-		rep, err = s.runDAG(c, rng, opts)
+		return s.runStream(c, byName, rng, ops, opts, workers)
 	}
-	return rep, c.Tracer, err
+	return s.runDAG(c, rng, opts)
 }
 
 // simChaos is one node's active per-request injection state on the sim

@@ -1,6 +1,9 @@
 package scenario
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // StressSpec parameterizes GenerateStress.
 type StressSpec struct {
@@ -57,6 +60,8 @@ func GenerateStress(spec StressSpec) *Scenario {
 		Name:    fmt.Sprintf("stress-%d", n),
 		Seed:    spec.Seed,
 		Retries: 10,
+		Nodes:   make([]NodeJSON, 0, n),
+		Links:   make([]LinkJSON, 0, n-1),
 	}
 	s.Nodes = append(s.Nodes, NodeJSON{
 		Name: "cloud", Class: "cloud", Cores: 96, CoreFlops: 3.2e9,
@@ -64,22 +69,23 @@ func GenerateStress(spec StressSpec) *Scenario {
 		DollarPerHour: 24, EgressPerByte: 9e-11,
 	})
 	for f := 0; f < fogs; f++ {
+		name := "fog" + strconv.Itoa(f)
 		s.Nodes = append(s.Nodes, NodeJSON{
-			Name: fmt.Sprintf("fog%d", f), Class: "fog", Cores: 16,
+			Name: name, Class: "fog", Cores: 16,
 			CoreFlops: 3e9, MemBytes: 64 << 30, IdleWatts: 40, ActiveWatts: 8,
 		})
 		s.Links = append(s.Links, LinkJSON{
-			A: fmt.Sprintf("fog%d", f), B: "cloud", Latency: 0.020, Capacity: 1.25e9,
+			A: name, B: "cloud", Latency: 0.020, Capacity: 1.25e9,
 		})
 	}
 	for g := 0; g < gws; g++ {
-		name := fmt.Sprintf("gw%04d", g)
+		name := gatewayName(g)
 		s.Nodes = append(s.Nodes, NodeJSON{
 			Name: name, Class: "gateway", Cores: 4, CoreFlops: 2.5e9,
 			MemBytes: 4 << 30, IdleWatts: 2, ActiveWatts: 3,
 		})
 		s.Links = append(s.Links, LinkJSON{
-			A: name, B: fmt.Sprintf("fog%d", g%fogs), Latency: 0.002, Capacity: 1.25e8,
+			A: name, B: s.Nodes[1+g%fogs].Name, Latency: 0.002, Capacity: 1.25e8,
 		})
 	}
 
@@ -91,7 +97,7 @@ func GenerateStress(spec StressSpec) *Scenario {
 	}
 	var originNames []string
 	for g := 0; g < gws && len(originNames) < origins; g += stride {
-		originNames = append(originNames, fmt.Sprintf("gw%04d", g))
+		originNames = append(originNames, s.Nodes[1+fogs+g].Name)
 	}
 	s.Stream = &StreamJSON{
 		Policy: "greedy-latency", Origins: originNames,
@@ -115,4 +121,10 @@ func GenerateStress(spec StressSpec) *Scenario {
 		{At: 0.9 * horizon, Kind: "restore-link", Target: "fog1->cloud"},
 	}
 	return s
+}
+
+// gatewayName is fmt.Sprintf("gw%04d", g) without the formatter.
+func gatewayName(g int) string {
+	d := strconv.Itoa(g)
+	return "gw" + "0000"[min(len(d), 4):] + d
 }
