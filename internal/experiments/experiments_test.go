@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"runtime"
 	"strconv"
 	"strings"
@@ -74,7 +76,7 @@ func TestAllExperimentsRegistered(t *testing.T) {
 		}
 		ids[e.ID] = true
 	}
-	want := []string{"F1", "T1", "F2", "F3", "T2", "F4", "T3", "F5", "T4", "F6", "F7", "T5", "F8", "F9", "F10"}
+	want := []string{"F1", "T1", "F2", "F3", "T2", "F4", "T3", "F5", "T4", "F6", "F7", "T5", "F8", "F9", "F10", "F11"}
 	for _, id := range want {
 		if !ids[id] {
 			t.Fatalf("missing experiment %s", id)
@@ -442,12 +444,37 @@ func TestF3RunsQuickly(t *testing.T) {
 	}
 }
 
+// goldenTables pins the SHA-256 of each seed-pure table rendered at Small.
+// A change here is a change in some experiment's numbers: regenerate the
+// hash only together with the results_full.txt rows it moves.
+var goldenTables = map[string]string{
+	"F1":  "485a3e427b8e421de9016a337fe07e3ab81971c9382fc97f87b77b2d0fe4d9bb",
+	"T1":  "b4b6b242872d0695a2526d24500e342bfe06388161e3573d583b7f5b6b9cd454",
+	"F2":  "bfafbed1327fec9394eef4918fe9669ee4a63813d375179495aad7841d7ef69b",
+	"T2":  "02aa24f1d6c7e4250f38116d2495cbaf225768b41c94d19f3eef0dbff764cac0",
+	"F4":  "a0039bb408a5ed1c128668ab6b20af4d749ecf1e70965219b0d4939d7865aeff",
+	"T3":  "4baf72a753d550bbd78c3b628fc1ff0c813b8d800cf18423b3065eb349584c33",
+	"T4":  "01127c27206164164fc655dd53af2fd09ae121fdab234352ed6466926e8487e5",
+	"F6":  "814a2d54196fcd0838136bdc4fc6719a4ffb26f88871b1120b7cdc87f458b67e",
+	"F7":  "72a807582aa737494310e08a580033b3d537d0536d8388df72fd10f5e2c70d18",
+	"T5":  "e59ac1bef09cd69c80162b1747c9137f83c742521d0c9956d0183114aa8b230a",
+	"F8":  "7577e1890fd3e75c8bb96669ac9308fa92cafd7d5179ed79a62dd4239d95f38d",
+	"F9":  "5bc0ffc1ef54e4d03599522c867c29732802a4faf8f64a17e1208f6343a1abe7",
+	"F10": "8c75aab22dd26457a828c3ce143ecb09f585d98bae26b42478174174d6f171c2",
+	"F11": "dce7b45d639f053d4b0e18210e8fb303549155ed78340a7418debe4e9df8eb54",
+	"A2":  "b747c43aa6be7066c41643ca5304b98a5809f1a438d91292404a0e9a71b329ff",
+	"A3":  "02ac6625242841d274d9cd513b53428859a666b09550ee9859019a72d0d2ddbb",
+	"A5":  "005999ecea3ca2516d2ff4a5e9de9d58e7f887227b8825b36b9451b4d316fd19",
+}
+
 // TestExperimentsDeterministic pins the claim that every table is a pure
 // function of its seed: each runner at Small, run once at the default
-// GOMAXPROCS and once on a single P, must render byte-identical output.
-// F3, F5, A1 and A4 are skipped because some of their columns are
-// wall-clock measurements (F3 serves real functions, F5 and A1 time the
-// kernel, A4 times batched invocations).
+// GOMAXPROCS and once on a single P, must render byte-identical output,
+// and on amd64 that output must hash to its goldenTables entry. F3, F5,
+// A1 and A4 are skipped because some of their columns are wall-clock
+// measurements (F3 serves real functions, F5 and A1 time the kernel, A4
+// times batched invocations). The hashes are skipped off amd64, where the
+// compiler may fuse multiply-adds and legitimately round differently.
 func TestExperimentsDeterministic(t *testing.T) {
 	wallClock := map[string]bool{"F3": true, "F5": true, "A1": true, "A4": true}
 	for _, e := range append(All(), Ablations()...) {
@@ -461,6 +488,12 @@ func TestExperimentsDeterministic(t *testing.T) {
 			runtime.GOMAXPROCS(prev)
 			if first != second {
 				t.Fatalf("output differs between runs:\n--- GOMAXPROCS=%d\n%s\n--- GOMAXPROCS=1\n%s", prev, first, second)
+			}
+			if runtime.GOARCH != "amd64" {
+				return
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(first))); got != goldenTables[e.ID] {
+				t.Fatalf("table hash %s, pinned %s:\n%s", got, goldenTables[e.ID], first)
 			}
 		})
 	}
