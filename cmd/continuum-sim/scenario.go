@@ -129,12 +129,12 @@ func scenarioRun(args []string) {
 		if *parallel > 1 {
 			fatal(fmt.Errorf("-parallel is a simulator option; the live backend runs in wall-clock time"))
 		}
-		report, err := scenario.LiveRunner{Options: scenario.LiveOptions{
+		report, err := s.RunLive(scenario.LiveOptions{
 			TimeScale: *timeScale,
 			Function:  *function,
 			Router:    *router,
 			Policy:    *policy,
-		}}.Run(s)
+		})
 		if err != nil {
 			fatal(err)
 		}

@@ -55,7 +55,7 @@ func federation() (*faas.Router, []*faas.Endpoint) {
 	for i, cfg := range configs {
 		eps[i] = faas.NewEndpoint(cfg, reg)
 	}
-	return faas.NewRouter(faas.RouteLeastLoaded, eps...), eps
+	return faas.NewRouter(eps...), eps
 }
 
 func drive(inv faas.Invoker, clients, callsPer int) (float64, time.Duration) {

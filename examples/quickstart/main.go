@@ -1,51 +1,51 @@
-// Quickstart: the Parsl-style dataflow API in thirty lines.
+// Quickstart: a parallel map-reduce in a few lines of plain Go.
 //
-// A map-reduce over futures: estimate π by quasi-Monte-Carlo in parallel
-// shards, combining shard counts as they resolve. Run with:
+// Estimate π by Monte-Carlo in seeded shards, counted on a bounded pool
+// of goroutines and summed. Each shard owns its RNG stream, so the
+// estimate does not depend on scheduling. Run with:
 //
 //	go run ./examples/quickstart
 package main
 
 import (
 	"fmt"
+	"sync"
 
-	"continuum/internal/dataflow"
 	"continuum/internal/workload"
 )
 
 func main() {
-	exec := dataflow.NewExecutor(8)
-	defer exec.Close()
-
 	const shards, perShard = 32, 200000
-
-	// Fan out: each shard counts darts inside the unit circle.
-	counts := dataflow.Map(exec, seeds(shards), func(seed uint64) (int, error) {
-		rng := workload.NewRNG(seed)
-		in := 0
-		for i := 0; i < perShard; i++ {
-			x, y := rng.Float64(), rng.Float64()
-			if x*x+y*y < 1 {
-				in++
-			}
-		}
-		return in, nil
-	})
-
-	// Reduce: fold shard counts into the estimate.
-	total, err := dataflow.Reduce(counts, 0, func(acc, c int) int { return acc + c })
-	if err != nil {
-		panic(err)
-	}
-	pi := 4 * float64(total) / float64(shards*perShard)
+	pi := estimatePi(shards, perShard, 8)
 	fmt.Printf("π ≈ %.5f from %d samples across %d parallel shards\n",
 		pi, shards*perShard, shards)
 }
 
-func seeds(n int) []uint64 {
-	s := make([]uint64, n)
-	for i := range s {
-		s[i] = uint64(i + 1)
+// estimatePi counts darts inside the unit circle in shards seeded 1..shards,
+// running at most workers shards at a time.
+func estimatePi(shards, perShard, workers int) float64 {
+	counts := make([]int, shards)
+	sem := make(chan struct{}, workers)
+	var wg sync.WaitGroup
+	for i := range counts {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			rng := workload.NewRNG(uint64(i + 1))
+			for j := 0; j < perShard; j++ {
+				x, y := rng.Float64(), rng.Float64()
+				if x*x+y*y < 1 {
+					counts[i]++
+				}
+			}
+		}()
 	}
-	return s
+	wg.Wait()
+
+	total := 0
+	for _, c := range counts {
+		total += c
+	}
+	return 4 * float64(total) / float64(shards*perShard)
 }

@@ -10,7 +10,6 @@ import (
 	"continuum/internal/node"
 	"continuum/internal/placement"
 	"continuum/internal/scenario"
-	"continuum/internal/simfaas"
 	"continuum/internal/task"
 	"continuum/internal/trace"
 	"continuum/internal/workload"
@@ -148,48 +147,5 @@ func TestIntegrationFaultsPlusAdaptive(t *testing.T) {
 	}
 	if st.Completed+st.Lost != 60 {
 		t.Fatalf("accounting broken: %d + %d", st.Completed, st.Lost)
-	}
-}
-
-// TestIntegrationSimFaaSScale smoke-tests 200 virtual endpoints under
-// 20k invocations — the scale argument for the simulated FaaS layer.
-func TestIntegrationSimFaaSScale(t *testing.T) {
-	if testing.Short() {
-		t.Skip("scale test")
-	}
-	c := core.New()
-	hub := c.AddVertex()
-	rng := workload.NewRNG(4)
-	const nEps = 200
-	eps := make([]*simfaas.Endpoint, nEps)
-	for i := range eps {
-		v := c.AddVertex()
-		c.Connect(v, hub, 0.002, 1.25e9)
-		eps[i] = simfaas.NewEndpoint(c.K, v, "ep", 4, 0.05, 300)
-	}
-	client := c.AddVertex()
-	c.Connect(client, hub, 0.001, 1.25e9)
-	r := simfaas.NewRouter(c.Net, simfaas.TwoChoices{RNG: rng.Split()}, eps...)
-
-	const calls = 20000
-	done := 0
-	arr := workload.NewPoisson(rng.Split(), 2000)
-	at := 0.0
-	for i := 0; i < calls; i++ {
-		at += arr.Next()
-		c.K.At(at, func() {
-			r.Invoke(client, "f", 256, 256, 0.01, func(float64) { done++ })
-		})
-	}
-	c.K.Run()
-	if done != calls {
-		t.Fatalf("completed %d of %d", done, calls)
-	}
-	total := int64(0)
-	for _, ep := range eps {
-		total += ep.Invocations
-	}
-	if total != calls {
-		t.Fatalf("endpoint invocations %d != %d", total, calls)
 	}
 }

@@ -91,7 +91,7 @@ func F3FaaS(size Size) *Result {
 		{
 			reg := f3Registry(serviceTime)
 			eps := f3Endpoints(reg, cold, time.Nanosecond)
-			r := faas.NewRouter(faas.RouteLeastLoaded, eps...)
+			r := faas.NewRouter(eps...)
 			tput, lat := f3Drive(r, conc, callsPerCell)
 			tbl.AddRow(fmt.Sprintf("%d", conc), "cold",
 				fmt.Sprintf("%.0f", tput), lat.Round(time.Microsecond).String(),
@@ -101,7 +101,7 @@ func F3FaaS(size Size) *Result {
 		{
 			reg := f3Registry(serviceTime)
 			eps := f3Endpoints(reg, cold, time.Minute)
-			r := faas.NewRouter(faas.RouteLeastLoaded, eps...)
+			r := faas.NewRouter(eps...)
 			tput, lat := f3Drive(r, conc, callsPerCell)
 			tbl.AddRow(fmt.Sprintf("%d", conc), "warm",
 				fmt.Sprintf("%.0f", tput), lat.Round(time.Microsecond).String(),
@@ -111,7 +111,7 @@ func F3FaaS(size Size) *Result {
 		{
 			reg := f3Registry(serviceTime)
 			eps := f3Endpoints(reg, cold, time.Minute)
-			r := faas.NewRouter(faas.RouteLeastLoaded, eps...)
+			r := faas.NewRouter(eps...)
 			b := faas.NewBatcher(r, 16, 500*time.Microsecond)
 			tput, lat := f3Drive(b, conc, callsPerCell)
 			b.Close()

@@ -2,13 +2,156 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"continuum/internal/metrics"
 	"continuum/internal/netsim"
 	"continuum/internal/sim"
-	"continuum/internal/simfaas"
 	"continuum/internal/workload"
 )
+
+// F9 serves one function on every endpoint, so each endpoint keeps a
+// single warm pool.
+const (
+	f9Cold     = 0.2 // provisioning delay of a cold container, seconds
+	f9WarmTTL  = 120 // idle lifetime of a warm container, seconds
+	f9MsgBytes = 1e3 // request and response size
+)
+
+// f9Endpoint is a function-serving site on the simulated network:
+// invocations queue for capacity slots and pay a cold start unless a warm
+// container is idle.
+type f9Endpoint struct {
+	vertex int
+	slots  *sim.Resource
+	warm   []float64 // idle-since times of warm containers, newest last
+
+	// pending counts invocations the router has dispatched toward this
+	// endpoint that have not yet arrived; without it, load-aware pickers
+	// would route on stale zeros while requests are in flight.
+	pending int64
+
+	coldStarts, warmHits, invocations int64
+}
+
+func newF9Endpoint(k *sim.Kernel, vertex, capacity int) *f9Endpoint {
+	return &f9Endpoint{vertex: vertex, slots: sim.NewResource(k, "slots", int64(capacity))}
+}
+
+// backlog counts running, queued and in-flight invocations.
+func (ep *f9Endpoint) backlog() int64 {
+	return ep.slots.InUse() + int64(ep.slots.QueueLen()) + ep.pending
+}
+
+func (ep *f9Endpoint) load() float64 {
+	return float64(ep.backlog()) / float64(ep.slots.Capacity())
+}
+
+// takeWarm pops the newest warm container, discarding expired ones.
+func (ep *f9Endpoint) takeWarm(now float64) bool {
+	for len(ep.warm) > 0 {
+		idleSince := ep.warm[len(ep.warm)-1]
+		ep.warm = ep.warm[:len(ep.warm)-1]
+		if now-idleSince <= f9WarmTTL {
+			return true
+		}
+	}
+	return false
+}
+
+// invoke runs one invocation of the given service time; done fires in
+// virtual time when it finishes.
+func (ep *f9Endpoint) invoke(k *sim.Kernel, service float64, done func()) {
+	ep.slots.Acquire(1, func() {
+		d := service
+		if ep.takeWarm(k.Now()) {
+			ep.warmHits++
+		} else {
+			ep.coldStarts++
+			d += f9Cold
+		}
+		k.After(d, func() {
+			ep.warm = append(ep.warm, k.Now())
+			ep.slots.Release(1)
+			ep.invocations++
+			done()
+		})
+	})
+}
+
+// f9Router federates endpoints over a network; pick chooses the endpoint
+// for an invocation from origin, drawing from rng if it is randomized.
+type f9Router struct {
+	net  *netsim.Network
+	eps  []*f9Endpoint
+	rng  *workload.RNG
+	pick func(r *f9Router, origin int) *f9Endpoint
+}
+
+// f9Nearest picks the endpoint with minimum network latency from the
+// origin: optimal when nobody else is talking.
+func f9Nearest(r *f9Router, origin int) *f9Endpoint {
+	var best *f9Endpoint
+	bestLat := math.Inf(1)
+	for _, ep := range r.eps {
+		if lat := r.net.Latency(origin, ep.vertex); lat < bestLat {
+			best, bestLat = ep, lat
+		}
+	}
+	return best
+}
+
+// f9LeastLoaded picks the endpoint with the smallest backlog/capacity
+// ratio, ignoring distance: funcX's spread heuristic.
+func f9LeastLoaded(r *f9Router, _ int) *f9Endpoint {
+	var best *f9Endpoint
+	bestLoad := math.Inf(1)
+	for _, ep := range r.eps {
+		if load := ep.load(); load < bestLoad {
+			best, bestLoad = ep, load
+		}
+	}
+	return best
+}
+
+// f9TwoChoices samples two random endpoints and takes the less loaded:
+// near-optimal spread with O(1) state and no global view.
+func f9TwoChoices(r *f9Router, _ int) *f9Endpoint {
+	a := r.eps[r.rng.Intn(len(r.eps))]
+	b := r.eps[r.rng.Intn(len(r.eps))]
+	if b.load() < a.load() {
+		return b
+	}
+	return a
+}
+
+// f9NearestSpill prefers the nearest endpoint unless its backlog exceeds
+// twice its capacity, then falls back to least-loaded.
+func f9NearestSpill(r *f9Router, origin int) *f9Endpoint {
+	near := f9Nearest(r, origin)
+	if float64(near.backlog()) <= 2*float64(near.slots.Capacity()) {
+		return near
+	}
+	return f9LeastLoaded(r, origin)
+}
+
+// invoke routes one invocation from origin: the request travels to the
+// chosen endpoint, executes, and the response returns to the origin.
+// done receives the end-to-end latency in virtual seconds.
+func (r *f9Router) invoke(origin int, service float64, done func(latency float64)) {
+	k := r.net.Kernel()
+	start := k.Now()
+	ep := r.pick(r, origin)
+	ep.pending++
+	r.net.Message(origin, ep.vertex, f9MsgBytes, func() {
+		ep.pending--
+		ep.invoke(k, service, func() {
+			r.net.Message(ep.vertex, origin, f9MsgBytes, func() {
+				done(k.Now() - start)
+			})
+		})
+	})
+}
 
 // F9Routing studies request routing for federated serverless at
 // continuum scale (virtual time, hundreds of endpoints): clients cluster
@@ -37,14 +180,14 @@ func F9Routing(size Size) *Result {
 	type cell struct {
 		mean, p99 float64
 	}
-	run := func(mkPol func(rng *workload.RNG) simfaas.Policy, hotFrac float64) cell {
+	run := func(pick func(*f9Router, int) *f9Endpoint, hotFrac float64) cell {
 		k := sim.NewKernel()
 		// Topology: per-region client vertex and endpoint vertices; metro
 		// links 2ms, inter-region WAN 30ms via a core vertex.
 		net := netsim.New(k, 1+regions*(1+epsPerRegion))
 		coreV := 0
 		rng := workload.NewRNG(uint64(regions)*1000 + uint64(hotFrac*100))
-		var eps []*simfaas.Endpoint
+		r := &f9Router{net: net, pick: pick}
 		clients := make([]int, regions)
 		v := 1
 		for rg := 0; rg < regions; rg++ {
@@ -52,14 +195,12 @@ func F9Routing(size Size) *Result {
 			v++
 			net.AddDuplexLink(clients[rg], coreV, 0.030, 1.25e9)
 			for e := 0; e < epsPerRegion; e++ {
-				epV := v
+				net.AddDuplexLink(v, clients[rg], 0.002, 1.25e9)
+				r.eps = append(r.eps, newF9Endpoint(k, v, 4))
 				v++
-				net.AddDuplexLink(epV, clients[rg], 0.002, 1.25e9)
-				eps = append(eps, simfaas.NewEndpoint(
-					k, epV, fmt.Sprintf("r%de%d", rg, e), 4, 0.2, 120))
 			}
 		}
-		r := simfaas.NewRouter(net, mkPol(rng.Split()), eps...)
+		r.rng = rng.Split()
 
 		lat := metrics.NewHistogram()
 		arr := workload.NewPoisson(rng.Split(), 200) // aggregate arrival rate
@@ -70,25 +211,20 @@ func F9Routing(size Size) *Result {
 			if rng.Float64() >= hotFrac {
 				origin = clients[1+rng.Intn(regions-1)]
 			}
-			submit := at
-			k.At(submit, func() {
-				r.Invoke(origin, "f", 1e3, 1e3, 0.050, func(l float64) {
-					lat.Add(l)
-				})
-			})
+			k.At(at, func() { r.invoke(origin, 0.050, lat.Add) })
 		}
 		k.Run()
 		return cell{lat.Mean(), lat.P99()}
 	}
 
-	policies := []struct {
+	pickers := []struct {
 		name string
-		mk   func(rng *workload.RNG) simfaas.Policy
+		pick func(*f9Router, int) *f9Endpoint
 	}{
-		{"nearest", func(*workload.RNG) simfaas.Policy { return simfaas.Nearest{} }},
-		{"least-loaded", func(*workload.RNG) simfaas.Policy { return simfaas.LeastLoaded{} }},
-		{"two-choices", func(rng *workload.RNG) simfaas.Policy { return simfaas.TwoChoices{RNG: rng} }},
-		{"nearest-spill", func(*workload.RNG) simfaas.Policy { return simfaas.NearestUnderLoad{Threshold: 2} }},
+		{"nearest", f9Nearest},
+		{"least-loaded", f9LeastLoaded},
+		{"two-choices", f9TwoChoices},
+		{"nearest-spill", f9NearestSpill},
 	}
 
 	tbl := metrics.NewTable(
@@ -96,8 +232,8 @@ func F9Routing(size Size) *Result {
 		"hot_frac", "policy", "mean_lat", "p99_lat",
 	)
 	for _, hf := range hotFracs {
-		for _, p := range policies {
-			c := run(p.mk, hf)
+		for _, p := range pickers {
+			c := run(p.pick, hf)
 			tbl.AddRow(
 				fmt.Sprintf("%.0f%%", hf*100),
 				p.name,

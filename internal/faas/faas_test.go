@@ -171,36 +171,6 @@ func TestInvokeBatchAmortizesColdStart(t *testing.T) {
 	}
 }
 
-func TestRouterRoundRobinSpreads(t *testing.T) {
-	reg := echoRegistry()
-	a := NewEndpoint(EndpointConfig{Name: "a", Capacity: 4}, reg)
-	b := NewEndpoint(EndpointConfig{Name: "b", Capacity: 4}, reg)
-	r := NewRouter(RouteRoundRobin, a, b)
-	for i := 0; i < 10; i++ {
-		r.Invoke("echo", nil)
-	}
-	if a.Invocations() != 5 || b.Invocations() != 5 {
-		t.Fatalf("spread = %d/%d, want 5/5", a.Invocations(), b.Invocations())
-	}
-}
-
-func TestRouterStickyPinsFunction(t *testing.T) {
-	reg := echoRegistry()
-	a := NewEndpoint(EndpointConfig{Name: "a", Capacity: 4}, reg)
-	b := NewEndpoint(EndpointConfig{Name: "b", Capacity: 4}, reg)
-	r := NewRouter(RouteSticky, a, b)
-	for i := 0; i < 8; i++ {
-		r.Invoke("echo", nil)
-	}
-	if a.Invocations() != 0 && b.Invocations() != 0 {
-		t.Fatal("sticky routing split one function across endpoints")
-	}
-	// Sticky maximizes warm reuse: exactly one cold start total.
-	if a.ColdStarts()+b.ColdStarts() != 1 {
-		t.Fatalf("cold starts = %d, want 1", a.ColdStarts()+b.ColdStarts())
-	}
-}
-
 func TestRouterLeastLoaded(t *testing.T) {
 	reg := NewRegistry()
 	block := make(chan struct{})
@@ -208,7 +178,7 @@ func TestRouterLeastLoaded(t *testing.T) {
 	reg.Register("quick", func([]byte) ([]byte, error) { return nil, nil })
 	a := NewEndpoint(EndpointConfig{Name: "a", Capacity: 2}, reg)
 	b := NewEndpoint(EndpointConfig{Name: "b", Capacity: 2}, reg)
-	r := NewRouter(RouteLeastLoaded, a, b)
+	r := NewRouter(a, b)
 	// Occupy endpoint a.
 	go r.Invoke("block", nil)
 	for a.Running() == 0 && b.Running() == 0 {
@@ -233,7 +203,7 @@ func TestRouterPanicsWithoutEndpoints(t *testing.T) {
 			t.Error("empty router accepted")
 		}
 	}()
-	NewRouter(RouteRoundRobin)
+	NewRouter()
 }
 
 func TestBatcherGroupsCalls(t *testing.T) {
@@ -338,7 +308,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 			Name: fmt.Sprintf("ep%d", i), Capacity: 4, WarmTTL: time.Minute,
 		}, reg)
 	}
-	r := NewRouter(RouteLeastLoaded, eps...)
+	r := NewRouter(eps...)
 	var wg sync.WaitGroup
 	const calls = 200
 	var failures atomic.Int64

@@ -1,93 +1,46 @@
 package faas
 
-import (
-	"context"
-	"fmt"
-	"hash/fnv"
-	"sync/atomic"
-)
+import "context"
 
-// RoutePolicy selects an endpoint for an invocation.
-type RoutePolicy int
-
-// Routing policies.
-const (
-	// RouteRoundRobin cycles endpoints.
-	RouteRoundRobin RoutePolicy = iota
-	// RouteLeastLoaded picks the endpoint with the lowest running/capacity
-	// ratio — funcX's default heuristic.
-	RouteLeastLoaded
-	// RouteSticky hashes the function name, maximizing warm-container
-	// reuse at the cost of load spread.
-	RouteSticky
-)
-
-// String returns the policy name.
-func (p RoutePolicy) String() string {
-	switch p {
-	case RouteRoundRobin:
-		return "round-robin"
-	case RouteLeastLoaded:
-		return "least-loaded"
-	case RouteSticky:
-		return "sticky"
-	default:
-		return fmt.Sprintf("route(%d)", int(p))
-	}
-}
-
-// Router federates endpoints behind one Invoker.
+// Router federates endpoints behind one Invoker, sending each call to the
+// endpoint with the lowest running/capacity ratio — funcX's default
+// heuristic.
 type Router struct {
-	eps    []*Endpoint
-	policy RoutePolicy
-	next   atomic.Int64
+	eps []*Endpoint
 }
 
 // NewRouter builds a router over endpoints.
-func NewRouter(policy RoutePolicy, eps ...*Endpoint) *Router {
+func NewRouter(eps ...*Endpoint) *Router {
 	if len(eps) == 0 {
 		panic("faas: router needs at least one endpoint")
 	}
-	return &Router{eps: eps, policy: policy}
+	return &Router{eps: eps}
 }
 
-// Endpoints returns the federated endpoints.
-func (r *Router) Endpoints() []*Endpoint { return r.eps }
-
-// pick selects the endpoint for fn per the policy.
-func (r *Router) pick(fn string) *Endpoint {
-	switch r.policy {
-	case RouteLeastLoaded:
-		best := r.eps[0]
-		bestLoad := float64(best.Running()) / float64(best.Capacity())
-		for _, ep := range r.eps[1:] {
-			load := float64(ep.Running()) / float64(ep.Capacity())
-			if load < bestLoad {
-				best, bestLoad = ep, load
-			}
+// pick selects the least-loaded endpoint; ties go to the earliest.
+func (r *Router) pick() *Endpoint {
+	best := r.eps[0]
+	bestLoad := float64(best.Running()) / float64(best.Capacity())
+	for _, ep := range r.eps[1:] {
+		load := float64(ep.Running()) / float64(ep.Capacity())
+		if load < bestLoad {
+			best, bestLoad = ep, load
 		}
-		return best
-	case RouteSticky:
-		h := fnv.New32a()
-		h.Write([]byte(fn))
-		return r.eps[int(h.Sum32())%len(r.eps)]
-	default: // round robin
-		i := r.next.Add(1) - 1
-		return r.eps[int(i)%len(r.eps)]
 	}
+	return best
 }
 
 // Invoke routes one invocation.
 func (r *Router) Invoke(fn string, payload []byte) ([]byte, error) {
-	return r.pick(fn).Invoke(fn, payload)
+	return r.pick().Invoke(fn, payload)
 }
 
 // InvokeContext routes one invocation under ctx.
 func (r *Router) InvokeContext(ctx context.Context, fn string, payload []byte) ([]byte, error) {
-	return r.pick(fn).InvokeContext(ctx, fn, payload)
+	return r.pick().InvokeContext(ctx, fn, payload)
 }
 
 // InvokeBatch routes a whole batch to one endpoint.
 func (r *Router) InvokeBatch(fn string, payloads [][]byte) ([][]byte, error) {
-	return r.pick(fn).InvokeBatch(fn, payloads)
+	return r.pick().InvokeBatch(fn, payloads)
 }

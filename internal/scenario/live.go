@@ -30,7 +30,7 @@ import (
 // the chaos-test claim generalized to whole scenarios: zero lost
 // requests, no matter what the script does to the fleet.
 
-// LiveOptions parameterizes the live backend (see LiveRunner).
+// LiveOptions parameterizes the live backend (see Scenario.RunLive).
 type LiveOptions struct {
 	// TimeScale is wall-clock seconds per scenario second (default 1).
 	// CI smokes use small values (e.g. 0.02) to replay a 30-second

@@ -27,15 +27,15 @@ func liveScenario() *Scenario {
 	return s
 }
 
-// TestLiveRunnerZeroLost replays a scripted failure scenario against a
+// TestLiveBackendZeroLost replays a scripted failure scenario against a
 // real in-process fleet and asserts the chaos-e2e claim generalized:
 // the reliable client loses nothing, no matter what the script does.
-func TestLiveRunnerZeroLost(t *testing.T) {
+func TestLiveBackendZeroLost(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live fleet skipped in -short")
 	}
 	s := liveScenario()
-	r, err := LiveRunner{Options: LiveOptions{TimeScale: 0.05}}.Run(s)
+	r, err := s.RunLive(LiveOptions{TimeScale: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,10 +63,10 @@ func TestLiveRunnerZeroLost(t *testing.T) {
 	}
 }
 
-// TestLiveRunnerTracesEndToEnd: with a span store configured, a live
+// TestLiveBackendTracesEndToEnd: with a span store configured, a live
 // replay must record full traces — client root, attempt, send, server,
 // queue, and exec spans, correctly linked — for the scripted fleet.
-func TestLiveRunnerTracesEndToEnd(t *testing.T) {
+func TestLiveBackendTracesEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live fleet skipped in -short")
 	}
@@ -74,7 +74,7 @@ func TestLiveRunnerTracesEndToEnd(t *testing.T) {
 	s.Events = nil // healthy fleet: every trace should be complete
 	s.Stream.Horizon = 3
 	spans := trace.NewSpanStore(1 << 16)
-	r, err := LiveRunner{Options: LiveOptions{TimeScale: 0.05, Spans: spans}}.Run(s)
+	r, err := s.RunLive(LiveOptions{TimeScale: 0.05, Spans: spans})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestLiveRouterChurnZeroLost(t *testing.T) {
 		{At: 2, Kind: "fail", Target: "fog", For: 3},
 		{At: 3, Kind: "workload", Factor: 2},
 	}
-	r, err := LiveRunner{Options: LiveOptions{TimeScale: 0.05, Router: true, Heartbeat: 50 * time.Millisecond}}.Run(s)
+	r, err := s.RunLive(LiveOptions{TimeScale: 0.05, Router: true, Heartbeat: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestLiveRejectsDAG(t *testing.T) {
 	s := eventScenario()
 	s.Stream, s.Events = nil, nil
 	s.DAG = &DAGJSON{Generator: "chain", Size: 4, Scheduler: "heft"}
-	_, err := (&LiveRunner{}).Run(s)
+	_, err := s.RunLive(LiveOptions{})
 	if err == nil || !strings.Contains(err.Error(), "stream scenarios only") {
 		t.Fatalf("DAG on live backend: %v", err)
 	}
@@ -173,7 +173,7 @@ func TestLiveRejectsDAG(t *testing.T) {
 
 func TestLiveRejectsHugeFleet(t *testing.T) {
 	s := GenerateStress(StressSpec{Nodes: 1000, Seed: 1})
-	_, err := LiveRunner{Options: LiveOptions{TimeScale: 0.01}}.Run(s)
+	_, err := s.RunLive(LiveOptions{TimeScale: 0.01})
 	if err == nil || !strings.Contains(err.Error(), "live fleet cap") {
 		t.Fatalf("1000-node live fleet: %v", err)
 	}
@@ -184,17 +184,23 @@ func TestRunnerBackendsShareOneScenario(t *testing.T) {
 		t.Skip("live fleet skipped in -short")
 	}
 	s := liveScenario()
-	runners := []Runner{SimRunner{}, LiveRunner{Options: LiveOptions{TimeScale: 0.02}}}
-	for _, rn := range runners {
-		r, err := rn.Run(s)
+	backends := []struct {
+		name string
+		run  func() (*Report, error)
+	}{
+		{"sim", s.Run},
+		{"live", func() (*Report, error) { return s.RunLive(LiveOptions{TimeScale: 0.02}) }},
+	}
+	for _, b := range backends {
+		r, err := b.run()
 		if err != nil {
-			t.Fatalf("%s: %v", rn.Backend(), err)
+			t.Fatalf("%s: %v", b.name, err)
 		}
-		if r.Backend != rn.Backend() {
-			t.Fatalf("report says %q, runner says %q", r.Backend, rn.Backend())
+		if r.Backend != b.name {
+			t.Fatalf("report says %q, want %q", r.Backend, b.name)
 		}
 		if r.Completed == 0 {
-			t.Fatalf("%s completed nothing", rn.Backend())
+			t.Fatalf("%s completed nothing", b.name)
 		}
 	}
 }

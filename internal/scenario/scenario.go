@@ -3,7 +3,7 @@
 // and a timed event script — failures, cascades, chaos, link
 // degradation, workload phases — that two interchangeable backends
 // replay from the same file: the discrete-event simulator and a live
-// in-process continuumd fleet (see Runner). A scenario plus its Seed is
+// in-process continuumd fleet (Run and RunLive). A scenario plus its Seed is
 // a complete, bit-reproducible experiment description.
 package scenario
 

@@ -22,7 +22,7 @@ func TestScenarioBothBackends(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sim, err := scenario.SimRunner{}.Run(s)
+	sim, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestScenarioBothBackends(t *testing.T) {
 		t.Fatal("scripted gateway cascade suppressed nothing in sim")
 	}
 
-	live, err := scenario.LiveRunner{Options: scenario.LiveOptions{TimeScale: 0.02}}.Run(s)
+	live, err := s.RunLive(scenario.LiveOptions{TimeScale: 0.02})
 	if err != nil {
 		t.Fatal(err)
 	}
