@@ -8,6 +8,12 @@ import (
 	"continuum/internal/workload"
 )
 
+// every is a fixed-period arrival process: one event each period seconds.
+type every float64
+
+func (p every) Next() float64 { return float64(p) }
+func (p every) Rate() float64 { return 1 / float64(p) }
+
 func testTier() *core.ThreeTier {
 	return core.BuildThreeTier(core.DefaultThreeTierParams(2, 2))
 }
@@ -20,7 +26,7 @@ var twoStages = []stage{
 
 func TestRunAllEventsSurviveWithUnitSelectivity(t *testing.T) {
 	tt := testTier()
-	src := source{origin: tt.Sensors[0][0].ID, arrivals: workload.NewDeterministic(0.1), events: 50, bytes: 200}
+	src := source{origin: tt.Sensors[0][0].ID, arrivals: every(0.1), events: 50, bytes: 200}
 	place := []*node.Node{tt.Gateways[0], tt.Gateways[0]}
 	st := run(tt.Continuum, twoStages, []source{src}, place, workload.NewRNG(1))
 	if st.in != 50 || st.out != 50 {
@@ -37,7 +43,7 @@ func TestRunSelectivityDrops(t *testing.T) {
 	tt := testTier()
 	stages := append([]stage(nil), twoStages...)
 	stages[0].selectivity = 0.5
-	src := source{origin: tt.Sensors[0][0].ID, arrivals: workload.NewDeterministic(0.05), events: 400, bytes: 200}
+	src := source{origin: tt.Sensors[0][0].ID, arrivals: every(0.05), events: 400, bytes: 200}
 	place := []*node.Node{tt.Gateways[0], tt.Fog}
 	st := run(tt.Continuum, stages, []source{src}, place, workload.NewRNG(2))
 	survived := int64(st.boundaryBytes[1] / stages[0].outBytes)
@@ -66,7 +72,7 @@ func TestEdgeFilteringCutsWANBytes(t *testing.T) {
 			place[0] = tt.Gateways[0]
 			crossing = 1 // only filter survivors cross
 		}
-		src := source{origin: tt.Sensors[0][0].ID, arrivals: workload.NewDeterministic(0.05), events: 300, bytes: 1000}
+		src := source{origin: tt.Sensors[0][0].ID, arrivals: every(0.05), events: 300, bytes: 1000}
 		return run(tt.Continuum, stages, []source{src}, place, workload.NewRNG(3)).boundaryBytes[crossing]
 	}
 	if edge, cloud := wan(true), wan(false); edge*5 > cloud {
@@ -105,7 +111,7 @@ func TestLatencyOrderingEdgeVsCloudForHeavyCompute(t *testing.T) {
 	mean := func(at func(*core.ThreeTier) *node.Node) float64 {
 		tt := testTier()
 		// A 5 s period leaves no queueing.
-		src := source{origin: tt.Sensors[0][0].ID, arrivals: workload.NewDeterministic(5.0), events: 10, bytes: 100}
+		src := source{origin: tt.Sensors[0][0].ID, arrivals: every(5.0), events: 10, bytes: 100}
 		return run(tt.Continuum, heavy, []source{src}, []*node.Node{at(tt)}, workload.NewRNG(6)).latency.Mean()
 	}
 	gw := mean(func(tt *core.ThreeTier) *node.Node { return tt.Gateways[0] })

@@ -55,13 +55,6 @@ func TestIntegrationTracedWorkflow(t *testing.T) {
 		t.Fatalf("trace has %d starts / %d ends for %d completions",
 			len(starts), len(ends), st.Completed)
 	}
-	// Utilization of the busiest node must be positive and <= 1.
-	for _, ent := range tr.Entities() {
-		u := tr.Utilization(ent, 0, st.Makespan)
-		if u < 0 || u > 1 {
-			t.Fatalf("utilization %v out of range for %s", u, ent)
-		}
-	}
 	if g := tr.Gantt(40); !strings.Contains(g, "#") {
 		t.Fatal("gantt shows no activity")
 	}
@@ -85,7 +78,11 @@ func nodeCatalogPair(c *core.Continuum) []int {
 func TestIntegrationFabricWorkflow(t *testing.T) {
 	c := core.New()
 	ids := nodeCatalogPair(c)
-	c.EnableFabric(workload.NewRNG(2), 1e10, data.LRU)
+	c.Fabric = data.NewFabric(c.Net, workload.NewRNG(2))
+	stores := map[int]*data.Store{}
+	for _, n := range c.Nodes {
+		stores[n.ID] = c.Fabric.AddStore(n.ID, 1e10, data.LRU)
+	}
 	shared := data.Dataset{Name: "calibration", Bytes: 2e8}
 	c.Fabric.Pin(shared, ids[1]) // lives at the cloud
 
@@ -111,7 +108,7 @@ func TestIntegrationFabricWorkflow(t *testing.T) {
 	}
 	// The six concurrent stages of one dataset must share work: either
 	// coalesced into the in-flight transfer or served from cache.
-	store := c.Fabric.Store(ids[0])
+	store := stores[ids[0]]
 	if store.Hits == 0 && c.Fabric.Coalesced == 0 {
 		t.Fatal("no sharing (hits or coalescing) across the shared-input fan")
 	}

@@ -98,7 +98,7 @@ func TestAdmissionDisabledIsZeroCost(t *testing.T) {
 // placement away from the cordoned node without losing anything.
 func TestCordonedNodeGetsNoNewWork(t *testing.T) {
 	c := miniContinuum()
-	gw := c.NodeByName("gw")
+	gw := c.Nodes[0] // miniContinuum adds the gateway first
 	st := c.RunStreamReliable(placement.GreedyLatency{}, reliableJobs(c, 20, 0.2), nil,
 		ReliableOptions{Cordoned: func(n *node.Node) bool { return n == gw }})
 	if st.Completed != 20 || st.Lost != 0 {

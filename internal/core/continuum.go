@@ -23,7 +23,6 @@ import (
 	"continuum/internal/placement"
 	"continuum/internal/sim"
 	"continuum/internal/trace"
-	"continuum/internal/workload"
 )
 
 // Continuum is a live simulated deployment.
@@ -68,30 +67,9 @@ func (c *Continuum) Connect(a, b int, latency, capacity float64) (ab, ba *netsim
 	return c.Net.AddDuplexLink(a, b, latency, capacity)
 }
 
-// EnableFabric attaches a data fabric with a store on every current node.
-// Capacity and policy apply to every store; call Fabric.AddStore directly
-// for heterogeneous configurations.
-func (c *Continuum) EnableFabric(rng *workload.RNG, capacity float64, pol data.Policy) *data.Fabric {
-	c.Fabric = data.NewFabric(c.Net, rng)
-	for _, n := range c.Nodes {
-		c.Fabric.AddStore(n.ID, capacity, pol)
-	}
-	return c.Fabric
-}
-
 // Env returns the placement view of this continuum.
 func (c *Continuum) Env() *placement.Env {
 	return &placement.Env{Net: c.Net, Nodes: c.Nodes, Fabric: c.Fabric}
-}
-
-// NodeByName returns the first node with the given spec name, or nil.
-func (c *Continuum) NodeByName(name string) *node.Node {
-	for _, n := range c.Nodes {
-		if n.Name == name {
-			return n
-		}
-	}
-	return nil
 }
 
 // TotalJoules sums energy over all node meters at the current time.

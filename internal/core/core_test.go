@@ -24,6 +24,17 @@ func miniContinuum() *Continuum {
 	return c
 }
 
+// enableFabric attaches a data fabric with one store of the given
+// capacity and policy on every node, returning the stores by node ID.
+func enableFabric(c *Continuum, rng *workload.RNG, capacity float64, pol data.Policy) map[int]*data.Store {
+	c.Fabric = data.NewFabric(c.Net, rng)
+	stores := map[int]*data.Store{}
+	for _, n := range c.Nodes {
+		stores[n.ID] = c.Fabric.AddStore(n.ID, capacity, pol)
+	}
+	return stores
+}
+
 func TestBuilderBasics(t *testing.T) {
 	c := miniContinuum()
 	if len(c.Nodes) != 2 {
@@ -31,9 +42,6 @@ func TestBuilderBasics(t *testing.T) {
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
-	}
-	if c.NodeByName("cloud") == nil || c.NodeByName("nope") != nil {
-		t.Fatal("NodeByName wrong")
 	}
 	env := c.Env()
 	if env.Net != c.Net || len(env.Nodes) != 2 {
@@ -130,7 +138,7 @@ func TestRunStreamEdgeVsCloudLatency(t *testing.T) {
 func TestRunStreamWithFabricStaging(t *testing.T) {
 	c := miniContinuum()
 	rng := workload.NewRNG(1)
-	c.EnableFabric(rng, 1e9, data.LRU)
+	enableFabric(c, rng, 1e9, data.LRU)
 	ds := data.Dataset{Name: "model", Bytes: 1e6}
 	c.Fabric.Pin(ds, c.Nodes[1].ID) // model lives in the cloud
 	jobs := []StreamJob{{
@@ -256,7 +264,7 @@ func TestRunDAGRejectsIncompleteSchedule(t *testing.T) {
 
 func TestRunDAGWithFabricInputs(t *testing.T) {
 	c := miniContinuum()
-	c.EnableFabric(workload.NewRNG(4), 2e9, data.LRU)
+	enableFabric(c, workload.NewRNG(4), 2e9, data.LRU)
 	ds := data.Dataset{Name: "raw", Bytes: 1.25e9} // 1s over WAN
 	c.Fabric.Pin(ds, c.Nodes[1].ID)
 	d := task.NewDAG("staged")

@@ -60,8 +60,8 @@ func TestSpeculationRescuesQueuedStraggler(t *testing.T) {
 	if bst.Completed != 2 {
 		t.Fatalf("baseline completed %d, want 2", bst.Completed)
 	}
-	if bst.Latency.Min() < 4 {
-		t.Fatalf("baseline min latency %v — the mouse was not queued behind the whale", bst.Latency.Min())
+	if bst.Latency.Quantile(0) < 4 {
+		t.Fatalf("baseline min latency %v — the mouse was not queued behind the whale", bst.Latency.Quantile(0))
 	}
 
 	c := specContinuum()
@@ -76,8 +76,8 @@ func TestSpeculationRescuesQueuedStraggler(t *testing.T) {
 		t.Fatalf("launches/wins/preempted = %d/%d/%d, want 1/1/1",
 			st.SpeculativeLaunches, st.SpeculativeWins, st.PreemptedTasks)
 	}
-	if st.Latency.Min() > 1 {
-		t.Fatalf("rescued mouse latency %v, want < 1s (baseline %v)", st.Latency.Min(), bst.Latency.Min())
+	if st.Latency.Quantile(0) > 1 {
+		t.Fatalf("rescued mouse latency %v, want < 1s (baseline %v)", st.Latency.Quantile(0), bst.Latency.Quantile(0))
 	}
 	// The whale was never hedged (its own 2x threshold exceeds its
 	// runtime), so it still completes on n1; the mouse's winning backup
@@ -150,8 +150,8 @@ func TestSpeculationQuantileTrigger(t *testing.T) {
 	if st.SpeculativeWins == 0 {
 		t.Fatal("quantile trigger never rescued a slow-node job")
 	}
-	if st.Latency.Max() > 1 {
-		t.Fatalf("max latency %v, want < 1s (slow node alone takes ~1s)", st.Latency.Max())
+	if st.Latency.Quantile(1) > 1 {
+		t.Fatalf("max latency %v, want < 1s (slow node alone takes ~1s)", st.Latency.Quantile(1))
 	}
 }
 

@@ -51,7 +51,7 @@ func TestEngineSpanAttribution(t *testing.T) {
 	if len(starts) != 2 || len(ends) != 2 {
 		t.Fatalf("stage spans = %d/%d, want 2/2", len(starts), len(ends))
 	}
-	for _, e := range c.Tracer.Events() {
+	for _, e := range traceEvents(t, c.Tracer) {
 		if e.Attempt != 0 {
 			t.Fatalf("fault-free run recorded attempt %d: %+v", e.Attempt, e)
 		}

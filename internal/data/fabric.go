@@ -115,9 +115,6 @@ func (f *Fabric) AddStore(nodeID int, capacity float64, pol Policy) *Store {
 	return s
 }
 
-// Store returns the store at node id, or nil.
-func (f *Fabric) Store(nodeID int) *Store { return f.stores[nodeID] }
-
 // Pin places a permanent replica of ds at node id (its "home"); pinned
 // replicas never evict and do not consume cache budget.
 func (f *Fabric) Pin(ds Dataset, nodeID int) {
@@ -303,12 +300,6 @@ func (s *Store) evictOne(rng *workload.RNG) bool {
 	s.Evictions++
 	return true
 }
-
-// Used returns the bytes of unpinned cache entries currently held.
-func (s *Store) Used() float64 { return s.used }
-
-// Len returns the number of datasets (pinned + cached) held.
-func (s *Store) Len() int { return len(s.entries) }
 
 // HitRate returns Hits/(Hits+Misses), or 0 when unused.
 func (s *Store) HitRate() float64 {

@@ -10,11 +10,20 @@ import (
 	"continuum/internal/workload"
 )
 
+// line builds a chain of n vertices with identical hops.
+func line(k *sim.Kernel, n int, hopLatency, capacity float64) *netsim.Network {
+	net := netsim.New(k, n)
+	for i := 1; i < n; i++ {
+		net.AddDuplexLink(i-1, i, hopLatency, capacity)
+	}
+	return net
+}
+
 // testFabric builds a 3-node line: edge(0) -- mid(1) -- home(2), with the
 // dataset homes at node 2.
 func testFabric(capacity float64, pol Policy) (*sim.Kernel, *Fabric) {
 	k := sim.NewKernel()
-	net, _ := netsim.Line(k, 3, 0.010, 1e6)
+	net := line(k, 3, 0.010, 1e6)
 	f := NewFabric(net, workload.NewRNG(1))
 	f.AddStore(0, capacity, pol)
 	f.AddStore(1, capacity, pol)
@@ -63,7 +72,7 @@ func TestStageHitIsImmediate(t *testing.T) {
 	if !hit || at != 0 {
 		t.Fatalf("local stage hit=%v at=%v", hit, at)
 	}
-	if f.Store(0).Hits != 1 {
+	if f.stores[0].Hits != 1 {
 		t.Fatal("hit not counted")
 	}
 }
@@ -157,8 +166,8 @@ func TestLRUEviction(t *testing.T) {
 	if f.Holds(0, "b") {
 		t.Fatal("LRU should have evicted b")
 	}
-	if f.Store(0).Evictions != 1 {
-		t.Fatalf("Evictions = %d", f.Store(0).Evictions)
+	if f.stores[0].Evictions != 1 {
+		t.Fatalf("Evictions = %d", f.stores[0].Evictions)
 	}
 }
 
@@ -195,8 +204,8 @@ func TestNoCachePolicy(t *testing.T) {
 	}
 	f.Stage(ds, 0, nil)
 	k.Run()
-	if f.Store(0).Misses != 2 {
-		t.Fatalf("Misses = %d, want 2", f.Store(0).Misses)
+	if f.stores[0].Misses != 2 {
+		t.Fatalf("Misses = %d, want 2", f.stores[0].Misses)
 	}
 }
 
@@ -240,10 +249,10 @@ func TestHitRate(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		f.Stage(ds, 0, nil)
 	}
-	if hr := f.Store(0).HitRate(); math.Abs(hr-0.75) > 1e-12 {
+	if hr := f.stores[0].HitRate(); math.Abs(hr-0.75) > 1e-12 {
 		t.Fatalf("HitRate = %v, want 0.75", hr)
 	}
-	if f.Store(1).HitRate() != 0 {
+	if f.stores[1].HitRate() != 0 {
 		t.Fatal("unused store HitRate != 0")
 	}
 }
@@ -276,7 +285,7 @@ func TestPropertyCacheInvariants(t *testing.T) {
 	f := func(seed uint64, polRaw uint8) bool {
 		pol := Policy(polRaw % 3) // LRU, LFU, TwoRandom
 		k := sim.NewKernel()
-		net, _ := netsim.Line(k, 2, 0.001, 1e9)
+		net := line(k, 2, 0.001, 1e9)
 		rng := workload.NewRNG(seed)
 		fab := NewFabric(net, rng.Split())
 		cache := fab.AddStore(0, 500, pol)
@@ -295,13 +304,13 @@ func TestPropertyCacheInvariants(t *testing.T) {
 			ds := sets[z.Next()]
 			k.At(at, func() {
 				fab.Stage(ds, 0, func(bool) { done++ })
-				if cache.Used() > cache.Capacity+1e-9 {
+				if cache.used > cache.Capacity+1e-9 {
 					panic("cache over capacity")
 				}
 			})
 		}
 		k.Run()
-		return done == accesses && cache.Used() <= cache.Capacity+1e-9
+		return done == accesses && cache.used <= cache.Capacity+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -314,7 +323,7 @@ func TestPropertyCacheInvariants(t *testing.T) {
 func TestTwoRandomEvictionDeterministic(t *testing.T) {
 	run := func() (string, int64) {
 		k := sim.NewKernel()
-		net, _ := netsim.Line(k, 2, 0.001, 1e9)
+		net := line(k, 2, 0.001, 1e9)
 		rng := workload.NewRNG(7)
 		fab := NewFabric(net, rng.Split())
 		cache := fab.AddStore(0, 600, TwoRandom)

@@ -57,9 +57,6 @@ func (m *Meter) RemoveLoad(watts float64) {
 	}
 }
 
-// Watts returns the instantaneous draw.
-func (m *Meter) Watts() float64 { return m.watts }
-
 // Joules returns energy consumed up to the current virtual time.
 func (m *Meter) Joules() float64 {
 	m.integrate()

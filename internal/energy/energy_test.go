@@ -27,8 +27,8 @@ func TestMeterLoadSteps(t *testing.T) {
 	if j := m.Joules(); math.Abs(j-120) > 1e-9 {
 		t.Fatalf("Joules = %v, want 120", j)
 	}
-	if m.Watts() != 1 {
-		t.Fatalf("Watts = %v, want 1", m.Watts())
+	if m.watts != 1 {
+		t.Fatalf("Watts = %v, want 1", m.watts)
 	}
 }
 

@@ -35,16 +35,6 @@ func Ablations() []struct {
 	}
 }
 
-// LookupAblation finds an ablation by id, or nil.
-func LookupAblation(id string) Runner {
-	for _, a := range Ablations() {
-		if a.ID == id {
-			return a.Run
-		}
-	}
-	return nil
-}
-
 // sortedListKernel is the strawman scheduler: events kept in a sorted
 // slice with O(n) insertion. It exists only to quantify what the binary
 // heap buys.

@@ -9,9 +9,6 @@ func TestAblationsRegistered(t *testing.T) {
 	if len(Ablations()) != 5 {
 		t.Fatalf("ablations = %d", len(Ablations()))
 	}
-	if LookupAblation("A1") == nil || LookupAblation("A9") != nil {
-		t.Fatal("LookupAblation wrong")
-	}
 }
 
 func TestAblationEventQueueShape(t *testing.T) {

@@ -69,13 +69,3 @@ func All() []struct {
 		{"F11", F11Speculation},
 	}
 }
-
-// Lookup finds an experiment by id (case-sensitive), or nil.
-func Lookup(id string) Runner {
-	for _, e := range All() {
-		if e.ID == id {
-			return e.Run
-		}
-	}
-	return nil
-}

@@ -239,8 +239,6 @@ type admitter struct {
 	qwEWMA float64 // observed queue-wait EWMA, seconds
 	obsN   int     // admissions since the last AIMD adjustment
 	idleN  int     // consecutive empty-queue releases (shrink signal)
-	grown  int64
-	shrunk int64
 	shed   [NumPriorities]int64
 }
 
@@ -280,7 +278,6 @@ func (a *admitter) acquire(ctx context.Context, fn string, p Priority, queueWait
 	// container slots).
 	if a.slots < a.capacity && a.queued >= a.cfg.queuePerSlot()*a.slots {
 		a.slots++
-		a.grown++
 		a.inUse++
 		a.idleN = 0
 		a.observeWaitLocked(0)
@@ -395,7 +392,6 @@ func (a *admitter) release() {
 		a.idleN++
 		if a.idleN >= shrinkAfterIdle && a.slots > a.cfg.minSlots(a.capacity) {
 			a.slots--
-			a.shrunk++
 			a.idleN = 0
 		}
 	} else {
@@ -469,17 +465,6 @@ func (a *admitter) updateGaugesLocked() {
 	}
 }
 
-// Shed returns the total invocations rejected by admission control.
-func (a *admitter) Shed() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	var n int64
-	for _, s := range a.shed {
-		n += s
-	}
-	return n
-}
-
 // ShedByPriority returns shed counts indexed low, normal, high.
 func (a *admitter) ShedByPriority() [NumPriorities]int64 {
 	a.mu.Lock()
@@ -499,18 +484,4 @@ func (a *admitter) QueueDepth() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.queued
-}
-
-// QueueLimit returns the current adaptive queue bound.
-func (a *admitter) QueueLimit() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.qLimit
-}
-
-// Resized returns (grown, shrunk): elastic pool size changes so far.
-func (a *admitter) Resized() (int64, int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.grown, a.shrunk
 }

@@ -14,6 +14,13 @@ import (
 // admissionEndpoint builds an endpoint with admission control enabled
 // and a controllable "gate" handler: each gate invocation blocks until
 // the test releases it, so the test decides exactly when slots free up.
+// queueLimit returns a's current adaptive queue bound.
+func queueLimit(a *admitter) int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.qLimit
+}
+
 func admissionEndpoint(t *testing.T, cfg EndpointConfig) (*Endpoint, chan struct{}) {
 	t.Helper()
 	gate := make(chan struct{})
@@ -95,8 +102,8 @@ func TestAdmissionShedImmediateWithRetryAfter(t *testing.T) {
 	if elapsed > 100*time.Millisecond {
 		t.Fatalf("shed took %v, want immediate (QueueWait is 1s)", elapsed)
 	}
-	if ep.Shed() != 1 {
-		t.Fatalf("Shed() = %d", ep.Shed())
+	if shed := ep.ShedByPriority(); shed[0]+shed[1]+shed[2] != 1 {
+		t.Fatalf("ShedByPriority() = %v, want one shed", shed)
 	}
 }
 
@@ -266,10 +273,6 @@ func TestAdmissionElasticPool(t *testing.T) {
 	if got := a.SlotLimit(); got != 3 {
 		t.Fatalf("SlotLimit() = %d after growth, want 3", got)
 	}
-	grown, _ := a.Resized()
-	if grown != 1 {
-		t.Fatalf("grown = %d", grown)
-	}
 
 	// Drain everything, then release-cycle an idle pool: it shrinks back
 	// to the floor, one slot per shrinkAfterIdle idle releases.
@@ -293,10 +296,6 @@ func TestAdmissionElasticPool(t *testing.T) {
 	if got := a.SlotLimit(); got != 2 {
 		t.Fatalf("SlotLimit() = %d after idling, want floor 2", got)
 	}
-	_, shrunk := a.Resized()
-	if shrunk < 1 {
-		t.Fatalf("shrunk = %d", shrunk)
-	}
 }
 
 // TestAdmissionAIMDClampsQueue: sustained queue waits above the target
@@ -306,15 +305,15 @@ func TestAdmissionAIMDClampsQueue(t *testing.T) {
 	for i := 0; i < aimdEvery; i++ {
 		a.observeWait(100 * time.Millisecond) // 10× over target
 	}
-	if got := a.QueueLimit(); got != 24 {
-		t.Fatalf("QueueLimit() = %d after overload signal, want 24", got)
+	if got := queueLimit(a); got != 24 {
+		t.Fatalf("queue limit = %d after overload signal, want 24", got)
 	}
 	// EWMA decays as waits return to zero; the bound creeps back up.
 	for i := 0; i < 40*aimdEvery; i++ {
 		a.observeWait(0)
 	}
-	if got := a.QueueLimit(); got <= 24 {
-		t.Fatalf("QueueLimit() = %d after calm, want growth above 24", got)
+	if got := queueLimit(a); got <= 24 {
+		t.Fatalf("queue limit = %d after calm, want growth above 24", got)
 	}
 }
 

@@ -31,10 +31,7 @@ type Batcher struct {
 	timers  map[string]*time.Timer
 	closed  bool
 
-	// Flushes counts dispatched batches; BatchedCalls counts calls that
-	// shared a batch with at least one other call.
-	flushes      int64
-	batchedCalls int64
+	flushes int64 // dispatched batches
 }
 
 // NewBatcher wraps target with batching.
@@ -49,20 +46,6 @@ func NewBatcher(target batchInvoker, maxBatch int, maxWait time.Duration) *Batch
 		pending:  make(map[string][]*pendingCall),
 		timers:   make(map[string]*time.Timer),
 	}
-}
-
-// Flushes returns the number of batches dispatched.
-func (b *Batcher) Flushes() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.flushes
-}
-
-// BatchedCalls returns how many calls shared a batch with another call.
-func (b *Batcher) BatchedCalls() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.batchedCalls
 }
 
 // Invoke enqueues the call and blocks until its batch executes.
@@ -137,9 +120,6 @@ func (b *Batcher) dispatch(fn string, batch []*pendingCall) {
 	}
 	b.mu.Lock()
 	b.flushes++
-	if len(batch) > 1 {
-		b.batchedCalls += int64(len(batch))
-	}
 	b.mu.Unlock()
 
 	payloads := make([][]byte, len(batch))

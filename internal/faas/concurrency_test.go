@@ -51,7 +51,7 @@ func TestEndpointConcurrentDispatchSafety(t *testing.T) {
 					}
 					// Stats reads race with the invokes above by design.
 					_ = ep.Running()
-					_ = ep.WarmCount("echo")
+					_ = warmCount(ep, "echo")
 				}
 			}
 		}()
@@ -66,7 +66,7 @@ func TestEndpointConcurrentDispatchSafety(t *testing.T) {
 	if got := ep.Invocations(); got != wantInv {
 		t.Fatalf("invocations = %d, want %d", got, wantInv)
 	}
-	if got := ep.Panics(); got != int64(workers*calls/4) {
+	if got := m.Counter(metrics.Label("faas_panics_total", "ep", "hammered", "fn", "boom")).Value(); got != int64(workers*calls/4) {
 		t.Fatalf("panics = %d, want %d", got, workers*calls/4)
 	}
 	// Cold+warm counts one container acquisition per Invoke and per

@@ -160,14 +160,10 @@ type Endpoint struct {
 	// Running is the number of in-flight containers (approximate gauge).
 	running atomic.Int64
 
-	// Stats (atomic): cold starts, warm hits, completed invocations,
-	// recovered handler panics, preempted (cancelled, slot freed early)
-	// invocations.
+	// Stats (atomic): cold starts, warm hits, completed invocations.
 	coldStarts  atomic.Int64
 	warmHits    atomic.Int64
 	invocations atomic.Int64
-	panics      atomic.Int64
-	preempted   atomic.Int64
 
 	// obs, when non-nil, publishes per-function latency histograms,
 	// queue-wait, cold/warm counters, and an in-flight gauge into a
@@ -323,22 +319,6 @@ func (ep *Endpoint) WarmHits() int64 { return ep.warmHits.Load() }
 // Invocations returns completed invocation count.
 func (ep *Endpoint) Invocations() int64 { return ep.invocations.Load() }
 
-// Panics returns how many handler panics were recovered.
-func (ep *Endpoint) Panics() int64 { return ep.panics.Load() }
-
-// Preempted returns how many cancelled invocations had their capacity
-// slot freed early under EndpointConfig.PreemptAbandoned.
-func (ep *Endpoint) Preempted() int64 { return ep.preempted.Load() }
-
-// Shed returns how many invocations admission control rejected
-// (0 without Admission enabled).
-func (ep *Endpoint) Shed() int64 {
-	if ep.adm == nil {
-		return 0
-	}
-	return ep.adm.Shed()
-}
-
 // ShedByPriority returns shed counts indexed low, normal, high.
 func (ep *Endpoint) ShedByPriority() [NumPriorities]int64 {
 	if ep.adm == nil {
@@ -443,13 +423,6 @@ func (ep *Endpoint) release(fn string) {
 	if len(pool) < ep.cfg.MaxWarmPerFn {
 		ep.warm[fn] = append(pool, &container{fn: fn, idleFrom: time.Now()})
 	}
-}
-
-// WarmCount returns the current warm-pool size for fn.
-func (ep *Endpoint) WarmCount(fn string) int {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	return len(ep.warm[fn])
 }
 
 // Invoke executes fn with payload, blocking for a capacity slot. The
@@ -607,7 +580,6 @@ func (ep *Endpoint) releaseSlot() {
 func (ep *Endpoint) safeCall(fn string, h Handler, payload []byte) (out []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			ep.panics.Add(1)
 			if obs := ep.obs; obs != nil {
 				obs.fn(fn).panics.Inc()
 			}
@@ -678,7 +650,6 @@ func (ep *Endpoint) execute(ctx context.Context, fn string, h Handler, payload [
 			return r.out, r.err
 		}
 		if preempt {
-			ep.preempted.Add(1)
 			if obs := ep.obs; obs != nil {
 				obs.fn(fn).preempted.Inc()
 			}

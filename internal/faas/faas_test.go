@@ -9,7 +9,23 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"continuum/internal/metrics"
 )
+
+// flushes returns the number of batches b has dispatched.
+func flushes(b *Batcher) int64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.flushes
+}
+
+// warmCount returns the current warm-pool size for fn.
+func warmCount(ep *Endpoint, fn string) int {
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	return len(ep.warm[fn])
+}
 
 func echoRegistry() *Registry {
 	reg := NewRegistry()
@@ -98,7 +114,7 @@ func TestWarmPoolsArePerFunction(t *testing.T) {
 	if ep.ColdStarts() != 2 {
 		t.Fatalf("ColdStarts = %d, want 2 (per-function pools)", ep.ColdStarts())
 	}
-	if ep.WarmCount("echo") != 1 || ep.WarmCount("double") != 1 {
+	if warmCount(ep, "echo") != 1 || warmCount(ep, "double") != 1 {
 		t.Fatal("warm pools wrong")
 	}
 }
@@ -230,8 +246,8 @@ func TestBatcherGroupsCalls(t *testing.T) {
 			t.Fatalf("out[%d] = %q", i, outs[i])
 		}
 	}
-	if b.Flushes() != 1 {
-		t.Fatalf("Flushes = %d, want 1 full batch", b.Flushes())
+	if flushes(b) != 1 {
+		t.Fatalf("Flushes = %d, want 1 full batch", flushes(b))
 	}
 	if ep.ColdStarts() != 1 {
 		t.Fatalf("ColdStarts = %d, want 1", ep.ColdStarts())
@@ -264,8 +280,8 @@ func TestBatcherPerFunctionBatches(t *testing.T) {
 		go func() { defer wg.Done(); b.Invoke("double", []byte("d")) }()
 	}
 	wg.Wait()
-	if b.Flushes() != 2 {
-		t.Fatalf("Flushes = %d, want 2 (one per function)", b.Flushes())
+	if flushes(b) != 2 {
+		t.Fatalf("Flushes = %d, want 2 (one per function)", flushes(b))
 	}
 }
 
@@ -352,6 +368,9 @@ func TestPreemptAbandonedFreesSlot(t *testing.T) {
 	ep := NewEndpoint(EndpointConfig{
 		Name: "ep", Capacity: 1, WarmTTL: time.Minute, PreemptAbandoned: true,
 	}, reg)
+	m := metrics.NewRegistry()
+	ep.SetMetrics(m)
+	preempted := m.Counter(metrics.Label("faas_preempted_total", "ep", "ep", "fn", "hang"))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
@@ -364,8 +383,8 @@ func TestPreemptAbandonedFreesSlot(t *testing.T) {
 	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled invocation returned %v", err)
 	}
-	if ep.Preempted() != 1 {
-		t.Fatalf("Preempted = %d, want 1", ep.Preempted())
+	if preempted.Value() != 1 {
+		t.Fatalf("faas_preempted_total = %d, want 1", preempted.Value())
 	}
 
 	// The slot must already be free even though "hang" is still running.
@@ -423,12 +442,14 @@ func TestExecTimeoutDoesNotPreempt(t *testing.T) {
 		Name: "ep", Capacity: 1, WarmTTL: time.Minute,
 		ExecTimeout: 10 * time.Millisecond, PreemptAbandoned: true,
 	}, reg)
+	m := metrics.NewRegistry()
+	ep.SetMetrics(m)
 
 	if _, err := ep.Invoke("wedge", nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("wedged invoke returned %v, want deadline exceeded", err)
 	}
-	if ep.Preempted() != 0 {
-		t.Fatalf("Preempted = %d after ExecTimeout, want 0", ep.Preempted())
+	if c := m.Counter(metrics.Label("faas_preempted_total", "ep", "ep", "fn", "wedge")); c.Value() != 0 {
+		t.Fatalf("faas_preempted_total = %d after ExecTimeout, want 0", c.Value())
 	}
 
 	// The wedged handler still owns the slot: a bounded wait must fail.

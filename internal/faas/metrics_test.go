@@ -31,8 +31,8 @@ func TestEndpointMetrics(t *testing.T) {
 		t.Fatalf("echo latency samples = %d, want 2", lat.Count())
 	}
 	// First echo paid the 1ms cold start; the histogram must have seen it.
-	if lat.Max() < 0.001 {
-		t.Fatalf("max latency %v below the cold-start floor", lat.Max())
+	if lat.Quantile(1) < 0.001 {
+		t.Fatalf("max latency %v below the cold-start floor", lat.Quantile(1))
 	}
 	cold := m.Counter(metrics.Label("faas_cold_starts_total", "ep", "edge-1", "fn", "echo"))
 	warm := m.Counter(metrics.Label("faas_warm_hits_total", "ep", "edge-1", "fn", "echo"))

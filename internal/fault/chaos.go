@@ -73,7 +73,7 @@ func (s ChaosSpec) Validate() error {
 		name string
 		v    float64
 	}{{"drop", s.DropProb}, {"err", s.ErrProb}, {"delay", s.DelayProb}} {
-		if p.v < 0 || p.v > 1 {
+		if !(p.v >= 0 && p.v <= 1) { // written so NaN fails too
 			return fmt.Errorf("fault: chaos %s probability %v outside [0,1]", p.name, p.v)
 		}
 	}
@@ -150,14 +150,6 @@ func (c *Chaos) advance(now time.Time) {
 			c.phaseEnd = c.phaseEnd.Add(c.exp(c.spec.MeanUp))
 		}
 	}
-}
-
-// Up reports whether the target is currently in an up phase.
-func (c *Chaos) Up() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.advance(c.now())
-	return c.up
 }
 
 // Next draws the fate of one request: an action plus a latency spike to

@@ -37,6 +37,9 @@ func TestParseChaosRejects(t *testing.T) {
 		"drop=1.5",
 		"up=10s", // down missing
 		"drop=x",
+		"drop=NaN",
+		"err=nan",
+		"delayp=NaN,delay=5ms",
 	} {
 		if _, err := ParseChaos(s); err == nil {
 			t.Errorf("ParseChaos(%q) accepted", s)
@@ -99,7 +102,7 @@ func TestChaosUpDownCycling(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		now = now.Add(100 * time.Millisecond)
 		a, _ := c.Next()
-		if c.Up() {
+		if c.up { // Next advanced the phase to now
 			upSeen++
 			if a != ChaosNone {
 				t.Fatalf("action %v while up with zero probabilities", a)

@@ -41,16 +41,10 @@ type Target struct {
 	up    bool
 	epoch uint64
 
-	failures  int64
-	downSince float64
-	totalDown float64
-
 	// OnFail and OnRepair, when set, run at each transition (inside the
 	// simulation event).
 	OnFail   func()
 	OnRepair func()
-
-	k *sim.Kernel
 }
 
 // Up reports current availability.
@@ -60,35 +54,12 @@ func (t *Target) Up() bool { return t.up }
 // executor can detect "my host failed while I ran" by comparing epochs.
 func (t *Target) Epoch() uint64 { return t.epoch }
 
-// Failures returns the number of failures so far.
-func (t *Target) Failures() int64 { return t.failures }
-
-// Downtime returns accumulated seconds of unavailability.
-func (t *Target) Downtime() float64 {
-	d := t.totalDown
-	if !t.up {
-		d += t.k.Now() - t.downSince
-	}
-	return d
-}
-
-// Availability returns the measured fraction of time up, over the
-// interval [0, now]. Returns 1 at time zero.
-func (t *Target) Availability() float64 {
-	now := t.k.Now()
-	if now == 0 {
-		return 1
-	}
-	return 1 - t.Downtime()/now
-}
-
 // NewTarget returns a detached, initially-up target for scripted fault
 // injection: scenario event scripts flip it with Fail and Repair at
 // exact virtual times instead of attaching an MTBF/MTTR process via an
-// Injector. Availability bookkeeping (Downtime, Availability, Epoch)
-// works identically either way.
-func NewTarget(name string, k *sim.Kernel) *Target {
-	return &Target{Name: name, up: true, k: k}
+// Injector. Epoch bookkeeping works identically either way.
+func NewTarget(name string) *Target {
+	return &Target{Name: name, up: true}
 }
 
 // Fail forces the target down now (idempotent while down): the failure
@@ -104,8 +75,6 @@ func (t *Target) fail() {
 	}
 	t.up = false
 	t.epoch++
-	t.failures++
-	t.downSince = t.k.Now()
 	if t.OnFail != nil {
 		t.OnFail()
 	}
@@ -116,7 +85,6 @@ func (t *Target) repair() {
 		return
 	}
 	t.up = true
-	t.totalDown += t.k.Now() - t.downSince
 	if t.OnRepair != nil {
 		t.OnRepair()
 	}
@@ -132,7 +100,6 @@ type Injector struct {
 	k       *sim.Kernel
 	rng     *workload.RNG
 	horizon float64
-	targets []*Target
 }
 
 // NewInjector creates an injector using rng for all failure draws.
@@ -144,17 +111,13 @@ func NewInjector(k *sim.Kernel, rng *workload.RNG, horizon float64) *Injector {
 	return &Injector{k: k, rng: rng, horizon: horizon}
 }
 
-// Targets returns all attached targets.
-func (i *Injector) Targets() []*Target { return i.targets }
-
-// Attach registers a target and starts its fail/repair cycle. The target
+// Attach creates a target and starts its fail/repair cycle. The target
 // starts up; the first failure arrives after an exponential draw.
 func (i *Injector) Attach(name string, spec Spec) *Target {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-	t := &Target{Name: name, up: true, k: i.k}
-	i.targets = append(i.targets, t)
+	t := NewTarget(name)
 
 	var scheduleFail, scheduleRepair func()
 	at := func(d float64, fn func()) {
@@ -176,10 +139,4 @@ func (i *Injector) Attach(name string, spec Spec) *Target {
 	}
 	scheduleFail()
 	return t
-}
-
-// TheoreticalAvailability returns MeanUp/(MeanUp+MeanDown), the
-// steady-state availability the measured value should converge to.
-func (s Spec) TheoreticalAvailability() float64 {
-	return s.MeanUp / (s.MeanUp + s.MeanDown)
 }

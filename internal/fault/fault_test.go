@@ -24,14 +24,8 @@ func TestAttachStartsUp(t *testing.T) {
 	k := sim.NewKernel()
 	inj := NewInjector(k, workload.NewRNG(1), 1e6)
 	tg := inj.Attach("gw", Spec{MeanUp: 10, MeanDown: 1})
-	if !tg.Up() || tg.Epoch() != 0 || tg.Failures() != 0 {
+	if !tg.Up() || tg.Epoch() != 0 {
 		t.Fatal("fresh target not clean")
-	}
-	if tg.Availability() != 1 {
-		t.Fatal("availability at t=0 != 1")
-	}
-	if len(inj.Targets()) != 1 {
-		t.Fatal("target not registered")
 	}
 }
 
@@ -46,9 +40,6 @@ func TestFailureRepairCycle(t *testing.T) {
 	if fails == 0 || repairs == 0 {
 		t.Fatalf("no transitions in 1000s (fails=%d repairs=%d)", fails, repairs)
 	}
-	if int64(fails) != tg.Failures() {
-		t.Fatalf("OnFail count %d != Failures %d", fails, tg.Failures())
-	}
 	if diff := fails - repairs; diff < 0 || diff > 1 {
 		t.Fatalf("fail/repair imbalance: %d/%d", fails, repairs)
 	}
@@ -62,34 +53,17 @@ func TestMeasuredAvailabilityMatchesTheory(t *testing.T) {
 	inj := NewInjector(k, workload.NewRNG(3), 1e6)
 	spec := Spec{MeanUp: 9, MeanDown: 1} // 90% available
 	tg := inj.Attach("gw", spec)
+	var downSince, down float64
+	tg.OnFail = func() { downSince = k.Now() }
+	tg.OnRepair = func() { down += k.Now() - downSince }
 	k.RunUntil(200000)
-	got := tg.Availability()
-	want := spec.TheoreticalAvailability()
+	if !tg.Up() {
+		down += k.Now() - downSince
+	}
+	got := 1 - down/k.Now()
+	want := spec.MeanUp / (spec.MeanUp + spec.MeanDown)
 	if math.Abs(got-want) > 0.02 {
 		t.Fatalf("availability %v, want ~%v", got, want)
-	}
-}
-
-func TestDowntimeAccountsOpenInterval(t *testing.T) {
-	k := sim.NewKernel()
-	inj := NewInjector(k, workload.NewRNG(4), 1e6)
-	tg := inj.Attach("gw", Spec{MeanUp: 1, MeanDown: 1000})
-	// Run until the target is down, then check downtime grows with the
-	// clock even before repair.
-	for k.Now() < 100000 && tg.Up() {
-		k.RunUntil(k.Now() + 1)
-	}
-	if tg.Up() {
-		t.Skip("target never failed in window (improbable)")
-	}
-	d1 := tg.Downtime()
-	k.RunUntil(k.Now() + 10)
-	if tg.Up() {
-		return // repaired in the window; accounting covered elsewhere
-	}
-	d2 := tg.Downtime()
-	if d2 < d1+9.99 {
-		t.Fatalf("open-interval downtime not accruing: %v -> %v", d1, d2)
 	}
 }
 
@@ -102,18 +76,25 @@ func TestAttachPanicsOnBadSpec(t *testing.T) {
 	NewInjector(sim.NewKernel(), workload.NewRNG(1), 1e6).Attach("x", Spec{})
 }
 
-// Property: availability is always in [0, 1] and epochs never decrease.
+// Property: availability measured from the fail/repair transitions is
+// always in [0, 1] and epochs never decrease.
 func TestPropertyAvailabilityBounds(t *testing.T) {
 	f := func(seed uint64, upRaw, downRaw uint8) bool {
 		k := sim.NewKernel()
 		inj := NewInjector(k, workload.NewRNG(seed), 1e6)
 		spec := Spec{MeanUp: float64(upRaw%20) + 0.5, MeanDown: float64(downRaw%10) + 0.5}
 		tg := inj.Attach("t", spec)
+		var downSince, down float64
+		tg.OnFail = func() { downSince = k.Now() }
+		tg.OnRepair = func() { down += k.Now() - downSince }
 		var prevEpoch uint64
 		for i := 0; i < 20; i++ {
 			k.RunUntil(k.Now() + 50)
-			a := tg.Availability()
-			if a < 0 || a > 1 {
+			open := 0.0
+			if !tg.Up() {
+				open = k.Now() - downSince
+			}
+			if a := 1 - (down+open)/k.Now(); a < 0 || a > 1 {
 				return false
 			}
 			if tg.Epoch() < prevEpoch {

@@ -8,41 +8,64 @@ import (
 )
 
 // This file is the one parser behind every textual fault description in
-// the system: the continuumd -chaos flag, scenario event specs, and the
-// simulator's MTBF/MTTR specs all share a single comma-separated
-// key=value grammar — and a single error-message style, so a typo reads
-// the same no matter where it was written.
+// the system: the continuumd -chaos flag and scenario chaos events share
+// a single comma-separated key=value grammar — and a single
+// error-message style, so a typo reads the same no matter where it was
+// written.
 
-// applyFn consumes one key=value term of the grammar. It reports whether
-// it recognized the key; unrecognized keys fall through to the next
-// handler (and error out if nothing claims them).
-type applyFn func(key, val string) (handled bool, err error)
-
-// parseTerms scans the shared grammar and routes each term through the
-// given handlers in order.
-func parseTerms(s string, fns ...applyFn) error {
-	if strings.TrimSpace(s) == "" {
-		return fmt.Errorf("fault: empty spec")
+// ParseChaos parses the chaos grammar: comma-separated key=value pairs,
+// e.g.
+//
+//	drop=0.05,err=0.1,delay=20ms,delayp=0.2,up=10s,down=500ms,seed=1
+//
+// Keys: drop/err/delayp (probabilities), delay (mean latency spike,
+// Go duration), up/down (mean phase lengths, Go durations: mean time
+// between failures and mean time to repair), seed (int64). Unknown keys
+// are errors so typos fail fast. The same grammar drives continuumd
+// -chaos and scenario chaos events.
+func ParseChaos(str string) (ChaosSpec, error) {
+	var spec ChaosSpec
+	if strings.TrimSpace(str) == "" {
+		return spec, fmt.Errorf("fault: empty spec")
 	}
-	for _, kv := range strings.Split(s, ",") {
+	for _, kv := range strings.Split(str, ",") {
 		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
 		if !ok {
-			return fmt.Errorf("fault: term %q is not key=value", kv)
+			return spec, fmt.Errorf("fault: term %q is not key=value", kv)
 		}
-		handled := false
-		for _, fn := range fns {
-			done, err := fn(k, v)
-			if err != nil {
-				return fmt.Errorf("fault: %s: %w", k, err)
-			}
-			if done {
-				handled = true
-				break
-			}
+		if err := spec.set(k, v); err != nil {
+			return spec, err
 		}
-		if !handled {
-			return fmt.Errorf("fault: unknown key %q", k)
+	}
+	return spec, spec.Validate()
+}
+
+// set applies one key=value term of the grammar.
+func (s *ChaosSpec) set(k, v string) error {
+	var err error
+	switch k {
+	case "up":
+		s.MeanUp, err = seconds(v)
+	case "down":
+		s.MeanDown, err = seconds(v)
+	case "drop":
+		s.DropProb, err = strconv.ParseFloat(v, 64)
+	case "err":
+		s.ErrProb, err = strconv.ParseFloat(v, 64)
+	case "delayp":
+		s.DelayProb, err = strconv.ParseFloat(v, 64)
+	case "delay":
+		s.DelayMean, err = time.ParseDuration(v)
+		if s.DelayProb == 0 {
+			s.DelayProb = 1 // delay= alone means "every request"
 		}
+	case "seed":
+		s.Seed, err = strconv.ParseInt(v, 10, 64)
+	default:
+		return fmt.Errorf("fault: unknown key %q", k)
+	}
+	if err != nil {
+		return fmt.Errorf("fault: %s: %w", k, err)
 	}
 	return nil
 }
@@ -55,79 +78,4 @@ func seconds(v string) (float64, error) {
 		return 0, err
 	}
 	return d.Seconds(), nil
-}
-
-// terms is the MTBF/MTTR half of the grammar: up=<dur> (mean time
-// between failures) and down=<dur> (mean time to repair).
-func (s *Spec) terms() applyFn {
-	return func(k, v string) (bool, error) {
-		var err error
-		switch k {
-		case "up":
-			s.MeanUp, err = seconds(v)
-		case "down":
-			s.MeanDown, err = seconds(v)
-		default:
-			return false, nil
-		}
-		return true, err
-	}
-}
-
-// ParseSpec parses the MTBF/MTTR grammar, e.g. "up=10s,down=500ms":
-// mean uptime and mean repair time as Go durations. It is the
-// simulator-facing half of the grammar that ParseChaos extends with
-// per-request draws.
-func ParseSpec(str string) (Spec, error) {
-	var s Spec
-	if err := parseTerms(str, s.terms()); err != nil {
-		return s, err
-	}
-	return s, s.Validate()
-}
-
-// chaosTerms is the per-request half of the grammar: drop/err/delayp
-// probabilities, delay (mean latency spike), and seed.
-func (s *ChaosSpec) chaosTerms() applyFn {
-	return func(k, v string) (bool, error) {
-		var err error
-		switch k {
-		case "drop":
-			s.DropProb, err = strconv.ParseFloat(v, 64)
-		case "err":
-			s.ErrProb, err = strconv.ParseFloat(v, 64)
-		case "delayp":
-			s.DelayProb, err = strconv.ParseFloat(v, 64)
-		case "delay":
-			var d time.Duration
-			d, err = time.ParseDuration(v)
-			s.DelayMean = d
-			if s.DelayProb == 0 {
-				s.DelayProb = 1 // delay= alone means "every request"
-			}
-		case "seed":
-			s.Seed, err = strconv.ParseInt(v, 10, 64)
-		default:
-			return false, nil
-		}
-		return true, err
-	}
-}
-
-// ParseChaos parses the full chaos grammar: comma-separated key=value
-// pairs, e.g.
-//
-//	drop=0.05,err=0.1,delay=20ms,delayp=0.2,up=10s,down=500ms,seed=1
-//
-// Keys: drop/err/delayp (probabilities), delay (mean latency spike,
-// Go duration), up/down (mean phase lengths, Go durations — the shared
-// ParseSpec grammar), seed (int64). Unknown keys are errors so typos
-// fail fast. The same grammar drives continuumd -chaos and scenario
-// chaos events.
-func ParseChaos(str string) (ChaosSpec, error) {
-	var spec ChaosSpec
-	if err := parseTerms(str, spec.Spec.terms(), spec.chaosTerms()); err != nil {
-		return spec, err
-	}
-	return spec, spec.Validate()
 }

@@ -157,7 +157,7 @@ func PolicyByName(name string) (Policy, bool) {
 	switch name {
 	case "", "hash":
 		return HashPolicy{}, true
-	case "least-loaded", "least_loaded", "leastloaded":
+	case "least-loaded":
 		return LeastLoadedPolicy{}, true
 	}
 	return nil, false

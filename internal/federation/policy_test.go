@@ -242,7 +242,9 @@ func TestPolicyByName(t *testing.T) {
 	if _, ok := PolicyByName("least-loaded"); !ok {
 		t.Fatal("least-loaded policy missing")
 	}
-	if _, ok := PolicyByName("bogus"); ok {
-		t.Fatal("bogus policy accepted")
+	for _, name := range []string{"bogus", "least_loaded", "leastloaded"} {
+		if _, ok := PolicyByName(name); ok {
+			t.Fatalf("policy %q accepted; only \"\", hash and least-loaded are", name)
+		}
 	}
 }

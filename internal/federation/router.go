@@ -116,9 +116,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 // in-process mode reach it directly).
 func (rt *Router) Registry() *Registry { return rt.reg }
 
-// Client exposes the router's outbound reliable client.
-func (rt *Router) Client() *wire.ReliableClient { return rt.rc }
-
 // sweepLoop expires silent members on a timer, so deaths are noticed
 // within the expiry horizon even when no heartbeat arrives to trigger
 // the registry's lazy sweep.

@@ -57,19 +57,17 @@ func TestAddExemplarEmptyTraceDegradesToAdd(t *testing.T) {
 	if h.Count() != 1 {
 		t.Fatalf("Count = %d, want 1", h.Count())
 	}
-	if ex := h.Exemplars(); len(ex) != 0 {
+	if ex := h.snapshot().exemplars; len(ex) != 0 {
 		t.Fatalf("empty trace ID stored an exemplar: %v", ex)
 	}
 }
 
-// TestExemplarLatestWinsAndMerge: the newest trace per bucket wins, and
-// Merge folds the other histogram's exemplars in without disturbing
-// value equality.
-func TestExemplarLatestWinsAndMerge(t *testing.T) {
+// TestExemplarLatestWins: the newest trace per bucket wins.
+func TestExemplarLatestWins(t *testing.T) {
 	a := NewHistogram()
 	a.AddExemplar(0.100, "old")
 	a.AddExemplar(0.101, "new") // same bucket: must replace
-	ex := a.Exemplars()
+	ex := a.snapshot().exemplars
 	if len(ex) != 1 {
 		t.Fatalf("exemplars = %v, want one bucket", ex)
 	}
@@ -77,21 +75,5 @@ func TestExemplarLatestWinsAndMerge(t *testing.T) {
 		if e.TraceID != "new" {
 			t.Fatalf("bucket kept %q, want the latest trace", e.TraceID)
 		}
-	}
-
-	b := NewHistogram()
-	b.AddExemplar(100, "elsewhere")
-	a.Merge(b)
-	merged := a.Exemplars()
-	if len(merged) != 2 {
-		t.Fatalf("merge kept %d exemplar buckets, want 2: %v", len(merged), merged)
-	}
-
-	// Equal compares distributions, not exemplars.
-	x, y := NewHistogram(), NewHistogram()
-	x.AddExemplar(1, "tx")
-	y.Add(1)
-	if !x.Equal(y) {
-		t.Fatal("Equal must ignore exemplars")
 	}
 }

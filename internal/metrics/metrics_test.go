@@ -9,85 +9,6 @@ import (
 	"continuum/internal/workload"
 )
 
-func TestSummaryBasics(t *testing.T) {
-	var s Summary
-	for _, v := range []float64{1, 2, 3, 4, 5} {
-		s.Add(v)
-	}
-	if s.Count() != 5 {
-		t.Fatalf("Count = %d, want 5", s.Count())
-	}
-	if s.Mean() != 3 {
-		t.Fatalf("Mean = %v, want 3", s.Mean())
-	}
-	if s.Min() != 1 || s.Max() != 5 {
-		t.Fatalf("Min/Max = %v/%v, want 1/5", s.Min(), s.Max())
-	}
-	if s.Sum() != 15 {
-		t.Fatalf("Sum = %v, want 15", s.Sum())
-	}
-	if math.Abs(s.Var()-2) > 1e-12 {
-		t.Fatalf("Var = %v, want 2", s.Var())
-	}
-}
-
-func TestSummaryEmpty(t *testing.T) {
-	var s Summary
-	if s.Mean() != 0 || s.Var() != 0 || s.Std() != 0 {
-		t.Fatal("empty summary should report zeros")
-	}
-}
-
-func TestSummaryNegativeValues(t *testing.T) {
-	var s Summary
-	s.Add(-5)
-	s.Add(5)
-	if s.Min() != -5 || s.Max() != 5 || s.Mean() != 0 {
-		t.Fatalf("min/max/mean = %v/%v/%v", s.Min(), s.Max(), s.Mean())
-	}
-}
-
-func TestSummaryMergeEqualsSequential(t *testing.T) {
-	rng := workload.NewRNG(1)
-	var all, a, b Summary
-	for i := 0; i < 1000; i++ {
-		v := rng.Norm(10, 3)
-		all.Add(v)
-		if i%2 == 0 {
-			a.Add(v)
-		} else {
-			b.Add(v)
-		}
-	}
-	a.Merge(&b)
-	if a.Count() != all.Count() {
-		t.Fatalf("merged count %d != %d", a.Count(), all.Count())
-	}
-	if math.Abs(a.Mean()-all.Mean()) > 1e-9 {
-		t.Fatalf("merged mean %v != %v", a.Mean(), all.Mean())
-	}
-	if math.Abs(a.Var()-all.Var()) > 1e-9 {
-		t.Fatalf("merged var %v != %v", a.Var(), all.Var())
-	}
-	if a.Min() != all.Min() || a.Max() != all.Max() {
-		t.Fatal("merged min/max mismatch")
-	}
-}
-
-func TestSummaryMergeEmptyCases(t *testing.T) {
-	var a, b Summary
-	a.Add(1)
-	a.Merge(&b) // merge empty into non-empty
-	if a.Count() != 1 {
-		t.Fatal("merge with empty changed count")
-	}
-	var c Summary
-	c.Merge(&a) // merge non-empty into empty
-	if c.Count() != 1 || c.Mean() != 1 {
-		t.Fatal("merge into empty lost data")
-	}
-}
-
 func TestHistogramPercentiles(t *testing.T) {
 	h := NewHistogram()
 	// 1..1000 ms
@@ -129,8 +50,8 @@ func TestHistogramUnderflow(t *testing.T) {
 	if h.Count() != 3 {
 		t.Fatalf("Count = %d", h.Count())
 	}
-	if h.Min() != -1 || h.Max() != 1 {
-		t.Fatalf("Min/Max = %v/%v", h.Min(), h.Max())
+	if h.Quantile(0) != -1 || h.Quantile(1) != 1 {
+		t.Fatalf("min/max = %v/%v", h.Quantile(0), h.Quantile(1))
 	}
 	// Low quantiles land in the underflow bucket, reported as histMinVal.
 	if q := h.Quantile(0.1); q > 1e-8 {
@@ -150,27 +71,6 @@ func TestHistogramRelativeError(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
-	for i := 1; i <= 500; i++ {
-		a.Add(float64(i) * 1e-3)
-	}
-	for i := 501; i <= 1000; i++ {
-		b.Add(float64(i) * 1e-3)
-	}
-	a.Merge(b)
-	if a.Count() != 1000 {
-		t.Fatalf("merged count = %d", a.Count())
-	}
-	if a.Max() != 1.0 || a.Min() != 1e-3 {
-		t.Fatalf("merged min/max = %v/%v", a.Min(), a.Max())
-	}
-	p50 := a.P50()
-	if p50 < 0.45 || p50 > 0.56 {
-		t.Fatalf("merged P50 = %v", p50)
-	}
-}
-
 // Property: quantiles are monotone in q and bounded by [min, max].
 func TestPropertyHistogramQuantileMonotone(t *testing.T) {
 	f := func(seed uint64, n uint8) bool {
@@ -185,7 +85,7 @@ func TestPropertyHistogramQuantileMonotone(t *testing.T) {
 			if v < prev-1e-12 {
 				return false
 			}
-			if v > h.Max()+1e-12 {
+			if v > h.Quantile(1)+1e-12 {
 				return false
 			}
 			prev = v
@@ -227,31 +127,18 @@ func TestGauge(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	r := NewRegistry()
-	r.Summary("lat").Add(1)
-	r.Summary("lat").Add(3)
-	if r.Summary("lat").Mean() != 2 {
-		t.Fatal("registry summary not shared by name")
-	}
 	r.Counter("done").Inc()
+	r.Counter("done").Inc()
+	if r.Counter("done").Value() != 2 {
+		t.Fatal("registry counter not shared by name")
+	}
 	r.Histogram("h").Add(0.1)
+	if r.Histogram("h").Count() != 1 {
+		t.Fatal("registry histogram not shared by name")
+	}
 	r.Gauge("inflight").Set(2)
-	names := r.Names()
-	if len(names) != 4 {
-		t.Fatalf("Names = %v", names)
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i] < names[i-1] {
-			t.Fatalf("Names not sorted: %v", names)
-		}
-	}
-}
-
-func TestSeries(t *testing.T) {
-	var s Series
-	s.Append(1, 2)
-	s.Append(3, 4)
-	if s.Len() != 2 || s.X[1] != 3 || s.Y[1] != 4 {
-		t.Fatalf("series = %+v", s)
+	if r.Gauge("inflight").Value() != 2 {
+		t.Fatal("registry gauge not shared by name")
 	}
 }
 
@@ -294,7 +181,7 @@ func TestFormatBytes(t *testing.T) {
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("T1: demo", "policy", "latency", "energy")
 	tb.AddRow("edge", "1.2ms", "3J")
-	tb.AddRowf("cloud", 0.5, 42)
+	tb.AddRow("cloud", "0.5", "42")
 	out := tb.String()
 	if !strings.Contains(out, "T1: demo") {
 		t.Fatal("missing title")
@@ -305,9 +192,6 @@ func TestTableRendering(t *testing.T) {
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 5 { // title, header, rule, 2 rows
 		t.Fatalf("got %d lines:\n%s", len(lines), out)
-	}
-	if tb.NumRows() != 2 {
-		t.Fatalf("NumRows = %d", tb.NumRows())
 	}
 }
 
@@ -333,31 +217,5 @@ func TestTableCSV(t *testing.T) {
 	}
 	if !strings.HasPrefix(csv, "a,b\n") {
 		t.Fatalf("missing header: %q", csv)
-	}
-}
-
-func TestHistogramEqual(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
-	if !a.Equal(b) {
-		t.Fatal("empty histograms not equal")
-	}
-	for _, v := range []float64{0.01, 2.5, 1e-12, 40} {
-		a.Add(v)
-		b.Add(v)
-	}
-	if !a.Equal(b) {
-		t.Fatal("identical observation streams not equal")
-	}
-	b.Add(0.01)
-	if a.Equal(b) {
-		t.Fatal("different counts reported equal")
-	}
-	c, d := NewHistogram(), NewHistogram()
-	c.Add(1.0)
-	c.Add(3.0)
-	d.Add(2.0)
-	d.Add(2.0) // same count and sum, different extrema/buckets
-	if c.Equal(d) {
-		t.Fatal("different distributions reported equal")
 	}
 }

@@ -59,8 +59,6 @@ func TestWritePrometheusBasics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter(Label("requests_total", "op", "invoke")).Add(7)
 	r.Gauge("inflight").Set(3)
-	r.Summary("bytes").Add(10)
-	r.Summary("bytes").Add(20)
 	h := r.Histogram(Label("lat_seconds", "fn", "echo"))
 	h.Add(0.010)
 	h.Add(0.010)
@@ -80,9 +78,6 @@ func TestWritePrometheusBasics(t *testing.T) {
 		"# TYPE lat_seconds histogram",
 		`lat_seconds_bucket{fn="echo",le="+Inf"} 3`,
 		`lat_seconds_count{fn="echo"} 3`,
-		"# TYPE bytes summary",
-		"bytes_sum 30",
-		"bytes_count 2",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in output:\n%s", want, out)

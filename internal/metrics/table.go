@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"fmt"
 	"strings"
 )
 
@@ -29,26 +28,6 @@ func (t *Table) AddRow(cells ...string) {
 	}
 	t.rows = append(t.rows, row)
 }
-
-// AddRowf appends a row built from values formatted with %v (floats get
-// %.4g).
-func (t *Table) AddRowf(values ...any) {
-	cells := make([]string, len(values))
-	for i, v := range values {
-		switch x := v.(type) {
-		case float64:
-			cells[i] = fmt.Sprintf("%.4g", x)
-		case float32:
-			cells[i] = fmt.Sprintf("%.4g", x)
-		default:
-			cells[i] = fmt.Sprintf("%v", v)
-		}
-	}
-	t.AddRow(cells...)
-}
-
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
 
 // String renders the table with aligned columns.
 func (t *Table) String() string {

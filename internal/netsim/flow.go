@@ -33,9 +33,6 @@ type Flow struct {
 // Rate returns the flow's current allocated bandwidth in bytes/sec.
 func (f *Flow) Rate() float64 { return f.rate }
 
-// Remaining returns bytes left (as of the last reallocation event).
-func (f *Flow) Remaining() float64 { return f.remaining }
-
 // Transfer starts a bulk transfer of size bytes from a to b. The flow
 // becomes bandwidth-active after the path propagation delay; done (may be
 // nil) fires when the last byte is delivered. Same-node transfers complete
@@ -178,9 +175,6 @@ func (n *Network) finishFlow(f *Flow) {
 	f.complete()
 	n.reallocate()
 }
-
-// ActiveFlows returns the number of in-flight transfers (past propagation).
-func (n *Network) ActiveFlows() int { return len(n.active) }
 
 // TransferTime returns the uncontended time a size-byte transfer from a to
 // b would take (propagation + size/bottleneck), without starting one.

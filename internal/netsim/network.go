@@ -115,9 +115,6 @@ func (n *Network) Kernel() *sim.Kernel { return n.k }
 // NumNodes returns the number of topology vertices.
 func (n *Network) NumNodes() int { return len(n.adj) }
 
-// NumLinks returns the number of directed links.
-func (n *Network) NumLinks() int { return len(n.links) }
-
 // AddNode appends a vertex and returns its id.
 func (n *Network) AddNode() int {
 	n.adj = append(n.adj, nil)
@@ -152,9 +149,6 @@ func (n *Network) AddLink(from, to int, latency, capacity float64) *Link {
 func (n *Network) AddDuplexLink(a, b int, latency, capacity float64) (ab, ba *Link) {
 	return n.AddLink(a, b, latency, capacity), n.AddLink(b, a, latency, capacity)
 }
-
-// Links returns all directed links (shared slice; do not mutate).
-func (n *Network) Links() []*Link { return n.links }
 
 // SetLinkParams retunes a link's latency and capacity mid-simulation
 // (scenario link-degradation events). Routing is latency-based, so the
@@ -333,20 +327,6 @@ func (n *Network) Latency(a, b int) float64 {
 		return 0
 	}
 	return n.to(a, b).dist
-}
-
-// RTT returns the round-trip latency between a and b.
-func (n *Network) RTT(a, b int) float64 {
-	return n.Latency(a, b) + n.Latency(b, a)
-}
-
-// Bottleneck returns the minimum link capacity along the minimum-latency
-// path from a to b, +Inf for a == b, and 0 if unreachable.
-func (n *Network) Bottleneck(a, b int) float64 {
-	if a == b {
-		return math.Inf(1)
-	}
-	return n.to(a, b).bn
 }
 
 type nodeDist struct {

@@ -24,91 +24,3 @@ func Star(k *sim.Kernel, spec StarSpec) (*Network, int, []int) {
 	}
 	return n, hub, leaves
 }
-
-// DumbbellSpec parameterizes a dumbbell: two access stars joined by one
-// shared bottleneck link.
-type DumbbellSpec struct {
-	LeftLeaves, RightLeaves int
-	AccessLatency           float64
-	AccessCapacity          float64
-	BottleneckLatency       float64
-	BottleneckCapacity      float64
-}
-
-// Dumbbell builds the classic congestion topology and returns left leaf
-// ids, right leaf ids, and the two inner router ids.
-func Dumbbell(k *sim.Kernel, spec DumbbellSpec) (net *Network, left, right []int, lRouter, rRouter int) {
-	total := spec.LeftLeaves + spec.RightLeaves + 2
-	n := New(k, total)
-	lRouter, rRouter = 0, 1
-	n.AddDuplexLink(lRouter, rRouter, spec.BottleneckLatency, spec.BottleneckCapacity)
-	id := 2
-	for i := 0; i < spec.LeftLeaves; i++ {
-		n.AddDuplexLink(id, lRouter, spec.AccessLatency, spec.AccessCapacity)
-		left = append(left, id)
-		id++
-	}
-	for i := 0; i < spec.RightLeaves; i++ {
-		n.AddDuplexLink(id, rRouter, spec.AccessLatency, spec.AccessCapacity)
-		right = append(right, id)
-		id++
-	}
-	return n, left, right, lRouter, rRouter
-}
-
-// ThreeTierSpec parameterizes the canonical continuum topology used by the
-// placement experiments: sensors attach to gateways over a constrained
-// wireless-ish hop; gateways attach to a metro fog/router; the metro core
-// reaches the cloud over a WAN link with speed-of-light latency.
-type ThreeTierSpec struct {
-	Gateways          int
-	SensorsPerGateway int
-
-	SensorLatency  float64 // sensor<->gateway
-	SensorCapacity float64
-	MetroLatency   float64 // gateway<->metro core
-	MetroCapacity  float64
-	WANLatency     float64 // metro core<->cloud
-	WANCapacity    float64
-}
-
-// ThreeTier builds the edge-to-cloud topology. Returned ids: sensors
-// (grouped per gateway), gateways, the metro core vertex, and the cloud
-// vertex.
-func ThreeTier(k *sim.Kernel, spec ThreeTierSpec) (net *Network, sensors [][]int, gateways []int, core, cloud int) {
-	total := spec.Gateways*spec.SensorsPerGateway + spec.Gateways + 2
-	n := New(k, total)
-	core = 0
-	cloud = 1
-	n.AddDuplexLink(core, cloud, spec.WANLatency, spec.WANCapacity)
-	id := 2
-	for g := 0; g < spec.Gateways; g++ {
-		gw := id
-		id++
-		gateways = append(gateways, gw)
-		n.AddDuplexLink(gw, core, spec.MetroLatency, spec.MetroCapacity)
-		var group []int
-		for s := 0; s < spec.SensorsPerGateway; s++ {
-			sv := id
-			id++
-			n.AddDuplexLink(sv, gw, spec.SensorLatency, spec.SensorCapacity)
-			group = append(group, sv)
-		}
-		sensors = append(sensors, group)
-	}
-	return n, sensors, gateways, core, cloud
-}
-
-// Line builds a chain of n vertices with identical hops, for propagation
-// and multi-hop tests. It returns the vertex ids in order.
-func Line(k *sim.Kernel, n int, hopLatency, capacity float64) (*Network, []int) {
-	net := New(k, n)
-	ids := make([]int, n)
-	for i := range ids {
-		ids[i] = i
-	}
-	for i := 0; i+1 < n; i++ {
-		net.AddDuplexLink(i, i+1, hopLatency, capacity)
-	}
-	return net, ids
-}

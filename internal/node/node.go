@@ -178,9 +178,6 @@ func New(k *sim.Kernel, id int, spec Spec) *Node {
 	return n
 }
 
-// Kernel returns the kernel this node is bound to.
-func (n *Node) Kernel() *sim.Kernel { return n.kernel }
-
 // ExecTime returns the time to run (scalarWork, tensorWork targeting kind)
 // on this node with one core (plus one device if matching).
 func (n *Node) ExecTime(scalarWork, tensorWork float64, kind AccelKind) float64 {

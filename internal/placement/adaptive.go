@@ -55,17 +55,6 @@ func (a *Adaptive) Observe(nodeID int, latency float64) {
 	a.total++
 }
 
-// Samples returns how many observations the arm for nodeID has.
-func (a *Adaptive) Samples(nodeID int) int64 { return a.count[nodeID] }
-
-// MeanLatency returns the arm's observed mean (0 if unsampled).
-func (a *Adaptive) MeanLatency(nodeID int) float64 {
-	if a.count[nodeID] == 0 {
-		return 0
-	}
-	return a.sum[nodeID] / float64(a.count[nodeID])
-}
-
 // Select implements Policy: unsampled arms first (in node order for
 // determinism), then lowest lower-confidence bound.
 func (a *Adaptive) Select(env *Env, req Request) *node.Node {

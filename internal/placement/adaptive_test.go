@@ -39,11 +39,11 @@ func TestAdaptiveConvergesToBestArm(t *testing.T) {
 	if picks[1] < 400 {
 		t.Fatalf("best arm picked %d/500 times; picks=%v", picks[1], picks)
 	}
-	if a.Samples(1) != int64(picks[1]) {
-		t.Fatal("Samples bookkeeping wrong")
+	if a.count[1] != int64(picks[1]) {
+		t.Fatal("sample count bookkeeping wrong")
 	}
-	if got := a.MeanLatency(1); math.Abs(got-truth[1]) > 1e-9 {
-		t.Fatalf("MeanLatency = %v, want %v", got, truth[1])
+	if got := a.sum[1] / float64(a.count[1]); math.Abs(got-truth[1]) > 1e-9 {
+		t.Fatalf("mean latency = %v, want %v", got, truth[1])
 	}
 }
 
@@ -68,13 +68,6 @@ func TestAdaptiveKeepsExploringWithLargeBonus(t *testing.T) {
 func TestAdaptiveName(t *testing.T) {
 	if NewAdaptive(1).Name() != "adaptive-ucb" {
 		t.Fatal("name wrong")
-	}
-}
-
-func TestAdaptiveUnsampledMeanIsZero(t *testing.T) {
-	a := NewAdaptive(1)
-	if a.MeanLatency(42) != 0 || a.Samples(42) != 0 {
-		t.Fatal("unsampled arm not zero")
 	}
 }
 

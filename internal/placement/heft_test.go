@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -164,10 +165,7 @@ func TestScheduleMakespanLowerBound(t *testing.T) {
 	if s.EstMakespan < totalFlops/capacity-1e-9 {
 		t.Fatalf("makespan %v beats work/capacity bound %v", s.EstMakespan, totalFlops/capacity)
 	}
-	cp, _ := d.CriticalPath(
-		func(tk *task.Task) float64 { return tk.ScalarWork / fastest },
-		func(task.Edge) float64 { return 0 },
-	)
+	cp := criticalPath(t, d, func(tk *task.Task) float64 { return tk.ScalarWork / fastest })
 	if s.EstMakespan < cp-1e-9 {
 		t.Fatalf("makespan %v beats critical-path bound %v", s.EstMakespan, cp)
 	}
@@ -200,4 +198,23 @@ func TestPropertySchedulersValid(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// criticalPath returns the longest path through d where each task costs
+// compute(t) and edges are free: the classic makespan lower bound.
+func criticalPath(t *testing.T, d *task.DAG, compute func(*task.Task) float64) float64 {
+	order, err := d.TopoOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist := make([]float64, d.N())
+	best := 0.0
+	for _, u := range order {
+		dist[u] += compute(d.Tasks[u])
+		best = math.Max(best, dist[u])
+		for _, e := range d.Successors(u) {
+			dist[e.To] = math.Max(dist[e.To], dist[u])
+		}
+	}
+	return best
 }

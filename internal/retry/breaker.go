@@ -119,7 +119,6 @@ type Breaker struct {
 	openedAt    time.Time // when the breaker last opened
 	probes      int       // successes so far in half-open
 	inFlight    int       // admitted half-open probes awaiting outcome
-	trips       int64     // lifetime closed/half-open → open transitions
 }
 
 // NewBreaker returns a closed breaker.
@@ -134,13 +133,6 @@ func (b *Breaker) State() State {
 	defer b.mu.Unlock()
 	b.maybeHalfOpen()
 	return b.state
-}
-
-// Trips returns how many times the breaker has opened.
-func (b *Breaker) Trips() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.trips
 }
 
 // Allow reports whether a call may proceed now. In half-open it admits at
@@ -243,7 +235,6 @@ func (b *Breaker) rateTripped() bool {
 
 // trip opens the breaker and resets the counting state.
 func (b *Breaker) trip() {
-	b.trips++
 	b.openedAt = b.cfg.now()
 	b.consecutive = 0
 	b.probes = 0

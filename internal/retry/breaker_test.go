@@ -24,9 +24,21 @@ func (c *fakeClock) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
+// countTrips returns an OnStateChange hook and the count of transitions
+// into Open it has seen.
+func countTrips() (func(from, to State), *int) {
+	trips := 0
+	return func(_, to State) {
+		if to == Open {
+			trips++
+		}
+	}, &trips
+}
+
 func TestBreakerTripsOnConsecutiveFailures(t *testing.T) {
 	clk := &fakeClock{}
-	b := NewBreaker(BreakerConfig{FailureThreshold: 3, Cooldown: time.Second, Now: clk.now})
+	hook, trips := countTrips()
+	b := NewBreaker(BreakerConfig{FailureThreshold: 3, Cooldown: time.Second, Now: clk.now, OnStateChange: hook})
 	if b.State() != Closed || !b.Allow() {
 		t.Fatal("new breaker not closed/allowing")
 	}
@@ -42,8 +54,8 @@ func TestBreakerTripsOnConsecutiveFailures(t *testing.T) {
 	if b.Allow() {
 		t.Fatal("open breaker allowed a call")
 	}
-	if b.Trips() != 1 {
-		t.Fatalf("trips = %d", b.Trips())
+	if *trips != 1 {
+		t.Fatalf("trips = %d", *trips)
 	}
 }
 
@@ -105,7 +117,8 @@ func TestBreakerHalfOpenProbeRecloses(t *testing.T) {
 
 func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
 	clk := &fakeClock{}
-	b := NewBreaker(BreakerConfig{FailureThreshold: 1, Cooldown: time.Second, Now: clk.now})
+	hook, trips := countTrips()
+	b := NewBreaker(BreakerConfig{FailureThreshold: 1, Cooldown: time.Second, Now: clk.now, OnStateChange: hook})
 	b.Failure()
 	clk.advance(time.Second)
 	if !b.Allow() {
@@ -115,8 +128,8 @@ func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
 	if b.State() != Open {
 		t.Fatalf("state after probe failure = %v", b.State())
 	}
-	if b.Trips() != 2 {
-		t.Fatalf("trips = %d", b.Trips())
+	if *trips != 2 {
+		t.Fatalf("trips = %d", *trips)
 	}
 	// The cooldown restarted at the probe failure.
 	clk.advance(500 * time.Millisecond)

@@ -94,13 +94,3 @@ func (b *Budget) Success() {
 		b.tokens = full
 	}
 }
-
-// Tokens returns the current fill (for tests and introspection).
-func (b *Budget) Tokens() float64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.tokens
-}

@@ -19,7 +19,7 @@ func TestBudgetSpendAndRefill(t *testing.T) {
 	// Two successes at ratio 0.5 earn one retry back.
 	b.Success()
 	if b.Spend() {
-		t.Fatalf("half a token granted (tokens = %v)", b.Tokens())
+		t.Fatalf("half a token granted (tokens = %v)", b.tokens)
 	}
 	b.Success()
 	if !b.Spend() {
@@ -29,7 +29,7 @@ func TestBudgetSpendAndRefill(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		b.Success()
 	}
-	if got := b.Tokens(); got != 2 {
+	if got := b.tokens; got != 2 {
 		t.Fatalf("Tokens() = %v after overfill, want cap 2", got)
 	}
 }
@@ -50,9 +50,6 @@ func TestBudgetDefaultsAndNilSafety(t *testing.T) {
 		t.Fatal("nil budget must be unlimited")
 	}
 	nilB.Success() // must not panic
-	if nilB.Tokens() != 0 {
-		t.Fatal("nil budget Tokens() != 0")
-	}
 }
 
 // hintedErr is a retryable error carrying a server Retry-After hint.

@@ -110,12 +110,6 @@ func (p Policy) Backoff(retry int) time.Duration {
 	return time.Duration(p.rand() * float64(p.Ceiling(retry)))
 }
 
-// Sleep blocks for the jittered backoff of the given retry, or until ctx
-// is done (returning ctx.Err()).
-func (p Policy) Sleep(ctx context.Context, retry int) error {
-	return p.sleepFor(ctx, p.Backoff(retry))
-}
-
 func (p Policy) sleepFor(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return ctx.Err()

@@ -156,7 +156,7 @@ func TestSleepZeroDelayChecksContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	p := Policy{Rand: func() float64 { return 0 }}
-	if err := p.Sleep(ctx, 0); !errors.Is(err, context.Canceled) {
+	if err := p.sleepFor(ctx, p.Backoff(0)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
 }

@@ -103,12 +103,8 @@ func TestSimCordonStopsNewWork(t *testing.T) {
 	if r.Completed == 0 || r.Lost != 0 {
 		t.Fatalf("cordon run: %d completed, %d lost", r.Completed, r.Lost)
 	}
-	kinds := make(map[string]int)
-	for _, ev := range tr.Events() {
-		kinds[string(ev.Kind)]++
-	}
-	if kinds["cordon"] != 1 || kinds["uncordon"] != 1 {
-		t.Fatalf("trace records: %v", kinds)
+	if c, u := len(tr.Filter("cordon")), len(tr.Filter("uncordon")); c != 1 || u != 1 {
+		t.Fatalf("trace records %d cordon and %d uncordon events, want 1 each", c, u)
 	}
 }
 

@@ -23,7 +23,7 @@ func TestRunMatchesRunTraced(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: RunTraced: %v", name, err)
 		}
-		if tr.Len() == 0 {
+		if len(tr.Entities()) == 0 {
 			t.Fatalf("%s: RunTraced recorded no events", name)
 		}
 		pb, err := json.Marshal(plain)

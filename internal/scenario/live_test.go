@@ -81,8 +81,8 @@ func TestLiveBackendTracesEndToEnd(t *testing.T) {
 	if r.Lost != 0 || r.Completed == 0 {
 		t.Fatalf("lost=%d completed=%d", r.Lost, r.Completed)
 	}
-	if spans.Dropped() > 0 {
-		t.Fatalf("span ring overflowed (%d dropped); size it to the scenario", spans.Dropped())
+	if spans.Len() == 1<<16 {
+		t.Fatal("span ring full, so spans may have been overwritten; size it to the scenario")
 	}
 	sums := trace.Summarize(spans.Snapshot())
 	if int64(len(sums)) != r.Completed {

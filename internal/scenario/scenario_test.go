@@ -146,7 +146,7 @@ func TestRunTracedReturnsEvents(t *testing.T) {
 	if r.Completed == 0 {
 		t.Fatal("nothing completed")
 	}
-	if tr == nil || tr.Len() == 0 {
+	if tr == nil || len(tr.Entities()) == 0 {
 		t.Fatal("no trace events from a traced run")
 	}
 	if g := tr.Gantt(30); g == "" {

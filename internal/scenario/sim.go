@@ -124,7 +124,7 @@ func (s *Scenario) installEvents(c *core.Continuum, byName map[string]*node.Node
 	target := func(name string) *fault.Target {
 		t, ok := targets[name]
 		if !ok {
-			t = fault.NewTarget(name, c.K)
+			t = fault.NewTarget(name)
 			targets[name] = t
 			if opts.Faults == nil {
 				opts.Faults = make(map[int]*fault.Target)

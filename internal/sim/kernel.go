@@ -98,9 +98,6 @@ func (t Timer) Cancel() bool {
 	return true
 }
 
-// Time returns the virtual time at which the timer is (or was) scheduled.
-func (t Timer) Time() float64 { return t.at }
-
 // Pending reports whether the event is still scheduled: not yet fired and
 // not cancelled.
 func (t Timer) Pending() bool {
@@ -679,24 +676,6 @@ func (k *Kernel) RunUntil(deadline float64) int {
 		k.now = deadline
 	}
 	return n
-}
-
-// Step executes exactly one pending event, if any, and reports whether an
-// event ran.
-func (k *Kernel) Step() bool {
-	r, b := k.nextLive()
-	if r == nil {
-		return false
-	}
-	k.takeLive(r, b)
-	k.now = r.time
-	fn := r.fn
-	k.live--
-	k.recycle(r)
-	fn()
-	k.fired++
-	k.maybeShrink()
-	return true
 }
 
 // ---- binary heap (fallback + reference queue) ----

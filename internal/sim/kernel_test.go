@@ -170,23 +170,6 @@ func TestStopHaltsRun(t *testing.T) {
 	}
 }
 
-func TestStepExecutesOne(t *testing.T) {
-	k := NewKernel()
-	count := 0
-	k.At(1, func() { count++ })
-	k.At(2, func() { count++ })
-	if !k.Step() {
-		t.Fatal("Step() = false with pending events")
-	}
-	if count != 1 {
-		t.Fatalf("count = %d after one Step, want 1", count)
-	}
-	k.Step()
-	if k.Step() {
-		t.Fatal("Step() = true with no events")
-	}
-}
-
 func TestEventsScheduledDuringRun(t *testing.T) {
 	k := NewKernel()
 	depth := 0

@@ -241,9 +241,6 @@ func TestTimerPendingLifecycle(t *testing.T) {
 	if !tm.Pending() {
 		t.Fatal("scheduled timer not pending")
 	}
-	if got := tm.Time(); got != 5 {
-		t.Fatalf("Time() = %v, want 5", got)
-	}
 	tm.Cancel()
 	if tm.Pending() {
 		t.Fatal("cancelled timer still pending")
@@ -324,12 +321,9 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	}
 	// Warm: let the pool and calendar reach steady state.
 	k.RunUntil(5)
-	allocs := testing.AllocsPerRun(10, func() {
-		for i := 0; i < 1000; i++ {
-			k.Step()
-		}
-	})
+	// 256 hops with mean gap 0.5 fire ≈ 1000 events per 2 s of virtual time.
+	allocs := testing.AllocsPerRun(10, func() { k.RunUntil(k.Now() + 2) })
 	if allocs > 0 {
-		t.Fatalf("steady-state schedule/fire allocates %.1f objects per 1000 events, want 0", allocs)
+		t.Fatalf("steady-state schedule/fire allocates %.1f objects per ≈1000 events, want 0", allocs)
 	}
 }

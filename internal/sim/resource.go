@@ -16,29 +16,11 @@ type Resource struct {
 	// mark, useful for utilization reporting.
 	Grants   uint64
 	MaxInUse int64
-
-	// busyTime integrates inUse over virtual time for utilization.
-	busyTime   float64
-	lastChange float64
 }
 
 type acquireReq struct {
-	n         int64
-	fn        func()
-	cancelled bool
-}
-
-// AcquireHandle cancels a pending acquire.
-type AcquireHandle struct{ req *acquireReq }
-
-// Cancel removes a still-pending acquire from the wait queue. It reports
-// whether the request was pending (false if already granted or cancelled).
-func (h AcquireHandle) Cancel() bool {
-	if h.req == nil || h.req.cancelled || h.req.fn == nil {
-		return false
-	}
-	h.req.cancelled = true
-	return true
+	n  int64
+	fn func()
 }
 
 // NewResource creates a resource with the given capacity in units.
@@ -49,48 +31,19 @@ func NewResource(k *Kernel, name string, capacity int64) *Resource {
 	return &Resource{k: k, name: name, capacity: capacity}
 }
 
-// Name returns the resource's name.
-func (r *Resource) Name() string { return r.name }
-
 // Capacity returns total units.
 func (r *Resource) Capacity() int64 { return r.capacity }
 
 // InUse returns currently held units.
 func (r *Resource) InUse() int64 { return r.inUse }
 
-// Free returns currently available units.
-func (r *Resource) Free() int64 { return r.capacity - r.inUse }
-
 // QueueLen returns the number of pending acquire requests.
-func (r *Resource) QueueLen() int {
-	n := 0
-	for _, w := range r.waiters {
-		if !w.cancelled {
-			n++
-		}
-	}
-	return n
-}
-
-// Utilization returns mean in-use fraction over virtual time up to now.
-func (r *Resource) Utilization() float64 {
-	r.accumulate()
-	if r.k.Now() == 0 {
-		return 0
-	}
-	return r.busyTime / (r.k.Now() * float64(r.capacity))
-}
-
-func (r *Resource) accumulate() {
-	now := r.k.Now()
-	r.busyTime += float64(r.inUse) * (now - r.lastChange)
-	r.lastChange = now
-}
+func (r *Resource) QueueLen() int { return len(r.waiters) }
 
 // Acquire requests n units; fn runs (immediately, synchronously) once the
 // units are granted. Requests exceeding capacity panic since they can never
 // be satisfied.
-func (r *Resource) Acquire(n int64, fn func()) AcquireHandle {
+func (r *Resource) Acquire(n int64, fn func()) {
 	if n <= 0 {
 		panic(fmt.Sprintf("sim: acquire %d <= 0 units of %q", n, r.name))
 	}
@@ -100,22 +53,18 @@ func (r *Resource) Acquire(n int64, fn func()) AcquireHandle {
 	req := &acquireReq{n: n, fn: fn}
 	if len(r.waiters) == 0 && r.inUse+n <= r.capacity {
 		r.grant(req)
-		return AcquireHandle{req}
+		return
 	}
 	r.waiters = append(r.waiters, req)
-	return AcquireHandle{req}
 }
 
 func (r *Resource) grant(req *acquireReq) {
-	r.accumulate()
 	r.inUse += req.n
 	if r.inUse > r.MaxInUse {
 		r.MaxInUse = r.inUse
 	}
 	r.Grants++
-	fn := req.fn
-	req.fn = nil // mark granted
-	fn()
+	req.fn()
 }
 
 // Release returns n units and grants as many queued requests as now fit,
@@ -128,32 +77,13 @@ func (r *Resource) Release(n int64) {
 	if n > r.inUse {
 		panic(fmt.Sprintf("sim: release %d > in-use %d of %q", n, r.inUse, r.name))
 	}
-	r.accumulate()
 	r.inUse -= n
 	for len(r.waiters) > 0 {
 		head := r.waiters[0]
-		if head.cancelled {
-			r.waiters = r.waiters[1:]
-			continue
-		}
 		if r.inUse+head.n > r.capacity {
 			break
 		}
 		r.waiters = r.waiters[1:]
 		r.grant(head)
 	}
-}
-
-// Use acquires n units, holds them for d seconds of virtual time, then
-// releases them and calls done (which may be nil). It is the common
-// "occupy a server for a service time" pattern.
-func (r *Resource) Use(n int64, d float64, done func()) {
-	r.Acquire(n, func() {
-		r.k.After(d, func() {
-			r.Release(n)
-			if done != nil {
-				done()
-			}
-		})
-	})
 }

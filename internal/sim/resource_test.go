@@ -6,6 +6,19 @@ import (
 	"testing/quick"
 )
 
+// use acquires n units of r, holds them for d seconds of virtual time,
+// then releases them and calls done (which may be nil).
+func use(r *Resource, n int64, d float64, done func()) {
+	r.Acquire(n, func() {
+		r.k.After(d, func() {
+			r.Release(n)
+			if done != nil {
+				done()
+			}
+		})
+	})
+}
+
 func TestResourceImmediateGrant(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "cores", 4)
@@ -14,8 +27,8 @@ func TestResourceImmediateGrant(t *testing.T) {
 	if !granted {
 		t.Fatal("acquire within capacity not granted immediately")
 	}
-	if r.InUse() != 2 || r.Free() != 2 {
-		t.Fatalf("InUse=%d Free=%d, want 2/2", r.InUse(), r.Free())
+	if r.InUse() != 2 {
+		t.Fatalf("InUse=%d, want 2", r.InUse())
 	}
 }
 
@@ -60,60 +73,13 @@ func TestResourceFIFONoOvertaking(t *testing.T) {
 	}
 }
 
-func TestResourceCancelPending(t *testing.T) {
-	k := NewKernel()
-	r := NewResource(k, "cores", 1)
-	r.Acquire(1, func() {})
-	granted := false
-	h := r.Acquire(1, func() { granted = true })
-	if !h.Cancel() {
-		t.Fatal("Cancel pending acquire = false")
-	}
-	if h.Cancel() {
-		t.Fatal("double Cancel = true")
-	}
-	r.Release(1)
-	if granted {
-		t.Fatal("cancelled acquire was granted")
-	}
-	if r.InUse() != 0 {
-		t.Fatalf("InUse = %d, want 0", r.InUse())
-	}
-}
-
-func TestResourceCancelGrantedIsFalse(t *testing.T) {
-	k := NewKernel()
-	r := NewResource(k, "cores", 1)
-	h := r.Acquire(1, func() {})
-	if h.Cancel() {
-		t.Fatal("Cancel on already-granted acquire = true")
-	}
-}
-
-func TestResourceUseReleasesAfterDuration(t *testing.T) {
-	k := NewKernel()
-	r := NewResource(k, "cores", 1)
-	var doneAt float64 = -1
-	r.Use(1, 5, func() { doneAt = k.Now() })
-	if r.InUse() != 1 {
-		t.Fatalf("InUse = %d during Use, want 1", r.InUse())
-	}
-	k.Run()
-	if doneAt != 5 {
-		t.Fatalf("done at %v, want 5", doneAt)
-	}
-	if r.InUse() != 0 {
-		t.Fatalf("InUse = %d after Use, want 0", r.InUse())
-	}
-}
-
 func TestResourceMMcQueueing(t *testing.T) {
 	// 3 jobs of 10s on 2 servers: completions at 10, 10, 20.
 	k := NewKernel()
 	r := NewResource(k, "srv", 2)
 	var done []float64
 	for i := 0; i < 3; i++ {
-		r.Use(1, 10, func() { done = append(done, k.Now()) })
+		use(r, 1, 10, func() { done = append(done, k.Now()) })
 	}
 	k.Run()
 	want := []float64{10, 10, 20}
@@ -127,7 +93,7 @@ func TestResourceMMcQueueing(t *testing.T) {
 func TestResourceStats(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "srv", 2)
-	r.Use(2, 10, nil)
+	use(r, 2, 10, nil)
 	k.At(20, func() {}) // extend sim to 20s
 	k.Run()
 	if r.MaxInUse != 2 {
@@ -135,10 +101,6 @@ func TestResourceStats(t *testing.T) {
 	}
 	if r.Grants != 1 {
 		t.Fatalf("Grants = %d, want 1", r.Grants)
-	}
-	// Busy 2 units for 10s of 2x20 capacity-time = 0.5 utilization.
-	if u := r.Utilization(); u < 0.49 || u > 0.51 {
-		t.Fatalf("Utilization = %v, want ~0.5", u)
 	}
 }
 
@@ -181,7 +143,7 @@ func TestPropertyResourceConservation(t *testing.T) {
 			d := rng.Float64() * 10
 			at := rng.Float64() * 10
 			k.At(at, func() {
-				r.Use(n, d, func() { completed++ })
+				use(r, n, d, func() { completed++ })
 			})
 		}
 		k.Run()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -64,9 +63,6 @@ func NewGroup(n int, lookahead float64) *Group {
 	}
 	return g
 }
-
-// Shards returns the number of shards.
-func (g *Group) Shards() int { return len(g.shards) }
 
 // Shard returns the i'th kernel for scheduling that shard's own events.
 func (g *Group) Shard(i int) *Kernel { return g.shards[i] }
@@ -174,25 +170,4 @@ func (k *Kernel) runWindow(w float64) int {
 		k.maybeShrink()
 	}
 	return n
-}
-
-// Fired returns the per-shard fired counters, summed. Unlike the Run
-// return value this includes events fired by direct Shard(i).Run calls.
-func (g *Group) Fired() uint64 {
-	var total uint64
-	for _, k := range g.shards {
-		total += k.Fired()
-	}
-	return total
-}
-
-// Times returns each shard's current virtual time, sorted ascending —
-// a cheap fingerprint for tests asserting serial/parallel equivalence.
-func (g *Group) Times() []float64 {
-	ts := make([]float64, len(g.shards))
-	for i, k := range g.shards {
-		ts[i] = k.Now()
-	}
-	sort.Float64s(ts)
-	return ts
 }

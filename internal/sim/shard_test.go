@@ -11,8 +11,8 @@ import (
 // event posts a message to the next shard. It returns a per-shard event
 // log so serial and parallel runs can be compared bit-for-bit.
 func buildGroupWorkload(g *Group, perShard int) [][]string {
-	logs := make([][]string, g.Shards())
-	for s := 0; s < g.Shards(); s++ {
+	logs := make([][]string, len(g.shards))
+	for s := 0; s < len(g.shards); s++ {
 		s := s
 		rng := rand.New(rand.NewSource(int64(1000 + s)))
 		k := g.Shard(s)
@@ -27,7 +27,7 @@ func buildGroupWorkload(g *Group, perShard int) [][]string {
 				remaining--
 				step(id + 1)
 				if id%16 == 0 {
-					dst := (s + 1) % g.Shards()
+					dst := (s + 1) % len(g.shards)
 					at := k.Now() + g.Lookahead() + rng.Float64()
 					g.Post(s, dst, at, func() {
 						logs[dst] = append(logs[dst], fmt.Sprintf("x%d@%.9f", id, g.Shard(dst).Now()))

@@ -142,18 +142,6 @@ func (d *DAG) Roots() []ID {
 	return roots
 }
 
-// Sinks returns tasks with no successors.
-func (d *DAG) Sinks() []ID {
-	d.build()
-	var sinks []ID
-	for i := range d.Tasks {
-		if len(d.succ[i]) == 0 {
-			sinks = append(sinks, ID(i))
-		}
-	}
-	return sinks
-}
-
 // Validate checks edge endpoints and acyclicity.
 func (d *DAG) Validate() error {
 	n := len(d.Tasks)
@@ -215,46 +203,6 @@ func (d *DAG) TopoOrder() ([]ID, error) {
 		return nil, fmt.Errorf("task: DAG %q has a cycle (%d of %d ordered)", d.Name, len(order), n)
 	}
 	return order, nil
-}
-
-// CriticalPath returns the longest path length through the DAG where each
-// task costs compute(t) seconds and each edge costs comm(e) seconds, plus
-// one witness path. It is the classic makespan lower bound.
-func (d *DAG) CriticalPath(compute func(*Task) float64, comm func(Edge) float64) (float64, []ID) {
-	order, err := d.TopoOrder()
-	if err != nil {
-		panic(err) // callers validate first; a cycle is a programming error
-	}
-	n := len(d.Tasks)
-	dist := make([]float64, n)
-	via := make([]ID, n)
-	for i := range via {
-		via[i] = -1
-	}
-	best := 0.0
-	bestEnd := ID(-1)
-	for _, u := range order {
-		dist[u] += compute(d.Tasks[u])
-		if dist[u] > best {
-			best = dist[u]
-			bestEnd = u
-		}
-		for _, e := range d.Successors(u) {
-			cand := dist[u] + comm(e)
-			if cand > dist[e.To] {
-				dist[e.To] = cand
-				via[e.To] = u
-			}
-		}
-	}
-	var path []ID
-	for at := bestEnd; at >= 0; at = via[at] {
-		path = append(path, at)
-	}
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return best, path
 }
 
 // TotalWork sums flops over all tasks.

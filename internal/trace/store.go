@@ -59,18 +59,6 @@ func (st *SpanStore) Len() int {
 	return int(n)
 }
 
-// Dropped returns how many spans have been overwritten by the ring.
-func (st *SpanStore) Dropped() int64 {
-	if st == nil {
-		return 0
-	}
-	n := st.next.Load()
-	if n <= uint64(len(st.slots)) {
-		return 0
-	}
-	return int64(n - uint64(len(st.slots)))
-}
-
 // Snapshot returns the retained spans sorted by start time. Each slot is
 // read atomically; a concurrent writer may replace slots mid-walk, which
 // can momentarily duplicate or skip an overwritten span — acceptable for
@@ -181,14 +169,6 @@ func (a *ActiveSpan) Context() SpanContext {
 		return SpanContext{}
 	}
 	return SpanContext{TraceID: a.span.TraceID, SpanID: a.span.SpanID}
-}
-
-// TraceID returns the trace this span belongs to ("" for nil spans).
-func (a *ActiveSpan) TraceID() string {
-	if a == nil {
-		return ""
-	}
-	return a.span.TraceID
 }
 
 // SetAttempt records which retry attempt or hedge arm this span is.

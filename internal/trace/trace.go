@@ -91,13 +91,6 @@ func (t *Tracer) RecordAttempt(time float64, kind Kind, entity, detail string, a
 	t.events = append(t.events, Event{Time: time, Kind: kind, Entity: entity, Detail: detail, Attempt: attempt})
 }
 
-// Len returns the number of retained events.
-func (t *Tracer) Len() int { return len(t.events) }
-
-// Events returns the retained events in record order (shared slice; do
-// not mutate).
-func (t *Tracer) Events() []Event { return t.events }
-
 // Filter returns events of the given kind, preserving order.
 func (t *Tracer) Filter(kind Kind) []Event {
 	var out []Event
@@ -172,23 +165,6 @@ func (t *Tracer) busyIntervals(entity string) [][2]float64 {
 	return out
 }
 
-// Utilization returns the fraction of [from, to] during which the entity
-// had at least one task running.
-func (t *Tracer) Utilization(entity string, from, to float64) float64 {
-	if to <= from {
-		return 0
-	}
-	busy := 0.0
-	for _, iv := range t.busyIntervals(entity) {
-		lo := math.Max(iv[0], from)
-		hi := math.Min(iv[1], to)
-		if hi > lo {
-			busy += hi - lo
-		}
-	}
-	return busy / (to - from)
-}
-
 // Gantt renders an ASCII busy-timeline, one lane per entity, width
 // columns spanning the trace. '#' marks any-busy buckets.
 func (t *Tracer) Gantt(width int) string {
@@ -252,20 +228,4 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadJSONL loads events from JSON lines into a fresh unbounded tracer.
-func ReadJSONL(r io.Reader) (*Tracer, error) {
-	t := New(0)
-	dec := json.NewDecoder(r)
-	for {
-		var e Event
-		if err := dec.Decode(&e); err != nil {
-			if err == io.EOF {
-				return t, nil
-			}
-			return nil, fmt.Errorf("trace: %w", err)
-		}
-		t.events = append(t.events, e)
-	}
 }

@@ -301,12 +301,6 @@ func (c *Client) Ping() error {
 	return err
 }
 
-// PingContext round-trips a no-op frame under ctx.
-func (c *Client) PingContext(ctx context.Context) error {
-	_, err := c.roundTripContext(ctx, &Request{Op: OpPing})
-	return err
-}
-
 // Invoke calls fn remotely.
 func (c *Client) Invoke(fn string, payload []byte) ([]byte, error) {
 	resp, err := c.roundTrip(&Request{Op: OpInvoke, Fn: fn, Payload: payload})

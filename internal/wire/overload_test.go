@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"continuum/internal/faas"
+	"continuum/internal/metrics"
 	"continuum/internal/retry"
 )
 
@@ -175,8 +176,8 @@ func TestRetryBudgetSharedByHedgesAndRetries(t *testing.T) {
 	if launched, _ := hedger.HedgeStats(); launched != 1 {
 		t.Fatalf("hedges launched = %d, want 1 (the budget's only token)", launched)
 	}
-	if tok := budget.Tokens(); tok >= 1 {
-		t.Fatalf("budget still holds %v tokens after the hedge", tok)
+	if budget.Spend() {
+		t.Fatal("budget still held a whole token after the hedge")
 	}
 
 	// Same bucket, now a retry client against a saturated endpoint.
@@ -192,10 +193,12 @@ func TestRetryBudgetSharedByHedgesAndRetries(t *testing.T) {
 	}, reg)
 	addr3 := startServerOn(t, &Server{Invoker: ep, Registry: reg, Endpoints: []*faas.Endpoint{ep}})
 
+	retrierReg := metrics.NewRegistry()
 	retrier, err := NewReliableClient(ReliableConfig{
-		Addrs:  []string{addr3},
-		Retry:  retry.Policy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond},
-		Budget: budget,
+		Addrs:   []string{addr3},
+		Retry:   retry.Policy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond},
+		Budget:  budget,
+		Metrics: retrierReg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +216,7 @@ func TestRetryBudgetSharedByHedgesAndRetries(t *testing.T) {
 	if !errors.Is(err, retry.ErrBudgetExhausted) {
 		t.Fatalf("err = %v, want ErrBudgetExhausted (hedge drained the shared bucket)", err)
 	}
-	if retrier.BudgetDenials() == 0 {
+	if retrierReg.Counter("wire_retry_budget_exhausted_total").Value() == 0 {
 		t.Fatal("budget denial not counted")
 	}
 	release <- struct{}{}
@@ -237,10 +240,12 @@ func TestHedgeSuppressedByEmptyBudget(t *testing.T) {
 		ep := faas.NewEndpoint(faas.EndpointConfig{Name: name, Capacity: 4}, reg)
 		return &Server{Invoker: ep, Registry: reg, Endpoints: []*faas.Endpoint{ep}}
 	}
+	reg := metrics.NewRegistry()
 	c, err := NewReliableClient(ReliableConfig{
-		Addrs:  []string{startServerOn(t, slow("a")), startServerOn(t, slow("b"))},
-		Hedge:  HedgeConfig{Enabled: true, Delay: 5 * time.Millisecond},
-		Budget: budget,
+		Addrs:   []string{startServerOn(t, slow("a")), startServerOn(t, slow("b"))},
+		Hedge:   HedgeConfig{Enabled: true, Delay: 5 * time.Millisecond},
+		Budget:  budget,
+		Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +258,7 @@ func TestHedgeSuppressedByEmptyBudget(t *testing.T) {
 	if launched, _ := c.HedgeStats(); launched != 0 {
 		t.Fatalf("hedges launched = %d with an empty budget", launched)
 	}
-	if c.BudgetDenials() == 0 {
+	if reg.Counter("wire_retry_budget_exhausted_total").Value() == 0 {
 		t.Fatal("suppressed hedge not counted as a budget denial")
 	}
 }

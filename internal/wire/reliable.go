@@ -237,7 +237,6 @@ type ReliableClient struct {
 
 	lat               *metrics.Histogram // completed-call latency, seconds
 	hedges, hedgeWins atomic.Int64
-	budgetDenied      atomic.Int64
 
 	retries, failovers  *metrics.Counter // nil without a registry
 	reuse               *metrics.Counter
@@ -492,7 +491,6 @@ func (r *ReliableClient) spendBudget() bool {
 	if r.cfg.Budget.Spend() {
 		return true
 	}
-	r.budgetDenied.Add(1)
 	if r.budgetDeniedC != nil {
 		r.budgetDeniedC.Inc()
 	}
@@ -802,12 +800,6 @@ func (r *ReliableClient) hedgeDelay() (time.Duration, bool) {
 // the hedge arm won.
 func (r *ReliableClient) HedgeStats() (launched, wins int64) {
 	return r.hedges.Load(), r.hedgeWins.Load()
-}
-
-// BudgetDenials returns how many retries were failed and hedge arms
-// suppressed by an exhausted retry budget.
-func (r *ReliableClient) BudgetDenials() int64 {
-	return r.budgetDenied.Load()
 }
 
 // Ping round-trips against any live endpoint.

@@ -29,98 +29,6 @@ func (p *Poisson) Next() float64 { return p.rng.Exp(p.rate) }
 // Rate returns the configured rate.
 func (p *Poisson) Rate() float64 { return p.rate }
 
-// Deterministic emits arrivals at a fixed period.
-type Deterministic struct{ period float64 }
-
-// NewDeterministic returns a process with the given fixed period in seconds.
-func NewDeterministic(period float64) *Deterministic {
-	if period <= 0 {
-		panic("workload: Deterministic period <= 0")
-	}
-	return &Deterministic{period: period}
-}
-
-// Next returns the constant period.
-func (d *Deterministic) Next() float64 { return d.period }
-
-// Rate returns 1/period.
-func (d *Deterministic) Rate() float64 { return 1 / d.period }
-
-// MMPP is a two-state Markov-modulated Poisson process: a bursty source
-// that alternates between a low-rate and a high-rate phase with
-// exponentially distributed phase durations. It is the standard simple
-// model for bursty IoT and request traffic.
-type MMPP struct {
-	rng                  *RNG
-	rateLow, rateHigh    float64
-	meanLowDur, meanHigh float64
-	inHigh               bool
-	phaseLeft            float64
-}
-
-// NewMMPP builds a two-phase MMPP. rateLow/rateHigh are the per-phase
-// Poisson rates; meanLowDur/meanHighDur the mean phase durations in seconds.
-func NewMMPP(rng *RNG, rateLow, rateHigh, meanLowDur, meanHighDur float64) *MMPP {
-	if rateLow <= 0 || rateHigh <= 0 || meanLowDur <= 0 || meanHighDur <= 0 {
-		panic("workload: MMPP nonpositive parameter")
-	}
-	m := &MMPP{
-		rng: rng, rateLow: rateLow, rateHigh: rateHigh,
-		meanLowDur: meanLowDur, meanHigh: meanHighDur,
-	}
-	m.phaseLeft = rng.Exp(1 / meanLowDur)
-	return m
-}
-
-// Next returns the next inter-arrival gap, advancing phases as needed.
-func (m *MMPP) Next() float64 {
-	total := 0.0
-	for {
-		rate := m.rateLow
-		if m.inHigh {
-			rate = m.rateHigh
-		}
-		gap := m.rng.Exp(rate)
-		if gap <= m.phaseLeft {
-			m.phaseLeft -= gap
-			return total + gap
-		}
-		// Phase expires before the tentative arrival: burn the remaining
-		// phase time and redraw in the next phase (memorylessness makes
-		// this exact).
-		total += m.phaseLeft
-		m.inHigh = !m.inHigh
-		mean := m.meanLowDur
-		if m.inHigh {
-			mean = m.meanHigh
-		}
-		m.phaseLeft = m.rng.Exp(1 / mean)
-	}
-}
-
-// Rate returns the time-weighted mean rate across phases.
-func (m *MMPP) Rate() float64 {
-	wLow := m.meanLowDur / (m.meanLowDur + m.meanHigh)
-	return wLow*m.rateLow + (1-wLow)*m.rateHigh
-}
-
-// SizeDist produces i.i.d. job/flow sizes.
-type SizeDist interface {
-	// Next returns the next size (bytes, flops — caller's unit).
-	Next() float64
-	// Mean returns the distribution mean.
-	Mean() float64
-}
-
-// FixedSize always returns the same size.
-type FixedSize float64
-
-// Next returns the fixed size.
-func (f FixedSize) Next() float64 { return float64(f) }
-
-// Mean returns the fixed size.
-func (f FixedSize) Mean() float64 { return float64(f) }
-
 // LognormalSize draws lognormal sizes, the common model for task runtimes.
 type LognormalSize struct {
 	rng       *RNG
@@ -136,11 +44,6 @@ func NewLognormalSize(rng *RNG, mu, sigma float64) *LognormalSize {
 // Next draws one size.
 func (l *LognormalSize) Next() float64 { return l.rng.Lognormal(l.mu, l.sigma) }
 
-// Mean returns exp(mu + sigma^2/2).
-func (l *LognormalSize) Mean() float64 {
-	return expm(l.mu + l.sigma*l.sigma/2)
-}
-
 // ParetoSize draws heavy-tailed Pareto sizes (file/flow sizes).
 type ParetoSize struct {
 	rng       *RNG
@@ -154,14 +57,6 @@ func NewParetoSize(rng *RNG, xm, alpha float64) *ParetoSize {
 
 // Next draws one size.
 func (p *ParetoSize) Next() float64 { return p.rng.Pareto(p.xm, p.alpha) }
-
-// Mean returns alpha*xm/(alpha-1) for alpha > 1, +Inf otherwise.
-func (p *ParetoSize) Mean() float64 {
-	if p.alpha <= 1 {
-		return inf()
-	}
-	return p.alpha * p.xm / (p.alpha - 1)
-}
 
 // UniformSize draws uniform sizes in [lo, hi).
 type UniformSize struct {
@@ -179,6 +74,3 @@ func NewUniformSize(rng *RNG, lo, hi float64) *UniformSize {
 
 // Next draws one size.
 func (u *UniformSize) Next() float64 { return u.rng.Range(u.lo, u.hi) }
-
-// Mean returns (lo+hi)/2.
-func (u *UniformSize) Mean() float64 { return (u.lo + u.hi) / 2 }

@@ -35,76 +35,16 @@ func TestPoissonPanicsOnBadRate(t *testing.T) {
 	NewPoisson(NewRNG(1), 0)
 }
 
-func TestDeterministicGaps(t *testing.T) {
-	d := NewDeterministic(0.5)
-	for i := 0; i < 10; i++ {
-		if d.Next() != 0.5 {
-			t.Fatal("deterministic gap varied")
-		}
-	}
-	if d.Rate() != 2.0 {
-		t.Fatalf("Rate() = %v, want 2", d.Rate())
-	}
-}
-
-func TestMMPPMeanRate(t *testing.T) {
-	// Low 1/s for mean 10s, high 20/s for mean 10s: mean rate 10.5/s.
-	m := NewMMPP(NewRNG(2), 1, 20, 10, 10)
-	wantRate := m.Rate()
-	if math.Abs(wantRate-10.5) > 1e-9 {
-		t.Fatalf("Rate() = %v, want 10.5", wantRate)
-	}
-	sum := 0.0
-	const n = 400000
-	for i := 0; i < n; i++ {
-		g := m.Next()
-		if g < 0 {
-			t.Fatalf("negative gap %v", g)
-		}
-		sum += g
-	}
-	rate := n / sum
-	if math.Abs(rate-wantRate)/wantRate > 0.05 {
-		t.Fatalf("empirical MMPP rate %v, want ~%v", rate, wantRate)
-	}
-}
-
-func TestMMPPBurstiness(t *testing.T) {
-	// MMPP gaps should have a higher coefficient of variation than Poisson
-	// at the same mean rate.
-	m := NewMMPP(NewRNG(3), 0.5, 50, 20, 2)
-	var gaps []float64
-	for i := 0; i < 100000; i++ {
-		gaps = append(gaps, m.Next())
-	}
-	cv := coefVar(gaps)
-	if cv <= 1.05 {
-		t.Fatalf("MMPP CV = %v, want > 1.05 (burstier than Poisson)", cv)
-	}
-}
-
-func coefVar(xs []float64) float64 {
-	sum, sq := 0.0, 0.0
-	for _, x := range xs {
-		sum += x
-		sq += x * x
-	}
-	n := float64(len(xs))
-	mean := sum / n
-	v := sq/n - mean*mean
-	return math.Sqrt(v) / mean
-}
-
 func TestSizeDistMeans(t *testing.T) {
 	cases := []struct {
 		name string
-		d    SizeDist
+		d    interface{ Next() float64 }
+		want float64 // the distribution mean
 		tol  float64
 	}{
-		{"fixed", FixedSize(7), 0},
-		{"lognormal", NewLognormalSize(NewRNG(4), 1, 0.6), 0.03},
-		{"pareto", NewParetoSize(NewRNG(5), 1, 2.5), 0.05},
-		{"uniform", NewUniformSize(NewRNG(6), 2, 8), 0.02},
+		{"lognormal", NewLognormalSize(NewRNG(4), 1, 0.6), math.Exp(1 + 0.6*0.6/2), 0.03},
+		{"pareto", NewParetoSize(NewRNG(5), 1, 2.5), 2.5 * 1 / (2.5 - 1), 0.05},
+		{"uniform", NewUniformSize(NewRNG(6), 2, 8), (2 + 8) / 2.0, 0.02},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -117,25 +57,10 @@ func TestSizeDistMeans(t *testing.T) {
 				}
 				sum += v
 			}
-			mean := sum / n
-			want := tc.d.Mean()
-			if tc.tol == 0 {
-				if mean != want {
-					t.Fatalf("mean = %v, want %v", mean, want)
-				}
-				return
-			}
-			if math.Abs(mean-want)/want > tc.tol {
-				t.Fatalf("mean = %v, want ~%v", mean, want)
+			if mean := sum / n; math.Abs(mean-tc.want)/tc.want > tc.tol {
+				t.Fatalf("mean = %v, want ~%v", mean, tc.want)
 			}
 		})
-	}
-}
-
-func TestParetoInfiniteMean(t *testing.T) {
-	p := NewParetoSize(NewRNG(7), 1, 0.9)
-	if !math.IsInf(p.Mean(), 1) {
-		t.Fatalf("Pareto alpha<=1 Mean() = %v, want +Inf", p.Mean())
 	}
 }
 
@@ -144,8 +69,6 @@ func TestPropertyArrivalGapsNonnegative(t *testing.T) {
 		rng := NewRNG(seed)
 		procs := []ArrivalProcess{
 			NewPoisson(rng.Split(), 3),
-			NewDeterministic(0.25),
-			NewMMPP(rng.Split(), 1, 10, 5, 5),
 		}
 		for _, p := range procs {
 			for i := 0; i < 200; i++ {

@@ -47,14 +47,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63n returns a uniform int64 in [0, n). It panics if n <= 0.
-func (r *RNG) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("workload: Int63n with n <= 0")
-	}
-	return int64(r.Uint64() % uint64(n))
-}
-
 // Float64 returns a uniform float64 in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
@@ -113,14 +105,6 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Shuffle permutes the first n elements using swap, Fisher-Yates.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Zipf generates ranks in [0, n) with probability proportional to
 // 1/(rank+1)^s, the standard popularity-skew model for dataset access.
 type Zipf struct {
@@ -148,9 +132,6 @@ func NewZipf(rng *RNG, n int, s float64) *Zipf {
 	}
 	return &Zipf{rng: rng, cdf: cdf}
 }
-
-// N returns the number of items.
-func (z *Zipf) N() int { return len(z.cdf) }
 
 // Next returns the next sampled rank in [0, N).
 func (z *Zipf) Next() int {

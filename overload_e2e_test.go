@@ -172,10 +172,10 @@ func TestE2EOverloadGracefulDegradation(t *testing.T) {
 	// The endpoint's own books must agree with the client's view: every
 	// accepted request completed, every rejection is accounted as shed,
 	// and low priority shed at least as much as high.
-	if got := ep.Shed(); got != int64(shed) {
+	byPrio := ep.ShedByPriority()
+	if got := byPrio[0] + byPrio[1] + byPrio[2]; got != int64(shed) {
 		t.Fatalf("endpoint counted %d shed, clients saw %d", got, shed)
 	}
-	byPrio := ep.ShedByPriority()
 	if byPrio[0] < byPrio[faas.NumPriorities-1] {
 		t.Fatalf("shedding not lowest-first: %v", byPrio)
 	}

@@ -1,0 +1,12 @@
+// Command demo is the root of the planted program.
+package main
+
+import (
+	"fmt"
+
+	"lintdemo/internal/demo"
+)
+
+func main() {
+	fmt.Println(demo.Live(), demo.Total(demo.Square{Side: 2}))
+}

@@ -29,11 +29,14 @@ echo "== bench smoke =="
 # paying for a full measurement run.
 go test -run '^$' -bench 'BenchmarkWire|BenchmarkHashPolicyOrder|BenchmarkLeastLoadedOrder|BenchmarkRegistryRoutable|BenchmarkMessageTime|BenchmarkNetworkBuild|BenchmarkGreedyLatencySelect|BenchmarkContinuumValidate' -benchtime=1x ./internal/wire ./internal/federation ./internal/netsim ./internal/placement ./internal/core
 
-echo "== doc lint =="
-# Every exported identifier in the operator-facing packages must carry a
-# doc comment (wire, faas, federation — the API surface OPERATIONS.md
-# and the godoc pass document).
-go run ./scripts/doclint ./internal/federation ./internal/wire ./internal/faas
+echo "== api lint =="
+# Doc check: every exported identifier in the operator-facing packages
+# (wire, faas, federation — the API surface OPERATIONS.md documents)
+# carries a doc comment. Dead check: every package-level declaration in
+# internal/ is reachable from a command, example, script or the
+# benchmark module, unless scripts/apilint/allowlist.txt says why not.
+go run ./scripts/apilint -doc ./internal/federation,./internal/wire,./internal/faas \
+    -allow scripts/apilint/allowlist.txt . benchmark
 
 # The end-to-end gates are written down once, as Makefile targets (each
 # target's comment says what it asserts): the benchmark module, chaos,
