@@ -64,14 +64,17 @@ federation-smoke:
 	go test -race -count=1 -run 'TestE2EFederationChurnNoRequestLost' .
 	go test -race -count=1 -run 'TestLiveRouterChurnZeroLost' ./internal/scenario
 
-# Scale harness: generate 1000-, 10k- and 100k-node scenarios, validate
-# them, and run each through the simulator inside a wall-clock budget.
-# On a 2-vCPU Xeon (Go 1.24.0, GOMAXPROCS 2) they take 0.06–0.08 s,
-# 0.26–0.37 s and 2.7–3.4 s (0.85–0.87 GB peak RSS) with resumable
-# shortest-path searches and nearest-first greedy-latency placement;
-# sorting every candidate per origin they took 0.12–0.14 s, 1.8–2.7 s
-# and 30–38 s. The 20 s budgets are the scale gate.
+# Scale harness: generate 1000-, 10k-, 100k- and 300k-node scenarios,
+# validate them, and run each through the simulator inside a wall-clock
+# budget; each run prints its peak RSS. On a 2-vCPU Xeon (Go 1.24.0,
+# GOMAXPROCS 2) they take 0.03–0.04 s (16–26 MB), 0.08–0.11 s (51 MB),
+# 0.85–1.12 s (0.45 GB) and 2.9–3.4 s (1.34 GB) now that a fully listed
+# placement part stops without settling more vertices and searches
+# reuse their storage across route epochs; before, they took 0.04–0.06 s
+# (18–28 MB), 0.22–0.31 s (0.11–0.13 GB), 1.95–2.43 s (0.89–0.93 GB) and
+# 7.2–8.3 s (2.5–2.8 GB). The 20 s budgets are the scale gate.
 stress:
 	go run ./cmd/continuum-sim scenario stress -nodes 1000 -seed 42 -budget 60s
 	go run ./cmd/continuum-sim scenario stress -nodes 10000 -seed 42 -budget 20s
 	go run ./cmd/continuum-sim scenario stress -nodes 100000 -seed 42 -budget 20s
+	go run ./cmd/continuum-sim scenario stress -nodes 300000 -seed 42 -budget 20s

@@ -243,6 +243,9 @@ func scenarioStress(args []string) {
 			*runs, workers, float64(completed)/elapsed.Seconds())
 	}
 	fmt.Println()
+	if kb, ok := peakRSSKB(); ok {
+		fmt.Printf("peak RSS: %.0f MB\n", float64(kb)/1e3)
+	}
 	if *budget > 0 && elapsed > *budget {
 		fatal(fmt.Errorf("stress sweep took %v, budget %v", elapsed.Round(time.Millisecond), *budget))
 	}

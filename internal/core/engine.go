@@ -137,7 +137,7 @@ func (e *engine) run(u unit) {
 func (e *engine) afterDisturb(u unit, drop bool) {
 	if drop {
 		e.st.ChaosDrops++
-		e.c.Tracer.RecordAttempt(e.c.K.Now(), trace.Failure, u.node.Name, u.task.Name+" chaos", u.attempt)
+		e.traceFailure(u, "chaos")
 		u.lost()
 		return
 	}
@@ -156,14 +156,15 @@ func (e *engine) afterDisturb(u unit, drop bool) {
 // pipeline, StageStart/StageEnd bracket input staging when data actually
 // moves, and TaskStart/TaskEnd bracket execution — all carrying the
 // attempt number. Every record is nil-safe, so a continuum without a
-// tracer pays only the dead branch inside Tracer.RecordAttempt.
+// tracer pays only the dead branch inside Tracer.RecordAttempt (and
+// traceFailure's own check).
 func (e *engine) dispatch(u unit) {
 	epoch0 := e.epoch(u.node)
 	start := e.c.K.Now()
 	e.c.Tracer.RecordAttempt(start, trace.Dispatch, u.node.Name, u.task.Name, u.attempt)
 	e.stage(u, func() {
 		if e.epoch(u.node) != epoch0 {
-			e.c.Tracer.RecordAttempt(e.c.K.Now(), trace.Failure, u.node.Name, u.task.Name+" inputs lost", u.attempt)
+			e.traceFailure(u, "inputs lost")
 			u.lost()
 			return
 		}
@@ -174,7 +175,7 @@ func (e *engine) dispatch(u unit) {
 		u.node.Execute(u.task.ScalarWork, u.task.TensorWork, u.task.Accel, func() {
 			now := e.c.K.Now()
 			if e.epoch(u.node) != epoch0 {
-				e.c.Tracer.RecordAttempt(now, trace.Failure, u.node.Name, u.task.Name+" lost", u.attempt)
+				e.traceFailure(u, "lost")
 				u.lost()
 				return
 			}
@@ -199,9 +200,18 @@ func (e *engine) missedDeadline(u unit, start float64) bool {
 		return false
 	}
 	e.st.DeadlineMisses++
-	e.c.Tracer.RecordAttempt(e.c.K.Now(), trace.Failure, u.node.Name, u.task.Name+" deadline exceeded", u.attempt)
+	e.traceFailure(u, "deadline exceeded")
 	u.lost()
 	return true
+}
+
+// traceFailure records a Failure for u's attempt, naming the task and
+// why. It builds the name only when a tracer is set, so an untraced run
+// concatenates no strings.
+func (e *engine) traceFailure(u unit, why string) {
+	if e.c.Tracer != nil {
+		e.c.Tracer.RecordAttempt(e.c.K.Now(), trace.Failure, u.node.Name, u.task.Name+" "+why, u.attempt)
+	}
 }
 
 // stage makes the unit's inputs resident on its node, then calls next.

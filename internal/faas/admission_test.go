@@ -429,6 +429,9 @@ func TestAdmissionHammer(t *testing.T) {
 	if ep.QueueDepth() != 0 {
 		t.Fatalf("leaked queued waiters: %d", ep.QueueDepth())
 	}
+	// A handler abandoned on a context deadline can still be finishing
+	// when its worker returns.
+	waitFor(t, func() bool { return ep.Running() == 0 })
 	if got := ep.Running(); got != 0 {
 		t.Fatalf("leaked running slots: %d", got)
 	}

@@ -62,12 +62,17 @@ type Network struct {
 
 	// spt holds the shortest-path search per source vertex (hops nil
 	// until first asked); every topology change drops them all. Routing
-	// is latency-static, so caching is exact. built records whether any
-	// search was started since the last invalidation, so building a
-	// topology link by link does not clear an all-empty cache V times
-	// (O(V²)).
-	spt   []search
-	built bool
+	// is latency-static, so caching is exact. started lists the sources
+	// searched since the last invalidation, so building a topology link
+	// by link does not walk an all-empty cache V times (O(V²)).
+	spt     []search
+	started []int32
+	// freeHops, freeOrder and freePQ hold the storage of dropped
+	// searches for the next ones to reuse, so a run that retunes links
+	// does not allocate every search afresh each route epoch.
+	freeHops  [][]hop
+	freeOrder [][]int32
+	freePQ    []nodeHeap
 	// epoch counts route invalidations (see RouteEpoch).
 	epoch uint64
 
@@ -167,14 +172,20 @@ func (n *Network) SetLinkParams(l *Link, latency, capacity float64) {
 	n.invalidate()
 }
 
-// invalidate drops every shortest-path search and advances the route
-// epoch.
+// invalidate drops every shortest-path search, keeping its storage for
+// reuse, and advances the route epoch.
 func (n *Network) invalidate() {
 	n.epoch++
-	if n.built {
-		clear(n.spt)
-		n.built = false
+	for _, src := range n.started {
+		s := &n.spt[src]
+		n.freeHops = append(n.freeHops, s.hops)
+		n.freeOrder = append(n.freeOrder, s.order[:0])
+		if s.pq != nil {
+			n.freePQ = append(n.freePQ, s.pq[:0])
+		}
+		*s = search{}
 	}
+	n.started = n.started[:0]
 }
 
 // RouteEpoch identifies the current routes: it changes whenever a
@@ -195,14 +206,32 @@ func (n *Network) search(src int) *search {
 	n.checkNode(src)
 	s := &n.spt[src]
 	if s.hops == nil {
-		s.hops = make([]hop, len(n.adj))
+		s.hops = take(&n.freeHops)
+		if cap(s.hops) < len(n.adj) {
+			s.hops = make([]hop, len(n.adj))
+		}
+		s.hops = s.hops[:len(n.adj)]
 		for i := range s.hops {
 			s.hops[i] = hop{dist: math.Inf(1), prev: -1}
 		}
 		s.hops[src] = hop{dist: 0, bn: math.Inf(1), prev: -1}
-		s.pq = nodeHeap{{src, 0}}
-		n.built = true
+		s.order = take(&n.freeOrder)
+		s.pq = append(take(&n.freePQ), nodeDist{src, 0})
+		n.started = append(n.started, int32(src))
 	}
+	return s
+}
+
+// take pops the last slice off a free list, or returns nil when it is
+// empty.
+func take[S ~[]E, E any](free *[]S) S {
+	l := *free
+	if len(l) == 0 {
+		return nil
+	}
+	s := l[len(l)-1]
+	l[len(l)-1] = nil
+	*free = l[:len(l)-1]
 	return s
 }
 
@@ -228,7 +257,10 @@ func (n *Network) step(s *search) bool {
 		}
 		return true
 	}
-	s.pq = nil
+	if s.pq != nil {
+		n.freePQ = append(n.freePQ, s.pq)
+		s.pq = nil
+	}
 	return false
 }
 

@@ -36,6 +36,22 @@ func stressEnv(n int) *Env {
 	return env
 }
 
+// backlogged gives the cloud and every fog of a stress-shaped fleet one
+// queued task per core on top of a full set of running ones, so each of
+// their scores exceeds any gateway's latency plus their exec time: a
+// nearest-first scan of their parts reaches the end of each list with the
+// best score still above every remaining bound.
+func backlogged(env *Env) *Env {
+	for _, n := range env.Nodes {
+		if n.Class == node.Cloud || n.Class == node.Fog {
+			for c := 0; c < 2*n.Spec.Cores; c++ {
+				n.Cores.Acquire(1, func() {})
+			}
+		}
+	}
+	return env
+}
+
 // selected keeps the compiler from discarding the measured calls.
 var selected *node.Node
 
@@ -43,7 +59,9 @@ var selected *node.Node
 // stress-shaped fleet from a rotating set of 64 warm origins (their trees
 // and candidate orders already built). The 10pct-ineligible case marks a
 // seeded tenth of the fleet ineligible through Env.Eligible, as faults
-// and cordons do in a run.
+// and cordons do in a run. The backlogged case loads the cloud and the
+// fogs as a run's heavy phases do, so their parts run out of listed
+// members while their bounds are still below the best score.
 func BenchmarkGreedyLatencySelect(b *testing.B) {
 	tk := &task.Task{ScalarWork: 5e9, OutputBytes: 1e4, Inputs: []task.DataRef{{Name: "in", Bytes: 2e5}}}
 	bench := func(env *Env) func(*testing.B) {
@@ -67,5 +85,6 @@ func BenchmarkGreedyLatencySelect(b *testing.B) {
 	}
 	ineligible.Eligible = func(n *node.Node) bool { return !down[n.ID] }
 	b.Run("1000nodes-10pct-ineligible", bench(ineligible))
+	b.Run("1000nodes-backlogged", bench(backlogged(stressEnv(1000))))
 	b.Run("10000nodes", bench(stressEnv(10000)))
 }

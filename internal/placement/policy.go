@@ -276,9 +276,9 @@ func (r *RoundRobin) Select(env *Env, req Request) *node.Node {
 // monotone, so fl(Latency(origin, n) + exec) is a lower bound on n's
 // score. Candidates whose specs give the same exec are scanned nearest
 // first, and a part's scan stops once the bound is strictly greater than
-// the best score so far. Every candidate whose bound equals the best is
-// still scored, so the choice is the same (score, ID) minimum a full scan
-// returns.
+// the best score so far, or once it has passed every member of the part.
+// Every candidate whose bound equals the best is still scored, so the
+// choice is the same (score, ID) minimum a full scan returns.
 type GreedyLatency struct{}
 
 // Name implements Policy.
@@ -297,6 +297,9 @@ func (GreedyLatency) Select(env *Env, req Request) *node.Node {
 	scan:
 		for k := 0; ; k++ {
 			for k == len(o.parts[p]) {
+				if k == int(ix.size[p]) {
+					break scan // every member is listed and scanned
+				}
 				// The part's list is used up: settle the origin's next
 				// vertex. Every vertex settled after it is at least as far.
 				lat, ok := ix.extend(o, req.Origin)
@@ -341,9 +344,9 @@ func (GreedyLatency) Select(env *Env, req Request) *node.Node {
 type nearIndex struct {
 	net   *netsim.Network
 	nodes []*node.Node // the candidate slice the index describes
-	// parts holds one candidate position per part; partOf maps a
-	// position to its part.
-	parts, partOf []int32
+	// parts holds one candidate position per part and size its member
+	// count; partOf maps a position to its part.
+	parts, size, partOf []int32
 	// at[v] is the first candidate position at vertex v and next[i] the
 	// one after position i there (-1 ends both).
 	at, next []int32
@@ -434,9 +437,10 @@ func (ix *nearIndex) build(env *Env) {
 	}
 	for i, pos := range byKey {
 		if i == 0 || key(byKey[i-1]) != key(pos) {
-			ix.parts = append(ix.parts, pos)
+			ix.parts, ix.size = append(ix.parts, pos), append(ix.size, 0)
 		}
 		ix.partOf[pos] = int32(len(ix.parts) - 1)
+		ix.size[len(ix.size)-1]++
 	}
 	for v := range ix.at {
 		ix.at[v] = -1

@@ -503,3 +503,38 @@ func TestGreedyLatencyUnreachableAndTopologyChanges(t *testing.T) {
 		check(t, env, "n4")
 	})
 }
+
+// TestGreedyLatencyStopsAFullyListedPart: on a backlogged stress-shaped
+// fleet (one cloud, 15 fogs, 984 gateways), a decision from a gateway
+// lists every fog and the cloud while their bounds are still below the
+// best score. Their parts stop there, so the origin's search settles the
+// gateway's neighbourhood and the fogs, not the network. A scan that
+// settles the next vertex whenever a list runs out, even a list that
+// holds every member of its part, walks all 1000 vertices looking for a
+// 16th fog.
+func TestGreedyLatencyStopsAFullyListedPart(t *testing.T) {
+	env := backlogged(stressEnv(1000))
+	tk := &task.Task{ScalarWork: 5e9, OutputBytes: 1e4, Inputs: []task.DataRef{{Name: "in", Bytes: 2e5}}}
+	origin := env.Nodes[len(env.Nodes)-1].ID
+	req := Request{Task: tk, Origin: origin}
+	got := GreedyLatency{}.Select(env, req)
+	settled := env.shared().near.origins[origin].settled
+	if want := fullScanGreedyLatency(env, req); got != want {
+		t.Fatalf("bounded scan chose %s, full scan %s", nameOf(got), nameOf(want))
+	}
+	if v := env.Net.NumNodes(); settled >= v/4 {
+		t.Fatalf("settled %d of %d vertices from gateway %d", settled, v, origin)
+	}
+	// The precondition: every cloud and fog scores above the farthest
+	// gateway's latency plus the fog exec time.
+	fogExec := env.Nodes[1].ExecTime(tk.ScalarWork, tk.TensorWork, tk.Accel)
+	farthest := 0.0
+	for _, n := range env.Nodes {
+		farthest = max(farthest, env.Net.Latency(origin, n.ID))
+	}
+	for _, n := range env.Nodes {
+		if n.Class != node.Gateway && EstimateLatency(env, req, n) <= farthest+fogExec {
+			t.Fatalf("%s scores %v, not above %v + %v", n.Name, EstimateLatency(env, req, n), farthest, fogExec)
+		}
+	}
+}
