@@ -137,7 +137,6 @@ type EndpointConfig struct {
 }
 
 type container struct {
-	fn       string
 	idleFrom time.Time
 }
 
@@ -154,7 +153,7 @@ type Endpoint struct {
 	cordoned atomic.Bool
 
 	mu     sync.Mutex
-	warm   map[string][]*container
+	warm   map[string][]container // by value: a warm release allocates nothing
 	closed bool
 
 	// Running is the number of in-flight containers (approximate gauge).
@@ -249,7 +248,7 @@ func NewEndpoint(cfg EndpointConfig, reg *Registry) *Endpoint {
 		cfg:   cfg,
 		reg:   reg,
 		slots: make(chan struct{}, cfg.Capacity),
-		warm:  make(map[string][]*container),
+		warm:  make(map[string][]container),
 	}
 	if cfg.Admission.Enabled {
 		ep.adm = newAdmitter(cfg.Admission, cfg.Capacity)
@@ -421,7 +420,7 @@ func (ep *Endpoint) release(fn string) {
 	}
 	pool := ep.warm[fn]
 	if len(pool) < ep.cfg.MaxWarmPerFn {
-		ep.warm[fn] = append(pool, &container{fn: fn, idleFrom: time.Now()})
+		ep.warm[fn] = append(pool, container{idleFrom: time.Now()})
 	}
 }
 
@@ -600,14 +599,15 @@ func (ep *Endpoint) safeCall(fn string, h Handler, payload []byte) (out []byte, 
 // the warm pool when it eventually finishes (slotFreed tells it the slot
 // side is already done).
 func (ep *Endpoint) execute(ctx context.Context, fn string, h Handler, payload []byte) ([]byte, error) {
-	finish := func() {
-		ep.release(fn)
-		ep.releaseSlot()
-	}
 	if ctx.Done() == nil && ep.cfg.ExecTimeout <= 0 {
 		out, err := ep.safeCall(fn, h, payload)
-		finish()
+		ep.release(fn)
+		ep.releaseSlot()
 		return out, err
+	}
+	finish := func() { // only here: the goroutine captures it, so it escapes to the heap
+		ep.release(fn)
+		ep.releaseSlot()
 	}
 	var timeout <-chan time.Time
 	if ep.cfg.ExecTimeout > 0 {

@@ -107,6 +107,40 @@ func TestColdThenWarm(t *testing.T) {
 	}
 }
 
+// TestWarmInvokeAllocatesNothing: with no metrics and no spans, a warm
+// Invoke allocates nothing — the warm pool holds containers by value and
+// the inline execute path builds no closure.
+func TestWarmInvokeAllocatesNothing(t *testing.T) {
+	ep := newTestEndpoint(1, 0)
+	payload := []byte("x")
+	if _, err := ep.Invoke("echo", payload); err != nil { // the cold start
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(100, func() { ep.Invoke("echo", payload) }); a != 0 {
+		t.Fatalf("warm Invoke allocated %v times, want 0", a)
+	}
+	if ep.ColdStarts() != 1 {
+		t.Fatalf("%d cold starts, want 1: the measured invokes were not warm", ep.ColdStarts())
+	}
+}
+
+// BenchmarkEndpointInvoke is the warm in-process invoke: no wire, no
+// metrics, no spans.
+func BenchmarkEndpointInvoke(b *testing.B) {
+	ep := newTestEndpoint(1, 0)
+	payload := []byte("x")
+	if _, err := ep.Invoke("echo", payload); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ep.Invoke("echo", payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestWarmPoolsArePerFunction(t *testing.T) {
 	ep := newTestEndpoint(2, 0)
 	ep.Invoke("echo", nil)

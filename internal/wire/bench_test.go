@@ -10,6 +10,8 @@ import (
 	"bytes"
 	"net"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -85,6 +87,36 @@ func BenchmarkWireInvokeParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkWireInvokeConns4 is the direct-small shape: 4 connections,
+// one closed-loop caller each, 64 B payloads. Every call is a lone frame
+// on its connection, so it measures the per-hop write and wake-up cost
+// rather than batching.
+func BenchmarkWireInvokeConns4(b *testing.B) {
+	addr := benchServer(b)
+	clients := make([]*Client, 4)
+	for i := range clients {
+		clients[i] = benchClient(b, addr)
+	}
+	payload := bytes.Repeat([]byte{'x'}, 64)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, c := range clients {
+		wg.Add(1)
+		go func(c *Client) {
+			defer wg.Done()
+			for next.Add(1) <= int64(b.N) {
+				if _, err := c.Invoke("echo", payload); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
 }
 
 // BenchmarkWireCodec isolates encode+decode cost for a 64 KiB payload.

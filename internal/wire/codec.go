@@ -101,7 +101,8 @@ func WriteFrameCodec(w io.Writer, v any, codec Codec) error {
 
 // appendFrame appends one complete frame — length prefix and encoded
 // body — to dst. This is the shared encode path: WriteFrameCodec issues
-// the result as one Write, and groupWriter queues it for a batched one.
+// the result as one Write, and groupWriter writes it inline or in a
+// batch with the frames of concurrent writers.
 func appendFrame(dst []byte, v any) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0) // length prefix placeholder

@@ -3,6 +3,7 @@ package wire
 import (
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -347,4 +348,64 @@ func TestDrainWaitsForPipelinedCalls(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Shutdown hung")
 	}
+}
+
+// TestConnGoroutinesExitWithConn: every goroutine a connection starts —
+// the client's reader, the server's connection handler and its workers
+// — exits once the clients close and the server closes, so the
+// goroutine count returns to where it started.
+func TestConnGoroutinesExitWithConn(t *testing.T) {
+	base := settledGoroutines()
+	srv := echoServer(t, "leak")
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(lis) }()
+	clients := make([]*Client, 4)
+	for i := range clients {
+		if clients[i], err = Dial(lis.Addr().String()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for _, c := range clients {
+		for j := 0; j < 4; j++ { // concurrent calls grow each connection's worker pool
+			wg.Add(1)
+			go func(c *Client) {
+				defer wg.Done()
+				if _, err := c.Invoke("echo", []byte("x")); err != nil {
+					t.Error(err)
+				}
+			}(c)
+		}
+	}
+	wg.Wait()
+	if n := runtime.NumGoroutine(); n <= base+2*len(clients) {
+		t.Fatalf("%d goroutines with %d connections open, baseline %d: connections started none?", n, len(clients), base)
+	}
+	for _, c := range clients {
+		c.Close()
+	}
+	srv.Close()
+	if err := <-served; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	waitCond(t, func() bool { return runtime.NumGoroutine() <= base })
+}
+
+// settledGoroutines is the goroutine count once those left over from
+// earlier tests have exited: two samples 20ms apart agree.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		time.Sleep(20 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
 }

@@ -137,6 +137,9 @@ func TestServerPerOpCounters(t *testing.T) {
 	if err := c.Ping(); err != nil {
 		t.Fatal(err)
 	}
+	// A response can reach the client before its worker has counted it;
+	// a request stays in flight until it is counted.
+	waitCond(t, func() bool { return m.Gauge("wire_inflight").Value() == 0 })
 	if got := m.Counter(metrics.Label("wire_requests_total", "op", "invoke")).Value(); got != 3 {
 		t.Fatalf("invoke requests = %d, want 3", got)
 	}
