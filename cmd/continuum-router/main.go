@@ -46,11 +46,9 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
-	"net/http"
-	_ "net/http/pprof" // handlers forwarded onto the metrics mux under -pprof
+	_ "net/http/pprof" // wire.ServeMetrics forwards /debug/pprof/ to these handlers under -pprof
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -82,7 +80,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "continuum-router: -policy %q: want hash or least-loaded\n", *policyName)
 		os.Exit(2)
 	}
-	hedge, err := parseHedge(*hedgeSpec)
+	hedge, err := wire.ParseHedge(*hedgeSpec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "continuum-router:", err)
 		os.Exit(2)
@@ -130,7 +128,12 @@ func main() {
 		Metrics: m,
 	}
 	if m != nil {
-		go serveMetrics(*metricsAddr, m, spans, *pprof)
+		go func() {
+			if err := wire.ServeMetrics(*metricsAddr, m, spans, *pprof); err != nil {
+				fmt.Fprintln(os.Stderr, "continuum-router: metrics server:", err)
+			}
+		}()
+		fmt.Printf("continuum-router: metrics on http://%s/metrics\n", *metricsAddr)
 	}
 	lis, err := net.Listen("tcp", *listen)
 	if err != nil {
@@ -157,47 +160,4 @@ func main() {
 	<-drained
 	routes, errs := rt.RouteStats()
 	fmt.Printf("continuum-router: drained, exiting (%d routed, %d failed)\n", routes, errs)
-}
-
-// parseHedge turns the -hedge flag into a wire.HedgeConfig: "" = off,
-// "auto" = p99-derived delay, anything else = a fixed delay duration.
-func parseHedge(s string) (wire.HedgeConfig, error) {
-	switch s {
-	case "":
-		return wire.HedgeConfig{}, nil
-	case "auto":
-		return wire.HedgeConfig{Enabled: true}, nil
-	default:
-		d, err := time.ParseDuration(s)
-		if err != nil || d <= 0 {
-			return wire.HedgeConfig{}, fmt.Errorf("-hedge: want 'auto' or a positive duration, got %q", s)
-		}
-		return wire.HedgeConfig{Enabled: true, Delay: d}, nil
-	}
-}
-
-// serveMetrics exposes the router's registry in Prometheus text format,
-// a liveness probe, and the span store as /debug/traces JSON (?trace=<id>
-// filters to one trace); withPprof mounts net/http/pprof on the same mux.
-func serveMetrics(addr string, m *metrics.Registry, spans *trace.SpanStore, withPprof bool) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		m.WritePrometheus(w)
-	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		spans.WriteJSON(w, r.URL.Query().Get("trace"))
-	})
-	if withPprof {
-		mux.Handle("/debug/pprof/", http.DefaultServeMux)
-	}
-	fmt.Printf("continuum-router: metrics on http://%s/metrics\n", addr)
-	if err := http.ListenAndServe(addr, mux); err != nil && !strings.Contains(err.Error(), "Server closed") {
-		fmt.Fprintln(os.Stderr, "continuum-router: metrics server:", err)
-	}
 }

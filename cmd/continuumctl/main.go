@@ -77,7 +77,7 @@ func main() {
 		usage()
 	}
 	addrs := splitAddrs(*addr)
-	hedge, err := parseHedge(*hedgeSpec)
+	hedge, err := wire.ParseHedge(*hedgeSpec)
 	if err != nil {
 		fatal(err)
 	}
@@ -625,23 +625,6 @@ func breakerSummary(rc *wire.ReliableClient) {
 	}
 	if launched, wins := rc.HedgeStats(); launched > 0 {
 		fmt.Fprintf(os.Stderr, "hedges: %d launched, %d won\n", launched, wins)
-	}
-}
-
-// parseHedge turns the -hedge flag into a wire.HedgeConfig: "" = off,
-// "auto" = p99-derived delay, anything else = a fixed delay duration.
-func parseHedge(s string) (wire.HedgeConfig, error) {
-	switch s {
-	case "":
-		return wire.HedgeConfig{}, nil
-	case "auto":
-		return wire.HedgeConfig{Enabled: true}, nil
-	default:
-		d, err := time.ParseDuration(s)
-		if err != nil || d <= 0 {
-			return wire.HedgeConfig{}, fmt.Errorf("-hedge: want 'auto' or a positive duration, got %q", s)
-		}
-		return wire.HedgeConfig{Enabled: true, Delay: d}, nil
 	}
 }
 

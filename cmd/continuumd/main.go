@@ -71,8 +71,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
-	"net/http"
-	_ "net/http/pprof" // handlers forwarded onto the metrics mux under -pprof
+	_ "net/http/pprof" // wire.ServeMetrics forwards /debug/pprof/ to these handlers under -pprof
 	"os"
 	"os/signal"
 	"syscall"
@@ -167,7 +166,12 @@ func main() {
 		m = metrics.NewRegistry()
 		ep.SetMetrics(m)
 		srv.Metrics = m
-		go serveMetrics(*metricsAddr, m, spans, *pprof)
+		go func() {
+			if err := wire.ServeMetrics(*metricsAddr, m, spans, *pprof); err != nil {
+				fmt.Fprintln(os.Stderr, "continuumd: metrics server:", err)
+			}
+		}()
+		fmt.Printf("continuumd: metrics on http://%s/metrics\n", *metricsAddr)
 	}
 	lis, err := net.Listen("tcp", *listen)
 	if err != nil {
@@ -229,35 +233,4 @@ func main() {
 		m.WritePrometheus(os.Stdout)
 	}
 	fmt.Println("continuumd: drained, exiting")
-}
-
-// serveMetrics exposes the shared registry in Prometheus text format, a
-// trivial liveness probe, and the span store as /debug/traces JSON
-// (?trace=<id> filters to one trace); withPprof mounts net/http/pprof
-// on the same mux. Scrapes read consistent snapshots; they never block
-// the invoke path beyond the registry's per-metric locks (span
-// snapshots are atomic reads).
-func serveMetrics(addr string, m *metrics.Registry, spans *trace.SpanStore, withPprof bool) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		m.WritePrometheus(w)
-	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		spans.WriteJSON(w, r.URL.Query().Get("trace"))
-	})
-	if withPprof {
-		// net/http/pprof registers on DefaultServeMux at import; forward
-		// its prefix so the handlers ride this mux (and only this mux).
-		mux.Handle("/debug/pprof/", http.DefaultServeMux)
-	}
-	fmt.Printf("continuumd: metrics on http://%s/metrics\n", addr)
-	if err := http.ListenAndServe(addr, mux); err != nil {
-		fmt.Fprintln(os.Stderr, "continuumd: metrics server:", err)
-	}
 }

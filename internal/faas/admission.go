@@ -146,12 +146,9 @@ type AdmissionConfig struct {
 	// bound creeps back up (0 = 20ms).
 	TargetQueueWait time.Duration
 	// MinSlots is the elastic worker-pool floor the endpoint shrinks to
-	// when idle; it grows back toward Capacity on backlog
-	// (0 = max(1, Capacity/4)).
+	// when idle; it grows back toward Capacity once queuePerSlot
+	// requests wait per slot (0 = max(1, Capacity/4)).
 	MinSlots int
-	// QueuePerSlot is the backlog-per-slot that triggers pool growth,
-	// mirroring autoscale.Policy.QueuePerNode (0 = 2).
-	QueuePerSlot int
 	// RetryAfterFloor is the minimum Retry-After hint attached to shed
 	// responses (0 = 5ms).
 	RetryAfterFloor time.Duration
@@ -176,13 +173,6 @@ func (c AdmissionConfig) minSlots(capacity int) int {
 		return min(c.MinSlots, capacity)
 	}
 	return max(1, capacity/4)
-}
-
-func (c AdmissionConfig) queuePerSlot() int {
-	if c.QueuePerSlot > 0 {
-		return c.QueuePerSlot
-	}
-	return 2
 }
 
 func (c AdmissionConfig) retryAfterFloor() time.Duration {
@@ -212,10 +202,13 @@ type waiter struct {
 }
 
 // aimd tuning: adjust the queue bound every aimdEvery admissions (so
-// one slow grant doesn't slam the bound), shrink the pool after
-// shrinkAfterIdle consecutive releases that found an empty queue.
+// one slow grant doesn't slam the bound), grow the pool once
+// queuePerSlot requests wait per slot (autoscale's QueuePerNode policy,
+// applied to container slots), shrink it after shrinkAfterIdle
+// consecutive releases that found an empty queue.
 const (
 	aimdEvery       = 8
+	queuePerSlot    = 2
 	shrinkAfterIdle = 16
 	ewmaAlpha       = 0.2
 )
@@ -274,9 +267,8 @@ func (a *admitter) acquire(ctx context.Context, fn string, p Priority, queueWait
 		return nil
 	}
 	// Elastic growth: enough backlog per slot and headroom under the
-	// hard capacity (the autoscale QueuePerNode policy, applied to
-	// container slots).
-	if a.slots < a.capacity && a.queued >= a.cfg.queuePerSlot()*a.slots {
+	// hard capacity.
+	if a.slots < a.capacity && a.queued >= queuePerSlot*a.slots {
 		a.slots++
 		a.inUse++
 		a.idleN = 0

@@ -250,7 +250,7 @@ func TestAdmissionQueueWaitIsOverload(t *testing.T) {
 // directly: backlog grows the pool toward capacity, sustained idle
 // releases shrink it back to the floor.
 func TestAdmissionElasticPool(t *testing.T) {
-	a := newAdmitter(AdmissionConfig{MinSlots: 2, QueuePerSlot: 1, MaxQueue: 64}, 8)
+	a := newAdmitter(AdmissionConfig{MinSlots: 2, MaxQueue: 64}, 8)
 	a.slots = 2 // pretend the pool already shrank to the floor
 
 	ctx := context.Background()
@@ -260,13 +260,13 @@ func TestAdmissionElasticPool(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Queue 2 (= QueuePerSlot × slots): the next arrival grows the pool
+	// Queue 4 (= queuePerSlot × slots): the next arrival grows the pool
 	// and is admitted directly.
 	errs := make(chan error, 8)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < queuePerSlot*2; i++ {
 		go func() { errs <- a.acquire(ctx, "f", PriorityNormal, 0) }()
 	}
-	waitFor(t, func() bool { return a.QueueDepth() == 2 })
+	waitFor(t, func() bool { return a.QueueDepth() == queuePerSlot*2 })
 	if err := a.acquire(ctx, "f", PriorityNormal, 0); err != nil {
 		t.Fatalf("growth admission: %v", err)
 	}
@@ -276,10 +276,10 @@ func TestAdmissionElasticPool(t *testing.T) {
 
 	// Drain everything, then release-cycle an idle pool: it shrinks back
 	// to the floor, one slot per shrinkAfterIdle idle releases.
-	for i := 0; i < 2; i++ {
-		a.release() // grants the two queued waiters
+	for i := 0; i < queuePerSlot*2; i++ {
+		a.release() // grants the queued waiters
 	}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < queuePerSlot*2; i++ {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}

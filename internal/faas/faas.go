@@ -103,10 +103,9 @@ type EndpointConfig struct {
 	// function with no warm instance available.
 	ColdStart time.Duration
 	// WarmTTL is how long an idle warm container survives before it is
-	// considered expired (lazily, at next acquisition).
+	// considered expired (lazily, at next acquisition). Each function's
+	// warm pool holds at most Capacity containers.
 	WarmTTL time.Duration
-	// MaxWarmPerFn caps the warm pool per function (0 = Capacity).
-	MaxWarmPerFn int
 
 	// QueueWait bounds how long an invocation may block waiting for a
 	// capacity slot before failing with a deadline error (0 = wait
@@ -240,9 +239,6 @@ func (o *epObserver) fn(name string) *fnMetrics {
 func NewEndpoint(cfg EndpointConfig, reg *Registry) *Endpoint {
 	if cfg.Capacity <= 0 {
 		panic(fmt.Sprintf("faas: endpoint %q capacity %d <= 0", cfg.Name, cfg.Capacity))
-	}
-	if cfg.MaxWarmPerFn <= 0 {
-		cfg.MaxWarmPerFn = cfg.Capacity
 	}
 	ep := &Endpoint{
 		cfg:   cfg,
@@ -419,7 +415,7 @@ func (ep *Endpoint) release(fn string) {
 		return
 	}
 	pool := ep.warm[fn]
-	if len(pool) < ep.cfg.MaxWarmPerFn {
+	if len(pool) < ep.cfg.Capacity {
 		ep.warm[fn] = append(pool, container{idleFrom: time.Now()})
 	}
 }

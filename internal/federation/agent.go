@@ -30,9 +30,6 @@ type AgentConfig struct {
 	// Interval overrides the heartbeat cadence the router asked for
 	// (0 = honor the router). Tests shrink it; production should not.
 	Interval time.Duration
-	// DialTimeout bounds each (re)connect to the router
-	// (0 = wire.DefaultDialTimeout).
-	DialTimeout time.Duration
 	// Logger, when set, logs registration transitions and errors.
 	Logger *slog.Logger
 }
@@ -89,11 +86,7 @@ func (a *Agent) dialLocked() (*wire.Client, error) {
 		a.client.Close()
 		a.client = nil
 	}
-	timeout := a.cfg.DialTimeout
-	if timeout <= 0 {
-		timeout = wire.DefaultDialTimeout
-	}
-	c, err := wire.DialTimeout(a.cfg.RouterAddr, timeout)
+	c, err := wire.Dial(a.cfg.RouterAddr)
 	if err != nil {
 		return nil, err
 	}

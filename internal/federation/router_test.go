@@ -8,6 +8,8 @@ package federation
 
 import (
 	"net"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -30,6 +32,14 @@ type daemonT struct {
 // routerAddr with a fast heartbeat.
 func startDaemon(t *testing.T, name, routerAddr string, interval time.Duration) *daemonT {
 	t.Helper()
+	d := serveDaemon(t, name)
+	d.join(t, routerAddr, interval)
+	return d
+}
+
+// serveDaemon boots the daemon's wire server without joining a router.
+func serveDaemon(t *testing.T, name string) *daemonT {
+	t.Helper()
 	reg := faas.NewRegistry()
 	reg.Register("who", func([]byte) ([]byte, error) { return []byte(name), nil })
 	reg.Register("slow", func(p []byte) ([]byte, error) {
@@ -44,17 +54,20 @@ func startDaemon(t *testing.T, name, routerAddr string, interval time.Duration) 
 	}
 	go srv.Serve(lis)
 	t.Cleanup(srv.Close)
-	d := &daemonT{name: name, addr: lis.Addr().String(), ep: ep, srv: srv}
+	return &daemonT{name: name, addr: lis.Addr().String(), ep: ep, srv: srv}
+}
+
+// join starts the daemon's agent against the router at routerAddr.
+func (d *daemonT) join(t *testing.T, routerAddr string, interval time.Duration) {
 	d.agent = NewAgent(AgentConfig{
 		RouterAddr: routerAddr,
-		Name:       name,
+		Name:       d.name,
 		Advertise:  d.addr,
-		Endpoint:   ep,
+		Endpoint:   d.ep,
 		Interval:   interval,
 	})
 	d.agent.Start()
 	t.Cleanup(func() { d.agent.Leave(false) })
-	return d
 }
 
 // startRouter boots a router process: registry+policy behind a wire
@@ -262,4 +275,99 @@ func TestAgentReregistersAfterExpiry(t *testing.T) {
 	if out, err := c.Invoke("who", nil); err != nil || string(out) != "d1" {
 		t.Fatalf("invoke after re-registration = %q, %v", out, err)
 	}
+}
+
+// TestRouterCloseLeavesNoGoroutines: a router fronting two daemons
+// routes concurrent calls; the agents then stop without leaving, so the
+// router still holds pooled connections to both daemons. Closing the
+// client and the router must bring the goroutine count back to where it
+// was with only the daemons serving — the sweep loop, the reliable
+// client's connections and the daemons' side of them all exit — and
+// closing the daemons brings it back to the start.
+func TestRouterCloseLeavesNoGoroutines(t *testing.T) {
+	// The lease outlives the test, so no expiry sweep drops a member
+	// and closes its connections on the router's behalf.
+	const interval = time.Second
+	base := settledGoroutines()
+	daemons := []*daemonT{serveDaemon(t, "d1"), serveDaemon(t, "d2")}
+	serving := settledGoroutines()
+
+	rt, err := NewRouter(RouterConfig{Registry: Config{HeartbeatInterval: interval}, Policy: HashPolicy{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rtSrv := &wire.Server{Invoker: rt, Ops: rt, Name: "router"}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- rtSrv.Serve(lis) }()
+	for _, d := range daemons {
+		d.join(t, lis.Addr().String(), interval)
+	}
+	waitMembers(t, rt, 2)
+
+	c, err := wire.Dial(lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := c.Invoke("who", []byte{byte(i)}); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+
+	c.Close()
+	for _, d := range daemons {
+		d.agent.Stop()
+	}
+	if rt.Registry().Len() != 2 {
+		t.Fatalf("router holds %d members after the agents stopped, want 2", rt.Registry().Len())
+	}
+	rt.Close()
+	rtSrv.Close()
+	if err := <-served; err != nil {
+		t.Fatalf("router Serve: %v", err)
+	}
+	waitGoroutines(t, serving)
+	for _, d := range daemons {
+		d.srv.Close()
+	}
+	waitGoroutines(t, base)
+}
+
+// waitGoroutines waits up to 2s for the goroutine count to fall to want,
+// failing with every goroutine's stack if it does not.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, want at most %d:\n%s", runtime.NumGoroutine(), want, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// settledGoroutines is the goroutine count once those left over from
+// earlier tests have exited: two samples 20ms apart agree.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		time.Sleep(20 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
 }

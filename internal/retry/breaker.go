@@ -16,7 +16,7 @@ const (
 	Closed State = 0
 	// Open rejects traffic until the cooldown elapses.
 	Open State = 1
-	// HalfOpen admits a limited number of probes to test recovery.
+	// HalfOpen admits one probe at a time to test recovery.
 	HalfOpen State = 2
 )
 
@@ -37,30 +37,19 @@ func (s State) String() string {
 // Breaker defaults.
 const (
 	DefaultFailureThreshold = 5
-	DefaultWindow           = 20
 	DefaultCooldown         = time.Second
-	DefaultHalfOpenProbes   = 1
 )
 
 // BreakerConfig parameterizes a Breaker. The zero value is usable: trip
 // after DefaultFailureThreshold consecutive failures, cool down for
-// DefaultCooldown, re-close after DefaultHalfOpenProbes probe successes.
+// DefaultCooldown, re-close after one probe success.
 type BreakerConfig struct {
 	// FailureThreshold trips the breaker after this many consecutive
 	// failures (<= 0 means DefaultFailureThreshold).
 	FailureThreshold int
-	// FailureRate additionally trips the breaker when the error rate over
-	// the last Window outcomes exceeds it (0 disables rate tripping).
-	FailureRate float64
-	// Window is the rolling outcome window for FailureRate (<= 0 means
-	// DefaultWindow). Rate tripping only engages once the window is full.
-	Window int
-	// Cooldown is how long the breaker stays open before admitting
-	// half-open probes (<= 0 means DefaultCooldown).
+	// Cooldown is how long the breaker stays open before admitting a
+	// half-open probe (<= 0 means DefaultCooldown).
 	Cooldown time.Duration
-	// HalfOpenProbes is how many consecutive probe successes re-close the
-	// breaker (<= 0 means DefaultHalfOpenProbes).
-	HalfOpenProbes int
 	// Now is the clock (nil means time.Now). Inject in tests.
 	Now func() time.Time
 	// OnStateChange, when set, runs on every transition with the breaker
@@ -75,25 +64,11 @@ func (c BreakerConfig) failureThreshold() int {
 	return c.FailureThreshold
 }
 
-func (c BreakerConfig) window() int {
-	if c.Window <= 0 {
-		return DefaultWindow
-	}
-	return c.Window
-}
-
 func (c BreakerConfig) cooldown() time.Duration {
 	if c.Cooldown <= 0 {
 		return DefaultCooldown
 	}
 	return c.Cooldown
-}
-
-func (c BreakerConfig) halfOpenProbes() int {
-	if c.HalfOpenProbes <= 0 {
-		return DefaultHalfOpenProbes
-	}
-	return c.HalfOpenProbes
 }
 
 func (c BreakerConfig) now() time.Time {
@@ -113,17 +88,13 @@ type Breaker struct {
 	mu          sync.Mutex
 	state       State
 	consecutive int       // consecutive failures while closed
-	window      []bool    // rolling outcomes, true = failure
-	windowAt    int       // next write position
-	windowFull  bool      // window has wrapped at least once
 	openedAt    time.Time // when the breaker last opened
-	probes      int       // successes so far in half-open
-	inFlight    int       // admitted half-open probes awaiting outcome
+	probing     bool      // the half-open probe is admitted and awaits its outcome
 }
 
 // NewBreaker returns a closed breaker.
 func NewBreaker(cfg BreakerConfig) *Breaker {
-	return &Breaker{cfg: cfg, window: make([]bool, cfg.window())}
+	return &Breaker{cfg: cfg}
 }
 
 // State returns the current state, applying any due open → half-open
@@ -135,9 +106,9 @@ func (b *Breaker) State() State {
 	return b.state
 }
 
-// Allow reports whether a call may proceed now. In half-open it admits at
-// most HalfOpenProbes concurrent probes; every admitted call must be
-// concluded with Success or Failure.
+// Allow reports whether a call may proceed now. In half-open it admits
+// one probe at a time; every admitted call must be concluded with
+// Success, Failure or Cancel.
 func (b *Breaker) Allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -146,11 +117,11 @@ func (b *Breaker) Allow() bool {
 	case Closed:
 		return true
 	case HalfOpen:
-		if b.inFlight < b.cfg.halfOpenProbes() {
-			b.inFlight++
-			return true
+		if b.probing {
+			return false
 		}
-		return false
+		b.probing = true
+		return true
 	default:
 		return false
 	}
@@ -163,15 +134,9 @@ func (b *Breaker) Success() {
 	switch b.state {
 	case Closed:
 		b.consecutive = 0
-		b.record(false)
 	case HalfOpen:
-		if b.inFlight > 0 {
-			b.inFlight--
-		}
-		b.probes++
-		if b.probes >= b.cfg.halfOpenProbes() {
-			b.transition(Closed)
-		}
+		b.probing = false
+		b.transition(Closed)
 	}
 }
 
@@ -183,8 +148,8 @@ func (b *Breaker) Success() {
 func (b *Breaker) Cancel() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == HalfOpen && b.inFlight > 0 {
-		b.inFlight--
+	if b.state == HalfOpen {
+		b.probing = false
 	}
 }
 
@@ -195,55 +160,19 @@ func (b *Breaker) Failure() {
 	switch b.state {
 	case Closed:
 		b.consecutive++
-		b.record(true)
-		if b.consecutive >= b.cfg.failureThreshold() || b.rateTripped() {
+		if b.consecutive >= b.cfg.failureThreshold() {
 			b.trip()
 		}
 	case HalfOpen:
-		if b.inFlight > 0 {
-			b.inFlight--
-		}
 		b.trip() // the probe failed: back to open, cooldown restarts
 	}
-}
-
-// record appends one outcome to the rolling window.
-func (b *Breaker) record(failed bool) {
-	b.window[b.windowAt] = failed
-	b.windowAt++
-	if b.windowAt == len(b.window) {
-		b.windowAt = 0
-		b.windowFull = true
-	}
-}
-
-// rateTripped reports whether the windowed error rate exceeds the
-// configured threshold. Only meaningful once the window is full, so a
-// single early failure cannot read as a 100% error rate.
-func (b *Breaker) rateTripped() bool {
-	if b.cfg.FailureRate <= 0 || !b.windowFull {
-		return false
-	}
-	failures := 0
-	for _, f := range b.window {
-		if f {
-			failures++
-		}
-	}
-	return float64(failures)/float64(len(b.window)) > b.cfg.FailureRate
 }
 
 // trip opens the breaker and resets the counting state.
 func (b *Breaker) trip() {
 	b.openedAt = b.cfg.now()
 	b.consecutive = 0
-	b.probes = 0
-	b.inFlight = 0
-	for i := range b.window {
-		b.window[i] = false
-	}
-	b.windowAt = 0
-	b.windowFull = false
+	b.probing = false
 	b.transition(Open)
 }
 
@@ -251,8 +180,6 @@ func (b *Breaker) trip() {
 // Callers hold b.mu.
 func (b *Breaker) maybeHalfOpen() {
 	if b.state == Open && b.cfg.now().Sub(b.openedAt) >= b.cfg.cooldown() {
-		b.probes = 0
-		b.inFlight = 0
 		b.transition(HalfOpen)
 	}
 }

@@ -30,6 +30,15 @@ import (
 // the chaos-test claim generalized to whole scenarios: zero lost
 // requests, no matter what the script does to the fleet.
 
+// The live fleet's shape: each node is an endpoint with liveCapacity
+// concurrent container slots, and a scenario of more than liveMaxNodes
+// nodes is refused — every node is a real TCP server, so a 1000-node
+// stress scenario belongs on the sim backend.
+const (
+	liveCapacity = 16
+	liveMaxNodes = 128
+)
+
 // LiveOptions parameterizes the live backend (see Scenario.RunLive).
 type LiveOptions struct {
 	// TimeScale is wall-clock seconds per scenario second (default 1).
@@ -40,13 +49,6 @@ type LiveOptions struct {
 	// Function is the builtin each request invokes (default "echo",
 	// whose response the runner also verifies byte-for-byte).
 	Function string
-	// Capacity is each endpoint's concurrent container slots
-	// (default 16).
-	Capacity int
-	// MaxNodes refuses accidentally huge live fleets (default 128):
-	// every scenario node is a real TCP server, so a 1000-node stress
-	// scenario belongs on the sim backend.
-	MaxNodes int
 	// Spans, when set, traces every live invocation end to end: the
 	// reliable client roots one trace per request, and every fleet node
 	// records its server/queue/exec spans into this same store (the whole
@@ -83,20 +85,6 @@ func (o LiveOptions) function() string {
 	return o.Function
 }
 
-func (o LiveOptions) capacity() int {
-	if o.Capacity <= 0 {
-		return 16
-	}
-	return o.Capacity
-}
-
-func (o LiveOptions) maxNodes() int {
-	if o.MaxNodes <= 0 {
-		return 128
-	}
-	return o.MaxNodes
-}
-
 func (o LiveOptions) heartbeat() time.Duration {
 	if o.Heartbeat <= 0 {
 		return 100 * time.Millisecond
@@ -125,10 +113,10 @@ type liveNode struct {
 }
 
 // startLiveNode boots one node of the fleet on a loopback listener.
-func startLiveNode(name string, capacity int, spans *trace.SpanStore) (*liveNode, error) {
+func startLiveNode(name string, spans *trace.SpanStore) (*liveNode, error) {
 	reg := faas.BuiltinRegistry()
 	ep := faas.NewEndpoint(faas.EndpointConfig{
-		Name: name, Capacity: capacity, WarmTTL: time.Minute,
+		Name: name, Capacity: liveCapacity, WarmTTL: time.Minute,
 		PreemptAbandoned: true,
 	}, reg)
 	ep.SetSpans(spans)
@@ -158,8 +146,8 @@ func (s *Scenario) RunLive(opts LiveOptions) (*Report, error) {
 	if s.Stream == nil {
 		return nil, fmt.Errorf("scenario %q: the live backend replays stream scenarios only (DAG workloads are simulator-only)", s.Name)
 	}
-	if len(s.Nodes) > opts.maxNodes() {
-		return nil, fmt.Errorf("scenario %q: %d nodes exceeds the live fleet cap %d (LiveOptions.MaxNodes); use the sim backend for fleets this large", s.Name, len(s.Nodes), opts.maxNodes())
+	if len(s.Nodes) > liveMaxNodes {
+		return nil, fmt.Errorf("scenario %q: %d nodes exceeds the live fleet cap %d; use the sim backend for fleets this large", s.Name, len(s.Nodes), liveMaxNodes)
 	}
 	rng := workload.NewRNG(s.Seed)
 	ops, err := s.compile(rng.Split())
@@ -189,7 +177,7 @@ func (s *Scenario) RunLive(opts LiveOptions) (*Report, error) {
 		}
 	}
 	for _, nj := range s.Nodes {
-		ln, err := startLiveNode(nj.Name, opts.capacity(), opts.Spans)
+		ln, err := startLiveNode(nj.Name, opts.Spans)
 		if err != nil {
 			shutdown()
 			return nil, err

@@ -55,13 +55,7 @@ func (c *Client) SetSpans(store *trace.SpanStore, service string) {
 // Dial connects to a server, bounding the TCP connect by
 // DefaultDialTimeout.
 func Dial(addr string) (*Client, error) {
-	return DialTimeout(addr, DefaultDialTimeout)
-}
-
-// DialTimeout connects to a server with an explicit connect bound
-// (0 = no bound).
-func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+	conn, err := net.DialTimeout("tcp", addr, DefaultDialTimeout)
 	if err != nil {
 		return nil, err
 	}

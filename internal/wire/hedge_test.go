@@ -147,7 +147,7 @@ func TestHedgeNoSecondEndpointStaysSingleArm(t *testing.T) {
 	}
 	launchedBefore, _ := r.HedgeStats()
 
-	// With the dead breaker open pickOther finds no admissible backup,
+	// With the dead breaker open, pick finds no admissible backup,
 	// so the hedge timer fires into a no-op and the race stays one-arm.
 	out, err := r.Invoke("work", []byte("solo"))
 	if err != nil || string(out) != "SOLO" {
@@ -195,5 +195,27 @@ func TestHedgeConcurrentCallsClean(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestParseHedge is the -hedge flag → HedgeConfig table continuumctl and
+// continuum-router share.
+func TestParseHedge(t *testing.T) {
+	for _, tc := range []struct {
+		in      string
+		want    HedgeConfig
+		wantErr bool
+	}{
+		{in: "", want: HedgeConfig{}},
+		{in: "auto", want: HedgeConfig{Enabled: true}},
+		{in: "5ms", want: HedgeConfig{Enabled: true, Delay: 5 * time.Millisecond}},
+		{in: "0", wantErr: true},
+		{in: "-1ms", wantErr: true},
+		{in: "x", wantErr: true},
+	} {
+		got, err := ParseHedge(tc.in)
+		if (err != nil) != tc.wantErr || got != tc.want {
+			t.Errorf("ParseHedge(%q) = %+v, %v; want %+v, error %v", tc.in, got, err, tc.want, tc.wantErr)
+		}
 	}
 }

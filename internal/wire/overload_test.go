@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"continuum/internal/faas"
-	"continuum/internal/metrics"
 	"continuum/internal/retry"
 )
 
@@ -136,131 +135,6 @@ func TestPriorityReachesAdmission(t *testing.T) {
 		t.Fatalf("normal-priority invoke shed at a depth the low class sheds at: %v", err)
 	}
 	wg.Wait()
-}
-
-// TestRetryBudgetSharedByHedgesAndRetries: one token bucket, two kinds
-// of extra load. A hedge arm spends the bucket's only token; a
-// subsequent retry finds it empty and fails with ErrBudgetExhausted
-// instead of launching — proving hedges and retries draw from the same
-// budget, and that exhaustion is terminal (non-retryable).
-func TestRetryBudgetSharedByHedgesAndRetries(t *testing.T) {
-	// Ratio tiny-but-positive so the hedged call's success cannot refill
-	// a whole token.
-	budget := retry.NewBudget(retry.BudgetConfig{Tokens: 1, Ratio: 1e-9})
-
-	// Two slow endpoints: every call outlives the hedge delay.
-	slow := func(name string) *Server {
-		reg := faas.NewRegistry()
-		reg.Register("slow", func(p []byte) ([]byte, error) {
-			time.Sleep(60 * time.Millisecond)
-			return p, nil
-		})
-		ep := faas.NewEndpoint(faas.EndpointConfig{Name: name, Capacity: 4}, reg)
-		return &Server{Invoker: ep, Registry: reg, Endpoints: []*faas.Endpoint{ep}}
-	}
-	addr1 := startServerOn(t, slow("slow1"))
-	addr2 := startServerOn(t, slow("slow2"))
-
-	hedger, err := NewReliableClient(ReliableConfig{
-		Addrs:  []string{addr1, addr2},
-		Hedge:  HedgeConfig{Enabled: true, Delay: 5 * time.Millisecond},
-		Budget: budget,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hedger.Close()
-	if _, err := hedger.Invoke("slow", []byte("x")); err != nil {
-		t.Fatalf("hedged call failed: %v", err)
-	}
-	if launched, _ := hedger.HedgeStats(); launched != 1 {
-		t.Fatalf("hedges launched = %d, want 1 (the budget's only token)", launched)
-	}
-	if budget.Spend() {
-		t.Fatal("budget still held a whole token after the hedge")
-	}
-
-	// Same bucket, now a retry client against a saturated endpoint.
-	reg := faas.NewRegistry()
-	release := make(chan struct{})
-	defer close(release)
-	reg.Register("hold", func(p []byte) ([]byte, error) {
-		<-release
-		return p, nil
-	})
-	ep := faas.NewEndpoint(faas.EndpointConfig{
-		Name: "tight", Capacity: 1, QueueWait: 5 * time.Millisecond,
-	}, reg)
-	addr3 := startServerOn(t, &Server{Invoker: ep, Registry: reg, Endpoints: []*faas.Endpoint{ep}})
-
-	retrierReg := metrics.NewRegistry()
-	retrier, err := NewReliableClient(ReliableConfig{
-		Addrs:   []string{addr3},
-		Retry:   retry.Policy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond},
-		Budget:  budget,
-		Metrics: retrierReg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer retrier.Close()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		retrier.Invoke("hold", nil) // occupies the only slot
-	}()
-	waitCond(t, func() bool { return ep.Running() == 1 })
-
-	_, err = retrier.Invoke("hold", nil) // overloaded; first retry needs a token
-	if !errors.Is(err, retry.ErrBudgetExhausted) {
-		t.Fatalf("err = %v, want ErrBudgetExhausted (hedge drained the shared bucket)", err)
-	}
-	if retrierReg.Counter("wire_retry_budget_exhausted_total").Value() == 0 {
-		t.Fatal("budget denial not counted")
-	}
-	release <- struct{}{}
-	wg.Wait()
-}
-
-// TestHedgeSuppressedByEmptyBudget: an empty budget must not fail a
-// hedged call — the race just stays one-arm.
-func TestHedgeSuppressedByEmptyBudget(t *testing.T) {
-	budget := retry.NewBudget(retry.BudgetConfig{Tokens: 1, Ratio: 1e-9})
-	if !budget.Spend() {
-		t.Fatal("fresh bucket empty")
-	}
-
-	slow := func(name string) *Server {
-		reg := faas.NewRegistry()
-		reg.Register("slow", func(p []byte) ([]byte, error) {
-			time.Sleep(40 * time.Millisecond)
-			return p, nil
-		})
-		ep := faas.NewEndpoint(faas.EndpointConfig{Name: name, Capacity: 4}, reg)
-		return &Server{Invoker: ep, Registry: reg, Endpoints: []*faas.Endpoint{ep}}
-	}
-	reg := metrics.NewRegistry()
-	c, err := NewReliableClient(ReliableConfig{
-		Addrs:   []string{startServerOn(t, slow("a")), startServerOn(t, slow("b"))},
-		Hedge:   HedgeConfig{Enabled: true, Delay: 5 * time.Millisecond},
-		Budget:  budget,
-		Metrics: reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	out, err := c.Invoke("slow", []byte("ok"))
-	if err != nil || string(out) != "ok" {
-		t.Fatalf("call under empty budget: out=%q err=%v", out, err)
-	}
-	if launched, _ := c.HedgeStats(); launched != 0 {
-		t.Fatalf("hedges launched = %d with an empty budget", launched)
-	}
-	if reg.Counter("wire_retry_budget_exhausted_total").Value() == 0 {
-		t.Fatal("suppressed hedge not counted as a budget denial")
-	}
 }
 
 // waitCond polls cond for up to 2s.

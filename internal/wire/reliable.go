@@ -14,7 +14,7 @@ import (
 )
 
 // ErrAllBreakersOpen is returned (and retried with backoff — cooldowns
-// eventually admit half-open probes) when every endpoint's circuit
+// eventually admit a half-open probe) when every endpoint's circuit
 // breaker is refusing traffic.
 var ErrAllBreakersOpen = errors.New("wire: all endpoint breakers open")
 
@@ -62,16 +62,6 @@ type ReliableConfig struct {
 	// endpoint, the first response wins, and the stale arm is cancelled.
 	// The zero value disables hedging.
 	Hedge HedgeConfig
-	// Budget, when set, is the token-bucket retry budget every retry
-	// attempt AND every hedge arm draws from (they are the same kind of
-	// extra load on the fleet, so they share one bucket). An exhausted
-	// budget suppresses the hedge (the primary keeps running) and fails a
-	// would-be retry with retry.ErrBudgetExhausted — deliberately
-	// non-retryable, so a browned-out federation sees the client fleet's
-	// extra traffic throttle to Budget.Ratio × its success rate instead
-	// of a retry storm. Share one Budget across every client that talks
-	// to the same backends. Nil means unlimited (the old behavior).
-	Budget *retry.Budget
 	// Metrics, when set, receives the reliability counters:
 	//
 	//	wire_breaker_state{ep}        0 closed, 1 open, 2 half-open
@@ -83,9 +73,6 @@ type ReliableConfig struct {
 	//	                              pooled connection (vs a fresh dial)
 	//	wire_hedges_total             hedge arms launched
 	//	wire_hedge_wins_total         calls won by the hedge arm
-	//	wire_retry_budget_exhausted_total
-	//	                              retries failed / hedges suppressed
-	//	                              by an empty retry budget
 	Metrics *metrics.Registry
 
 	// Spans, when set, records the caller's half of every traced
@@ -101,17 +88,14 @@ type ReliableConfig struct {
 	Service string
 }
 
-// Hedge defaults.
+// The derived hedge delay: it tracks the p99 of completed-call latency,
+// so only the slowest ~1% of calls ever grow a second arm; it engages
+// after hedgeMinSamples calls, and hedgeMinDelay floors it so a burst of
+// fast calls cannot make the client hedge everything.
 const (
-	// DefaultHedgeQuantile is the latency quantile the derived hedge
-	// delay tracks when HedgeConfig.Quantile is zero.
-	DefaultHedgeQuantile = 0.99
-	// DefaultHedgeMinSamples is how many completed calls the derived
-	// delay needs before hedging engages.
-	DefaultHedgeMinSamples = 50
-	// DefaultHedgeMinDelay floors the derived delay so a burst of fast
-	// calls cannot make the client hedge everything.
-	DefaultHedgeMinDelay = time.Millisecond
+	hedgeQuantile   = 0.99
+	hedgeMinSamples = 50
+	hedgeMinDelay   = time.Millisecond
 )
 
 // HedgeConfig parameterizes hedged requests (see ReliableConfig.Hedge).
@@ -126,18 +110,27 @@ type HedgeConfig struct {
 	// endpoints — the hedge arm always targets a different one.
 	Enabled bool
 	// Delay is the fixed in-flight time before the hedge arm fires.
-	// 0 derives the delay from the client's own observed latency
-	// distribution (see Quantile/MinSamples/MinDelay).
+	// 0 derives the delay from the client's own observed latency: the
+	// p99 of its completed calls, floored at 1ms, once 50 calls have
+	// completed.
 	Delay time.Duration
-	// Quantile is the observed-latency quantile the derived delay tracks
-	// (0 = DefaultHedgeQuantile, i.e. p99: only the slowest ~1% of calls
-	// ever grow a second arm).
-	Quantile float64
-	// MinSamples is how many completed calls the derived delay needs
-	// before hedging engages (0 = DefaultHedgeMinSamples).
-	MinSamples int
-	// MinDelay floors the derived delay (0 = DefaultHedgeMinDelay).
-	MinDelay time.Duration
+}
+
+// ParseHedge turns a -hedge flag value into a HedgeConfig: "" is off,
+// "auto" derives the delay from observed latency, and anything else must
+// be a positive fixed delay such as "5ms".
+func ParseHedge(s string) (HedgeConfig, error) {
+	switch s {
+	case "":
+		return HedgeConfig{}, nil
+	case "auto":
+		return HedgeConfig{Enabled: true}, nil
+	}
+	d, err := time.ParseDuration(s)
+	if err != nil || d <= 0 {
+		return HedgeConfig{}, fmt.Errorf("-hedge: want 'auto' or a positive duration, got %q", s)
+	}
+	return HedgeConfig{Enabled: true, Delay: d}, nil
 }
 
 // repEndpoint is one endpoint's client-side state: a small pool of
@@ -241,7 +234,6 @@ type ReliableClient struct {
 	retries, failovers  *metrics.Counter // nil without a registry
 	reuse               *metrics.Counter
 	hedgesC, hedgeWinsC *metrics.Counter
-	budgetDeniedC       *metrics.Counter
 }
 
 // epSet is one immutable snapshot of the endpoint set. Membership
@@ -265,7 +257,6 @@ func NewReliableClient(cfg ReliableConfig) (*ReliableClient, error) {
 		r.reuse = cfg.Metrics.Counter("wire_conn_reuse_total")
 		r.hedgesC = cfg.Metrics.Counter("wire_hedges_total")
 		r.hedgeWinsC = cfg.Metrics.Counter("wire_hedge_wins_total")
-		r.budgetDeniedC = cfg.Metrics.Counter("wire_retry_budget_exhausted_total")
 	}
 	set := &epSet{byAddr: make(map[string]*repEndpoint, len(cfg.Addrs))}
 	for _, addr := range cfg.Addrs {
@@ -412,22 +403,19 @@ func (r *ReliableClient) policy() retry.Policy {
 	return p
 }
 
-// pick selects the next endpoint whose breaker admits traffic, rotating
-// round-robin so consecutive attempts (and concurrent calls) spread
-// across the federation. Returns nil when the set is empty or every
-// breaker refuses; noEndpointsErr distinguishes the two.
-func (r *ReliableClient) pick() *repEndpoint {
+// pick selects the next endpoint other than avoid (nil avoids none)
+// whose breaker admits traffic, rotating round-robin so consecutive
+// attempts (and concurrent calls) spread across the federation. Returns
+// nil when no such endpoint admits traffic; for a plain pick,
+// noEndpointsErr tells an empty set from one whose breakers all refuse.
+func (r *ReliableClient) pick(avoid *repEndpoint) *repEndpoint {
 	eps := r.snapshot().list
-	if len(eps) == 0 {
-		return nil
-	}
 	r.mu.Lock()
 	start := r.next
 	r.next++
 	r.mu.Unlock()
-	for i := 0; i < len(eps); i++ {
-		ep := eps[(start+i)%len(eps)]
-		if ep.breaker.Allow() {
+	for i := range eps {
+		if ep := eps[(start+i)%len(eps)]; ep != avoid && ep.breaker.Allow() {
 			return ep
 		}
 	}
@@ -485,26 +473,11 @@ func settle(ep *repEndpoint, c *Client, err error) {
 	}
 }
 
-// spendBudget draws one retry/hedge token, counting a denial. Nil
-// budget always grants.
-func (r *ReliableClient) spendBudget() bool {
-	if r.cfg.Budget.Spend() {
-		return true
-	}
-	if r.budgetDeniedC != nil {
-		r.budgetDeniedC.Inc()
-	}
-	return false
-}
-
 // do runs op against successive endpoints under the retry policy.
 func (r *ReliableClient) do(ctx context.Context, op func(*Client) error) error {
 	var last *repEndpoint
 	return r.policy().Do(ctx, func(attempt int) error {
-		if attempt > 0 && !r.spendBudget() {
-			return fmt.Errorf("wire: retry suppressed: %w", retry.ErrBudgetExhausted)
-		}
-		ep := r.pick()
+		ep := r.pick(nil)
 		if ep == nil {
 			return r.noEndpointsErr()
 		}
@@ -527,7 +500,6 @@ func (r *ReliableClient) do(ctx context.Context, op func(*Client) error) error {
 			return err
 		}
 		ep.breaker.Success()
-		r.cfg.Budget.Success()
 		return nil
 	})
 }
@@ -571,17 +543,9 @@ func (r *ReliableClient) invoke(ctx context.Context, fn string, payload []byte, 
 	var last *repEndpoint
 	preferIdx := 0
 	err := r.policy().Do(ctx, func(attempt int) error {
-		// Every attempt after the first is extra fleet load and must be
-		// paid for from the shared budget — the same bucket hedge arms
-		// draw from. ErrBudgetExhausted is non-retryable by design, so an
-		// empty bucket fails the call here rather than queueing another
-		// attempt.
-		if attempt > 0 && !r.spendBudget() {
-			return fmt.Errorf("wire: retry suppressed: %w", retry.ErrBudgetExhausted)
-		}
 		ep := r.pickPreferred(prefer, &preferIdx)
 		if ep == nil {
-			ep = r.pick()
+			ep = r.pick(nil)
 		}
 		if ep == nil {
 			if err := r.noEndpointsErr(); errors.Is(err, ErrNoEndpoints) {
@@ -607,7 +571,6 @@ func (r *ReliableClient) invoke(ctx context.Context, fn string, payload []byte, 
 		if err != nil {
 			return err
 		}
-		r.cfg.Budget.Success()
 		out = res
 		return nil
 	})
@@ -621,7 +584,7 @@ func (r *ReliableClient) invoke(ctx context.Context, fn string, payload []byte, 
 
 // attemptOn runs one call arm against one endpoint and settles its
 // breaker/pool outcome. The breaker Allow for ep has already been spent
-// (by pick or pickOther). Traced calls record an attempt span, which
+// (by pick or pickPreferred). Traced calls record an attempt span, which
 // becomes the parent of the connection's send span (and, transitively,
 // the server's spans); a cancelled arm — the hedge race was decided
 // elsewhere — is marked cancelled rather than failed-by-endpoint.
@@ -694,18 +657,9 @@ func (r *ReliableClient) invokeAttempt(ctx context.Context, ep *repEndpoint, fn 
 				continue
 			}
 			hedged = true
-			backup := r.pickOther(ep)
+			backup := r.pick(ep)
 			if backup == nil {
 				continue // no second endpoint admits traffic; race stays 1-arm
-			}
-			if !r.spendBudget() {
-				// Hedges spend from the same bucket as retries: with the
-				// budget dry the race stays one-arm — the primary is
-				// still in flight, so nothing fails, the fleet just stops
-				// multiplying load. Return the breaker slot the pick
-				// spent (it may have been a half-open probe).
-				backup.breaker.Cancel()
-				continue
 			}
 			r.hedges.Add(1)
 			if r.hedgesC != nil {
@@ -738,34 +692,10 @@ func (r *ReliableClient) invokeAttempt(ctx context.Context, ep *repEndpoint, fn 
 	}
 }
 
-// pickOther selects an endpoint other than avoid whose breaker admits
-// traffic, rotating round-robin like pick. Returns nil with fewer than
-// two endpoints or when no other breaker allows.
-func (r *ReliableClient) pickOther(avoid *repEndpoint) *repEndpoint {
-	eps := r.snapshot().list
-	if len(eps) < 2 {
-		return nil
-	}
-	r.mu.Lock()
-	start := r.next
-	r.next++
-	r.mu.Unlock()
-	for i := 0; i < len(eps); i++ {
-		ep := eps[(start+i)%len(eps)]
-		if ep == avoid {
-			continue
-		}
-		if ep.breaker.Allow() {
-			return ep
-		}
-	}
-	return nil
-}
-
 // hedgeDelay returns the in-flight time after which a call grows a second
 // arm, and whether hedging applies at all right now. A fixed Delay always
-// applies; a derived delay waits for MinSamples completed calls and then
-// tracks the configured latency quantile, floored at MinDelay.
+// applies; a derived delay waits for hedgeMinSamples completed calls and
+// then tracks their hedgeQuantile, floored at hedgeMinDelay.
 func (r *ReliableClient) hedgeDelay() (time.Duration, bool) {
 	h := r.cfg.Hedge
 	if !h.Enabled || len(r.snapshot().list) < 2 {
@@ -774,26 +704,11 @@ func (r *ReliableClient) hedgeDelay() (time.Duration, bool) {
 	if h.Delay > 0 {
 		return h.Delay, true
 	}
-	min := h.MinSamples
-	if min <= 0 {
-		min = DefaultHedgeMinSamples
-	}
-	if r.lat.Count() < int64(min) {
+	if r.lat.Count() < hedgeMinSamples {
 		return 0, false
 	}
-	q := h.Quantile
-	if q <= 0 {
-		q = DefaultHedgeQuantile
-	}
-	d := time.Duration(r.lat.Quantile(q) * float64(time.Second))
-	floor := h.MinDelay
-	if floor <= 0 {
-		floor = DefaultHedgeMinDelay
-	}
-	if d < floor {
-		d = floor
-	}
-	return d, true
+	d := time.Duration(r.lat.Quantile(hedgeQuantile) * float64(time.Second))
+	return max(d, hedgeMinDelay), true
 }
 
 // HedgeStats returns how many hedge arms were launched and how many calls

@@ -1,7 +1,7 @@
 // Command apilint checks the API surface of the Go modules it is given.
 // It loads every package of those modules once — `go list -deps -export
 // -json` in each module, go/types over the sources, and the standard
-// library from the compiler's export data — and runs two checks:
+// library from the compiler's export data — and runs three checks:
 //
 //   - doc: in each package directory named by -doc, every exported
 //     top-level identifier (types, functions, methods on exported
@@ -20,12 +20,18 @@
 //     package it imports — that keeps String, Error, heap.Interface and
 //     policy implementations alive. Test files are not loaded, so code
 //     only tests call is dead.
+//   - field: every exported field of an exported internal/ struct type
+//     whose name ends in Config or Options is set somewhere: by a
+//     composite-literal element, or outside its own package by an
+//     assignment or ++/-- through a selector or by taking its address.
+//     A knob no caller sets is a constant in disguise.
 //
-// An unreachable declaration may stay only as an entry in the -allow
-// file: one line per declaration, its name (pkgpath.Name, or
-// pkgpath.Type.Method for a method) followed by a one-line reason. An
-// entry that names a reachable or a missing declaration is itself a
-// finding, so the list cannot rot.
+// An unreachable declaration or an unset field may stay only as an entry
+// in the -allow file: one line per finding, its name (pkgpath.Name,
+// pkgpath.Type.Method for a method, pkgpath.Type.Field for a field)
+// followed by a one-line reason. An entry that names a reachable
+// declaration, a set field or nothing at all is itself a finding, so the
+// list cannot rot.
 //
 // Usage:
 //
@@ -57,7 +63,7 @@ import (
 
 func main() {
 	doc := flag.String("doc", "", "comma-separated package directories for the doc check")
-	allow := flag.String("allow", "", "allowlist file for the dead check")
+	allow := flag.String("allow", "", "allowlist file for the dead and field checks")
 	flag.Parse()
 	modules := flag.Args()
 	if len(modules) == 0 {
@@ -81,7 +87,7 @@ func main() {
 	}
 }
 
-// run loads the modules and returns the sorted findings of both checks.
+// run loads the modules and returns the sorted findings of every check.
 func run(modules, docDirs []string, allowFile string) ([]string, error) {
 	prog, err := load(modules)
 	if err != nil {
@@ -95,7 +101,20 @@ func run(modules, docDirs []string, allowFile string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	findings = append(findings, prog.deadCheck(allow)...)
+	flagged := prog.deadCheck()
+	for name, f := range prog.fieldCheck() {
+		flagged[name] = f
+	}
+	for name, f := range flagged {
+		if !allow[name] {
+			findings = append(findings, f)
+		}
+	}
+	for name := range allow {
+		if _, ok := flagged[name]; !ok {
+			findings = append(findings, fmt.Sprintf("allowlist: %s is not an unreachable declaration or an unset field; remove the entry", name))
+		}
+	}
 	sort.Strings(findings)
 	return findings, nil
 }
@@ -235,7 +254,9 @@ type decl struct {
 	uses       []types.Object
 }
 
-func (prog *program) deadCheck(allow map[string]bool) []string {
+// deadCheck returns a finding for every unreachable internal/
+// declaration, keyed by the name an allowlist entry uses.
+func (prog *program) deadCheck() map[string]string {
 	decls := map[types.Object]*decl{}
 	var roots []types.Object
 	for _, p := range prog.pkgs {
@@ -306,20 +327,88 @@ func (prog *program) deadCheck(allow map[string]bool) []string {
 		}
 	}
 
-	var findings []string
-	dead := map[string]bool{}
+	findings := map[string]string{}
 	for obj, d := range decls {
-		if !d.internal || live[obj] {
-			continue
-		}
-		dead[d.name] = true
-		if !allow[d.name] {
-			findings = append(findings, fmt.Sprintf("%s: unreachable %s %s", prog.position(d.pos), d.kind, d.name))
+		if d.internal && !live[obj] {
+			findings[d.name] = fmt.Sprintf("%s: unreachable %s %s", prog.position(d.pos), d.kind, d.name)
 		}
 	}
-	for name := range allow {
-		if !dead[name] {
-			findings = append(findings, fmt.Sprintf("allowlist: %s is not an unreachable declaration; remove the entry", name))
+	return findings
+}
+
+// fieldCheck returns a finding for every exported field of an exported
+// internal/ struct type named *Config or *Options that nothing sets,
+// keyed pkgpath.Type.Field. A composite-literal element sets a field
+// anywhere (ParseHedge builds the HedgeConfig a flag asks for); an
+// assignment, ++/-- or &field sets it only outside the field's own
+// package, since inside it they fill in defaults.
+func (prog *program) fieldCheck() map[string]string {
+	knobs := map[*types.Var]string{}
+	for _, p := range prog.pkgs {
+		for _, obj := range p.info.Defs {
+			tn, ok := obj.(*types.TypeName)
+			if !ok || !isInternal(p.path) || !tn.Exported() || tn.Parent() != tn.Pkg().Scope() ||
+				!strings.HasSuffix(tn.Name(), "Config") && !strings.HasSuffix(tn.Name(), "Options") {
+				continue
+			}
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					if fv := st.Field(i); fv.Exported() {
+						knobs[fv] = p.path + "." + tn.Name() + "." + fv.Name()
+					}
+				}
+			}
+		}
+	}
+
+	written := map[*types.Var]bool{}
+	for _, p := range prog.pkgs {
+		mark := func(obj types.Object) {
+			if fv, ok := obj.(*types.Var); ok && fv.IsField() {
+				written[fv.Origin()] = true
+			}
+		}
+		markSel := func(e ast.Expr) {
+			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+				if fv, ok := p.info.Uses[sel.Sel].(*types.Var); ok && fv.Pkg().Path() != p.path {
+					mark(fv)
+				}
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit: // keyed or positional elements
+					st, ok := p.info.Types[n].Type.Underlying().(*types.Struct)
+					for i, elt := range n.Elts {
+						if kv, isKV := elt.(*ast.KeyValueExpr); isKV {
+							if key, isID := kv.Key.(*ast.Ident); isID {
+								mark(p.info.Uses[key])
+							}
+						} else if ok {
+							mark(st.Field(i))
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						markSel(lhs)
+					}
+				case *ast.IncDecStmt:
+					markSel(n.X)
+				case *ast.UnaryExpr: // &cfg.Field may be written through
+					if n.Op == token.AND {
+						markSel(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	findings := map[string]string{}
+	for fv, name := range knobs {
+		if !written[fv] {
+			findings[name] = fmt.Sprintf("%s: field %s is never set", prog.position(fv.Pos()), name)
 		}
 	}
 	return findings

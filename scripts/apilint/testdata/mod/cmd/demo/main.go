@@ -8,5 +8,5 @@ import (
 )
 
 func main() {
-	fmt.Println(demo.Live(), demo.Total(demo.Square{Side: 2}))
+	fmt.Println(demo.Live(), demo.Total(demo.Square{Side: 2}), demo.Sized(demo.Config{Size: 3}), demo.Sized(demo.Preset()))
 }

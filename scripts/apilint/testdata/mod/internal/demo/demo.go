@@ -44,3 +44,19 @@ func Kept() {}
 func init() { initHelper() }
 
 func initHelper() {}
+
+// Config plants the field check: the command sets Size, Preset's
+// literal sets Mode, the allowlist keeps Spare, and only an assignment
+// in this package, which fills a default, writes Unset.
+type Config struct{ Size, Mode, Spare, Unset int }
+
+// Preset returns a Config with Mode set.
+func Preset() Config { return Config{Mode: 1} }
+
+// Sized fills Unset's default and sums the fields.
+func Sized(c Config) int {
+	if c.Unset == 0 {
+		c.Unset = 1
+	}
+	return c.Size + c.Mode + c.Spare + c.Unset
+}

@@ -34,7 +34,9 @@ echo "== api lint =="
 # (wire, faas, federation — the API surface OPERATIONS.md documents)
 # carries a doc comment. Dead check: every package-level declaration in
 # internal/ is reachable from a command, example, script or the
-# benchmark module, unless scripts/apilint/allowlist.txt says why not.
+# benchmark module. Field check: every exported field of an internal/
+# *Config or *Options struct is set by some code outside its package.
+# scripts/apilint/allowlist.txt says why each exception stays.
 go run ./scripts/apilint -doc ./internal/federation,./internal/wire,./internal/faas \
     -allow scripts/apilint/allowlist.txt . benchmark
 
