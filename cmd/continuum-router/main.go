@@ -49,6 +49,7 @@ import (
 	_ "net/http/pprof" // wire.ServeMetrics forwards /debug/pprof/ to these handlers under -pprof
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -61,7 +62,7 @@ import (
 
 func main() {
 	listen := flag.String("listen", "127.0.0.1:9080", "address to serve on")
-	policyName := flag.String("policy", "hash", "routing policy: hash (rendezvous hashing on function+payload) or least-loaded")
+	policyName := flag.String("policy", "hash", "routing policy: "+strings.Join(federation.PolicyNames, " or "))
 	heartbeat := flag.Duration("heartbeat", 0, "heartbeat interval granted to members (0 = default 2s)")
 	suspectAfter := flag.Int("suspect-after", 0, "missed heartbeat intervals before a member stops receiving new work (0 = default 2)")
 	expireAfter := flag.Int("expire-after", 0, "missed heartbeat intervals before a member is expired and dropped (0 = default 4)")
@@ -75,9 +76,9 @@ func main() {
 	pprof := flag.Bool("pprof", false, "mount net/http/pprof debug handlers on the -metrics-addr mux")
 	flag.Parse()
 
-	policy, ok := federation.PolicyByName(*policyName)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "continuum-router: -policy %q: want hash or least-loaded\n", *policyName)
+	policy, err := federation.PolicyByName(*policyName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "continuum-router: -policy:", err)
 		os.Exit(2)
 	}
 	hedge, err := wire.ParseHedge(*hedgeSpec)

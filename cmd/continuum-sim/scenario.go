@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"continuum/internal/federation"
 	"continuum/internal/scenario"
 )
 
@@ -89,7 +91,7 @@ func scenarioRun(args []string) {
 	chromeOut := fs.String("chrome-trace", "", "sim backend: write a Chrome trace-event JSON file")
 	parallel := fs.Int("parallel", 1, "sim backend: workload-synthesis workers (output is bit-identical for any value)")
 	router := fs.Bool("router", false, "live backend: front the fleet with an in-process continuum-router and drive every request through it")
-	policy := fs.String("policy", "", "live backend with -router: routing policy, hash or least-loaded (default hash)")
+	policy := fs.String("policy", "", "live backend with -router: routing policy, "+strings.Join(federation.PolicyNames, " or ")+" (default hash)")
 	fs.Parse(args)
 	if *file == "" {
 		fmt.Fprintln(os.Stderr, "continuum-sim scenario run: -f scenario.json required")
@@ -103,6 +105,9 @@ func scenarioRun(args []string) {
 
 	switch *backend {
 	case "sim":
+		if *router || *policy != "" {
+			fatal(fmt.Errorf("-router/-policy are live-backend options; the sim backend has no router"))
+		}
 		report, tr, err := s.RunTracedParallel(*parallel)
 		if err != nil {
 			fatal(err)

@@ -1,6 +1,8 @@
 // Federated FaaS: a funcX-style federation of four heterogeneous
-// endpoints behind a least-loaded router, serving a mixed function
-// workload from concurrent clients — with and without request batching.
+// in-process endpoints behind federation.Local, which sends each call to
+// the least-loaded endpoint by the same Site.Load the live router's
+// least-loaded policy ranks by, serving a mixed function workload from
+// concurrent clients — with and without request batching.
 // Run with:
 //
 //	go run ./examples/federatedfaas
@@ -13,6 +15,7 @@ import (
 	"time"
 
 	"continuum/internal/faas"
+	"continuum/internal/federation"
 	"continuum/internal/metrics"
 )
 
@@ -43,7 +46,7 @@ func registry() *faas.Registry {
 	return reg
 }
 
-func federation() (*faas.Router, []*faas.Endpoint) {
+func fleet() federation.Local {
 	reg := registry()
 	configs := []faas.EndpointConfig{
 		{Name: "raspberry-pi", Capacity: 2, ColdStart: 8 * time.Millisecond, WarmTTL: time.Minute},
@@ -51,11 +54,11 @@ func federation() (*faas.Router, []*faas.Endpoint) {
 		{Name: "cloud-a", Capacity: 16, ColdStart: 2 * time.Millisecond, WarmTTL: time.Minute},
 		{Name: "cloud-b", Capacity: 16, ColdStart: 2 * time.Millisecond, WarmTTL: time.Minute},
 	}
-	eps := make([]*faas.Endpoint, len(configs))
+	eps := make(federation.Local, len(configs))
 	for i, cfg := range configs {
 		eps[i] = faas.NewEndpoint(cfg, reg)
 	}
-	return faas.NewRouter(eps...), eps
+	return eps
 }
 
 func drive(inv faas.Invoker, clients, callsPer int) (float64, time.Duration) {
@@ -93,11 +96,11 @@ func main() {
 	)
 
 	for _, batched := range []bool{false, true} {
-		router, eps := federation()
-		var inv faas.Invoker = router
+		eps := fleet()
+		var inv faas.Invoker = eps
 		var b *faas.Batcher
 		if batched {
-			b = faas.NewBatcher(router, 8, time.Millisecond)
+			b = faas.NewBatcher(eps, 8, time.Millisecond)
 			inv = b
 		}
 		tput, lat := drive(inv, 32, 64)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"continuum/internal/faas"
+	"continuum/internal/federation"
 	"continuum/internal/metrics"
 )
 
@@ -22,9 +23,9 @@ func f3Registry(serviceTime time.Duration) *faas.Registry {
 	return reg
 }
 
-func f3Endpoints(reg *faas.Registry, cold time.Duration, warmTTL time.Duration) []*faas.Endpoint {
+func f3Endpoints(reg *faas.Registry, cold time.Duration, warmTTL time.Duration) federation.Local {
 	caps := []int{2, 4, 8, 16}
-	eps := make([]*faas.Endpoint, len(caps))
+	eps := make(federation.Local, len(caps))
 	for i, cp := range caps {
 		eps[i] = faas.NewEndpoint(faas.EndpointConfig{
 			Name:      fmt.Sprintf("ep%d", i),
@@ -91,8 +92,7 @@ func F3FaaS(size Size) *Result {
 		{
 			reg := f3Registry(serviceTime)
 			eps := f3Endpoints(reg, cold, time.Nanosecond)
-			r := faas.NewRouter(eps...)
-			tput, lat := f3Drive(r, conc, callsPerCell)
+			tput, lat := f3Drive(eps, conc, callsPerCell)
 			tbl.AddRow(fmt.Sprintf("%d", conc), "cold",
 				fmt.Sprintf("%.0f", tput), lat.Round(time.Microsecond).String(),
 				fmt.Sprintf("%d", sumCold(eps)), fmt.Sprintf("%d", sumWarm(eps)))
@@ -101,8 +101,7 @@ func F3FaaS(size Size) *Result {
 		{
 			reg := f3Registry(serviceTime)
 			eps := f3Endpoints(reg, cold, time.Minute)
-			r := faas.NewRouter(eps...)
-			tput, lat := f3Drive(r, conc, callsPerCell)
+			tput, lat := f3Drive(eps, conc, callsPerCell)
 			tbl.AddRow(fmt.Sprintf("%d", conc), "warm",
 				fmt.Sprintf("%.0f", tput), lat.Round(time.Microsecond).String(),
 				fmt.Sprintf("%d", sumCold(eps)), fmt.Sprintf("%d", sumWarm(eps)))
@@ -111,8 +110,7 @@ func F3FaaS(size Size) *Result {
 		{
 			reg := f3Registry(serviceTime)
 			eps := f3Endpoints(reg, cold, time.Minute)
-			r := faas.NewRouter(eps...)
-			b := faas.NewBatcher(r, 16, 500*time.Microsecond)
+			b := faas.NewBatcher(eps, 16, 500*time.Microsecond)
 			tput, lat := f3Drive(b, conc, callsPerCell)
 			b.Close()
 			tbl.AddRow(fmt.Sprintf("%d", conc), "warm+batch",

@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
+	"continuum/internal/federation"
 	"continuum/internal/metrics"
 	"continuum/internal/netsim"
 	"continuum/internal/sim"
@@ -43,10 +43,6 @@ func (ep *f9Endpoint) backlog() int64 {
 	return ep.slots.InUse() + int64(ep.slots.QueueLen()) + ep.pending
 }
 
-func (ep *f9Endpoint) load() float64 {
-	return float64(ep.backlog()) / float64(ep.slots.Capacity())
-}
-
 // takeWarm pops the newest warm container, discarding expired ones.
 func (ep *f9Endpoint) takeWarm(now float64) bool {
 	for len(ep.warm) > 0 {
@@ -79,60 +75,41 @@ func (ep *f9Endpoint) invoke(k *sim.Kernel, service float64, done func()) {
 	})
 }
 
-// f9Router federates endpoints over a network; pick chooses the endpoint
-// for an invocation from origin, drawing from rng if it is randomized.
+// f9Router federates endpoints over a network; policy names the
+// federation picker that chooses each invocation's endpoint.
 type f9Router struct {
-	net  *netsim.Network
-	eps  []*f9Endpoint
-	rng  *workload.RNG
-	pick func(r *f9Router, origin int) *f9Endpoint
+	net    *netsim.Network
+	eps    []*f9Endpoint
+	rng    *workload.RNG // two-choices draws from it
+	policy string
+	sites  []federation.Site // eps as the picker sees them, refilled per pick
 }
 
-// f9Nearest picks the endpoint with minimum network latency from the
-// origin: optimal when nobody else is talking.
-func f9Nearest(r *f9Router, origin int) *f9Endpoint {
-	var best *f9Endpoint
-	bestLat := math.Inf(1)
+// pick chooses the endpoint for an invocation from origin.
+func (r *f9Router) pick(origin int) *f9Endpoint {
+	r.sites = r.sites[:0]
 	for _, ep := range r.eps {
-		if lat := r.net.Latency(origin, ep.vertex); lat < bestLat {
-			best, bestLat = ep, lat
-		}
+		r.sites = append(r.sites, federation.Site{
+			Backlog:  ep.backlog(),
+			Slots:    int(ep.slots.Capacity()),
+			Distance: r.net.Latency(origin, ep.vertex),
+		})
 	}
-	return best
-}
-
-// f9LeastLoaded picks the endpoint with the smallest backlog/capacity
-// ratio, ignoring distance: funcX's spread heuristic.
-func f9LeastLoaded(r *f9Router, _ int) *f9Endpoint {
-	var best *f9Endpoint
-	bestLoad := math.Inf(1)
-	for _, ep := range r.eps {
-		if load := ep.load(); load < bestLoad {
-			best, bestLoad = ep, load
-		}
+	var i int
+	switch r.policy {
+	case "nearest":
+		i = federation.Nearest(r.sites)
+	case "least-loaded":
+		i = federation.LeastLoaded(r.sites)
+	case "two-choices":
+		a := r.rng.Intn(len(r.sites))
+		i = federation.TwoChoices(r.sites, a, r.rng.Intn(len(r.sites)))
+	case "nearest-spill":
+		i = federation.NearestSpill(r.sites)
+	default:
+		panic("experiments: unknown F9 policy " + r.policy)
 	}
-	return best
-}
-
-// f9TwoChoices samples two random endpoints and takes the less loaded:
-// near-optimal spread with O(1) state and no global view.
-func f9TwoChoices(r *f9Router, _ int) *f9Endpoint {
-	a := r.eps[r.rng.Intn(len(r.eps))]
-	b := r.eps[r.rng.Intn(len(r.eps))]
-	if b.load() < a.load() {
-		return b
-	}
-	return a
-}
-
-// f9NearestSpill prefers the nearest endpoint unless its backlog exceeds
-// twice its capacity, then falls back to least-loaded.
-func f9NearestSpill(r *f9Router, origin int) *f9Endpoint {
-	near := f9Nearest(r, origin)
-	if float64(near.backlog()) <= 2*float64(near.slots.Capacity()) {
-		return near
-	}
-	return f9LeastLoaded(r, origin)
+	return r.eps[i]
 }
 
 // invoke routes one invocation from origin: the request travels to the
@@ -141,7 +118,7 @@ func f9NearestSpill(r *f9Router, origin int) *f9Endpoint {
 func (r *f9Router) invoke(origin int, service float64, done func(latency float64)) {
 	k := r.net.Kernel()
 	start := k.Now()
-	ep := r.pick(r, origin)
+	ep := r.pick(origin)
 	ep.pending++
 	r.net.Message(origin, ep.vertex, f9MsgBytes, func() {
 		ep.pending--
@@ -180,14 +157,14 @@ func F9Routing(size Size) *Result {
 	type cell struct {
 		mean, p99 float64
 	}
-	run := func(pick func(*f9Router, int) *f9Endpoint, hotFrac float64) cell {
+	run := func(policy string, hotFrac float64) cell {
 		k := sim.NewKernel()
 		// Topology: per-region client vertex and endpoint vertices; metro
 		// links 2ms, inter-region WAN 30ms via a core vertex.
 		net := netsim.New(k, 1+regions*(1+epsPerRegion))
 		coreV := 0
 		rng := workload.NewRNG(uint64(regions)*1000 + uint64(hotFrac*100))
-		r := &f9Router{net: net, pick: pick}
+		r := &f9Router{net: net, policy: policy}
 		clients := make([]int, regions)
 		v := 1
 		for rg := 0; rg < regions; rg++ {
@@ -217,26 +194,16 @@ func F9Routing(size Size) *Result {
 		return cell{lat.Mean(), lat.P99()}
 	}
 
-	pickers := []struct {
-		name string
-		pick func(*f9Router, int) *f9Endpoint
-	}{
-		{"nearest", f9Nearest},
-		{"least-loaded", f9LeastLoaded},
-		{"two-choices", f9TwoChoices},
-		{"nearest-spill", f9NearestSpill},
-	}
-
 	tbl := metrics.NewTable(
 		fmt.Sprintf("F9 — serverless routing at scale (%d endpoints, hotspot sweep)", regions*epsPerRegion),
 		"hot_frac", "policy", "mean_lat", "p99_lat",
 	)
 	for _, hf := range hotFracs {
-		for _, p := range pickers {
-			c := run(p.pick, hf)
+		for _, policy := range []string{"nearest", "least-loaded", "two-choices", "nearest-spill"} {
+			c := run(policy, hf)
 			tbl.AddRow(
 				fmt.Sprintf("%.0f%%", hf*100),
-				p.name,
+				policy,
 				metrics.FormatDuration(c.mean),
 				metrics.FormatDuration(c.p99),
 			)

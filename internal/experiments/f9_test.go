@@ -11,13 +11,13 @@ import (
 
 // twoSiteRouter: origin(0) -- near endpoint(1) at 1ms -- far endpoint(2)
 // at 50ms.
-func twoSiteRouter(pick func(*f9Router, int) *f9Endpoint, nearCap, farCap int) (*sim.Kernel, *f9Router) {
+func twoSiteRouter(policy string, nearCap, farCap int) (*sim.Kernel, *f9Router) {
 	k := sim.NewKernel()
 	net := netsim.New(k, 3)
 	net.AddDuplexLink(0, 1, 0.001, 1e9)
 	net.AddDuplexLink(0, 2, 0.050, 1e9)
 	eps := []*f9Endpoint{newF9Endpoint(k, 1, nearCap), newF9Endpoint(k, 2, farCap)}
-	return k, &f9Router{net: net, eps: eps, pick: pick}
+	return k, &f9Router{net: net, eps: eps, policy: policy}
 }
 
 func TestF9EndpointColdThenWarm(t *testing.T) {
@@ -74,7 +74,7 @@ func TestF9EndpointCapacityQueues(t *testing.T) {
 }
 
 func TestF9NearestPicksNearEndpoint(t *testing.T) {
-	k, r := twoSiteRouter(f9Nearest, 4, 4)
+	k, r := twoSiteRouter("nearest", 4, 4)
 	var lat float64
 	r.invoke(0, 0.01, func(l float64) { lat = l })
 	k.Run()
@@ -88,7 +88,7 @@ func TestF9NearestPicksNearEndpoint(t *testing.T) {
 }
 
 func TestF9LeastLoadedAvoidsBacklog(t *testing.T) {
-	k, r := twoSiteRouter(f9LeastLoaded, 1, 1)
+	k, r := twoSiteRouter("least-loaded", 1, 1)
 	for i := 0; i < 4; i++ {
 		r.invoke(0, 1.0, func(float64) {})
 	}
@@ -103,7 +103,7 @@ func TestF9LeastLoadedAvoidsBacklog(t *testing.T) {
 func TestF9TwoChoicesDrawOrder(t *testing.T) {
 	const n = 8
 	k := sim.NewKernel()
-	r := &f9Router{net: netsim.New(k, 1), rng: workload.NewRNG(3)}
+	r := &f9Router{net: netsim.New(k, 1), rng: workload.NewRNG(3), policy: "two-choices"}
 	for i := 0; i < n; i++ {
 		r.eps = append(r.eps, newF9Endpoint(k, 0, 2))
 	}
@@ -111,7 +111,7 @@ func TestF9TwoChoicesDrawOrder(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		want := r.eps[twin.Intn(n)]
 		twin.Intn(n)
-		if got := f9TwoChoices(r, 0); got != want {
+		if got := r.pick(0); got != want {
 			t.Fatalf("pick %d: two-choices did not keep its first draw", i)
 		}
 	}
@@ -121,7 +121,7 @@ func TestF9TwoChoicesSpreads(t *testing.T) {
 	k := sim.NewKernel()
 	const n = 8
 	net := netsim.New(k, n+1)
-	r := &f9Router{net: net, rng: workload.NewRNG(1), pick: f9TwoChoices}
+	r := &f9Router{net: net, rng: workload.NewRNG(1), policy: "two-choices"}
 	for i := 0; i < n; i++ {
 		net.AddDuplexLink(0, i+1, 0.001, 1e9)
 		r.eps = append(r.eps, newF9Endpoint(k, i+1, 2))
@@ -138,7 +138,7 @@ func TestF9TwoChoicesSpreads(t *testing.T) {
 }
 
 func TestF9NearestSpillFallsBack(t *testing.T) {
-	k, r := twoSiteRouter(f9NearestSpill, 1, 8)
+	k, r := twoSiteRouter("nearest-spill", 1, 8)
 	for i := 0; i < 10; i++ {
 		r.invoke(0, 1.0, func(float64) {})
 	}
@@ -162,7 +162,7 @@ func TestF9RouterScale(t *testing.T) {
 	net := netsim.New(k, nEps+2)
 	hub, client := 0, nEps+1
 	rng := workload.NewRNG(4)
-	r := &f9Router{net: net, rng: rng.Split(), pick: f9TwoChoices}
+	r := &f9Router{net: net, rng: rng.Split(), policy: "two-choices"}
 	for v := 1; v <= nEps; v++ {
 		net.AddDuplexLink(v, hub, 0.002, 1.25e9)
 		r.eps = append(r.eps, newF9Endpoint(k, v, 4))

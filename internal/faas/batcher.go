@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// batchInvoker is the subset of endpoint/router behaviour the batcher
-// needs.
+// batchInvoker is what the batcher dispatches to: an Endpoint, or
+// anything that spreads batches over several.
 type batchInvoker interface {
 	InvokeBatch(fn string, payloads [][]byte) ([][]byte, error)
 }
@@ -30,8 +30,6 @@ type Batcher struct {
 	pending map[string][]*pendingCall
 	timers  map[string]*time.Timer
 	closed  bool
-
-	flushes int64 // dispatched batches
 }
 
 // NewBatcher wraps target with batching.
@@ -118,10 +116,6 @@ func (b *Batcher) dispatch(fn string, batch []*pendingCall) {
 	if len(batch) == 0 {
 		return
 	}
-	b.mu.Lock()
-	b.flushes++
-	b.mu.Unlock()
-
 	payloads := make([][]byte, len(batch))
 	for i, c := range batch {
 		payloads[i] = c.payload

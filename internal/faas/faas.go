@@ -1,8 +1,9 @@
 // Package faas is the funcX analogue of the reproduction: federated
 // function-as-a-service over heterogeneous endpoints. Functions register
 // centrally; endpoints execute them in "containers" with a cold-start
-// penalty and a warm pool; a router spreads invocations across endpoints;
-// an optional batcher amortizes per-invocation overhead.
+// penalty and a warm pool; an optional batcher amortizes per-invocation
+// overhead. Spreading invocations across endpoints is package
+// federation's job.
 //
 // Unlike the simulation substrates, this package runs for real: handlers
 // are Go functions, containers are capacity slots, and cold starts are
@@ -81,14 +82,15 @@ func (r *Registry) Names() []string {
 }
 
 // Invoker is anything that can execute a named function: an Endpoint, a
-// Router over many endpoints, or a Batcher wrapping either.
+// federation.Local or federation.Router over many endpoints, or a
+// Batcher.
 type Invoker interface {
 	Invoke(fn string, payload []byte) ([]byte, error)
 }
 
 // ContextInvoker is an Invoker that also honors a context deadline —
-// Endpoints and Routers implement it; wrappers that cannot thread a
-// context (the Batcher) stay plain Invokers.
+// Endpoints and federation.Router implement it; wrappers that cannot
+// thread a context (the Batcher) stay plain Invokers.
 type ContextInvoker interface {
 	Invoker
 	InvokeContext(ctx context.Context, fn string, payload []byte) ([]byte, error)
@@ -338,32 +340,6 @@ func (ep *Endpoint) QueueDepth() int {
 		return 0
 	}
 	return ep.adm.QueueDepth()
-}
-
-// LoadSnapshot is one endpoint's instantaneous load picture — the body
-// a federated daemon advertises in its heartbeats so the router can
-// route least-loaded without an extra round trip.
-type LoadSnapshot struct {
-	// QueueDepth is the number of invocations waiting for admission.
-	QueueDepth int
-	// InFlight is the number of invocations currently executing.
-	InFlight int64
-	// SlotLimit is the current (possibly elastic) concurrency limit.
-	SlotLimit int
-	// Cordoned reports whether the endpoint rejects new work.
-	Cordoned bool
-}
-
-// Load returns the endpoint's instantaneous load snapshot. The fields
-// are read independently, so a snapshot taken under concurrent traffic
-// is approximate — exactly as load advertisements must be.
-func (ep *Endpoint) Load() LoadSnapshot {
-	return LoadSnapshot{
-		QueueDepth: ep.QueueDepth(),
-		InFlight:   ep.Running(),
-		SlotLimit:  ep.SlotLimit(),
-		Cordoned:   ep.Cordoned(),
-	}
 }
 
 // SetCordon marks the endpoint cordoned (true) or schedulable again

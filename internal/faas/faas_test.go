@@ -13,11 +13,15 @@ import (
 	"continuum/internal/metrics"
 )
 
-// flushes returns the number of batches b has dispatched.
-func flushes(b *Batcher) int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.flushes
+// countingTarget counts the batches a Batcher hands to its endpoint.
+type countingTarget struct {
+	ep      *Endpoint
+	batches atomic.Int64
+}
+
+func (c *countingTarget) InvokeBatch(fn string, payloads [][]byte) ([][]byte, error) {
+	c.batches.Add(1)
+	return c.ep.InvokeBatch(fn, payloads)
 }
 
 // warmCount returns the current warm-pool size for fn.
@@ -221,44 +225,10 @@ func TestInvokeBatchAmortizesColdStart(t *testing.T) {
 	}
 }
 
-func TestRouterLeastLoaded(t *testing.T) {
-	reg := NewRegistry()
-	block := make(chan struct{})
-	reg.Register("block", func([]byte) ([]byte, error) { <-block; return nil, nil })
-	reg.Register("quick", func([]byte) ([]byte, error) { return nil, nil })
-	a := NewEndpoint(EndpointConfig{Name: "a", Capacity: 2}, reg)
-	b := NewEndpoint(EndpointConfig{Name: "b", Capacity: 2}, reg)
-	r := NewRouter(a, b)
-	// Occupy endpoint a.
-	go r.Invoke("block", nil)
-	for a.Running() == 0 && b.Running() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	loaded := a
-	idle := b
-	if b.Running() > 0 {
-		loaded, idle = b, a
-	}
-	_ = loaded
-	r.Invoke("quick", nil)
-	if idle.Invocations() != 1 {
-		t.Fatal("least-loaded did not avoid the busy endpoint")
-	}
-	close(block)
-}
-
-func TestRouterPanicsWithoutEndpoints(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("empty router accepted")
-		}
-	}()
-	NewRouter()
-}
-
 func TestBatcherGroupsCalls(t *testing.T) {
 	ep := newTestEndpoint(1, 0)
-	b := NewBatcher(ep, 4, 50*time.Millisecond)
+	target := &countingTarget{ep: ep}
+	b := NewBatcher(target, 4, 50*time.Millisecond)
 	defer b.Close()
 	var wg sync.WaitGroup
 	outs := make([][]byte, 4)
@@ -280,8 +250,8 @@ func TestBatcherGroupsCalls(t *testing.T) {
 			t.Fatalf("out[%d] = %q", i, outs[i])
 		}
 	}
-	if flushes(b) != 1 {
-		t.Fatalf("Flushes = %d, want 1 full batch", flushes(b))
+	if n := target.batches.Load(); n != 1 {
+		t.Fatalf("%d batches, want 1 full batch", n)
 	}
 	if ep.ColdStarts() != 1 {
 		t.Fatalf("ColdStarts = %d, want 1", ep.ColdStarts())
@@ -303,8 +273,8 @@ func TestBatcherTimeoutFlush(t *testing.T) {
 }
 
 func TestBatcherPerFunctionBatches(t *testing.T) {
-	ep := newTestEndpoint(2, 0)
-	b := NewBatcher(ep, 2, 10*time.Millisecond)
+	target := &countingTarget{ep: newTestEndpoint(2, 0)}
+	b := NewBatcher(target, 2, 10*time.Millisecond)
 	defer b.Close()
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
@@ -314,8 +284,8 @@ func TestBatcherPerFunctionBatches(t *testing.T) {
 		go func() { defer wg.Done(); b.Invoke("double", []byte("d")) }()
 	}
 	wg.Wait()
-	if flushes(b) != 2 {
-		t.Fatalf("Flushes = %d, want 2 (one per function)", flushes(b))
+	if n := target.batches.Load(); n != 2 {
+		t.Fatalf("%d batches, want 2 (one per function)", n)
 	}
 }
 
@@ -350,6 +320,9 @@ func TestBatcherErrorFansOut(t *testing.T) {
 	}
 }
 
+// TestConcurrentMixedWorkload: 200 concurrent calls of two functions
+// over three endpoints that share a registry each return their own
+// answer and run exactly once.
 func TestConcurrentMixedWorkload(t *testing.T) {
 	reg := echoRegistry()
 	eps := make([]*Endpoint, 3)
@@ -358,23 +331,22 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 			Name: fmt.Sprintf("ep%d", i), Capacity: 4, WarmTTL: time.Minute,
 		}, reg)
 	}
-	r := NewRouter(eps...)
 	var wg sync.WaitGroup
 	const calls = 200
-	var failures atomic.Int64
 	for i := 0; i < calls; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := r.Invoke("echo", []byte("x")); err != nil {
-				failures.Add(1)
+			fn, in, want := "echo", []byte{byte(i)}, []byte{byte(i)}
+			if i%2 == 1 {
+				fn, want = "double", []byte{byte(i), byte(i)}
+			}
+			if out, err := eps[i%len(eps)].Invoke(fn, in); err != nil || !bytes.Equal(out, want) {
+				t.Errorf("call %d: %s = %v, %v; want %v", i, fn, out, err, want)
 			}
 		}()
 	}
 	wg.Wait()
-	if failures.Load() != 0 {
-		t.Fatalf("%d failures", failures.Load())
-	}
 	total := int64(0)
 	for _, ep := range eps {
 		total += ep.Invocations()

@@ -21,8 +21,8 @@ type AgentConfig struct {
 	// daemon's wire listener — the daemon's reachable address, not
 	// necessarily the one it bound.
 	Advertise string
-	// Endpoint supplies capacity and the live load snapshot heartbeats
-	// carry. Nil advertises no load (a pure-capability member).
+	// Endpoint supplies capacity and the live load heartbeats carry.
+	// Nil advertises no load (a pure-capability member).
 	Endpoint *faas.Endpoint
 	// Functions lists the function names this daemon serves; empty means
 	// "everything".
@@ -36,7 +36,7 @@ type AgentConfig struct {
 
 // Agent is the daemon half of the federation: it registers with the
 // router, heartbeats at the router's cadence with the endpoint's live
-// load snapshot, re-registers when the router stops recognizing it
+// load, re-registers when the router stops recognizing it
 // (router restart, expiry after a partition, a superseded generation),
 // redials dropped connections, and deregisters — gracefully draining,
 // when asked — on shutdown. Start it after the daemon's wire listener
@@ -66,12 +66,12 @@ func (a *Agent) info(gen int64) wire.MemberInfo {
 		Generation: gen,
 	}
 	if ep := a.cfg.Endpoint; ep != nil {
+		// Read one by one: approximate under traffic, like any heartbeat.
 		m.Capacity = ep.Capacity()
-		load := ep.Load()
-		m.QueueDepth = load.QueueDepth
-		m.InFlight = load.InFlight
-		m.SlotLimit = load.SlotLimit
-		m.Cordoned = load.Cordoned
+		m.QueueDepth = ep.QueueDepth()
+		m.InFlight = ep.Running()
+		m.SlotLimit = ep.SlotLimit()
+		m.Cordoned = ep.Cordoned()
 	}
 	return m
 }

@@ -2,6 +2,7 @@ package federation
 
 import (
 	"cmp"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"slices"
@@ -92,26 +93,30 @@ func (HashPolicy) Order(fn string, payload []byte, members []wire.MemberStatus) 
 	})
 }
 
-// LeastLoadedPolicy orders members by instantaneous load pressure —
-// (queue depth + in-flight) normalized by the advertised slot limit —
-// so new work flows toward spare capacity. Load figures are one
-// heartbeat old by construction; the router's breakers and retries
-// absorb the staleness.
+// LeastLoadedPolicy orders members by Site.Load over their latest
+// heartbeat — (queue depth + in-flight) per advertised slot — so new
+// work flows toward spare capacity. Load figures are one heartbeat old
+// by construction; the router's breakers and retries absorb the
+// staleness.
 type LeastLoadedPolicy struct{}
 
 // Order implements Policy.
 func (LeastLoadedPolicy) Order(fn string, _ []byte, members []wire.MemberStatus) []string {
 	return rankBy(fn, members, func(m *wire.MemberStatus) uint64 {
-		slots := m.SlotLimit
-		if slots <= 0 {
-			slots = m.Capacity
-		}
-		if slots <= 0 {
-			slots = 1
-		}
 		// A non-negative float64's bit pattern sorts as the float does.
-		return math.Float64bits(float64(max(m.QueueDepth+int(m.InFlight), 0)) / float64(slots))
+		return math.Float64bits(memberSite(m).Load())
 	})
+}
+
+// memberSite is a member as its heartbeat shows it: queue + in-flight
+// over the slot limit, or over the capacity for a member that
+// advertises no limit.
+func memberSite(m *wire.MemberStatus) Site {
+	slots := m.SlotLimit
+	if slots <= 0 {
+		slots = m.Capacity
+	}
+	return Site{Backlog: max(int64(m.QueueDepth)+m.InFlight, 0), Slots: slots}
 }
 
 // rankedOnStack is how many members rankBy ranks in a stack buffer; a
@@ -151,14 +156,73 @@ func rankBy(fn string, members []wire.MemberStatus, key func(*wire.MemberStatus)
 	return out
 }
 
-// PolicyByName maps the -policy flag values to implementations:
-// "hash" (rendezvous hashing, the default) and "least-loaded".
-func PolicyByName(name string) (Policy, bool) {
+// PolicyNames lists the values PolicyByName accepts, the default first.
+var PolicyNames = []string{"hash", "least-loaded"}
+
+// PolicyByName maps a -policy flag value to its Policy; "" is the
+// default, hash. An unknown name's error lists PolicyNames.
+func PolicyByName(name string) (Policy, error) {
 	switch name {
 	case "", "hash":
-		return HashPolicy{}, true
+		return HashPolicy{}, nil
 	case "least-loaded":
-		return LeastLoadedPolicy{}, true
+		return LeastLoadedPolicy{}, nil
 	}
-	return nil, false
+	return nil, fmt.Errorf("unknown routing policy %q (want %s)", name, strings.Join(PolicyNames, " or "))
+}
+
+// Site is one candidate endpoint as a picker sees it, filled in by the
+// caller from what it knows: a heartbeat, a simulated resource, its own
+// dispatches still on their way.
+type Site struct {
+	Backlog  int64   // work running, queued or in flight toward the site
+	Slots    int     // concurrency; <= 0 counts as 1
+	Distance float64 // the caller's cost to reach the site, e.g. a latency
+}
+
+// Load is the site's backlog per slot: the one definition of load that
+// LeastLoadedPolicy and every picker rank by.
+func (s Site) Load() float64 {
+	return float64(s.Backlog) / float64(max(s.Slots, 1))
+}
+
+// The pickers below each return the index of the chosen site; sites
+// must not be empty, and ties go to the lowest index.
+
+// LeastLoaded picks the site with the lowest Load, ignoring distance:
+// funcX's spread heuristic.
+func LeastLoaded(sites []Site) int { return argmin(sites, Site.Load) }
+
+// Nearest picks the site with the lowest Distance: optimal while nobody
+// else is calling.
+func Nearest(sites []Site) int { return argmin(sites, func(s Site) float64 { return s.Distance }) }
+
+// NearestSpill picks the nearest site unless its backlog exceeds twice
+// its slots, and the least-loaded site then.
+func NearestSpill(sites []Site) int {
+	if i := Nearest(sites); sites[i].Load() <= 2 {
+		return i
+	}
+	return LeastLoaded(sites)
+}
+
+// TwoChoices picks the less loaded of sites a and b, a on a tie: the
+// power of two choices, near-optimal spread from two samples. The
+// caller draws a and b, so the randomness stays in its own stream.
+func TwoChoices(sites []Site, a, b int) int {
+	if sites[b].Load() < sites[a].Load() {
+		return b
+	}
+	return a
+}
+
+// argmin returns the index of the lowest key, the first on a tie.
+func argmin(sites []Site, key func(Site) float64) int {
+	best, bestKey := 0, key(sites[0])
+	for i := 1; i < len(sites); i++ {
+		if k := key(sites[i]); k < bestKey {
+			best, bestKey = i, k
+		}
+	}
+	return best
 }

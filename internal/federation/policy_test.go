@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"continuum/internal/wire"
@@ -190,7 +191,8 @@ func TestHashPolicyGoldenVector(t *testing.T) {
 }
 
 // TestOrderAllocations: one allocation — the returned list — per call,
-// for either policy, at the benchmark probe's fleet sizes.
+// for either policy, at the benchmark probe's fleet sizes; the pickers
+// allocate nothing.
 func TestOrderAllocations(t *testing.T) {
 	payload := make([]byte, 64)
 	for _, p := range []Policy{HashPolicy{}, LeastLoadedPolicy{}} {
@@ -199,6 +201,20 @@ func TestOrderAllocations(t *testing.T) {
 			if got := testing.AllocsPerRun(100, func() { p.Order("echo", payload, members) }); got > 1 {
 				t.Errorf("%T.Order over %d members: %.0f allocations per call, want at most 1", p, n, got)
 			}
+		}
+	}
+	sites := make([]Site, 64)
+	for i := range sites {
+		sites[i] = Site{Backlog: int64(i % 5), Slots: i % 3, Distance: float64(i % 7)}
+	}
+	for name, pick := range map[string]func([]Site) int{
+		"LeastLoaded":  LeastLoaded,
+		"Nearest":      Nearest,
+		"NearestSpill": NearestSpill,
+		"TwoChoices":   func(s []Site) int { return TwoChoices(s, 3, 60) },
+	} {
+		if got := testing.AllocsPerRun(100, func() { pick(sites) }); got != 0 {
+			t.Errorf("%s over %d sites: %.0f allocations per call, want 0", name, len(sites), got)
 		}
 	}
 }
@@ -232,19 +248,75 @@ func TestLeastLoadedOrder(t *testing.T) {
 	}
 }
 
-// TestPolicyByName covers the flag-value mapping.
+// TestPolicyByName covers the flag-value mapping: every listed name
+// resolves, "" is hash, and anything else is an error naming the list.
 func TestPolicyByName(t *testing.T) {
-	if p, ok := PolicyByName(""); !ok {
-		t.Fatal("default policy missing")
+	if p, err := PolicyByName(""); err != nil {
+		t.Fatal("default policy missing:", err)
 	} else if _, isHash := p.(HashPolicy); !isHash {
 		t.Fatalf("default policy = %T, want HashPolicy", p)
 	}
-	if _, ok := PolicyByName("least-loaded"); !ok {
-		t.Fatal("least-loaded policy missing")
+	for _, name := range PolicyNames {
+		if _, err := PolicyByName(name); err != nil {
+			t.Fatalf("listed policy %q: %v", name, err)
+		}
 	}
-	for _, name := range []string{"bogus", "least_loaded", "leastloaded"} {
-		if _, ok := PolicyByName(name); ok {
-			t.Fatalf("policy %q accepted; only \"\", hash and least-loaded are", name)
+	for _, name := range []string{"bogus", "least_loaded", "leastloaded", "nearest"} {
+		_, err := PolicyByName(name)
+		if err == nil {
+			t.Fatalf("policy %q accepted; only \"\" and %v are", name, PolicyNames)
+		}
+		if !strings.Contains(err.Error(), "hash or least-loaded") {
+			t.Fatalf("policy %q: error %q does not list the accepted names", name, err)
+		}
+	}
+}
+
+// TestPickers pins each picker's choice, ties to the lowest index.
+func TestPickers(t *testing.T) {
+	type pick func([]Site) int
+	twoChoices := func(a, b int) pick { return func(s []Site) int { return TwoChoices(s, a, b) } }
+	for _, tc := range []struct {
+		name  string
+		pick  pick
+		sites []Site
+		want  int
+	}{
+		{"least-loaded", LeastLoaded, []Site{{Backlog: 3, Slots: 2}, {Backlog: 1, Slots: 2}, {Backlog: 4, Slots: 8}}, 1},
+		{"least-loaded tie", LeastLoaded, []Site{{Backlog: 4, Slots: 2}, {Backlog: 2, Slots: 2}, {Backlog: 4, Slots: 4}}, 1},
+		{"least-loaded slots 0 is 1", LeastLoaded, []Site{{Backlog: 1, Slots: 0}, {Backlog: 3, Slots: 2}}, 0},
+		{"least-loaded negative slots is 1", LeastLoaded, []Site{{Backlog: 1, Slots: 4}, {Backlog: 1, Slots: -4}}, 0},
+		{"nearest", Nearest, []Site{{Distance: 3}, {Distance: 1}, {Distance: 2}}, 1},
+		{"nearest tie", Nearest, []Site{{Distance: 2}, {Distance: 1, Backlog: 9}, {Distance: 1}}, 1},
+		{"two-choices", twoChoices(0, 2), []Site{{Backlog: 2, Slots: 1}, {}, {Backlog: 1, Slots: 1}}, 2},
+		{"two-choices keeps a on a tie", twoChoices(2, 0), []Site{{Backlog: 1, Slots: 1}, {}, {Backlog: 2, Slots: 2}}, 2},
+		{"nearest-spill stays at 2x slots", NearestSpill, []Site{{Distance: 1, Backlog: 8, Slots: 4}, {Distance: 5}}, 0},
+		{"nearest-spill spills at 2x slots + 1", NearestSpill, []Site{{Distance: 1, Backlog: 9, Slots: 4}, {Distance: 5, Backlog: 1, Slots: 4}, {Distance: 9}}, 2},
+		{"nearest-spill slots 0 is 1", NearestSpill, []Site{{Distance: 1, Backlog: 2}, {Distance: 5}}, 0},
+	} {
+		if got := tc.pick(tc.sites); got != tc.want {
+			t.Errorf("%s: picked %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestLeastLoadedOrderLeadsWithPick: LeastLoadedPolicy ranks by the
+// same Site.Load as LeastLoaded, so over members listed in name order
+// (ties broken the same way) its first entry is LeastLoaded's pick.
+func TestLeastLoadedOrderLeadsWithPick(t *testing.T) {
+	var p LeastLoadedPolicy
+	rng := rand.New(rand.NewSource(11))
+	for round := 0; round < 200; round++ {
+		members := fleet(1 + rng.Intn(64))
+		sites := make([]Site, len(members))
+		for i := range members {
+			m := &members[i]
+			m.QueueDepth, m.InFlight = rng.Intn(4), int64(rng.Intn(4))
+			m.SlotLimit, m.Capacity = rng.Intn(4), 1+rng.Intn(4) // a zero limit falls back to capacity
+			sites[i] = memberSite(m)
+		}
+		if got, want := p.Order("fn", nil, members)[0], members[LeastLoaded(sites)].Addr; got != want {
+			t.Fatalf("round %d: Order leads with %s, LeastLoaded picks %s", round, got, want)
 		}
 	}
 }

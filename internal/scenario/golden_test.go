@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+
+	"continuum/internal/trace"
 )
 
 // goldenReports pins the SHA-256 of the marshalled Report and of the
@@ -33,7 +35,8 @@ var goldenReports = map[string][2]string{
 }
 
 // TestScenarioGoldenReports is the bit-identity oracle for simulator
-// performance work. It is skipped off amd64, where the compiler may fuse
+// performance work. Each scenario also runs through RunTracedParallel(4),
+// which must give the same report and trace bytes. It is skipped off amd64, where the compiler may fuse
 // multiply-adds and legitimately round differently.
 func TestScenarioGoldenReports(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
@@ -49,19 +52,8 @@ func TestScenarioGoldenReports(t *testing.T) {
 			t.Errorf("%s: no golden entry", name)
 			continue
 		}
-		r, tr, err := s.RunTraced()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		rb, err := json.Marshal(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := tr.WriteJSONL(&buf); err != nil {
-			t.Fatal(err)
-		}
-		rs, ts := sha256.Sum256(rb), sha256.Sum256(buf.Bytes())
+		rb, tb := runBytes(t, name, s.RunTraced)
+		rs, ts := sha256.Sum256(rb), sha256.Sum256(tb)
 		got := [2]string{hex.EncodeToString(rs[:]), hex.EncodeToString(ts[:])}
 		if got[0] != want[0] {
 			t.Errorf("%s: report sha256 %s, golden %s", name, got[0], want[0])
@@ -69,7 +61,33 @@ func TestScenarioGoldenReports(t *testing.T) {
 		if got[1] != want[1] {
 			t.Errorf("%s: trace sha256 %s, golden %s", name, got[1], want[1])
 		}
+		prb, ptb := runBytes(t, name, func() (*Report, *trace.Tracer, error) { return s.RunTracedParallel(4) })
+		if !bytes.Equal(prb, rb) {
+			t.Errorf("%s: RunTracedParallel(4) report differs from RunTraced's", name)
+		}
+		if !bytes.Equal(ptb, tb) {
+			t.Errorf("%s: RunTracedParallel(4) trace differs from RunTraced's", name)
+		}
 	}
+}
+
+// runBytes runs one traced pass and returns its marshalled report and
+// JSONL trace.
+func runBytes(t *testing.T, name string, run func() (*Report, *trace.Tracer, error)) (report, jsonl []byte) {
+	t.Helper()
+	r, tr, err := run()
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	rb, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return rb, buf.Bytes()
 }
 
 // goldenScenarios parses every examples/scenarios/*.json and adds the

@@ -62,8 +62,9 @@ type LiveOptions struct {
 	// join events, failures) exercises the registry's suspect/expiry
 	// machinery instead of a static address list.
 	Router bool
-	// Policy names the router's routing policy when Router is set
-	// ("hash" or "least-loaded"; default hash). Ignored otherwise.
+	// Policy names the router's routing policy, one of
+	// federation.PolicyNames (default hash). RunLive rejects it when
+	// Router is off.
 	Policy string
 	// Heartbeat is the federation heartbeat interval when Router is set
 	// (default 100ms — scaled scenarios replay in wall-clock time, so the
@@ -140,6 +141,13 @@ func startLiveNode(name string, spans *trace.SpanStore) (*liveNode, error) {
 // and reports Lost > 0 if any invocation failed through the reliable
 // client (the e2e gate asserts zero).
 func (s *Scenario) RunLive(opts LiveOptions) (*Report, error) {
+	if opts.Policy != "" && !opts.Router {
+		return nil, fmt.Errorf("scenario %q: router policy %q set without the router", s.Name, opts.Policy)
+	}
+	policy, err := federation.PolicyByName(opts.Policy)
+	if err != nil {
+		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
+	}
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -192,10 +200,6 @@ func (s *Scenario) RunLive(opts LiveOptions) (*Report, error) {
 	// the router alone — requests flow client → router → fleet, so the
 	// script's churn exercises live membership instead of a fixed list.
 	if opts.Router {
-		policy, ok := federation.PolicyByName(opts.Policy)
-		if !ok {
-			return nil, fmt.Errorf("scenario %q: unknown router policy %q (want hash or least-loaded)", s.Name, opts.Policy)
-		}
 		rt, err = federation.NewRouter(federation.RouterConfig{
 			Registry: federation.Config{HeartbeatInterval: opts.heartbeat()},
 			Policy:   policy,

@@ -171,6 +171,24 @@ func TestLiveRejectsDAG(t *testing.T) {
 	}
 }
 
+// TestLiveRejectsPolicy: a policy without the router, or one the router
+// does not know, fails before any node boots.
+func TestLiveRejectsPolicy(t *testing.T) {
+	for _, tc := range []struct {
+		opts LiveOptions
+		want string
+	}{
+		{LiveOptions{Policy: "least-loaded"}, "without the router"},
+		{LiveOptions{Policy: "bogus"}, "without the router"},
+		{LiveOptions{Router: true, Policy: "bogus"}, `unknown routing policy "bogus" (want hash or least-loaded)`},
+	} {
+		_, err := eventScenario().RunLive(tc.opts)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("RunLive(%+v) = %v, want an error containing %q", tc.opts, err, tc.want)
+		}
+	}
+}
+
 func TestLiveRejectsHugeFleet(t *testing.T) {
 	s := GenerateStress(StressSpec{Nodes: 1000, Seed: 1})
 	_, err := s.RunLive(LiveOptions{TimeScale: 0.01})
