@@ -61,15 +61,13 @@ func scenarioValidate(args []string) {
 	}
 	failed := 0
 	for _, path := range fs.Args() {
-		s, err := loadScenario(path)
-		if err == nil {
-			err = s.Validate()
-		}
+		p, err := loadScenario(path)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "continuum-sim: %s: %v\n", path, err)
 			failed++
 			continue
 		}
+		s := p.Scenario
 		fmt.Printf("%s: ok (%s: %d nodes, %d links, %d events)\n",
 			path, s.Name, len(s.Nodes), len(s.Links), len(s.Events))
 	}
@@ -89,7 +87,6 @@ func scenarioRun(args []string) {
 	gantt := fs.Int("gantt", 0, "sim backend: also print an ASCII busy-timeline of the given width")
 	traceOut := fs.String("trace", "", "sim backend: write the event trace as JSONL to this file")
 	chromeOut := fs.String("chrome-trace", "", "sim backend: write a Chrome trace-event JSON file")
-	parallel := fs.Int("parallel", 1, "sim backend: workload-synthesis workers (output is bit-identical for any value)")
 	router := fs.Bool("router", false, "live backend: front the fleet with an in-process continuum-router and drive every request through it")
 	policy := fs.String("policy", "", "live backend with -router: routing policy, "+strings.Join(federation.PolicyNames, " or ")+" (default hash)")
 	fs.Parse(args)
@@ -98,7 +95,7 @@ func scenarioRun(args []string) {
 		fs.Usage()
 		os.Exit(2)
 	}
-	s, err := loadScenario(*file)
+	p, err := loadScenario(*file)
 	if err != nil {
 		fatal(err)
 	}
@@ -108,7 +105,7 @@ func scenarioRun(args []string) {
 		if *router || *policy != "" {
 			fatal(fmt.Errorf("-router/-policy are live-backend options; the sim backend has no router"))
 		}
-		report, tr, err := s.RunTracedParallel(*parallel)
+		report, tr, err := p.RunTraced()
 		if err != nil {
 			fatal(err)
 		}
@@ -131,10 +128,7 @@ func scenarioRun(args []string) {
 		if *gantt > 0 || *traceOut != "" || *chromeOut != "" {
 			fatal(fmt.Errorf("-gantt/-trace/-chrome-trace are simulator exports; the live backend has no virtual-time tracer"))
 		}
-		if *parallel > 1 {
-			fatal(fmt.Errorf("-parallel is a simulator option; the live backend runs in wall-clock time"))
-		}
-		report, err := s.RunLive(scenario.LiveOptions{
+		report, err := p.RunLive(scenario.LiveOptions{
 			TimeScale: *timeScale,
 			Function:  *function,
 			Router:    *router,
@@ -264,8 +258,8 @@ func printReport(r *scenario.Report, csv bool) {
 	}
 }
 
-// loadScenario reads and parses one scenario file ('-' for stdin).
-func loadScenario(path string) (*scenario.Scenario, error) {
+// loadScenario reads and compiles one scenario file ('-' for stdin).
+func loadScenario(path string) (*scenario.Plan, error) {
 	var raw []byte
 	var err error
 	if path == "-" {

@@ -170,7 +170,7 @@ func TestLiveCordonDrainZeroLost(t *testing.T) {
 		{At: 1, Kind: "cordon", Target: "fog", For: 3},
 		{At: 2, Kind: "drain", Target: "gw2", For: 4},
 	}
-	r, err := s.RunLive(LiveOptions{TimeScale: 0.05})
+	r, err := compiled(t, s).RunLive(LiveOptions{TimeScale: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"continuum/internal/trace"
 )
 
 // TestRunMatchesRunTraced: Run records no trace, and that must not change
@@ -45,23 +47,13 @@ func TestRunMatchesRunTraced(t *testing.T) {
 // and a byte-identical JSONL trace — not just equal aggregates. Every
 // random draw (arrivals, cascade victim order, chaos cycling, chaos
 // seeds, scheduler tie-breaks) must come from the scenario's seed tree
-// for this to hold.
+// for this to hold. A compiled Plan run twice gives the same bytes too.
 func TestScenarioBitReproducible(t *testing.T) {
+	stress := func(seed uint64) *Scenario {
+		return GenerateStress(StressSpec{Nodes: 64, Seed: seed, Origins: 16, Horizon: 10})
+	}
 	run := func(seed uint64, workers int) ([]byte, []byte) {
-		s := GenerateStress(StressSpec{Nodes: 64, Seed: seed, Origins: 16, Horizon: 10})
-		r, tr, err := s.RunTracedParallel(workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rb, err := json.Marshal(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := tr.WriteJSONL(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return rb, buf.Bytes()
+		return runBytes(t, "stress", func() (*Report, *trace.Tracer, error) { return stress(seed).RunTracedParallel(workers) })
 	}
 
 	r1, t1 := run(7, 1)
@@ -73,14 +65,25 @@ func TestScenarioBitReproducible(t *testing.T) {
 		t.Fatal("same seed, different JSONL traces")
 	}
 
-	// -parallel must be invisible in the output: the same seed with
-	// parallel workload synthesis produces the identical bytes.
+	// Parallel workload synthesis must be invisible in the output: the
+	// same seed with RunTracedParallel produces the identical bytes.
 	r1p, t1p := run(7, 8)
 	if !bytes.Equal(r1, r1p) {
 		t.Fatalf("parallel workers changed the report:\n%s\n%s", r1, r1p)
 	}
 	if !bytes.Equal(t1, t1p) {
 		t.Fatal("parallel workers changed the JSONL trace")
+	}
+
+	p, err := stress(7).Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		rp, tp := runBytes(t, "plan", p.RunTraced)
+		if !bytes.Equal(r1, rp) || !bytes.Equal(t1, tp) {
+			t.Fatalf("run %d of one Plan gave different bytes than RunTraced:\n%s\n%s", i+1, r1, rp)
+		}
 	}
 
 	r3, t3 := run(8, 1)

@@ -84,7 +84,7 @@ type op struct {
 	at     float64
 	kind   opKind
 	node   string          // opFail/opRepair/opChaosOn/opChaosOff/opCordon/opUncordon
-	a, b   string          // opLink endpoints (scenario link order)
+	link   LinkJSON        // opLink: the link as declared
 	factor float64         // opLink multiplier or opWorkload rate factor
 	chaos  fault.ChaosSpec // opChaosOn
 	drain  bool            // opCordon: also pause the node's generator
@@ -92,9 +92,8 @@ type op struct {
 
 // compile expands the event script into a time-sorted primitive
 // timeline, reporting the first invalid event positionally. rng feeds
-// only random expansion (cascade victim order, chaos seeds) — never
-// validity — so Validate can compile with a throwaway stream while runs
-// compile with a seed-derived one.
+// only random expansion (cascade victim order, chaos seeds), never
+// validity.
 func (s *Scenario) compile(rng *workload.RNG) ([]op, error) {
 	if len(s.Events) == 0 {
 		return nil, nil
@@ -201,7 +200,7 @@ func (s *Scenario) compile(rng *workload.RNG) ([]op, error) {
 				}
 			}
 		case "degrade-link", "restore-link":
-			a, b, err := s.matchLink(ev.Target)
+			link, err := s.matchLink(ev.Target)
 			if err != nil {
 				return nil, evFail(i, "%v", err)
 			}
@@ -212,7 +211,7 @@ func (s *Scenario) compile(rng *workload.RNG) ([]op, error) {
 				}
 				factor = ev.Factor
 			}
-			ops = append(ops, op{at: ev.At, kind: opLink, a: a, b: b, factor: factor})
+			ops = append(ops, op{at: ev.At, kind: opLink, link: link, factor: factor})
 		case "workload":
 			if s.Stream == nil {
 				return nil, evFail(i, "workload event needs a stream workload")
@@ -277,20 +276,20 @@ func (s *Scenario) matchNodes(pattern string) ([]string, error) {
 }
 
 // matchLink resolves an "a->b" link target against the scenario's links
-// (either direction), returning the endpoints in scenario declaration
-// order.
-func (s *Scenario) matchLink(target string) (string, string, error) {
+// (either direction), returning the link as declared: its endpoints in
+// declaration order and the figures degrade-link scales.
+func (s *Scenario) matchLink(target string) (LinkJSON, error) {
 	a, b, ok := strings.Cut(target, "->")
 	if !ok {
-		return "", "", fmt.Errorf("link target %q is not \"a->b\"", target)
+		return LinkJSON{}, fmt.Errorf("link target %q is not \"a->b\"", target)
 	}
 	a, b = strings.TrimSpace(a), strings.TrimSpace(b)
 	for _, l := range s.Links {
 		if (l.A == a && l.B == b) || (l.A == b && l.B == a) {
-			return l.A, l.B, nil
+			return l, nil
 		}
 	}
-	return "", "", fmt.Errorf("link %q is not defined", target)
+	return LinkJSON{}, fmt.Errorf("link %q is not defined", target)
 }
 
 // phases extracts the workload rate schedule from a compiled timeline
@@ -304,6 +303,3 @@ func phases(ops []op) []workload.Phase {
 	}
 	return ph
 }
-
-// linkKey canonicalizes a link's endpoints for map lookup.
-func linkKey(a, b string) string { return a + "\x00" + b }

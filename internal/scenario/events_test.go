@@ -110,7 +110,7 @@ func TestCompileLinkAndWorkloadOps(t *testing.T) {
 	if ops[0].kind != opWorkload || ops[0].at != 1 || ops[0].factor != 2.5 {
 		t.Fatalf("ops not time-sorted or workload wrong: %+v", ops[0])
 	}
-	if ops[1].kind != opLink || ops[1].factor != 10 || ops[1].a != "fog" || ops[1].b != "cloud" {
+	if ops[1].kind != opLink || ops[1].factor != 10 || ops[1].link.A != "fog" || ops[1].link.B != "cloud" {
 		t.Fatalf("degrade op: %+v", ops[1])
 	}
 	if ops[2].kind != opLink || ops[2].factor != 1 {
@@ -243,6 +243,10 @@ func TestValidatePositionalErrors(t *testing.T) {
 		{"zero capacity", func(s *Scenario) { s.Links[1].Capacity = 0 }, "links[1]"},
 		{"bad origin", func(s *Scenario) { s.Stream.Origins = []string{"gw0", "ghost"} }, "origins[1]"},
 		{"negative retries", func(s *Scenario) { s.Retries = -1 }, "retries"},
+		{"outsized dag", func(s *Scenario) {
+			s.Stream = nil
+			s.DAG = &DAGJSON{Generator: "montage", Size: 1 << 62, Scheduler: "heft"}
+		}, "dag: size 4611686018427387904 exceeds 65536"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

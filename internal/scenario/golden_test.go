@@ -104,12 +104,12 @@ func goldenScenarios(t *testing.T) map[string]*Scenario {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := Parse(raw)
+		p, err := Parse(raw)
 		if err != nil {
 			t.Fatalf("%s: %v", f, err)
 		}
 		name := filepath.Base(f)
-		scenarios[name[:len(name)-len(".json")]] = s
+		scenarios[name[:len(name)-len(".json")]] = p.Scenario
 	}
 	for _, seed := range []uint64{1, 7} {
 		scenarios[fmt.Sprintf("stress-1000-seed%d", seed)] = GenerateStress(StressSpec{Nodes: 1000, Seed: seed, Rate: 8, Horizon: 8})

@@ -39,12 +39,12 @@ const (
 	liveMaxNodes = 128
 )
 
-// LiveOptions parameterizes the live backend (see Scenario.RunLive).
+// LiveOptions parameterizes the live backend (see Plan.RunLive).
 type LiveOptions struct {
-	// TimeScale is wall-clock seconds per scenario second (default 1).
-	// CI smokes use small values (e.g. 0.02) to replay a 30-second
-	// scenario in under a second; event times, arrival gaps, and chaos
-	// phase lengths all scale together.
+	// TimeScale is wall-clock seconds per scenario second and must be
+	// positive (1 is real time). CI smokes use small values (e.g. 0.02)
+	// to replay a 30-second scenario in under a second; event times,
+	// arrival gaps, and chaos phase lengths all scale together.
 	TimeScale float64
 	// Function is the builtin each request invokes (default "echo",
 	// whose response the runner also verifies byte-for-byte).
@@ -70,13 +70,6 @@ type LiveOptions struct {
 	// (default 100ms — scaled scenarios replay in wall-clock time, so the
 	// cadence must be fast enough for churn to be noticed mid-run).
 	Heartbeat time.Duration
-}
-
-func (o LiveOptions) timeScale() float64 {
-	if o.TimeScale <= 0 {
-		return 1
-	}
-	return o.TimeScale
 }
 
 func (o LiveOptions) function() string {
@@ -135,12 +128,13 @@ func startLiveNode(name string, spans *trace.SpanStore) (*liveNode, error) {
 	return &liveNode{name: name, addr: lis.Addr().String(), ep: ep, srv: srv}, nil
 }
 
-// RunLive executes the scenario against an in-process continuumd fleet,
+// RunLive executes the plan against an in-process continuumd fleet,
 // replaying the compiled event timeline in scaled wall-clock time. It
 // supports stream scenarios only — a DAG has no live execution path —
 // and reports Lost > 0 if any invocation failed through the reliable
 // client (the e2e gate asserts zero).
-func (s *Scenario) RunLive(opts LiveOptions) (*Report, error) {
+func (p *Plan) RunLive(opts LiveOptions) (*Report, error) {
+	s := p.Scenario
 	if opts.Policy != "" && !opts.Router {
 		return nil, fmt.Errorf("scenario %q: router policy %q set without the router", s.Name, opts.Policy)
 	}
@@ -148,22 +142,16 @@ func (s *Scenario) RunLive(opts LiveOptions) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
 	if s.Stream == nil {
 		return nil, fmt.Errorf("scenario %q: the live backend replays stream scenarios only (DAG workloads are simulator-only)", s.Name)
 	}
 	if len(s.Nodes) > liveMaxNodes {
 		return nil, fmt.Errorf("scenario %q: %d nodes exceeds the live fleet cap %d; use the sim backend for fleets this large", s.Name, len(s.Nodes), liveMaxNodes)
 	}
-	rng := workload.NewRNG(s.Seed)
-	ops, err := s.compile(rng.Split())
-	if err != nil {
-		return nil, err
+	if opts.TimeScale <= 0 {
+		return nil, fmt.Errorf("scenario %q: time scale %v must be positive", s.Name, opts.TimeScale)
 	}
-	scale := opts.timeScale()
-	fn := opts.function()
+	scale, fn := opts.TimeScale, opts.function()
 
 	fleet := make(map[string]*liveNode, len(s.Nodes))
 	var addrs []string
@@ -280,40 +268,35 @@ func (s *Scenario) RunLive(opts LiveOptions) (*Report, error) {
 	replayDone.Add(1)
 	go func() {
 		defer replayDone.Done()
-		s.replayOps(fleet, ops, scale, wall, stopReplay)
+		replayOps(fleet, p.ops, scale, wall, stopReplay)
 	}()
 
-	// Load: one generator per origin, drawing the same seed-derived
-	// arrival schedule (in scenario time) the sim backend uses, scaled
-	// to wall time. Each invocation runs in its own goroutine so a slow
+	// Load: one generator per origin, submitting at the origin's arrival
+	// times from the sim backend's own streams and function, scaled to
+	// wall time. Each invocation runs in its own goroutine so a slow
 	// retry storm never delays subsequent arrivals.
 	lat := metrics.NewHistogram()
 	var completed, lost, suppressed atomic.Int64
-	ph := phases(ops)
+	_, work := p.streams()
 	var gens, calls sync.WaitGroup
-	for _, origin := range s.Stream.Origins {
-		arr := workload.NewPiecewise(rng.Split(), s.Stream.RatePerOrigin, ph)
+	for i, origin := range s.Stream.Origins {
 		ln := fleet[origin]
 		// The origin's scripted priority rides every request's context, so
 		// it crosses the wire to the fleet's admission controllers exactly
 		// as a real client's would.
 		ctx := context.Background()
-		if p := faas.Priority(s.Stream.Priorities[origin]); p != faas.PriorityNormal {
-			ctx = faas.WithPriority(ctx, p)
+		if prio := faas.Priority(s.Stream.Priorities[origin]); prio != faas.PriorityNormal {
+			ctx = faas.WithPriority(ctx, prio)
 		}
 		gens.Add(1)
-		go func(ln *liveNode, arr *workload.Piecewise, ctx context.Context) {
+		go func(ln *liveNode, rng *workload.RNG, ctx context.Context) {
 			defer gens.Done()
-			t, seq := 0.0, 0
-			for {
-				t += arr.Next()
-				if t > s.Stream.Horizon {
-					return
-				}
+			seq := 0
+			p.arrivals(rng, func(t float64) {
 				time.Sleep(time.Until(wall(t)))
 				if ln.paused.Load() || ln.drained.Load() {
 					suppressed.Add(1) // a down or drained origin generates nothing
-					continue
+					return
 				}
 				seq++
 				payload := fmt.Sprintf("%s/%s#%d", s.Name, ln.name, seq)
@@ -329,8 +312,8 @@ func (s *Scenario) RunLive(opts LiveOptions) (*Report, error) {
 					completed.Add(1)
 					lat.Add(time.Since(t0).Seconds())
 				}()
-			}
-		}(ln, arr, ctx)
+			})
+		}(ln, work[1+i], ctx)
 	}
 	gens.Wait()
 	calls.Wait()
@@ -366,7 +349,7 @@ func (s *Scenario) RunLive(opts LiveOptions) (*Report, error) {
 // like a wedged-but-reachable endpoint, which is the harder failure for
 // a client to survive (the chaos e2e kills the listener instead; both
 // paths must end in zero losses).
-func (s *Scenario) replayOps(fleet map[string]*liveNode, ops []op, scale float64,
+func replayOps(fleet map[string]*liveNode, ops []op, scale float64,
 	wall func(float64) time.Time, stop <-chan struct{}) {
 	for _, o := range ops {
 		timer := time.NewTimer(time.Until(wall(o.at)))
@@ -432,8 +415,8 @@ func (s *Scenario) replayOps(fleet map[string]*liveNode, ops []op, scale float64
 			// endpoint servers — the wire has no simulated topology to slow
 			// down. The added delay is the extra one-way latency the sim
 			// backend would see on that link.
-			extra := s.linkBase(o.a, o.b).Latency * (o.factor - 1)
-			for _, name := range []string{o.a, o.b} {
+			extra := o.link.Latency * (o.factor - 1)
+			for _, name := range []string{o.link.A, o.link.B} {
 				ln := fleet[name]
 				if o.factor == 1 || extra <= 0 {
 					ln.srv.SetChaos(nil)

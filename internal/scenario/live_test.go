@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -27,6 +28,16 @@ func liveScenario() *Scenario {
 	return s
 }
 
+// compiled compiles s, failing the test if it does not compile.
+func compiled(t *testing.T, s *Scenario) *Plan {
+	t.Helper()
+	p, err := s.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // TestLiveBackendZeroLost replays a scripted failure scenario against a
 // real in-process fleet and asserts the chaos-e2e claim generalized:
 // the reliable client loses nothing, no matter what the script does.
@@ -34,8 +45,7 @@ func TestLiveBackendZeroLost(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live fleet skipped in -short")
 	}
-	s := liveScenario()
-	r, err := s.RunLive(LiveOptions{TimeScale: 0.05})
+	r, err := compiled(t, liveScenario()).RunLive(LiveOptions{TimeScale: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +84,7 @@ func TestLiveBackendTracesEndToEnd(t *testing.T) {
 	s.Events = nil // healthy fleet: every trace should be complete
 	s.Stream.Horizon = 3
 	spans := trace.NewSpanStore(1 << 16)
-	r, err := s.RunLive(LiveOptions{TimeScale: 0.05, Spans: spans})
+	r, err := compiled(t, s).RunLive(LiveOptions{TimeScale: 0.05, Spans: spans})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +147,7 @@ func TestLiveRouterChurnZeroLost(t *testing.T) {
 		{At: 2, Kind: "fail", Target: "fog", For: 3},
 		{At: 3, Kind: "workload", Factor: 2},
 	}
-	r, err := s.RunLive(LiveOptions{TimeScale: 0.05, Router: true, Heartbeat: 50 * time.Millisecond})
+	r, err := compiled(t, s).RunLive(LiveOptions{TimeScale: 0.05, Router: true, Heartbeat: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,15 +175,17 @@ func TestLiveRejectsDAG(t *testing.T) {
 	s := eventScenario()
 	s.Stream, s.Events = nil, nil
 	s.DAG = &DAGJSON{Generator: "chain", Size: 4, Scheduler: "heft"}
-	_, err := s.RunLive(LiveOptions{})
+	_, err := compiled(t, s).RunLive(LiveOptions{})
 	if err == nil || !strings.Contains(err.Error(), "stream scenarios only") {
 		t.Fatalf("DAG on live backend: %v", err)
 	}
 }
 
-// TestLiveRejectsPolicy: a policy without the router, or one the router
-// does not know, fails before any node boots.
+// TestLiveRejectsPolicy: a policy without the router, one the router
+// does not know, or a time scale that is not positive fails before any
+// node boots.
 func TestLiveRejectsPolicy(t *testing.T) {
+	p := compiled(t, eventScenario())
 	for _, tc := range []struct {
 		opts LiveOptions
 		want string
@@ -181,8 +193,10 @@ func TestLiveRejectsPolicy(t *testing.T) {
 		{LiveOptions{Policy: "least-loaded"}, "without the router"},
 		{LiveOptions{Policy: "bogus"}, "without the router"},
 		{LiveOptions{Router: true, Policy: "bogus"}, `unknown routing policy "bogus" (want hash or least-loaded)`},
+		{LiveOptions{}, "time scale 0 must be positive"},
+		{LiveOptions{TimeScale: -1}, "time scale -1 must be positive"},
 	} {
-		_, err := eventScenario().RunLive(tc.opts)
+		_, err := p.RunLive(tc.opts)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("RunLive(%+v) = %v, want an error containing %q", tc.opts, err, tc.want)
 		}
@@ -191,24 +205,30 @@ func TestLiveRejectsPolicy(t *testing.T) {
 
 func TestLiveRejectsHugeFleet(t *testing.T) {
 	s := GenerateStress(StressSpec{Nodes: 1000, Seed: 1})
-	_, err := s.RunLive(LiveOptions{TimeScale: 0.01})
+	_, err := compiled(t, s).RunLive(LiveOptions{TimeScale: 0.01})
 	if err == nil || !strings.Contains(err.Error(), "live fleet cap") {
 		t.Fatalf("1000-node live fleet: %v", err)
 	}
 }
 
+// TestRunnerBackendsShareOneScenario: one compiled scenario runs on
+// both backends, and both submit the same requests. Each submission
+// ends completed, lost, suppressed or shed; wall-clock edges may move a
+// few between suppressed and completed live, so only the totals agree.
 func TestRunnerBackendsShareOneScenario(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live fleet skipped in -short")
 	}
 	s := liveScenario()
+	p := compiled(t, s)
 	backends := []struct {
 		name string
 		run  func() (*Report, error)
 	}{
 		{"sim", s.Run},
-		{"live", func() (*Report, error) { return s.RunLive(LiveOptions{TimeScale: 0.02}) }},
+		{"live", func() (*Report, error) { return p.RunLive(LiveOptions{TimeScale: 0.02}) }},
 	}
+	var submitted []int64
 	for _, b := range backends {
 		r, err := b.run()
 		if err != nil {
@@ -220,5 +240,58 @@ func TestRunnerBackendsShareOneScenario(t *testing.T) {
 		if r.Completed == 0 {
 			t.Fatalf("%s completed nothing", b.name)
 		}
+		submitted = append(submitted, r.Completed+r.Lost+r.Suppressed+r.Shed)
 	}
+	if submitted[0] != submitted[1] {
+		t.Fatalf("sim submitted %d requests, live %d", submitted[0], submitted[1])
+	}
+}
+
+// TestLiveRunLeavesNoGoroutines: once RunLive returns, plain or
+// router-fronted, every goroutine it started (servers, connections,
+// agents, the router, the replay and the generators) has exited.
+func TestLiveRunLeavesNoGoroutines(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live fleet skipped in -short")
+	}
+	p := compiled(t, liveScenario())
+	for _, opts := range []LiveOptions{
+		{TimeScale: 0.02},
+		{TimeScale: 0.02, Router: true, Heartbeat: 50 * time.Millisecond},
+	} {
+		base := settledGoroutines()
+		if _, err := p.RunLive(opts); err != nil {
+			t.Fatal(err)
+		}
+		waitGoroutines(t, base)
+	}
+}
+
+// waitGoroutines waits up to 2s for the goroutine count to fall to want,
+// failing with every goroutine's stack if it does not.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, want at most %d:\n%s", runtime.NumGoroutine(), want, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// settledGoroutines is the goroutine count once those left over from
+// earlier tests have exited: two samples 20ms apart agree.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		time.Sleep(20 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
 }

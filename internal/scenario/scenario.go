@@ -3,7 +3,7 @@
 // and a timed event script — failures, cascades, chaos, link
 // degradation, workload phases — that two interchangeable backends
 // replay from the same file: the discrete-event simulator and a live
-// in-process continuumd fleet (Run and RunLive). A scenario plus its Seed is
+// in-process continuumd fleet (Run and Plan.RunLive). A scenario plus its Seed is
 // a complete, bit-reproducible experiment description.
 package scenario
 
@@ -144,25 +144,43 @@ func (s *Scenario) retries() int {
 	return 0
 }
 
-// Parse decodes and validates a scenario.
-func Parse(b []byte) (*Scenario, error) {
+// Parse decodes and compiles a scenario.
+func Parse(b []byte) (*Plan, error) {
 	var s Scenario
 	if err := json.Unmarshal(b, &s); err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return &s, nil
+	return s.Compile()
 }
 
-// Validate checks the whole description and reports the first problem
-// with a positional message (nodes[i], links[i], events[i]), so a bad
-// file fails at validate time — never as a panic mid-run.
+// Plan is a compiled scenario: what Compile resolved, kept so that a run
+// neither re-checks nor re-compiles the description. A Plan does not
+// change once built, so running it twice gives the same result; the
+// Scenario it was compiled from must not change either.
+type Plan struct {
+	Scenario *Scenario        // the description
+	ops      []op             // the time-sorted event timeline
+	phases   []workload.Phase // the stream's arrival rate schedule
+	accel    node.AccelKind   // the stream tasks' accelerator kind
+	rng      workload.RNG     // the seed stream after the event compile's split
+}
+
+// Validate checks the whole description; it is Compile with the plan
+// thrown away.
 func (s *Scenario) Validate() error {
-	fail := func(format string, args ...any) error {
-		return fmt.Errorf("scenario %q: %s", s.Name, fmt.Sprintf(format, args...))
+	_, err := s.Compile()
+	return err
+}
+
+// Compile checks the whole description and reports the first problem
+// with a positional message (nodes[i], links[i], events[i]), so a bad
+// file fails before it runs — never as a panic mid-run.
+func (s *Scenario) Compile() (*Plan, error) {
+	fail := func(format string, args ...any) (*Plan, error) {
+		return nil, fmt.Errorf("scenario %q: %s", s.Name, fmt.Sprintf(format, args...))
 	}
+	p := &Plan{Scenario: s}
+	var err error
 	if len(s.Nodes) == 0 {
 		return fail("no nodes")
 	}
@@ -218,7 +236,7 @@ func (s *Scenario) Validate() error {
 				s.Stream.RatePerOrigin, s.Stream.Horizon)
 		}
 		if s.Stream.Accel != "" {
-			if _, err := parseAccelKind(s.Stream.Accel); err != nil {
+			if p.accel, err = parseAccelKind(s.Stream.Accel); err != nil {
 				return fail("stream: %v", err)
 			}
 		}
@@ -244,7 +262,10 @@ func (s *Scenario) Validate() error {
 		}
 	}
 	if s.DAG != nil {
-		if _, err := dagGen(s.DAG, workload.NewRNG(0)); err != nil {
+		if s.DAG.Size > maxDAGSize {
+			return fail("dag: size %d exceeds %d", s.DAG.Size, maxDAGSize)
+		}
+		if _, err := dagGen(s.DAG); err != nil {
 			return fail("dag: %v", err)
 		}
 		if _, err := parseScheduler(s.DAG.Scheduler); err != nil {
@@ -254,13 +275,13 @@ func (s *Scenario) Validate() error {
 	if s.Retries < 0 {
 		return fail("retries %d must be >= 0", s.Retries)
 	}
-	// Compiling the event script performs all per-event validation; the
-	// throwaway RNG only feeds draws (cascade victim picks), never
-	// validity.
-	if _, err := s.compile(workload.NewRNG(0)); err != nil {
-		return err
+	// Compiling the event script performs all per-event validation.
+	rng := workload.NewRNG(s.Seed)
+	if p.ops, err = s.compile(rng.Split()); err != nil {
+		return nil, err
 	}
-	return nil
+	p.phases, p.rng = phases(p.ops), *rng
+	return p, nil
 }
 
 func parseClass(s string) (node.Class, error) {
@@ -331,7 +352,13 @@ func parseScheduler(name string) (func(*placement.Env, *task.DAG, *workload.RNG)
 	}
 }
 
-func dagGen(dj *DAGJSON, rng *workload.RNG) (*task.DAG, error) {
+// maxDAGSize bounds dag.size. A generator allocates its tasks up front,
+// so a larger size would exhaust memory, or overflow, mid-run.
+const maxDAGSize = 1 << 16
+
+// dagGen returns the generator a DAG description names. A run calls it
+// with its seeded stream; Compile checks the name without building a DAG.
+func dagGen(dj *DAGJSON) (func(*workload.RNG) *task.DAG, error) {
 	spec := task.GenSpec{
 		MeanWork: dj.MeanWork, WorkSigma: 0.8,
 		MeanBytes: dj.MeanBytes, BytesSigma: 0.8,
@@ -348,17 +375,17 @@ func dagGen(dj *DAGJSON, rng *workload.RNG) (*task.DAG, error) {
 	}
 	switch dj.Generator {
 	case "chain":
-		return task.Chain(rng, size, spec), nil
+		return func(rng *workload.RNG) *task.DAG { return task.Chain(rng, size, spec) }, nil
 	case "fanoutin":
-		return task.FanOutIn(rng, size, spec), nil
+		return func(rng *workload.RNG) *task.DAG { return task.FanOutIn(rng, size, spec) }, nil
 	case "layered":
-		return task.RandomLayered(rng, 5, size/4+1, 3, spec), nil
+		return func(rng *workload.RNG) *task.DAG { return task.RandomLayered(rng, 5, size/4+1, 3, spec) }, nil
 	case "montage":
-		return task.MontageLike(rng, size, spec), nil
+		return func(rng *workload.RNG) *task.DAG { return task.MontageLike(rng, size, spec) }, nil
 	case "epigenomics":
-		return task.EpigenomicsLike(rng, size/5+1, 4, spec), nil
+		return func(rng *workload.RNG) *task.DAG { return task.EpigenomicsLike(rng, size/5+1, 4, spec) }, nil
 	case "cybershake":
-		return task.CyberShakeLike(rng, size, spec), nil
+		return func(rng *workload.RNG) *task.DAG { return task.CyberShakeLike(rng, size, spec) }, nil
 	default:
 		return nil, fmt.Errorf("unknown DAG generator %q", dj.Generator)
 	}

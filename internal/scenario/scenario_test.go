@@ -1,7 +1,10 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -32,13 +35,56 @@ func TestParseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Parse(b)
+	p, err := Parse(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Name != "metro-iot" || len(s.Nodes) != 4 {
+	if s := p.Scenario; s.Name != "metro-iot" || len(s.Nodes) != 4 {
 		t.Fatalf("parsed %+v", s)
 	}
+}
+
+// FuzzParse: no input makes Parse panic, and an accepted scenario is a
+// fixed point of a marshal round trip: marshalling it, parsing that and
+// marshalling again gives the same bytes.
+func FuzzParse(f *testing.F) {
+	files, err := filepath.Glob("../../examples/scenarios/*.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, name := range files {
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	example, err := json.Marshal(Example())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(example)
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		p, err := Parse(raw)
+		if err != nil {
+			return
+		}
+		once, err := json.Marshal(p.Scenario)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := Parse(once)
+		if err != nil {
+			t.Fatalf("accepted scenario rejected after a marshal round trip: %v\n%s", err, once)
+		}
+		twice, err := json.Marshal(q.Scenario)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once, twice) {
+			t.Fatalf("marshal round trip is not a fixed point:\n%s\n%s", once, twice)
+		}
+	})
 }
 
 func TestParseRejectsGarbage(t *testing.T) {

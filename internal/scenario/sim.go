@@ -20,10 +20,14 @@ import (
 // timeline against real endpoints; keeping both behind the same compile
 // step is what makes one scenario file mean one experiment.
 
-// Run executes the scenario on the simulator backend. It records no
-// trace; the report is the one RunTraced returns.
+// Run compiles the scenario and executes it on the simulator backend.
+// It records no trace; the report is the one RunTraced returns.
 func (s *Scenario) Run() (*Report, error) {
-	return s.run(nil, 1)
+	p, err := s.Compile()
+	if err != nil {
+		return nil, err
+	}
+	return p.run(nil, 1)
 }
 
 // RunTraced is Run plus the event trace of the execution, for timeline
@@ -42,37 +46,71 @@ func (s *Scenario) RunTraced() (*Report, *trace.Tracer, error) {
 // concatenated in origin order. The result is bit-identical to workers=1
 // for any worker count.
 func (s *Scenario) RunTracedParallel(workers int) (*Report, *trace.Tracer, error) {
+	p, err := s.Compile()
+	if err != nil {
+		return nil, nil, err
+	}
+	return p.runTraced(workers)
+}
+
+// RunTraced executes the plan on the simulator backend and returns the
+// report with the event trace of the execution.
+func (p *Plan) RunTraced() (*Report, *trace.Tracer, error) {
+	return p.runTraced(1)
+}
+
+func (p *Plan) runTraced(workers int) (*Report, *trace.Tracer, error) {
 	tr := trace.New(1 << 20)
-	r, err := s.run(tr, workers)
+	r, err := p.run(tr, workers)
 	return r, tr, err
+}
+
+// streams splits a run's random streams off a copy of the plan's seed
+// stream, in the one order every run takes them after the event
+// compile's split (made in Compile): the engine's event draws, then the
+// workload's — the placement policy's and one arrival stream per origin
+// in declaration order, or a DAG's shape's and its scheduler's. Both
+// backends call it, so an origin submits at the same times on either.
+func (p *Plan) streams() (events *workload.RNG, work []*workload.RNG) {
+	rng := p.rng
+	events = rng.Split()
+	work = make([]*workload.RNG, 2) // a DAG's shape and its scheduler
+	if st := p.Scenario.Stream; st != nil {
+		work = make([]*workload.RNG, 1+len(st.Origins)) // the policy, each origin
+	}
+	for i := range work {
+		work[i] = rng.Split()
+	}
+	return events, work
+}
+
+// arrivals calls submit with each submission time, in scenario seconds,
+// of the origin whose arrival stream is rng, up to the stream horizon.
+func (p *Plan) arrivals(rng *workload.RNG, submit func(at float64)) {
+	arr := workload.NewPiecewise(rng, p.Scenario.Stream.RatePerOrigin, p.phases)
+	for t := arr.Next(); t <= p.Scenario.Stream.Horizon; t += arr.Next() {
+		submit(t)
+	}
 }
 
 // run is the simulator backend with tr (nil for none) as the engine's
 // tracer.
-func (s *Scenario) run(tr *trace.Tracer, workers int) (*Report, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	rng := workload.NewRNG(s.Seed)
-	ops, err := s.compile(rng.Split())
-	if err != nil {
-		return nil, err
-	}
-
+func (p *Plan) run(tr *trace.Tracer, workers int) (*Report, error) {
+	s := p.Scenario
 	c := core.New()
 	c.Tracer = tr
 	byName := make(map[string]*node.Node)
 	for _, nj := range s.Nodes {
 		spec, err := nj.spec()
 		if err != nil {
-			return nil, err // unreachable after Validate
+			return nil, err // unreachable after Compile
 		}
 		byName[nj.Name] = c.AddNode(spec)
 	}
-	links := make(map[string][2]*netsim.Link)
+	links := make(map[LinkJSON][2]*netsim.Link)
 	for _, lj := range s.Links {
 		ab, ba := c.Connect(byName[lj.A].ID, byName[lj.B].ID, lj.Latency, lj.Capacity)
-		links[linkKey(lj.A, lj.B)] = [2]*netsim.Link{ab, ba}
+		links[lj] = [2]*netsim.Link{ab, ba}
 	}
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -86,12 +124,13 @@ func (s *Scenario) run(tr *trace.Tracer, workers int) (*Report, error) {
 			opts.Admission = core.AdmissionOptions{MaxOutstanding: s.Stream.Admission}
 		}
 	}
-	s.installEvents(c, byName, links, ops, rng.Split(), horizon, &opts)
+	events, work := p.streams()
+	s.installEvents(c, byName, links, p.ops, events, horizon, &opts)
 
 	if s.Stream != nil {
-		return s.runStream(c, byName, rng, ops, opts, workers)
+		return p.runStream(c, byName, work, opts, workers)
 	}
-	return s.runDAG(c, rng, opts)
+	return p.runDAG(c, work, opts)
 }
 
 // simChaos is one node's active per-request injection state on the sim
@@ -115,7 +154,7 @@ type simChaos struct {
 // or drained. Workload ops are not scheduled here — they become the
 // arrival processes' phase schedule.
 func (s *Scenario) installEvents(c *core.Continuum, byName map[string]*node.Node,
-	links map[string][2]*netsim.Link, ops []op, rng *workload.RNG,
+	links map[LinkJSON][2]*netsim.Link, ops []op, rng *workload.RNG,
 	horizon float64, opts *core.ReliableOptions) {
 	if len(ops) == 0 {
 		return
@@ -192,10 +231,10 @@ func (s *Scenario) installEvents(c *core.Continuum, byName map[string]*node.Node
 				sc.active, sc.cycling = false, false
 			})
 		case opLink:
-			pair, base := links[linkKey(o.a, o.b)], s.linkBase(o.a, o.b)
+			pair := links[o.link]
 			c.K.At(o.at, func() {
 				for _, l := range pair {
-					c.Net.SetLinkParams(l, base.Latency*o.factor, base.Capacity/o.factor)
+					c.Net.SetLinkParams(l, o.link.Latency*o.factor, o.link.Capacity/o.factor)
 				}
 			})
 		case opCordon:
@@ -271,17 +310,6 @@ func (s *Scenario) installEvents(c *core.Continuum, byName map[string]*node.Node
 	}
 }
 
-// linkBase returns the scenario's declared parameters for a link, the
-// baseline degrade-link multiplies and restore-link returns to.
-func (s *Scenario) linkBase(a, b string) LinkJSON {
-	for _, l := range s.Links {
-		if l.A == a && l.B == b {
-			return l
-		}
-	}
-	return LinkJSON{} // unreachable: compile resolved the link
-}
-
 // chaosStop returns when a cycling chaos op's phase machine must stop
 // scheduling: the node's next chaos-off if scripted, else the stream
 // horizon (DAG scenarios are validated to always have a bound — an
@@ -327,44 +355,27 @@ func scheduleCycle(c *core.Continuum, t *fault.Target, spec fault.Spec, from, st
 	scheduleFail(from)
 }
 
-func (s *Scenario) runStream(c *core.Continuum, byName map[string]*node.Node, rng *workload.RNG, ops []op, opts core.ReliableOptions, workers int) (*Report, error) {
-	pol, err := parsePolicy(s.Stream.Policy, rng.Split())
+func (p *Plan) runStream(c *core.Continuum, byName map[string]*node.Node, work []*workload.RNG, opts core.ReliableOptions, workers int) (*Report, error) {
+	s := p.Scenario
+	pol, err := parsePolicy(s.Stream.Policy, work[0])
 	if err != nil {
 		return nil, err
 	}
-	accel := node.NoAccel
-	if s.Stream.Accel != "" {
-		if accel, err = parseAccelKind(s.Stream.Accel); err != nil {
-			return nil, err
-		}
-	}
-	ph := phases(ops)
-	// Per-origin arrival synthesis. The RNGs are split off serially — the
-	// split order is the origins' declaration order, exactly as the
-	// sequential loop would draw them — so each origin's stream is a fixed
-	// function of (seed, origin index) and the generation below can run on
-	// any number of goroutines without changing a single arrival.
-	origins := s.Stream.Origins
-	rngs := make([]*workload.RNG, len(origins))
-	for i := range origins {
-		rngs[i] = rng.Split()
-	}
+	// Per-origin arrival synthesis. Each origin's stream was split off
+	// serially by streams, so its arrivals are a fixed function of (seed,
+	// origin index) and the generation below can run on any number of
+	// goroutines without changing a single arrival.
+	origins, rngs := s.Stream.Origins, work[1:]
 	perOrigin := make([][]core.StreamJob, len(origins))
 	gen := func(i int) {
-		arr := workload.NewPiecewise(rngs[i], s.Stream.RatePerOrigin, ph)
-		t := 0.0
 		var out []core.StreamJob
-		for {
-			t += arr.Next()
-			if t > s.Stream.Horizon {
-				break
-			}
+		p.arrivals(rngs[i], func(t float64) {
 			out = append(out, core.StreamJob{
 				Task: &task.Task{
 					Name:        "job",
 					ScalarWork:  s.Stream.ScalarWork,
 					TensorWork:  s.Stream.TensorWork,
-					Accel:       accel,
+					Accel:       p.accel,
 					OutputBytes: s.Stream.OutputBytes,
 					Inputs:      []task.DataRef{{Name: "in", Bytes: s.Stream.InputBytes}},
 				},
@@ -372,7 +383,7 @@ func (s *Scenario) runStream(c *core.Continuum, byName map[string]*node.Node, rn
 				Submit:   t,
 				Priority: s.Stream.Priorities[origins[i]],
 			})
-		}
+		})
 		perOrigin[i] = out
 	}
 	if workers <= 1 || len(origins) == 1 {
@@ -398,28 +409,30 @@ func (s *Scenario) runStream(c *core.Continuum, byName map[string]*node.Node, rn
 		wg.Wait()
 	}
 	total := 0
-	for _, p := range perOrigin {
-		total += len(p)
+	for _, o := range perOrigin {
+		total += len(o)
 	}
 	jobs := make([]core.StreamJob, 0, total)
-	for _, p := range perOrigin {
-		jobs = append(jobs, p...)
+	for _, o := range perOrigin {
+		jobs = append(jobs, o...)
 	}
 	st := c.RunStreamReliable(pol, jobs, nil, opts)
 	return reportFromStats(s.Name, "stream/"+s.Stream.Policy, st), nil
 }
 
-func (s *Scenario) runDAG(c *core.Continuum, rng *workload.RNG, opts core.ReliableOptions) (*Report, error) {
-	d, err := dagGen(s.DAG, rng.Split())
+func (p *Plan) runDAG(c *core.Continuum, work []*workload.RNG, opts core.ReliableOptions) (*Report, error) {
+	s := p.Scenario
+	gen, err := dagGen(s.DAG)
 	if err != nil {
 		return nil, err
 	}
+	d := gen(work[0])
 	schedule, err := parseScheduler(s.DAG.Scheduler)
 	if err != nil {
 		return nil, err
 	}
 	env := c.Env()
-	st, err := c.RunDAGReliable(d, schedule(env, d, rng.Split()), env, opts)
+	st, err := c.RunDAGReliable(d, schedule(env, d, work[1]), env, opts)
 	if err != nil {
 		return nil, err
 	}

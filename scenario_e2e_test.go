@@ -8,21 +8,24 @@ import (
 )
 
 // TestScenarioBothBackends is the DSL's headline claim end to end: one
-// scenario file drives both execution substrates. The same JSON runs on
-// the discrete-event simulator (non-degenerate report) and against a
-// real in-process continuumd fleet (zero lost requests despite the
-// scripted cascade, fog failure, and link degradation).
+// scenario file drives both execution substrates. The same compiled JSON
+// runs on the discrete-event simulator (non-degenerate report) and
+// against a real in-process continuumd fleet (zero lost requests despite
+// the scripted cascade, fog failure, and link degradation), and both
+// submit the same number of requests. Wall-clock edges may move a few
+// arrivals between suppressed and completed live, so only the totals
+// (completed + lost + suppressed + shed) must agree.
 func TestScenarioBothBackends(t *testing.T) {
 	raw, err := os.ReadFile("examples/scenarios/cascading-failure.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := scenario.Parse(raw)
+	p, err := scenario.Parse(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	sim, err := s.Run()
+	sim, _, err := p.RunTraced()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +39,7 @@ func TestScenarioBothBackends(t *testing.T) {
 		t.Fatal("scripted gateway cascade suppressed nothing in sim")
 	}
 
-	live, err := s.RunLive(scenario.LiveOptions{TimeScale: 0.02})
+	live, err := p.RunLive(scenario.LiveOptions{TimeScale: 0.02})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,5 +54,10 @@ func TestScenarioBothBackends(t *testing.T) {
 	}
 	if live.Suppressed == 0 {
 		t.Fatal("scripted gateway cascade suppressed nothing live")
+	}
+	simTotal := sim.Completed + sim.Lost + sim.Suppressed + sim.Shed
+	liveTotal := live.Completed + live.Lost + live.Suppressed + live.Shed
+	if simTotal != liveTotal {
+		t.Fatalf("sim submitted %d requests, live %d: the backends replayed different arrivals", simTotal, liveTotal)
 	}
 }
