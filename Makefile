@@ -57,12 +57,15 @@ trace-smoke:
 # Federation smoke: the federated control-plane gate under the race
 # detector — a continuum-router fronting three daemons survives one hard
 # kill and one graceful drain with zero accepted requests lost, the
-# endpoints op tracks membership on the heartbeat schedule, and a
-# router-fronted live scenario replays join/leave churn losslessly
-# (also part of `make check`).
+# endpoints op tracks membership on the heartbeat schedule, a
+# router-fronted live scenario replays join/leave churn losslessly, and
+# 20 runs of eight callers through a hedging router in front of a
+# chaotic daemon get every echo back byte for byte while the router
+# recycles the buffers it relays (also part of `make check`).
 federation-smoke:
 	go test -race -count=1 -run 'TestE2EFederationChurnNoRequestLost' .
 	go test -race -count=1 -run 'TestLiveRouterChurnZeroLost' ./internal/scenario
+	go test -race -count=20 -run 'TestRelayEchoesExactUnderHedgingAndChaos' ./internal/federation
 
 # Scale harness: generate 1000-, 10k-, 100k- and 300k-node scenarios,
 # validate them, and run each through the simulator inside a wall-clock

@@ -42,8 +42,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	_ "net/http/pprof" // wire.ServeMetrics forwards /debug/pprof/ to these handlers under -pprof
@@ -60,44 +62,54 @@ import (
 	"continuum/internal/wire"
 )
 
-func main() {
-	listen := flag.String("listen", "127.0.0.1:9080", "address to serve on")
-	policyName := flag.String("policy", "hash", "routing policy: "+strings.Join(federation.PolicyNames, " or "))
-	heartbeat := flag.Duration("heartbeat", 0, "heartbeat interval granted to members (0 = default 2s)")
-	suspectAfter := flag.Int("suspect-after", 0, "missed heartbeat intervals before a member stops receiving new work (0 = default 2)")
-	expireAfter := flag.Int("expire-after", 0, "missed heartbeat intervals before a member is expired and dropped (0 = default 4)")
-	callTimeout := flag.Duration("timeout", 0, "per-routed-call deadline (0 = none)")
-	hedgeSpec := flag.String("hedge", "", "hedge slow routed calls at a second member: 'auto' (p99-derived delay) or a fixed duration like '5ms' (empty = off)")
-	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics and /healthz on this address (empty = off)")
-	verbose := flag.Bool("verbose", false, "log membership transitions and one structured line per request")
-	workers := flag.Int("workers", 0, "max concurrent requests per connection for multiplexing clients (0 = default)")
-	grace := flag.Duration("grace", 10*time.Second, "in-flight drain bound for graceful shutdown on SIGINT/SIGTERM")
-	traceBuf := flag.Int("trace-buf", 0, "span ring-buffer capacity for distributed tracing (0 = default 4096)")
-	pprof := flag.Bool("pprof", false, "mount net/http/pprof debug handlers on the -metrics-addr mux")
-	flag.Parse()
+// config is what the command line sets: the router's registry, policy
+// and outbound client, and how the process serves them.
+type config struct {
+	listen, metricsAddr string
+	policyName          string
+	router              federation.RouterConfig // Registry, Policy and Client
+	workers             int
+	grace               time.Duration
+	traceBuf            int
+	verbose, pprof      bool
+}
 
-	policy, err := federation.PolicyByName(*policyName)
+// parseFlags parses the command line (without the program name) and
+// reports what is wrong with it, or the -h usage, on errOut. Any error
+// means the command line is bad: main exits 2 (0 for -h).
+func parseFlags(args []string, errOut io.Writer) (config, error) {
+	fs := flag.NewFlagSet("continuum-router", flag.ContinueOnError)
+	fs.SetOutput(errOut)
+	var c config
+	fs.StringVar(&c.listen, "listen", "127.0.0.1:9080", "address to serve on")
+	fs.StringVar(&c.policyName, "policy", "hash", "routing policy: "+strings.Join(federation.PolicyNames, " or "))
+	heartbeat := fs.Duration("heartbeat", 0, "heartbeat interval granted to members (0 = default 2s)")
+	suspectAfter := fs.Int("suspect-after", 0, "missed heartbeat intervals before a member stops receiving new work (0 = default 2)")
+	expireAfter := fs.Int("expire-after", 0, "missed heartbeat intervals before a member is expired and dropped (0 = default 4)")
+	callTimeout := fs.Duration("timeout", 0, "per-routed-call deadline (0 = none)")
+	hedgeSpec := fs.String("hedge", "", "hedge slow routed calls at a second member: 'auto' (p99-derived delay) or a fixed duration like '5ms' (empty = off)")
+	fs.StringVar(&c.metricsAddr, "metrics-addr", "", "serve Prometheus /metrics and /healthz on this address (empty = off)")
+	fs.BoolVar(&c.verbose, "verbose", false, "log membership transitions and one structured line per request")
+	fs.IntVar(&c.workers, "workers", 0, "max concurrent requests per connection for multiplexing clients (0 = default)")
+	fs.DurationVar(&c.grace, "grace", 10*time.Second, "in-flight drain bound for graceful shutdown on SIGINT/SIGTERM")
+	fs.IntVar(&c.traceBuf, "trace-buf", 0, "span ring-buffer capacity for distributed tracing (0 = default 4096)")
+	fs.BoolVar(&c.pprof, "pprof", false, "mount net/http/pprof debug handlers on the -metrics-addr mux")
+	if err := fs.Parse(args); err != nil {
+		return c, err // fs reported it
+	}
+	bad := func(err error) (config, error) {
+		fmt.Fprintln(errOut, "continuum-router:", err)
+		return c, err
+	}
+	policy, err := federation.PolicyByName(c.policyName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "continuum-router: -policy:", err)
-		os.Exit(2)
+		return bad(fmt.Errorf("-policy: %w", err))
 	}
 	hedge, err := wire.ParseHedge(*hedgeSpec)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "continuum-router:", err)
-		os.Exit(2)
+		return bad(err)
 	}
-
-	var logger *slog.Logger
-	if *verbose {
-		logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
-	}
-	var m *metrics.Registry
-	if *metricsAddr != "" {
-		m = metrics.NewRegistry()
-	}
-	spans := trace.NewSpanStore(*traceBuf)
-
-	rt, err := federation.NewRouter(federation.RouterConfig{
+	c.router = federation.RouterConfig{
 		Registry: federation.Config{
 			HeartbeatInterval: *heartbeat,
 			SuspectAfter:      *suspectAfter,
@@ -109,10 +121,31 @@ func main() {
 			CallTimeout: *callTimeout,
 			Hedge:       hedge,
 		},
-		Metrics: m,
-		Spans:   spans,
-		Logger:  logger,
-	})
+	}
+	return c, nil
+}
+
+func main() {
+	c, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		os.Exit(2)
+	}
+
+	var logger *slog.Logger
+	if c.verbose {
+		logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
+	}
+	var m *metrics.Registry
+	if c.metricsAddr != "" {
+		m = metrics.NewRegistry()
+	}
+	spans := trace.NewSpanStore(c.traceBuf)
+
+	c.router.Metrics, c.router.Spans, c.router.Logger = m, spans, logger
+	rt, err := federation.NewRouter(c.router)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "continuum-router:", err)
 		os.Exit(1)
@@ -122,7 +155,7 @@ func main() {
 	srv := &wire.Server{
 		Invoker: rt,
 		Ops:     rt,
-		Workers: *workers,
+		Workers: c.workers,
 		Name:    "router",
 		Spans:   spans,
 		Logger:  logger,
@@ -130,27 +163,27 @@ func main() {
 	}
 	if m != nil {
 		go func() {
-			if err := wire.ServeMetrics(*metricsAddr, m, spans, *pprof); err != nil {
+			if err := wire.ServeMetrics(c.metricsAddr, m, spans, c.pprof); err != nil {
 				fmt.Fprintln(os.Stderr, "continuum-router: metrics server:", err)
 			}
 		}()
-		fmt.Printf("continuum-router: metrics on http://%s/metrics\n", *metricsAddr)
+		fmt.Printf("continuum-router: metrics on http://%s/metrics\n", c.metricsAddr)
 	}
-	lis, err := net.Listen("tcp", *listen)
+	lis, err := net.Listen("tcp", c.listen)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "continuum-router:", err)
 		os.Exit(1)
 	}
 	fmt.Printf("continuum-router: routing with policy %q on %s (heartbeat %v)\n",
-		*policyName, lis.Addr(), rt.Registry().HeartbeatInterval())
+		c.policyName, lis.Addr(), rt.Registry().HeartbeatInterval())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	drained := make(chan struct{})
 	go func() {
 		s := <-sig
-		fmt.Printf("continuum-router: %v: draining in-flight routes (grace %v)\n", s, *grace)
-		srv.Shutdown(*grace)
+		fmt.Printf("continuum-router: %v: draining in-flight routes (grace %v)\n", s, c.grace)
+		srv.Shutdown(c.grace)
 		close(drained)
 	}()
 

@@ -236,7 +236,9 @@ func (rt *Router) Invoke(fn string, payload []byte) ([]byte, error) {
 // through the reliable client — retry walks down the preferences, an
 // exhausted list falls back to round-robin over every member, breakers
 // rout around repeat offenders, and hedging (when configured) races a
-// second member against a slow first choice.
+// second member against a slow first choice. It keeps neither the
+// payload nor the result, so behind a wire.Server a clean route lets
+// the server reuse the buffers both arrived in (wire's relay contract).
 func (rt *Router) InvokeContext(ctx context.Context, fn string, payload []byte) ([]byte, error) {
 	prefer := rt.policy.Order(fn, payload, rt.reg.Routable())
 	out, err := rt.rc.InvokeRouted(ctx, fn, payload, prefer)

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"path"
 	"sort"
 	"strings"
@@ -101,6 +102,11 @@ func (s *Scenario) compile(rng *workload.RNG) ([]op, error) {
 	evFail := func(i int, format string, args ...any) error {
 		return fmt.Errorf("scenario %q: events[%d]: %s", s.Name, i, fmt.Sprintf(format, args...))
 	}
+	// Every op time must be finite: the kernel refuses to schedule at
+	// +Inf, and a run must never be where a bad file is found.
+	pastEnd := func(i int, field string, at float64) error {
+		return fmt.Errorf("scenario %q: events[%d].%s: an op at %v is past the largest time", s.Name, i, field, at)
+	}
 	var ops []op
 	for i, ev := range s.Events {
 		if ev.At < 0 {
@@ -108,6 +114,12 @@ func (s *Scenario) compile(rng *workload.RNG) ([]op, error) {
 		}
 		if ev.For < 0 {
 			return nil, evFail(i, "for %v must be >= 0", ev.For)
+		}
+		if !finite(ev.At) {
+			return nil, pastEnd(i, "at", ev.At)
+		}
+		if end := ev.At + ev.For; !finite(end) {
+			return nil, pastEnd(i, "for", end)
 		}
 		switch ev.Kind {
 		case "fail", "recover", "cascade", "chaos", "chaos-off", "cordon", "uncordon", "drain", "leave", "join":
@@ -134,6 +146,13 @@ func (s *Scenario) compile(rng *workload.RNG) ([]op, error) {
 				}
 				if ev.Spacing < 0 {
 					return nil, evFail(i, "spacing %v must be >= 0", ev.Spacing)
+				}
+				last := ev.At + float64(count-1)*ev.Spacing
+				if !finite(last) {
+					return nil, pastEnd(i, "spacing", last)
+				}
+				if !finite(last + ev.For) {
+					return nil, pastEnd(i, "for", last+ev.For)
 				}
 				perm := rng.Perm(len(nodes))
 				for k := 0; k < count; k++ {
@@ -227,6 +246,9 @@ func (s *Scenario) compile(rng *workload.RNG) ([]op, error) {
 	sort.SliceStable(ops, func(i, j int) bool { return ops[i].at < ops[j].at })
 	return ops, nil
 }
+
+// finite reports whether x is neither infinite nor NaN.
+func finite(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) }
 
 // hasLaterChaosOff reports whether any event after index i is a
 // chaos-off (conservatively ignoring targets: its purpose is only to

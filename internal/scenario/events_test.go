@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -172,6 +173,11 @@ func TestEventValidationErrors(t *testing.T) {
 		{"unknown link", EventJSON{At: 1, Kind: "degrade-link", Target: "gw0->cloud", Factor: 2}, "not defined"},
 		{"degrade no factor", EventJSON{At: 1, Kind: "degrade-link", Target: "fog->cloud"}, "factor > 0"},
 		{"workload no factor", EventJSON{At: 1, Kind: "workload"}, "factor > 0"},
+		{"infinite at", EventJSON{At: math.Inf(1), Kind: "fail", Target: "fog"}, "events[0].at"},
+		{"for past the end", EventJSON{At: 1e308, Kind: "fail", Target: "fog", For: 1e308}, "events[0].for"},
+		{"chaos for past the end", EventJSON{At: 1e308, Kind: "chaos", Target: "fog", Spec: "err=0.1", For: 1e308}, "events[0].for"},
+		{"spacing past the end", EventJSON{At: 1, Kind: "cascade", Target: "gw*", Spacing: math.MaxFloat64}, "events[0].spacing"},
+		{"cascade for past the end", EventJSON{At: 1e308, Kind: "cascade", Target: "gw*", Spacing: 3e307, For: 5e307}, "events[0].for"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

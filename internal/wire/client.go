@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bufio"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -32,8 +31,8 @@ type Client struct {
 	timeout atomic.Int64 // per-call deadline in nanoseconds, 0 = none
 
 	pmu     sync.Mutex
-	pending map[string]chan *Response // in-flight calls by request ID
-	broken  error                     // set once the reader dies
+	pending map[string]chan reply // in-flight calls by request ID
+	broken  error                 // set once the reader dies
 
 	spans   *trace.SpanStore // send spans for traced calls, nil = record nothing
 	service string           // span service label, set with spans
@@ -82,7 +81,7 @@ func newClient(conn net.Conn) (*Client, error) {
 	c := &Client{
 		conn:    conn,
 		prefix:  hex.EncodeToString(b[:]),
-		pending: make(map[string]chan *Response),
+		pending: make(map[string]chan reply),
 	}
 	// Any write failure severs the connection, because a torn frame
 	// desyncs every call sharing it.
@@ -113,12 +112,13 @@ func (c *Client) Close() error { return c.conn.Close() }
 // readLoop is the connection's single reader: it matches every inbound
 // response to its waiting call and dies — failing all pending calls —
 // on the first transport error. Reads are buffered, so a burst of
-// pipelined responses costs one syscall, not two per frame.
+// pipelined small responses costs one syscall, not two per frame.
 func (c *Client) readLoop() {
-	br := bufio.NewReaderSize(c.conn, 64<<10)
+	cr := newConnReader(c.conn)
 	for {
 		resp := new(Response)
-		if _, err := readFrameN(br, resp); err != nil {
+		_, body, err := cr.read(resp)
+		if err != nil {
 			c.fail(err)
 			return
 		}
@@ -126,8 +126,16 @@ func (c *Client) readLoop() {
 			c.fail(errNoResponseID)
 			return
 		}
-		c.deliver(resp)
+		c.deliver(reply{resp, body})
 	}
+}
+
+// reply is one response on its way to its call, with the buffer it was
+// decoded into when it has one of its own (a large body, see
+// readFrame).
+type reply struct {
+	resp *Response
+	body *frameBody
 }
 
 // errNoResponseID breaks a connection whose server did not echo a
@@ -137,13 +145,13 @@ var errNoResponseID = errors.New("wire: response without a request ID")
 
 // deliver routes one response to its call by ID. Responses for calls
 // that already timed out or were cancelled are dropped.
-func (c *Client) deliver(resp *Response) {
+func (c *Client) deliver(r reply) {
 	c.pmu.Lock()
-	ch := c.pending[resp.ID]
-	delete(c.pending, resp.ID)
+	ch := c.pending[r.resp.ID]
+	delete(c.pending, r.resp.ID)
 	c.pmu.Unlock()
 	if ch != nil {
-		ch <- resp // buffered: never blocks the reader
+		ch <- r // buffered: never blocks the reader
 	}
 }
 
@@ -182,15 +190,17 @@ func (c *Client) brokenErr() error {
 }
 
 func (c *Client) roundTrip(req *Request) (*Response, error) {
-	return c.roundTripContext(context.Background(), req)
+	resp, _, err := c.call(context.Background(), req)
+	return resp, err
 }
 
-// roundTripContext performs one call over the shared connection. A
+// call performs one call over the shared connection and also returns
+// the buffer the response was decoded into, if it has one of its own. A
 // traced ctx (trace.NewContext) stamps the request's trace fields so
 // the server's spans join the caller's trace, and — when SetSpans was
 // called — records a client send span around the round trip. The
 // untraced path pays one context lookup and nothing else.
-func (c *Client) roundTripContext(ctx context.Context, req *Request) (*Response, error) {
+func (c *Client) call(ctx context.Context, req *Request) (*Response, *frameBody, error) {
 	// A non-normal priority (faas.WithPriority) rides the request so the
 	// server's admission controller sheds in class order.
 	if p := faas.PriorityFromContext(ctx); p != faas.PriorityNormal {
@@ -205,22 +215,22 @@ func (c *Client) roundTripContext(ctx context.Context, req *Request) (*Response,
 		tc = sp.Context() // server spans parent to the send span
 	}
 	req.TraceID, req.SpanID = tc.TraceID, tc.SpanID
-	resp, err := c.doRoundTrip(ctx, req)
+	resp, body, err := c.doRoundTrip(ctx, req)
 	sp.SetErr(err)
 	sp.End()
-	return resp, err
+	return resp, body, err
 }
 
-// doRoundTrip is the transport half of roundTripContext. The effective
+// doRoundTrip is the transport half of call. The effective
 // deadline is the earlier of the client's call timeout and ctx's
 // deadline; it bounds the request write with a write deadline and the
 // response wait with a timer, and cancelling ctx cuts a write in
 // progress, so a peer that stops reading cannot hold the caller past
 // either. Timeout errors wrap context.DeadlineExceeded, which
 // satisfies net.Error, so existing retry classification keeps working.
-func (c *Client) doRoundTrip(ctx context.Context, req *Request) (*Response, error) {
+func (c *Client) doRoundTrip(ctx context.Context, req *Request) (*Response, *frameBody, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if req.ID == "" {
 		b := make([]byte, 0, len(c.prefix)+20)
@@ -235,14 +245,14 @@ func (c *Client) doRoundTrip(ctx context.Context, req *Request) (*Response, erro
 	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
 		deadline = d
 	}
-	ch := make(chan *Response, 1)
+	ch := make(chan reply, 1)
 
 	// Register before the frame can reach the wire, so the reader always
 	// finds the call its response belongs to.
 	c.pmu.Lock()
 	if err := c.broken; err != nil {
 		c.pmu.Unlock()
-		return nil, fmt.Errorf("wire: connection failed: %w", err)
+		return nil, nil, fmt.Errorf("wire: connection failed: %w", err)
 	}
 	c.pending[req.ID] = ch
 	c.pmu.Unlock()
@@ -254,12 +264,12 @@ func (c *Client) doRoundTrip(ctx context.Context, req *Request) (*Response, erro
 		// fail now instead of waiting for the reader to notice.
 		c.forget(req.ID)
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if expired(deadline) {
-			return nil, timedOut(req.ID)
+			return nil, nil, timedOut(req.ID)
 		}
-		return nil, err
+		return nil, nil, err
 	}
 
 	var timeoutC <-chan time.Time
@@ -269,27 +279,27 @@ func (c *Client) doRoundTrip(ctx context.Context, req *Request) (*Response, erro
 		timeoutC = t.C
 	}
 	select {
-	case resp, ok := <-ch:
+	case r, ok := <-ch:
 		if !ok {
 			if expired(deadline) {
-				return nil, timedOut(req.ID) // the write timeout severed the conn
+				return nil, nil, timedOut(req.ID) // the write timeout severed the conn
 			}
-			return nil, c.brokenErr()
+			return nil, nil, c.brokenErr()
 		}
-		if !resp.OK {
-			return resp, &RemoteError{
+		if resp := r.resp; !resp.OK {
+			return resp, nil, &RemoteError{
 				Msg:            resp.Error,
 				Retryable:      resp.Retryable,
 				RetryAfterHint: time.Duration(resp.RetryAfterMS) * time.Millisecond,
 			}
 		}
-		return resp, nil
+		return r.resp, r.body, nil
 	case <-ctx.Done():
 		c.forget(req.ID)
-		return nil, ctx.Err()
+		return nil, nil, ctx.Err()
 	case <-timeoutC:
 		c.forget(req.ID)
-		return nil, timedOut(req.ID)
+		return nil, nil, timedOut(req.ID)
 	}
 }
 
@@ -326,7 +336,7 @@ func (c *Client) Invoke(fn string, payload []byte) ([]byte, error) {
 // InvokeContext calls fn remotely under ctx: the ctx deadline (and the
 // client's call timeout) bound the round trip.
 func (c *Client) InvokeContext(ctx context.Context, fn string, payload []byte) ([]byte, error) {
-	resp, err := c.roundTripContext(ctx, &Request{Op: OpInvoke, Fn: fn, Payload: payload})
+	resp, _, err := c.call(ctx, &Request{Op: OpInvoke, Fn: fn, Payload: payload})
 	if err != nil {
 		return nil, err
 	}

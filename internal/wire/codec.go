@@ -27,6 +27,7 @@ package wire
 // is.
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
@@ -34,6 +35,7 @@ import (
 	"io"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"continuum/internal/trace"
 )
@@ -62,8 +64,9 @@ const AcceptBinary = "bin"
 // so one oversized frame cannot pin megabytes for the process lifetime.
 const maxPooledBuf = 1 << 20
 
-// framePool recycles encode/decode scratch buffers: the steady-state
-// invoke path allocates no frame buffers at all.
+// framePool recycles the buffers frames are encoded into and small
+// frames are read into: a steady stream of small invokes allocates no
+// frame buffers at all.
 var framePool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 4096)
@@ -119,38 +122,196 @@ func appendFrame(dst []byte, v any) ([]byte, error) {
 }
 
 // ReadFrameCodec reads one frame into v, a *Request or *Response. The
-// returned Codec is always CodecBinary.
+// returned Codec is always CodecBinary. The decoded payload and batch
+// items belong to the caller.
 func ReadFrameCodec(r io.Reader, v any) (Codec, error) {
-	_, err := readFrameN(r, v)
+	_, _, err := readFrame(r, v, nil)
 	return CodecBinary, err
 }
 
-// readFrameN is ReadFrameCodec plus the frame's wire size (header and
-// body), so per-request byte accounting stays exact when the server
-// reads through a buffered reader.
-func readFrameN(r io.Reader, v any) (int64, error) {
+// connReadBuf sizes the buffered reader of every connection. It serves
+// frame headers and small frames, so a pipelined burst of small frames
+// still costs one read; a larger body is read past it (see readFrame).
+const connReadBuf = 4 << 10
+
+// connReader reads one connection's frames.
+type connReader struct {
+	br *bufio.Reader
+	// spares hold buffers that a relay gave back after forwarding what
+	// was read into them (see relay.go), ready for this connection's
+	// next large frames. Two, so that a second call in flight on the
+	// connection still finds one. Only a relay gives buffers back, so
+	// only a relay's connections ever hold any.
+	spares [2]atomic.Pointer[frameBody]
+}
+
+func newConnReader(conn io.Reader) *connReader {
+	return &connReader{br: bufio.NewReaderSize(conn, connReadBuf)}
+}
+
+// read reads one frame into v; see readFrame.
+func (cr *connReader) read(v any) (int64, *frameBody, error) {
+	return readFrame(cr.br, v, cr)
+}
+
+// frameBody is the buffer a large frame was read into: its whole body,
+// which its payload and batch items point into, or just its payload
+// (see readSplit).
+type frameBody struct {
+	buf  []byte
+	home *connReader // the reader recycle gives it back to, nil = none
+}
+
+// recycle gives the buffer back to the connection it was read on, for
+// that connection's next large frame. The caller guarantees nothing
+// reads it any more. Nil-safe.
+func (fb *frameBody) recycle() {
+	if fb == nil || fb.home == nil || cap(fb.buf) > maxPooledBuf {
+		return
+	}
+	for i := range fb.home.spares {
+		if fb.home.spares[i].CompareAndSwap(nil, fb) {
+			return
+		}
+	}
+}
+
+// readFrame reads one frame into v and returns its wire size (header
+// and body), so per-request byte accounting stays exact behind a
+// buffered reader. A body of at most connReadBuf bytes is read into a
+// pooled buffer, and its payload and batch items are copied out of it.
+// A larger body is read past the buffered reader, straight from the
+// connection once its few buffered bytes are used, into a buffer of its
+// own: home's spare when one fits, else a fresh one. Read through a
+// connection (home set), a body that is mostly payload keeps only the
+// payload in that buffer (see readSplit); any other large body is kept
+// whole, and its payload and batch items point into it. The buffer is
+// returned so a relay can recycle it; whoever does not recycle it owns
+// it.
+func readFrame(r io.Reader, v any, home *connReader) (int64, *frameBody, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	n := int(binary.BigEndian.Uint32(hdr[:]))
 	if n > MaxFrame {
-		return 0, ErrFrameTooLarge
+		return 0, nil, ErrFrameTooLarge
+	}
+	if n <= connReadBuf {
+		bp := getBuf()
+		defer putBuf(bp)
+		body, err := readBody(r, (*bp)[:0], n)
+		*bp = body
+		if err != nil {
+			return 0, nil, err
+		}
+		return int64(4 + n), nil, decodeBody(body, v, false)
+	}
+	if home != nil {
+		if fb, split, err := home.readSplit(n, v); split {
+			if err != nil {
+				return 0, nil, err
+			}
+			return int64(4 + n), fb, nil
+		}
+	}
+	fb := getBody(n, home)
+	body, err := readBody(r, fb.buf[:0], n)
+	if err != nil {
+		return 0, nil, err
+	}
+	fb.buf = body
+	if err := decodeBody(body, v, true); err != nil {
+		return 0, nil, err
+	}
+	return int64(4 + n), fb, nil
+}
+
+// readSplit reads an n-byte body (n > connReadBuf) whose fields other
+// than the payload take at most connReadBuf bytes, as a large invoke's
+// and its answer's do. The payload goes straight into a buffer of its
+// own, exactly its size: a 64 KiB payload costs 64 KiB, where the whole
+// body would round up to a 72 KiB allocation. The fields around it go
+// through a pooled buffer, in which a nil payload stands in for it
+// while they decode. split is false, with nothing consumed, for any
+// other body.
+func (cr *connReader) readSplit(n int, v any) (fb *frameBody, split bool, err error) {
+	head, err := cr.br.Peek(connReadBuf)
+	if err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the header promised a body
+		}
+		return nil, true, err
+	}
+	lenAt, dataAt, size, ok := payloadAt(head, v)
+	if !ok || size < n-connReadBuf || dataAt+size > n {
+		return nil, false, nil
 	}
 	bp := getBuf()
 	defer putBuf(bp)
-	body, err := readBody(r, (*bp)[:0], n)
-	*bp = body
-	if err != nil {
-		return 0, err
+	rest := append(append((*bp)[:0], head[:lenAt]...), 0) // the nil stand-in
+	cr.br.Discard(dataAt)
+	fb = getBody(size, cr)
+	if fb.buf, err = readBody(cr.br, fb.buf[:0], size); err != nil {
+		return nil, true, err
 	}
-	return int64(4 + n), decodeBody(body, v)
+	rest, err = readBody(cr.br, rest, len(rest)+n-dataAt-size)
+	*bp = rest
+	if err == nil {
+		err = decodeBody(rest, v, false)
+	}
+	if err != nil {
+		return nil, true, err
+	}
+	p := fb.buf[:size:size]
+	switch t := v.(type) {
+	case *Request:
+		t.Payload = p
+	case *Response:
+		t.Payload = p
+	}
+	return fb, true, nil
+}
+
+// payloadAt locates the payload in the first bytes b of a body of v's
+// kind: where its length starts, where its bytes start, and how many
+// there are. ok is false when the body is of another kind, b ends
+// before the length, or the payload is nil.
+func payloadAt(b []byte, v any) (lenAt, dataAt, size int, ok bool) {
+	if len(b) < 3 || b[0] != binMagic {
+		return 0, 0, 0, false
+	}
+	var rest []byte
+	var strs int
+	switch v.(type) {
+	case *Request:
+		rest, strs = b[2:], 3 // op, id, fn
+		ok = b[1] == binKindRequest
+	case *Response:
+		rest, strs = b[3:], 2 // flags, then id, error
+		ok = b[1] == binKindResponse
+	}
+	for ; ok && strs > 0; strs-- {
+		var err error
+		_, rest, err = takeStrBytes(rest)
+		ok = err == nil
+	}
+	if !ok {
+		return 0, 0, 0, false
+	}
+	lenAt = len(b) - len(rest)
+	m, k := binary.Uvarint(rest)
+	if k <= 0 || m == 0 || m-1 > MaxFrame {
+		return 0, 0, 0, false
+	}
+	return lenAt, lenAt + k, int(m - 1), true
 }
 
 // readBody reads exactly n bytes onto buf. The buffer grows only as
 // bytes arrive, at most doubling what has been received, so a length
 // prefix a peer announces but never sends costs nothing beyond the
-// pooled buffer. A frame that fits the buffer is one read.
+// buffer it started with (see getBody). A frame that fits the buffer is
+// one read.
 func readBody(r io.Reader, buf []byte, n int) ([]byte, error) {
 	for len(buf) < n {
 		if len(buf) == cap(buf) {
@@ -166,6 +327,24 @@ func readBody(r io.Reader, buf []byte, n int) ([]byte, error) {
 		}
 	}
 	return buf, nil
+}
+
+// bodyFirst caps the first allocation for a large body: a length prefix
+// buys at most this much before its bytes arrive.
+const bodyFirst = 128 << 10
+
+// getBody returns an empty buffer for n bytes: home's spare when it
+// fits without wasting more than n bytes, else a fresh one of at most
+// bodyFirst bytes that readBody grows as the bytes arrive.
+func getBody(n int, home *connReader) *frameBody {
+	if home != nil {
+		for i := range home.spares {
+			if fb := home.spares[i].Swap(nil); fb != nil && n <= cap(fb.buf) && cap(fb.buf) <= 2*n {
+				return fb
+			}
+		}
+	}
+	return &frameBody{buf: make([]byte, 0, min(n, bodyFirst)), home: home}
 }
 
 // Binary body kinds (second byte, after the magic).
@@ -295,8 +474,8 @@ func appendBatch(buf []byte, batch [][]byte) []byte {
 	return buf
 }
 
-// takeBatch decodes one appendBatch section.
-func takeBatch(b []byte) ([][]byte, []byte, error) {
+// takeBatch decodes one appendBatch section; alias is as for takeBlob.
+func takeBatch(b []byte, alias bool) ([][]byte, []byte, error) {
 	count, k := binary.Uvarint(b)
 	if k <= 0 {
 		return nil, nil, fmt.Errorf("wire: binary frame: bad batch count")
@@ -314,7 +493,7 @@ func takeBatch(b []byte) ([][]byte, []byte, error) {
 	batch := make([][]byte, count)
 	var err error
 	for i := range batch {
-		if batch[i], b, err = takeBlob(b); err != nil {
+		if batch[i], b, err = takeBlob(b, alias); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -331,9 +510,11 @@ func appendBlob(buf, b []byte) []byte {
 	return append(buf, b...)
 }
 
-// takeBlob decodes one appendBlob section. The returned slice is a copy
-// — the input buffer goes back to the pool after decoding.
-func takeBlob(b []byte) (blob, rest []byte, err error) {
+// takeBlob decodes one appendBlob section. With alias the returned slice
+// points into b, capped at its own length so appending to it cannot
+// overwrite the next field; without, it is a copy, because b goes back
+// to the pool after decoding.
+func takeBlob(b []byte, alias bool) (blob, rest []byte, err error) {
 	n, k := binary.Uvarint(b)
 	if k <= 0 {
 		return nil, nil, fmt.Errorf("wire: binary frame: bad blob length")
@@ -345,6 +526,9 @@ func takeBlob(b []byte) (blob, rest []byte, err error) {
 	n--
 	if uint64(len(b)) < n {
 		return nil, nil, io.ErrUnexpectedEOF
+	}
+	if alias {
+		return b[:n:n], b[n:], nil
 	}
 	return bytes.Clone(b[:n]), b[n:], nil
 }
@@ -366,8 +550,9 @@ func takeJSON(b []byte, v any, what string) ([]byte, error) {
 }
 
 // decodeBody parses one frame body into v, which must be *Request or
-// *Response, and rejects a body with bytes left over.
-func decodeBody(b []byte, v any) error {
+// *Response, and rejects a body with bytes left over. With alias the
+// payload and batch items point into b (see takeBlob).
+func decodeBody(b []byte, v any, alias bool) error {
 	if len(b) == 0 {
 		return io.ErrUnexpectedEOF
 	}
@@ -384,12 +569,12 @@ func decodeBody(b []byte, v any) error {
 		if kind != binKindRequest {
 			return fmt.Errorf("wire: binary frame: kind %#x is not a request", kind)
 		}
-		b, err = decodeRequest(b[2:], t)
+		b, err = decodeRequest(b[2:], t, alias)
 	case *Response:
 		if kind != binKindResponse {
 			return fmt.Errorf("wire: binary frame: kind %#x is not a response", kind)
 		}
-		b, err = decodeResponse(b[2:], t)
+		b, err = decodeResponse(b[2:], t, alias)
 	default:
 		return fmt.Errorf("wire: no frame encoding for %T", v)
 	}
@@ -404,7 +589,7 @@ func decodeBody(b []byte, v any) error {
 
 // decodeRequest parses a request body after the magic and kind bytes and
 // returns what is left of b.
-func decodeRequest(b []byte, t *Request) ([]byte, error) {
+func decodeRequest(b []byte, t *Request, alias bool) ([]byte, error) {
 	op, b, err := takeStrBytes(b)
 	if err != nil {
 		return nil, err
@@ -416,10 +601,10 @@ func decodeRequest(b []byte, t *Request) ([]byte, error) {
 	if t.Fn, b, err = takeStr(b); err != nil {
 		return nil, err
 	}
-	if t.Payload, b, err = takeBlob(b); err != nil {
+	if t.Payload, b, err = takeBlob(b, alias); err != nil {
 		return nil, err
 	}
-	if t.Batch, b, err = takeBatch(b); err != nil {
+	if t.Batch, b, err = takeBatch(b, alias); err != nil {
 		return nil, err
 	}
 	if t.TraceID, b, err = takeStr(b); err != nil {
@@ -444,7 +629,7 @@ func decodeRequest(b []byte, t *Request) ([]byte, error) {
 
 // decodeResponse parses a response body after the magic and kind bytes
 // and returns what is left of b.
-func decodeResponse(b []byte, t *Response) ([]byte, error) {
+func decodeResponse(b []byte, t *Response, alias bool) ([]byte, error) {
 	if len(b) == 0 {
 		return nil, io.ErrUnexpectedEOF
 	}
@@ -458,10 +643,10 @@ func decodeResponse(b []byte, t *Response) ([]byte, error) {
 	if t.Error, b, err = takeStr(b); err != nil {
 		return nil, err
 	}
-	if t.Payload, b, err = takeBlob(b); err != nil {
+	if t.Payload, b, err = takeBlob(b, alias); err != nil {
 		return nil, err
 	}
-	if t.Batch, b, err = takeBatch(b); err != nil {
+	if t.Batch, b, err = takeBatch(b, alias); err != nil {
 		return nil, err
 	}
 	t.Names, t.Stats, t.Top, t.Spans = nil, nil, nil, nil

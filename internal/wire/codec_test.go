@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/base64"
 	"encoding/binary"
+	"io"
 	"math"
 	"net"
 	"reflect"
@@ -264,56 +265,94 @@ func TestBinaryDecodeTruncated(t *testing.T) {
 	}
 }
 
+// frameReaders are the two ways a frame is read: ReadFrameCodec on any
+// io.Reader, and the buffered connReader every connection reads
+// through. open returns a reader over r that reads one frame per call.
+var frameReaders = []struct {
+	name string
+	open func(r io.Reader) func(v any) error
+}{
+	{"ReadFrameCodec", func(r io.Reader) func(any) error {
+		return func(v any) error { _, err := ReadFrameCodec(r, v); return err }
+	}},
+	{"connReader", func(r io.Reader) func(any) error {
+		cr := newConnReader(r)
+		return func(v any) error { _, _, err := cr.read(v); return err }
+	}},
+}
+
 // TestReadFrameAllocatesAsBytesArrive: a length prefix is a claim, not
 // data. A peer that announces MaxFrame and then hangs up must not make
-// the reader allocate the announced 16 MiB, while a 64 KiB frame still
-// decodes into one pooled buffer.
+// either reader allocate the announced 16 MiB, while a 64 KiB frame
+// still decodes with one allocation about its size.
 func TestReadFrameAllocatesAsBytesArrive(t *testing.T) {
-	client, server := net.Pipe()
-	go func() {
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], MaxFrame)
-		client.Write(hdr[:])
-		client.Close()
-	}()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	_, err := ReadFrameCodec(server, new(Request))
-	runtime.ReadMemStats(&m1)
-	server.Close()
-	if err == nil {
-		t.Fatal("a frame with no body decoded")
-	}
-	if grew := m1.TotalAlloc - m0.TotalAlloc; grew >= 1<<20 {
-		t.Fatalf("an announced-but-unsent %d-byte frame allocated %d bytes", MaxFrame, grew)
-	}
-
 	var buf bytes.Buffer
 	req := &Request{Op: OpInvoke, ID: "big", Fn: "echo", Payload: bytes.Repeat([]byte{0xAB}, 64<<10)}
 	if err := WriteFrameCodec(&buf, req, CodecBinary); err != nil {
 		t.Fatal(err)
 	}
 	frame := buf.Bytes()
-	// The decoded payload is a copy (64 KiB); the body buffer is pooled.
-	// TotalAlloc is process-wide, so the GC stays off while it is read: a
-	// collection would empty the pool mid-round. Under -race, sync.Pool
-	// also drops a quarter of its Puts at random, and each drop regrows a
-	// ≈200 KiB body buffer, so the best of a few rounds is what the codec
-	// itself allocates. Without -race every round reads the same.
-	const reads, rounds = 100, 5
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	perRead := uint64(math.MaxUint64)
-	for r := 0; r < rounds; r++ {
-		runtime.ReadMemStats(&m0)
-		for i := 0; i < reads; i++ {
-			if _, err := ReadFrameCodec(bytes.NewReader(frame), new(Request)); err != nil {
-				t.Fatal(err)
+	for _, fr := range frameReaders {
+		t.Run(fr.name, func(t *testing.T) {
+			client, server := net.Pipe()
+			go func() {
+				var hdr [4]byte
+				binary.BigEndian.PutUint32(hdr[:], MaxFrame)
+				client.Write(hdr[:])
+				client.Close()
+			}()
+			read := fr.open(server)
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			err := read(new(Request))
+			runtime.ReadMemStats(&m1)
+			server.Close()
+			if err == nil {
+				t.Fatal("a frame with no body decoded")
 			}
-		}
-		runtime.ReadMemStats(&m1)
-		perRead = min(perRead, (m1.TotalAlloc-m0.TotalAlloc)/reads)
-	}
-	if perRead > 2*64<<10 {
-		t.Fatalf("a 64 KiB frame read allocated %d bytes", perRead)
+			if grew := m1.TotalAlloc - m0.TotalAlloc; grew >= 1<<20 {
+				t.Fatalf("an announced-but-unsent %d-byte frame allocated %d bytes", MaxFrame, grew)
+			}
+
+			// The decoded payload points into a buffer of its own (the
+			// whole body, or just the payload on a connection), and
+			// nothing else of the frame's size is allocated. TotalAlloc
+			// is process-wide, so the GC stays off while it is read: a
+			// collection would empty the frame pool mid-round. Under
+			// -race, sync.Pool also drops a quarter of its Puts at
+			// random, so the best of a few rounds is what the reader
+			// itself allocates. Without -race every round reads the same.
+			const reads, rounds = 100, 5
+			client, server = net.Pipe()
+			defer server.Close()
+			go func() {
+				defer client.Close()
+				for i := 0; i < reads*rounds; i++ {
+					if _, err := client.Write(frame); err != nil {
+						return
+					}
+				}
+			}()
+			read = fr.open(server)
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			perRead := uint64(math.MaxUint64)
+			for r := 0; r < rounds; r++ {
+				runtime.ReadMemStats(&m0)
+				for i := 0; i < reads; i++ {
+					got := new(Request)
+					if err := read(got); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got.Payload, req.Payload) {
+						t.Fatalf("read %d: payload differs", i)
+					}
+				}
+				runtime.ReadMemStats(&m1)
+				perRead = min(perRead, (m1.TotalAlloc-m0.TotalAlloc)/reads)
+			}
+			if perRead > 2*64<<10 {
+				t.Fatalf("a 64 KiB frame read allocated %d bytes", perRead)
+			}
+		})
 	}
 }

@@ -90,7 +90,7 @@ func (w *writeConn) frameIDs(t *testing.T) []string {
 	var ids []string
 	for {
 		req := new(Request)
-		if _, err := readFrameN(r, req); err == io.EOF {
+		if _, err := ReadFrameCodec(r, req); err == io.EOF {
 			return ids
 		} else if err != nil {
 			t.Fatalf("frame %d: %v", len(ids), err)

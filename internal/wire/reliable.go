@@ -515,7 +515,7 @@ func (r *ReliableClient) Invoke(fn string, payload []byte) ([]byte, error) {
 // span — joining ctx's trace when it carries one, starting a new trace
 // otherwise — and one span per attempt, hedge arm, and breaker skip.
 func (r *ReliableClient) InvokeContext(ctx context.Context, fn string, payload []byte) ([]byte, error) {
-	return r.invoke(ctx, fn, payload, nil)
+	return r.invoke(ctx, fn, payload, nil, nil)
 }
 
 // InvokeRouted is InvokeContext steered by a routing policy: prefer is
@@ -527,12 +527,19 @@ func (r *ReliableClient) InvokeContext(ctx context.Context, fn string, payload [
 // preferred address that already left the set is skipped, so a stale
 // preference degrades to ordinary failover instead of an error. This is
 // the router's invocation path: policy chooses, ReliableClient
-// retries/hedges/breaks exactly as for any other call.
+// retries/hedges/breaks exactly as for any other call. It is also a
+// relay (relay.go): under a Server's invoke context, a clean call lets
+// the Server recycle the payload's buffer and the returned bytes' once
+// its response is written, so the caller must keep neither.
 func (r *ReliableClient) InvokeRouted(ctx context.Context, fn string, payload []byte, prefer []string) ([]byte, error) {
-	return r.invoke(ctx, fn, payload, prefer)
+	return r.invoke(ctx, fn, payload, prefer, relayOfferFrom(ctx))
 }
 
-func (r *ReliableClient) invoke(ctx context.Context, fn string, payload []byte, prefer []string) ([]byte, error) {
+// invoke runs the retry loop. offer, when non-nil, is taken if the call
+// succeeds cleanly: no hedge arm was launched and every failed attempt
+// was answered with an error response, so no frame of this call is
+// still being written or awaited anywhere.
+func (r *ReliableClient) invoke(ctx context.Context, fn string, payload []byte, prefer []string, offer *relayOffer) ([]byte, error) {
 	var root *trace.ActiveSpan
 	if r.cfg.Spans != nil {
 		tc, _ := trace.ContextSpan(ctx)
@@ -540,8 +547,10 @@ func (r *ReliableClient) invoke(ctx context.Context, fn string, payload []byte, 
 		ctx = trace.NewContext(ctx, root.Context())
 	}
 	var out []byte
+	var body *frameBody
 	var last *repEndpoint
 	preferIdx := 0
+	clean := true
 	err := r.policy().Do(ctx, func(attempt int) error {
 		ep := r.pickPreferred(prefer, &preferIdx)
 		if ep == nil {
@@ -567,17 +576,24 @@ func (r *ReliableClient) invoke(ctx context.Context, fn string, payload []byte, 
 			}
 		}
 		last = ep
-		res, err := r.invokeAttempt(ctx, ep, fn, payload, attempt, failover)
+		res, b, hedged, err := r.invokeAttempt(ctx, ep, fn, payload, attempt, failover)
+		var re *RemoteError
+		if hedged || (err != nil && !errors.As(err, &re)) {
+			clean = false
+		}
 		if err != nil {
 			return err
 		}
-		out = res
+		out, body = res, b
 		return nil
 	})
 	root.SetErr(err)
 	root.End()
 	if err != nil {
 		return nil, err
+	}
+	if offer != nil && clean {
+		offer.take(body)
 	}
 	return out, nil
 }
@@ -587,8 +603,10 @@ func (r *ReliableClient) invoke(ctx context.Context, fn string, payload []byte, 
 // (by pick or pickPreferred). Traced calls record an attempt span, which
 // becomes the parent of the connection's send span (and, transitively,
 // the server's spans); a cancelled arm — the hedge race was decided
-// elsewhere — is marked cancelled rather than failed-by-endpoint.
-func (r *ReliableClient) attemptOn(ctx context.Context, ep *repEndpoint, fn string, payload []byte, attempt int, arm string, failover bool) ([]byte, error) {
+// elsewhere — is marked cancelled rather than failed-by-endpoint. It
+// also returns the buffer the result points into, if it has one of its
+// own.
+func (r *ReliableClient) attemptOn(ctx context.Context, ep *repEndpoint, fn string, payload []byte, attempt int, arm string, failover bool) ([]byte, *frameBody, error) {
 	sp := r.armSpan(ctx, ep, attempt, arm, failover)
 	if sp != nil {
 		ctx = trace.NewContext(ctx, sp.Context())
@@ -598,10 +616,10 @@ func (r *ReliableClient) attemptOn(ctx context.Context, ep *repEndpoint, fn stri
 		settle(ep, nil, err)
 		sp.SetErr(err)
 		sp.End()
-		return nil, err
+		return nil, nil, err
 	}
 	start := time.Now()
-	out, err := c.InvokeContext(ctx, fn, payload)
+	resp, body, err := c.call(ctx, &Request{Op: OpInvoke, Fn: fn, Payload: payload})
 	settle(ep, c, err)
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
@@ -609,18 +627,19 @@ func (r *ReliableClient) attemptOn(ctx context.Context, ep *repEndpoint, fn stri
 		}
 		sp.SetErr(err)
 		sp.End()
-		return nil, err
+		return nil, nil, err
 	}
 	r.lat.Add(time.Since(start).Seconds())
 	sp.End()
-	return out, nil
+	return resp.Payload, body, nil
 }
 
 // armResult is one arm's outcome in a hedged race.
 type armResult struct {
-	ep  *repEndpoint
-	out []byte
-	err error
+	ep   *repEndpoint
+	out  []byte
+	body *frameBody
+	err  error
 }
 
 // invokeAttempt runs one logical attempt: a single call, or — when the
@@ -628,19 +647,22 @@ type armResult struct {
 // against distinct endpoints where the first success wins and the loser
 // is cancelled. In a hedged race each arm records its own span
 // ("primary"/"hedge"); the loser's ends cancelled, so one trace shows
-// both arms and which one won.
-func (r *ReliableClient) invokeAttempt(ctx context.Context, ep *repEndpoint, fn string, payload []byte, attempt int, failover bool) ([]byte, error) {
+// both arms and which one won. hedged reports whether a second arm was
+// launched: the loser may still be reading the payload after the
+// attempt returns.
+func (r *ReliableClient) invokeAttempt(ctx context.Context, ep *repEndpoint, fn string, payload []byte, attempt int, failover bool) (out []byte, body *frameBody, hedged bool, err error) {
 	delay, ok := r.hedgeDelay()
 	if !ok {
-		return r.attemptOn(ctx, ep, fn, payload, attempt, "", failover)
+		out, body, err = r.attemptOn(ctx, ep, fn, payload, attempt, "", failover)
+		return out, body, false, err
 	}
 
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	results := make(chan armResult, 2)
 	arm := func(ep *repEndpoint, label string, failedOver bool) {
-		out, err := r.attemptOn(actx, ep, fn, payload, attempt, label, failedOver)
-		results <- armResult{ep: ep, out: out, err: err}
+		out, body, err := r.attemptOn(actx, ep, fn, payload, attempt, label, failedOver)
+		results <- armResult{ep: ep, out: out, body: body, err: err}
 	}
 	go arm(ep, "primary", failover)
 
@@ -648,15 +670,15 @@ func (r *ReliableClient) invokeAttempt(ctx context.Context, ep *repEndpoint, fn 
 	defer timer.Stop()
 
 	pending := 1
-	hedged := false
+	launched := false // the timer fired; hedged is set once a backup arm starts
 	var firstErr error
 	for {
 		select {
 		case <-timer.C:
-			if hedged {
+			if launched {
 				continue
 			}
-			hedged = true
+			launched = true
 			backup := r.pick(ep)
 			if backup == nil {
 				continue // no second endpoint admits traffic; race stays 1-arm
@@ -666,6 +688,7 @@ func (r *ReliableClient) invokeAttempt(ctx context.Context, ep *repEndpoint, fn 
 				r.hedgesC.Inc()
 			}
 			pending++
+			hedged = true
 			go arm(backup, "hedge", false)
 		case res := <-results:
 			pending--
@@ -677,7 +700,7 @@ func (r *ReliableClient) invokeAttempt(ctx context.Context, ep *repEndpoint, fn 
 					}
 				}
 				cancel() // preempt the losing arm; it settles as Cancel
-				return res.out, nil
+				return res.out, res.body, hedged, nil
 			}
 			if firstErr == nil && !errors.Is(res.err, context.Canceled) {
 				firstErr = res.err
@@ -686,7 +709,7 @@ func (r *ReliableClient) invokeAttempt(ctx context.Context, ep *repEndpoint, fn 
 				if firstErr == nil {
 					firstErr = res.err
 				}
-				return nil, firstErr
+				return nil, nil, hedged, firstErr
 			}
 		}
 	}

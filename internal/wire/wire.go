@@ -26,7 +26,6 @@
 package wire
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -460,10 +459,10 @@ func (s *Server) handle(conn net.Conn) {
 		s.mu.Unlock()
 		cc.Close()
 	}()
-	br := bufio.NewReaderSize(cc.Conn, 64<<10) // a pipelined burst reads in one syscall
+	cr := newConnReader(cc.Conn) // a pipelined burst of small frames reads in one syscall
 	for {
 		req := new(Request)
-		inB, err := readFrameN(br, req)
+		inB, body, err := cr.read(req)
 		if err != nil {
 			return // EOF, bad peer, or drain cut: drop the connection
 		}
@@ -480,13 +479,13 @@ func (s *Server) handle(conn net.Conn) {
 			go func() {
 				defer cwg.Done()
 				for t := range tasks {
-					s.process(cc, t.req, t.inB, t.read)
+					s.process(cc, t)
 					finished.Add(1)
 				}
 			}()
 		}
 		dispatched++
-		tasks <- connTask{req, inB, read}
+		tasks <- connTask{req, body, inB, read}
 		if s.isDraining() {
 			return // graceful shutdown: stop reading, finish what's in flight
 		}
@@ -496,6 +495,7 @@ func (s *Server) handle(conn net.Conn) {
 // connTask is one dispatched request on its way to a connection worker.
 type connTask struct {
 	req  *Request
+	body *frameBody // the buffer req's payload points into, nil for a small frame
 	inB  int64
 	read time.Time // when the frame left the reader (traced requests only)
 }
@@ -512,7 +512,8 @@ func (s *Server) serviceName() string {
 // response write, accounting. It decrements the connection's in-flight
 // count and, during a drain, closes the connection once it goes idle so
 // the blocked reader exits.
-func (s *Server) process(cc *countConn, req *Request, inB int64, read time.Time) {
+func (s *Server) process(cc *countConn, t connTask) {
+	req, read := t.req, t.read
 	start := time.Now()
 	// Traced request on a traced server: record one server span parented
 	// to the caller's span, covering chaos and dispatch. The worker-pool
@@ -564,8 +565,12 @@ func (s *Server) process(cc *countConn, req *Request, inB int64, read time.Time)
 			resp = &Response{Error: "chaos: injected error", Retryable: true}
 		}
 	}
+	var offer *relayOffer
 	if resp == nil {
-		resp = s.dispatch(req, sp)
+		if t.body != nil && req.Op == OpInvoke {
+			offer = &relayOffer{req: t.body}
+		}
+		resp = s.dispatch(req, sp, offer)
 	}
 	resp.ID = req.ID
 	if sp != nil {
@@ -575,8 +580,9 @@ func (s *Server) process(cc *countConn, req *Request, inB int64, read time.Time)
 		sp.End()
 	}
 	outB, err := cc.gw.writeFrame(context.Background(), resp, time.Time{})
+	offer.release() // the frame is encoded: nothing reads the payloads now
 	if err == nil {
-		s.observe(req, resp, time.Since(start), inB, outB)
+		s.observe(req, resp, time.Since(start), t.inB, outB)
 	}
 	done() // after the accounting: a server with nothing in flight has counted every response
 }
@@ -667,8 +673,9 @@ func (s *Server) top() []FnMetrics {
 // dispatch routes one decoded request to the right backend. sp, when
 // non-nil, is the server span covering this request; its context is
 // threaded into context-aware invokers so endpoint spans (queue-wait,
-// exec) join the request's trace.
-func (s *Server) dispatch(req *Request, sp *trace.ActiveSpan) *Response {
+// exec) join the request's trace. offer, when non-nil, rides the same
+// context to a relay (see relay.go).
+func (s *Server) dispatch(req *Request, sp *trace.ActiveSpan, offer *relayOffer) *Response {
 	if s.Ops != nil {
 		if resp, handled := s.Ops.HandleOp(req); handled {
 			return resp
@@ -687,6 +694,10 @@ func (s *Server) dispatch(req *Request, sp *trace.ActiveSpan) *Response {
 			}
 			if sp != nil {
 				ctx = trace.NewContext(ctx, sp.Context())
+			}
+			if offer != nil {
+				offer.Context = ctx
+				ctx = offer
 			}
 			out, err = ci.InvokeContext(ctx, req.Fn, req.Payload)
 		} else {
