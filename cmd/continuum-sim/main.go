@@ -7,7 +7,7 @@
 //	continuum-sim scenario validate examples/scenarios/*.json
 //	continuum-sim scenario run -f flash-crowd.json            # sim backend
 //	continuum-sim scenario run -f flash-crowd.json -gantt 72  # plus an ASCII busy-timeline
-//	continuum-sim scenario run -f flash-crowd.json -trace out.jsonl        # span log, one JSON event per line
+//	continuum-sim scenario run -f flash-crowd.json -trace out.json         # span file, the /debug/traces format
 //	continuum-sim scenario run -f flash-crowd.json -chrome-trace out.json  # open in Perfetto / chrome://tracing
 //	continuum-sim scenario run -f flash-crowd.json -backend live -time-scale 0.1
 //	continuum-sim scenario stress -nodes 1000 -budget 60s     # scale harness

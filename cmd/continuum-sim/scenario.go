@@ -85,7 +85,7 @@ func scenarioRun(args []string) {
 	function := fs.String("function", "", "live backend: builtin each request invokes (default echo)")
 	csv := fs.Bool("csv", false, "emit the report as CSV")
 	gantt := fs.Int("gantt", 0, "sim backend: also print an ASCII busy-timeline of the given width")
-	traceOut := fs.String("trace", "", "sim backend: write the event trace as JSONL to this file")
+	traceOut := fs.String("trace", "", "sim backend: write the trace as a JSON span array (the /debug/traces format) to this file")
 	chromeOut := fs.String("chrome-trace", "", "sim backend: write a Chrome trace-event JSON file")
 	router := fs.Bool("router", false, "live backend: front the fleet with an in-process continuum-router and drive every request through it")
 	policy := fs.String("policy", "", "live backend with -router: routing policy, "+strings.Join(federation.PolicyNames, " or ")+" (default hash)")
@@ -115,7 +115,7 @@ func scenarioRun(args []string) {
 			fmt.Print(tr.Gantt(*gantt))
 		}
 		if *traceOut != "" {
-			if err := writeFile(*traceOut, tr.WriteJSONL); err != nil {
+			if err := writeFile(*traceOut, tr.WriteJSON); err != nil {
 				fatal(err)
 			}
 		}

@@ -67,8 +67,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	_ "net/http/pprof" // wire.ServeMetrics forwards /debug/pprof/ to these handlers under -pprof
@@ -85,59 +87,86 @@ import (
 	"continuum/internal/wire"
 )
 
-func main() {
-	listen := flag.String("listen", "127.0.0.1:9090", "address to serve on")
-	name := flag.String("name", "", "endpoint name (defaults to the listen address)")
-	capacity := flag.Int("capacity", 8, "max concurrent containers")
-	cold := flag.Duration("cold", 2*time.Millisecond, "cold-start provisioning delay")
-	warmTTL := flag.Duration("warm-ttl", time.Minute, "idle warm-container lifetime")
-	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics and /healthz on this address (empty = off)")
-	verbose := flag.Bool("verbose", false, "log one structured line per request")
-	queueWait := flag.Duration("queue-wait", 0, "max wait for a free container slot before rejecting with a retryable overload error (0 = wait forever)")
-	maxQueue := flag.Int("max-queue", 0, "enable priority-classed admission control with this hard queue bound (0 = off; low priority sheds first, shed responses carry Retry-After)")
-	targetQueueWait := flag.Duration("target-queue-wait", 0, "queue-wait target the adaptive admission bound steers toward by AIMD (0 = 20ms; needs -max-queue)")
-	minSlots := flag.Int("min-slots", 0, "elastic worker-pool floor under admission control (0 = capacity/4; needs -max-queue)")
-	retryAfterFloor := flag.Duration("retry-after-floor", 0, "minimum Retry-After hint attached to shed responses (0 = 5ms; needs -max-queue)")
-	execTimeout := flag.Duration("exec-timeout", 0, "per-invocation execution deadline (0 = none)")
-	grace := flag.Duration("grace", 10*time.Second, "in-flight drain bound for graceful shutdown on SIGINT/SIGTERM")
-	chaos := flag.String("chaos", "", "inject wire-level faults, e.g. 'drop=0.05,err=0.1,delay=20ms,delayp=0.3,up=10s,down=500ms,seed=1' (empty = off)")
-	workers := flag.Int("workers", 0, "max concurrent requests per connection for multiplexing clients (0 = default)")
-	hedge := flag.Bool("hedge", false, "free the capacity slot of a cancelled invocation immediately (server-side support for hedged clients: the losing hedge arm stops occupying a container slot)")
-	traceBuf := flag.Int("trace-buf", 0, "span ring-buffer capacity for distributed tracing (0 = default 4096)")
-	pprof := flag.Bool("pprof", false, "mount net/http/pprof debug handlers on the -metrics-addr mux")
-	router := flag.String("router", "", "continuum-router address to register with; the daemon joins the federation and heartbeats its live load (empty = standalone)")
-	advertise := flag.String("advertise", "", "address the router should dial to reach this daemon (defaults to -listen; set it when -listen binds a wildcard or NATed address)")
-	flag.Parse()
+// config is what the command line sets: the endpoint, its fault
+// injection, and how the process serves, traces and federates it.
+type config struct {
+	listen, metricsAddr string
+	endpoint            faas.EndpointConfig
+	chaos               string          // the -chaos flag as given ("" = off)
+	chaosSpec           fault.ChaosSpec // chaos, parsed
+	workers, traceBuf   int
+	grace               time.Duration
+	verbose, pprof      bool
+	router, advertise   string
+}
 
-	if *name == "" {
-		*name = *listen
+// parseFlags parses the command line (without the program name) and
+// reports what is wrong with it, or the -h usage, on errOut. Any error
+// means the command line is bad: main exits 2 (0 for -h).
+func parseFlags(args []string, errOut io.Writer) (config, error) {
+	fs := flag.NewFlagSet("continuumd", flag.ContinueOnError)
+	fs.SetOutput(errOut)
+	var c config
+	ep := &c.endpoint
+	fs.StringVar(&c.listen, "listen", "127.0.0.1:9090", "address to serve on")
+	fs.StringVar(&ep.Name, "name", "", "endpoint name (defaults to the listen address)")
+	fs.IntVar(&ep.Capacity, "capacity", 8, "max concurrent containers")
+	fs.DurationVar(&ep.ColdStart, "cold", 2*time.Millisecond, "cold-start provisioning delay")
+	fs.DurationVar(&ep.WarmTTL, "warm-ttl", time.Minute, "idle warm-container lifetime")
+	fs.StringVar(&c.metricsAddr, "metrics-addr", "", "serve Prometheus /metrics and /healthz on this address (empty = off)")
+	fs.BoolVar(&c.verbose, "verbose", false, "log one structured line per request")
+	fs.DurationVar(&ep.QueueWait, "queue-wait", 0, "max wait for a free container slot before rejecting with a retryable overload error (0 = wait forever)")
+	fs.IntVar(&ep.Admission.MaxQueue, "max-queue", 0, "enable priority-classed admission control with this hard queue bound (0 = off; low priority sheds first, shed responses carry Retry-After)")
+	fs.DurationVar(&ep.Admission.TargetQueueWait, "target-queue-wait", 0, "queue-wait target the adaptive admission bound steers toward by AIMD (0 = 20ms; needs -max-queue)")
+	fs.IntVar(&ep.Admission.MinSlots, "min-slots", 0, "elastic worker-pool floor under admission control (0 = capacity/4; needs -max-queue)")
+	fs.DurationVar(&ep.Admission.RetryAfterFloor, "retry-after-floor", 0, "minimum Retry-After hint attached to shed responses (0 = 5ms; needs -max-queue)")
+	fs.DurationVar(&ep.ExecTimeout, "exec-timeout", 0, "per-invocation execution deadline (0 = none)")
+	fs.DurationVar(&c.grace, "grace", 10*time.Second, "in-flight drain bound for graceful shutdown on SIGINT/SIGTERM")
+	fs.StringVar(&c.chaos, "chaos", "", "inject wire-level faults, e.g. 'drop=0.05,err=0.1,delay=20ms,delayp=0.3,up=10s,down=500ms,seed=1' (empty = off)")
+	fs.IntVar(&c.workers, "workers", 0, "max concurrent requests per connection for multiplexing clients (0 = default)")
+	fs.BoolVar(&ep.PreemptAbandoned, "hedge", false, "free the capacity slot of a cancelled invocation immediately (server-side support for hedged clients: the losing hedge arm stops occupying a container slot)")
+	fs.IntVar(&c.traceBuf, "trace-buf", 0, "span ring-buffer capacity for distributed tracing (0 = default 4096)")
+	fs.BoolVar(&c.pprof, "pprof", false, "mount net/http/pprof debug handlers on the -metrics-addr mux")
+	fs.StringVar(&c.router, "router", "", "continuum-router address to register with; the daemon joins the federation and heartbeats its live load (empty = standalone)")
+	fs.StringVar(&c.advertise, "advertise", "", "address the router should dial to reach this daemon (defaults to -listen; set it when -listen binds a wildcard or NATed address)")
+	if err := fs.Parse(args); err != nil {
+		return c, err // fs reported it
 	}
+	if ep.Name == "" {
+		ep.Name = c.listen
+	}
+	ep.Admission.Enabled = ep.Admission.MaxQueue > 0
+	if c.chaos != "" {
+		spec, err := fault.ParseChaos(c.chaos)
+		if err != nil {
+			fmt.Fprintln(errOut, "continuumd: -chaos:", err)
+			return c, err
+		}
+		c.chaosSpec = spec
+	}
+	return c, nil
+}
+
+func main() {
+	c, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		os.Exit(2)
+	}
+	name := c.endpoint.Name
 	reg := faas.BuiltinRegistry()
-	ep := faas.NewEndpoint(faas.EndpointConfig{
-		Name:             *name,
-		Capacity:         *capacity,
-		ColdStart:        *cold,
-		WarmTTL:          *warmTTL,
-		QueueWait:        *queueWait,
-		ExecTimeout:      *execTimeout,
-		PreemptAbandoned: *hedge,
-		Admission: faas.AdmissionConfig{
-			Enabled:         *maxQueue > 0,
-			MaxQueue:        *maxQueue,
-			TargetQueueWait: *targetQueueWait,
-			MinSlots:        *minSlots,
-			RetryAfterFloor: *retryAfterFloor,
-		},
-	}, reg)
-	if *maxQueue > 0 {
-		fmt.Printf("continuumd: admission control enabled (max queue %d)\n", *maxQueue)
+	ep := faas.NewEndpoint(c.endpoint, reg)
+	if c.endpoint.Admission.Enabled {
+		fmt.Printf("continuumd: admission control enabled (max queue %d)\n", c.endpoint.Admission.MaxQueue)
 	}
 
 	// One span store for the whole daemon: the wire server's request
 	// spans and the endpoint's queue/exec spans land together, so one
 	// pull (OpTrace or /debug/traces) returns this process's entire view
 	// of any trace.
-	spans := trace.NewSpanStore(*traceBuf)
+	spans := trace.NewSpanStore(c.traceBuf)
 	ep.SetSpans(spans)
 
 	srv := &wire.Server{
@@ -145,60 +174,55 @@ func main() {
 		Batcher:   ep,
 		Registry:  reg,
 		Endpoints: []*faas.Endpoint{ep},
-		Workers:   *workers,
-		Name:      *name,
+		Workers:   c.workers,
+		Name:      name,
 		Spans:     spans,
 	}
-	if *verbose {
+	if c.verbose {
 		srv.Logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 	}
-	if *chaos != "" {
-		spec, err := fault.ParseChaos(*chaos)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "continuumd: -chaos:", err)
-			os.Exit(2)
-		}
-		srv.SetChaos(fault.NewChaos(spec))
-		fmt.Printf("continuumd: chaos enabled (%s)\n", *chaos)
+	if c.chaos != "" {
+		srv.SetChaos(fault.NewChaos(c.chaosSpec))
+		fmt.Printf("continuumd: chaos enabled (%s)\n", c.chaos)
 	}
 	var m *metrics.Registry
-	if *metricsAddr != "" {
+	if c.metricsAddr != "" {
 		m = metrics.NewRegistry()
 		ep.SetMetrics(m)
 		srv.Metrics = m
 		go func() {
-			if err := wire.ServeMetrics(*metricsAddr, m, spans, *pprof); err != nil {
+			if err := wire.ServeMetrics(c.metricsAddr, m, spans, c.pprof); err != nil {
 				fmt.Fprintln(os.Stderr, "continuumd: metrics server:", err)
 			}
 		}()
-		fmt.Printf("continuumd: metrics on http://%s/metrics\n", *metricsAddr)
+		fmt.Printf("continuumd: metrics on http://%s/metrics\n", c.metricsAddr)
 	}
-	lis, err := net.Listen("tcp", *listen)
+	lis, err := net.Listen("tcp", c.listen)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "continuumd:", err)
 		os.Exit(1)
 	}
 	fmt.Printf("continuumd: endpoint %q serving %d functions on %s (capacity %d, cold start %v)\n",
-		*name, len(reg.Names()), lis.Addr(), *capacity, *cold)
+		name, len(reg.Names()), lis.Addr(), c.endpoint.Capacity, c.endpoint.ColdStart)
 
 	// Federated mode: join the router once the listener is serving, so
 	// the advertised address is live before the router can route to it.
 	var agent *federation.Agent
-	if *router != "" {
-		adv := *advertise
+	if c.router != "" {
+		adv := c.advertise
 		if adv == "" {
 			adv = lis.Addr().String()
 		}
 		agent = federation.NewAgent(federation.AgentConfig{
-			RouterAddr: *router,
-			Name:       *name,
+			RouterAddr: c.router,
+			Name:       name,
 			Advertise:  adv,
 			Endpoint:   ep,
 			Functions:  reg.Names(),
 			Logger:     srv.Logger,
 		})
 		agent.Start()
-		fmt.Printf("continuumd: joining federation at %s (advertising %s)\n", *router, adv)
+		fmt.Printf("continuumd: joining federation at %s (advertising %s)\n", c.router, adv)
 	}
 
 	sig := make(chan os.Signal, 1)
@@ -206,7 +230,7 @@ func main() {
 	drained := make(chan struct{})
 	go func() {
 		s := <-sig
-		fmt.Printf("continuumd: %v: draining in-flight requests (grace %v)\n", s, *grace)
+		fmt.Printf("continuumd: %v: draining in-flight requests (grace %v)\n", s, c.grace)
 		if agent != nil {
 			// Announce the drain BEFORE shutting the listener down: the
 			// router stops routing new work here immediately while the
@@ -217,7 +241,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, "continuumd: federation drain announce:", err)
 			}
 		}
-		srv.Shutdown(*grace) // Serve returns nil once the drain completes
+		srv.Shutdown(c.grace) // Serve returns nil once the drain completes
 		close(drained)
 	}()
 

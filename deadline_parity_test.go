@@ -39,8 +39,8 @@ func TestDeadlineParitySimAndLive(t *testing.T) {
 			st.Completed, st.DeadlineMisses)
 	}
 	attributed := false
-	for _, e := range c.Tracer.Filter(trace.Failure) {
-		if strings.Contains(e.Detail, "overrun deadline exceeded") {
+	for _, e := range c.Tracer.Filter(trace.KindFailure) {
+		if e.Name == "overrun" && e.Err == "deadline exceeded" {
 			attributed = true
 		}
 	}

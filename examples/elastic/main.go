@@ -62,7 +62,7 @@ func main() {
 
 	fmt.Println("per-worker busy timeline (the fleet breathing):")
 	fmt.Print(c.Tracer.Gantt(72))
-	ups := len(c.Tracer.Filter(trace.ScaleUp))
-	downs := len(c.Tracer.Filter(trace.ScaleDown))
+	ups := len(c.Tracer.Filter(trace.KindScaleUp))
+	downs := len(c.Tracer.Filter(trace.KindScaleDown))
 	fmt.Printf("\ntraced transitions: %d scale-ups, %d scale-downs\n", ups, downs)
 }

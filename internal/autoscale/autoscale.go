@@ -161,12 +161,12 @@ func (p *Pool) Submit(scalarWork, tensorWork float64, kind node.AccelKind, done 
 	}
 	p.Outstanding++
 	m.drainTimer.Cancel()
-	m.lastBusy = p.cont.K.Now()
-	p.cont.Tracer.Record(p.cont.K.Now(), trace.TaskStart, m.n.Name, "")
+	start := p.cont.K.Now()
+	m.lastBusy = start
 	m.n.Execute(scalarWork, tensorWork, kind, func() {
 		p.Outstanding--
 		m.lastBusy = p.cont.K.Now()
-		p.cont.Tracer.Record(p.cont.K.Now(), trace.TaskEnd, m.n.Name, "")
+		p.cont.Tracer.Record(start, m.lastBusy, trace.KindTask, m.n.Name, "", 0)
 		p.maybeScaleDown(m)
 		if done != nil {
 			done()
@@ -193,7 +193,8 @@ func (p *Pool) maybeScaleUp() {
 			m.activeSince = p.cont.K.Now()
 			m.lastBusy = p.cont.K.Now()
 			p.ScaleUps++
-			p.cont.Tracer.Record(p.cont.K.Now(), trace.ScaleUp, m.n.Name, "warm")
+			now := p.cont.K.Now()
+			p.cont.Tracer.Record(now, now, trace.KindScaleUp, m.n.Name, "warm", 0)
 			p.armDrain(m) // deactivate again if the burst never reaches it
 			return
 		}
@@ -205,7 +206,8 @@ func (p *Pool) maybeScaleUp() {
 		p.provisioning--
 		m := p.addNode(true)
 		p.ScaleUps++
-		p.cont.Tracer.Record(p.cont.K.Now(), trace.ScaleUp, m.n.Name, "cold")
+		now := p.cont.K.Now()
+		p.cont.Tracer.Record(now, now, trace.KindScaleUp, m.n.Name, "cold", 0)
 		p.armDrain(m) // a late arrival may find the burst already gone
 	})
 }
@@ -223,9 +225,10 @@ func (p *Pool) armDrain(m *member) {
 			return
 		}
 		m.active = false
-		m.nodeSeconds += p.cont.K.Now() - m.activeSince
+		now := p.cont.K.Now()
+		m.nodeSeconds += now - m.activeSince
 		p.ScaleDowns++
-		p.cont.Tracer.Record(p.cont.K.Now(), trace.ScaleDown, m.n.Name, "")
+		p.cont.Tracer.Record(now, now, trace.KindScaleDown, m.n.Name, "", 0)
 	})
 }
 

@@ -17,9 +17,9 @@ import (
 // tasks); RetryBackoff paces the re-check while the node is down.
 //
 // It is the same engine as RunDAG with the fault hook engaged: external
-// inputs stage through the fabric when one is enabled, and
-// TaskStart/TaskEnd/TransferStart/TransferEnd trace records are emitted
-// exactly as in base runs (plus Failure records for lost attempts).
+// inputs stage through the fabric when one is enabled, and task and
+// transfer spans are recorded exactly as in base runs (plus failure
+// instants, and task spans carrying Err, for lost attempts).
 func (c *Continuum) RunDAGReliable(d *task.DAG, sched placement.Schedule, env *placement.Env, opts ReliableOptions) (*ReliableStats, error) {
 	return c.runDAG(d, sched, env, opts)
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"continuum/internal/placement"
@@ -30,8 +29,8 @@ func TestStreamDeadlineMissCountsAndTraces(t *testing.T) {
 	// The trace must attribute every miss to the task and its attempt.
 	var misses int
 	maxAttempt := -1
-	for _, e := range c.Tracer.Filter(trace.Failure) {
-		if strings.Contains(e.Detail, "deadline exceeded") {
+	for _, e := range c.Tracer.Filter(trace.KindFailure) {
+		if e.Err == "deadline exceeded" {
 			misses++
 			if e.Attempt > maxAttempt {
 				maxAttempt = e.Attempt
@@ -73,8 +72,8 @@ func TestDAGDeadlineAbortsRun(t *testing.T) {
 		t.Fatal("no deadline misses recorded")
 	}
 	found := false
-	for _, e := range c.Tracer.Filter(trace.Failure) {
-		if strings.Contains(e.Detail, "deadline exceeded") {
+	for _, e := range c.Tracer.Filter(trace.KindFailure) {
+		if e.Err == "deadline exceeded" {
 			found = true
 			break
 		}

@@ -103,9 +103,9 @@ type unit struct {
 	origin int
 
 	// deliver runs after successful execution and cost accounting, at
-	// virtual time execEnd: stream jobs send the reply message, DAG
+	// the end of execution: stream jobs send the reply message, DAG
 	// tasks count completion and launch successor edge transfers.
-	deliver func(execEnd float64)
+	deliver func()
 
 	// lost runs instead of deliver when the host's failure epoch
 	// advanced mid-attempt (inputs or results on a failed node).
@@ -137,7 +137,7 @@ func (e *engine) run(u unit) {
 func (e *engine) afterDisturb(u unit, drop bool) {
 	if drop {
 		e.st.ChaosDrops++
-		e.traceFailure(u, "chaos")
+		e.traceFailure(u, "chaos", unstarted)
 		u.lost()
 		return
 	}
@@ -152,66 +152,95 @@ func (e *engine) afterDisturb(u unit, drop bool) {
 // is treated exactly like a lost one. With zero-value options every
 // check is a no-op.
 //
-// Trace spans: a Dispatch instant marks the attempt entering the
-// pipeline, StageStart/StageEnd bracket input staging when data actually
-// moves, and TaskStart/TaskEnd bracket execution — all carrying the
-// attempt number. Every record is nil-safe, so a continuum without a
-// tracer pays only the dead branch inside Tracer.RecordAttempt (and
-// traceFailure's own check).
+// Trace spans, each recorded once it closes and carrying the attempt
+// number: a dispatch instant marks the attempt entering the pipeline, a
+// stage span covers input staging when data actually moves, and a task
+// span covers execution — ending at the loss, with Err saying why, when
+// the attempt is lost or over its deadline. Every record is nil-safe, so
+// a continuum without a tracer pays only the dead branch inside
+// Tracer.Record (and traceFailure's own check).
 func (e *engine) dispatch(u unit) {
 	epoch0 := e.epoch(u.node)
 	start := e.c.K.Now()
-	e.c.Tracer.RecordAttempt(start, trace.Dispatch, u.node.Name, u.task.Name, u.attempt)
+	e.c.Tracer.Record(start, start, trace.KindDispatch, u.node.Name, u.task.Name, u.attempt)
 	e.stage(u, func() {
 		if e.epoch(u.node) != epoch0 {
-			e.traceFailure(u, "inputs lost")
+			e.traceFailure(u, "inputs lost", unstarted)
 			u.lost()
 			return
 		}
-		if e.missedDeadline(u, start) {
+		if e.missedDeadline(u, start, unstarted) {
 			return // staging alone blew the attempt's budget
 		}
-		e.c.Tracer.RecordAttempt(e.c.K.Now(), trace.TaskStart, u.node.Name, u.task.Name, u.attempt)
+		// Only a traced attempt's callback holds its execution start: the
+		// untraced one stays the size BenchmarkEngineOverhead measures.
+		if e.c.Tracer == nil {
+			u.node.Execute(u.task.ScalarWork, u.task.TensorWork, u.task.Accel, func() {
+				e.executed(u, epoch0, start, unstarted)
+			})
+			return
+		}
+		execStart := e.c.K.Now()
 		u.node.Execute(u.task.ScalarWork, u.task.TensorWork, u.task.Accel, func() {
-			now := e.c.K.Now()
-			if e.epoch(u.node) != epoch0 {
-				e.traceFailure(u, "lost")
-				u.lost()
-				return
-			}
-			if e.missedDeadline(u, start) {
-				return
-			}
-			e.c.Tracer.RecordAttempt(now, trace.TaskEnd, u.node.Name, u.task.Name, u.attempt)
-			execTime := u.node.ExecTime(u.task.ScalarWork, u.task.TensorWork, u.task.Accel)
-			e.st.Dollars += u.node.DollarCost(execTime)
-			u.deliver(now)
+			e.executed(u, epoch0, start, execStart)
 		})
 	})
+}
+
+// executed ends an attempt whose execution, begun at execStart (unstarted
+// when untraced), just finished: lost if its node failed meanwhile, lost
+// if it overran its deadline, else billed and delivered.
+func (e *engine) executed(u unit, epoch0 uint64, start, execStart float64) {
+	if e.epoch(u.node) != epoch0 {
+		e.traceFailure(u, "lost", execStart)
+		u.lost()
+		return
+	}
+	if e.missedDeadline(u, start, execStart) {
+		return
+	}
+	e.c.Tracer.Record(execStart, e.c.K.Now(), trace.KindTask, u.node.Name, u.task.Name, u.attempt)
+	execTime := u.node.ExecTime(u.task.ScalarWork, u.task.TensorWork, u.task.Accel)
+	e.st.Dollars += u.node.DollarCost(execTime)
+	u.deliver()
 }
 
 // missedDeadline enforces the per-attempt deadline: when virtual time
 // since dispatch exceeds TaskDeadline, the attempt is counted as a
 // deadline miss, attributed in the trace, and routed to u.lost (which
 // consumes the retry budget). The completed work is not billed — the
-// result was discarded, matching the epoch-loss path.
-func (e *engine) missedDeadline(u unit, start float64) bool {
+// result was discarded, matching the epoch-loss path. execStart is when
+// execution began, or unstarted.
+func (e *engine) missedDeadline(u unit, start, execStart float64) bool {
 	if e.opts.TaskDeadline <= 0 || e.c.K.Now()-start <= e.opts.TaskDeadline {
 		return false
 	}
 	e.st.DeadlineMisses++
-	e.traceFailure(u, "deadline exceeded")
+	e.traceFailure(u, "deadline exceeded", execStart)
 	u.lost()
 	return true
 }
 
-// traceFailure records a Failure for u's attempt, naming the task and
-// why. It builds the name only when a tracer is set, so an untraced run
-// concatenates no strings.
-func (e *engine) traceFailure(u unit, why string) {
-	if e.c.Tracer != nil {
-		e.c.Tracer.RecordAttempt(e.c.K.Now(), trace.Failure, u.node.Name, u.task.Name+" "+why, u.attempt)
+// unstarted is traceFailure's execStart for an attempt lost before it
+// began executing.
+const unstarted = -1.0
+
+// traceFailure records the loss of u's attempt now: a failure instant
+// and, when execution had begun at execStart, the task span it ends.
+// Both carry why as their Err.
+func (e *engine) traceFailure(u unit, why string, execStart float64) {
+	if e.c.Tracer == nil {
+		return
 	}
+	end := trace.Nanos(e.c.K.Now())
+	sp := trace.Span{Service: u.node.Name, Name: u.task.Name, Kind: trace.KindTask,
+		Attempt: u.attempt, End: end, Err: why}
+	if execStart != unstarted {
+		sp.Start = trace.Nanos(execStart)
+		e.c.Tracer.Add(sp)
+	}
+	sp.Kind, sp.Start = trace.KindFailure, end
+	e.c.Tracer.Add(sp)
 }
 
 // stage makes the unit's inputs resident on its node, then calls next.
@@ -221,41 +250,44 @@ func (e *engine) traceFailure(u unit, why string) {
 // DAG tasks' external inputs are modeled as already resident
 // (predecessor edges move intermediate data explicitly).
 func (e *engine) stage(u unit, next func()) {
-	if e.c.Fabric != nil && len(u.task.Inputs) > 0 {
-		e.c.Tracer.RecordAttempt(e.c.K.Now(), trace.StageStart, u.node.Name, u.task.Name, u.attempt)
-		pending := len(u.task.Inputs)
-		for _, in := range u.task.Inputs {
-			ds := data.Dataset{Name: in.Name, Bytes: in.Bytes}
-			e.c.Fabric.Stage(ds, u.node.ID, func(bool) {
-				pending--
-				if pending == 0 {
-					e.c.Tracer.RecordAttempt(e.c.K.Now(), trace.StageEnd, u.node.Name, u.task.Name, u.attempt)
-					next()
-				}
-			})
+	fabric := e.c.Fabric != nil && len(u.task.Inputs) > 0
+	if e.c.Tracer != nil && (fabric || u.origin >= 0) {
+		// Only wrap the completion callback when a tracer exists: the
+		// extra closure would otherwise cost an allocation per job on the
+		// untraced hot path BenchmarkEngineOverhead guards.
+		t0, staged := e.c.K.Now(), next
+		next = func() {
+			e.c.Tracer.Record(t0, e.c.K.Now(), trace.KindStage, u.node.Name, u.task.Name, u.attempt)
+			staged()
 		}
-		return
 	}
-	if u.origin >= 0 {
+	switch {
+	case fabric:
+		e.stageFabric(u, next)
+	case u.origin >= 0:
 		inBytes := 0.0
 		for _, in := range u.task.Inputs {
 			inBytes += in.Bytes
 		}
-		// Only wrap the completion callback when a tracer exists: the
-		// extra closure would otherwise cost an allocation per job on the
-		// untraced hot path BenchmarkEngineOverhead guards.
-		cb := next
-		if e.c.Tracer != nil {
-			e.c.Tracer.RecordAttempt(e.c.K.Now(), trace.StageStart, u.node.Name, u.task.Name, u.attempt)
-			cb = func() {
-				e.c.Tracer.RecordAttempt(e.c.K.Now(), trace.StageEnd, u.node.Name, u.task.Name, u.attempt)
+		e.c.Net.Message(u.origin, u.node.ID, inBytes, next)
+	default:
+		next()
+	}
+}
+
+// stageFabric stages each of u's inputs through the fabric and calls
+// next once all of them are resident.
+func (e *engine) stageFabric(u unit, next func()) {
+	pending := len(u.task.Inputs)
+	for _, in := range u.task.Inputs {
+		ds := data.Dataset{Name: in.Name, Bytes: in.Bytes}
+		e.c.Fabric.Stage(ds, u.node.ID, func(bool) {
+			pending--
+			if pending == 0 {
 				next()
 			}
-		}
-		e.c.Net.Message(u.origin, u.node.ID, inBytes, cb)
-		return
+		})
 	}
-	next()
 }
 
 // egress charges n's per-byte egress price for bytes leaving n toward
@@ -316,14 +348,15 @@ func (e *engine) speculate(mk func(n *node.Node, attempt int) unit, primary *nod
 	g := &specGroup{}
 	wrap := func(v unit, backup bool) unit {
 		deliver, lost := v.deliver, v.lost
-		v.deliver = func(execEnd float64) {
+		v.deliver = func() {
 			g.outstanding--
 			if g.won {
 				// The sibling already delivered: this replica lost the race.
 				// Its execution was billed in run(); only the result is
 				// discarded.
 				e.st.PreemptedTasks++
-				e.c.Tracer.RecordAttempt(e.c.K.Now(), trace.Preempt, v.node.Name, v.task.Name, v.attempt)
+				now := e.c.K.Now()
+				e.c.Tracer.Record(now, now, trace.KindPreempt, v.node.Name, v.task.Name, v.attempt)
 				return
 			}
 			g.won = true
@@ -331,7 +364,7 @@ func (e *engine) speculate(mk func(n *node.Node, attempt int) unit, primary *nod
 			if backup {
 				e.st.SpeculativeWins++
 			}
-			deliver(execEnd)
+			deliver()
 		}
 		v.lost = func() {
 			g.outstanding--
@@ -453,7 +486,7 @@ func (c *Continuum) runStream(pol placement.Policy, jobs []StreamJob, candidates
 				node:    n,
 				attempt: attemptNo,
 				origin:  j.Origin,
-				deliver: func(float64) {
+				deliver: func() {
 					e.egress(n, j.Origin, j.Task.OutputBytes)
 					c.Net.Message(n.ID, j.Origin, j.Task.OutputBytes, func() {
 						e.complete(n, j.Submit)
@@ -564,7 +597,7 @@ func (c *Continuum) runDAG(d *task.DAG, sched placement.Schedule, env *placement
 				node:    n,
 				attempt: attemptNo,
 				origin:  -1,
-				deliver: func(execEnd float64) {
+				deliver: func() {
 					e.complete(n, readyAt[id])
 					for _, edge := range d.Successors(id) {
 						edge := edge
@@ -574,10 +607,11 @@ func (c *Continuum) runDAG(d *task.DAG, sched placement.Schedule, env *placement
 							continue
 						}
 						e.egress(n, dst.ID, edge.Bytes)
-						c.Tracer.Record(execEnd, trace.TransferStart, n.Name+"->"+dst.Name,
-							fmt.Sprintf("%.0fB", edge.Bytes))
-						c.Net.Transfer(n.ID, dst.ID, edge.Bytes, func(*netsim.Flow) {
-							c.Tracer.Record(c.K.Now(), trace.TransferEnd, n.Name+"->"+dst.Name, "")
+						c.Net.Transfer(n.ID, dst.ID, edge.Bytes, func(f *netsim.Flow) {
+							if c.Tracer != nil {
+								c.Tracer.Record(f.Start, f.Finish, trace.KindTransfer,
+									n.Name+"->"+dst.Name, fmt.Sprintf("%.0fB", f.Size), 0)
+							}
 							arrive(edge.To)
 						})
 					}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"testing"
 	"testing/quick"
@@ -32,21 +31,17 @@ func sameHist(a, b *metrics.Histogram) bool {
 	return true
 }
 
-// traceEvents returns tr's events in record order, read back through
-// its JSONL export.
-func traceEvents(t *testing.T, tr *trace.Tracer) []trace.Event {
+// traceSpans returns tr's spans in record order, read back through its
+// span file.
+func traceSpans(t *testing.T, tr *trace.Tracer) []*trace.Span {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
+	if err := tr.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var out []trace.Event
-	for dec := json.NewDecoder(&buf); dec.More(); {
-		var e trace.Event
-		if err := dec.Decode(&e); err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, e)
+	out, err := trace.ReadSpans(&buf)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return out
 }
@@ -248,19 +243,19 @@ func TestReliableStreamStagesThroughFabric(t *testing.T) {
 	}
 }
 
-// TestReliableTraceParity asserts reliable runs emit the same trace event
-// kinds as base runs — the second half of the pre-engine drift (the old
+// TestReliableTraceParity asserts reliable runs emit the same span kinds
+// as base runs — the second half of the pre-engine drift (the old
 // reliable runners recorded nothing, or skipped transfer records).
 func TestReliableTraceParity(t *testing.T) {
-	kindCounts := func(tr *trace.Tracer) map[trace.Kind]int {
-		out := map[trace.Kind]int{}
-		for _, e := range traceEvents(t, tr) {
-			out[e.Kind]++
+	kindCounts := func(tr *trace.Tracer) map[trace.SpanKind]int {
+		out := map[trace.SpanKind]int{}
+		for _, sp := range traceSpans(t, tr) {
+			out[sp.Kind]++
 		}
 		return out
 	}
 
-	// Stream: TaskStart/TaskEnd per job.
+	// Stream: one task span per job.
 	c1 := miniContinuum()
 	c1.Tracer = trace.New(0)
 	c1.RunStream(placement.GreedyLatency{}, seededJobs(c1, 11, false), nil)
@@ -269,8 +264,8 @@ func TestReliableTraceParity(t *testing.T) {
 	c2.RunStreamReliable(placement.GreedyLatency{}, seededJobs(c2, 11, false), nil,
 		ReliableOptions{MaxRetries: 3})
 	base, rel := kindCounts(c1.Tracer), kindCounts(c2.Tracer)
-	if len(base) == 0 || base[trace.TaskStart] == 0 {
-		t.Fatal("base stream run recorded no TaskStart events")
+	if len(base) == 0 || base[trace.KindTask] == 0 {
+		t.Fatal("base stream run recorded no task spans")
 	}
 	for k, n := range base {
 		if rel[k] != n {
@@ -278,7 +273,7 @@ func TestReliableTraceParity(t *testing.T) {
 		}
 	}
 
-	// DAG with cross-node edges: TaskStart/TaskEnd plus TransferStart/End.
+	// DAG with cross-node edges: task spans plus transfer spans.
 	d := task.NewDAG("x")
 	d.AddTask("a", 2.5e9, 1e6)
 	d.AddTask("b", 2.5e9, 1e3)
@@ -295,8 +290,8 @@ func TestReliableTraceParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	base, rel = kindCounts(c3.Tracer), kindCounts(c4.Tracer)
-	if base[trace.TransferStart] == 0 || base[trace.TransferEnd] == 0 {
-		t.Fatal("base DAG run recorded no transfer events for a cross-node edge")
+	if base[trace.KindTransfer] == 0 {
+		t.Fatal("base DAG run recorded no transfer span for a cross-node edge")
 	}
 	for k, n := range base {
 		if rel[k] != n {

@@ -196,9 +196,9 @@ func (r *ReliableStats) SuccessRate() float64 {
 // submit→reply including retries. RunStreamReliable owns the kernel.
 //
 // It is the same engine as RunStream with the fault hook engaged: inputs
-// stage through the fabric when one is enabled, and TaskStart/TaskEnd
-// trace records are emitted exactly as in base runs (plus Failure records
-// for lost attempts).
+// stage through the fabric when one is enabled, and task spans are
+// recorded exactly as in base runs (plus failure instants, and task
+// spans carrying Err, for lost attempts).
 func (c *Continuum) RunStreamReliable(pol placement.Policy, jobs []StreamJob, candidates []*node.Node, opts ReliableOptions) *ReliableStats {
 	return c.runStream(pol, jobs, candidates, opts)
 }

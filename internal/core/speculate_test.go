@@ -194,7 +194,7 @@ func TestSpeculationTraceAttribution(t *testing.T) {
 		MaxRetries: 1,
 		Speculate:  SpeculateOptions{Multiple: 2},
 	})
-	preempts := c.Tracer.Filter(trace.Preempt)
+	preempts := c.Tracer.Filter(trace.KindPreempt)
 	if len(preempts) != 1 {
 		t.Fatalf("preempt events = %d, want 1", len(preempts))
 	}
@@ -202,15 +202,15 @@ func TestSpeculationTraceAttribution(t *testing.T) {
 		t.Fatalf("preempted attempt = %d, want 0 (the stale primary)", preempts[0].Attempt)
 	}
 	// The mouse executed twice — primary (attempt 0) and backup (attempt
-	// 1) — and both executions must appear as TaskEnd events with their
-	// own attempt numbers.
+	// 1) — and both executions must appear as task spans with their own
+	// attempt numbers.
 	attempts := map[int]bool{}
-	for _, e := range c.Tracer.Filter(trace.TaskEnd) {
-		if e.Detail == "mouse" {
-			attempts[e.Attempt] = true
+	for _, sp := range c.Tracer.Filter(trace.KindTask) {
+		if sp.Name == "mouse" {
+			attempts[sp.Attempt] = true
 		}
 	}
 	if !attempts[0] || !attempts[1] {
-		t.Fatalf("mouse TaskEnd attempts = %v, want both 0 and 1", attempts)
+		t.Fatalf("mouse task span attempts = %v, want both 0 and 1", attempts)
 	}
 }

@@ -22,18 +22,22 @@ func TestRunStreamRecordsTrace(t *testing.T) {
 	if st.Completed != 2 {
 		t.Fatalf("Completed = %d", st.Completed)
 	}
-	if got := len(c.Tracer.Filter(trace.TaskStart)); got != 2 {
-		t.Fatalf("TaskStart events = %d, want 2", got)
+	tasks := c.Tracer.Filter(trace.KindTask)
+	if len(tasks) != 2 {
+		t.Fatalf("task spans = %d, want 2", len(tasks))
 	}
-	if got := len(c.Tracer.Filter(trace.TaskEnd)); got != 2 {
-		t.Fatalf("TaskEnd events = %d, want 2", got)
+	for _, sp := range tasks {
+		if sp.End <= sp.Start || sp.Err != "" {
+			t.Fatalf("task span %+v, want a completed execution", sp)
+		}
 	}
 }
 
 // TestEngineSpanAttribution checks the observability contract of the
-// unified engine: every attempt is bracketed by a Dispatch instant and
-// Stage/Task spans, and retried attempts carry their attempt number so
-// exported timelines (JSONL, Chrome trace) can attribute work to retries.
+// unified engine: every attempt records a dispatch instant and stage and
+// task spans, and retried attempts carry their attempt number so
+// exported timelines (span file, Chrome trace) can attribute work to
+// retries.
 func TestEngineSpanAttribution(t *testing.T) {
 	c := miniContinuum()
 	c.Tracer = trace.New(0)
@@ -44,16 +48,15 @@ func TestEngineSpanAttribution(t *testing.T) {
 	if st := c.RunStream(placement.GreedyLatency{}, jobs, nil); st.Completed != 2 {
 		t.Fatalf("Completed = %d", st.Completed)
 	}
-	if got := len(c.Tracer.Filter(trace.Dispatch)); got != 2 {
-		t.Fatalf("Dispatch events = %d, want 2", got)
+	if got := len(c.Tracer.Filter(trace.KindDispatch)); got != 2 {
+		t.Fatalf("dispatch instants = %d, want 2", got)
 	}
-	starts, ends := c.Tracer.Filter(trace.StageStart), c.Tracer.Filter(trace.StageEnd)
-	if len(starts) != 2 || len(ends) != 2 {
-		t.Fatalf("stage spans = %d/%d, want 2/2", len(starts), len(ends))
+	if got := len(c.Tracer.Filter(trace.KindStage)); got != 2 {
+		t.Fatalf("stage spans = %d, want 2", got)
 	}
-	for _, e := range traceEvents(t, c.Tracer) {
-		if e.Attempt != 0 {
-			t.Fatalf("fault-free run recorded attempt %d: %+v", e.Attempt, e)
+	for _, sp := range traceSpans(t, c.Tracer) {
+		if sp.Attempt != 0 {
+			t.Fatalf("fault-free run recorded attempt %d: %+v", sp.Attempt, sp)
 		}
 	}
 
@@ -80,13 +83,13 @@ func TestEngineSpanAttribution(t *testing.T) {
 		t.Fatal("workload produced no retries; attribution untestable")
 	}
 	maxAttempt := 0
-	for _, e := range c2.Tracer.Filter(trace.Dispatch) {
+	for _, e := range c2.Tracer.Filter(trace.KindDispatch) {
 		if e.Attempt > maxAttempt {
 			maxAttempt = e.Attempt
 		}
 	}
 	if maxAttempt == 0 {
-		t.Fatalf("%d retries happened but every Dispatch has attempt 0", st.Retries)
+		t.Fatalf("%d retries happened but every dispatch has attempt 0", st.Retries)
 	}
 }
 

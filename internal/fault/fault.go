@@ -118,25 +118,37 @@ func (i *Injector) Attach(name string, spec Spec) *Target {
 		panic(err)
 	}
 	t := NewTarget(name)
+	Cycle(i.k, t, spec, i.k.Now(), i.horizon, i.rng)
+	return t
+}
 
-	var scheduleFail, scheduleRepair func()
-	at := func(d float64, fn func()) {
-		if i.k.Now()+d <= i.horizon {
-			i.k.After(d, fn)
+// Cycle drives t's fail/repair machine on k from virtual time from:
+// exponentially distributed up phases (mean spec.MeanUp) alternate with
+// down phases (mean spec.MeanDown), each drawn from rng when the
+// previous flip fires, the first failure drawn now. A flip is scheduled
+// only if it falls at or before bound; past it t keeps its final state.
+// Injector.Attach and the scenario's cycling chaos both run on it, so one
+// seed gives one failure history either way.
+func Cycle(k *sim.Kernel, t *Target, spec Spec, from, bound float64, rng *workload.RNG) {
+	var fail, repair func(now float64)
+	at := func(when float64, fn func()) {
+		if when <= bound {
+			k.At(when, fn)
 		}
 	}
-	scheduleFail = func() {
-		at(i.rng.Exp(1/spec.MeanUp), func() {
+	fail = func(now float64) {
+		when := now + rng.Exp(1/spec.MeanUp)
+		at(when, func() {
 			t.fail()
-			scheduleRepair()
+			repair(when)
 		})
 	}
-	scheduleRepair = func() {
-		at(i.rng.Exp(1/spec.MeanDown), func() {
+	repair = func(now float64) {
+		when := now + rng.Exp(1/spec.MeanDown)
+		at(when, func() {
 			t.repair()
-			scheduleFail()
+			fail(when)
 		})
 	}
-	scheduleFail()
-	return t
+	fail(from)
 }

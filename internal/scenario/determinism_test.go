@@ -44,7 +44,7 @@ func TestRunMatchesRunTraced(t *testing.T) {
 
 // TestScenarioBitReproducible is the determinism regression gate: the
 // same scenario with the same Seed must produce a byte-identical Report
-// and a byte-identical JSONL trace — not just equal aggregates. Every
+// and a byte-identical trace — not just equal aggregates. Every
 // random draw (arrivals, cascade victim order, chaos cycling, chaos
 // seeds, scheduler tie-breaks) must come from the scenario's seed tree
 // for this to hold. A compiled Plan run twice gives the same bytes too.
@@ -62,7 +62,7 @@ func TestScenarioBitReproducible(t *testing.T) {
 		t.Fatalf("same seed, different reports:\n%s\n%s", r1, r2)
 	}
 	if !bytes.Equal(t1, t2) {
-		t.Fatal("same seed, different JSONL traces")
+		t.Fatal("same seed, different traces")
 	}
 
 	// Parallel workload synthesis must be invisible in the output: the
@@ -72,7 +72,7 @@ func TestScenarioBitReproducible(t *testing.T) {
 		t.Fatalf("parallel workers changed the report:\n%s\n%s", r1, r1p)
 	}
 	if !bytes.Equal(t1, t1p) {
-		t.Fatal("parallel workers changed the JSONL trace")
+		t.Fatal("parallel workers changed the trace")
 	}
 
 	p, err := stress(7).Compile()

@@ -15,23 +15,23 @@ import (
 )
 
 // goldenReports pins the SHA-256 of the marshalled Report and of the
-// JSONL trace for every shipped example scenario and two 1000-node
+// span file of the trace for every shipped example scenario and two 1000-node
 // stress instances. The values are the simulator's output before the
 // bounded greedy-latency scan and the eligibility predicate landed, so a
 // simulator performance change that alters any simulated result fails
 // here. Change a value (and justify it in the change) only when a change
 // is meant to alter behaviour; the failure message gives the new value.
 var goldenReports = map[string][2]string{
-	"cascading-failure":     {"3c664cf7733460eed8c05dbf415a33ea8c6dc623f7d8fc50cf1d544020c63401", "63a73e4cb413ccbec629cc42e305b50042030b97b2bb30ac3ea6bb353443f999"},
-	"correlated-edge-churn": {"6b66a69d99e82aa0951652f733365998625df690a6377755c528d57dd97dbdee", "8a9919842387c35c77a52e6225035090ee8ffb7d49c938d9cec49dfc41b45765"},
-	"diurnal":               {"6ef29efeb3c0192d0c1637129542bbc464cada3323b69703fc7b8ea437ad66cf", "9c608b2eb25f84e9aa151f559a0766057b6d61455bbe839c8fd2083ea0f3bd56"},
-	"flash-crowd":           {"261b70c7a173af95b24c3284dc123bc1f0c7b75235adf706724767ea34775c19", "1bb1b29e90fc568e7f799a3f47536e7e272ed358ba8df4fa2088b9181f288ac6"},
-	"gateway-brownout":      {"d94c7c7e96744059bef5ad79da892a96b39b58a6d321516f420017d2129caa4a", "207934398c7bb31622e12f3079a8aeff1b19511396656e7c49cb0f7aba0fbeb9"},
-	"regional-partition":    {"8f03cae985ef8e66552eba1245fd79902865fd26feefa61069e94319b5f616d7", "49614197969d2c54b0066fc983704839a3f8b3a218dcbb13b637c6833bd9f2e5"},
+	"cascading-failure":     {"3c664cf7733460eed8c05dbf415a33ea8c6dc623f7d8fc50cf1d544020c63401", "624e82a4f8907ca26a9a6ba396203e33a289064575719c7032ebf89227d58ab6"},
+	"correlated-edge-churn": {"6b66a69d99e82aa0951652f733365998625df690a6377755c528d57dd97dbdee", "75b6c439b63b39734741299deb4d1dd6beba71e586c62d86b1dbd9b8289e6d51"},
+	"diurnal":               {"6ef29efeb3c0192d0c1637129542bbc464cada3323b69703fc7b8ea437ad66cf", "2d90e827813a13f5920e7f1a840e284f43993fb643234a77a309574976a3b439"},
+	"flash-crowd":           {"261b70c7a173af95b24c3284dc123bc1f0c7b75235adf706724767ea34775c19", "64787dbee0fcdd0002d666a4ee08534dda60608e086baeb01287053dab4bd292"},
+	"gateway-brownout":      {"d94c7c7e96744059bef5ad79da892a96b39b58a6d321516f420017d2129caa4a", "a22d7a8ddbd2cf5190b3aa34d40890a86156f49f82b360f3c0a8be05972e8ff2"},
+	"regional-partition":    {"8f03cae985ef8e66552eba1245fd79902865fd26feefa61069e94319b5f616d7", "4365d1740ab3b2696bb709f2f4b8777d548edb7925f442c2429487c0fce6b880"},
 	// Report sha256 prefix 0x47bb89646bd2 is the benchmark's
 	// sim.report_sha 78870789516242 for sim-stress at seed 1.
-	"stress-1000-seed1": {"47bb89646bd21a8e9e1d0a85aacf099977b3f38cf5bb188c0a2a821b8125c2dc", "44afab70832660af779d3241c729762e511b10b99b6a45c7d349bdaa24a1aca0"},
-	"stress-1000-seed7": {"14ace1c921a94c9a191969908d6eea4dde4cb577481027c99c4f81a1c0243476", "600f60c6b12e390e58103fdd5a9f74609615df29662573ade305ec99d2ea3e03"},
+	"stress-1000-seed1": {"47bb89646bd21a8e9e1d0a85aacf099977b3f38cf5bb188c0a2a821b8125c2dc", "91cf362d1bc7eb06ba2ba20696cb5fdd3bfc8e157be7eb78dc306ed3a3c911cb"},
+	"stress-1000-seed7": {"14ace1c921a94c9a191969908d6eea4dde4cb577481027c99c4f81a1c0243476", "e1d65aa533d772b41d095f38de51db8c710db4dfbacc7479a4b461339eec30d1"},
 }
 
 // TestScenarioGoldenReports is the bit-identity oracle for simulator
@@ -72,8 +72,8 @@ func TestScenarioGoldenReports(t *testing.T) {
 }
 
 // runBytes runs one traced pass and returns its marshalled report and
-// JSONL trace.
-func runBytes(t *testing.T, name string, run func() (*Report, *trace.Tracer, error)) (report, jsonl []byte) {
+// its trace's span file.
+func runBytes(t *testing.T, name string, run func() (*Report, *trace.Tracer, error)) (report, spans []byte) {
 	t.Helper()
 	r, tr, err := run()
 	if err != nil {
@@ -84,7 +84,7 @@ func runBytes(t *testing.T, name string, run func() (*Report, *trace.Tracer, err
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
+	if err := tr.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return rb, buf.Bytes()

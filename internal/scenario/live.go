@@ -104,6 +104,32 @@ type liveNode struct {
 	// setup and the single replay goroutine, never concurrently.
 	agent    *federation.Agent
 	newAgent func() *federation.Agent
+
+	// The node's scripted fault state, touched only by the replay
+	// goroutine: whether it is failed, the chaos injector of an open
+	// chaos window, and the delay injector of a degraded link (nil =
+	// none). inject derives the server's one injector from them.
+	failed    bool
+	chaos     *fault.Chaos
+	linkDelay *fault.Chaos
+}
+
+// inject installs the injector the node's scripted state calls for:
+// failed over chaos over link delay, so a chaos window ending on a
+// failed node leaves it failed, and a repair inside a chaos window
+// brings the chaos back, as on the sim backend. The server has one
+// injector, so a node with both chaos and a degraded link sees only the
+// chaos; no shipped scenario puts both on one node, and that overlap
+// stays approximate.
+func (ln *liveNode) inject() {
+	switch {
+	case ln.failed:
+		ln.srv.SetChaos(fault.NewChaos(fault.ChaosSpec{DropProb: 1, Seed: 1}))
+	case ln.chaos != nil:
+		ln.srv.SetChaos(ln.chaos)
+	default:
+		ln.srv.SetChaos(ln.linkDelay)
+	}
 }
 
 // startLiveNode boots one node of the fleet on a loopback listener.
@@ -363,15 +389,21 @@ func replayOps(fleet map[string]*liveNode, ops []op, scale float64,
 		case opFail:
 			ln := fleet[o.node]
 			ln.paused.Store(true)
-			ln.srv.SetChaos(fault.NewChaos(fault.ChaosSpec{DropProb: 1, Seed: 1}))
+			ln.failed = true
+			ln.inject()
 		case opRepair:
 			ln := fleet[o.node]
-			ln.srv.SetChaos(nil)
+			ln.failed = false
+			ln.inject()
 			ln.paused.Store(false)
 		case opChaosOn:
-			fleet[o.node].srv.SetChaos(fault.NewChaos(scaleChaos(o.chaos, scale)))
+			ln := fleet[o.node]
+			ln.chaos = fault.NewChaos(scaleChaos(o.chaos, scale))
+			ln.inject()
 		case opChaosOff:
-			fleet[o.node].srv.SetChaos(nil)
+			ln := fleet[o.node]
+			ln.chaos = nil
+			ln.inject()
 		case opCordon:
 			// The real graceful hold: the endpoint rejects new work with
 			// ErrCordoned (retryable, so the client fails over) while
@@ -418,15 +450,15 @@ func replayOps(fleet map[string]*liveNode, ops []op, scale float64,
 			extra := o.link.Latency * (o.factor - 1)
 			for _, name := range []string{o.link.A, o.link.B} {
 				ln := fleet[name]
-				if o.factor == 1 || extra <= 0 {
-					ln.srv.SetChaos(nil)
-					continue
+				ln.linkDelay = nil
+				if o.factor != 1 && extra > 0 {
+					ln.linkDelay = fault.NewChaos(fault.ChaosSpec{
+						DelayProb: 1,
+						DelayMean: time.Duration(extra * scale * float64(time.Second)),
+						Seed:      1,
+					})
 				}
-				ln.srv.SetChaos(fault.NewChaos(fault.ChaosSpec{
-					DelayProb: 1,
-					DelayMean: time.Duration(extra * scale * float64(time.Second)),
-					Seed:      1,
-				}))
+				ln.inject()
 			}
 		case opWorkload:
 			// Already compiled into the generators' phase schedule.

@@ -1,12 +1,15 @@
 package scenario
 
 import (
+	"context"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"continuum/internal/fault"
 	"continuum/internal/trace"
+	"continuum/internal/wire"
 )
 
 // liveScenario is a small evented stream scenario sized for fast
@@ -294,4 +297,57 @@ func settledGoroutines() int {
 		n = m
 	}
 	return n
+}
+
+// TestReplayKeepsScriptedFaultState: the live replay derives a node's
+// injector from all of its scripted state, as the sim does. A chaos
+// window that ends while the node is failed leaves it failed, and a
+// repair inside a chaos window brings the chaos back.
+func TestReplayKeepsScriptedFaultState(t *testing.T) {
+	ln, err := startLiveNode("fog0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.ep.Close()
+	defer ln.srv.Close()
+	fleet := map[string]*liveNode{"fog0": ln}
+	replay := func(ops ...op) {
+		// Every op is already due: the replay applies them in order now.
+		replayOps(fleet, ops, 1, func(float64) time.Time { return time.Time{} }, make(chan struct{}))
+	}
+	invoke := func() error {
+		c, err := wire.Dial(ln.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_, err = c.InvokeContext(ctx, "echo", []byte("x"))
+		return err
+	}
+	errAll := fault.ChaosSpec{ErrProb: 1, Seed: 1}
+
+	// cascading-failure's fog0: chaos from 5 to 13, failed from 8 to 16.
+	replay(op{at: 5, kind: opChaosOn, node: "fog0", chaos: errAll},
+		op{at: 8, kind: opFail, node: "fog0"},
+		op{at: 13, kind: opChaosOff, node: "fog0"})
+	if err := invoke(); err == nil || strings.Contains(err.Error(), "injected") {
+		t.Fatalf("after chaos-off on a failed node: invoke gave %v, want the failed node's dropped connection", err)
+	}
+	if !ln.paused.Load() {
+		t.Fatal("the failed origin generates again")
+	}
+	replay(op{at: 16, kind: opRepair, node: "fog0"})
+	if err := invoke(); err != nil {
+		t.Fatalf("after the repair: %v", err)
+	}
+
+	// A repair inside a chaos window.
+	replay(op{at: 20, kind: opChaosOn, node: "fog0", chaos: errAll},
+		op{at: 21, kind: opFail, node: "fog0"},
+		op{at: 22, kind: opRepair, node: "fog0"})
+	if err := invoke(); err == nil || !strings.Contains(err.Error(), "injected") {
+		t.Fatalf("after a repair inside a chaos window: invoke gave %v, want the chaos's injected error", err)
+	}
 }

@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"continuum/internal/trace"
 )
 
 func TestExampleValidatesAndRuns(t *testing.T) {
@@ -197,6 +200,42 @@ func TestRunTracedReturnsEvents(t *testing.T) {
 	}
 	if g := tr.Gantt(30); g == "" {
 		t.Fatal("empty gantt from traced run")
+	}
+}
+
+// TestSimTraceFileReadsBack: the span file a simulated run writes
+// (scenario run -trace) is the live path's format, and trace.ReadSpans
+// reads it back span for span.
+func TestSimTraceFileReadsBack(t *testing.T) {
+	_, tr, err := goldenScenarios(t)["cascading-failure"].RunTraced()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := trace.ReadSpans(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byKind := map[trace.SpanKind][]trace.Span{}
+	for _, sp := range back {
+		byKind[sp.Kind] = append(byKind[sp.Kind], *sp)
+	}
+	errs := 0
+	for kind, got := range byKind {
+		if want := tr.Filter(kind); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s spans read back differ: %d read, %d recorded", kind, len(got), len(want))
+		}
+		for _, sp := range got {
+			if sp.Err != "" {
+				errs++
+			}
+		}
+	}
+	if len(byKind[trace.KindTask]) == 0 || errs == 0 {
+		t.Fatalf("read back %d task spans and %d with an error; want both", len(byKind[trace.KindTask]), errs)
 	}
 }
 

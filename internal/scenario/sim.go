@@ -199,13 +199,13 @@ func (s *Scenario) installEvents(c *core.Continuum, byName map[string]*node.Node
 		case opFail:
 			t := target(o.node)
 			c.K.At(o.at, func() {
-				c.Tracer.Record(o.at, trace.Failure, o.node, "scripted fail")
+				c.Tracer.Record(o.at, o.at, trace.KindFailure, o.node, "scripted fail", 0)
 				t.Fail()
 			})
 		case opRepair:
 			t := target(o.node)
 			c.K.At(o.at, func() {
-				c.Tracer.Record(o.at, trace.Repair, o.node, "scripted repair")
+				c.Tracer.Record(o.at, o.at, trace.KindRepair, o.node, "scripted repair", 0)
 				t.Repair()
 			})
 		case opChaosOn:
@@ -217,7 +217,7 @@ func (s *Scenario) installEvents(c *core.Continuum, byName map[string]*node.Node
 			})
 			if cycling {
 				stop := chaosStop(ops, o, horizon)
-				scheduleCycle(c, target(o.node), o.chaos.Spec, o.at, stop, rng.Split())
+				fault.Cycle(c.K, target(o.node), o.chaos.Spec, o.at, stop, rng.Split())
 			}
 		case opChaosOff:
 			sc := chaosFor(o.node)
@@ -244,7 +244,7 @@ func (s *Scenario) installEvents(c *core.Continuum, byName map[string]*node.Node
 				if drain {
 					detail = "drain"
 				}
-				c.Tracer.Record(o.at, trace.Cordon, o.node, detail)
+				c.Tracer.Record(o.at, o.at, trace.KindCordon, o.node, detail, 0)
 				cordoned[id] = true
 				if drain {
 					drained[id] = true
@@ -253,7 +253,7 @@ func (s *Scenario) installEvents(c *core.Continuum, byName map[string]*node.Node
 		case opUncordon:
 			id := byName[o.node].ID
 			c.K.At(o.at, func() {
-				c.Tracer.Record(o.at, trace.Uncordon, o.node, "scripted uncordon")
+				c.Tracer.Record(o.at, o.at, trace.KindUncordon, o.node, "scripted uncordon", 0)
 				cordoned[id] = false
 				drained[id] = false
 			})
@@ -263,14 +263,14 @@ func (s *Scenario) installEvents(c *core.Continuum, byName map[string]*node.Node
 			// with its own generator silenced.
 			t, id := target(o.node), byName[o.node].ID
 			c.K.At(o.at, func() {
-				c.Tracer.Record(o.at, trace.Failure, o.node, "scripted leave")
+				c.Tracer.Record(o.at, o.at, trace.KindFailure, o.node, "scripted leave", 0)
 				t.Fail()
 				drained[id] = true
 			})
 		case opJoin:
 			t, id := target(o.node), byName[o.node].ID
 			c.K.At(o.at, func() {
-				c.Tracer.Record(o.at, trace.Repair, o.node, "scripted join")
+				c.Tracer.Record(o.at, o.at, trace.KindRepair, o.node, "scripted join", 0)
 				t.Repair()
 				drained[id] = false
 			})
@@ -324,35 +324,6 @@ func chaosStop(ops []op, on op, horizon float64) float64 {
 		return horizon
 	}
 	return on.at
-}
-
-// scheduleCycle drives a chaos event's up/down availability machine on
-// the simulation clock: exponentially distributed phases (the Injector's
-// MTBF/MTTR model) flipping the node's fault target between from and
-// stop. Like the Injector, events beyond the bound are not scheduled
-// and the target keeps its final state — chaos-off repairs it.
-func scheduleCycle(c *core.Continuum, t *fault.Target, spec fault.Spec, from, stop float64, rng *workload.RNG) {
-	var scheduleFail, scheduleRepair func(now float64)
-	at := func(when float64, fn func()) {
-		if when <= stop {
-			c.K.At(when, fn)
-		}
-	}
-	scheduleFail = func(now float64) {
-		when := now + rng.Exp(1/spec.MeanUp)
-		at(when, func() {
-			t.Fail()
-			scheduleRepair(when)
-		})
-	}
-	scheduleRepair = func(now float64) {
-		when := now + rng.Exp(1/spec.MeanDown)
-		at(when, func() {
-			t.Repair()
-			scheduleFail(when)
-		})
-	}
-	scheduleFail(from)
 }
 
 func (p *Plan) runStream(c *core.Continuum, byName map[string]*node.Node, work []*workload.RNG, opts core.ReliableOptions, workers int) (*Report, error) {

@@ -1,8 +1,8 @@
 // Chrome trace-event JSON export: renders a Tracer as the JSON object
-// format that chrome://tracing and Perfetto open directly. Entities map
-// to threads of one synthetic process; matched Start/End kinds become
-// complete ("X") slices with microsecond timestamps; everything else
-// (dispatch, failures, scaling) becomes thread-scoped instant events.
+// format that chrome://tracing and Perfetto open directly. Services map
+// to threads of one synthetic process; spans become complete ("X")
+// slices with microsecond timestamps, instants (dispatch, failures,
+// scaling) thread-scoped instant events.
 package trace
 
 import (
@@ -26,32 +26,19 @@ type chromeEvent struct {
 	Args  map[string]any `json:"args,omitempty"`
 }
 
-// spanPairs maps each span-opening kind to its closing kind; all other
-// kinds export as instants.
-var spanPairs = map[Kind]Kind{
-	TaskStart:     TaskEnd,
-	TransferStart: TransferEnd,
-	StageStart:    StageEnd,
-}
-
-// chromePid is the single synthetic process all entities live under.
+// chromePid is the single synthetic process all services live under.
 const chromePid = 1
 
-// WriteChromeTrace writes the trace in Chrome trace-event JSON. Spans
-// are paired per entity and opening kind, preferring the open event with
-// the same attempt number as the close — so concurrent speculative or
-// retried spans of one task on one entity pair with their own replica,
-// not whichever opened last — and falling back to LIFO when no attempt
-// matches (nested spans close innermost-first). Unmatched opens extend
-// to the trace end, mirroring busyIntervals. Attempt numbers and details
-// ride along in args, so retry and hedge attribution survives into the
-// viewer.
+// WriteChromeTrace writes the trace in Chrome trace-event JSON, one
+// event per span in emission order. A span becomes a slice named after
+// the span (its kind when unnamed) and categorized by kind; an instant
+// becomes an event named after its kind. Attempt numbers, errors and
+// instants' names ride along in args, so retry and hedge attribution
+// survives into the viewer.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	_, end := t.Span()
-
 	ents := t.Entities()
 	tid := make(map[string]int, len(ents))
-	out := make([]chromeEvent, 0, len(t.events)+len(ents))
+	out := make([]chromeEvent, 0, t.n+len(ents))
 	for i, e := range ents {
 		tid[e] = i + 1
 		out = append(out, chromeEvent{
@@ -59,101 +46,34 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			Args: map[string]any{"name": e},
 		})
 	}
-
-	closers := make(map[Kind]Kind, len(spanPairs))
-	for open, close := range spanPairs {
-		closers[close] = open
-	}
-
-	// open[entity][openKind] is a LIFO stack of pending span opens.
-	type openSpan struct{ ev Event }
-	open := map[string]map[Kind][]openSpan{}
-	push := func(e Event) {
-		m := open[e.Entity]
-		if m == nil {
-			m = map[Kind][]openSpan{}
-			open[e.Entity] = m
-		}
-		m[e.Kind] = append(m[e.Kind], openSpan{ev: e})
-	}
-	pop := func(entity string, openKind Kind, attempt int) (openSpan, bool) {
-		stack := open[entity][openKind]
-		if len(stack) == 0 {
-			return openSpan{}, false
-		}
-		// Prefer the open carrying the close's attempt number: concurrent
-		// replicas (speculation) or retries of one task interleave on an
-		// entity, and plain LIFO would cross-pair them. Fall back to the
-		// top of the stack for attempt-less custom kinds.
-		idx := len(stack) - 1
-		for i := len(stack) - 1; i >= 0; i-- {
-			if stack[i].ev.Attempt == attempt {
-				idx = i
-				break
-			}
-		}
-		s := stack[idx]
-		open[entity][openKind] = append(stack[:idx], stack[idx+1:]...)
-		return s, true
-	}
-
-	slice := func(start Event, endTime float64) chromeEvent {
-		name := start.Detail
-		if name == "" {
-			name = string(start.Kind)
-		}
-		dur := (endTime - start.Time) * 1e6
-		if dur < 0 {
-			dur = 0
-		}
+	for i := range t.n {
+		sp := t.at(i)
 		ev := chromeEvent{
-			Name: name, Phase: "X", Ts: start.Time * 1e6, Dur: &dur,
-			Pid: chromePid, Tid: tid[start.Entity], Cat: string(start.Kind),
-			Args: map[string]any{"attempt": start.Attempt},
+			Ts: float64(sp.Start) / 1e3, Pid: chromePid, Tid: tid[sp.Service],
+			Args: map[string]any{"attempt": sp.Attempt},
 		}
-		return ev
-	}
-
-	for _, e := range t.events {
-		if _, isOpen := spanPairs[e.Kind]; isOpen {
-			push(e)
-			continue
+		if sp.Err != "" {
+			ev.Args["err"] = sp.Err
 		}
-		if openKind, isClose := closers[e.Kind]; isClose {
-			if s, ok := pop(e.Entity, openKind, e.Attempt); ok {
-				out = append(out, slice(s.ev, e.Time))
-				continue
+		if sp.Start == sp.End {
+			ev.Name, ev.Phase, ev.Scope = string(sp.Kind), "i", "t"
+			if sp.Name != "" {
+				ev.Args["detail"] = sp.Name
 			}
-			// A close without an open (trace truncation): fall through and
-			// keep it visible as an instant rather than dropping it.
-		}
-		args := map[string]any{"attempt": e.Attempt}
-		if e.Detail != "" {
-			args["detail"] = e.Detail
-		}
-		out = append(out, chromeEvent{
-			Name: string(e.Kind), Phase: "i", Ts: e.Time * 1e6,
-			Pid: chromePid, Tid: tid[e.Entity], Scope: "t", Args: args,
-		})
-	}
-
-	// Unmatched opens: the run was cut off; close them at the trace end.
-	// Deterministic iteration (sorted entities, fixed kind order) keeps
-	// the export byte-stable for identical traces.
-	for _, ent := range ents {
-		for _, k := range []Kind{TaskStart, TransferStart, StageStart} {
-			for _, s := range open[ent][k] {
-				out = append(out, slice(s.ev, end))
+		} else {
+			dur := float64(sp.End-sp.Start) / 1e3
+			ev.Name, ev.Phase, ev.Dur, ev.Cat = sp.Name, "X", &dur, string(sp.Kind)
+			if ev.Name == "" {
+				ev.Name = string(sp.Kind)
 			}
 		}
+		out = append(out, ev)
 	}
-
 	doc := struct {
 		TraceEvents     []chromeEvent `json:"traceEvents"`
 		DisplayTimeUnit string        `json:"displayTimeUnit"`
 	}{TraceEvents: out, DisplayTimeUnit: "ms"}
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(doc); err != nil {
+	if err := json.NewEncoder(w).Encode(doc); err != nil {
 		return fmt.Errorf("trace: chrome export: %w", err)
 	}
 	return nil

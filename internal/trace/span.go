@@ -1,10 +1,11 @@
-// Distributed spans: the live-path counterpart of the simulator's event
-// trace. A Span is one timed operation attributed to a trace (one
-// end-to-end request), a parent span (the caller's operation), a service
-// (which process or endpoint did the work), and an attempt (which retry
-// or hedge arm). Spans are recorded wall-clock and assembled post hoc —
-// possibly across processes, by merging each daemon's span store — into
-// one tree per trace.
+// Spans: the one trace record of both backends. A Span is one timed
+// operation attributed to a trace (one end-to-end request), a parent span
+// (the caller's operation), a service (which process, endpoint or
+// simulated node did the work), and an attempt (which retry or hedge
+// arm). The live path records spans wall-clock and assembles them post
+// hoc — possibly across processes, by merging each daemon's span store —
+// into one tree per trace; the simulator records the same type in
+// virtual time (see Tracer).
 //
 // Context propagation is deliberately tiny: a trace ID plus the current
 // span ID ride a context.Context inside one process and two optional
@@ -23,6 +24,44 @@ import (
 
 // SpanKind classifies which layer emitted a span.
 type SpanKind string
+
+// Span kinds recorded by the simulator. Task, stage and transfer spans
+// have a duration; the rest are instants (Start == End).
+const (
+	// KindTask is one attempt executing on a node, from handing the task
+	// to the node (a core may still have to free up) to its end. An
+	// attempt lost or over its deadline ends when the engine detects it,
+	// with Err saying why.
+	KindTask SpanKind = "task"
+	// KindStage is an attempt's input staging onto its node.
+	KindStage SpanKind = "stage"
+	// KindTransfer is a DAG edge's bulk transfer between two nodes; the
+	// service is "src->dst" and the name the byte count.
+	KindTransfer SpanKind = "xfer"
+	// KindDispatch marks an attempt entering the engine's pipeline.
+	KindDispatch SpanKind = "dispatch"
+	// KindScaleUp marks an autoscaled node taking work again; the name
+	// says "warm" or "cold".
+	KindScaleUp SpanKind = "scale-up"
+	// KindScaleDown marks an autoscaled node going idle.
+	KindScaleDown SpanKind = "scale-down"
+	// KindFailure marks a node failing or an attempt being lost; for an
+	// attempt, Err says why.
+	KindFailure SpanKind = "failure"
+	// KindRepair marks a failed node coming back up.
+	KindRepair SpanKind = "repair"
+	// KindPreempt marks a speculative replica whose result was discarded
+	// because a sibling replica delivered first; Attempt identifies which
+	// replica lost.
+	KindPreempt SpanKind = "preempt"
+	// KindCordon and KindUncordon mark scripted scheduling holds: a
+	// cordoned node finishes in-flight work but receives nothing new
+	// (unlike a failure, which loses in-flight attempts). The name says
+	// "cordon" or "drain" (drain also silences the node's own request
+	// generator).
+	KindCordon   SpanKind = "cordon"
+	KindUncordon SpanKind = "uncordon"
+)
 
 // Span kinds recorded by the live path.
 const (
@@ -43,21 +82,22 @@ const (
 	KindInternal SpanKind = "internal"
 )
 
-// Span is one completed timed operation. Start/End are wall-clock unix
-// nanoseconds so spans from different processes on one machine merge on
-// a common axis. Attrs carry low-cardinality string facts (endpoint
-// address, cold/warm, cancellation); Err is set when the operation
-// failed.
+// Span is one completed timed operation. On the live path Start/End are
+// wall-clock unix nanoseconds so spans from different processes on one
+// machine merge on a common axis; in the simulator they are virtual
+// nanoseconds from a virtual epoch of 0, and the trace and span IDs are
+// empty. Attrs carry low-cardinality string facts (endpoint address,
+// cold/warm, cancellation); Err is set when the operation failed.
 type Span struct {
-	TraceID string            `json:"trace"`
-	SpanID  string            `json:"span"`
+	TraceID string            `json:"trace,omitempty"`
+	SpanID  string            `json:"span,omitempty"`
 	Parent  string            `json:"parent,omitempty"`
 	Service string            `json:"svc"`
 	Name    string            `json:"name"`
 	Kind    SpanKind          `json:"kind"`
 	Attempt int               `json:"attempt,omitempty"`
-	Start   int64             `json:"start"` // unix nanoseconds
-	End     int64             `json:"end"`   // unix nanoseconds
+	Start   int64             `json:"start"` // nanoseconds
+	End     int64             `json:"end"`   // nanoseconds
 	Err     string            `json:"err,omitempty"`
 	Attrs   map[string]string `json:"attrs,omitempty"`
 }

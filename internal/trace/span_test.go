@@ -254,12 +254,15 @@ func TestSpansToTracerChromeExport(t *testing.T) {
 	}
 	spans[1].Err = "boom"
 	tr := SpansToTracer(spans)
-	if len(tr.events) != 4 {
-		t.Fatalf("tracer has %d events, want 4 (start+end per span)", len(tr.events))
+	if tr.n != 2 {
+		t.Fatalf("tracer has %d spans, want 2", tr.n)
 	}
 	// Times are relative to the earliest span, not absolute unix time.
-	if lo, hi := tr.Span(); lo != 0 || hi != 3 {
-		t.Fatalf("tracer span = [%v, %v], want [0, 3]", lo, hi)
+	if lo, hi := tr.bounds(); lo != 0 || hi != 3*sec {
+		t.Fatalf("tracer bounds = [%v, %v], want [0, 3s]", lo, hi)
+	}
+	if sp := tr.at(1); sp.Err != "boom" || sp.Start != sec || spans[1].Start != 6*sec {
+		t.Fatalf("copied span %+v (source %+v)", *sp, *spans[1])
 	}
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
@@ -269,8 +272,8 @@ func TestSpansToTracerChromeExport(t *testing.T) {
 		t.Fatal("Chrome trace is not valid JSON")
 	}
 	out := buf.String()
-	if !strings.Contains(out, "invoke echo") || !strings.Contains(out, "exec echo !err") {
-		t.Fatalf("Chrome trace missing span names:\n%s", out)
+	if !strings.Contains(out, "invoke echo") || !strings.Contains(out, "exec echo") || !strings.Contains(out, `"err":"boom"`) {
+		t.Fatalf("Chrome trace missing span names or the error:\n%s", out)
 	}
 }
 

@@ -99,20 +99,27 @@ func (st *SpanStore) Trace(id string) []*Span {
 // continuumd's /debug/traces endpoint. A non-empty traceID filters to
 // one trace.
 func (st *SpanStore) WriteJSON(w io.Writer, traceID string) error {
-	bw := bufio.NewWriter(w)
 	spans := st.Snapshot()
 	if traceID != "" {
 		spans = st.Trace(traceID)
 	}
+	return writeSpans(w, len(spans), func(i int) *Span { return spans[i] })
+}
+
+// writeSpans writes n spans, the i-th from span(i), as a JSON array with
+// one span per line: the one span file format, for a store's snapshot
+// and a simulator trace alike.
+func writeSpans(w io.Writer, n int, span func(i int) *Span) error {
+	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString("[\n"); err != nil {
 		return err
 	}
 	enc := json.NewEncoder(bw)
-	for i, sp := range spans {
+	for i := 0; i < n; i++ {
 		if i > 0 {
 			bw.WriteString(",")
 		}
-		if err := enc.Encode(sp); err != nil {
+		if err := enc.Encode(span(i)); err != nil {
 			return fmt.Errorf("trace: span export: %w", err)
 		}
 	}
@@ -307,12 +314,10 @@ func Summarize(spans []*Span) []TraceSummary {
 	return out
 }
 
-// SpansToTracer bridges distributed spans into the simulator's event
-// tracer so one export path — Tracer.WriteChromeTrace — renders sim and
-// live runs in the same viewer. Each span becomes a StageStart/StageEnd
-// pair on its service's lane, emitted adjacently so the exporter's
-// attempt-aware pairing can never cross two spans; times are seconds
-// relative to the earliest span start.
+// SpansToTracer copies spans into a Tracer so the Tracer's exporters —
+// WriteChromeTrace above all — render live runs as they render the
+// simulator's. Times shift to start at the earliest span, so a viewer's
+// axis starts at 0 as it does for a simulated run.
 func SpansToTracer(spans []*Span) *Tracer {
 	t := New(0)
 	if len(spans) == 0 {
@@ -320,18 +325,13 @@ func SpansToTracer(spans []*Span) *Tracer {
 	}
 	epoch := spans[0].Start
 	for _, sp := range spans {
-		if sp.Start < epoch {
-			epoch = sp.Start
-		}
+		epoch = min(epoch, sp.Start)
 	}
-	rel := func(ns int64) float64 { return float64(ns-epoch) / float64(time.Second) }
 	for _, sp := range spans {
-		detail := sp.Name
-		if sp.Err != "" {
-			detail += " !err"
-		}
-		t.RecordAttempt(rel(sp.Start), StageStart, sp.Service, detail, sp.Attempt)
-		t.RecordAttempt(rel(sp.End), StageEnd, sp.Service, detail, sp.Attempt)
+		c := *sp
+		c.Start -= epoch
+		c.End -= epoch
+		t.Add(c)
 	}
 	return t
 }

@@ -2,8 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"encoding/json"
-	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,44 +9,64 @@ import (
 
 func sampleTrace() *Tracer {
 	t := New(0)
-	t.Record(0, TaskStart, "gw", "a")
-	t.Record(2, TaskEnd, "gw", "a")
-	t.Record(1, TaskStart, "cloud", "b")
-	t.Record(5, TaskEnd, "cloud", "b")
-	t.Record(6, TaskStart, "gw", "c")
-	t.Record(8, TaskEnd, "gw", "c")
+	t.Record(0, 2, KindTask, "gw", "a", 0)
+	t.Record(1, 5, KindTask, "cloud", "b", 0)
+	t.Record(6, 8, KindTask, "gw", "c", 0)
 	return t
 }
 
 func TestRecordAndFilter(t *testing.T) {
 	tr := sampleTrace()
-	if len(tr.events) != 6 {
-		t.Fatalf("Len = %d", len(tr.events))
+	tr.Record(3, 3, KindFailure, "cloud", "b", 0)
+	if tr.n != 4 {
+		t.Fatalf("Len = %d", tr.n)
 	}
-	starts := tr.Filter(TaskStart)
-	if len(starts) != 3 {
-		t.Fatalf("starts = %d", len(starts))
+	tasks := tr.Filter(KindTask)
+	if len(tasks) != 3 {
+		t.Fatalf("tasks = %d", len(tasks))
 	}
-	if starts[0].Entity != "gw" || starts[1].Entity != "cloud" {
+	if tasks[0].Service != "gw" || tasks[1].Service != "cloud" {
 		t.Fatal("filter order broken")
+	}
+	// Virtual seconds become nanoseconds from a virtual epoch of 0.
+	if tasks[1].Start != 1e9 || tasks[1].End != 5e9 {
+		t.Fatalf("task b spans [%d, %d] ns, want [1e9, 5e9]", tasks[1].Start, tasks[1].End)
+	}
+	if f := tr.Filter(KindFailure); len(f) != 1 || f[0].Start != f[0].End {
+		t.Fatalf("failure instants = %+v, want one with Start == End", f)
+	}
+	// Spans past the first chunk keep emission order.
+	big := New(0)
+	for i := range 2*chunkSpans + 1 {
+		big.Record(float64(i), float64(i), KindDispatch, "n", "", i)
+	}
+	got := big.Filter(KindDispatch)
+	if len(got) != 2*chunkSpans+1 {
+		t.Fatalf("%d spans over three chunks, want %d", len(got), 2*chunkSpans+1)
+	}
+	for i, sp := range got {
+		if sp.Attempt != i {
+			t.Fatalf("span %d is attempt %d", i, sp.Attempt)
+		}
 	}
 }
 
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
-	tr.Record(1, TaskStart, "x", "") // must not panic
+	tr.Record(1, 2, KindTask, "x", "", 0) // must not panic
+	tr.Add(Span{Kind: KindTask})
 }
 
 func TestLimitDropsNewest(t *testing.T) {
 	tr := New(2)
-	tr.Record(1, TaskStart, "a", "")
-	tr.Record(2, TaskStart, "b", "")
-	tr.Record(3, TaskStart, "c", "")
-	if len(tr.events) != 2 || tr.Dropped != 1 {
-		t.Fatalf("len=%d dropped=%d", len(tr.events), tr.Dropped)
+	tr.Record(1, 1, KindDispatch, "a", "", 0)
+	tr.Record(2, 2, KindDispatch, "b", "", 0)
+	tr.Add(Span{Service: "c", Kind: KindDispatch})
+	if tr.n != 2 || tr.Dropped != 1 {
+		t.Fatalf("len=%d dropped=%d", tr.n, tr.Dropped)
 	}
-	if tr.events[0].Entity != "a" {
-		t.Fatal("oldest event lost")
+	if tr.at(0).Service != "a" {
+		t.Fatal("oldest span lost")
 	}
 }
 
@@ -62,48 +80,28 @@ func TestEntitiesSorted(t *testing.T) {
 
 func TestSpan(t *testing.T) {
 	tr := sampleTrace()
-	lo, hi := tr.Span()
-	if lo != 0 || hi != 8 {
-		t.Fatalf("Span = %v,%v", lo, hi)
+	lo, hi := tr.bounds()
+	if lo != 0 || hi != 8e9 {
+		t.Fatalf("bounds = %v,%v", lo, hi)
 	}
 	empty := New(0)
-	lo, hi = empty.Span()
+	lo, hi = empty.bounds()
 	if lo != 0 || hi != 0 {
-		t.Fatal("empty span not zero")
+		t.Fatal("empty bounds not zero")
 	}
 }
 
+// TestBusyIntervals: a Gantt lane marks exactly the buckets a task span
+// of its service covers, one second per column here.
 func TestBusyIntervals(t *testing.T) {
 	tr := sampleTrace()
-	want := map[string][][2]float64{
-		"gw":    {{0, 2}, {6, 8}},
-		"cloud": {{1, 5}},
-	}
-	for ent, w := range want {
-		if got := tr.busyIntervals(ent); !reflect.DeepEqual(got, w) {
-			t.Fatalf("%s busy intervals = %v, want %v", ent, got, w)
-		}
-	}
-}
-
-func TestBusyIntervalsNestedTasks(t *testing.T) {
-	tr := New(0)
-	// Two overlapping tasks on one node: busy [0,4] once, not twice.
-	tr.Record(0, TaskStart, "n", "a")
-	tr.Record(1, TaskStart, "n", "b")
-	tr.Record(3, TaskEnd, "n", "a")
-	tr.Record(4, TaskEnd, "n", "b")
-	if got := tr.busyIntervals("n"); !reflect.DeepEqual(got, [][2]float64{{0, 4}}) {
-		t.Fatalf("nested busy intervals = %v, want [[0 4]]", got)
-	}
-}
-
-func TestUnmatchedStartExtendsToEnd(t *testing.T) {
-	tr := New(0)
-	tr.Record(0, TaskStart, "n", "a")
-	tr.Record(10, TaskEnd, "m", "other") // extends span to 10
-	if got := tr.busyIntervals("n"); !reflect.DeepEqual(got, [][2]float64{{0, 10}}) {
-		t.Fatalf("cut-off busy intervals = %v, want [[0 10]]", got)
+	tr.Record(4, 4, KindFailure, "edge", "x", 0) // no task: no lane
+	want := "" +
+		"cloud |.#####..|\n" +
+		"gw    |###...##|\n" +
+		"       0.00s 8.00s\n"
+	if got := tr.Gantt(8); got != want {
+		t.Fatalf("gantt:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -130,52 +128,57 @@ func TestGanttPanicsOnBadWidth(t *testing.T) {
 	sampleTrace().Gantt(0)
 }
 
+// TestJSONLRoundTrip: a simulator trace written as the span file reads
+// back through ReadSpans span for span.
 func TestJSONLRoundTrip(t *testing.T) {
 	tr := sampleTrace()
+	tr.Add(Span{Service: "gw", Name: "d", Kind: KindTask, Attempt: 1, Start: 9, End: 12, Err: "lost"})
 	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
+	if err := tr.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := readJSONL(&buf)
+	back, err := ReadSpans(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.events) != len(tr.events) {
-		t.Fatalf("round trip %d != %d", len(back.events), len(tr.events))
+	if len(back) != tr.n {
+		t.Fatalf("round trip %d != %d", len(back), tr.n)
 	}
-	for i, e := range back.events {
-		if e != tr.events[i] {
-			t.Fatalf("event %d mismatch: %+v vs %+v", i, e, tr.events[i])
+	for i, sp := range back {
+		if !reflect.DeepEqual(sp, tr.at(i)) {
+			t.Fatalf("span %d mismatch: %+v vs %+v", i, *sp, *tr.at(i))
 		}
 	}
 }
 
+// TestJSONLAttemptRoundTrip: attempt 0 and the empty trace and span IDs
+// of a simulated span are omitted from the file; non-zero attempts
+// survive the round trip.
 func TestJSONLAttemptRoundTrip(t *testing.T) {
 	tr := New(0)
-	tr.RecordAttempt(0, TaskStart, "gw", "j", 0)
-	tr.RecordAttempt(1, Failure, "gw", "j lost", 0)
-	tr.RecordAttempt(2, TaskStart, "gw", "j", 1)
-	tr.RecordAttempt(3, TaskEnd, "gw", "j", 1)
+	tr.Record(0, 1, KindTask, "gw", "j", 0)
+	tr.Record(2, 3, KindTask, "gw", "j", 1)
 	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
+	if err := tr.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// Attempt 0 must be omitted from the wire form (old readers keep
-	// working); non-zero attempts must survive the round trip.
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if strings.Contains(lines[0], "attempt") {
-		t.Fatalf("attempt 0 serialized: %s", lines[0])
+	if len(lines) != 4 {
+		t.Fatalf("span file:\n%s\nwant [, two spans, ]", buf.String())
+	}
+	if strings.Contains(lines[1], "attempt") || strings.Contains(lines[1], `"trace"`) || strings.Contains(lines[1], `"span"`) {
+		t.Fatalf("zero fields serialized: %s", lines[1])
 	}
 	if !strings.Contains(lines[2], `"attempt":1`) {
 		t.Fatalf("attempt 1 lost: %s", lines[2])
 	}
-	back, err := readJSONL(&buf)
+	back, err := ReadSpans(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, e := range back.events {
-		if e != tr.events[i] {
-			t.Fatalf("event %d mismatch: %+v vs %+v", i, e, tr.events[i])
+	for i, sp := range back {
+		if !reflect.DeepEqual(sp, tr.at(i)) {
+			t.Fatalf("span %d mismatch: %+v vs %+v", i, *sp, *tr.at(i))
 		}
 	}
 }
@@ -185,8 +188,7 @@ func TestJSONLAttemptRoundTrip(t *testing.T) {
 // where the footer pad went negative and left-shifted the end label.
 func TestGanttGoldenNarrow(t *testing.T) {
 	tr := New(0)
-	tr.Record(0, TaskStart, "gw", "a")
-	tr.Record(8, TaskEnd, "gw", "a")
+	tr.Record(0, 8, KindTask, "gw", "a", 0)
 	got := tr.Gantt(4)
 	want := "" +
 		"gw |####|\n" +
@@ -213,17 +215,4 @@ func TestGanttGoldenNarrow(t *testing.T) {
 			t.Fatalf("width %d: malformed axis %q", w, lines[1])
 		}
 	}
-}
-
-// readJSONL loads events written by WriteJSONL into a fresh tracer.
-func readJSONL(r io.Reader) (*Tracer, error) {
-	t := New(0)
-	for dec := json.NewDecoder(r); dec.More(); {
-		var e Event
-		if err := dec.Decode(&e); err != nil {
-			return nil, err
-		}
-		t.events = append(t.events, e)
-	}
-	return t, nil
 }
