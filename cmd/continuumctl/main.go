@@ -51,8 +51,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -65,36 +67,75 @@ import (
 	"continuum/internal/wire"
 )
 
+// config is what the global flags set, plus the command and its
+// arguments.
+type config struct {
+	addrs    []string
+	timeout  time.Duration
+	hedge    wire.HedgeConfig
+	traceOut string
+	priority faas.Priority
+	args     []string
+}
+
+// parseFlags parses the command line (without the program name) and
+// reports what is wrong with it, or the usage, on errOut. Any error
+// means the command line is bad: main exits 2 (0 for -h).
+func parseFlags(args []string, errOut io.Writer) (config, error) {
+	fs := flag.NewFlagSet("continuumctl", flag.ContinueOnError)
+	fs.SetOutput(errOut)
+	fs.Usage = func() { fmt.Fprintln(errOut, usageText); fs.PrintDefaults() }
+	var c config
+	addr := fs.String("addr", "127.0.0.1:9090", "endpoint address, or comma-separated list for retry+failover")
+	fs.DurationVar(&c.timeout, "timeout", 0, "per-call deadline (0 = none)")
+	fs.Func("hedge", "hedge in-flight calls at a second endpoint: 'auto' (p99-derived delay) or a fixed duration like '5ms' (unset = off; needs >= 2 addresses)", func(v string) (err error) {
+		c.hedge, err = wire.ParseHedge(v)
+		return err
+	})
+	fs.StringVar(&c.traceOut, "trace-out", "", "trace invoke calls, writing the client-side spans to this file and printing the trace ID (empty = untraced)")
+	fs.Func("priority", "admission priority for invoke/bench requests: low, normal, or high (unset = normal; only matters against daemons running -max-queue)", func(v string) error {
+		for p := faas.PriorityLow; p <= faas.PriorityHigh; p++ {
+			if v == p.String() {
+				c.priority = p
+				return nil
+			}
+		}
+		return errors.New("want low, normal, or high")
+	})
+	if err := fs.Parse(args); err != nil {
+		return c, err // fs reported it
+	}
+	bad := func(err error) (config, error) {
+		fmt.Fprintln(errOut, "continuumctl:", err)
+		return c, err
+	}
+	if c.args = fs.Args(); len(c.args) == 0 {
+		fs.Usage()
+		return c, errors.New("no command given")
+	}
+	if c.addrs = splitAddrs(*addr); len(c.addrs) == 0 {
+		return bad(errors.New("no endpoint address given"))
+	}
+	if c.hedge.Enabled && len(c.addrs) < 2 {
+		return bad(errors.New("-hedge needs at least two -addr endpoints"))
+	}
+	return c, nil
+}
+
 func main() {
-	addr := flag.String("addr", "127.0.0.1:9090", "endpoint address, or comma-separated list for retry+failover")
-	timeout := flag.Duration("timeout", 0, "per-call deadline (0 = none)")
-	hedgeSpec := flag.String("hedge", "", "hedge in-flight calls at a second endpoint: 'auto' (p99-derived delay) or a fixed duration like '5ms' (empty = off; needs >= 2 addresses)")
-	traceOut := flag.String("trace-out", "", "trace invoke calls, writing the client-side spans to this file and printing the trace ID (empty = untraced)")
-	priority := flag.String("priority", "", "admission priority for invoke/bench requests: low, normal, or high (empty = normal; only matters against daemons running -max-queue)")
-	flag.Parse()
-	args := flag.Args()
-	if len(args) == 0 {
-		usage()
+	cfg, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
 	}
-	addrs := splitAddrs(*addr)
-	hedge, err := wire.ParseHedge(*hedgeSpec)
 	if err != nil {
-		fatal(err)
+		os.Exit(2)
 	}
+	args, addrs, timeout, hedge := cfg.args, cfg.addrs, cfg.timeout, cfg.hedge
 	// baseCtx carries the request priority across the wire; daemons
 	// without admission control ignore it.
-	baseCtx := context.Background()
-	switch *priority {
-	case "", "normal":
-	case "low":
-		baseCtx = faas.WithPriority(baseCtx, faas.PriorityLow)
-	case "high":
-		baseCtx = faas.WithPriority(baseCtx, faas.PriorityHigh)
-	default:
-		fatal(fmt.Errorf("-priority %q: want low, normal, or high", *priority))
-	}
+	baseCtx := faas.WithPriority(context.Background(), cfg.priority)
 	var ctlSpans *trace.SpanStore
-	if *traceOut != "" {
+	if cfg.traceOut != "" {
 		ctlSpans = trace.NewSpanStore(0)
 	}
 
@@ -106,7 +147,7 @@ func main() {
 		var err error
 		rc, err = wire.NewReliableClient(wire.ReliableConfig{
 			Addrs:       addrs,
-			CallTimeout: *timeout,
+			CallTimeout: timeout,
 			Hedge:       hedge,
 			Spans:       ctlSpans,
 			Service:     "ctl",
@@ -115,8 +156,6 @@ func main() {
 			fatal(err)
 		}
 		defer rc.Close()
-	} else if hedge.Enabled {
-		fatal(fmt.Errorf("-hedge needs at least two -addr endpoints"))
 	}
 	// admin lazily dials the first address for the single-endpoint ops.
 	var c *wire.Client
@@ -127,8 +166,8 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			if *timeout > 0 {
-				c.SetCallTimeout(*timeout)
+			if timeout > 0 {
+				c.SetCallTimeout(timeout)
 			}
 		}
 		return c
@@ -228,7 +267,7 @@ func main() {
 		}
 		fmt.Println(string(out))
 		breakerSummary(rc)
-		flushSpans(ctlSpans, *traceOut)
+		flushSpans(ctlSpans, cfg.traceOut)
 
 	case "top":
 		topFlags := flag.NewFlagSet("top", flag.ExitOnError)
@@ -251,7 +290,7 @@ func main() {
 		if err := benchFlags.Parse(args[2:]); err != nil {
 			fatal(err)
 		}
-		runBench(baseCtx, addrs, *timeout, hedge, args[1], []byte(*payload), *n, *conc, *mux)
+		runBench(baseCtx, addrs, timeout, hedge, args[1], []byte(*payload), *n, *conc, *mux)
 
 	case "trace":
 		traceFlags := flag.NewFlagSet("trace", flag.ExitOnError)
@@ -273,7 +312,7 @@ func main() {
 		if id == "" && *slowest <= 0 {
 			fatal(fmt.Errorf("trace: need a trace ID or -slowest N"))
 		}
-		runTrace(addrs, *timeout, id, *slowest, *chrome, *local)
+		runTrace(addrs, timeout, id, *slowest, *chrome, *local)
 
 	default:
 		usage()
@@ -601,9 +640,6 @@ func splitAddrs(s string) []string {
 			out = append(out, a)
 		}
 	}
-	if len(out) == 0 {
-		fatal(fmt.Errorf("no endpoint address given"))
-	}
 	return out
 }
 
@@ -629,7 +665,11 @@ func breakerSummary(rc *wire.ReliableClient) {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `continuumctl [-addr host:port[,host:port...]] [-timeout d] [-hedge auto|dur] <command>
+	fmt.Fprintln(os.Stderr, usageText)
+	os.Exit(2)
+}
+
+const usageText = `continuumctl [-addr host:port[,host:port...]] [-timeout d] [-hedge auto|dur] <command>
 
 commands:
   ping                      round-trip check
@@ -647,9 +687,7 @@ fail over across them behind per-endpoint circuit breakers; -timeout
 bounds each round trip. -hedge additionally races slow in-flight calls
 against a second endpoint ('auto' = p99-derived delay, or a fixed
 duration like '5ms'). -trace-out FILE traces invoke calls, saving the
-client-side spans to FILE for later assembly with trace -local.`)
-	os.Exit(2)
-}
+client-side spans to FILE for later assembly with trace -local.`
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "continuumctl:", err)

@@ -32,21 +32,22 @@
 // trace`, which assembles one cross-daemon tree per trace ID. Untraced
 // requests record nothing.
 //
-// Each accepted connection is multiplexed: requests carrying IDs are
-// dispatched to a per-connection worker pool and answered out of order
-// as they complete, so one client connection can keep many invocations
-// in flight. -workers bounds that pool (ID-less peers stay strictly
-// serial).
+// Each accepted connection is multiplexed: requests are dispatched to a
+// per-connection worker pool and answered out of order as they
+// complete, so one client connection can keep many invocations in
+// flight. -workers bounds that pool.
 //
-// With -max-queue the daemon runs priority-classed admission control in
-// front of its container slots: admitted requests wait in bounded
-// per-priority queues (low sheds first), the effective bound adapts by
-// AIMD on observed queue wait, and shed requests are rejected
-// immediately with a retryable overload error carrying a Retry-After
-// hint that reliable clients honor as a backoff floor. The worker pool
-// also breathes between -min-slots and -capacity with the backlog.
-// Request priority rides the wire from the client (continuumctl
-// -priority, or faas.WithPriority in code).
+// Requests wait for one of -capacity container slots in one FIFO queue,
+// whose depth the heartbeat and /metrics report; -queue-wait bounds the
+// wait. With -max-queue the daemon runs priority-classed admission
+// control instead: admitted requests wait in bounded per-priority
+// queues (low sheds first), the effective bound adapts by AIMD on
+// observed queue wait, and shed requests are rejected immediately with
+// a retryable overload error carrying a Retry-After hint that reliable
+// clients honor as a backoff floor. The worker pool also breathes
+// between -min-slots and -capacity with the backlog. Request priority
+// rides the wire from the client (continuumctl -priority, or
+// faas.WithPriority in code).
 //
 //	continuumd -listen 127.0.0.1:9090 -capacity 8 -max-queue 64
 //	continuumd -listen 127.0.0.1:9090 -max-queue 64 -target-queue-wait 10ms -min-slots 2

@@ -1,12 +1,13 @@
 package core
 
-// Tests for the engine's admission-control mirror (ReliableOptions.
-// Admission) and the cordon hook — the simulator halves of the live
-// path's faas admission controller and faas.Endpoint.SetCordon.
+// Tests for the engine's admission control (ReliableOptions.Admission,
+// which sheds at faas.ClassLimit) and the cordon hook — the simulator
+// halves of the live path's faas admitter and faas.Endpoint.SetCordon.
 
 import (
 	"testing"
 
+	"continuum/internal/faas"
 	"continuum/internal/node"
 	"continuum/internal/placement"
 	"continuum/internal/task"
@@ -19,7 +20,7 @@ import (
 func priorityJobs(c *Continuum, count int) []StreamJob {
 	var jobs []StreamJob
 	for i := 0; i < count; i++ {
-		for _, p := range []int{PriorityLow, PriorityNormal, PriorityHigh} {
+		for _, p := range []faas.Priority{faas.PriorityLow, faas.PriorityNormal, faas.PriorityHigh} {
 			jobs = append(jobs, StreamJob{
 				Task:     &task.Task{Name: "t", ScalarWork: 2.5e8, OutputBytes: 100},
 				Origin:   c.Nodes[0].ID,

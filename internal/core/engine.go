@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"continuum/internal/data"
+	"continuum/internal/faas"
 	"continuum/internal/fault"
 	"continuum/internal/netsim"
 	"continuum/internal/node"
@@ -454,15 +455,11 @@ func (c *Continuum) runStream(pol placement.Policy, jobs []StreamJob, candidates
 	var primary *node.Node
 	backupEnv := env.Restrict(func(n *node.Node) bool { return n != primary })
 
-	// outstanding is the admission controller's state: jobs admitted at
-	// submit time and not yet completed or lost. The kernel is
-	// single-threaded, so a plain counter suffices.
+	// outstanding counts jobs admitted at submit time and not yet
+	// completed or lost; admission control sheds against it. The kernel
+	// is single-threaded, so a plain counter suffices.
 	outstanding := 0
-	release := func() {
-		if opts.Admission.enabled() {
-			outstanding--
-		}
-	}
+	release := func() { outstanding-- }
 
 	var attempt func(j StreamJob, retriesLeft int, seq *int)
 	// retry re-dispatches j after the backoff, or counts it lost. The
@@ -519,17 +516,17 @@ func (c *Continuum) runStream(pol placement.Policy, jobs []StreamJob, candidates
 				return
 			}
 			// Admission: shed at submit time when the job's class watermark
-			// is full — the graduated-bound half of the live admission
-			// controller (there is no wait queue to evict from here).
+			// is full — the live admitter's watermark (there is no wait
+			// queue to evict from here).
 			if opts.Admission.enabled() {
-				cls := classOf(j.Priority)
-				if outstanding >= opts.Admission.classLimit(cls) {
+				cls := j.Priority.Class()
+				if outstanding >= faas.ClassLimit(opts.Admission.MaxOutstanding, cls) {
 					e.st.Shed++
 					e.st.ShedByClass[cls]++
 					return
 				}
-				outstanding++
 			}
+			outstanding++
 			attempt(j, opts.MaxRetries, new(int))
 		})
 	}

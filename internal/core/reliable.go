@@ -1,6 +1,7 @@
 package core
 
 import (
+	"continuum/internal/faas"
 	"continuum/internal/fault"
 	"continuum/internal/node"
 	"continuum/internal/placement"
@@ -46,11 +47,11 @@ type ReliableOptions struct {
 	// which pauses a failed node's request generator. Nil submits all.
 	DropSubmit func(origin int) bool
 	// Admission, when enabled, bounds how many stream jobs may be
-	// outstanding (admitted, not yet completed or lost) with graduated
-	// per-priority watermarks: low-priority jobs shed first as the bound
-	// fills. It is the simulator mirror of the live path's
-	// faas.AdmissionConfig, so overload experiments compare across
-	// backends. The zero value admits everything.
+	// outstanding (admitted, not yet completed or lost) with the live
+	// admitter's graduated per-priority watermarks (faas.ClassLimit):
+	// low-priority jobs shed first as the bound fills, so overload
+	// experiments compare across backends. The zero value admits
+	// everything.
 	Admission AdmissionOptions
 	// Cordoned, when set, is consulted wherever candidates are chosen:
 	// a cordoned node receives no NEW work (placement, retries, and
@@ -62,53 +63,20 @@ type ReliableOptions struct {
 	Cordoned func(n *node.Node) bool
 }
 
-// Stream job priority classes, mirroring internal/faas: the zero value
-// is normal, so existing workloads are unaffected.
-const (
-	PriorityLow    = -1
-	PriorityNormal = 0
-	PriorityHigh   = 1
-
-	numPriorityClasses = 3
-)
-
-// AdmissionOptions is the engine's admission-control mirror. Unlike the
-// live controller there is no wait queue to evict from — the simulated
-// decision happens once, at submit time — so the model is the graduated
-// watermark alone: a class-p job is shed when outstanding work has
-// already consumed that class's share of the bound.
+// AdmissionOptions is the engine's admission control. Unlike the live
+// admitter there is no wait queue to evict from — the simulated decision
+// happens once, at submit time — so the model is the graduated watermark
+// alone: a job of class c is shed when outstanding work has already
+// consumed faas.ClassLimit(MaxOutstanding, c).
 type AdmissionOptions struct {
 	// MaxOutstanding is the bound on admitted-but-unfinished stream
-	// jobs. Class limits are graduated across it exactly like
-	// faas.AdmissionConfig.MaxQueue: low sheds beyond 1/3 of the bound,
-	// normal beyond 2/3, high only at the full bound. <= 0 disables
-	// admission control.
+	// jobs: low sheds beyond 1/3 of it, normal beyond 2/3, high only at
+	// the full bound. <= 0 disables admission control.
 	MaxOutstanding int
 }
 
 // enabled reports whether admission control is configured.
 func (a AdmissionOptions) enabled() bool { return a.MaxOutstanding > 0 }
-
-// classOf clamps a StreamJob priority to its class index in
-// [0, numPriorityClasses).
-func classOf(p int) int {
-	if p < PriorityLow {
-		p = PriorityLow
-	}
-	if p > PriorityHigh {
-		p = PriorityHigh
-	}
-	return p - PriorityLow
-}
-
-// classLimit is the graduated watermark for one class.
-func (a AdmissionOptions) classLimit(cls int) int {
-	limit := a.MaxOutstanding * (cls + 1) / numPriorityClasses
-	if limit < 1 {
-		limit = 1
-	}
-	return limit
-}
 
 // SpeculateOptions configures speculative (hedged) execution. A backup
 // replica launches once an attempt has been in flight longer than the
@@ -176,8 +144,8 @@ type ReliableStats struct {
 	// nor Lost — they are the simulator's fail-fast rejections.
 	Shed int64
 	// ShedByClass breaks Shed down by priority class
-	// (index classOf(priority): 0 low, 1 normal, 2 high).
-	ShedByClass [numPriorityClasses]int64
+	// (index Priority.Class(): 0 low, 1 normal, 2 high).
+	ShedByClass [faas.NumPriorities]int64
 }
 
 // SuccessRate returns completed/(completed+lost).

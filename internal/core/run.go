@@ -1,6 +1,7 @@
 package core
 
 import (
+	"continuum/internal/faas"
 	"continuum/internal/metrics"
 	"continuum/internal/node"
 	"continuum/internal/placement"
@@ -45,11 +46,10 @@ type StreamJob struct {
 	Task   *task.Task
 	Origin int     // vertex the request (and its reply) is anchored to
 	Submit float64 // virtual submission time
-	// Priority is the job's admission class (PriorityLow, PriorityNormal,
-	// PriorityHigh): under ReliableOptions.Admission, lower classes shed
-	// first. The zero value is normal, so priority-unaware workloads are
-	// unchanged.
-	Priority int
+	// Priority is the job's admission class: under
+	// ReliableOptions.Admission, lower classes shed first. The zero value
+	// is normal, so priority-unaware workloads are unchanged.
+	Priority faas.Priority
 }
 
 // RunStream executes jobs under the given policy: each job's inputs move

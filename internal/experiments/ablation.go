@@ -72,11 +72,11 @@ func (k *sortedListKernel) run() int {
 	return n
 }
 
-// eventChurn drives a kernel-shaped scheduler with a self-rescheduling
+// heapChurn drives the binary-heap kernel with a self-rescheduling
 // workload of `chains` concurrent timers for `perChain` hops each — the
 // access pattern simulations actually produce.
 func heapChurn(chains, perChain int) time.Duration {
-	k := sim.NewKernel()
+	k := sim.NewKernelQueue(sim.QueueHeap)
 	rng := workload.NewRNG(1)
 	start := time.Now()
 	for c := 0; c < chains; c++ {
@@ -118,9 +118,9 @@ func listChurn(chains, perChain int) time.Duration {
 // AblationEventQueue quantifies the event-queue choice: binary heap vs
 // sorted-slice insertion across growing pending-set sizes.
 func AblationEventQueue(size Size) *Result {
-	// The sweep deliberately spans the crossover: below ~5k pending events
-	// the sorted slice's memmove beats the heap's pointer chasing; above
-	// it the O(n) insertion takes over.
+	// The sweep deliberately spans the crossover: around 1k pending events
+	// the sorted slice's memmove keeps pace with the heap's pointer
+	// chasing; above it the O(n) insertion takes over.
 	chainCounts := []int{1000, 10000, 30000}
 	perChain := 20
 	if size == Small {
@@ -145,7 +145,7 @@ func AblationEventQueue(size Size) *Result {
 		ID:    "A1",
 		Title: "Ablation: event-queue data structure",
 		Table: tbl,
-		Notes: "Expected shape: the sorted slice wins below ~5k pending events (memmove is cheap), then the heap's O(log n) insertion pulls ahead and the gap grows with the pending set.",
+		Notes: "Expected shape: the sorted slice keeps pace at ~1k pending events (memmove is cheap), then the heap's O(log n) insertion pulls ahead and the gap grows with the pending set.",
 	}
 }
 
@@ -158,7 +158,7 @@ func AblationFairShare(Size) *Result {
 	// per-link: L2 gives 0.5 each (same), but L1 split equally gives
 	// X=5, Z=5 — X cannot use 5 (L2 caps it at 0.5), so 4.5 MB/s of L1
 	// is wasted.
-	k := sim.NewKernel()
+	k := sim.NewKernelQueue(sim.QueueHeap)
 	n := netsim.New(k, 3)
 	n.AddLink(0, 1, 0, 1e7)
 	n.AddLink(1, 2, 0, 1e6)

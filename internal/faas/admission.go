@@ -1,17 +1,18 @@
 package faas
 
-// Admission control: the overload-survival layer of the endpoint. The
-// plain capacity semaphore (Endpoint.slots) makes a flash crowd queue
-// up until QueueWait expires — every caller waits the full bound, the
-// endpoint does work for requests that already gave up, and retries
-// amplify the surge. With EndpointConfig.Admission enabled the endpoint
-// instead:
+// Admission: the endpoint's one slot gate. Every invocation takes a
+// capacity slot from the admitter, and every caller waiting for one
+// waits in the admitter's queue, so QueueDepth and the faas_queue_depth
+// gauge count real waiters on every endpoint. With
+// AdmissionConfig.Enabled false the admitter is a plain gate (see
+// AdmissionConfig); enabled, it instead:
 //
 //   - bounds the wait queue (adaptively: AIMD on the observed
 //     queue-wait EWMA, the same signal faas_queue_wait_seconds exports);
 //   - classifies requests into priority classes (carried by context,
-//     see WithPriority) with graduated queue watermarks, so low-priority
-//     traffic sheds first and high-priority traffic keeps headroom;
+//     see WithPriority) with graduated queue watermarks (ClassLimit), so
+//     low-priority traffic sheds first and high-priority traffic keeps
+//     headroom;
 //   - sheds immediately — an over-limit arrival is rejected in
 //     microseconds with an OverloadError carrying a Retry-After hint
 //     derived from the observed queue wait, instead of blocking for
@@ -20,9 +21,9 @@ package faas
 //     growing on backlog and shrinking after sustained idleness, the
 //     policy internal/autoscale applies to simulated node fleets.
 //
-// The mirror of this policy for the simulator lives in
-// core.ReliableOptions.Admission, so sim and live overload experiments
-// stay comparable.
+// The simulator's engine sheds stream jobs at the same ClassLimit
+// watermarks (core.ReliableOptions.Admission), so sim and live overload
+// experiments stay comparable.
 
 import (
 	"context"
@@ -53,26 +54,23 @@ const NumPriorities = 3
 
 // String returns "low", "normal", or "high" (out-of-range values clamp).
 func (p Priority) String() string {
-	switch classOf(p) {
-	case 0:
-		return "low"
-	case 2:
-		return "high"
-	default:
-		return "normal"
-	}
+	return [NumPriorities]string{"low", "normal", "high"}[p.Class()]
 }
 
-// classOf maps a Priority to its queue index in [0, NumPriorities),
-// clamping out-of-range values to the nearest class.
-func classOf(p Priority) int {
-	if p < PriorityLow {
-		p = PriorityLow
-	}
-	if p > PriorityHigh {
-		p = PriorityHigh
-	}
-	return int(p - PriorityLow)
+// Class maps p to its class index in [0, NumPriorities): 0 low, 1
+// normal, 2 high. Out-of-range values clamp to the nearest class.
+func (p Priority) Class() int {
+	return int(min(max(p, PriorityLow), PriorityHigh) - PriorityLow)
+}
+
+// ClassLimit is the graduated watermark of class c under bound: the
+// lowest class may use 1/NumPriorities of the bound, the highest all of
+// it, and every class at least 1. Under overload the cheap traffic hits
+// its wall first while high-priority requests still find headroom. The
+// admitter applies it to its adaptive queue bound, and the simulator's
+// engine to its bound on outstanding stream jobs.
+func ClassLimit(bound, c int) int {
+	return max(1, bound*(c+1)/NumPriorities)
 }
 
 type priorityKey struct{}
@@ -132,9 +130,14 @@ func (e *OverloadError) Error() string {
 func (e *OverloadError) Unwrap() error { return ErrOverloaded }
 
 // AdmissionConfig enables and tunes per-endpoint admission control.
-// The zero value (Enabled=false) keeps the plain fixed-slot semaphore.
+// The zero value (Enabled false) is the plain gate: Capacity fixed slots
+// and one unbounded FIFO queue, which priority does not reorder; a
+// waiter whose QueueWait expires gets an error wrapping ErrOverloaded,
+// with no Retry-After hint and not counted as a shed. The other fields
+// are then ignored.
 type AdmissionConfig struct {
-	// Enabled turns the admission controller on.
+	// Enabled turns on the queue bound, priority classes, shedding and
+	// elastic sizing.
 	Enabled bool
 	// MaxQueue is the hard bound on queued (admitted-but-waiting)
 	// invocations across all priority classes; the effective bound
@@ -168,8 +171,13 @@ func (c AdmissionConfig) targetQueueWait() time.Duration {
 	return 20 * time.Millisecond
 }
 
+// minSlots is the pool's floor. A plain gate's floor is Capacity, so it
+// neither shrinks nor grows.
 func (c AdmissionConfig) minSlots(capacity int) int {
-	if c.MinSlots > 0 {
+	switch {
+	case !c.Enabled:
+		return capacity
+	case c.MinSlots > 0:
 		return min(c.MinSlots, capacity)
 	}
 	return max(1, capacity/4)
@@ -183,7 +191,7 @@ func (c AdmissionConfig) retryAfterFloor() time.Duration {
 }
 
 // waiter states (under admitter.mu). A waiter is in exactly one of:
-// its class queue (wWaiting), granted a slot (wGranted), or displaced
+// its queue (wWaiting), granted a slot (wGranted), or displaced
 // by a higher-priority arrival (wEvicted). The abandon path uses the
 // state to resolve races between grant/eviction and the waiter's own
 // timeout or cancellation.
@@ -213,18 +221,18 @@ const (
 	ewmaAlpha       = 0.2
 )
 
-// admitter is the admission controller: a priority-classed, adaptively
-// bounded wait queue in front of an elastic slot pool. All state is
-// guarded by mu; grants hand the slot directly to the next waiter
-// (highest class first, FIFO within a class) so inUse never dips while
-// work is queued.
+// admitter is the endpoint's slot gate: a wait queue in front of a slot
+// pool, priority-classed, adaptively bounded and elastic when
+// cfg.Enabled. All state is guarded by mu; grants hand the slot directly
+// to the next waiter (highest class first, FIFO within a class) so inUse
+// never dips while work is queued.
 type admitter struct {
 	cfg      AdmissionConfig
 	capacity int
 	obs      *epObserver // set by SetMetrics before traffic; nil = unobserved
 
 	mu     sync.Mutex
-	slots  int // elastic concurrency limit, in [minSlots, capacity]
+	slots  int // concurrency limit, in [minSlots, capacity]
 	inUse  int
 	queues [NumPriorities][]*waiter
 	queued int
@@ -244,21 +252,23 @@ func newAdmitter(cfg AdmissionConfig, capacity int) *admitter {
 	}
 }
 
-// classLimit is the graduated queue watermark for a class: the lowest
-// class may use 1/NumPriorities of the adaptive bound, the highest the
-// whole bound — so under overload the cheap traffic hits its wall
-// first while high-priority requests still find queue headroom.
-func (a *admitter) classLimit(cls int) int {
-	return a.qLimit * (cls + 1) / NumPriorities
-}
-
 // acquire admits, queues, or sheds one invocation. It returns nil once
-// a slot is held, an *OverloadError when shed (immediately on arrival,
-// by eviction, or on queue-wait expiry), or a context error when the
-// caller gave up first.
+// a slot is held, an error wrapping ErrOverloaded when shed (immediately
+// on arrival, by eviction, or on queue-wait expiry; an *OverloadError
+// unless the gate is plain), or a context error when the caller gave up
+// first.
 func (a *admitter) acquire(ctx context.Context, fn string, p Priority, queueWait time.Duration) error {
-	cls := classOf(p)
+	cls := p.Class()
+	if !a.cfg.Enabled {
+		cls = 0 // a plain gate keeps one FIFO queue
+	}
 	a.mu.Lock()
+	// Elastic growth: a full pool with enough backlog per slot and
+	// headroom under the hard capacity.
+	if a.inUse == a.slots && a.slots < a.capacity && a.queued >= queuePerSlot*a.slots {
+		a.slots++
+		a.idleN = 0
+	}
 	if a.inUse < a.slots {
 		a.inUse++
 		a.observeWaitLocked(0)
@@ -266,18 +276,7 @@ func (a *admitter) acquire(ctx context.Context, fn string, p Priority, queueWait
 		a.mu.Unlock()
 		return nil
 	}
-	// Elastic growth: enough backlog per slot and headroom under the
-	// hard capacity.
-	if a.slots < a.capacity && a.queued >= queuePerSlot*a.slots {
-		a.slots++
-		a.inUse++
-		a.idleN = 0
-		a.observeWaitLocked(0)
-		a.updateGaugesLocked()
-		a.mu.Unlock()
-		return nil
-	}
-	if a.queued >= a.classLimit(cls) && !a.evictLowerLocked(cls) {
+	if a.cfg.Enabled && a.queued >= ClassLimit(a.qLimit, cls) && !a.evictLowerLocked(cls) {
 		err := &OverloadError{Fn: fn, Priority: p, RetryAfter: a.retryAfterLocked()}
 		a.shedLocked(cls)
 		a.mu.Unlock()
@@ -304,9 +303,12 @@ func (a *admitter) acquire(ctx context.Context, fn string, p Priority, queueWait
 	case <-ctx.Done():
 		return a.abandon(w, fmt.Errorf("faas: %q queue wait: %w", fn, ctx.Err()))
 	case <-timeout:
-		// Queue-wait expiry under admission control IS overload — the
-		// shed carries a Retry-After hint and deliberately does not wrap
-		// any context sentinel (see TestQueueWaitOverloadNotDeadline).
+		// Queue-wait expiry is the server's overload verdict, not the
+		// caller's deadline: it deliberately wraps no context sentinel.
+		if !a.cfg.Enabled {
+			return a.abandon(w, fmt.Errorf("%w: %q queue wait exceeded %v", ErrOverloaded, fn, queueWait))
+		}
+		// Under admission control it is a shed with a Retry-After hint.
 		a.mu.Lock()
 		ra := a.retryAfterLocked()
 		a.mu.Unlock()
@@ -421,6 +423,9 @@ func (a *admitter) observeWait(d time.Duration) {
 }
 
 func (a *admitter) observeWaitLocked(d time.Duration) {
+	if !a.cfg.Enabled {
+		return // a plain gate's queue bound is not used
+	}
 	a.qwEWMA = (1-ewmaAlpha)*a.qwEWMA + ewmaAlpha*d.Seconds()
 	a.obsN++
 	if a.obsN < aimdEvery {
@@ -457,14 +462,7 @@ func (a *admitter) updateGaugesLocked() {
 	}
 }
 
-// ShedByPriority returns shed counts indexed low, normal, high.
-func (a *admitter) ShedByPriority() [NumPriorities]int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.shed
-}
-
-// SlotLimit returns the current elastic concurrency limit.
+// SlotLimit returns the current concurrency limit.
 func (a *admitter) SlotLimit() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"continuum/internal/metrics"
 )
 
 // admissionEndpoint builds an endpoint with admission control enabled
@@ -246,11 +248,64 @@ func TestAdmissionQueueWaitIsOverload(t *testing.T) {
 	}
 }
 
+// TestPlainGateQueuesFIFO: without admission control the gate still
+// queues its waiters where QueueDepth and the faas_queue_depth gauge
+// see them, and grants them in arrival order whatever their priority.
+func TestPlainGateQueuesFIFO(t *testing.T) {
+	var mu sync.Mutex
+	var order []string
+	gate := make(chan struct{})
+	reg := NewRegistry()
+	reg.Register("gate", func(p []byte) ([]byte, error) {
+		<-gate
+		return p, nil
+	})
+	reg.Register("mark", func(p []byte) ([]byte, error) {
+		mu.Lock()
+		order = append(order, string(p))
+		mu.Unlock()
+		return p, nil
+	})
+	ep := NewEndpoint(EndpointConfig{Name: "plain", Capacity: 1}, reg)
+	defer ep.Close()
+	m := metrics.NewRegistry()
+	ep.SetMetrics(m)
+	fillSlots(t, ep, 1)
+
+	var done sync.WaitGroup
+	for i, p := range []Priority{PriorityLow, PriorityNormal, PriorityHigh} {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			if _, err := ep.InvokeContext(WithPriority(context.Background(), p), "mark", []byte(p.String())); err != nil {
+				t.Errorf("%v: %v", p, err)
+			}
+		}()
+		waitQueued(t, ep, i+1)
+	}
+	if got := ep.QueueDepth(); got != 3 {
+		t.Fatalf("QueueDepth() = %d with three callers waiting, want 3", got)
+	}
+	if got := m.Gauge(metrics.Label("faas_queue_depth", "ep", "plain")).Value(); got != 3 {
+		t.Fatalf("faas_queue_depth = %v, want 3", got)
+	}
+	close(gate)
+	done.Wait()
+	mu.Lock()
+	defer mu.Unlock()
+	if fmt.Sprint(order) != "[low normal high]" {
+		t.Fatalf("grant order = %v, want arrival order", order)
+	}
+	if got := ep.QueueDepth(); got != 0 {
+		t.Fatalf("QueueDepth() = %d after the drain", got)
+	}
+}
+
 // TestAdmissionElasticPool exercises the admitter's grow/shrink policy
 // directly: backlog grows the pool toward capacity, sustained idle
 // releases shrink it back to the floor.
 func TestAdmissionElasticPool(t *testing.T) {
-	a := newAdmitter(AdmissionConfig{MinSlots: 2, MaxQueue: 64}, 8)
+	a := newAdmitter(AdmissionConfig{Enabled: true, MinSlots: 2, MaxQueue: 64}, 8)
 	a.slots = 2 // pretend the pool already shrank to the floor
 
 	ctx := context.Background()
@@ -301,7 +356,7 @@ func TestAdmissionElasticPool(t *testing.T) {
 // TestAdmissionAIMDClampsQueue: sustained queue waits above the target
 // halve the effective queue bound; calm traffic grows it back.
 func TestAdmissionAIMDClampsQueue(t *testing.T) {
-	a := newAdmitter(AdmissionConfig{MaxQueue: 48, TargetQueueWait: 10 * time.Millisecond}, 4)
+	a := newAdmitter(AdmissionConfig{Enabled: true, MaxQueue: 48, TargetQueueWait: 10 * time.Millisecond}, 4)
 	for i := 0; i < aimdEvery; i++ {
 		a.observeWait(100 * time.Millisecond) // 10× over target
 	}
@@ -353,25 +408,40 @@ func TestCordonFinishesInFlight(t *testing.T) {
 	}
 }
 
-// TestAdmissionHammer is the -race gate for the admitter: a storm of
-// concurrent invocations across all three priority classes, with a
-// slice of callers abandoning via context, against a tiny endpoint.
-// Invariants: every call resolves exactly one way, nothing leaks (no
-// in-use slots or queued waiters remain), accepted work all completes,
-// and shedding is priority-ordered in aggregate (low sheds at least as
-// often as high).
+// TestAdmissionHammer is the -race gate for the admitter, run with
+// admission control on and as the plain gate: a storm of concurrent
+// invocations across all three priority classes, with a slice of
+// callers abandoning via context, against a tiny endpoint. Invariants:
+// every call resolves exactly one way, no more than Capacity handlers
+// ever run at once, nothing leaks (no in-use slots or queued waiters
+// remain), and accepted work all completes. With admission on, shedding
+// is priority-ordered in aggregate (low sheds at least as often as
+// high); the plain gate sheds nothing, since a QueueWait expiry there
+// is not a shed.
 func TestAdmissionHammer(t *testing.T) {
+	for _, enabled := range []bool{true, false} {
+		t.Run(fmt.Sprintf("enabled=%v", enabled), func(t *testing.T) { hammer(t, enabled) })
+	}
+}
+
+func hammer(t *testing.T, enabled bool) {
+	const capacity = 4
+	var running, peak atomic.Int64
 	reg := NewRegistry()
 	reg.Register("spin", func(p []byte) ([]byte, error) {
+		n := running.Add(1)
+		for m := peak.Load(); n > m && !peak.CompareAndSwap(m, n); m = peak.Load() {
+		}
 		time.Sleep(200 * time.Microsecond)
+		running.Add(-1)
 		return p, nil
 	})
 	ep := NewEndpoint(EndpointConfig{
 		Name:      "hammer",
-		Capacity:  4,
+		Capacity:  capacity,
 		QueueWait: 20 * time.Millisecond,
 		Admission: AdmissionConfig{
-			Enabled:         true,
+			Enabled:         enabled,
 			MaxQueue:        24,
 			TargetQueueWait: time.Millisecond,
 			MinSlots:        1,
@@ -392,7 +462,7 @@ func TestAdmissionHammer(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < perW; i++ {
 				p := Priority(rng.Intn(NumPriorities) - 1)
-				cls := classOf(p)
+				cls := p.Class()
 				ctx := WithPriority(context.Background(), p)
 				var cancel context.CancelFunc
 				if rng.Intn(10) == 0 {
@@ -438,14 +508,21 @@ func TestAdmissionHammer(t *testing.T) {
 	if ep.adm.inUseNow() != 0 {
 		t.Fatalf("leaked admitted slots: %d", ep.adm.inUseNow())
 	}
+	if p := peak.Load(); p > capacity {
+		t.Fatalf("%d handlers ran at once, capacity %d", p, capacity)
+	}
 	if completed == 0 {
 		t.Fatal("no call ever completed")
 	}
-	if sb := ep.ShedByPriority(); rejected > 0 && sb[0] < sb[2] {
+	sb := ep.ShedByPriority()
+	if enabled && rejected > 0 && sb[0] < sb[2] {
 		t.Fatalf("shed by priority = %v: low must shed at least as much as high", sb)
 	}
-	t.Logf("hammer: ok=%v shed=%v cancelled=%v slots=%d",
-		loads(&ok), loads(&shed), loads(&cancelled), ep.SlotLimit())
+	if !enabled && sb != [NumPriorities]int64{} {
+		t.Fatalf("plain gate counted sheds %v", sb)
+	}
+	t.Logf("hammer: ok=%v shed=%v cancelled=%v slots=%d peak=%d",
+		loads(&ok), loads(&shed), loads(&cancelled), ep.SlotLimit(), peak.Load())
 }
 
 func loads(a *[NumPriorities]atomic.Int64) [NumPriorities]int64 {
@@ -474,7 +551,7 @@ func TestPriorityContextRoundTrip(t *testing.T) {
 			t.Fatalf("round trip %v = %v", p, got)
 		}
 	}
-	if classOf(Priority(99)) != classOf(PriorityHigh) || classOf(Priority(-99)) != classOf(PriorityLow) {
+	if Priority(99).Class() != PriorityHigh.Class() || Priority(-99).Class() != PriorityLow.Class() {
 		t.Fatal("out-of-range priorities must clamp")
 	}
 	names := map[Priority]string{PriorityLow: "low", PriorityNormal: "normal", PriorityHigh: "high"}

@@ -36,9 +36,10 @@ var ErrClosed = errors.New("faas: endpoint closed")
 // cannot take the endpoint (or the daemon serving it) down.
 var ErrHandlerPanic = errors.New("faas: handler panicked")
 
-// ErrOverloaded marks an invocation rejected before any work started
-// (the capacity-slot wait exceeded QueueWait). Unlike an execution
-// timeout it is always safe to retry on another endpoint.
+// ErrOverloaded marks an invocation rejected before any work started:
+// shed by admission control, or its wait for a capacity slot exceeded
+// QueueWait. Unlike an execution timeout it is always safe to retry on
+// another endpoint.
 var ErrOverloaded = errors.New("faas: endpoint overloaded")
 
 // Registry maps function names to handlers. It is safe for concurrent use.
@@ -110,8 +111,8 @@ type EndpointConfig struct {
 	WarmTTL time.Duration
 
 	// QueueWait bounds how long an invocation may block waiting for a
-	// capacity slot before failing with a deadline error (0 = wait
-	// forever, subject to the caller's context).
+	// capacity slot before failing with an error wrapping ErrOverloaded
+	// (0 = wait forever, subject to the caller's context).
 	QueueWait time.Duration
 	// ExecTimeout bounds handler execution wall-clock time (0 =
 	// unbounded). A timed-out invocation returns an error wrapping
@@ -119,11 +120,11 @@ type EndpointConfig struct {
 	// slot until it actually returns (Go cannot kill a goroutine), so a
 	// stuck handler degrades capacity rather than corrupting state.
 	ExecTimeout time.Duration
-	// Admission enables overload control: a priority-classed, adaptively
-	// bounded wait queue with immediate load shedding and elastic slot
-	// sizing, replacing the plain fixed-slot semaphore (see
-	// AdmissionConfig). Disabled (the zero value), invocations block on
-	// a capacity slot exactly as before.
+	// Admission configures the endpoint's slot gate. Enabled, it is
+	// overload control: a priority-classed, adaptively bounded wait queue
+	// with immediate load shedding and elastic slot sizing (see
+	// AdmissionConfig). Disabled (the zero value), invocations wait for
+	// one of Capacity slots in one FIFO queue.
 	Admission AdmissionConfig
 
 	// PreemptAbandoned frees the capacity slot of a handler abandoned by
@@ -146,8 +147,7 @@ type Endpoint struct {
 	cfg EndpointConfig
 	reg *Registry
 
-	slots chan struct{} // capacity semaphore (unused when adm != nil)
-	adm   *admitter     // admission controller, nil unless cfg.Admission.Enabled
+	adm *admitter // the slot gate
 
 	// cordoned rejects new invocations (retryably) while letting
 	// in-flight work finish; see SetCordon.
@@ -156,9 +156,6 @@ type Endpoint struct {
 	mu     sync.Mutex
 	warm   map[string][]container // by value: a warm release allocates nothing
 	closed bool
-
-	// Running is the number of in-flight containers (approximate gauge).
-	running atomic.Int64
 
 	// Stats (atomic): cold starts, warm hits, completed invocations.
 	coldStarts  atomic.Int64
@@ -184,8 +181,8 @@ type epObserver struct {
 	queueWait *metrics.Histogram
 	inflight  *metrics.Gauge
 
-	// Admission-control instruments (always registered; only moved by
-	// endpoints with Admission enabled).
+	// Gate instruments: slots and queueDepth move on every endpoint,
+	// shed only on endpoints with Admission enabled.
 	shed       [NumPriorities]*metrics.Counter
 	slots      *metrics.Gauge
 	queueDepth *metrics.Gauge
@@ -242,16 +239,12 @@ func NewEndpoint(cfg EndpointConfig, reg *Registry) *Endpoint {
 	if cfg.Capacity <= 0 {
 		panic(fmt.Sprintf("faas: endpoint %q capacity %d <= 0", cfg.Name, cfg.Capacity))
 	}
-	ep := &Endpoint{
-		cfg:   cfg,
-		reg:   reg,
-		slots: make(chan struct{}, cfg.Capacity),
-		warm:  make(map[string][]container),
+	return &Endpoint{
+		cfg:  cfg,
+		reg:  reg,
+		adm:  newAdmitter(cfg.Admission, cfg.Capacity),
+		warm: make(map[string][]container),
 	}
-	if cfg.Admission.Enabled {
-		ep.adm = newAdmitter(cfg.Admission, cfg.Capacity)
-	}
-	return ep
 }
 
 // SetMetrics attaches a shared metrics registry. From then on every
@@ -267,22 +260,19 @@ func NewEndpoint(cfg EndpointConfig, reg *Registry) *Endpoint {
 //	faas_preempted_total{ep,fn}          cancelled invocations whose slot
 //	                                     was freed early (PreemptAbandoned)
 //	faas_inflight{ep}                    invocations currently in the endpoint
+//	faas_slots{ep}                       the gate's concurrency limit
+//	faas_queue_depth{ep}                 invocations waiting for a slot
+//	faas_shed_total{ep,prio}             invocations shed by admission control
 //
 // Call before serving traffic: SetMetrics is not synchronized against
 // in-flight invocations. A nil-registry endpoint records nothing and
 // pays nothing.
 func (ep *Endpoint) SetMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		ep.obs = nil
-		if ep.adm != nil {
-			ep.adm.obs = nil
-		}
-		return
+	ep.obs = nil
+	if reg != nil {
+		ep.obs = newEpObserver(reg, ep.cfg.Name)
 	}
-	ep.obs = newEpObserver(reg, ep.cfg.Name)
-	if ep.adm != nil {
-		ep.adm.obs = ep.obs
-	}
+	ep.adm.obs = ep.obs
 }
 
 // SetSpans attaches a span store: every invocation arriving under a
@@ -301,8 +291,13 @@ func (ep *Endpoint) SetSpans(store *trace.SpanStore) {
 // Name returns the endpoint name.
 func (ep *Endpoint) Name() string { return ep.cfg.Name }
 
-// Running returns the in-flight container count.
-func (ep *Endpoint) Running() int64 { return ep.running.Load() }
+// Running returns the number of slots in use: invocations running or
+// just granted a slot, and abandoned handlers that have not returned.
+func (ep *Endpoint) Running() int64 {
+	ep.adm.mu.Lock()
+	defer ep.adm.mu.Unlock()
+	return int64(ep.adm.inUse)
+}
 
 // Capacity returns the concurrency limit.
 func (ep *Endpoint) Capacity() int { return ep.cfg.Capacity }
@@ -316,31 +311,20 @@ func (ep *Endpoint) WarmHits() int64 { return ep.warmHits.Load() }
 // Invocations returns completed invocation count.
 func (ep *Endpoint) Invocations() int64 { return ep.invocations.Load() }
 
-// ShedByPriority returns shed counts indexed low, normal, high.
+// ShedByPriority returns shed counts indexed low, normal, high (all
+// zero without Admission enabled).
 func (ep *Endpoint) ShedByPriority() [NumPriorities]int64 {
-	if ep.adm == nil {
-		return [NumPriorities]int64{}
-	}
-	return ep.adm.ShedByPriority()
+	ep.adm.mu.Lock()
+	defer ep.adm.mu.Unlock()
+	return ep.adm.shed
 }
 
-// SlotLimit returns the current elastic concurrency limit (Capacity
-// without Admission enabled).
-func (ep *Endpoint) SlotLimit() int {
-	if ep.adm == nil {
-		return ep.cfg.Capacity
-	}
-	return ep.adm.SlotLimit()
-}
+// SlotLimit returns the current concurrency limit (Capacity without
+// Admission enabled).
+func (ep *Endpoint) SlotLimit() int { return ep.adm.SlotLimit() }
 
-// QueueDepth returns the number of invocations waiting for admission
-// (0 without Admission enabled — channel waiters are not observable).
-func (ep *Endpoint) QueueDepth() int {
-	if ep.adm == nil {
-		return 0
-	}
-	return ep.adm.QueueDepth()
-}
+// QueueDepth returns the number of invocations waiting for a slot.
+func (ep *Endpoint) QueueDepth() int { return ep.adm.QueueDepth() }
 
 // SetCordon marks the endpoint cordoned (true) or schedulable again
 // (false). A cordoned endpoint finishes its in-flight invocations but
@@ -412,6 +396,12 @@ func (ep *Endpoint) InvokeContext(ctx context.Context, fn string, payload []byte
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownFunction, fn)
 	}
+	return ep.invoke(ctx, fn, h, payload, 1)
+}
+
+// invoke runs h on payload as one unit of work: one slot from the gate,
+// one container, one latency sample, counted as n invocations.
+func (ep *Endpoint) invoke(ctx context.Context, fn string, h Handler, payload []byte, n int64) ([]byte, error) {
 	tc, traced := trace.ContextSpan(ctx)
 	if ep.spans == nil {
 		traced = false
@@ -429,7 +419,20 @@ func (ep *Endpoint) InvokeContext(ctx context.Context, fn string, payload []byte
 	if traced {
 		qsp = ep.spans.StartSpan(tc, ep.cfg.Name, "queue "+fn, trace.KindQueue)
 	}
-	if err := ep.acquireSlot(ctx, fn); err != nil {
+	// The slot wait is bounded by ctx and QueueWait. A caller-context
+	// expiry wraps the context sentinel; a QueueWait expiry or a shed
+	// wraps ErrOverloaded (and only that — overload is the server's
+	// verdict, not the caller's deadline).
+	var err error
+	switch {
+	case ctx.Err() != nil:
+		err = fmt.Errorf("faas: %q queue wait: %w", fn, ctx.Err())
+	case ep.cordoned.Load():
+		err = fmt.Errorf("%w: %q", ErrCordoned, fn)
+	default:
+		err = ep.adm.acquire(ctx, fn, PriorityFromContext(ctx), ep.cfg.QueueWait)
+	}
+	if err != nil {
 		qsp.SetErr(err)
 		qsp.End()
 		return nil, err
@@ -438,7 +441,6 @@ func (ep *Endpoint) InvokeContext(ctx context.Context, fn string, payload []byte
 	if obs != nil {
 		obs.queueWait.Add(time.Since(entered).Seconds())
 	}
-	ep.running.Add(1)
 
 	var xsp *trace.ActiveSpan
 	if traced {
@@ -446,7 +448,7 @@ func (ep *Endpoint) InvokeContext(ctx context.Context, fn string, payload []byte
 	}
 	warm, err := ep.acquire(fn)
 	if err != nil {
-		ep.releaseSlot()
+		ep.adm.release()
 		xsp.SetErr(err)
 		xsp.End()
 		return nil, err
@@ -473,20 +475,18 @@ func (ep *Endpoint) InvokeContext(ctx context.Context, fn string, payload []byte
 			switch {
 			case errors.Is(err, ErrHandlerPanic):
 				xsp.SetAttr("panic", "true")
+			case errors.Is(err, context.Canceled) && ep.cfg.PreemptAbandoned:
+				xsp.SetAttr("preempted", "true")
 			case errors.Is(err, context.Canceled):
-				if ep.cfg.PreemptAbandoned {
-					xsp.SetAttr("preempted", "true")
-				} else {
-					xsp.SetAttr("cancelled", "true")
-				}
+				xsp.SetAttr("cancelled", "true")
 			}
 			xsp.SetErr(err)
 		}
 		xsp.End()
 	}
-	ep.invocations.Add(1)
+	ep.invocations.Add(n)
 	if fm != nil {
-		fm.invocations.Inc()
+		fm.invocations.Add(n)
 		if traced {
 			// The exemplar links this bucket of the latency histogram to
 			// the most recent trace that landed in it.
@@ -496,53 +496,6 @@ func (ep *Endpoint) InvokeContext(ctx context.Context, fn string, payload []byte
 		}
 	}
 	return out, err
-}
-
-// acquireSlot blocks for a capacity slot, bounded by ctx and the
-// configured QueueWait. A caller-context expiry surfaces as an error
-// wrapping the context sentinel; a QueueWait expiry surfaces as
-// ErrOverloaded (and only that — overload is the server's verdict, not
-// the caller's deadline). With Admission enabled the wait goes through
-// the admission controller instead: priority-classed bounded queuing
-// with immediate shedding.
-func (ep *Endpoint) acquireSlot(ctx context.Context, fn string) error {
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("faas: %q queue wait: %w", fn, err)
-	}
-	if ep.cordoned.Load() {
-		return fmt.Errorf("%w: %q", ErrCordoned, fn)
-	}
-	if ep.adm != nil {
-		return ep.adm.acquire(ctx, fn, PriorityFromContext(ctx), ep.cfg.QueueWait)
-	}
-	var timeout <-chan time.Time
-	if ep.cfg.QueueWait > 0 {
-		t := time.NewTimer(ep.cfg.QueueWait)
-		defer t.Stop()
-		timeout = t.C
-	}
-	select {
-	case ep.slots <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("faas: %q queue wait: %w", fn, ctx.Err())
-	case <-timeout:
-		// Deliberately NOT wrapped with context.DeadlineExceeded: callers
-		// classify their own deadline via errors.Is(err, DeadlineExceeded)
-		// and server-side overload via errors.Is(err, ErrOverloaded);
-		// wrapping both here made the two indistinguishable.
-		return fmt.Errorf("%w: %q queue wait exceeded %v", ErrOverloaded, fn, ep.cfg.QueueWait)
-	}
-}
-
-// releaseSlot undoes acquireSlot plus the running count.
-func (ep *Endpoint) releaseSlot() {
-	ep.running.Add(-1)
-	if ep.adm != nil {
-		ep.adm.release()
-		return
-	}
-	<-ep.slots
 }
 
 // safeCall runs the handler with panic containment: a panicking handler
@@ -574,12 +527,12 @@ func (ep *Endpoint) execute(ctx context.Context, fn string, h Handler, payload [
 	if ctx.Done() == nil && ep.cfg.ExecTimeout <= 0 {
 		out, err := ep.safeCall(fn, h, payload)
 		ep.release(fn)
-		ep.releaseSlot()
+		ep.adm.release()
 		return out, err
 	}
 	finish := func() { // only here: the goroutine captures it, so it escapes to the heap
 		ep.release(fn)
-		ep.releaseSlot()
+		ep.adm.release()
 	}
 	var timeout <-chan time.Time
 	if ep.cfg.ExecTimeout > 0 {
@@ -625,7 +578,7 @@ func (ep *Endpoint) execute(ctx context.Context, fn string, h Handler, payload [
 			if obs := ep.obs; obs != nil {
 				obs.fn(fn).preempted.Inc()
 			}
-			ep.releaseSlot()
+			ep.adm.release()
 		}
 		return nil, cause
 	}
@@ -642,69 +595,36 @@ func (ep *Endpoint) execute(ctx context.Context, fn string, h Handler, payload [
 	}
 }
 
-// InvokeBatch executes multiple payloads of the same function under a
-// single container acquisition, amortizing the cold start across the
-// batch. Results align with payloads; the first handler error is returned
-// after all payloads run.
+// InvokeBatch executes multiple payloads of the same function as one
+// invocation: one slot, one container (so at most one cold start) and
+// one latency sample for the whole batch, which ExecTimeout bounds as a
+// whole; each payload counts as one invocation. Results align with
+// payloads; the first handler error is returned after all payloads run.
+// A batch abandoned at ExecTimeout returns no results, since its handler
+// may still be writing them.
 func (ep *Endpoint) InvokeBatch(fn string, payloads [][]byte) ([][]byte, error) {
 	h, ok := ep.reg.Lookup(fn)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownFunction, fn)
 	}
-	obs := ep.obs
-	var fm *fnMetrics
-	var entered time.Time
-	if obs != nil {
-		fm = obs.fn(fn)
-		entered = time.Now()
-		obs.inflight.Add(1)
-		defer obs.inflight.Add(-1)
+	done := make(chan [][]byte, 1) // the results, sent once all are written
+	batch := func([]byte) ([]byte, error) {
+		outs := make([][]byte, len(payloads))
+		var firstErr error
+		for i, p := range payloads {
+			var err error
+			if outs[i], err = ep.safeCall(fn, h, p); err != nil && firstErr == nil {
+				firstErr = err
+			}
+		}
+		done <- outs
+		return nil, firstErr
 	}
-	if err := ep.acquireSlot(context.Background(), fn); err != nil {
+	_, err := ep.invoke(context.Background(), fn, batch, nil, int64(len(payloads)))
+	select {
+	case outs := <-done:
+		return outs, err
+	default: // never ran, or abandoned while running
 		return nil, err
 	}
-	if obs != nil {
-		obs.queueWait.Add(time.Since(entered).Seconds())
-	}
-	ep.running.Add(1)
-	defer ep.releaseSlot()
-
-	warm, err := ep.acquire(fn)
-	if err != nil {
-		return nil, err
-	}
-	if warm {
-		ep.warmHits.Add(1)
-		if fm != nil {
-			fm.warm.Inc()
-		}
-	} else {
-		ep.coldStarts.Add(1)
-		if fm != nil {
-			fm.cold.Inc()
-		}
-		if ep.cfg.ColdStart > 0 {
-			time.Sleep(ep.cfg.ColdStart)
-		}
-	}
-	out := make([][]byte, len(payloads))
-	var firstErr error
-	for i, p := range payloads {
-		v, err := ep.safeCall(fn, h, p)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		out[i] = v
-		ep.invocations.Add(1)
-		if fm != nil {
-			fm.invocations.Inc()
-		}
-	}
-	ep.release(fn)
-	if fm != nil {
-		// One latency sample for the whole batch: the batch is the unit
-		// that paid the (single) cold start and queue wait.
-		fm.latency.Add(time.Since(entered).Seconds())
-	}
-	return out, firstErr
 }

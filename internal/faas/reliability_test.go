@@ -158,6 +158,38 @@ func TestExecTimeout(t *testing.T) {
 	}
 }
 
+// TestBatchExecTimeout: ExecTimeout bounds a batch as a whole. The
+// caller gets a deadline error and no results slice, which the
+// abandoned handler is still writing (run under -race), and the slot
+// comes back once the handler returns.
+func TestBatchExecTimeout(t *testing.T) {
+	release := make(chan struct{})
+	reg := NewRegistry()
+	reg.Register("wedge", func(p []byte) ([]byte, error) {
+		<-release
+		return p, nil
+	})
+	ep := NewEndpoint(EndpointConfig{Name: "batch", Capacity: 1, ExecTimeout: 10 * time.Millisecond}, reg)
+	outs, err := ep.InvokeBatch("wedge", [][]byte{[]byte("a"), []byte("b")})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want deadline exceeded", err)
+	}
+	if outs != nil {
+		t.Fatalf("abandoned batch returned %q", outs)
+	}
+	close(release)
+	deadline := time.Now().Add(2 * time.Second)
+	for ep.Running() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the abandoned batch never gave its slot back")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if outs, err := ep.InvokeBatch("wedge", [][]byte{[]byte("c")}); err != nil || string(outs[0]) != "c" {
+		t.Fatalf("batch after recovery = %q, %v", outs, err)
+	}
+}
+
 func TestExecContextCancel(t *testing.T) {
 	ep, _ := panicEndpoint(t, EndpointConfig{Capacity: 1})
 	ctx, cancel := context.WithCancel(context.Background())

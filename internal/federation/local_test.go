@@ -41,6 +41,38 @@ func TestLocalLeastLoaded(t *testing.T) {
 	<-done
 }
 
+// TestLocalSeesWaiters: two full endpoints without admission control,
+// where only a has callers waiting for a slot. Their waiters are a's
+// backlog, so Local sends the next call to b.
+func TestLocalSeesWaiters(t *testing.T) {
+	reg := faas.NewRegistry()
+	block := make(chan struct{})
+	reg.Register("block", func([]byte) ([]byte, error) { <-block; return nil, nil })
+	a := faas.NewEndpoint(faas.EndpointConfig{Name: "a", Capacity: 1}, reg)
+	b := faas.NewEndpoint(faas.EndpointConfig{Name: "b", Capacity: 1}, reg)
+	var wg sync.WaitGroup
+	for _, ep := range []*faas.Endpoint{a, a, a, b} { // a: one running, two waiting
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ep.Invoke("block", nil)
+		}()
+	}
+	// Two seconds is ample for the four callers to arrive; past it, the
+	// pick below reports what it saw.
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if a.Running() == 1 && b.Running() == 1 && a.QueueDepth() == 2 {
+			break
+		}
+	}
+	if got := (Local{a, b}).pick(); got != b {
+		t.Fatalf("Local picked %s (a: %d running, %d waiting; b: %d running)",
+			got.Name(), a.Running(), a.QueueDepth(), b.Running())
+	}
+	close(block)
+	wg.Wait()
+}
+
 // TestLocalConcurrentMixedWorkload: 200 concurrent calls through Local,
 // one at a time and batched, all succeed and each runs exactly once.
 func TestLocalConcurrentMixedWorkload(t *testing.T) {

@@ -310,10 +310,7 @@ func (p *Plan) RunLive(opts LiveOptions) (*Report, error) {
 		// The origin's scripted priority rides every request's context, so
 		// it crosses the wire to the fleet's admission controllers exactly
 		// as a real client's would.
-		ctx := context.Background()
-		if prio := faas.Priority(s.Stream.Priorities[origin]); prio != faas.PriorityNormal {
-			ctx = faas.WithPriority(ctx, prio)
-		}
+		ctx := faas.WithPriority(context.Background(), faas.Priority(s.Stream.Priorities[origin]))
 		gens.Add(1)
 		go func(ln *liveNode, rng *workload.RNG, ctx context.Context) {
 			defer gens.Done()

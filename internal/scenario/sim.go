@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"continuum/internal/core"
+	"continuum/internal/faas"
 	"continuum/internal/fault"
 	"continuum/internal/netsim"
 	"continuum/internal/node"
@@ -352,7 +353,7 @@ func (p *Plan) runStream(c *core.Continuum, byName map[string]*node.Node, work [
 				},
 				Origin:   byName[origins[i]].ID,
 				Submit:   t,
-				Priority: s.Stream.Priorities[origins[i]],
+				Priority: faas.Priority(s.Stream.Priorities[origins[i]]),
 			})
 		})
 		perOrigin[i] = out

@@ -32,7 +32,7 @@ type MemberInfo struct {
 	// is detected and rejected instead of corrupting the new state.
 	Generation int64 `json:"gen,omitempty"`
 
-	// QueueDepth is the number of invocations waiting for admission at
+	// QueueDepth is the number of invocations waiting for a slot at
 	// heartbeat time.
 	QueueDepth int `json:"queue,omitempty"`
 	// InFlight is the number of invocations currently executing.
