@@ -34,11 +34,16 @@ spec-smoke:
 
 # Overload smoke under the race detector: a 10x flash crowd against an
 # admission-controlled endpoint must lose no accepted request, shed
-# fail-fast with Retry-After, and keep high-priority p99 bounded; and
-# under a sustained crowd admission-on goodput must be at least 2x
-# admission-off (also part of `make check`).
+# fail-fast with Retry-After, and keep high-priority p99 bounded; under
+# a sustained crowd admission-on goodput must be at least 2x
+# admission-off; the admission gate's core must match its reference
+# model over seeded random sequences; and the simulator, which drives
+# the same core, must queue, shed lowest class first and release on
+# completion or loss (also part of `make check`).
 overload-smoke:
 	go test -race -count=1 -run 'TestE2EOverload|TestE2EAdmissionGoodput' .
+	go test -race -count=1 -run 'TestGateMatchesModel' ./internal/faas
+	go test -race -count=1 -run 'TestAdmission|TestSimAdmissionSheds' ./internal/core ./internal/scenario
 
 # Scenario smoke: validate the shipped scenario library, then run one
 # scenario on both backends — simulator and live in-process fleet — under

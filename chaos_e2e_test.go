@@ -45,6 +45,7 @@ func liveEndpoint(t *testing.T, name string, chaos *fault.Chaos) (*wire.Server, 
 // ReliableClient still completes 100% of invocations, with the breaker
 // transitions visible in the Prometheus exposition a daemon would serve.
 func TestE2EChaosNoRequestLost(t *testing.T) {
+	checkGoroutines(t)
 	chaos := fault.NewChaos(fault.ChaosSpec{DropProb: 0.15, ErrProb: 0.25, Seed: 42})
 	_, chaoticAddr := liveEndpoint(t, "chaotic", chaos)
 	victim, victimAddr := liveEndpoint(t, "victim", nil)
@@ -155,6 +156,7 @@ func slowableEndpoint(t *testing.T, name string, delay func() time.Duration) str
 // duplicated one would surface as a mismatched echo; a hedge arm misreported
 // to a breaker would surface as a trip on a healthy endpoint.
 func TestE2EChaosHedgedNoRequestLost(t *testing.T) {
+	checkGoroutines(t)
 	var n int64
 	var mu sync.Mutex
 	straggle := func() time.Duration {

@@ -21,6 +21,7 @@ import (
 // clock) both cut off an overrunning task, attribute the miss, and keep
 // serving afterwards.
 func TestDeadlineParitySimAndLive(t *testing.T) {
+	checkGoroutines(t)
 	// Simulated: a ~0.1s task against a 1ms deadline misses every
 	// attempt; the trace attributes each miss to the task.
 	c := core.New()

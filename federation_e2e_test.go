@@ -78,6 +78,7 @@ func memberStates(t *testing.T, c *wire.Client, deadline time.Duration, ok func(
 // every accepted invocation — and the membership table the endpoints op
 // serves tracks both departures on the heartbeat schedule.
 func TestE2EFederationChurnNoRequestLost(t *testing.T) {
+	checkGoroutines(t)
 	const interval = 50 * time.Millisecond
 	m := metrics.NewRegistry()
 	rt, err := federation.NewRouter(federation.RouterConfig{

@@ -18,6 +18,7 @@ import (
 // TestIntegrationScenarioDeterminism runs the same JSON scenario twice and
 // requires bit-identical reports — the end-to-end reproducibility claim.
 func TestIntegrationScenarioDeterminism(t *testing.T) {
+	checkGoroutines(t)
 	run := func() *scenario.Report {
 		s := scenario.Example()
 		s.Stream.Horizon = 10
@@ -37,6 +38,7 @@ func TestIntegrationScenarioDeterminism(t *testing.T) {
 // TestIntegrationTracedWorkflow runs a HEFT-scheduled Montage DAG with
 // tracing and checks the trace is consistent with the stats.
 func TestIntegrationTracedWorkflow(t *testing.T) {
+	checkGoroutines(t)
 	c := core.New()
 	nodeCatalogPair(c)
 	tr := trace.New(0)
@@ -73,6 +75,7 @@ func nodeCatalogPair(c *core.Continuum) []int {
 // TestIntegrationFabricWorkflow stages external inputs through the data
 // fabric during DAG execution and verifies caching kicked in.
 func TestIntegrationFabricWorkflow(t *testing.T) {
+	checkGoroutines(t)
 	c := core.New()
 	ids := nodeCatalogPair(c)
 	c.Fabric = data.NewFabric(c.Net, workload.NewRNG(2))
@@ -119,6 +122,7 @@ func TestIntegrationFabricWorkflow(t *testing.T) {
 // learning policy: the adaptive router must keep succeeding while the
 // flaky node misbehaves.
 func TestIntegrationFaultsPlusAdaptive(t *testing.T) {
+	checkGoroutines(t)
 	c := core.New()
 	ids := nodeCatalogPair(c)
 	inj := fault.NewInjector(c.K, workload.NewRNG(3), 1e4)

@@ -1,8 +1,9 @@
 package core
 
-// Tests for the engine's admission control (ReliableOptions.Admission,
-// which sheds at faas.ClassLimit) and the cordon hook — the simulator
-// halves of the live path's faas admitter and faas.Endpoint.SetCordon.
+// Tests for the engine's admission gate (ReliableOptions.Admission, the
+// live endpoint's faas.Gate in kernel time) and the cordon hook — the
+// simulator halves of the live path's faas admitter and
+// faas.Endpoint.SetCordon.
 
 import (
 	"testing"
@@ -15,8 +16,8 @@ import (
 
 // priorityJobs submits count interleaved low/normal/high triples at the
 // same instant, so the admission decision is purely about watermarks,
-// not timing: as the bound fills, low hits its watermark first while
-// high keeps being admitted.
+// not timing: as the gate's queue fills, low hits its watermark first
+// while high keeps being queued.
 func priorityJobs(c *Continuum, count int) []StreamJob {
 	var jobs []StreamJob
 	for i := 0; i < count; i++ {
@@ -32,16 +33,18 @@ func priorityJobs(c *Continuum, count int) []StreamJob {
 	return jobs
 }
 
-// TestAdmissionShedsLowestFirst: with a burst far over the outstanding
-// bound, the low class must shed the most and the high class the least
-// (graduated watermarks), every shed job must be accounted, and nothing
-// may be lost — shedding happens before any work starts.
+// TestAdmissionShedsLowestFirst: with a burst far over the gate's
+// capacity and queue bound, the low class must shed the most and the
+// high class the least (graduated watermarks), every shed job must be
+// accounted, and nothing may be lost — shedding happens before any work
+// starts.
 func TestAdmissionShedsLowestFirst(t *testing.T) {
 	c := miniContinuum()
-	st := c.RunStreamReliable(placement.GreedyLatency{}, priorityJobs(c, 12), nil,
-		ReliableOptions{Admission: AdmissionOptions{MaxOutstanding: 9}})
+	const triples = 30
+	st := c.RunStreamReliable(placement.GreedyLatency{}, priorityJobs(c, triples), nil,
+		ReliableOptions{Admission: 9})
 
-	total := int64(3 * 12)
+	total := int64(3 * triples)
 	if st.Completed+st.Shed != total {
 		t.Fatalf("accounting: %d completed + %d shed != %d", st.Completed, st.Shed, total)
 	}
@@ -55,14 +58,60 @@ func TestAdmissionShedsLowestFirst(t *testing.T) {
 	if sum != st.Shed {
 		t.Fatalf("ShedByClass %v does not sum to Shed %d", st.ShedByClass, st.Shed)
 	}
-	// Graduated watermarks with interleaved triples against a bound of 9
-	// (limits 3/6/9): low stops at 1 admitted, normal at 3, high at 5 —
-	// so shed counts are strictly lowest-first.
+	// The gate admits 9 and queues up to 36 (4 × capacity), with class
+	// limits 12/24/36 on the queue: low stops queueing at 12 waiters,
+	// normal at 24 and then evicts queued low jobs, high evicts whatever
+	// is lower — so shed counts are strictly lowest-first.
 	if st.ShedByClass[0] <= st.ShedByClass[1] || st.ShedByClass[1] <= st.ShedByClass[2] {
 		t.Fatalf("shedding not lowest-first: %v", st.ShedByClass)
 	}
-	if st.ShedByClass[2] == int64(12) {
+	if st.ShedByClass[2] == triples {
 		t.Fatalf("high class fully shed: %v", st.ShedByClass)
+	}
+}
+
+// TestAdmissionQueuesBurstOverCapacity: a burst over the gate's
+// capacity but inside its queue bound waits for slots instead of
+// shedding — 3 slots, 6 queued of a normal-class limit of 8 — and every
+// queued job starts once a completion frees its slot.
+func TestAdmissionQueuesBurstOverCapacity(t *testing.T) {
+	c := miniContinuum()
+	st := c.RunStreamReliable(placement.GreedyLatency{}, reliableJobs(c, 9, 0), nil,
+		ReliableOptions{Admission: 3})
+	if st.Shed != 0 || st.Completed != 9 || st.Lost != 0 {
+		t.Fatalf("burst of 9 at capacity 3: %d completed, %d shed, %d lost; want 9/0/0",
+			st.Completed, st.Shed, st.Lost)
+	}
+}
+
+// TestAdmissionEvictsLowerClass: a higher-class arrival at its class's
+// full share of the queue evicts a queued lower-class job, which counts
+// as shed in its own class. Capacity 3 gives a queue bound of 12: low
+// may fill 4 places, normal 8.
+func TestAdmissionEvictsLowerClass(t *testing.T) {
+	c := miniContinuum()
+	var jobs []StreamJob
+	for _, p := range []struct {
+		prio faas.Priority
+		n    int
+	}{
+		{faas.PriorityNormal, 3}, // admitted: every slot is busy
+		{faas.PriorityLow, 4},    // queued: low's share is full
+		{faas.PriorityNormal, 5}, // 4 queue; the 5th finds normal's share full
+	} {
+		for i := 0; i < p.n; i++ {
+			jobs = append(jobs, StreamJob{
+				Task:   &task.Task{Name: "t", ScalarWork: 2.5e8, OutputBytes: 100},
+				Origin: c.Nodes[0].ID, Priority: p.prio,
+			})
+		}
+	}
+	st := c.RunStreamReliable(placement.GreedyLatency{}, jobs, nil, ReliableOptions{Admission: 3})
+	if st.ShedByClass != [faas.NumPriorities]int64{1, 0, 0} || st.Shed != 1 {
+		t.Fatalf("ShedByClass = %v (Shed %d), want the one evicted low job", st.ShedByClass, st.Shed)
+	}
+	if st.Completed != 11 || st.Lost != 0 {
+		t.Fatalf("%d completed, %d lost; want 11 and 0", st.Completed, st.Lost)
 	}
 }
 
@@ -72,12 +121,26 @@ func TestAdmissionShedsLowestFirst(t *testing.T) {
 func TestAdmissionReleasesOnCompletion(t *testing.T) {
 	c := miniContinuum()
 	st := c.RunStreamReliable(placement.GreedyLatency{}, reliableJobs(c, 10, 5.0), nil,
-		ReliableOptions{Admission: AdmissionOptions{MaxOutstanding: 3}})
+		ReliableOptions{Admission: 3})
 	if st.Shed != 0 {
 		t.Fatalf("spaced jobs shed %d times; admission slots leaked", st.Shed)
 	}
 	if st.Completed != 10 {
 		t.Fatalf("Completed = %d, want 10", st.Completed)
+	}
+}
+
+// TestAdmissionReleasesOnLoss: a lost job frees its slot too. With one
+// slot and every node cordoned, the burst's first job holds the slot
+// through its retry and is lost; the two queued behind it then start in
+// turn and are lost the same way.
+func TestAdmissionReleasesOnLoss(t *testing.T) {
+	c := miniContinuum()
+	st := c.RunStreamReliable(placement.GreedyLatency{}, reliableJobs(c, 3, 0), nil,
+		ReliableOptions{Admission: 1, MaxRetries: 1, Cordoned: func(*node.Node) bool { return true }})
+	if st.Lost != 3 || st.Retries != 3 || st.Shed != 0 {
+		t.Fatalf("Lost/Retries/Shed = %d/%d/%d; want every queued job started and lost (3/3/0)",
+			st.Lost, st.Retries, st.Shed)
 	}
 }
 

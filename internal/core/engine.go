@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"continuum/internal/data"
 	"continuum/internal/faas"
@@ -10,6 +11,7 @@ import (
 	"continuum/internal/netsim"
 	"continuum/internal/node"
 	"continuum/internal/placement"
+	"continuum/internal/retry"
 	"continuum/internal/sim"
 	"continuum/internal/task"
 	"continuum/internal/trace"
@@ -400,15 +402,15 @@ func (e *engine) speculate(mk func(n *node.Node, attempt int) unit, primary *nod
 }
 
 // hedgeDelay is how long an attempt may be in flight before a backup
-// launches: the observed latency quantile once enough samples exist,
-// else Multiple × the primary node's expected execution time.
+// launches: the live client's rule over the observed latency once it
+// engages, else Multiple × the primary node's expected execution time.
 func (e *engine) hedgeDelay(u unit) (float64, bool) {
 	s := e.opts.Speculate
 	if !s.enabled() {
 		return 0, false
 	}
-	if s.Quantile > 0 && e.st.Latency.Count() >= int64(s.minSamples()) {
-		if d := e.st.Latency.Quantile(s.Quantile); d > 0 {
+	if s.Quantile > 0 {
+		if d, ok := retry.HedgeDelay(e.st.Latency, s.Quantile); ok {
 			return d, true
 		}
 	}
@@ -455,13 +457,25 @@ func (c *Continuum) runStream(pol placement.Policy, jobs []StreamJob, candidates
 	var primary *node.Node
 	backupEnv := env.Restrict(func(n *node.Node) bool { return n != primary })
 
-	// outstanding counts jobs admitted at submit time and not yet
-	// completed or lost; admission control sheds against it. The kernel
-	// is single-threaded, so a plain counter suffices.
-	outstanding := 0
-	release := func() { outstanding-- }
-
+	// gate is the live endpoint's admission gate in kernel time. A job
+	// holds a slot from admission until it completes or is lost; release
+	// hands the slot to the next queued job, which starts then.
+	var gate *faas.Gate[StreamJob]
+	if opts.Admission > 0 {
+		gate = faas.NewGate[StreamJob](faas.AdmissionConfig{Enabled: true}, opts.Admission)
+	}
 	var attempt func(j StreamJob, retriesLeft int, seq *int)
+	release := func() {
+		if gate == nil {
+			return
+		}
+		if w := gate.Release(); w != nil {
+			// The job queued on arrival, at its submit time.
+			gate.Observe(time.Duration((c.K.Now() - w.Val.Submit) * float64(time.Second)))
+			attempt(w.Val, opts.MaxRetries, new(int))
+		}
+	}
+
 	// retry re-dispatches j after the backoff, or counts it lost. The
 	// re-dispatch closure is built only when a retry actually happens.
 	retry := func(j StreamJob, retriesLeft int, seq *int) {
@@ -515,23 +529,24 @@ func (c *Continuum) runStream(pol placement.Policy, jobs []StreamJob, candidates
 				e.st.Suppressed++
 				return
 			}
-			// Admission: shed at submit time when the job's class watermark
-			// is full — the live admitter's watermark (there is no wait
-			// queue to evict from here).
-			if opts.Admission.enabled() {
-				cls := j.Priority.Class()
-				if outstanding >= faas.ClassLimit(opts.Admission.MaxOutstanding, cls) {
-					e.st.Shed++
-					e.st.ShedByClass[cls]++
+			// A queued job starts from release; a shed or evicted one
+			// never starts, and the gate counts it.
+			if gate != nil {
+				if admitted, _, _ := gate.Arrive(j.Priority, j); !admitted {
 					return
 				}
 			}
-			outstanding++
 			attempt(j, opts.MaxRetries, new(int))
 		})
 	}
 	c.K.Run()
 	e.st.Joules = c.TotalJoules()
+	if gate != nil {
+		e.st.ShedByClass = gate.Shed()
+		for _, n := range e.st.ShedByClass {
+			e.st.Shed += n
+		}
+	}
 	return e.st
 }
 

@@ -46,13 +46,12 @@ type ReliableOptions struct {
 	// a failed gateway generates no traffic — matching the live runner,
 	// which pauses a failed node's request generator. Nil submits all.
 	DropSubmit func(origin int) bool
-	// Admission, when enabled, bounds how many stream jobs may be
-	// outstanding (admitted, not yet completed or lost) with the live
-	// admitter's graduated per-priority watermarks (faas.ClassLimit):
-	// low-priority jobs shed first as the bound fills, so overload
-	// experiments compare across backends. The zero value admits
-	// everything.
-	Admission AdmissionOptions
+	// Admission, when > 0, is the capacity of the live endpoint's gate
+	// (faas.Gate, faas.AdmissionConfig{Enabled: true} defaults), which
+	// stream jobs pass at submit time in kernel time. Over capacity a job
+	// queues until a completion or a loss frees a slot; past its class's
+	// share of the queue it sheds, lowest class first. 0 means no gate.
+	Admission int
 	// Cordoned, when set, is consulted wherever candidates are chosen:
 	// a cordoned node receives no NEW work (placement, retries, and
 	// speculative backups all skip it) but work already dispatched to it
@@ -63,21 +62,6 @@ type ReliableOptions struct {
 	Cordoned func(n *node.Node) bool
 }
 
-// AdmissionOptions is the engine's admission control. Unlike the live
-// admitter there is no wait queue to evict from — the simulated decision
-// happens once, at submit time — so the model is the graduated watermark
-// alone: a job of class c is shed when outstanding work has already
-// consumed faas.ClassLimit(MaxOutstanding, c).
-type AdmissionOptions struct {
-	// MaxOutstanding is the bound on admitted-but-unfinished stream
-	// jobs: low sheds beyond 1/3 of it, normal beyond 2/3, high only at
-	// the full bound. <= 0 disables admission control.
-	MaxOutstanding int
-}
-
-// enabled reports whether admission control is configured.
-func (a AdmissionOptions) enabled() bool { return a.MaxOutstanding > 0 }
-
 // SpeculateOptions configures speculative (hedged) execution. A backup
 // replica launches once an attempt has been in flight longer than the
 // hedge delay; whichever replica delivers first wins, and the loser's
@@ -87,29 +71,19 @@ func (a AdmissionOptions) enabled() bool { return a.MaxOutstanding > 0 }
 type SpeculateOptions struct {
 	// Quantile, when > 0, derives the hedge delay from the observed
 	// latency distribution: a backup launches once an attempt exceeds
-	// this quantile of completed-unit latency (e.g. 0.95). It engages
-	// after MinSamples observations; before that, Multiple (if set)
-	// carries the trigger.
+	// this quantile of completed-unit latency (e.g. 0.95), by the live
+	// client's rule (retry.HedgeDelay). Until that rule engages, Multiple
+	// (if set) carries the trigger.
 	Quantile float64
 	// Multiple, when > 0, is the static trigger: a backup launches once
 	// an attempt has been in flight longer than Multiple × the primary
 	// node's expected execution time for the task. Straggling here means
 	// queueing or staging delay the dispatcher could not foresee.
 	Multiple float64
-	// MinSamples is how many latency observations the Quantile trigger
-	// needs before it engages (default 20).
-	MinSamples int
 }
 
 // enabled reports whether any speculation trigger is configured.
 func (s SpeculateOptions) enabled() bool { return s.Quantile > 0 || s.Multiple > 0 }
-
-func (s SpeculateOptions) minSamples() int {
-	if s.MinSamples <= 0 {
-		return 20
-	}
-	return s.MinSamples
-}
 
 // ReliableStats extends Stats with failure accounting.
 type ReliableStats struct {
@@ -138,10 +112,10 @@ type ReliableStats struct {
 	// (origin down at submit time). They are not failures: the request
 	// was never made, so it appears in neither Completed nor Lost.
 	Suppressed int64
-	// Shed counts stream submissions rejected by Admission at submit
-	// time (the sum of ShedByClass). Shed jobs were refused before any
-	// work started, so like Suppressed they appear in neither Completed
-	// nor Lost — they are the simulator's fail-fast rejections.
+	// Shed counts stream jobs the Admission gate refused, on arrival or
+	// by evicting them from its queue (the sum of ShedByClass). Shed
+	// jobs never started any work, so like Suppressed they appear in
+	// neither Completed nor Lost.
 	Shed int64
 	// ShedByClass breaks Shed down by priority class
 	// (index Priority.Class(): 0 low, 1 normal, 2 high).

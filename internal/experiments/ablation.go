@@ -334,7 +334,7 @@ func AblationBatchSize(size Size) *Result {
 	}
 	tbl := metrics.NewTable(
 		"A4 — FaaS batch-size sweep (cold endpoints, 2ms provisioning)",
-		"max_batch", "calls/s", "mean_lat",
+		"max_batch", "calls/s", "mean_lat", "cold_starts",
 	)
 	for _, b := range batches {
 		reg := f3Registry(100 * time.Microsecond)
@@ -354,12 +354,12 @@ func AblationBatchSize(size Size) *Result {
 			batcher.Close()
 		}
 		tbl.AddRow(fmt.Sprintf("%d", b), fmt.Sprintf("%.0f", tput),
-			lat.Round(time.Microsecond).String())
+			lat.Round(time.Microsecond).String(), fmt.Sprintf("%d", ep.ColdStarts()))
 	}
 	return &Result{
 		ID:    "A4",
 		Title: "Ablation: batching threshold",
 		Table: tbl,
-		Notes: "Expected shape: throughput climbs with batch size while cold starts amortize, then flattens; latency grows with batch due to queueing for a full batch or the flush timer.",
+		Notes: "Expected shape: throughput climbs with batch size while cold starts amortize (one per batch: cold_starts falls as batches grow), then flattens; latency grows with batch due to queueing for a full batch or the flush timer.",
 	}
 }

@@ -87,11 +87,7 @@ func F11Speculation(size Size) *Result {
 			jobs := f11Jobs(tt, workload.NewRNG(7), rate, horizon, sigma)
 			opts := core.ReliableOptions{MaxRetries: 2}
 			if spec {
-				opts.Speculate = core.SpeculateOptions{
-					Quantile:   0.80,
-					Multiple:   2,
-					MinSamples: 50,
-				}
+				opts.Speculate = core.SpeculateOptions{Quantile: 0.80, Multiple: 2}
 			}
 			st := tt.RunStreamReliable(&placement.RoundRobin{}, jobs, tt.ComputeNodes(), opts)
 

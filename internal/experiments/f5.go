@@ -24,7 +24,7 @@ func F5SimScaling(size Size) *Result {
 
 	tbl := metrics.NewTable(
 		"F5 — simulator scaling: event throughput vs continuum size",
-		"nodes", "messages", "cold_wall", "cold_ev/s", "warm_wall", "warm_ev/s",
+		"nodes", "messages", "cold_wall", "cold_ev/s", "cold_searches", "warm_wall", "warm_ev/s", "warm_searches",
 	)
 
 	for _, nn := range nodeCounts {
@@ -37,8 +37,9 @@ func F5SimScaling(size Size) *Result {
 
 		// Cold phase: first contact from every source builds its routing
 		// table (one Dijkstra + O(V) state per source), so this round
-		// includes routing construction.
-		round := func() (time.Duration, uint64) {
+		// includes routing construction. Each round reports the searches
+		// it started.
+		round := func() (time.Duration, uint64, int64) {
 			delivered := 0
 			for i := 0; i < total; i++ {
 				src := leaves[rng.Intn(len(leaves))]
@@ -48,31 +49,33 @@ func F5SimScaling(size Size) *Result {
 					net.Message(src, dst, 1e3, func() { delivered++ })
 				})
 			}
-			before := k.Fired()
+			before, searches := k.Fired(), net.Searches
 			start := time.Now()
 			k.Run()
 			wall := time.Since(start)
 			if delivered != total {
 				panic(fmt.Sprintf("experiments: F5 delivered %d of %d", delivered, total))
 			}
-			return wall, k.Fired() - before
+			return wall, k.Fired() - before, net.Searches - searches
 		}
-		coldWall, coldEvents := round()
-		warmWall, warmEvents := round() // routing tables now cached
+		coldWall, coldEvents, coldSearches := round()
+		warmWall, warmEvents, warmSearches := round() // routing tables now cached
 
 		tbl.AddRow(
 			fmt.Sprintf("%d", nn),
 			fmt.Sprintf("%d", total),
 			coldWall.Round(time.Microsecond).String(),
 			fmt.Sprintf("%.0f", float64(coldEvents)/coldWall.Seconds()),
+			fmt.Sprintf("%d", coldSearches),
 			warmWall.Round(time.Microsecond).String(),
 			fmt.Sprintf("%.0f", float64(warmEvents)/warmWall.Seconds()),
+			fmt.Sprintf("%d", warmSearches),
 		)
 	}
 	return &Result{
 		ID:    "F5",
 		Title: "Substrate scaling (events/sec vs node count)",
 		Table: tbl,
-		Notes: "Expected shape: warm events/sec roughly flat in node count (heap log factor only); the cold column degrades at 10k nodes because per-source routing tables are O(V) each — the practical single-process ceiling, paid once.",
+		Notes: "Expected shape: warm events/sec roughly flat in node count (heap log factor only); the cold column degrades at 10k nodes because per-source routing tables are O(V) each — the practical single-process ceiling, paid once: the cold round starts a search per source, the warm round none.",
 	}
 }

@@ -2,33 +2,24 @@ package faas
 
 // Admission: the endpoint's one slot gate. Every invocation takes a
 // capacity slot from the admitter, and every caller waiting for one
-// waits in the admitter's queue, so QueueDepth and the faas_queue_depth
-// gauge count real waiters on every endpoint. With
-// AdmissionConfig.Enabled false the admitter is a plain gate (see
-// AdmissionConfig); enabled, it instead:
-//
-//   - bounds the wait queue (adaptively: AIMD on the observed
-//     queue-wait EWMA, the same signal faas_queue_wait_seconds exports);
-//   - classifies requests into priority classes (carried by context,
-//     see WithPriority) with graduated queue watermarks (ClassLimit), so
-//     low-priority traffic sheds first and high-priority traffic keeps
-//     headroom;
-//   - sheds immediately — an over-limit arrival is rejected in
-//     microseconds with an OverloadError carrying a Retry-After hint
-//     derived from the observed queue wait, instead of blocking for
-//     QueueWait and then failing;
-//   - sizes the worker pool elastically between a floor and Capacity,
-//     growing on backlog and shrinking after sustained idleness, the
-//     policy internal/autoscale applies to simulated node fleets.
-//
-// The simulator's engine sheds stream jobs at the same ClassLimit
-// watermarks (core.ReliableOptions.Admission), so sim and live overload
-// experiments stay comparable.
+// waits in its queue, so QueueDepth and faas_queue_depth count real
+// waiters on every endpoint. With AdmissionConfig.Enabled false it is a
+// plain gate; enabled, it bounds the queue adaptively (AIMD on the
+// queue-wait EWMA that faas_queue_wait_seconds exports), gives the
+// priority classes of WithPriority graduated shares of that bound so low
+// priority sheds first, sheds an over-limit arrival at once with a
+// Retry-After hint, and sizes the slot pool elastically (the policy
+// internal/autoscale applies to simulated fleets). The decisions live in
+// Gate, a core that reads no clock and is told each queue wait: the
+// admitter drives it in wall time, and the simulator's engine in kernel
+// time (core.ReliableOptions.Admission), so both backends shed by one
+// rule.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -63,13 +54,12 @@ func (p Priority) Class() int {
 	return int(min(max(p, PriorityLow), PriorityHigh) - PriorityLow)
 }
 
-// ClassLimit is the graduated watermark of class c under bound: the
-// lowest class may use 1/NumPriorities of the bound, the highest all of
-// it, and every class at least 1. Under overload the cheap traffic hits
-// its wall first while high-priority requests still find headroom. The
-// admitter applies it to its adaptive queue bound, and the simulator's
-// engine to its bound on outstanding stream jobs.
-func ClassLimit(bound, c int) int {
+// classLimit is the graduated watermark of class c under the queue
+// bound: the lowest class may use 1/NumPriorities of the bound, the
+// highest all of it, and every class at least 1. Under overload the
+// cheap traffic hits its wall first while high-priority requests still
+// find headroom.
+func classLimit(bound, c int) int {
 	return max(1, bound*(c+1)/NumPriorities)
 }
 
@@ -157,55 +147,20 @@ type AdmissionConfig struct {
 	RetryAfterFloor time.Duration
 }
 
-func (c AdmissionConfig) maxQueue(capacity int) int {
-	if c.MaxQueue > 0 {
-		return max(c.MaxQueue, NumPriorities)
-	}
-	return max(4*capacity, NumPriorities)
-}
-
-func (c AdmissionConfig) targetQueueWait() time.Duration {
-	if c.TargetQueueWait > 0 {
-		return c.TargetQueueWait
-	}
-	return 20 * time.Millisecond
-}
-
-// minSlots is the pool's floor. A plain gate's floor is Capacity, so it
-// neither shrinks nor grows.
-func (c AdmissionConfig) minSlots(capacity int) int {
-	switch {
-	case !c.Enabled:
-		return capacity
-	case c.MinSlots > 0:
-		return min(c.MinSlots, capacity)
-	}
-	return max(1, capacity/4)
-}
-
-func (c AdmissionConfig) retryAfterFloor() time.Duration {
-	if c.RetryAfterFloor > 0 {
-		return c.RetryAfterFloor
-	}
-	return 5 * time.Millisecond
-}
-
-// waiter states (under admitter.mu). A waiter is in exactly one of:
-// its queue (wWaiting), granted a slot (wGranted), or displaced
-// by a higher-priority arrival (wEvicted). The abandon path uses the
-// state to resolve races between grant/eviction and the waiter's own
-// timeout or cancellation.
+// Waiter states: in its class queue, granted a slot, or displaced by a
+// higher-priority arrival. abandon uses the state to resolve a caller
+// that gave up against a grant or eviction it raced with.
 const (
 	wWaiting = iota
 	wGranted
 	wEvicted
 )
 
-type waiter struct {
-	fn    string
+// Waiter is one arrival queued at a Gate. Val is the driver's handle on
+// it: the live admitter's wake-up channel, the simulator's job.
+type Waiter[T any] struct {
+	Val   T
 	class int
-	enq   time.Time
-	ready chan error // buffered 1: nil = slot granted, *OverloadError = evicted
 	state int
 }
 
@@ -221,35 +176,203 @@ const (
 	ewmaAlpha       = 0.2
 )
 
-// admitter is the endpoint's slot gate: a wait queue in front of a slot
-// pool, priority-classed, adaptively bounded and elastic when
-// cfg.Enabled. All state is guarded by mu; grants hand the slot directly
-// to the next waiter (highest class first, FIFO within a class) so inUse
-// never dips while work is queued.
-type admitter struct {
-	cfg      AdmissionConfig
+// Gate is the admission gate's clock-free core: the slot pool, one FIFO
+// queue per priority class, the AIMD queue bound and its wait EWMA, the
+// elastic sizing counters and the shed counts. It is told each grant's
+// queue wait and never reads a clock, blocks or wakes anyone: a decision
+// returns the waiter to wake. A freed slot passes straight to the next
+// waiter (highest class first, FIFO within a class), so inUse never dips
+// while work is queued. With cfg.Enabled false it is the plain gate (see
+// AdmissionConfig). A Gate is not safe for concurrent use.
+type Gate[T any] struct {
+	enabled  bool
 	capacity int
-	obs      *epObserver // set by SetMetrics before traffic; nil = unobserved
+	floor    int           // elastic floor: a plain gate's is capacity
+	maxQueue int           // hard queue bound
+	target   float64       // the queue wait AIMD steers toward, seconds
+	raFloor  time.Duration // least Retry-After hint
+	slots    int           // concurrency limit, in [floor, capacity]
+	inUse    int
+	queues   [NumPriorities][]*Waiter[T]
+	queued   int
+	qLimit   int     // adaptive queue bound, in [NumPriorities, maxQueue]
+	qwEWMA   float64 // observed queue-wait EWMA, seconds
+	obsN     int     // admissions since the last AIMD adjustment
+	idleN    int     // consecutive empty-queue releases (shrink signal)
+	shed     [NumPriorities]int64
+}
 
-	mu     sync.Mutex
-	slots  int // concurrency limit, in [minSlots, capacity]
-	inUse  int
-	queues [NumPriorities][]*waiter
-	queued int
-	qLimit int     // adaptive queue bound, in [NumPriorities, maxQueue]
-	qwEWMA float64 // observed queue-wait EWMA, seconds
-	obsN   int     // admissions since the last AIMD adjustment
-	idleN  int     // consecutive empty-queue releases (shrink signal)
-	shed   [NumPriorities]int64
+// NewGate returns a gate with capacity slots, all of them open, and
+// cfg's zero fields at their defaults.
+func NewGate[T any](cfg AdmissionConfig, capacity int) *Gate[T] {
+	g := &Gate[T]{enabled: cfg.Enabled, capacity: capacity, floor: capacity, slots: capacity,
+		maxQueue: max(4*capacity, NumPriorities),
+		target:   (20 * time.Millisecond).Seconds(), raFloor: 5 * time.Millisecond}
+	if cfg.MaxQueue > 0 {
+		g.maxQueue = max(cfg.MaxQueue, NumPriorities)
+	}
+	if cfg.TargetQueueWait > 0 {
+		g.target = cfg.TargetQueueWait.Seconds()
+	}
+	if cfg.RetryAfterFloor > 0 {
+		g.raFloor = cfg.RetryAfterFloor
+	}
+	if cfg.Enabled {
+		g.floor = max(1, capacity/4)
+		if cfg.MinSlots > 0 {
+			g.floor = min(cfg.MinSlots, capacity)
+		}
+	}
+	g.qLimit = g.maxQueue
+	return g
+}
+
+// Arrive decides one arrival of priority p. admitted means it holds a
+// slot. Otherwise w is its queue entry, which a later Release hands the
+// slot to, or nil when it was shed. evicted, when not nil, is a queued
+// lower-class waiter displaced to make room: it is counted as shed and
+// will never be granted.
+func (g *Gate[T]) Arrive(p Priority, val T) (admitted bool, w, evicted *Waiter[T]) {
+	cls := p.Class()
+	if !g.enabled {
+		cls = 0 // a plain gate keeps one FIFO queue
+	}
+	// Elastic growth: a full pool with enough backlog per slot and
+	// headroom under the hard capacity.
+	if g.inUse == g.slots && g.slots < g.capacity && g.queued >= queuePerSlot*g.slots {
+		g.slots++
+		g.idleN = 0
+	}
+	if g.inUse < g.slots {
+		g.inUse++
+		g.Observe(0)
+		return true, nil, nil
+	}
+	if g.enabled && g.queued >= classLimit(g.qLimit, cls) {
+		if evicted = g.evictLower(cls); evicted == nil {
+			g.shed[cls]++
+			return false, nil, nil
+		}
+	}
+	w = &Waiter[T]{Val: val, class: cls}
+	g.queues[cls] = append(g.queues[cls], w)
+	g.queued++
+	return false, w, evicted
+}
+
+// Release frees one slot and returns the waiter it passes to, or nil
+// when none waits: then inUse drops, and sustained idleness shrinks the
+// elastic pool toward its floor.
+func (g *Gate[T]) Release() *Waiter[T] {
+	next := g.grant()
+	switch g.idleN++; {
+	case g.queued > 0 || g.inUse >= g.slots:
+		g.idleN = 0
+	case g.idleN >= shrinkAfterIdle && g.slots > g.floor:
+		g.slots--
+		g.idleN = 0
+	}
+	return next
+}
+
+// Shed returns each class's sheds, evictions included.
+func (g *Gate[T]) Shed() [NumPriorities]int64 { return g.shed }
+
+// grant passes a freed slot to the next waiter, or drops inUse.
+func (g *Gate[T]) grant() *Waiter[T] {
+	for cls := NumPriorities - 1; cls >= 0; cls-- {
+		if q := g.queues[cls]; len(q) > 0 {
+			g.queues[cls], g.queued = q[1:], g.queued-1
+			q[0].state = wGranted
+			return q[0]
+		}
+	}
+	g.inUse--
+	return nil
+}
+
+// abandon resolves w, whose caller gave up waiting, against a grant or
+// eviction it raced with. A raced grant passes the slot on, to the
+// waiter it returns if one waits. A waiter still queued leaves the
+// queue, and counts as shed when shed is set. An evicted one was
+// already counted.
+func (g *Gate[T]) abandon(w *Waiter[T], shed bool) *Waiter[T] {
+	switch w.state {
+	case wGranted:
+		return g.grant()
+	case wWaiting:
+		g.queues[w.class] = slices.DeleteFunc(g.queues[w.class], func(x *Waiter[T]) bool { return x == w })
+		g.queued--
+		if shed {
+			g.shed[w.class]++
+		}
+	}
+	return nil
+}
+
+// evictLower displaces the newest waiter of the lowest class below cls,
+// counted as shed, or returns nil when no lower-class waiter exists.
+func (g *Gate[T]) evictLower(cls int) *Waiter[T] {
+	for vc := 0; vc < cls; vc++ {
+		if q := g.queues[vc]; len(q) > 0 {
+			v := q[len(q)-1]
+			g.queues[vc], g.queued = q[:len(q)-1], g.queued-1
+			v.state = wEvicted
+			g.shed[vc]++
+			return v
+		}
+	}
+	return nil
+}
+
+// Observe feeds the queue wait of one granted waiter, as its driver
+// measured it, into the EWMA (admissions at once count a wait of 0) and,
+// every aimdEvery admissions, adjusts the effective queue bound: halve
+// when waits exceed the target (shed earlier), creep up by one when
+// waits are comfortably below it.
+func (g *Gate[T]) Observe(d time.Duration) {
+	if !g.enabled {
+		return // a plain gate's queue bound is not used
+	}
+	g.qwEWMA = (1-ewmaAlpha)*g.qwEWMA + ewmaAlpha*d.Seconds()
+	if g.obsN++; g.obsN < aimdEvery {
+		return
+	}
+	g.obsN = 0
+	switch {
+	case g.qwEWMA > g.target:
+		g.qLimit = max(NumPriorities, g.qLimit/2)
+	case g.qwEWMA < g.target/2 && g.qLimit < g.maxQueue:
+		g.qLimit++
+	}
+}
+
+// retryAfter derives the backoff hint from the queue-wait EWMA: a retry
+// sooner than the current typical wait would just re-queue.
+func (g *Gate[T]) retryAfter() time.Duration {
+	return max(time.Duration(g.qwEWMA*float64(time.Second)), g.raFloor)
+}
+
+// liveWait is a live caller's handle on its queue entry.
+type liveWait struct {
+	fn    string
+	ready chan error // buffered 1: nil = slot granted, *OverloadError = evicted
+	enq   time.Time
+}
+
+// admitter is the endpoint's slot gate: the Gate core under mu, with
+// what the core leaves to its driver — a channel each queued caller
+// blocks on, the clock that times its wait, the QueueWait timer, and the
+// gauges and shed counters of SetMetrics.
+type admitter struct {
+	*Gate[liveWait]
+	obs       *epObserver // set by SetMetrics before traffic; nil = unobserved
+	published [NumPriorities]int64
+	mu        sync.Mutex
 }
 
 func newAdmitter(cfg AdmissionConfig, capacity int) *admitter {
-	return &admitter{
-		cfg:      cfg,
-		capacity: capacity,
-		slots:    capacity, // start full; idleness shrinks toward the floor
-		qLimit:   cfg.maxQueue(capacity),
-	}
+	return &admitter{Gate: NewGate[liveWait](cfg, capacity)}
 }
 
 // acquire admits, queues, or sheds one invocation. It returns nil once
@@ -258,35 +381,23 @@ func newAdmitter(cfg AdmissionConfig, capacity int) *admitter {
 // unless the gate is plain), or a context error when the caller gave up
 // first.
 func (a *admitter) acquire(ctx context.Context, fn string, p Priority, queueWait time.Duration) error {
-	cls := p.Class()
-	if !a.cfg.Enabled {
-		cls = 0 // a plain gate keeps one FIFO queue
-	}
 	a.mu.Lock()
-	// Elastic growth: a full pool with enough backlog per slot and
-	// headroom under the hard capacity.
-	if a.inUse == a.slots && a.slots < a.capacity && a.queued >= queuePerSlot*a.slots {
-		a.slots++
-		a.idleN = 0
+	admitted, w, evicted := a.Arrive(p, liveWait{fn: fn})
+	if evicted != nil {
+		evicted.Val.ready <- &OverloadError{Fn: evicted.Val.fn, Priority: Priority(evicted.class) + PriorityLow,
+			RetryAfter: a.retryAfter(), Evicted: true}
 	}
-	if a.inUse < a.slots {
-		a.inUse++
-		a.observeWaitLocked(0)
-		a.updateGaugesLocked()
-		a.mu.Unlock()
-		return nil
+	var err error
+	if w != nil {
+		w.Val.ready, w.Val.enq = make(chan error, 1), time.Now()
+	} else if !admitted {
+		err = &OverloadError{Fn: fn, Priority: p, RetryAfter: a.retryAfter()}
 	}
-	if a.cfg.Enabled && a.queued >= ClassLimit(a.qLimit, cls) && !a.evictLowerLocked(cls) {
-		err := &OverloadError{Fn: fn, Priority: p, RetryAfter: a.retryAfterLocked()}
-		a.shedLocked(cls)
-		a.mu.Unlock()
+	a.publishLocked()
+	a.mu.Unlock()
+	if w == nil {
 		return err
 	}
-	w := &waiter{fn: fn, class: cls, enq: time.Now(), ready: make(chan error, 1), state: wWaiting}
-	a.queues[cls] = append(a.queues[cls], w)
-	a.queued++
-	a.updateGaugesLocked()
-	a.mu.Unlock()
 
 	var timeout <-chan time.Time
 	if queueWait > 0 {
@@ -295,170 +406,66 @@ func (a *admitter) acquire(ctx context.Context, fn string, p Priority, queueWait
 		timeout = t.C
 	}
 	select {
-	case err := <-w.ready:
+	case err := <-w.Val.ready:
 		if err == nil {
-			a.observeWait(time.Since(w.enq))
+			a.mu.Lock()
+			a.Observe(time.Since(w.Val.enq))
+			a.mu.Unlock()
 		}
 		return err
 	case <-ctx.Done():
-		return a.abandon(w, fmt.Errorf("faas: %q queue wait: %w", fn, ctx.Err()))
+		return a.giveUp(w, fmt.Errorf("faas: %q queue wait: %w", fn, ctx.Err()))
 	case <-timeout:
 		// Queue-wait expiry is the server's overload verdict, not the
 		// caller's deadline: it deliberately wraps no context sentinel.
-		if !a.cfg.Enabled {
-			return a.abandon(w, fmt.Errorf("%w: %q queue wait exceeded %v", ErrOverloaded, fn, queueWait))
+		if !a.enabled {
+			return a.giveUp(w, fmt.Errorf("%w: %q queue wait exceeded %v", ErrOverloaded, fn, queueWait))
 		}
 		// Under admission control it is a shed with a Retry-After hint.
 		a.mu.Lock()
-		ra := a.retryAfterLocked()
+		ra := a.retryAfter()
 		a.mu.Unlock()
-		return a.abandon(w, &OverloadError{Fn: fn, Priority: p, RetryAfter: ra})
+		return a.giveUp(w, &OverloadError{Fn: fn, Priority: p, RetryAfter: ra})
 	}
 }
 
-// abandon resolves a waiter whose caller gave up (context or queue
-// wait) against a concurrent grant or eviction, all under mu: a raced
-// grant is handed onward so the slot is never leaked; a raced eviction
-// was already counted by the evictor.
-func (a *admitter) abandon(w *waiter, cause error) error {
+// giveUp resolves a waiter whose caller gave up (context or queue wait)
+// against a concurrent grant or eviction, and returns cause: a raced
+// grant is handed onward so the slot is never leaked.
+func (a *admitter) giveUp(w *Waiter[liveWait], cause error) error {
+	var oe *OverloadError
 	a.mu.Lock()
-	switch w.state {
-	case wGranted:
-		a.releaseLocked()
-	case wWaiting:
-		a.removeLocked(w)
-		var oe *OverloadError
-		if errors.As(cause, &oe) {
-			a.shedLocked(w.class)
-		}
-	case wEvicted:
-		// evictLowerLocked already removed and counted it
-	}
-	a.updateGaugesLocked()
-	a.mu.Unlock()
+	defer a.mu.Unlock()
+	a.wake(a.abandon(w, errors.As(cause, &oe)))
 	return cause
 }
 
-// evictLowerLocked displaces the most recently queued waiter of the
-// lowest class strictly below cls, making room for a higher-priority
-// arrival. Returns false when no lower-class waiter exists.
-func (a *admitter) evictLowerLocked(cls int) bool {
-	for vc := 0; vc < cls; vc++ {
-		q := a.queues[vc]
-		if len(q) == 0 {
-			continue
-		}
-		v := q[len(q)-1]
-		a.queues[vc] = q[:len(q)-1]
-		a.queued--
-		v.state = wEvicted
-		a.shedLocked(vc)
-		v.ready <- &OverloadError{
-			Fn: v.fn, Priority: Priority(vc) + PriorityLow,
-			RetryAfter: a.retryAfterLocked(), Evicted: true,
-		}
-		return true
-	}
-	return false
-}
-
-// removeLocked deletes w from its class queue (it may have already
-// been popped by a racing grant — then state != wWaiting and callers
-// never get here).
-func (a *admitter) removeLocked(w *waiter) {
-	q := a.queues[w.class]
-	for i, x := range q {
-		if x == w {
-			a.queues[w.class] = append(q[:i], q[i+1:]...)
-			a.queued--
-			return
-		}
-	}
-}
-
-// release frees one slot: the next waiter (highest class first, FIFO
-// within a class) inherits it directly, else inUse drops and sustained
-// idleness shrinks the elastic pool toward the floor.
+// release frees one slot: the next waiter, if any, inherits it.
 func (a *admitter) release() {
 	a.mu.Lock()
-	a.releaseLocked()
-	if a.queued == 0 && a.inUse < a.slots {
-		a.idleN++
-		if a.idleN >= shrinkAfterIdle && a.slots > a.cfg.minSlots(a.capacity) {
-			a.slots--
-			a.idleN = 0
-		}
-	} else {
-		a.idleN = 0
-	}
-	a.updateGaugesLocked()
-	a.mu.Unlock()
+	defer a.mu.Unlock()
+	a.wake(a.Release())
 }
 
-func (a *admitter) releaseLocked() {
-	for cls := NumPriorities - 1; cls >= 0; cls-- {
-		q := a.queues[cls]
-		if len(q) == 0 {
-			continue
-		}
-		w := q[0]
-		a.queues[cls] = q[1:]
-		a.queued--
-		w.state = wGranted
-		w.ready <- nil // slot transfers; inUse unchanged
-		return
+// wake tells w, if any, that it holds a slot now, and publishes the
+// gate's state.
+func (a *admitter) wake(w *Waiter[liveWait]) {
+	if w != nil {
+		w.Val.ready <- nil
 	}
-	a.inUse--
+	a.publishLocked()
 }
 
-// observeWait feeds one admission's queue wait into the EWMA and, every
-// aimdEvery admissions, adjusts the effective queue bound: halve when
-// waits exceed the target (shed earlier), creep up by one when waits
-// are comfortably below it. This reuses the exact signal the endpoint
-// already exports as faas_queue_wait_seconds.
-func (a *admitter) observeWait(d time.Duration) {
-	a.mu.Lock()
-	a.observeWaitLocked(d)
-	a.mu.Unlock()
-}
-
-func (a *admitter) observeWaitLocked(d time.Duration) {
-	if !a.cfg.Enabled {
-		return // a plain gate's queue bound is not used
-	}
-	a.qwEWMA = (1-ewmaAlpha)*a.qwEWMA + ewmaAlpha*d.Seconds()
-	a.obsN++
-	if a.obsN < aimdEvery {
-		return
-	}
-	a.obsN = 0
-	target := a.cfg.targetQueueWait().Seconds()
-	switch {
-	case a.qwEWMA > target:
-		a.qLimit = max(NumPriorities, a.qLimit/2)
-	case a.qwEWMA < target/2 && a.qLimit < a.cfg.maxQueue(a.capacity):
-		a.qLimit++
-	}
-}
-
-// retryAfterLocked derives the backoff hint from the queue-wait EWMA:
-// a retry sooner than the current typical wait would just re-queue.
-func (a *admitter) retryAfterLocked() time.Duration {
-	ra := time.Duration(a.qwEWMA * float64(time.Second))
-	return max(ra, a.cfg.retryAfterFloor())
-}
-
-func (a *admitter) shedLocked(cls int) {
-	a.shed[cls]++
-	if o := a.obs; o != nil {
-		o.shed[cls].Inc()
-	}
-}
-
-func (a *admitter) updateGaugesLocked() {
+// publishLocked brings the SetMetrics gauges and shed counters up to
+// the core's state.
+func (a *admitter) publishLocked() {
 	if o := a.obs; o != nil {
 		o.slots.Set(float64(a.slots))
 		o.queueDepth.Set(float64(a.queued))
+		for cls, n := range a.shed {
+			o.shed[cls].Add(n - a.published[cls])
+			a.published[cls] = n
+		}
 	}
 }
 

@@ -316,7 +316,7 @@ func (ep *Endpoint) Invocations() int64 { return ep.invocations.Load() }
 func (ep *Endpoint) ShedByPriority() [NumPriorities]int64 {
 	ep.adm.mu.Lock()
 	defer ep.adm.mu.Unlock()
-	return ep.adm.shed
+	return ep.adm.Shed()
 }
 
 // SlotLimit returns the current concurrency limit (Capacity without

@@ -77,8 +77,9 @@ type Network struct {
 	epoch uint64
 
 	// Transfers counts completed Transfer flows; Messages counts Message
-	// sends.
-	Transfers, Messages int64
+	// sends; Searches counts shortest-path searches started, at most one
+	// per source vertex per route epoch.
+	Transfers, Messages, Searches int64
 }
 
 // search is a resumable Dijkstra from one source. It settles vertices
@@ -218,6 +219,7 @@ func (n *Network) search(src int) *search {
 		s.order = take(&n.freeOrder)
 		s.pq = append(take(&n.freePQ), nodeDist{src, 0})
 		n.started = append(n.started, int32(src))
+		n.Searches++
 	}
 	return s
 }

@@ -19,6 +19,8 @@ import (
 	"math/rand"
 	"sync"
 	"time"
+
+	"continuum/internal/metrics"
 )
 
 // Default policy parameters, chosen so a zero-value Policy behaves
@@ -169,4 +171,15 @@ func (p Policy) Do(ctx context.Context, fn func(attempt int) error) error {
 		}
 	}
 	return err
+}
+
+// HedgeDelay is the hedge-delay rule of the live client and the
+// simulator's engine, in the latency histogram's seconds: no hedge until
+// lat holds 50 samples, then its q-quantile, floored at 1 ms so a burst
+// of fast calls cannot make every call hedge.
+func HedgeDelay(lat *metrics.Histogram, q float64) (float64, bool) {
+	if lat.Count() < 50 {
+		return 0, false
+	}
+	return max(lat.Quantile(q), 0.001), true
 }

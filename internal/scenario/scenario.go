@@ -94,14 +94,14 @@ type StreamJSON struct {
 	// it submits: -1 low, 0 normal, 1 high. Origins absent from the map
 	// submit at normal priority, so priority-unaware scenarios are
 	// unchanged. Priority only changes outcomes when admission control
-	// is in play (the Admission bound here, or -max-queue on a live
+	// is in play (the Admission gate here, or -max-queue on a live
 	// continuumd): under overload, low-priority origins shed first.
 	Priorities map[string]int `json:"priorities,omitempty"`
-	// Admission, when > 0, bounds how many admitted jobs may be
-	// outstanding on the sim backend, with graduated per-priority
-	// watermarks (core.AdmissionOptions.MaxOutstanding). Jobs refused at
-	// the bound count in the report's Shed, not Lost. 0 disables
-	// admission control.
+	// Admission, when > 0, is the capacity of the admission gate the sim
+	// backend's jobs pass (core.ReliableOptions.Admission). Jobs over it
+	// queue; past the queue's class watermarks they are shed, lowest
+	// class first, and count in the report's Shed, not Lost. The live
+	// backend's endpoints run the plain gate and ignore it.
 	Admission int `json:"admission,omitempty"`
 }
 

@@ -121,9 +121,7 @@ func (p *Plan) run(tr *trace.Tracer, workers int) (*Report, error) {
 	horizon := 0.0
 	if s.Stream != nil {
 		horizon = s.Stream.Horizon
-		if s.Stream.Admission > 0 {
-			opts.Admission = core.AdmissionOptions{MaxOutstanding: s.Stream.Admission}
-		}
+		opts.Admission = s.Stream.Admission
 	}
 	events, work := p.streams()
 	s.installEvents(c, byName, links, p.ops, events, horizon, &opts)

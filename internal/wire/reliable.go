@@ -88,16 +88,6 @@ type ReliableConfig struct {
 	Service string
 }
 
-// The derived hedge delay: it tracks the p99 of completed-call latency,
-// so only the slowest ~1% of calls ever grow a second arm; it engages
-// after hedgeMinSamples calls, and hedgeMinDelay floors it so a burst of
-// fast calls cannot make the client hedge everything.
-const (
-	hedgeQuantile   = 0.99
-	hedgeMinSamples = 50
-	hedgeMinDelay   = time.Millisecond
-)
-
 // HedgeConfig parameterizes hedged requests (see ReliableConfig.Hedge).
 // Hedging attacks tail latency: the slowest fraction of calls — a GC
 // pause, a queue pileup, a cold container on one endpoint — is re-issued
@@ -717,8 +707,8 @@ func (r *ReliableClient) invokeAttempt(ctx context.Context, ep *repEndpoint, fn 
 
 // hedgeDelay returns the in-flight time after which a call grows a second
 // arm, and whether hedging applies at all right now. A fixed Delay always
-// applies; a derived delay waits for hedgeMinSamples completed calls and
-// then tracks their hedgeQuantile, floored at hedgeMinDelay.
+// applies; a derived one is retry.HedgeDelay of the p99 of completed
+// calls, so only the slowest ~1% of calls ever grow a second arm.
 func (r *ReliableClient) hedgeDelay() (time.Duration, bool) {
 	h := r.cfg.Hedge
 	if !h.Enabled || len(r.snapshot().list) < 2 {
@@ -727,11 +717,8 @@ func (r *ReliableClient) hedgeDelay() (time.Duration, bool) {
 	if h.Delay > 0 {
 		return h.Delay, true
 	}
-	if r.lat.Count() < hedgeMinSamples {
-		return 0, false
-	}
-	d := time.Duration(r.lat.Quantile(hedgeQuantile) * float64(time.Second))
-	return max(d, hedgeMinDelay), true
+	d, ok := retry.HedgeDelay(r.lat, 0.99)
+	return time.Duration(d * float64(time.Second)), ok
 }
 
 // HedgeStats returns how many hedge arms were launched and how many calls

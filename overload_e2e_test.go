@@ -67,6 +67,7 @@ func p99(d []time.Duration) time.Duration {
 //   - high-priority work stays usable: its p99 under the crowd is
 //     within 3x the unloaded baseline.
 func TestE2EOverloadGracefulDegradation(t *testing.T) {
+	checkGoroutines(t)
 	// Work long enough that execution dominates scheduler noise (the -race
 	// detector roughly doubles goroutine overheads); the p99 bound below
 	// would flake if queueing jitter were comparable to workDur.
@@ -198,6 +199,7 @@ func TestE2EOverloadGracefulDegradation(t *testing.T) {
 // with it the excess is shed fail-fast, callers honour the Retry-After
 // hint, and accepted requests keep finishing inside the SLO.
 func TestE2EAdmissionGoodputBeatsNoAdmission(t *testing.T) {
+	checkGoroutines(t)
 	const (
 		capacity = 4
 		callers  = 64

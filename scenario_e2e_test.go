@@ -16,6 +16,7 @@ import (
 // arrivals between suppressed and completed live, so only the totals
 // (completed + lost + suppressed + shed) must agree.
 func TestScenarioBothBackends(t *testing.T) {
+	checkGoroutines(t)
 	raw, err := os.ReadFile("examples/scenarios/cascading-failure.json")
 	if err != nil {
 		t.Fatal(err)
