@@ -75,12 +75,15 @@ federation-smoke:
 # Scale harness: generate 1000-, 10k-, 100k- and 300k-node scenarios,
 # validate them, and run each through the simulator inside a wall-clock
 # budget; each run prints its peak RSS. On a 2-vCPU Xeon (Go 1.24.0,
-# GOMAXPROCS 2) they take 0.03–0.04 s (16–26 MB), 0.08–0.11 s (51 MB),
-# 0.85–1.12 s (0.45 GB) and 2.9–3.4 s (1.34 GB) now that a fully listed
-# placement part stops without settling more vertices and searches
-# reuse their storage across route epochs; before, they took 0.04–0.06 s
-# (18–28 MB), 0.22–0.31 s (0.11–0.13 GB), 1.95–2.43 s (0.89–0.93 GB) and
-# 7.2–8.3 s (2.5–2.8 GB). The 20 s budgets are the scale gate.
+# GOMAXPROCS 2), in runs alternated with the code before greedy-latency
+# placement scored from its index and stream jobs became one record each,
+# they take 0.03–0.04 s (15–16 MB), 0.11–0.16 s (50 MB), 0.99–1.49 s
+# (0.45 GB) and 3.6–4.1 s (1.36–1.39 GB); the code before took
+# 0.04–0.06 s (16–17 MB), 0.13–0.15 s (51 MB), 0.98–1.51 s (0.45 GB) and
+# 3.5–5.1 s (1.36–1.38 GB). From 100k nodes up a run is mostly building
+# the network and starting shortest-path searches (an O(V) hop slice
+# each), which the per-task savings do not reach. The 20 s budgets are
+# the scale gate.
 stress:
 	go run ./cmd/continuum-sim scenario stress -nodes 1000 -seed 42 -budget 60s
 	go run ./cmd/continuum-sim scenario stress -nodes 10000 -seed 42 -budget 20s

@@ -105,20 +105,30 @@ type unit struct {
 	// inputs arrive via fabric staging or predecessor edge transfers.
 	origin int
 
-	// deliver runs after successful execution and cost accounting, at
-	// the end of execution: stream jobs send the reply message, DAG
-	// tasks count completion and launch successor edge transfers.
-	deliver func()
+	// owner is told how the attempt ended.
+	owner owner
+}
 
-	// lost runs instead of deliver when the host's failure epoch
-	// advanced mid-attempt (inputs or results on a failed node).
-	lost func()
+// owner is what an attempt reports its end to. A stream job and a DAG
+// task own their attempts; under speculation each replica's owner is its
+// place in the replica group, which tells the unit's owner once the race
+// is decided.
+type owner interface {
+	// delivered runs after successful execution and cost accounting, at
+	// the end of execution: stream jobs send the reply message, DAG
+	// tasks count completion and launch successor edge transfers. u is
+	// the attempt, so its node is the one that actually ran it.
+	delivered(u unit)
+	// lost runs instead of delivered when the host's failure epoch
+	// advanced mid-attempt (inputs or results on a failed node), the
+	// attempt overran its deadline, or chaos dropped it.
+	lost()
 }
 
 // run admits one attempt into the pipeline, consulting the Disturb hook
 // first: a drawn delay re-enters late via the kernel, a drawn drop is
-// routed to u.lost exactly like an epoch failure. With a nil hook this
-// is a direct call to dispatch.
+// routed to its owner's lost exactly like an epoch failure. With a nil
+// hook this is a direct call to dispatch.
 func (e *engine) run(u unit) {
 	if e.opts.Disturb != nil {
 		drop, delay := e.opts.Disturb(u.node)
@@ -141,7 +151,7 @@ func (e *engine) afterDisturb(u unit, drop bool) {
 	if drop {
 		e.st.ChaosDrops++
 		e.traceFailure(u, "chaos", unstarted)
-		u.lost()
+		u.owner.lost()
 		return
 	}
 	e.dispatch(u)
@@ -149,11 +159,11 @@ func (e *engine) afterDisturb(u unit, drop bool) {
 
 // dispatch drives one attempt through the pipeline. Epoch checks bracket
 // the execution: the epoch is sampled at dispatch, re-checked after
-// input staging and after execution, and any advance routes to u.lost
-// with a Failure trace record. TaskDeadline is checked at the same two
-// points against virtual time elapsed since dispatch; an overrun attempt
-// is treated exactly like a lost one. With zero-value options every
-// check is a no-op.
+// input staging and after execution, and any advance routes to the
+// owner's lost with a Failure trace record. TaskDeadline is checked at
+// the same two points against virtual time elapsed since dispatch; an
+// overrun attempt is treated exactly like a lost one. With zero-value
+// options every check is a no-op.
 //
 // Trace spans, each recorded once it closes and carrying the attempt
 // number: a dispatch instant marks the attempt entering the pipeline, a
@@ -169,7 +179,7 @@ func (e *engine) dispatch(u unit) {
 	e.stage(u, func() {
 		if e.epoch(u.node) != epoch0 {
 			e.traceFailure(u, "inputs lost", unstarted)
-			u.lost()
+			u.owner.lost()
 			return
 		}
 		if e.missedDeadline(u, start, unstarted) {
@@ -196,7 +206,7 @@ func (e *engine) dispatch(u unit) {
 func (e *engine) executed(u unit, epoch0 uint64, start, execStart float64) {
 	if e.epoch(u.node) != epoch0 {
 		e.traceFailure(u, "lost", execStart)
-		u.lost()
+		u.owner.lost()
 		return
 	}
 	if e.missedDeadline(u, start, execStart) {
@@ -205,22 +215,22 @@ func (e *engine) executed(u unit, epoch0 uint64, start, execStart float64) {
 	e.c.Tracer.Record(execStart, e.c.K.Now(), trace.KindTask, u.node.Name, u.task.Name, u.attempt)
 	execTime := u.node.ExecTime(u.task.ScalarWork, u.task.TensorWork, u.task.Accel)
 	e.st.Dollars += u.node.DollarCost(execTime)
-	u.deliver()
+	u.owner.delivered(u)
 }
 
 // missedDeadline enforces the per-attempt deadline: when virtual time
 // since dispatch exceeds TaskDeadline, the attempt is counted as a
-// deadline miss, attributed in the trace, and routed to u.lost (which
-// consumes the retry budget). The completed work is not billed — the
-// result was discarded, matching the epoch-loss path. execStart is when
-// execution began, or unstarted.
+// deadline miss, attributed in the trace, and routed to its owner's lost
+// (which consumes the retry budget). The completed work is not billed —
+// the result was discarded, matching the epoch-loss path. execStart is
+// when execution began, or unstarted.
 func (e *engine) missedDeadline(u unit, start, execStart float64) bool {
 	if e.opts.TaskDeadline <= 0 || e.c.K.Now()-start <= e.opts.TaskDeadline {
 		return false
 	}
 	e.st.DeadlineMisses++
 	e.traceFailure(u, "deadline exceeded", execStart)
-	u.lost()
+	u.owner.lost()
 	return true
 }
 
@@ -324,15 +334,55 @@ func (e *engine) complete(n *node.Node, latencyBase float64) {
 }
 
 // specGroup tracks one unit's replica set under the Speculate policy:
-// how many replicas are still in flight, whether one already delivered,
-// and the pending hedge timer (cancelled once the race is decided).
+// the unit's owner, how many replicas are still in flight, whether one
+// already delivered, and the pending hedge timer (cancelled once the race
+// is decided). replicas are the primary's and the backup's owners.
 type specGroup struct {
+	e           *engine
+	owner       owner
+	replicas    [2]specReplica
 	won         bool
 	outstanding int
 	timer       sim.Timer
 }
 
-// speculate dispatches one unit with hedged execution: the primary runs
+// specReplica owns one replica of a speculated unit.
+type specReplica struct {
+	g      *specGroup
+	backup bool
+}
+
+func (r *specReplica) delivered(u unit) {
+	g, e := r.g, r.g.e
+	g.outstanding--
+	if g.won {
+		// The sibling already delivered: this replica lost the race. Its
+		// execution was billed in executed(); only the result is
+		// discarded.
+		e.st.PreemptedTasks++
+		now := e.c.K.Now()
+		e.c.Tracer.Record(now, now, trace.KindPreempt, u.node.Name, u.task.Name, u.attempt)
+		return
+	}
+	g.won = true
+	g.timer.Cancel()
+	if r.backup {
+		e.st.SpeculativeWins++
+	}
+	g.owner.delivered(u)
+}
+
+func (r *specReplica) lost() {
+	g := r.g
+	g.outstanding--
+	if g.won || g.outstanding > 0 {
+		return // the sibling still carries the unit
+	}
+	g.timer.Cancel()
+	g.owner.lost()
+}
+
+// speculate dispatches unit u with hedged execution: the primary runs
 // immediately, and if it is still in flight after the hedge delay a
 // backup replica launches on the node pickBackup returns. The first
 // replica to deliver wins; the loser's result is discarded (and counted
@@ -340,46 +390,17 @@ type specGroup struct {
 // mid-flight cancellation, which models real preemption-without-kill:
 // the loser's core time and energy were genuinely consumed.
 //
-// mk builds a unit for a given (node, attempt) pair so each replica's
-// delivery path is bound to the node that actually ran it; seq numbers
-// every dispatch of the logical job, so primary, backup, and any later
-// retry each carry a distinct trace attempt. Loss semantics: a replica
-// loss while its sibling is still in flight is absorbed (the sibling
-// carries the unit); only when the last outstanding replica is lost does
-// the unit's loss path (retry budget) run.
-func (e *engine) speculate(mk func(n *node.Node, attempt int) unit, primary *node.Node, seq *int, pickBackup func() *node.Node) {
-	g := &specGroup{}
-	wrap := func(v unit, backup bool) unit {
-		deliver, lost := v.deliver, v.lost
-		v.deliver = func() {
-			g.outstanding--
-			if g.won {
-				// The sibling already delivered: this replica lost the race.
-				// Its execution was billed in run(); only the result is
-				// discarded.
-				e.st.PreemptedTasks++
-				now := e.c.K.Now()
-				e.c.Tracer.Record(now, now, trace.KindPreempt, v.node.Name, v.task.Name, v.attempt)
-				return
-			}
-			g.won = true
-			g.timer.Cancel()
-			if backup {
-				e.st.SpeculativeWins++
-			}
-			deliver()
-		}
-		v.lost = func() {
-			g.outstanding--
-			if g.won || g.outstanding > 0 {
-				return // the sibling still carries the unit
-			}
-			g.timer.Cancel()
-			lost()
-		}
-		return v
-	}
-	u := mk(primary, *seq)
+// Each replica is u on its own node, so its delivery path is bound to
+// the node that actually ran it; seq numbers every dispatch of the
+// logical job, so primary, backup, and any later retry each carry a
+// distinct trace attempt. Loss semantics: a replica loss while its
+// sibling is still in flight is absorbed (the sibling carries the unit);
+// only when the last outstanding replica is lost does u's owner hear of
+// it (and spend its retry budget).
+func (e *engine) speculate(u unit, seq *int, pickBackup func() *node.Node) {
+	g := &specGroup{e: e, owner: u.owner}
+	g.replicas = [2]specReplica{{g: g}, {g: g, backup: true}}
+	u.attempt, u.owner = *seq, &g.replicas[0]
 	*seq++
 	if delay, ok := e.hedgeDelay(u); ok {
 		g.timer = e.c.K.After(delay, func() {
@@ -390,15 +411,16 @@ func (e *engine) speculate(mk func(n *node.Node, attempt int) unit, primary *nod
 			if n == nil {
 				return // nowhere else to run it
 			}
-			b := mk(n, *seq)
+			b := u
+			b.node, b.attempt, b.owner = n, *seq, &g.replicas[1]
 			*seq++
 			e.st.SpeculativeLaunches++
 			g.outstanding++
-			e.run(wrap(b, true))
+			e.run(b)
 		})
 	}
 	g.outstanding++
-	e.run(wrap(u, false))
+	e.run(u)
 }
 
 // hedgeDelay is how long an attempt may be in flight before a backup
@@ -436,113 +458,61 @@ func (e *engine) retry(retriesLeft int, again, exhausted func()) {
 	e.c.K.After(e.opts.RetryBackoff, again)
 }
 
-// runStream is the engine configuration shared by RunStream and
+// streamRun is the engine configuration shared by RunStream and
 // RunStreamReliable: per-job placement at submit time, inputs staged to
 // the chosen node, reply shipped back to the origin, latency measured
 // submit→reply (including any retries).
+type streamRun struct {
+	e   *engine
+	pol placement.Policy
+	// env is the fixed candidate set; the policy asks Eligible about the
+	// nodes it touches. backupEnv also excludes primary, the straggler a
+	// speculative backup must avoid.
+	env, backupEnv *placement.Env
+	primary        *node.Node
+	// gate is the live endpoint's admission gate in kernel time. A job
+	// holds a slot from admission until it completes or is lost; release
+	// hands the slot to the next queued job, which starts then.
+	gate *faas.Gate[*streamJob]
+}
+
+// streamJob owns every attempt at one stream job: the job, its retry
+// budget and the trace attempt number of its next dispatch. A job's
+// attempts run one after another (a speculated attempt reports once, for
+// both replicas), so one record carries them all.
+type streamJob struct {
+	r           *streamRun
+	job         StreamJob
+	retriesLeft int
+	seq         int
+}
+
+// runStream runs jobs as one streamRun, each job owning its attempts.
 func (c *Continuum) runStream(pol placement.Policy, jobs []StreamJob, candidates []*node.Node, opts ReliableOptions) *ReliableStats {
 	if len(candidates) == 0 {
 		candidates = c.Nodes
 	}
 	e := newEngine(c, opts)
 	e.fb, _ = pol.(placement.FeedbackPolicy)
-
-	// The policy sees the fixed candidate set and asks Eligible about the
-	// nodes it touches. A speculative backup is chosen from a view that
-	// also excludes the straggling primary.
-	env := &placement.Env{Net: c.Net, Nodes: candidates, Fabric: c.Fabric}
+	r := &streamRun{e: e, pol: pol, env: &placement.Env{Net: c.Net, Nodes: candidates, Fabric: c.Fabric}}
 	if e.faults != nil || opts.Cordoned != nil {
-		env.Eligible = e.eligible
+		r.env.Eligible = e.eligible
 	}
-	var primary *node.Node
-	backupEnv := env.Restrict(func(n *node.Node) bool { return n != primary })
-
-	// gate is the live endpoint's admission gate in kernel time. A job
-	// holds a slot from admission until it completes or is lost; release
-	// hands the slot to the next queued job, which starts then.
-	var gate *faas.Gate[StreamJob]
+	r.backupEnv = r.env.Restrict(func(n *node.Node) bool { return n != r.primary })
 	if opts.Admission > 0 {
-		gate = faas.NewGate[StreamJob](faas.AdmissionConfig{Enabled: true}, opts.Admission)
-	}
-	var attempt func(j StreamJob, retriesLeft int, seq *int)
-	release := func() {
-		if gate == nil {
-			return
-		}
-		if w := gate.Release(); w != nil {
-			// The job queued on arrival, at its submit time.
-			gate.Observe(time.Duration((c.K.Now() - w.Val.Submit) * float64(time.Second)))
-			attempt(w.Val, opts.MaxRetries, new(int))
-		}
+		r.gate = faas.NewGate[*streamJob](faas.AdmissionConfig{Enabled: true}, opts.Admission)
 	}
 
-	// retry re-dispatches j after the backoff, or counts it lost. The
-	// re-dispatch closure is built only when a retry actually happens.
-	retry := func(j StreamJob, retriesLeft int, seq *int) {
-		e.retry(retriesLeft, func() { attempt(j, retriesLeft-1, seq) }, release)
-	}
-	attempt = func(j StreamJob, retriesLeft int, seq *int) {
-		req := placement.Request{Task: j.Task, Origin: j.Origin}
-		n := pol.Select(env, req)
-		if n == nil {
-			retry(j, retriesLeft, seq) // nothing eligible right now
-			return
-		}
-		// mk binds a replica's delivery path to the node that actually runs
-		// it — under speculation a backup executes (and replies from) a
-		// different node than the primary.
-		mk := func(n *node.Node, attemptNo int) unit {
-			return unit{
-				task:    j.Task,
-				node:    n,
-				attempt: attemptNo,
-				origin:  j.Origin,
-				deliver: func() {
-					e.egress(n, j.Origin, j.Task.OutputBytes)
-					c.Net.Message(n.ID, j.Origin, j.Task.OutputBytes, func() {
-						e.complete(n, j.Submit)
-						release()
-					})
-				},
-				lost: func() { retry(j, retriesLeft, seq) },
-			}
-		}
-		if !e.opts.Speculate.enabled() {
-			u := mk(n, *seq)
-			*seq++
-			e.run(u)
-			return
-		}
-		// The backup node is the policy's choice over the candidates that
-		// are still eligible (up, not cordoned) at hedge time, with the
-		// straggling primary excluded.
-		e.speculate(mk, n, seq, func() *node.Node {
-			primary = n
-			return pol.Select(backupEnv, req)
-		})
-	}
-
-	for _, j := range jobs {
-		j := j
-		c.K.At(j.Submit, func() {
-			if e.opts.DropSubmit != nil && e.opts.DropSubmit(j.Origin) {
-				e.st.Suppressed++
-				return
-			}
-			// A queued job starts from release; a shed or evicted one
-			// never starts, and the gate counts it.
-			if gate != nil {
-				if admitted, _, _ := gate.Arrive(j.Priority, j); !admitted {
-					return
-				}
-			}
-			attempt(j, opts.MaxRetries, new(int))
-		})
+	recs := make([]streamJob, len(jobs))
+	for i, j := range jobs {
+		a := &recs[i]
+		*a = streamJob{r: r, job: j, retriesLeft: opts.MaxRetries}
+		c.K.At(j.Submit, func() { r.submit(a) })
 	}
 	c.K.Run()
 	e.st.Joules = c.TotalJoules()
-	if gate != nil {
-		e.st.ShedByClass = gate.Shed()
+	if r.gate != nil {
+		e.st.ShedByClass = r.gate.Shed()
 		for _, n := range e.st.ShedByClass {
 			e.st.Shed += n
 		}
@@ -550,12 +520,115 @@ func (c *Continuum) runStream(pol placement.Policy, jobs []StreamJob, candidates
 	return e.st
 }
 
-// runDAG is the engine configuration shared by RunDAG and
-// RunDAGReliable: tasks start when their last prerequisite edge arrives,
-// completed outputs are durable (cross-node successor edges are bulk
-// transfers), and latency is measured per task ready→finish. Retries
-// wait for the assigned node (static schedules pin tasks); exhausting a
-// task's retry budget aborts the run.
+// submit runs at a job's submit time.
+func (r *streamRun) submit(a *streamJob) {
+	e := r.e
+	if e.opts.DropSubmit != nil && e.opts.DropSubmit(a.job.Origin) {
+		e.st.Suppressed++
+		return
+	}
+	// A queued job starts from release; a shed or evicted one never
+	// starts, and the gate counts it.
+	if r.gate != nil {
+		if admitted, _, _ := r.gate.Arrive(a.job.Priority, a); !admitted {
+			return
+		}
+	}
+	r.attempt(a)
+}
+
+// attempt places the job and dispatches it, or retries it when nothing
+// is eligible right now.
+func (r *streamRun) attempt(a *streamJob) {
+	e := r.e
+	req := placement.Request{Task: a.job.Task, Origin: a.job.Origin}
+	n := r.pol.Select(r.env, req)
+	if n == nil {
+		r.retry(a)
+		return
+	}
+	u := unit{task: a.job.Task, node: n, origin: a.job.Origin, owner: a}
+	if !e.opts.Speculate.enabled() {
+		u.attempt = a.seq
+		a.seq++
+		e.run(u)
+		return
+	}
+	// The backup node is the policy's choice over the candidates that are
+	// still eligible (up, not cordoned) at hedge time, with the
+	// straggling primary excluded.
+	e.speculate(u, &a.seq, func() *node.Node {
+		r.primary = n
+		return r.pol.Select(r.backupEnv, req)
+	})
+}
+
+// retry re-dispatches the job after the backoff, or counts it lost and
+// frees its slot. The re-dispatch closure is built only when a retry
+// actually happens.
+func (r *streamRun) retry(a *streamJob) {
+	r.e.retry(a.retriesLeft, func() {
+		a.retriesLeft--
+		r.attempt(a)
+	}, r.release)
+}
+
+// release frees a finished job's admission slot; a job queued behind it
+// starts now.
+func (r *streamRun) release() {
+	if r.gate == nil {
+		return
+	}
+	if w := r.gate.Release(); w != nil {
+		// The job queued on arrival, at its submit time.
+		r.gate.Observe(time.Duration((r.e.c.K.Now() - w.Val.job.Submit) * float64(time.Second)))
+		r.attempt(w.Val)
+	}
+}
+
+// delivered ships the result from the node that ran the attempt back to
+// the job's origin, where the job completes.
+func (a *streamJob) delivered(u unit) {
+	e, n := a.r.e, u.node
+	e.egress(n, a.job.Origin, a.job.Task.OutputBytes)
+	e.c.Net.Message(n.ID, a.job.Origin, a.job.Task.OutputBytes, func() {
+		e.complete(n, a.job.Submit)
+		a.r.release()
+	})
+}
+
+func (a *streamJob) lost() { a.r.retry(a) }
+
+// dagRun is the engine configuration shared by RunDAG and RunDAGReliable:
+// tasks start when their last prerequisite edge arrives, completed
+// outputs are durable (cross-node successor edges are bulk transfers),
+// and latency is measured per task ready→finish. Retries wait for the
+// assigned node (static schedules pin tasks); exhausting a task's retry
+// budget aborts the run.
+type dagRun struct {
+	e       *engine
+	d       *task.DAG
+	sched   placement.Schedule
+	env     *placement.Env
+	tasks   []dagTask
+	aborted bool
+}
+
+// dagTask owns every attempt at one DAG task, and counts its
+// prerequisites until it starts.
+type dagTask struct {
+	r  *dagRun
+	id task.ID
+	// waiting counts unsatisfied prerequisites: one per incoming edge.
+	waiting int
+	started bool
+	readyAt float64
+	// retriesLeft is the task's retry budget and seq the trace attempt
+	// number of its next dispatch.
+	retriesLeft, seq int
+}
+
+// runDAG runs schedule sched of d as one dagRun.
 func (c *Continuum) runDAG(d *task.DAG, sched placement.Schedule, env *placement.Env, opts ReliableOptions) (*ReliableStats, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -564,116 +637,109 @@ func (c *Continuum) runDAG(d *task.DAG, sched placement.Schedule, env *placement
 		return nil, fmt.Errorf("core: schedule covers %d of %d tasks", len(sched.Assign), d.N())
 	}
 	e := newEngine(c, opts)
-
-	// waiting[t] counts unsatisfied prerequisites: one per incoming edge.
-	waiting := make([]int, d.N())
-	for i := 0; i < d.N(); i++ {
-		waiting[i] = d.InDegree(task.ID(i))
+	r := &dagRun{e: e, d: d, sched: sched, env: env, tasks: make([]dagTask, d.N())}
+	for i := range r.tasks {
+		r.tasks[i] = dagTask{r: r, id: task.ID(i), waiting: d.InDegree(task.ID(i))}
 	}
-	started := make([]bool, d.N())
-	readyAt := make([]float64, d.N())
-	var aborted bool
-
-	var tryStart func(id task.ID)
-	var runTask func(id task.ID, retriesLeft int)
-
-	// arrive delivers one prerequisite edge to id.
-	arrive := func(id task.ID) {
-		waiting[id]--
-		tryStart(id)
-	}
-
-	seqs := make([]int, d.N()) // per-task dispatch sequence for trace attempts
-
-	runTask = func(id task.ID, retriesLeft int) {
-		if aborted {
-			return
-		}
-		tk := d.Tasks[id]
-		n := env.Nodes[sched.Assign[id]]
-		retry := func() {
-			e.retry(retriesLeft,
-				func() { runTask(id, retriesLeft-1) },
-				func() { aborted = true })
-		}
-		if !e.eligible(n) {
-			retry() // wait out the downtime/cordon; the schedule pins the task here
-			return
-		}
-		// mk binds a replica's successor-edge transfers to the node that
-		// actually executed it (a winning backup ships edges from its own
-		// node, not the schedule's pinned one).
-		mk := func(n *node.Node, attemptNo int) unit {
-			return unit{
-				task:    tk,
-				node:    n,
-				attempt: attemptNo,
-				origin:  -1,
-				deliver: func() {
-					e.complete(n, readyAt[id])
-					for _, edge := range d.Successors(id) {
-						edge := edge
-						dst := env.Nodes[sched.Assign[edge.To]]
-						if dst.ID == n.ID {
-							arrive(edge.To)
-							continue
-						}
-						e.egress(n, dst.ID, edge.Bytes)
-						c.Net.Transfer(n.ID, dst.ID, edge.Bytes, func(f *netsim.Flow) {
-							if c.Tracer != nil {
-								c.Tracer.Record(f.Start, f.Finish, trace.KindTransfer,
-									n.Name+"->"+dst.Name, fmt.Sprintf("%.0fB", f.Size), 0)
-							}
-							arrive(edge.To)
-						})
-					}
-				},
-				lost: retry,
-			}
-		}
-		if !e.opts.Speculate.enabled() {
-			u := mk(n, seqs[id])
-			seqs[id]++
-			e.run(u)
-			return
-		}
-		// The schedule pins the primary; the backup goes to the fastest
-		// other node that is up at hedge time.
-		e.speculate(mk, n, &seqs[id], func() *node.Node {
-			var best *node.Node
-			bestT := math.Inf(1)
-			for _, cand := range env.Nodes {
-				if cand == n || !e.eligible(cand) {
-					continue
-				}
-				if et := cand.ExecTime(tk.ScalarWork, tk.TensorWork, tk.Accel); et < bestT {
-					bestT, best = et, cand
-				}
-			}
-			return best
-		})
-	}
-
-	tryStart = func(id task.ID) {
-		if started[id] || waiting[id] > 0 || aborted {
-			return
-		}
-		started[id] = true
-		readyAt[id] = c.K.Now()
-		runTask(id, e.opts.MaxRetries)
-	}
-
-	for _, r := range d.Roots() {
-		tryStart(r)
+	for _, root := range d.Roots() {
+		r.tryStart(root)
 	}
 	c.K.Run()
 	e.st.Joules = c.TotalJoules()
 
-	if aborted {
+	if r.aborted {
 		return e.st, fmt.Errorf("core: DAG aborted after exhausting retries (%d tasks completed)", e.st.Completed)
 	}
 	if e.st.Completed != int64(d.N()) {
 		return e.st, fmt.Errorf("core: only %d of %d tasks completed", e.st.Completed, d.N())
 	}
 	return e.st, nil
+}
+
+// tryStart starts id once its last prerequisite has arrived.
+func (r *dagRun) tryStart(id task.ID) {
+	t := &r.tasks[id]
+	if t.started || t.waiting > 0 || r.aborted {
+		return
+	}
+	t.started = true
+	t.readyAt = r.e.c.K.Now()
+	t.retriesLeft = r.e.opts.MaxRetries
+	r.run(t)
+}
+
+// arrive delivers one prerequisite edge to id.
+func (r *dagRun) arrive(id task.ID) {
+	r.tasks[id].waiting--
+	r.tryStart(id)
+}
+
+// run dispatches t to the node the schedule pins it to.
+func (r *dagRun) run(t *dagTask) {
+	if r.aborted {
+		return
+	}
+	e := r.e
+	tk := r.d.Tasks[t.id]
+	n := r.env.Nodes[r.sched.Assign[t.id]]
+	if !e.eligible(n) {
+		t.lost() // wait out the downtime/cordon; the schedule pins the task here
+		return
+	}
+	u := unit{task: tk, node: n, origin: -1, owner: t}
+	if !e.opts.Speculate.enabled() {
+		u.attempt = t.seq
+		t.seq++
+		e.run(u)
+		return
+	}
+	// The schedule pins the primary; the backup goes to the fastest
+	// other node that is up at hedge time.
+	e.speculate(u, &t.seq, func() *node.Node {
+		var best *node.Node
+		bestT := math.Inf(1)
+		for _, cand := range r.env.Nodes {
+			if cand == n || !e.eligible(cand) {
+				continue
+			}
+			if et := cand.ExecTime(tk.ScalarWork, tk.TensorWork, tk.Accel); et < bestT {
+				bestT, best = et, cand
+			}
+		}
+		return best
+	})
+}
+
+// delivered completes the task and launches its successor edges from
+// the node that ran it (a winning backup ships edges from its own node,
+// not the schedule's pinned one).
+func (t *dagTask) delivered(u unit) {
+	r, n := t.r, u.node
+	e, c := r.e, r.e.c
+	e.complete(n, t.readyAt)
+	for _, edge := range r.d.Successors(t.id) {
+		dst := r.env.Nodes[r.sched.Assign[edge.To]]
+		if dst.ID == n.ID {
+			r.arrive(edge.To)
+			continue
+		}
+		e.egress(n, dst.ID, edge.Bytes)
+		c.Net.Transfer(n.ID, dst.ID, edge.Bytes, func(f *netsim.Flow) {
+			if c.Tracer != nil {
+				c.Tracer.Record(f.Start, f.Finish, trace.KindTransfer,
+					n.Name+"->"+dst.Name, fmt.Sprintf("%.0fB", f.Size), 0)
+			}
+			r.arrive(edge.To)
+		})
+	}
+}
+
+// lost retries the task after the backoff, or aborts the run once its
+// budget is spent.
+func (t *dagTask) lost() {
+	r := t.r
+	r.e.retry(t.retriesLeft, func() {
+		t.retriesLeft--
+		r.run(t)
+	}, func() { r.aborted = true })
 }

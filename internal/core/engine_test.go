@@ -8,6 +8,7 @@ import (
 
 	"continuum/internal/data"
 	"continuum/internal/metrics"
+	"continuum/internal/node"
 	"continuum/internal/placement"
 	"continuum/internal/task"
 	"continuum/internal/trace"
@@ -327,5 +328,44 @@ func TestDAGLatencyIsReadyToFinish(t *testing.T) {
 	}
 	if math.Abs(st.Makespan-2.0) > 1e-9 {
 		t.Fatalf("makespan = %v, want 2.0", st.Makespan)
+	}
+}
+
+// TestStreamJobAllocations counts what one stream job allocates on the
+// engine's untraced, fault-free path: BenchmarkEngineOverhead's two-node
+// RunStream, each job with a Task of its own. The per-job count is the
+// difference between a run of 400 jobs and one of 200, so the fixed cost
+// of building the continuum cancels out. It counts allocations, not
+// time: a new closure or record per job shows up here whatever the host.
+func TestStreamJobAllocations(t *testing.T) {
+	run := func(jobs int) func() {
+		return func() {
+			cat := node.Catalog()
+			c := New()
+			a := c.AddNode(cat["gateway"])
+			d := c.AddNode(cat["cloud"])
+			c.Connect(a.ID, d.ID, 0.020, 1.25e9)
+			js := make([]StreamJob, jobs)
+			for i := range js {
+				js[i] = StreamJob{
+					Task:   &task.Task{Name: "t", ScalarWork: 1e8, OutputBytes: 128},
+					Origin: a.ID,
+					Submit: float64(i) * 0.01,
+				}
+			}
+			if st := c.RunStream(placement.GreedyLatency{}, js, nil); st.Completed != int64(jobs) {
+				t.Fatalf("%d of %d jobs completed", st.Completed, jobs)
+			}
+		}
+	}
+	perJob := (testing.AllocsPerRun(5, run(400)) - testing.AllocsPerRun(5, run(200))) / 200
+	// The job's Task, its submit event, the staging, execution-start,
+	// execution-end and executed callbacks, and the reply callback. The
+	// fraction over whole allocations is storage that grows with the run
+	// (the kernel's calendar, the histogram).
+	const max = 7
+	t.Logf("%.2f allocations per stream job", perJob)
+	if math.Round(perJob) > max {
+		t.Fatalf("a stream job allocates %.2f times, want ≤ %d", perJob, max)
 	}
 }

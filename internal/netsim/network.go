@@ -277,18 +277,19 @@ func (n *Network) to(a, b int) hop {
 }
 
 // Nearest returns the i-th vertex (from 0) in nondecreasing order of
-// latency from src, and that latency, extending the search from src only
-// as far as i. src itself is vertex 0. ok is false when fewer than i+1
-// vertices are reachable.
-func (n *Network) Nearest(src, i int) (v int, latency float64, ok bool) {
+// latency from src, that latency and the path's bottleneck capacity (its
+// minimum link capacity, +Inf for src itself), extending the search from
+// src only as far as i. src itself is vertex 0. ok is false when fewer
+// than i+1 vertices are reachable.
+func (n *Network) Nearest(src, i int) (v int, latency, bottleneck float64, ok bool) {
 	s := n.search(src)
 	for len(s.order) <= i {
 		if !n.step(s) {
-			return 0, 0, false
+			return 0, 0, 0, false
 		}
 	}
 	v = int(s.order[i])
-	return v, s.hops[v].dist, true
+	return v, s.hops[v].dist, s.hops[v].bn, true
 }
 
 // Path returns the minimum-latency link path from a to b, or an error if b

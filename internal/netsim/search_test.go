@@ -148,12 +148,13 @@ func TestPropertySearchMatchesFullDijkstra(t *testing.T) {
 					}
 				case 4:
 					i := rng.Intn(n.NumNodes() + 1)
-					v, d, ok := n.Nearest(a, i)
+					v, d, vbn, ok := n.Nearest(a, i)
 					if ok != (i < len(order)) {
 						t.Fatalf("seed %d: Nearest(%d,%d) ok=%v with %d reachable", seed, a, i, ok, len(order))
 					}
-					if ok && (v != int(order[i]) || bits(d) != bits(ref[v].dist)) {
-						t.Fatalf("seed %d: Nearest(%d,%d) = %d at %v, reference %d at %v", seed, a, i, v, d, order[i], ref[order[i]].dist)
+					if ok && (v != int(order[i]) || bits(d) != bits(ref[v].dist) || bits(vbn) != bits(ref[v].bn)) {
+						t.Fatalf("seed %d: Nearest(%d,%d) = %d at %v (bottleneck %v), reference %d at %v (bottleneck %v)",
+							seed, a, i, v, d, vbn, order[i], ref[order[i]].dist, ref[order[i]].bn)
 					}
 				case 5:
 					path, err := n.Path(a, b)
@@ -223,14 +224,14 @@ func TestSearchExtendsOnlyAsFarAsAsked(t *testing.T) {
 	if got := len(n.spt[0].order); got != 4 {
 		t.Fatalf("settled %d vertices to answer Latency(0, 3), want 4", got)
 	}
-	v, d, ok := n.Nearest(0, 5)
-	if !ok || v != 5 || d != n.Latency(0, 5) {
-		t.Fatalf("Nearest(0, 5) = %d, %v, %v", v, d, ok)
+	v, d, bn, ok := n.Nearest(0, 5)
+	if !ok || v != 5 || d != n.Latency(0, 5) || bn != 1e9 {
+		t.Fatalf("Nearest(0, 5) = %d, %v, %v, %v", v, d, bn, ok)
 	}
 	if got := len(n.spt[0].order); got != 6 {
 		t.Fatalf("settled %d vertices to answer Nearest(0, 5), want 6", got)
 	}
-	if _, _, ok := n.Nearest(0, 100); ok {
+	if _, _, _, ok := n.Nearest(0, 100); ok {
 		t.Fatal("Nearest(0, 100) on a 100-vertex line reported a vertex")
 	}
 	if n.spt[0].pq != nil {

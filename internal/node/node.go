@@ -189,34 +189,36 @@ func (n *Node) ExecTime(scalarWork, tensorWork float64, kind AccelKind) float64 
 // calls done. Queueing for busy cores/devices is FIFO via sim.Resource.
 func (n *Node) Execute(scalarWork, tensorWork float64, kind AccelKind, done func()) {
 	n.TasksStarted++
-	useAccel := tensorWork > 0 && n.HasAccel(kind) && n.Accels != nil
 	d := n.ExecTime(scalarWork, tensorWork, kind)
-	run := func() {
-		n.Meter.AddLoad(n.ActiveWattsCore)
-		var accelW float64
-		if useAccel {
-			accelW = n.Accel.Watts
-			n.Meter.AddLoad(accelW)
-		}
-		n.kernel.After(d, func() {
-			n.Meter.RemoveLoad(n.ActiveWattsCore)
-			if useAccel {
-				n.Meter.RemoveLoad(accelW)
-				n.Accels.Release(1)
-			}
-			n.Cores.Release(1)
-			n.TasksDone++
-			if done != nil {
-				done()
-			}
-		})
+	if !(tensorWork > 0 && n.HasAccel(kind) && n.Accels != nil) {
+		n.Cores.Acquire(1, func() { n.run(d, false, done) })
+		return
 	}
 	n.Cores.Acquire(1, func() {
-		if useAccel {
-			n.Accels.Acquire(1, run)
-			return
+		n.Accels.Acquire(1, func() { n.run(d, true, done) })
+	})
+}
+
+// run draws the granted core's power (and the device's, with accel) for
+// d seconds, then frees them and calls done.
+func (n *Node) run(d float64, accel bool, done func()) {
+	n.Meter.AddLoad(n.ActiveWattsCore)
+	var accelW float64
+	if accel {
+		accelW = n.Accel.Watts
+		n.Meter.AddLoad(accelW)
+	}
+	n.kernel.After(d, func() {
+		n.Meter.RemoveLoad(n.ActiveWattsCore)
+		if accel {
+			n.Meter.RemoveLoad(accelW)
+			n.Accels.Release(1)
 		}
-		run()
+		n.Cores.Release(1)
+		n.TasksDone++
+		if done != nil {
+			done()
+		}
 	})
 }
 

@@ -271,6 +271,13 @@ func (r *RoundRobin) Select(env *Env, req Request) *node.Node {
 // GreedyLatency picks the node with the lowest estimated completion time,
 // ignoring data replicas (it ships inputs from the origin).
 //
+// It scores from its own index rather than through EstimateLatency: a
+// candidate's list entry holds the latency and bottleneck capacity of its
+// path from the origin, and its part holds its exec time, so a score is
+// move + wait + exec from those and the node's occupancy. It must equal
+// EstimateLatency's value (with no fabric) bit for bit: score makes the
+// same float operations in the same order.
+//
 // It scores only the candidates that can win. With inputs shipped from
 // the origin, move ≥ Latency(origin, n) and wait ≥ 0, and rounding is
 // monotone, so fl(Latency(origin, n) + exec) is a lower bound on n's
@@ -286,14 +293,14 @@ func (GreedyLatency) Name() string { return "greedy-latency" }
 
 // Select implements Policy.
 func (GreedyLatency) Select(env *Env, req Request) *node.Node {
-	noFabric := *env
-	noFabric.Fabric = nil
 	ix := &env.shared().near
 	o := ix.origin(env, req.Origin)
+	tk := req.Task
+	ib := inputBytes(tk)
 	var best *node.Node
 	bestScore := math.Inf(1)
 	for p, rep := range ix.parts {
-		exec := env.Nodes[rep].ExecTime(req.Task.ScalarWork, req.Task.TensorWork, req.Task.Accel)
+		exec := env.Nodes[rep].ExecTime(tk.ScalarWork, tk.TensorWork, tk.Accel)
 	scan:
 		for k := 0; ; k++ {
 			for k == len(o.parts[p]) {
@@ -307,7 +314,7 @@ func (GreedyLatency) Select(env *Env, req Request) *node.Node {
 					break scan
 				}
 			}
-			c := o.parts[p][k]
+			c := &o.parts[p][k]
 			if c.lat+exec > bestScore {
 				break // the rest of the part is bounded at least this high
 			}
@@ -315,7 +322,7 @@ func (GreedyLatency) Select(env *Env, req Request) *node.Node {
 			if env.Eligible != nil && !env.Eligible(n) {
 				continue
 			}
-			s := EstimateLatency(&noFabric, req, n)
+			s := c.score(n, req.Origin, ib, exec)
 			if best == nil || s < bestScore || (s == bestScore && n.ID < best.ID) {
 				best, bestScore = n, s
 			}
@@ -361,9 +368,25 @@ type nearLists struct {
 	parts   [][]near
 }
 
+// near is one listed candidate: the latency and bottleneck capacity of
+// the origin's path to its vertex, and its position in the candidates.
 type near struct {
-	lat float64
-	pos int32
+	lat, bn float64
+	pos     int32
+}
+
+// score is EstimateLatency's value with no fabric for n, listed at c
+// from origin, given the task's input bytes ib and its exec on n. move is
+// MessageTime(origin, n.ID, ib) when ib > 0 (0 at the origin itself) and
+// Latency(origin, n.ID) otherwise.
+func (c *near) score(n *node.Node, origin int, ib, exec float64) float64 {
+	move := c.lat
+	if ib > 0 && n.ID != origin {
+		move = c.lat + ib/c.bn
+	}
+	backlog := float64(n.Cores.InUse()) + float64(n.Cores.QueueLen())
+	wait := backlog * exec / float64(n.Spec.Cores)
+	return move + wait + exec
 }
 
 // execKey is what ExecTime reads from a spec.
@@ -405,14 +428,14 @@ func (ix *nearIndex) origin(env *Env, origin int) *nearLists {
 // their parts' lists and returns that vertex's latency, or ok false once
 // every vertex reachable from the origin is settled.
 func (ix *nearIndex) extend(o *nearLists, origin int) (lat float64, ok bool) {
-	v, lat, ok := ix.net.Nearest(origin, o.settled)
+	v, lat, bn, ok := ix.net.Nearest(origin, o.settled)
 	if !ok {
 		return 0, false
 	}
 	o.settled++
 	for i := ix.at[v]; i >= 0; i = ix.next[i] {
 		p := ix.partOf[i]
-		o.parts[p] = append(o.parts[p], near{lat, i})
+		o.parts[p] = append(o.parts[p], near{lat, bn, i})
 	}
 	return lat, true
 }

@@ -302,6 +302,24 @@ func TestMultiObjectiveReusesScratch(t *testing.T) {
 	}
 }
 
+// TestGreedyLatencySelectAllocatesNothing pins that a decision from an
+// origin whose candidate lists are already built allocates nothing.
+func TestGreedyLatencySelectAllocatesNothing(t *testing.T) {
+	env := stressEnv(1000)
+	tk := &task.Task{ScalarWork: 5e9, Inputs: []task.DataRef{{Name: "in", Bytes: 2e5}}}
+	origins := env.Nodes[len(env.Nodes)-8:]
+	for _, o := range origins {
+		GreedyLatency{}.Select(env, Request{Task: tk, Origin: o.ID})
+	}
+	i := 0
+	if a := testing.AllocsPerRun(100, func() {
+		GreedyLatency{}.Select(env, Request{Task: tk, Origin: origins[i%len(origins)].ID})
+		i++
+	}); a != 0 {
+		t.Fatalf("GreedyLatency.Select allocates %.2f times per decision", a)
+	}
+}
+
 // fullScanGreedyLatency is the reference GreedyLatency: every eligible
 // candidate scored, lowest (score, ID) wins.
 func fullScanGreedyLatency(env *Env, req Request) *node.Node {
@@ -383,10 +401,11 @@ func randomContinuum(rng *workload.RNG) (*Env, []*netsim.Link) {
 }
 
 // TestGreedyLatencyPrunedMatchesFullScan is the exactness property of the
-// bounded scan: on 200 random continua with equal-latency ties,
-// unreachable nodes, busy cores, random eligibility masks (all-ineligible
-// included) and link retunes between decisions, GreedyLatency picks the
-// node a full scan picks, every time.
+// bounded scan and of scoring from the index: on 200 random continua with
+// equal-latency ties, unreachable nodes, busy cores, random eligibility
+// masks (all-ineligible included), tasks with no, zero-byte, one or two
+// inputs, and link retunes between decisions, GreedyLatency picks the node
+// a full scan over EstimateLatency picks, every time.
 func TestGreedyLatencyPrunedMatchesFullScan(t *testing.T) {
 	rng := workload.NewRNG(2019)
 	var decisions, nils int
@@ -416,8 +435,15 @@ func TestGreedyLatencyPrunedMatchesFullScan(t *testing.T) {
 			if tk.TensorWork > 0 {
 				tk.Accel = pick(rng, node.GPU, node.TPU)
 			}
-			if rng.Intn(2) == 0 {
+			// No inputs and zero-byte inputs take EstimateLatency's
+			// Latency branch; two inputs check that their bytes are summed.
+			switch rng.Intn(4) {
+			case 1:
 				tk.Inputs = []task.DataRef{{Name: "in", Bytes: pick(rng, 1e6, 2e6)}}
+			case 2:
+				tk.Inputs = []task.DataRef{{Name: "in", Bytes: 0}}
+			case 3:
+				tk.Inputs = []task.DataRef{{Name: "a", Bytes: pick(rng, 0, 1e6, 2e6)}, {Name: "b", Bytes: pick(rng, 0.5e6, 1e6)}}
 			}
 			req := Request{Task: tk, Origin: env.Nodes[rng.Intn(len(env.Nodes))].ID}
 			got, want := GreedyLatency{}.Select(view, req), fullScanGreedyLatency(view, req)

@@ -331,6 +331,15 @@ func (p *Plan) runStream(c *core.Continuum, byName map[string]*node.Node, work [
 	if err != nil {
 		return nil, err
 	}
+	// Every job runs the same task, so they share one.
+	tk := &task.Task{
+		Name:        "job",
+		ScalarWork:  s.Stream.ScalarWork,
+		TensorWork:  s.Stream.TensorWork,
+		Accel:       p.accel,
+		OutputBytes: s.Stream.OutputBytes,
+		Inputs:      []task.DataRef{{Name: "in", Bytes: s.Stream.InputBytes}},
+	}
 	// Per-origin arrival synthesis. Each origin's stream was split off
 	// serially by streams, so its arrivals are a fixed function of (seed,
 	// origin index) and the generation below can run on any number of
@@ -341,14 +350,7 @@ func (p *Plan) runStream(c *core.Continuum, byName map[string]*node.Node, work [
 		var out []core.StreamJob
 		p.arrivals(rngs[i], func(t float64) {
 			out = append(out, core.StreamJob{
-				Task: &task.Task{
-					Name:        "job",
-					ScalarWork:  s.Stream.ScalarWork,
-					TensorWork:  s.Stream.TensorWork,
-					Accel:       p.accel,
-					OutputBytes: s.Stream.OutputBytes,
-					Inputs:      []task.DataRef{{Name: "in", Bytes: s.Stream.InputBytes}},
-				},
+				Task:     tk,
 				Origin:   byName[origins[i]].ID,
 				Submit:   t,
 				Priority: faas.Priority(s.Stream.Priorities[origins[i]]),

@@ -10,7 +10,7 @@ type Resource struct {
 	name     string
 	capacity int64
 	inUse    int64
-	waiters  []*acquireReq
+	waiters  []acquireReq // pending requests, oldest first
 
 	// Grants counts successful acquisitions; MaxInUse tracks the high-water
 	// mark, useful for utilization reporting.
@@ -42,7 +42,7 @@ func (r *Resource) QueueLen() int { return len(r.waiters) }
 
 // Acquire requests n units; fn runs (immediately, synchronously) once the
 // units are granted. Requests exceeding capacity panic since they can never
-// be satisfied.
+// be satisfied. A request granted at once allocates nothing.
 func (r *Resource) Acquire(n int64, fn func()) {
 	if n <= 0 {
 		panic(fmt.Sprintf("sim: acquire %d <= 0 units of %q", n, r.name))
@@ -50,7 +50,7 @@ func (r *Resource) Acquire(n int64, fn func()) {
 	if n > r.capacity {
 		panic(fmt.Sprintf("sim: acquire %d > capacity %d of %q", n, r.capacity, r.name))
 	}
-	req := &acquireReq{n: n, fn: fn}
+	req := acquireReq{n: n, fn: fn}
 	if len(r.waiters) == 0 && r.inUse+n <= r.capacity {
 		r.grant(req)
 		return
@@ -58,7 +58,7 @@ func (r *Resource) Acquire(n int64, fn func()) {
 	r.waiters = append(r.waiters, req)
 }
 
-func (r *Resource) grant(req *acquireReq) {
+func (r *Resource) grant(req acquireReq) {
 	r.inUse += req.n
 	if r.inUse > r.MaxInUse {
 		r.MaxInUse = r.inUse
@@ -83,6 +83,9 @@ func (r *Resource) Release(n int64) {
 		if r.inUse+head.n > r.capacity {
 			break
 		}
+		// Clear the granted slot: the backing array outlives it, and
+		// would keep the callback and all it captures reachable.
+		r.waiters[0] = acquireReq{}
 		r.waiters = r.waiters[1:]
 		r.grant(head)
 	}

@@ -2,8 +2,11 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // use acquires n units of r, holds them for d seconds of virtual time,
@@ -125,6 +128,86 @@ func TestResourcePanics(t *testing.T) {
 			}()
 			tc.fn()
 		})
+	}
+}
+
+// TestResourceUncontendedAllocatesNothing: an Acquire granted at once,
+// and its Release, allocate nothing.
+func TestResourceUncontendedAllocatesNothing(t *testing.T) {
+	r := NewResource(NewKernel(), "cores", 4)
+	fn := func() {}
+	if a := testing.AllocsPerRun(100, func() {
+		r.Acquire(1, fn)
+		r.Release(1)
+	}); a != 0 {
+		t.Fatalf("uncontended Acquire+Release allocates %.0f times", a)
+	}
+}
+
+// TestResourceForgetsGrantedRequests: once a queued request is granted,
+// the resource no longer reaches its callback, though the queue's storage
+// lives on for the requests behind it.
+func TestResourceForgetsGrantedRequests(t *testing.T) {
+	r := NewResource(NewKernel(), "cores", 1)
+	defer runtime.KeepAlive(r)
+	r.Acquire(1, func() {})
+	freed := make(chan struct{})
+	func() {
+		captured := new([64]byte)
+		runtime.SetFinalizer(captured, func(*[64]byte) { close(freed) })
+		r.Acquire(1, func() { captured[0]++ })
+	}()
+	r.Acquire(1, func() {}) // keeps the queue's storage in use
+	r.Release(1)            // grants the request holding captured
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the resource still reaches a granted request's callback")
+}
+
+// TestResourceGrantCallbackReenters: a grant callback that acquires the
+// same resource again and releases what it was granted. The new request
+// queues behind the ones already waiting, the release grants the next
+// waiter from inside the callback, and everything is still granted in
+// FIFO order, never beyond capacity, and handed back in the end.
+func TestResourceGrantCallbackReenters(t *testing.T) {
+	k := NewKernel()
+	r := NewResource(k, "cores", 2)
+	var order []string
+	var granted func(name string, n int64) func()
+	granted = func(name string, n int64) func() {
+		return func() {
+			if r.InUse() > r.Capacity() {
+				t.Fatalf("%s granted with %d of %d in use", name, r.InUse(), r.Capacity())
+			}
+			order = append(order, name)
+			if name == "a" {
+				r.Acquire(1, granted("a2", 1))
+				r.Release(n)
+			}
+		}
+	}
+	r.Acquire(2, granted("hold", 2))
+	r.Acquire(1, granted("a", 1))
+	r.Acquire(2, granted("b", 2))
+	r.Acquire(1, granted("c", 1))
+	r.Release(2) // grants a, which requeues and releases, granting b
+	if got := strings.Join(order, ","); got != "hold,a,b" || r.InUse() != 2 || r.QueueLen() != 2 {
+		t.Fatalf("after the first release: order %s, %d in use, %d queued", got, r.InUse(), r.QueueLen())
+	}
+	r.Release(2) // b's units: c and a2 fit
+	r.Release(1)
+	r.Release(1)
+	if got := strings.Join(order, ","); got != "hold,a,b,c,a2" {
+		t.Fatalf("grant order %s, want FIFO hold,a,b,c,a2", got)
+	}
+	if r.InUse() != 0 || r.QueueLen() != 0 || r.Grants != 5 {
+		t.Fatalf("%d in use, %d queued, %d grants after everything was released: want 0, 0, 5", r.InUse(), r.QueueLen(), r.Grants)
 	}
 }
 
