@@ -10,6 +10,7 @@ package continuum_test
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -18,6 +19,7 @@ import (
 	"continuum/internal/netsim"
 	"continuum/internal/node"
 	"continuum/internal/placement"
+	"continuum/internal/scenario"
 	"continuum/internal/sim"
 	"continuum/internal/task"
 	"continuum/internal/workload"
@@ -166,6 +168,38 @@ func BenchmarkEngineOverhead(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkStressScenarioRun is the sim-stress workload's run, in
+// process: the generated 1000-node stress scenario (64 origins at 8
+// arrivals/s for 8 scenario seconds, seed 1) through Scenario.Run, the
+// whole simulated stack at once. Besides B/op and allocs/op it reports
+// gc/op, the collections a run drives; each run builds its continuum
+// afresh, so what one run leaves behind is garbage the next collects.
+func BenchmarkStressScenarioRun(b *testing.B) {
+	s := scenario.GenerateStress(scenario.StressSpec{Nodes: 1000, Origins: 64, Rate: 8, Horizon: 8, Seed: 1})
+	if err := s.Validate(); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := s.Run(); err != nil { // warm the shared stores
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := s.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if r.Completed == 0 {
+			b.Fatal("no task completed")
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&m1)
+	b.ReportMetric(float64(m1.NumGC-m0.NumGC)/float64(b.N), "gc/op")
 }
 
 // Substrate microbenchmarks.

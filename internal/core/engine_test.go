@@ -331,6 +331,54 @@ func TestDAGLatencyIsReadyToFinish(t *testing.T) {
 	}
 }
 
+// TestDAGTaskAllocations counts what one DAG task allocates on the
+// engine's untraced, fault-free path: a chain of tasks, each also
+// feeding the task two ahead, all pinned to one node so every edge is a
+// local arrival. The DAG and its schedule are built once, outside the
+// count; the per-task count is the difference between a 400-task and a
+// 200-task run, over 200. Walking a task's successor edges must not
+// allocate: the DAG hands out its own grouped edges.
+func TestDAGTaskAllocations(t *testing.T) {
+	run := func(tasks int) func() {
+		d := task.NewDAG("ladder")
+		sched := placement.Schedule{Algorithm: "manual", Assign: map[task.ID]int{}}
+		for i := 0; i < tasks; i++ {
+			d.AddTask("t", 1e8, 128)
+			sched.Assign[task.ID(i)] = 0
+		}
+		for i := 0; i+1 < tasks; i++ {
+			d.Connect(task.ID(i), task.ID(i+1), -1)
+			if i+2 < tasks {
+				d.Connect(task.ID(i), task.ID(i+2), -1)
+			}
+		}
+		return func() {
+			cat := node.Catalog()
+			c := New()
+			a := c.AddNode(cat["gateway"])
+			c.AddNode(cat["cloud"])
+			c.Connect(a.ID, a.ID+1, 0.020, 1.25e9)
+			st, err := c.RunDAG(d, sched, c.Env())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Completed != int64(tasks) {
+				t.Fatalf("%d of %d tasks completed", st.Completed, tasks)
+			}
+		}
+	}
+	perTask := (testing.AllocsPerRun(5, run(400)) - testing.AllocsPerRun(5, run(200))) / 200
+	// The staging, execution-start, execution-end and executed
+	// callbacks; the successor edges cost nothing (≈ 5 before). The
+	// fraction over whole allocations is storage that grows with the run
+	// (the topological order, the kernel's calendar).
+	const max = 4
+	t.Logf("%.2f allocations per DAG task", perTask)
+	if math.Round(perTask) > max {
+		t.Fatalf("a DAG task allocates %.2f times, want ≤ %d", perTask, max)
+	}
+}
+
 // TestStreamJobAllocations counts what one stream job allocates on the
 // engine's untraced, fault-free path: BenchmarkEngineOverhead's two-node
 // RunStream, each job with a Task of its own. The per-job count is the

@@ -17,6 +17,7 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"continuum/internal/sim"
 )
@@ -49,7 +50,11 @@ type Link struct {
 	BytesCarried float64
 }
 
-// Network is a topology bound to a simulation kernel.
+// Network is a topology bound to a simulation kernel. Its shortest-path
+// searches run in storage taken from a store shared by every network,
+// and hand it back when routes are dropped (DropRoutes): a network that
+// is thrown away after a run should drop its routes first, so the next
+// network's searches reuse that storage instead of allocating it.
 type Network struct {
 	k     *sim.Kernel
 	adj   [][]*Link
@@ -63,17 +68,14 @@ type Network struct {
 	// spt holds the shortest-path search per source vertex (hops nil
 	// until first asked); every topology change drops them all. Routing
 	// is latency-static, so caching is exact. started lists the sources
-	// searched since the last invalidation, so building a topology link
-	// by link does not walk an all-empty cache V times (O(V²)).
+	// searched since routes were last dropped, so building a topology
+	// link by link does not walk an all-empty cache V times (O(V²)).
 	spt     []search
 	started []int32
-	// freeHops, freeOrder and freePQ hold the storage of dropped
-	// searches for the next ones to reuse, so a run that retunes links
-	// does not allocate every search afresh each route epoch.
-	freeHops  [][]hop
-	freeOrder [][]int32
-	freePQ    []nodeHeap
-	// epoch counts route invalidations (see RouteEpoch).
+	// boxes holds the empty carriers of storage this network took from
+	// the shared store, so handing storage back allocates nothing.
+	boxes []*search
+	// epoch counts route drops (see RouteEpoch).
 	epoch uint64
 
 	// Transfers counts completed Transfer flows; Messages counts Message
@@ -85,7 +87,9 @@ type Network struct {
 // search is a resumable Dijkstra from one source. It settles vertices
 // only as far as a query needs, and every pop and relaxation is the one
 // a full run makes at the same step, so each settled entry is the full
-// run's entry bit for bit.
+// run's entry bit for bit. Its storage comes from the shared store and
+// goes back there when routes are dropped (the heap as soon as the
+// search is exhausted).
 type search struct {
 	hops  []hop
 	pq    nodeHeap // nil once every reachable vertex is settled
@@ -125,7 +129,7 @@ func (n *Network) NumNodes() int { return len(n.adj) }
 func (n *Network) AddNode() int {
 	n.adj = append(n.adj, nil)
 	n.spt = append(n.spt, search{})
-	n.invalidate()
+	n.DropRoutes()
 	return len(n.adj) - 1
 }
 
@@ -146,7 +150,7 @@ func (n *Network) AddLink(from, to int, latency, capacity float64) *Link {
 	}
 	n.links = append(n.links, l)
 	n.adj[from] = append(n.adj[from], l)
-	n.invalidate()
+	n.DropRoutes()
 	return l
 }
 
@@ -170,29 +174,65 @@ func (n *Network) SetLinkParams(l *Link, latency, capacity float64) {
 	}
 	l.Latency = latency
 	l.Capacity = capacity
-	n.invalidate()
+	n.DropRoutes()
 }
 
-// invalidate drops every shortest-path search, keeping its storage for
-// reuse, and advances the route epoch.
-func (n *Network) invalidate() {
+// DropRoutes drops every shortest-path search, hands its storage to the
+// store that searches on every network share, and advances the route
+// epoch. Topology changes call it; so should the owner of a network it
+// is done with, so the next network's searches reuse the storage instead
+// of allocating it. Routes are a cache: a later query searches again and
+// gets the same entries bit for bit.
+func (n *Network) DropRoutes() {
 	n.epoch++
 	for _, src := range n.started {
 		s := &n.spt[src]
-		n.freeHops = append(n.freeHops, s.hops)
-		n.freeOrder = append(n.freeOrder, s.order[:0])
-		if s.pq != nil {
-			n.freePQ = append(n.freePQ, s.pq[:0])
-		}
+		n.give(*s)
 		*s = search{}
 	}
 	n.started = n.started[:0]
 }
 
+// store holds the storage of dropped searches for the next searches on
+// any network to reuse: a hop slice, its settled order and its heap
+// travel together in one *search (any of them may be nil). Each
+// scenario run builds a network and throws it away, so without it every
+// run would allocate its searches afresh. Like the kernel's record
+// chains it is a sync.Pool: concurrent runs share it safely, and what a
+// collection finds idle there is freed.
+var store sync.Pool
+
+// give hands st's storage to the store in one of the network's empty
+// carriers.
+func (n *Network) give(st search) {
+	var b *search
+	if k := len(n.boxes); k > 0 {
+		b = n.boxes[k-1]
+		n.boxes = n.boxes[:k-1]
+	} else {
+		b = new(search)
+	}
+	*b = st
+	store.Put(b)
+}
+
+// take returns storage from the store (none when it is empty), keeping
+// its carrier for a later give.
+func (n *Network) take() search {
+	b, _ := store.Get().(*search)
+	if b == nil {
+		return search{}
+	}
+	st := *b
+	*b = search{}
+	n.boxes = append(n.boxes, b)
+	return st
+}
+
 // RouteEpoch identifies the current routes: it changes whenever a
 // topology change (AddNode, AddLink, SetLinkParams) may have changed a
-// path latency, so a caller holding values derived from Latency can tell
-// when to rebuild them.
+// path latency, and on DropRoutes, so a caller holding values derived
+// from Latency can tell when to rebuild them.
 func (n *Network) RouteEpoch() uint64 { return n.epoch }
 
 func (n *Network) checkNode(id int) {
@@ -202,12 +242,14 @@ func (n *Network) checkNode(id int) {
 }
 
 // search returns the shortest-path search from src, starting it on
-// first use.
+// first use in storage from the store. Every hop is re-initialised and
+// the order and heap are emptied, so nothing of an earlier tenant, on
+// this network or another, survives.
 func (n *Network) search(src int) *search {
 	n.checkNode(src)
 	s := &n.spt[src]
 	if s.hops == nil {
-		s.hops = take(&n.freeHops)
+		*s = n.take()
 		if cap(s.hops) < len(n.adj) {
 			s.hops = make([]hop, len(n.adj))
 		}
@@ -216,24 +258,11 @@ func (n *Network) search(src int) *search {
 			s.hops[i] = hop{dist: math.Inf(1), prev: -1}
 		}
 		s.hops[src] = hop{dist: 0, bn: math.Inf(1), prev: -1}
-		s.order = take(&n.freeOrder)
-		s.pq = append(take(&n.freePQ), nodeDist{src, 0})
+		s.order = s.order[:0]
+		s.pq = append(s.pq[:0], nodeDist{src, 0})
 		n.started = append(n.started, int32(src))
 		n.Searches++
 	}
-	return s
-}
-
-// take pops the last slice off a free list, or returns nil when it is
-// empty.
-func take[S ~[]E, E any](free *[]S) S {
-	l := *free
-	if len(l) == 0 {
-		return nil
-	}
-	s := l[len(l)-1]
-	l[len(l)-1] = nil
-	*free = l[:len(l)-1]
 	return s
 }
 
@@ -260,7 +289,7 @@ func (n *Network) step(s *search) bool {
 		return true
 	}
 	if s.pq != nil {
-		n.freePQ = append(n.freePQ, s.pq)
+		n.give(search{pq: s.pq})
 		s.pq = nil
 	}
 	return false

@@ -2,7 +2,9 @@ package netsim
 
 import (
 	"container/heap"
+	"fmt"
 	"math"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -236,5 +238,64 @@ func TestSearchExtendsOnlyAsFarAsAsked(t *testing.T) {
 	}
 	if n.spt[0].pq != nil {
 		t.Fatal("exhausted search kept its heap")
+	}
+}
+
+// TestDroppedRoutesServeTheNextNetwork: once network a drops its routes,
+// the first search on a fresh network b of the same size runs in a's
+// storage, and searching and dropping again allocates nothing. The
+// store is a sync.Pool: a collection empties it, and under -race it
+// drops a quarter of its Puts at random, so the GC stays off and the
+// test passes if any of 20 rounds reuses a's storage allocation-free.
+func TestDroppedRoutesServeTheNextNetwork(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	k := sim.NewKernel()
+	for round := 0; round < 20; round++ {
+		a, b := line(k, 100, 0.001, 1e9), line(k, 100, 0.001, 1e9)
+		a.Latency(0, 99)
+		prev := &a.spt[0].hops[0]
+		a.DropRoutes()
+		want := b.Latency(0, 99)
+		reused := &b.spt[0].hops[0] == prev
+		b.DropRoutes()
+		allocs := testing.AllocsPerRun(1, func() {
+			if got := b.Latency(0, 99); got != want {
+				t.Fatalf("Latency(0, 99) = %v after a drop, %v before", got, want)
+			}
+			b.DropRoutes()
+		})
+		if reused && allocs == 0 {
+			return
+		}
+		t.Logf("round %d: reused a's hops %v, %v allocations per search", round, reused, allocs)
+	}
+	t.Fatal("no round searched a fresh network in a dropped network's storage without allocating")
+}
+
+// TestSharedStoreAcrossConcurrentNetworks: goroutines that each build,
+// query and drop networks of different sizes at once, all drawing on
+// the one store, keep every settled entry bit-identical to a full
+// Dijkstra, before and after each drop. Run it under -race.
+func TestSharedStoreAcrossConcurrentNetworks(t *testing.T) {
+	for g := 0; g < 4; g++ {
+		t.Run(fmt.Sprint(g), func(t *testing.T) {
+			t.Parallel()
+			for seed := uint64(1); seed <= 30; seed++ {
+				rng := workload.NewRNG(seed*8 + uint64(g))
+				n := randomTopology(rng)
+				for pass := 0; pass < 3; pass++ {
+					for q := 0; q < 10; q++ {
+						a := rng.Intn(n.NumNodes())
+						if rng.Intn(2) == 0 {
+							n.Latency(a, rng.Intn(n.NumNodes()))
+						} else {
+							n.Nearest(a, rng.Intn(n.NumNodes()+1))
+						}
+					}
+					checkSearches(t, n, fmt.Sprintf("seed %d pass %d", seed, pass))
+					n.DropRoutes()
+				}
+			}
+		})
 	}
 }

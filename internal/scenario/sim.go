@@ -99,6 +99,9 @@ func (p *Plan) arrivals(rng *workload.RNG, submit func(at float64)) {
 func (p *Plan) run(tr *trace.Tracer, workers int) (*Report, error) {
 	s := p.Scenario
 	c := core.New()
+	// The continuum is thrown away when the run ends: its route searches'
+	// storage goes to the store the next run's searches take from.
+	defer c.Net.DropRoutes()
 	c.Tracer = tr
 	byName := make(map[string]*node.Node)
 	for _, nj := range s.Nodes {

@@ -55,7 +55,11 @@ type DAG struct {
 	Tasks []*Task
 	Edges []Edge
 
-	succ, pred [][]int // adjacency by edge index, built lazily
+	// succ and pred hold copies of Edges grouped by source and by target
+	// (each group in Edges order), and roots the tasks with no incoming
+	// edge; all are built lazily, once per change.
+	succ, pred [][]Edge
+	roots      []ID
 	built      bool
 }
 
@@ -95,33 +99,34 @@ func (d *DAG) build() {
 		return
 	}
 	n := len(d.Tasks)
-	d.succ = make([][]int, n)
-	d.pred = make([][]int, n)
-	for i, e := range d.Edges {
-		d.succ[e.From] = append(d.succ[e.From], i)
-		d.pred[e.To] = append(d.pred[e.To], i)
+	d.succ = make([][]Edge, n)
+	d.pred = make([][]Edge, n)
+	for _, e := range d.Edges {
+		d.succ[e.From] = append(d.succ[e.From], e)
+		d.pred[e.To] = append(d.pred[e.To], e)
+	}
+	d.roots = nil
+	for i := range d.Tasks {
+		if len(d.pred[i]) == 0 {
+			d.roots = append(d.roots, ID(i))
+		}
 	}
 	d.built = true
 }
 
-// Successors returns the edges leaving t.
+// Successors returns the edges leaving t, in the order they were
+// connected. The slice is the DAG's own, shared by every caller and
+// rebuilt after a change: read it, do not modify or keep it.
 func (d *DAG) Successors(t ID) []Edge {
 	d.build()
-	out := make([]Edge, len(d.succ[t]))
-	for i, ei := range d.succ[t] {
-		out[i] = d.Edges[ei]
-	}
-	return out
+	return d.succ[t]
 }
 
-// Predecessors returns the edges entering t.
+// Predecessors returns the edges entering t, in the order they were
+// connected, as a shared slice like Successors.
 func (d *DAG) Predecessors(t ID) []Edge {
 	d.build()
-	out := make([]Edge, len(d.pred[t]))
-	for i, ei := range d.pred[t] {
-		out[i] = d.Edges[ei]
-	}
-	return out
+	return d.pred[t]
 }
 
 // InDegree returns the number of incoming edges of t.
@@ -130,16 +135,11 @@ func (d *DAG) InDegree(t ID) int {
 	return len(d.pred[t])
 }
 
-// Roots returns tasks with no predecessors.
+// Roots returns the tasks with no predecessors, in ID order, as a shared
+// slice like Successors.
 func (d *DAG) Roots() []ID {
 	d.build()
-	var roots []ID
-	for i := range d.Tasks {
-		if len(d.pred[i]) == 0 {
-			roots = append(roots, ID(i))
-		}
-	}
-	return roots
+	return d.roots
 }
 
 // Validate checks edge endpoints and acyclicity.
@@ -191,8 +191,8 @@ func (d *DAG) TopoOrder() ([]ID, error) {
 		u := ready[mi]
 		ready = append(ready[:mi], ready[mi+1:]...)
 		order = append(order, ID(u))
-		for _, ei := range d.succ[u] {
-			v := int(d.Edges[ei].To)
+		for _, e := range d.succ[u] {
+			v := int(e.To)
 			indeg[v]--
 			if indeg[v] == 0 {
 				ready = append(ready, v)

@@ -25,10 +25,11 @@ go test -race ./...
 
 echo "== bench smoke =="
 # One iteration of every wire, endpoint-invoke, router-decision,
-# router-relay, simulator-placement and engine-dispatch benchmark: catches
-# a hot path that stops compiling or panics without paying for a full
-# measurement run.
-go test -run '^$' -bench 'BenchmarkWire|BenchmarkEndpointInvoke|BenchmarkHashPolicyOrder|BenchmarkLeastLoadedOrder|BenchmarkRegistryRoutable|BenchmarkRouterRelay64K|BenchmarkMessageTime|BenchmarkNetworkBuild|BenchmarkGreedyLatencySelect|BenchmarkContinuumValidate|BenchmarkEngineOverhead' -benchtime=1x . ./internal/wire ./internal/faas ./internal/federation ./internal/netsim ./internal/placement ./internal/core
+# router-relay, simulator-placement, engine-dispatch and stress-scenario
+# benchmark: catches a hot path that stops compiling or panics without
+# paying for a full measurement run. BenchmarkStressScenarioRun's B/op
+# and gc/op are the bytes and collections of one sim-stress run.
+go test -run '^$' -bench 'BenchmarkWire|BenchmarkEndpointInvoke|BenchmarkHashPolicyOrder|BenchmarkLeastLoadedOrder|BenchmarkRegistryRoutable|BenchmarkRouterRelay64K|BenchmarkMessageTime|BenchmarkNetworkBuild|BenchmarkGreedyLatencySelect|BenchmarkContinuumValidate|BenchmarkEngineOverhead|BenchmarkStressScenarioRun' -benchtime=1x . ./internal/wire ./internal/faas ./internal/federation ./internal/netsim ./internal/placement ./internal/core
 
 echo "== api lint =="
 # Doc check: every exported identifier in the operator-facing packages
