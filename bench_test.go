@@ -268,6 +268,53 @@ func BenchmarkKernelSteadyState(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelFill is the sim-kernel workload's set-up, in process:
+// fill a fresh calendar kernel with 1 M self-rescheduling hold-model
+// events (uniform [0,1) gaps), then fire a warm-up tenth of them. Besides
+// B/op and allocs/op it reports peak-heap-MB, the largest heap in use
+// (MemStats.HeapAlloc) read at the end of a fill or a warm-up: the
+// kernel then holds its whole population. The kernel never drains, so
+// it parks nothing and each iteration's fill starts from empty storage.
+func BenchmarkKernelFill(b *testing.B) {
+	const pending = 1_000_000
+	b.ReportAllocs()
+	var peak uint64
+	var ms runtime.MemStats
+	sample := func() {
+		runtime.ReadMemStats(&ms)
+		peak = max(peak, ms.HeapAlloc)
+	}
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC() // the previous population is garbage; collect it outside the timing
+		b.StartTimer()
+		k := sim.NewKernel()
+		rng := workload.NewRNG(1)
+		fired := 0
+		var hop func()
+		hop = func() {
+			k.After(rng.Float64(), hop)
+			if fired++; fired == pending/10 {
+				k.Stop()
+			}
+		}
+		for j := 0; j < pending; j++ {
+			k.After(rng.Float64(), hop)
+		}
+		b.StopTimer()
+		sample()
+		b.StartTimer()
+		k.Run()
+		b.StopTimer()
+		sample()
+		if k.Pending() != pending || fired != pending/10 {
+			b.Fatalf("pending %d, fired %d", k.Pending(), fired)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(peak)/(1<<20), "peak-heap-MB")
+}
+
 // BenchmarkNetsimMessage measures analytic small-message delivery.
 func BenchmarkNetsimMessage(b *testing.B) {
 	k := sim.NewKernel()

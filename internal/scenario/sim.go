@@ -346,20 +346,29 @@ func (p *Plan) runStream(c *core.Continuum, byName map[string]*node.Node, work [
 	// Per-origin arrival synthesis. Each origin's stream was split off
 	// serially by streams, so its arrivals are a fixed function of (seed,
 	// origin index) and the generation below can run on any number of
-	// goroutines without changing a single arrival.
+	// goroutines without changing a single arrival. A first pass counts
+	// each origin's arrivals on a copy of its stream, so the second
+	// writes every origin's jobs straight into its own span of jobs.
 	origins, rngs := s.Stream.Origins, work[1:]
-	perOrigin := make([][]core.StreamJob, len(origins))
+	start := make([]int, len(origins)+1)
+	for i := range origins {
+		counter := *rngs[i]
+		n := 0
+		p.arrivals(&counter, func(float64) { n++ })
+		start[i+1] = start[i] + n
+	}
+	jobs := make([]core.StreamJob, start[len(origins)])
 	gen := func(i int) {
-		var out []core.StreamJob
+		job := core.StreamJob{
+			Task:     tk,
+			Origin:   byName[origins[i]].ID,
+			Priority: faas.Priority(s.Stream.Priorities[origins[i]]),
+		}
+		out := jobs[start[i]:start[i]:start[i+1]]
 		p.arrivals(rngs[i], func(t float64) {
-			out = append(out, core.StreamJob{
-				Task:     tk,
-				Origin:   byName[origins[i]].ID,
-				Submit:   t,
-				Priority: faas.Priority(s.Stream.Priorities[origins[i]]),
-			})
+			job.Submit = t
+			out = append(out, job)
 		})
-		perOrigin[i] = out
 	}
 	if workers <= 1 || len(origins) == 1 {
 		for i := range origins {
@@ -382,14 +391,6 @@ func (p *Plan) runStream(c *core.Continuum, byName map[string]*node.Node, work [
 			}()
 		}
 		wg.Wait()
-	}
-	total := 0
-	for _, o := range perOrigin {
-		total += len(o)
-	}
-	jobs := make([]core.StreamJob, 0, total)
-	for _, o := range perOrigin {
-		jobs = append(jobs, o...)
 	}
 	st := c.RunStreamReliable(pol, jobs, nil, opts)
 	return reportFromStats(s.Name, "stream/"+s.Stream.Policy, st), nil

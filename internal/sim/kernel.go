@@ -24,12 +24,18 @@
 // the heap is also available directly via NewKernelQueue for reference
 // runs and differential tests.
 //
-// Event records are pooled: a fired or compacted record returns to a
-// per-kernel freelist, and a fully drained kernel parks its freelist in a
-// shared sync.Pool for the next kernel to adopt (the wire-buffer
-// discipline), so steady-state scheduling — and even whole-kernel-per-run
-// sweeps — allocate nothing. Timer handles carry a generation number so a
-// stale handle can never cancel the record's next tenant.
+// Event records are held by value in kernel-owned pages and named by an
+// int32 index: bucket chains, the heap fallback and the freelist hold
+// indices, not pointers, so a million pending events are a few large
+// objects the collector scans in one sweep rather than a million it must
+// trace. A fired or compacted record returns to the kernel's freelist,
+// and a fully drained kernel parks its pages and its calendar's bucket
+// array in a shared sync.Pool for the next kernel to adopt, so
+// steady-state scheduling — and even whole-kernel-per-run sweeps —
+// allocate nothing. A record's scheduling sequence number doubles as its
+// generation: it is zeroed when the record is freed and never repeats in
+// a kernel's lifetime, so a stale Timer can never cancel the record's
+// next tenant.
 package sim
 
 import (
@@ -38,18 +44,18 @@ import (
 	"sync"
 )
 
-// timerRec is the pooled event record. Handles (Timer) reference it
-// together with the generation observed at scheduling time; the
-// generation advances whenever the record is recycled, invalidating every
-// outstanding handle.
+// timerRec is one event record. Records live by value in the kernel's
+// pages and are named by index (Kernel.rec); index 0 names none. seq is
+// the record's place in scheduling order and its generation: a Timer
+// reaches its record only while their seqs agree, and freeing the record
+// zeroes it.
 type timerRec struct {
-	next      *timerRec // bucket chain (calendar mode) or freelist link
-	fn        func()
+	next      int32 // bucket chain (calendar mode) or freelist link; 0 ends it
+	cancelled bool
+	vb        int64 // virtual bucket index = floor(time/width) at insert
 	time      float64
 	seq       uint64
-	gen       uint64
-	vb        int64 // virtual bucket index = floor(time/width) at insert
-	cancelled bool
+	fn        func()
 }
 
 // recLess orders records by (time, seq): virtual time, ties broken by
@@ -65,23 +71,38 @@ func recLess(a, b *timerRec) bool {
 // After. It is a small value — copy it freely; the zero Timer is inert
 // (Cancel and Pending are no-ops on it).
 //
-// Records behind timers are pooled and reused after the event fires or
-// its cancellation is compacted away. A stale handle is detected by its
-// generation number, so Cancel after firing remains a safe no-op even
-// when the record already carries a different event.
+// A Timer names its record by index together with the record's sequence
+// number. Records are reused after the event fires or its cancellation
+// is compacted away, and a reused record carries a new sequence number,
+// so Cancel after firing remains a safe no-op even when the record
+// already holds a different event. A Timer only ever looks into its own
+// kernel's storage: once that kernel has parked its pages for another
+// to adopt, the handle finds nothing.
 type Timer struct {
 	k   *Kernel
-	rec *timerRec
-	gen uint64
-	at  float64
+	seq uint64
+	idx int32
+}
+
+// rec returns the timer's record while its event is still pending, or
+// nil once it fired, was cancelled or belongs to parked storage.
+func (t Timer) rec() *timerRec {
+	k := t.k
+	if k == nil || t.idx >= k.used {
+		return nil
+	}
+	if r := k.rec(t.idx); r.seq == t.seq && !r.cancelled {
+		return r
+	}
+	return nil
 }
 
 // Cancel prevents the timer's event from firing. It reports whether the
 // event was still pending; cancelling an already-fired or
 // already-cancelled timer is a no-op.
 func (t Timer) Cancel() bool {
-	r := t.rec
-	if r == nil || r.gen != t.gen || r.cancelled {
+	r := t.rec()
+	if r == nil {
 		return false
 	}
 	r.cancelled = true
@@ -100,9 +121,7 @@ func (t Timer) Cancel() bool {
 
 // Pending reports whether the event is still scheduled: not yet fired and
 // not cancelled.
-func (t Timer) Pending() bool {
-	return t.rec != nil && t.rec.gen == t.gen && !t.rec.cancelled
-}
+func (t Timer) Pending() bool { return t.rec() != nil }
 
 // QueueKind selects the kernel's event-queue implementation.
 type QueueKind int
@@ -138,6 +157,17 @@ const (
 	// overflow the int64 bucket arithmetic; everything beyond collapses
 	// into one (sorted) far-future bucket.
 	maxVB = int64(1) << 62
+
+	// Record storage: a full page holds 1<<pageShift records (2.5 MB), so
+	// a million pending events fill 16 pages. The first page starts at
+	// firstPage records and doubles, by copying, until it is full; the
+	// pages after it are full from the start and never move. maxPages
+	// keeps every index an int32.
+	pageShift = 16
+	pageSize  = 1 << pageShift
+	pageMask  = pageSize - 1
+	firstPage = 64
+	maxPages  = 1<<(31-pageShift) - 1
 )
 
 // bucketEnt is one calendar day: the head of an UNSORTED intrusive list
@@ -150,7 +180,7 @@ const (
 // cached minVB lets the hand's year test skip a bucket without loading
 // any record. 16 bytes: four entries per cache line for the hand sweep.
 type bucketEnt struct {
-	head  *timerRec
+	head  int32
 	minVB int64
 }
 
@@ -167,9 +197,15 @@ type calendar struct {
 	count int     // records in buckets, including cancelled ones
 }
 
+// init empties the calendar into n buckets. The bucket array is resliced
+// within its capacity when it is large enough, so a calendar that shrank
+// regrows into the array it already has.
 func (q *calendar) init(n int, width float64, hand int64) {
-	if q.ents == nil || len(q.ents) != n {
+	if cap(q.ents) < n {
 		q.ents = make([]bucketEnt, n)
+	} else {
+		q.ents = q.ents[:n]
+		clear(q.ents)
 	}
 	q.mask = int64(n - 1)
 	q.width = width
@@ -195,17 +231,17 @@ func (q *calendar) vbOf(t float64) int64 {
 	return vb
 }
 
-// insert files r into its bucket: an O(1) push-front that touches no
-// record but r itself (which the caller just wrote and has in cache).
-// Ordering is resolved lazily by the dequeue scan.
-func (q *calendar) insert(r *timerRec) {
+// insert files record i (r) into its bucket: an O(1) push-front that
+// touches no record but r itself (which the caller just wrote and has in
+// cache). Ordering is resolved lazily by the dequeue scan.
+func (q *calendar) insert(i int32, r *timerRec) {
 	r.vb = q.vbOf(r.time)
 	e := &q.ents[r.vb&q.mask]
 	r.next = e.head
-	if e.head == nil || r.vb < e.minVB {
+	if e.head == 0 || r.vb < e.minVB {
 		e.minVB = r.vb
 	}
-	e.head = r
+	e.head = i
 	q.count++
 }
 
@@ -226,7 +262,7 @@ func (q *calendar) locate() (int64, int) {
 	work := 0
 	for i := int64(0); i < n; i++ {
 		b := q.hand & q.mask
-		if e := &q.ents[b]; e.head != nil && e.minVB <= q.hand {
+		if e := &q.ents[b]; e.head != 0 && e.minVB <= q.hand {
 			return b, work
 		}
 		q.hand++
@@ -234,29 +270,13 @@ func (q *calendar) locate() (int64, int) {
 	}
 	minvb := int64(math.MaxInt64)
 	for i := range q.ents {
-		if e := &q.ents[i]; e.head != nil && e.minVB < minvb {
+		if e := &q.ents[i]; e.head != 0 && e.minVB < minvb {
 			minvb = e.minVB
 		}
 	}
 	work += int(n)
 	q.hand = minvb
 	return minvb & q.mask, work
-}
-
-// collect drains every bucket into dst (for rebuilds and the heap
-// fallback) and leaves the calendar empty.
-func (q *calendar) collect(dst []*timerRec) []*timerRec {
-	for i := range q.ents {
-		for r := q.ents[i].head; r != nil; {
-			next := r.next
-			r.next = nil
-			dst = append(dst, r)
-			r = next
-		}
-		q.ents[i] = bucketEnt{}
-	}
-	q.count = 0
-	return dst
 }
 
 // Kernel is a discrete-event simulation engine. The zero value is not
@@ -271,22 +291,43 @@ type Kernel struct {
 	dead int // cancelled records still occupying the queue
 
 	cal    calendar
-	heap   []*timerRec
+	heap   []heapEnt
 	onHeap bool
 
-	free    *timerRec   // recycled records; steady-state At/fire never allocates
-	scratch []*timerRec // rebuild/compaction buffer, reused across resizes
+	// Record storage: record i is pages[i>>pageShift][i&pageMask]. The
+	// indices below used have been handed out, limit is the storage's
+	// size, and free heads the list of fired and compacted records, so
+	// steady-state At/fire never allocates. carrier is the empty pool
+	// entry the storage was adopted from, reused to park it.
+	pages   [][]timerRec
+	used    int32
+	limit   int32
+	free    int32
+	carrier *parked
+
+	// takePred and takeRest are what the last scanBucket noted for
+	// takeLive: the taken record's predecessor and the bucket's least
+	// remaining vb.
+	takePred int32
+	takeRest int64
 
 	// opWork/opCount sample per-operation queue work for the heap
 	// fallback detector (see workThreshold).
 	opWork, opCount uint64
 }
 
-// chainPool parks the freelists of fully drained kernels for the next
+// parked is a drained kernel's storage, every record in it free: its
+// pages and its calendar's bucket array.
+type parked struct {
+	pages [][]timerRec
+	ents  []bucketEnt
+}
+
+// parkedPool holds the storage of fully drained kernels for the next
 // kernel to adopt — the sync.Pool discipline the wire codec uses for its
-// buffers. Sweeps that build one kernel per run reuse one freelist chain
-// across the whole sweep instead of reallocating every record.
-var chainPool sync.Pool
+// buffers. Sweeps that build one kernel per run reuse one set of pages
+// and one bucket array across the whole sweep.
+var parkedPool sync.Pool
 
 // NewKernel returns a kernel with virtual clock at 0 and the default
 // (calendar) event queue.
@@ -298,11 +339,9 @@ func NewKernel() *Kernel {
 // implementation. QueueHeap is the reference/baseline queue; QueueCalendar
 // is the default used by NewKernel.
 func NewKernelQueue(kind QueueKind) *Kernel {
-	k := &Kernel{}
-	k.cal.init(minBuckets, 1.0, 0)
-	if kind == QueueHeap {
-		k.onHeap = true
-	}
+	k := &Kernel{onHeap: kind == QueueHeap}
+	k.cal.width = 1
+	k.adopt()
 	return k
 }
 
@@ -318,31 +357,92 @@ func (k *Kernel) Pending() int { return k.live }
 // Fired returns the total number of events executed so far.
 func (k *Kernel) Fired() uint64 { return k.fired }
 
-// newRec takes a record from the freelist, adopting a drained kernel's
-// parked chain when the local list is empty, and allocates only as a last
-// resort.
-func (k *Kernel) newRec() *timerRec {
-	if k.free == nil {
-		if c, _ := chainPool.Get().(*timerRec); c != nil {
-			k.free = c
-		}
-	}
-	if r := k.free; r != nil {
-		k.free = r.next
-		r.next = nil
-		return r
-	}
-	return &timerRec{}
+// rec returns record i. The pointer is good until the next call that can
+// schedule: growing the first page moves it.
+func (k *Kernel) rec(i int32) *timerRec { return recAt(k.pages, i) }
+
+// recAt is rec for loops that hold the page table in a local.
+func recAt(pages [][]timerRec, i int32) *timerRec {
+	return &pages[uint32(i)>>pageShift][uint32(i)&pageMask]
 }
 
-// recycle invalidates every outstanding handle to r (generation bump) and
-// returns it to the freelist.
-func (k *Kernel) recycle(r *timerRec) {
-	r.gen++
-	r.fn = nil
-	r.cancelled = false
+// newRec hands out a record: the freelist's head, else the next
+// never-used slot, growing the storage when it is full.
+func (k *Kernel) newRec() (int32, *timerRec) {
+	if i := k.free; i != 0 {
+		r := k.rec(i)
+		k.free = r.next
+		return i, r
+	}
+	if k.used == k.limit {
+		k.grow()
+	}
+	i := k.used
+	k.used++
+	return i, k.rec(i)
+}
+
+// freeRec returns record i (r) to the freelist. Zeroing seq makes every
+// handle to it inert; dropping fn releases the callback's captures.
+func (k *Kernel) freeRec(i int32, r *timerRec) {
+	r.seq, r.fn, r.cancelled = 0, nil, false
 	r.next = k.free
-	k.free = r
+	k.free = i
+}
+
+// adopt gives a kernel without storage a drained kernel's parked pages
+// and bucket array, or else a first page of firstPage records, and sets
+// its empty calendar to the minimum size.
+func (k *Kernel) adopt() {
+	if p, _ := parkedPool.Get().(*parked); p != nil {
+		k.pages, k.cal.ents, k.carrier = p.pages, p.ents, p
+		p.pages, p.ents = nil, nil
+	} else {
+		k.pages = [][]timerRec{make([]timerRec, firstPage)}
+	}
+	k.cal.init(minBuckets, k.cal.width, k.cal.hand)
+	k.used, k.free = 1, 0 // index 0 names no record
+	k.setLimit()
+}
+
+// setLimit records the storage's size: every page but the last is full.
+func (k *Kernel) setLimit() {
+	n := int32(len(k.pages))
+	k.limit = (n-1)<<pageShift + int32(len(k.pages[n-1]))
+}
+
+// grow makes room for one more record. A kernel that parked its storage
+// adopts new storage; otherwise the first page doubles by copying until
+// it is full, and full pages are added after it.
+func (k *Kernel) grow() {
+	switch n := len(k.pages); {
+	case n == 0:
+		k.adopt()
+		return
+	case n == 1 && len(k.pages[0]) < pageSize:
+		p := make([]timerRec, 2*len(k.pages[0]))
+		copy(p, k.pages[0])
+		k.pages[0] = p
+	case n == maxPages:
+		panic(fmt.Sprintf("sim: more than %d events pending", maxPages<<pageShift))
+	default:
+		k.pages = append(k.pages, make([]timerRec, pageSize))
+	}
+	k.setLimit()
+}
+
+// park hands a drained kernel's storage to parkedPool. The kernel keeps
+// no reference to it — a Timer it issued finds no record — and adopts
+// storage again when it next schedules.
+func (k *Kernel) park() {
+	p := k.carrier
+	if p == nil {
+		p = new(parked)
+	}
+	p.pages, p.ents = k.pages, k.cal.ents
+	k.pages, k.cal.ents, k.carrier = nil, nil, nil
+	k.used, k.limit, k.free = 0, 0, 0
+	parkedPool.Put(p)
 }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the
@@ -356,19 +456,19 @@ func (k *Kernel) At(t float64, fn func()) Timer {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, k.now))
 	}
 	k.seq++
-	r := k.newRec()
+	i, r := k.newRec()
 	r.time, r.seq, r.fn = t, k.seq, fn
 	k.live++
 	if k.onHeap {
-		k.heapPush(r)
+		k.heapPush(heapEnt{time: t, seq: k.seq, i: i})
 	} else {
-		k.cal.insert(r)
+		k.cal.insert(i, r)
 		k.noteWork(0)
 		if !k.onHeap && k.cal.count > len(k.cal.ents) && len(k.cal.ents) < maxBuckets {
 			k.rebuildCal()
 		}
 	}
-	return Timer{k: k, rec: r, gen: r.gen, at: t}
+	return Timer{k: k, seq: k.seq, idx: i}
 }
 
 // After schedules fn to run d seconds after the current virtual time.
@@ -399,14 +499,66 @@ func (k *Kernel) noteWork(w int) {
 	k.opWork, k.opCount = 0, 0
 }
 
+// chain unlinks every record in the calendar into one list, linked by
+// next, and returns its head and the records' time range; the caller
+// re-initialises the buckets. Of the two routes it takes the shorter: a
+// sequential pass over the storage's handed-out slots (a growing queue,
+// whose storage is all in use) or a walk of every bucket and its chain (a
+// queue that drained from a much larger population, whose storage is
+// mostly free). Both gather the same records, cancelled ones included.
+func (k *Kernel) chain() (head int32, tmin, tmax float64) {
+	tmin, tmax = math.Inf(1), math.Inf(-1)
+	link := func(i int32, r *timerRec) {
+		r.next = head
+		head = i
+		if r.time < tmin {
+			tmin = r.time
+		}
+		if r.time > tmax {
+			tmax = r.time
+		}
+	}
+	if int(k.used) <= len(k.cal.ents)+k.cal.count {
+		for p, page := range k.pages {
+			base := int32(p) << pageShift
+			for j := range page {
+				i := base + int32(j)
+				if i >= k.used {
+					break
+				}
+				if r := &page[j]; r.seq != 0 {
+					link(i, r)
+				}
+			}
+		}
+	} else {
+		pages := k.pages
+		for b := range k.cal.ents {
+			for i := k.cal.ents[b].head; i != 0; {
+				r := recAt(pages, i)
+				next := r.next
+				link(i, r)
+				i = next
+			}
+		}
+	}
+	return head, tmin, tmax
+}
+
 // fallbackToHeap pours the calendar into the binary heap. One-way: a
 // distribution that defeated the calendar once (far-future outliers
 // stretching the width until near-term events share a bucket) would keep
 // defeating it after every resample.
 func (k *Kernel) fallbackToHeap() {
-	recs := k.cal.collect(k.scratch[:0])
-	k.scratch = recs[:0]
-	k.heap = append(k.heap[:0], recs...)
+	head, _, _ := k.chain()
+	clear(k.cal.ents)
+	k.cal.count = 0
+	k.heap = k.heap[:0]
+	for i := head; i != 0; {
+		r := k.rec(i)
+		k.heap = append(k.heap, heapEnt{time: r.time, seq: r.seq, i: i})
+		i = r.next
+	}
 	for i := len(k.heap)/2 - 1; i >= 0; i-- {
 		k.siftDown(i)
 	}
@@ -420,21 +572,11 @@ func (k *Kernel) fallbackToHeap() {
 // nicer on paper but the walk's pointer chases are cache misses — the
 // profile says sparse-and-wide wins.)
 func (k *Kernel) rebuildCal() {
-	recs := k.cal.collect(k.scratch[:0])
-	k.scratch = recs[:0]
-	count := len(recs)
+	count := k.cal.count
+	head, tmin, tmax := k.chain()
 	n := minBuckets
 	for n < 2*count && n < maxBuckets {
 		n <<= 1
-	}
-	tmin, tmax := math.Inf(1), math.Inf(-1)
-	for _, r := range recs {
-		if r.time < tmin {
-			tmin = r.time
-		}
-		if r.time > tmax {
-			tmax = r.time
-		}
 	}
 	width := k.cal.width
 	if count > 1 && tmax > tmin {
@@ -450,8 +592,12 @@ func (k *Kernel) rebuildCal() {
 		hand = int64(fv)
 	}
 	k.cal.init(n, width, hand)
-	for _, r := range recs {
-		k.cal.insert(r)
+	pages := k.pages
+	for i := head; i != 0; {
+		r := recAt(pages, i)
+		next := r.next
+		k.cal.insert(i, r)
+		i = next
 	}
 }
 
@@ -460,17 +606,15 @@ func (k *Kernel) rebuildCal() {
 // cancel-heavy run (speculation losers, hedge cancels) cannot bloat the
 // queue with corpses waiting for their virtual time.
 func (k *Kernel) compact() {
+	pages := k.pages
 	if k.onHeap {
 		kept := k.heap[:0]
-		for _, r := range k.heap {
-			if r.cancelled {
-				k.recycle(r)
+		for _, h := range k.heap {
+			if r := recAt(pages, h.i); r.cancelled {
+				k.freeRec(h.i, r)
 				continue
 			}
-			kept = append(kept, r)
-		}
-		for i := len(kept); i < len(k.heap); i++ {
-			k.heap[i] = nil
+			kept = append(kept, h)
 		}
 		k.heap = kept
 		for i := len(k.heap)/2 - 1; i >= 0; i-- {
@@ -478,29 +622,31 @@ func (k *Kernel) compact() {
 		}
 	} else {
 		q := &k.cal
-		for i := range q.ents {
-			var head, tail *timerRec
+		for b := range q.ents {
+			var head int32
+			var tail *timerRec
 			minvb := int64(math.MaxInt64)
-			for r := q.ents[i].head; r != nil; {
+			for i := q.ents[b].head; i != 0; {
+				r := recAt(pages, i)
 				next := r.next
 				if r.cancelled {
 					q.count--
-					k.recycle(r)
+					k.freeRec(i, r)
 				} else {
-					r.next = nil
+					r.next = 0
 					if tail == nil {
-						head = r
+						head = i
 					} else {
-						tail.next = r
+						tail.next = i
 					}
 					tail = r
 					if r.vb < minvb {
 						minvb = r.vb
 					}
 				}
-				r = next
+				i = next
 			}
-			q.ents[i] = bucketEnt{head: head, minVB: minvb}
+			q.ents[b] = bucketEnt{head: head, minVB: minvb}
 		}
 	}
 	k.dead = 0
@@ -518,118 +664,117 @@ func (k *Kernel) maybeShrink() {
 
 // scanBucket walks bucket b once: cancelled records are unlinked and
 // recycled on the way, the cached minVB is rebuilt exactly, and the
-// earliest live record due at the hand (vb <= hand) is returned — nil if
-// the bucket holds only future-year records. The walk length is the work
-// signal for the heap-fallback detector: a degenerate distribution that
-// piles one bucket high shows up here as long scans.
-func (k *Kernel) scanBucket(b int64) (*timerRec, int) {
+// earliest live record due at the hand (vb <= hand) is returned — index
+// 0 if the bucket holds only future-year records. It also notes, for
+// takeLive, that record's predecessor on the chain and the least vb of
+// the bucket's other records, so taking it needs no second walk. The
+// walk length is the work signal for the heap-fallback detector: a
+// degenerate distribution that piles one bucket high shows up here as
+// long scans.
+func (k *Kernel) scanBucket(b int64) (int32, *timerRec, int) {
 	q := &k.cal
 	e := &q.ents[b]
-	var best, pred *timerRec
-	minvb := int64(math.MaxInt64)
+	pages := k.pages
+	var best, pred, bestPred int32
+	var bestRec, predRec *timerRec
+	rest := int64(math.MaxInt64)
 	work := 0
-	for r := e.head; r != nil; {
+	for i := e.head; i != 0; {
+		r := recAt(pages, i)
 		next := r.next
 		if r.cancelled {
-			if pred == nil {
+			if predRec == nil {
 				e.head = next
 			} else {
-				pred.next = next
+				predRec.next = next
 			}
-			r.next = nil
 			q.count--
 			k.dead--
-			k.recycle(r)
+			k.freeRec(i, r)
 		} else {
-			if r.vb <= q.hand && (best == nil || recLess(r, best)) {
-				best = r
+			if r.vb <= q.hand && (bestRec == nil || recLess(r, bestRec)) {
+				if bestRec != nil && bestRec.vb < rest {
+					rest = bestRec.vb // the old best joins the rest
+				}
+				best, bestRec, bestPred = i, r, pred
+			} else if r.vb < rest {
+				rest = r.vb
 			}
-			if r.vb < minvb {
-				minvb = r.vb
-			}
-			pred = r
+			pred, predRec = i, r
 		}
-		r = next
+		i = next
 		work++
 	}
-	e.minVB = minvb
-	return best, work
+	k.takePred, k.takeRest = bestPred, rest
+	e.minVB = rest
+	if bestRec != nil && bestRec.vb < rest {
+		e.minVB = bestRec.vb
+	}
+	return best, bestRec, work
 }
 
 // nextLive positions the queue at the earliest pending uncancelled
-// record and returns it with its bucket index (-1 in heap mode) without
-// removing it, recycling cancelled records it meets on the way. Returns
-// a nil record when the queue is empty. The bucket index lets the run
-// loops take the record afterwards without a second locate scan.
-func (k *Kernel) nextLive() (*timerRec, int64) {
+// record and returns its index and record with its bucket (-1 in heap
+// mode) without removing it, recycling cancelled records it meets on the
+// way. The index is 0 when the queue is empty. The bucket lets the run
+// loop take the record afterwards without a second locate scan.
+func (k *Kernel) nextLive() (int32, *timerRec, int64) {
 	for {
 		if k.onHeap {
 			if len(k.heap) == 0 {
-				return nil, -1
+				return 0, nil, -1
 			}
-			r := k.heap[0]
+			i := k.heap[0].i
+			r := k.rec(i)
 			if !r.cancelled {
-				return r, -1
+				return i, r, -1
 			}
 			k.heapPop()
 			k.dead--
-			k.recycle(r)
+			k.freeRec(i, r)
 			continue
 		}
 		b, w := k.cal.locate()
 		if b < 0 {
-			return nil, -1
+			return 0, nil, -1
 		}
-		r, w2 := k.scanBucket(b)
+		i, r, w2 := k.scanBucket(b)
 		k.noteWork(w + w2)
 		if k.onHeap {
 			// The dequeue work signal just tripped the heap fallback;
 			// the bucket index is stale, so restart in heap mode.
 			continue
 		}
-		if r != nil {
-			return r, b
+		if i != 0 {
+			return i, r, b
 		}
 		// Every due record in the bucket was cancelled; the survivors are
 		// future years, so the hand sweeps on.
 	}
 }
 
-// takeLive unlinks the record nextLive just returned. In calendar mode
-// the bucket is rescanned for the unlink and its minVB rebuilt — with the
-// population spread at ~1 record per bucket both walks are trivially
-// short, and nextLive already pulled the bucket's line into cache.
-func (k *Kernel) takeLive(r *timerRec, b int64) {
+// takeLive unlinks record i (r), which nextLive just returned from
+// bucket b, with what scanBucket noted about the chain.
+func (k *Kernel) takeLive(i int32, r *timerRec, b int64) {
 	if b < 0 {
 		k.heapPop()
 		return
 	}
 	q := &k.cal
 	e := &q.ents[b]
-	var pred *timerRec
-	for p := e.head; p != r; p = p.next {
-		pred = p
-	}
-	if pred == nil {
+	if k.takePred == 0 {
 		e.head = r.next
 	} else {
-		pred.next = r.next
+		k.rec(k.takePred).next = r.next
 	}
-	r.next = nil
+	e.minVB = k.takeRest
 	q.count--
-	minvb := int64(math.MaxInt64)
-	for p := e.head; p != nil; p = p.next {
-		if p.vb < minvb {
-			minvb = p.vb
-		}
-	}
-	e.minVB = minvb
 }
 
 // NextTime returns the virtual time of the earliest pending event, or
 // +Inf when the queue is empty. It does not advance the clock.
 func (k *Kernel) NextTime() float64 {
-	if r, _ := k.nextLive(); r != nil {
+	if i, r, _ := k.nextLive(); i != 0 {
 		return r.time
 	}
 	return math.Inf(1)
@@ -641,12 +786,11 @@ func (k *Kernel) Stop() { k.stopped = true }
 
 // Run executes events until none remain or Stop is called. It returns the
 // number of events executed by this call. A fully drained kernel parks
-// its record freelist in a shared pool for the next kernel to adopt.
+// its storage in a shared pool for the next kernel to adopt.
 func (k *Kernel) Run() int {
 	n := k.RunUntil(math.Inf(1))
-	if k.live == 0 && k.dead == 0 && k.free != nil {
-		chainPool.Put(k.free)
-		k.free = nil
+	if k.live == 0 && k.dead == 0 && k.pages != nil {
+		k.park()
 	}
 	return n
 }
@@ -655,55 +799,76 @@ func (k *Kernel) Run() int {
 // to deadline (if finite). It returns the number of events executed by
 // this call.
 func (k *Kernel) RunUntil(deadline float64) int {
-	k.stopped = false
-	n := 0
-	for !k.stopped {
-		r, b := k.nextLive()
-		if r == nil || r.time > deadline {
-			break
-		}
-		k.takeLive(r, b)
-		k.now = r.time
-		fn := r.fn
-		k.live--
-		k.recycle(r)
-		fn()
-		k.fired++
-		n++
-		k.maybeShrink()
-	}
+	n := k.runTo(deadline)
 	if !math.IsInf(deadline, 1) && k.now < deadline {
 		k.now = deadline
 	}
 	return n
 }
 
-// ---- binary heap (fallback + reference queue) ----
-
-func (k *Kernel) heapPush(r *timerRec) {
-	k.heap = append(k.heap, r)
-	i := len(k.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !recLess(k.heap[i], k.heap[parent]) {
+// runTo executes events with time <= deadline until none is left or Stop
+// is called, leaving the clock at the last event's time. The record is
+// freed before its callback runs, which may schedule into its slot.
+func (k *Kernel) runTo(deadline float64) int {
+	k.stopped = false
+	n := 0
+	for !k.stopped {
+		i, r, b := k.nextLive()
+		if i == 0 || r.time > deadline {
 			break
 		}
-		k.heap[i], k.heap[parent] = k.heap[parent], k.heap[i]
-		i = parent
+		k.takeLive(i, r, b)
+		k.now = r.time
+		fn := r.fn
+		k.live--
+		k.freeRec(i, r)
+		fn()
+		k.fired++
+		n++
+		k.maybeShrink()
+	}
+	return n
+}
+
+// ---- binary heap (fallback + reference queue) ----
+
+// heapEnt is one heap slot: a record's index with a copy of its
+// (time, seq) key, so sifting compares slots without loading records.
+type heapEnt struct {
+	time float64
+	seq  uint64
+	i    int32
+}
+
+func (a heapEnt) less(b heapEnt) bool {
+	if a.time != b.time {
+		return a.time < b.time
+	}
+	return a.seq < b.seq
+}
+
+func (k *Kernel) heapPush(e heapEnt) {
+	k.heap = append(k.heap, e)
+	h := k.heap
+	j := len(h) - 1
+	for j > 0 {
+		parent := (j - 1) / 2
+		if !h[j].less(h[parent]) {
+			break
+		}
+		h[j], h[parent] = h[parent], h[j]
+		j = parent
 	}
 }
 
-func (k *Kernel) heapPop() *timerRec {
+func (k *Kernel) heapPop() {
 	h := k.heap
-	r := h[0]
 	last := len(h) - 1
 	h[0] = h[last]
-	h[last] = nil
 	k.heap = h[:last]
 	if last > 0 {
 		k.siftDown(0)
 	}
-	return r
 }
 
 func (k *Kernel) siftDown(i int) {
@@ -715,10 +880,10 @@ func (k *Kernel) siftDown(i int) {
 			return
 		}
 		m := l
-		if r := l + 1; r < n && recLess(h[r], h[l]) {
+		if r := l + 1; r < n && h[r].less(h[l]) {
 			m = r
 		}
-		if !recLess(h[m], h[i]) {
+		if !h[m].less(h[i]) {
 			return
 		}
 		h[i], h[m] = h[m], h[i]

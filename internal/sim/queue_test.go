@@ -216,7 +216,7 @@ func TestStaleHandleAfterReuse(t *testing.T) {
 	k.Run() // fires; the record returns to the freelist
 	secondRan := false
 	second := k.At(2, func() { secondRan = true })
-	if second.rec != first.rec {
+	if second.idx != first.idx {
 		t.Skip("freelist did not reuse the record (allocator changed?)")
 	}
 	if first.Pending() {

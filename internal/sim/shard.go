@@ -118,9 +118,13 @@ func (g *Group) Run(workers int) uint64 {
 			return total
 		}
 		w := t + g.lookahead
+		// runTo, unlike RunUntil, leaves each shard's clock at its last
+		// event rather than at w: a shard's clock must not outrun its own
+		// events, or a later window starting before w would look like the
+		// past.
 		if workers == 1 || len(g.shards) == 1 {
 			for _, k := range g.shards {
-				total += uint64(k.runWindow(w))
+				total += uint64(k.runTo(w))
 			}
 			continue
 		}
@@ -136,7 +140,7 @@ func (g *Group) Run(workers int) uint64 {
 					if i >= len(g.shards) {
 						return
 					}
-					counts[i] = g.shards[i].runWindow(w)
+					counts[i] = g.shards[i].runTo(w)
 				}
 			}()
 		}
@@ -145,29 +149,4 @@ func (g *Group) Run(workers int) uint64 {
 			total += uint64(c)
 		}
 	}
-}
-
-// runWindow executes this kernel's events with time <= w without
-// advancing the clock past the last event (unlike RunUntil, which jumps
-// to the deadline): a shard's clock must not outrun its own events, or a
-// later window starting before w would look like the past.
-func (k *Kernel) runWindow(w float64) int {
-	k.stopped = false
-	n := 0
-	for !k.stopped {
-		r, b := k.nextLive()
-		if r == nil || r.time > w {
-			break
-		}
-		k.takeLive(r, b)
-		k.now = r.time
-		fn := r.fn
-		k.live--
-		k.recycle(r)
-		fn()
-		k.fired++
-		n++
-		k.maybeShrink()
-	}
-	return n
 }

@@ -28,8 +28,10 @@ echo "== bench smoke =="
 # router-relay, simulator-placement, engine-dispatch and stress-scenario
 # benchmark: catches a hot path that stops compiling or panics without
 # paying for a full measurement run. BenchmarkStressScenarioRun's B/op
-# and gc/op are the bytes and collections of one sim-stress run.
-go test -run '^$' -bench 'BenchmarkWire|BenchmarkEndpointInvoke|BenchmarkHashPolicyOrder|BenchmarkLeastLoadedOrder|BenchmarkRegistryRoutable|BenchmarkRouterRelay64K|BenchmarkMessageTime|BenchmarkNetworkBuild|BenchmarkGreedyLatencySelect|BenchmarkContinuumValidate|BenchmarkEngineOverhead|BenchmarkStressScenarioRun' -benchtime=1x . ./internal/wire ./internal/faas ./internal/federation ./internal/netsim ./internal/placement ./internal/core
+# and gc/op are the bytes and collections of one sim-stress run;
+# BenchmarkKernelFill's allocs/op and peak-heap-MB are those of the
+# sim-kernel set-up (fill 1 M events, fire a tenth).
+go test -run '^$' -bench 'BenchmarkWire|BenchmarkEndpointInvoke|BenchmarkHashPolicyOrder|BenchmarkLeastLoadedOrder|BenchmarkRegistryRoutable|BenchmarkRouterRelay64K|BenchmarkMessageTime|BenchmarkNetworkBuild|BenchmarkGreedyLatencySelect|BenchmarkContinuumValidate|BenchmarkEngineOverhead|BenchmarkStressScenarioRun|BenchmarkKernelFill' -benchtime=1x . ./internal/wire ./internal/faas ./internal/federation ./internal/netsim ./internal/placement ./internal/core
 
 echo "== api lint =="
 # Doc check: every exported identifier in the operator-facing packages
