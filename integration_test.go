@@ -125,8 +125,7 @@ func TestIntegrationFaultsPlusAdaptive(t *testing.T) {
 	checkGoroutines(t)
 	c := core.New()
 	ids := nodeCatalogPair(c)
-	inj := fault.NewInjector(c.K, workload.NewRNG(3), 1e4)
-	gwFault := inj.Attach("gw", fault.Spec{MeanUp: 1, MeanDown: 0.5})
+	gwFault := fault.Attach(c.K, "gw", fault.Spec{MeanUp: 1, MeanDown: 0.5}, 1e4, workload.NewRNG(3))
 
 	var jobs []core.StreamJob
 	for i := 0; i < 60; i++ {

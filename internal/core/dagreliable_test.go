@@ -51,8 +51,7 @@ func TestDAGReliableNoFaultsMatchesPlain(t *testing.T) {
 func TestDAGReliableRetriesAndFinishes(t *testing.T) {
 	d := reliableDAG()
 	c := miniContinuum()
-	inj := fault.NewInjector(c.K, workload.NewRNG(5), 1e4)
-	gwFault := inj.Attach("gw", fault.Spec{MeanUp: 1.0, MeanDown: 0.5})
+	gwFault := fault.Attach(c.K, "gw", fault.Spec{MeanUp: 1.0, MeanDown: 0.5}, 1e4, workload.NewRNG(5))
 	opts := ReliableOptions{
 		Faults:     map[int]*fault.Target{c.Nodes[0].ID: gwFault},
 		MaxRetries: 100,
@@ -76,9 +75,8 @@ func TestDAGReliableRetriesAndFinishes(t *testing.T) {
 func TestDAGReliableAbortsOnExhaustion(t *testing.T) {
 	d := reliableDAG()
 	c := miniContinuum()
-	inj := fault.NewInjector(c.K, workload.NewRNG(6), 1e4)
 	// Down nearly always: with 0 retries the first loss aborts.
-	gwFault := inj.Attach("gw", fault.Spec{MeanUp: 0.05, MeanDown: 50})
+	gwFault := fault.Attach(c.K, "gw", fault.Spec{MeanUp: 0.05, MeanDown: 50}, 1e4, workload.NewRNG(6))
 	opts := ReliableOptions{
 		Faults:     map[int]*fault.Target{c.Nodes[0].ID: gwFault},
 		MaxRetries: 0,
@@ -108,8 +106,7 @@ func TestDAGReliableCrossNodeStillWorks(t *testing.T) {
 	for i := 0; i < d.N(); i++ {
 		assign[task.ID(i)] = i % 2
 	}
-	inj := fault.NewInjector(c.K, workload.NewRNG(7), 1e4)
-	gwFault := inj.Attach("gw", fault.Spec{MeanUp: 2, MeanDown: 0.5})
+	gwFault := fault.Attach(c.K, "gw", fault.Spec{MeanUp: 2, MeanDown: 0.5}, 1e4, workload.NewRNG(7))
 	st, err := c.RunDAGReliable(d, placement.Schedule{Algorithm: "alt", Assign: assign},
 		c.Env(), ReliableOptions{
 			Faults:     map[int]*fault.Target{c.Nodes[0].ID: gwFault},

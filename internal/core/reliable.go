@@ -36,9 +36,10 @@ type ReliableOptions struct {
 	// Disturb, when set, is consulted once per attempt at dispatch: it
 	// may drop the attempt (treated exactly like an epoch loss — the
 	// retry budget applies) and/or delay its entry into the pipeline by
-	// the returned virtual seconds. It is the simulator mirror of the
-	// live path's per-request fault.Chaos draw, so scenario chaos events
-	// mean the same thing on both backends. Nil disturbs nothing.
+	// the returned virtual seconds. A scenario's chaos events set it to
+	// ask the node's fault.Chaos, the injector the live wire server
+	// consults per request, so a chaos event draws the same on both
+	// backends. Nil disturbs nothing.
 	Disturb func(n *node.Node) (drop bool, delay float64)
 	// DropSubmit, when set, is consulted at each stream job's submit
 	// time; returning true silences the submission entirely (counted in

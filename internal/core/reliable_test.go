@@ -42,9 +42,8 @@ func TestReliableNoFaultsMatchesPlain(t *testing.T) {
 
 func TestReliableAvoidsDownNodes(t *testing.T) {
 	c := miniContinuum()
-	inj := fault.NewInjector(c.K, workload.NewRNG(1), 1e4)
 	// The gateway flaps constantly; the cloud never fails.
-	gwFault := inj.Attach("gw", fault.Spec{MeanUp: 0.5, MeanDown: 0.5})
+	gwFault := fault.Attach(c.K, "gw", fault.Spec{MeanUp: 0.5, MeanDown: 0.5}, 1e4, workload.NewRNG(1))
 	opts := ReliableOptions{
 		Faults:     map[int]*fault.Target{c.Nodes[0].ID: gwFault},
 		MaxRetries: 5,
@@ -67,8 +66,7 @@ func TestReliableRetriesOnLoss(t *testing.T) {
 	// task duration, with generous retries — jobs eventually finish in an
 	// up window, but retries must be visible.
 	c := miniContinuum()
-	inj := fault.NewInjector(c.K, workload.NewRNG(2), 1e4)
-	gwFault := inj.Attach("gw", fault.Spec{MeanUp: 0.3, MeanDown: 0.2})
+	gwFault := fault.Attach(c.K, "gw", fault.Spec{MeanUp: 0.3, MeanDown: 0.2}, 1e4, workload.NewRNG(2))
 	opts := ReliableOptions{
 		Faults:     map[int]*fault.Target{c.Nodes[0].ID: gwFault},
 		MaxRetries: 50,
@@ -86,9 +84,8 @@ func TestReliableRetriesOnLoss(t *testing.T) {
 
 func TestReliableExhaustionCountsLost(t *testing.T) {
 	c := miniContinuum()
-	inj := fault.NewInjector(c.K, workload.NewRNG(3), 1e4)
 	// Down almost always; zero retries.
-	gwFault := inj.Attach("gw", fault.Spec{MeanUp: 0.01, MeanDown: 100})
+	gwFault := fault.Attach(c.K, "gw", fault.Spec{MeanUp: 0.01, MeanDown: 100}, 1e4, workload.NewRNG(3))
 	opts := ReliableOptions{
 		Faults:     map[int]*fault.Target{c.Nodes[0].ID: gwFault},
 		MaxRetries: 0,
@@ -113,8 +110,7 @@ func TestReliableLatencyIncludesRetries(t *testing.T) {
 		return st.Latency.Mean()
 	}()
 	c := miniContinuum()
-	inj := fault.NewInjector(c.K, workload.NewRNG(4), 1e4)
-	gwFault := inj.Attach("gw", fault.Spec{MeanUp: 0.4, MeanDown: 0.3})
+	gwFault := fault.Attach(c.K, "gw", fault.Spec{MeanUp: 0.4, MeanDown: 0.3}, 1e4, workload.NewRNG(4))
 	st := c.RunStreamReliable(placement.GreedyLatency{},
 		reliableJobs(c, 30, 0.5), c.Nodes[:1],
 		ReliableOptions{Faults: map[int]*fault.Target{c.Nodes[0].ID: gwFault}, MaxRetries: 50})

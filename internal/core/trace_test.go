@@ -64,8 +64,7 @@ func TestEngineSpanAttribution(t *testing.T) {
 	// re-dispatched with a higher attempt number.
 	c2 := miniContinuum()
 	c2.Tracer = trace.New(0)
-	inj := fault.NewInjector(c2.K, workload.NewRNG(2), 1e4)
-	gwFault := inj.Attach("gw", fault.Spec{MeanUp: 0.3, MeanDown: 0.2})
+	gwFault := fault.Attach(c2.K, "gw", fault.Spec{MeanUp: 0.3, MeanDown: 0.2}, 1e4, workload.NewRNG(2))
 	var retryJobs []StreamJob
 	for i := 0; i < 30; i++ {
 		retryJobs = append(retryJobs, StreamJob{

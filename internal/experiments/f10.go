@@ -42,10 +42,10 @@ func F10Workflow(size Size) *Result {
 		sched := placement.HEFT(env, d)
 		opts := core.ReliableOptions{MaxRetries: 1000, RetryBackoff: 0.5}
 		if mtbf < 1e8 {
-			inj := fault.NewInjector(c.K, workload.NewRNG(31), 1e6)
+			rng := workload.NewRNG(31)
 			opts.Faults = map[int]*fault.Target{}
 			for _, n := range env.Nodes {
-				opts.Faults[n.ID] = inj.Attach(n.Name, fault.Spec{MeanUp: mtbf, MeanDown: mttr})
+				opts.Faults[n.ID] = fault.Attach(c.K, n.Name, fault.Spec{MeanUp: mtbf, MeanDown: mttr}, 1e6, rng)
 			}
 		}
 		return c.RunDAGReliable(d, sched, env, opts)

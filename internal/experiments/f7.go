@@ -46,10 +46,10 @@ func F7Reliability(size Size) *Result {
 			placement.GreedyLatency{},
 		} {
 			tt := core.BuildThreeTier(core.DefaultThreeTierParams(gateways, sensorsPer))
-			inj := fault.NewInjector(tt.K, workload.NewRNG(99), horizon*3)
+			rng := workload.NewRNG(99)
 			faults := make(map[int]*fault.Target)
 			for _, gw := range tt.Gateways {
-				faults[gw.ID] = inj.Attach(gw.Name, fault.Spec{MeanUp: mtbf, MeanDown: mttr})
+				faults[gw.ID] = fault.Attach(tt.K, gw.Name, fault.Spec{MeanUp: mtbf, MeanDown: mttr}, horizon*3, rng)
 			}
 			jobs := t1Jobs(tt, workload.NewRNG(42), 5, horizon)
 			st := tt.RunStreamReliable(pol, jobs, tt.ComputeNodes(), core.ReliableOptions{

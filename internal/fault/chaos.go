@@ -3,18 +3,15 @@ package fault
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 	"time"
+
+	"continuum/internal/workload"
 )
 
-// This file is the live-path counterpart of the simulated Injector: the
-// same MTBF/MTTR failure model (Spec), driven by the wall clock instead
-// of a simulation kernel, plus per-request fault draws (dropped
-// connections, injected latency, injected errors). The wire server
-// consults a Chaos before dispatching each request, which turns a real
-// continuumd into its own fault injector — the substrate for the
-// end-to-end "kill an endpoint mid-run, no request lost" test.
+// This file is per-request fault injection for both backends: the
+// simulator asks a Chaos in virtual time, the wire server on the wall
+// clock before each dispatch (so a continuumd injects its own faults).
 
 // ChaosAction is the injected fate of one request.
 type ChaosAction int
@@ -44,26 +41,23 @@ func (a ChaosAction) String() string {
 	}
 }
 
-// ChaosSpec parameterizes live fault injection. The embedded Spec, when
-// nonzero, cycles the target through exponentially distributed up/down
-// phases (wall-clock seconds): every request during a down phase is
-// dropped, modeling an endpoint crash/repair cycle. The probabilities
-// apply per request while up.
+// ChaosSpec parameterizes fault injection. The embedded Spec, when
+// nonzero, cycles the target through up/down phases, and every request
+// in a down phase is dropped (an endpoint crash/repair cycle). While up,
+// each probability is that of its outcome; DropProb+ErrProb is at most 1.
 type ChaosSpec struct {
-	// Spec cycles availability (MeanUp/MeanDown in wall-clock seconds).
-	// The zero Spec means always up.
+	// Spec cycles availability (MeanUp/MeanDown in seconds). The zero
+	// Spec means always up.
 	Spec
 	// DropProb is the per-request probability of severing the connection.
 	DropProb float64
-	// ErrProb is the per-request probability of an injected error
-	// response.
+	// ErrProb is the per-request probability of an injected error reply.
 	ErrProb float64
 	// DelayProb is the per-request probability of a latency spike.
 	DelayProb float64
 	// DelayMean is the mean of the exponential injected latency.
 	DelayMean time.Duration
-	// Seed makes the injection sequence reproducible (0 seeds from the
-	// clock).
+	// Seed makes NewChaos reproducible (0 seeds from the clock).
 	Seed int64
 }
 
@@ -77,6 +71,9 @@ func (s ChaosSpec) Validate() error {
 			return fmt.Errorf("fault: chaos %s probability %v outside [0,1]", p.name, p.v)
 		}
 	}
+	if !(s.DropProb+s.ErrProb <= 1) {
+		return fmt.Errorf("fault: chaos drop+err probability %v exceeds 1", s.DropProb+s.ErrProb)
+	}
 	if s.DelayMean < 0 {
 		return fmt.Errorf("fault: chaos delay mean %v < 0", s.DelayMean)
 	}
@@ -89,89 +86,85 @@ func (s ChaosSpec) Validate() error {
 	return nil
 }
 
-// cycling reports whether up/down phases are enabled.
-func (s ChaosSpec) cycling() bool { return s.MeanUp > 0 && s.MeanDown > 0 }
-
-// Chaos draws per-request fault injections against the wall clock. It is
-// safe for concurrent use.
+// Chaos draws per-request fault injections. It is safe for concurrent
+// use.
 type Chaos struct {
-	spec ChaosSpec
-	now  func() time.Time // injectable clock for tests
+	spec  ChaosSpec
+	epoch time.Time // the wall time at second 0 of the injector's clock
+	scale float64   // wall seconds per second of the injector's clock
 
-	mu       sync.Mutex
-	rng      *rand.Rand
-	up       bool
-	phaseEnd time.Time // when the current up/down phase expires
+	mu     sync.Mutex
+	draws  *workload.RNG
+	phases *Phases // nil: always up
 }
 
-// NewChaos builds an injector from spec; it panics on an invalid spec
-// (configuration error, caught at startup like the Injector's).
+// NewChaos builds a wall-clock injector from spec, its phases starting
+// now, its request and phase streams split in that order from
+// spec.Seed. It panics on an invalid spec (a configuration error).
 func NewChaos(spec ChaosSpec) *Chaos {
-	if err := spec.Validate(); err != nil {
-		panic(err)
-	}
 	seed := spec.Seed
 	if seed == 0 {
 		seed = time.Now().UnixNano()
 	}
-	return &Chaos{
-		spec: spec,
-		now:  time.Now,
-		rng:  rand.New(rand.NewSource(seed)),
-		up:   true,
+	rng := workload.NewRNG(uint64(seed))
+	draws := rng.Split()
+	var phases *Phases
+	if spec.MeanUp > 0 {
+		phases = NewPhases(spec.Spec, 0, math.Inf(1), rng.Split())
 	}
+	return NewChaosOn(spec, draws, phases, time.Now(), 1)
 }
 
-// exp draws an exponential duration with the given mean. Callers hold
-// c.mu.
-func (c *Chaos) exp(mean float64) time.Duration {
-	d := c.rng.ExpFloat64() * mean
-	if d > math.MaxInt64/float64(time.Second) {
-		return math.MaxInt64
+// NewChaosOn builds an injector that draws each request's fate from
+// draws and walks phases (nil: always up, as for a simulator that flips
+// the target with Cycle). NextAt reads wall time at as (at − epoch)/scale
+// seconds on its clock, scale > 0, and stretches the delay by scale. It
+// panics on an invalid spec.
+func NewChaosOn(spec ChaosSpec, draws *workload.RNG, phases *Phases, epoch time.Time, scale float64) *Chaos {
+	if err := spec.Validate(); err != nil {
+		panic(err)
 	}
-	return time.Duration(d * float64(time.Second))
+	return &Chaos{spec: spec, epoch: epoch, scale: scale, draws: draws, phases: phases}
 }
 
-// advance rolls the up/down phase machine forward to now. Callers hold
-// c.mu.
-func (c *Chaos) advance(now time.Time) {
-	if !c.spec.cycling() {
-		return
-	}
-	if c.phaseEnd.IsZero() {
-		c.phaseEnd = now.Add(c.exp(c.spec.MeanUp))
-	}
-	for !now.Before(c.phaseEnd) {
-		if c.up {
-			c.up = false
-			c.phaseEnd = c.phaseEnd.Add(c.exp(c.spec.MeanDown))
-		} else {
-			c.up = true
-			c.phaseEnd = c.phaseEnd.Add(c.exp(c.spec.MeanUp))
-		}
-	}
-}
-
-// Next draws the fate of one request: an action plus a latency spike to
-// impose before it (0 when no spike was drawn). During a down phase every
-// request is dropped.
-func (c *Chaos) Next() (ChaosAction, time.Duration) {
+// Draw draws the fate of a request arriving at now, in seconds on the
+// injector's clock. During a down phase the request is dropped and
+// nothing is drawn. Otherwise a delay is drawn first, only when DelayProb
+// and DelayMean are both positive, then one uniform u when DropProb or
+// ErrProb is: drop if u < DropProb, error if u < DropProb+ErrProb. The
+// delay is in seconds (0 when none was drawn).
+func (c *Chaos) Draw(now float64) (ChaosAction, float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.advance(c.now())
-	if !c.up {
-		return ChaosDrop, 0
+	if ph := c.phases; ph != nil {
+		for now >= ph.End() {
+			ph.flip()
+		}
+		if !ph.Up() {
+			return ChaosDrop, 0
+		}
 	}
-	var delay time.Duration
-	if c.spec.DelayProb > 0 && c.rng.Float64() < c.spec.DelayProb {
-		delay = c.exp(c.spec.DelayMean.Seconds())
+	var delay float64
+	if p := c.spec.DelayProb; p > 0 && c.spec.DelayMean > 0 && c.draws.Float64() < p {
+		delay = c.draws.Exp(1 / c.spec.DelayMean.Seconds())
 	}
-	switch {
-	case c.spec.DropProb > 0 && c.rng.Float64() < c.spec.DropProb:
-		return ChaosDrop, delay
-	case c.spec.ErrProb > 0 && c.rng.Float64() < c.spec.ErrProb:
-		return ChaosError, delay
-	default:
-		return ChaosNone, delay
+	if p := c.spec.DropProb + c.spec.ErrProb; p > 0 {
+		switch u := c.draws.Float64(); {
+		case u < c.spec.DropProb:
+			return ChaosDrop, delay
+		case u < p:
+			return ChaosError, delay
+		}
 	}
+	return ChaosNone, delay
+}
+
+// NextAt draws the fate of a request that arrived at wall time at, and
+// the latency spike to impose before it (see NewChaosOn).
+func (c *Chaos) NextAt(at time.Time) (ChaosAction, time.Duration) {
+	act, delay := c.Draw(at.Sub(c.epoch).Seconds() / c.scale)
+	if wall := delay * c.scale * float64(time.Second); wall < math.MaxInt64 {
+		return act, time.Duration(wall)
+	}
+	return act, math.MaxInt64
 }

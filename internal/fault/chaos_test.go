@@ -1,8 +1,12 @@
 package fault
 
 import (
+	"math"
 	"testing"
 	"time"
+
+	"continuum/internal/sim"
+	"continuum/internal/workload"
 )
 
 func TestParseChaos(t *testing.T) {
@@ -40,6 +44,7 @@ func TestParseChaosRejects(t *testing.T) {
 		"drop=NaN",
 		"err=nan",
 		"delayp=NaN,delay=5ms",
+		"drop=0.6,err=0.5", // one uniform cannot give 0.6 and 0.5
 	} {
 		if _, err := ParseChaos(s); err == nil {
 			t.Errorf("ParseChaos(%q) accepted", s)
@@ -52,22 +57,55 @@ func TestChaosProbabilities(t *testing.T) {
 	counts := map[ChaosAction]int{}
 	const n = 10000
 	for i := 0; i < n; i++ {
-		a, d := c.Next()
+		a, d := c.Draw(0)
 		if d != 0 {
 			t.Fatalf("delay %v with DelayProb 0", d)
 		}
 		counts[a]++
 	}
-	// drop ≈ 0.3, err ≈ 0.7·0.3 = 0.21 (err is drawn only when drop
-	// didn't fire). Allow generous slack; the seed makes this stable.
+	// drop ≈ 0.3 and err ≈ 0.3: one uniform decides both, so each is an
+	// absolute probability. Allow generous slack; the seed makes this
+	// stable.
 	if f := float64(counts[ChaosDrop]) / n; f < 0.25 || f > 0.35 {
 		t.Errorf("drop fraction = %v", f)
 	}
-	if f := float64(counts[ChaosError]) / n; f < 0.16 || f > 0.26 {
+	if f := float64(counts[ChaosError]) / n; f < 0.25 || f > 0.35 {
 		t.Errorf("error fraction = %v", f)
 	}
 	if counts[ChaosNone] == 0 {
 		t.Error("no request survived injection at 30/30 rates")
+	}
+}
+
+// TestChaosFractionsAreAbsolute: DropProb and ErrProb are the
+// probabilities of a drop and of an error, and the rest pass, whatever
+// the other is set to, up to drop+err = 1.
+func TestChaosFractionsAreAbsolute(t *testing.T) {
+	for _, spec := range []ChaosSpec{
+		{DropProb: 0.2, ErrProb: 0.5},
+		{DropProb: 0.5, ErrProb: 0.5},
+		{DropProb: 0.05, ErrProb: 0.1, DelayProb: 0.5, DelayMean: time.Millisecond},
+		{ErrProb: 0.4},
+	} {
+		spec.Seed = 9
+		c := NewChaos(spec)
+		counts := map[ChaosAction]float64{}
+		const n = 40000
+		for i := 0; i < n; i++ {
+			a, _ := c.Draw(0)
+			counts[a]++
+		}
+		// Four standard deviations of a binomial fraction at p = 0.5.
+		const tol = 4 * 0.5 / 200
+		for a, want := range map[ChaosAction]float64{
+			ChaosDrop:  spec.DropProb,
+			ChaosError: spec.ErrProb,
+			ChaosNone:  1 - spec.DropProb - spec.ErrProb,
+		} {
+			if got := counts[a] / n; math.Abs(got-want) > tol {
+				t.Errorf("drop=%v err=%v: %v fraction %.4f, want %v", spec.DropProb, spec.ErrProb, a, got, want)
+			}
+		}
 	}
 }
 
@@ -76,7 +114,7 @@ func TestChaosDelayInjection(t *testing.T) {
 	sum := time.Duration(0)
 	const n = 2000
 	for i := 0; i < n; i++ {
-		a, d := c.Next()
+		a, d := c.NextAt(c.epoch)
 		if a != ChaosNone {
 			t.Fatalf("action = %v with only delay configured", a)
 		}
@@ -88,21 +126,34 @@ func TestChaosDelayInjection(t *testing.T) {
 	}
 }
 
+// TestChaosZeroDelayMeanDrawsNothing: a spike of mean 0 is no spike, so
+// it takes no draw from the request stream.
+func TestChaosZeroDelayMeanDrawsNothing(t *testing.T) {
+	spec := ChaosSpec{ErrProb: 0.5}
+	plain := NewChaosOn(spec, workload.NewRNG(4), nil, time.Time{}, 1)
+	spec.DelayProb = 1
+	zero := NewChaosOn(spec, workload.NewRNG(4), nil, time.Time{}, 1)
+	for i := 0; i < 1000; i++ {
+		a, _ := plain.Draw(0)
+		b, d := zero.Draw(0)
+		if a != b || d != 0 {
+			t.Fatalf("draw %d: %v/%v with a zero delay mean, %v without", i, b, d, a)
+		}
+	}
+}
+
 func TestChaosUpDownCycling(t *testing.T) {
 	c := NewChaos(ChaosSpec{
 		Spec: Spec{MeanUp: 1, MeanDown: 1},
 		Seed: 3,
 	})
-	// Drive the phase machine with a fake clock stepping 100ms at a time
-	// over 200 simulated seconds; both phases must be visited, and every
-	// down-phase request must drop.
-	now := time.Unix(0, 0)
-	c.now = func() time.Time { return now }
+	// Drive the phase machine at explicit times stepping 100ms over 200
+	// seconds; both phases must be visited, and every down-phase request
+	// must drop.
 	upSeen, downSeen := 0, 0
-	for i := 0; i < 2000; i++ {
-		now = now.Add(100 * time.Millisecond)
-		a, _ := c.Next()
-		if c.up { // Next advanced the phase to now
+	for i := 1; i <= 2000; i++ {
+		a, _ := c.Draw(float64(i) / 10)
+		if c.phases.Up() { // Draw advanced the phase to now
 			upSeen++
 			if a != ChaosNone {
 				t.Fatalf("action %v while up with zero probabilities", a)
@@ -121,6 +172,58 @@ func TestChaosUpDownCycling(t *testing.T) {
 	frac := float64(upSeen) / float64(upSeen+downSeen)
 	if frac < 0.2 || frac > 0.8 {
 		t.Fatalf("up fraction = %v", frac)
+	}
+}
+
+// TestChaosPhasesStartAtInstall: a wall-clock injector's first up phase
+// starts when it is built, not at its first request, so when a request
+// arrives does not move the phase boundaries.
+func TestChaosPhasesStartAtInstall(t *testing.T) {
+	spec := ChaosSpec{Spec: Spec{MeanUp: 1, MeanDown: 1}, Seed: 5}
+	early, late := NewChaos(spec), NewChaos(spec)
+	for i := 0; i <= 100; i++ {
+		early.NextAt(early.epoch.Add(time.Duration(i) * 100 * time.Millisecond))
+	}
+	late.NextAt(late.epoch.Add(10 * time.Second))
+	if early.phases.Up() != late.phases.Up() || early.phases.End() != late.phases.End() {
+		t.Fatalf("at 10s: up=%v until %v when asked from the start, up=%v until %v when first asked at 10s",
+			early.phases.Up(), early.phases.End(), late.phases.Up(), late.phases.End())
+	}
+}
+
+// TestCycleFlipsAtInjectorBoundaries: the phase boundaries an injector
+// reports from a stream are the times Cycle flips a target on a kernel
+// from a copy of that stream, up to the last flip before the bound.
+func TestCycleFlipsAtInjectorBoundaries(t *testing.T) {
+	spec := Spec{MeanUp: 2, MeanDown: 0.5}
+	const from, bound = 3, 200
+	k := sim.NewKernel()
+	tg := NewTarget("n")
+	var flips []float64
+	tg.OnFail = func() { flips = append(flips, k.Now()) }
+	tg.OnRepair = func() { flips = append(flips, k.Now()) }
+	Cycle(k, tg, NewPhases(spec, from, bound, workload.NewRNG(21)))
+	k.Run()
+
+	ph := NewPhases(spec, from, bound, workload.NewRNG(21))
+	c := NewChaosOn(ChaosSpec{Spec: spec, ErrProb: 0.5}, workload.NewRNG(1), ph, time.Time{}, 1)
+	var ends []float64
+	for !math.IsInf(ph.End(), 1) {
+		ends = append(ends, ph.End())
+		if a, _ := c.Draw(ph.End()); (a == ChaosDrop) == ph.Up() {
+			t.Fatalf("at %v: action %v in an up=%v phase", ends[len(ends)-1], a, ph.Up())
+		}
+	}
+	if len(flips) < 10 || len(flips) != len(ends) {
+		t.Fatalf("%d flips on the kernel, %d boundaries from the injector", len(flips), len(ends))
+	}
+	for i := range flips {
+		if flips[i] != ends[i] {
+			t.Fatalf("boundary %d: kernel flip at %v, injector at %v", i, flips[i], ends[i])
+		}
+	}
+	if tg.Up() != ph.Up() {
+		t.Fatalf("after the bound: target up=%v, injector up=%v", tg.Up(), ph.Up())
 	}
 }
 

@@ -1,18 +1,16 @@
-// Package fault injects fail-stop node failures into a simulation: each
-// attached target alternates exponentially distributed up and down
-// periods (the classic MTBF/MTTR model). The continuum's edge is flaky by
-// nature — battery sensors die, gateways reboot, links flap — and any
-// placement story that ignores that is incomplete; this package powers
-// the F7 reliability experiment.
-//
-// Failure semantics are fail-stop with work loss: the injector flips
-// availability and bumps an epoch counter; executors (see
+// Package fault injects fail-stop failures: a target alternates
+// exponentially distributed up and down Phases (the classic MTBF/MTTR
+// model) and bumps an epoch counter as it fails, and executors (see
 // core.RunStreamReliable) treat work whose host changed epoch mid-flight
-// as lost and retry elsewhere.
+// as lost and retry elsewhere. Chaos adds per-request faults on the same
+// Phases, for the simulator and the live wire server alike. The
+// continuum's edge is flaky by nature — sensors die, gateways reboot,
+// links flap — and this package powers the F7 reliability experiment.
 package fault
 
 import (
 	"fmt"
+	"math"
 
 	"continuum/internal/sim"
 	"continuum/internal/workload"
@@ -56,20 +54,15 @@ func (t *Target) Epoch() uint64 { return t.epoch }
 
 // NewTarget returns a detached, initially-up target for scripted fault
 // injection: scenario event scripts flip it with Fail and Repair at
-// exact virtual times instead of attaching an MTBF/MTTR process via an
-// Injector. Epoch bookkeeping works identically either way.
+// exact virtual times instead of cycling through MTBF/MTTR phases with
+// Attach. Epoch bookkeeping works identically either way.
 func NewTarget(name string) *Target {
 	return &Target{Name: name, up: true}
 }
 
 // Fail forces the target down now (idempotent while down): the failure
 // epoch advances, so in-flight work on it is treated as lost.
-func (t *Target) Fail() { t.fail() }
-
-// Repair forces the target up now (idempotent while up).
-func (t *Target) Repair() { t.repair() }
-
-func (t *Target) fail() {
+func (t *Target) Fail() {
 	if !t.up {
 		return
 	}
@@ -80,7 +73,8 @@ func (t *Target) fail() {
 	}
 }
 
-func (t *Target) repair() {
+// Repair forces the target up now (idempotent while up).
+func (t *Target) Repair() {
 	if t.up {
 		return
 	}
@@ -90,65 +84,76 @@ func (t *Target) repair() {
 	}
 }
 
-// Injector drives failure processes on a kernel, up to a horizon.
-//
-// The horizon matters: an unbounded fail/repair cycle would keep the
-// event queue nonempty forever and Kernel.Run would never return. Events
-// beyond the horizon are simply not scheduled; targets keep their final
-// state.
-type Injector struct {
-	k       *sim.Kernel
-	rng     *workload.RNG
-	horizon float64
-}
-
-// NewInjector creates an injector using rng for all failure draws.
-// Failure/repair events are only scheduled at times <= horizon.
-func NewInjector(k *sim.Kernel, rng *workload.RNG, horizon float64) *Injector {
-	if horizon <= 0 {
-		panic(fmt.Sprintf("fault: horizon %v <= 0", horizon))
-	}
-	return &Injector{k: k, rng: rng, horizon: horizon}
-}
-
-// Attach creates a target and starts its fail/repair cycle. The target
-// starts up; the first failure arrives after an exponential draw.
-func (i *Injector) Attach(name string, spec Spec) *Target {
-	if err := spec.Validate(); err != nil {
-		panic(err)
-	}
+// Attach creates a target that starts up and cycles through spec's
+// phases on k (see Cycle), drawn from rng, until horizon: flips past it
+// are not scheduled, since an unbounded cycle would keep the kernel's
+// queue nonempty forever. Targets attached with one rng share its stream.
+func Attach(k *sim.Kernel, name string, spec Spec, horizon float64, rng *workload.RNG) *Target {
 	t := NewTarget(name)
-	Cycle(i.k, t, spec, i.k.Now(), i.horizon, i.rng)
+	Cycle(k, t, NewPhases(spec, k.Now(), horizon, rng))
 	return t
 }
 
-// Cycle drives t's fail/repair machine on k from virtual time from:
-// exponentially distributed up phases (mean spec.MeanUp) alternate with
-// down phases (mean spec.MeanDown), each drawn from rng when the
-// previous flip fires, the first failure drawn now. A flip is scheduled
-// only if it falls at or before bound; past it t keeps its final state.
-// Injector.Attach and the scenario's cycling chaos both run on it, so one
-// seed gives one failure history either way.
-func Cycle(k *sim.Kernel, t *Target, spec Spec, from, bound float64, rng *workload.RNG) {
-	var fail, repair func(now float64)
-	at := func(when float64, fn func()) {
-		if when <= bound {
-			k.At(when, fn)
+// Phases is a Spec's up/down recurrence from a start time: an up phase
+// of exponential length (mean MeanUp), then a down phase (mean
+// MeanDown), and so on, each length drawn when the phase before it ends.
+// A phase that would end past the bound never ends. Cycle walks Phases on
+// a kernel and a Chaos as requests arrive: one stream, one history.
+type Phases struct {
+	spec  Spec
+	rng   *workload.RNG
+	bound float64
+	up    bool
+	end   float64 // when the current phase ends; +Inf once it is the last
+}
+
+// NewPhases starts spec's recurrence at from, drawing the first up
+// phase from rng now; it panics on an invalid spec.
+func NewPhases(spec Spec, from, bound float64, rng *workload.RNG) *Phases {
+	if err := spec.Validate(); err != nil {
+		panic(err)
+	}
+	p := &Phases{spec: spec, rng: rng, bound: bound, end: from}
+	p.flip()
+	return p
+}
+
+// Up reports whether the current phase is an up phase.
+func (p *Phases) Up() bool { return p.up }
+
+// End returns when the current phase ends (+Inf for the last one).
+func (p *Phases) End() float64 { return p.end }
+
+// flip enters the next phase at End and draws its length.
+func (p *Phases) flip() {
+	p.up = !p.up
+	mean := p.spec.MeanDown
+	if p.up {
+		mean = p.spec.MeanUp
+	}
+	if p.end += p.rng.Exp(1 / mean); p.end > p.bound {
+		p.end = math.Inf(1)
+	}
+}
+
+// Cycle drives t along ph on k: t fails as each up phase ends and is
+// repaired as each down phase ends, each flip drawing the next phase as
+// it fires; after the last flip t keeps its state.
+func Cycle(k *sim.Kernel, t *Target, ph *Phases) {
+	var flip func()
+	next := func() {
+		if end := ph.End(); !math.IsInf(end, 1) {
+			k.At(end, flip)
 		}
 	}
-	fail = func(now float64) {
-		when := now + rng.Exp(1/spec.MeanUp)
-		at(when, func() {
-			t.fail()
-			repair(when)
-		})
+	flip = func() {
+		if ph.Up() {
+			t.Fail()
+		} else {
+			t.Repair()
+		}
+		ph.flip()
+		next()
 	}
-	repair = func(now float64) {
-		when := now + rng.Exp(1/spec.MeanDown)
-		at(when, func() {
-			t.repair()
-			fail(when)
-		})
-	}
-	fail(from)
+	next()
 }

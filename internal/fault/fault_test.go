@@ -22,8 +22,7 @@ func TestSpecValidate(t *testing.T) {
 
 func TestAttachStartsUp(t *testing.T) {
 	k := sim.NewKernel()
-	inj := NewInjector(k, workload.NewRNG(1), 1e6)
-	tg := inj.Attach("gw", Spec{MeanUp: 10, MeanDown: 1})
+	tg := Attach(k, "gw", Spec{MeanUp: 10, MeanDown: 1}, 1e6, workload.NewRNG(1))
 	if !tg.Up() || tg.Epoch() != 0 {
 		t.Fatal("fresh target not clean")
 	}
@@ -31,8 +30,7 @@ func TestAttachStartsUp(t *testing.T) {
 
 func TestFailureRepairCycle(t *testing.T) {
 	k := sim.NewKernel()
-	inj := NewInjector(k, workload.NewRNG(2), 1e6)
-	tg := inj.Attach("gw", Spec{MeanUp: 5, MeanDown: 1})
+	tg := Attach(k, "gw", Spec{MeanUp: 5, MeanDown: 1}, 1e6, workload.NewRNG(2))
 	var fails, repairs int
 	tg.OnFail = func() { fails++ }
 	tg.OnRepair = func() { repairs++ }
@@ -50,9 +48,8 @@ func TestFailureRepairCycle(t *testing.T) {
 
 func TestMeasuredAvailabilityMatchesTheory(t *testing.T) {
 	k := sim.NewKernel()
-	inj := NewInjector(k, workload.NewRNG(3), 1e6)
 	spec := Spec{MeanUp: 9, MeanDown: 1} // 90% available
-	tg := inj.Attach("gw", spec)
+	tg := Attach(k, "gw", spec, 1e6, workload.NewRNG(3))
 	var downSince, down float64
 	tg.OnFail = func() { downSince = k.Now() }
 	tg.OnRepair = func() { down += k.Now() - downSince }
@@ -73,7 +70,7 @@ func TestAttachPanicsOnBadSpec(t *testing.T) {
 			t.Error("bad spec accepted")
 		}
 	}()
-	NewInjector(sim.NewKernel(), workload.NewRNG(1), 1e6).Attach("x", Spec{})
+	Attach(sim.NewKernel(), "x", Spec{}, 1e6, workload.NewRNG(1))
 }
 
 // Property: availability measured from the fail/repair transitions is
@@ -81,9 +78,8 @@ func TestAttachPanicsOnBadSpec(t *testing.T) {
 func TestPropertyAvailabilityBounds(t *testing.T) {
 	f := func(seed uint64, upRaw, downRaw uint8) bool {
 		k := sim.NewKernel()
-		inj := NewInjector(k, workload.NewRNG(seed), 1e6)
 		spec := Spec{MeanUp: float64(upRaw%20) + 0.5, MeanDown: float64(downRaw%10) + 0.5}
-		tg := inj.Attach("t", spec)
+		tg := Attach(k, "t", spec, 1e6, workload.NewRNG(seed))
 		var downSince, down float64
 		tg.OnFail = func() { downSince = k.Now() }
 		tg.OnRepair = func() { down += k.Now() - downSince }

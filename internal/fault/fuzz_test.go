@@ -7,8 +7,9 @@ import (
 
 // FuzzParseChaos feeds the chaos grammar arbitrary text: it must never
 // panic, and every spec it accepts must be one NewChaos can run — each
-// probability a number in [0,1], a non-negative mean delay, and up/down
-// both zero or both positive. The seed corpus in
+// probability a number in [0,1], drop and err summing to at most 1 (one
+// uniform decides both), a non-negative mean delay, and up/down both
+// zero or both positive. The seed corpus in
 // testdata/fuzz/FuzzParseChaos replays under plain `go test`; explore
 // with
 //
@@ -23,6 +24,9 @@ func FuzzParseChaos(f *testing.F) {
 			if math.IsNaN(p) || p < 0 || p > 1 {
 				t.Fatalf("ParseChaos(%q) accepted probability %v: %+v", s, p, spec)
 			}
+		}
+		if !(spec.DropProb+spec.ErrProb <= 1) {
+			t.Fatalf("ParseChaos(%q) accepted drop+err %v: %+v", s, spec.DropProb+spec.ErrProb, spec)
 		}
 		if spec.DelayMean < 0 {
 			t.Fatalf("ParseChaos(%q) accepted negative delay: %+v", s, spec)

@@ -19,16 +19,16 @@ func TestCompileCordonAndDrainOps(t *testing.T) {
 	if len(ops) != 4 {
 		t.Fatalf("got %d ops, want drain+auto-uncordon+cordon+uncordon", len(ops))
 	}
-	if ops[0].kind != opCordon || !ops[0].drain || ops[0].node != "gw1" {
+	if ops[0].kind != opCordon || !ops[0].drain || s.Nodes[ops[0].node].Name != "gw1" {
 		t.Fatalf("drain op: %+v", ops[0])
 	}
-	if ops[1].kind != opCordon || ops[1].drain || ops[1].node != "fog" {
+	if ops[1].kind != opCordon || ops[1].drain || s.Nodes[ops[1].node].Name != "fog" {
 		t.Fatalf("cordon op: %+v", ops[1])
 	}
-	if ops[2].kind != opUncordon || ops[2].at != 7 || ops[2].node != "gw1" {
+	if ops[2].kind != opUncordon || ops[2].at != 7 || s.Nodes[ops[2].node].Name != "gw1" {
 		t.Fatalf("auto-uncordon op: %+v", ops[2])
 	}
-	if ops[3].kind != opUncordon || ops[3].at != 9 || ops[3].node != "fog" {
+	if ops[3].kind != opUncordon || ops[3].at != 9 || s.Nodes[ops[3].node].Name != "fog" {
 		t.Fatalf("scripted uncordon op: %+v", ops[3])
 	}
 }

@@ -78,14 +78,14 @@ const (
 )
 
 // op is one compiled primitive. Events expand — cascades into staggered
-// fail/repair pairs, target patterns into concrete node names, chaos
-// specs into parsed structs with deterministic seeds — so both backends
-// replay exactly the same timeline from the same compiled script.
+// fail/repair pairs, target patterns into concrete node indices, chaos
+// specs into parsed structs — so both backends replay exactly the same
+// timeline from the same compiled script.
 type op struct {
 	at     float64
 	kind   opKind
-	node   string          // opFail/opRepair/opChaosOn/opChaosOff/opCordon/opUncordon
-	link   LinkJSON        // opLink: the link as declared
+	node   int             // index into Scenario.Nodes: every node op
+	link   int             // opLink: index into Scenario.Links
 	factor float64         // opLink multiplier or opWorkload rate factor
 	chaos  fault.ChaosSpec // opChaosOn
 	drain  bool            // opCordon: also pause the node's generator
@@ -172,8 +172,10 @@ func (s *Scenario) compile(rng *workload.RNG) ([]op, error) {
 					return nil, evFail(i, "%v", err)
 				}
 				if spec.Seed == 0 {
-					// Draw a deterministic nonzero seed so the live Chaos
-					// (which seeds from the clock on 0) stays reproducible.
+					// Neither backend reads this seed: both draw a chaos
+					// op's fates from the run's event stream (see
+					// Plan.chaosStreams). The draw stays so that the
+					// cascades compiled after it keep their victims.
 					spec.Seed = int64(rng.Uint64()>>1) | 1
 				}
 				if spec.MeanUp > 0 && s.DAG != nil && ev.For <= 0 && !hasLaterChaosOff(s.Events, i) {
@@ -263,31 +265,31 @@ func hasLaterChaosOff(events []EventJSON, i int) bool {
 }
 
 // matchNodes resolves a node target — exact name, glob, or
-// "class:<tier>" — against the scenario's nodes, in declaration order
-// (which keeps expansion deterministic).
-func (s *Scenario) matchNodes(pattern string) ([]string, error) {
+// "class:<tier>" — against the scenario's nodes, returning their indices
+// in declaration order (which keeps expansion deterministic).
+func (s *Scenario) matchNodes(pattern string) ([]int, error) {
 	if pattern == "" {
 		return nil, fmt.Errorf("target required (node name, glob, or class:<tier>)")
 	}
-	var out []string
+	var out []int
 	if cls, ok := strings.CutPrefix(pattern, "class:"); ok {
 		c, err := parseClass(cls)
 		if err != nil {
 			return nil, err
 		}
-		for _, n := range s.Nodes {
+		for i, n := range s.Nodes {
 			if n.Class == c.String() {
-				out = append(out, n.Name)
+				out = append(out, i)
 			}
 		}
 	} else {
-		for _, n := range s.Nodes {
+		for i, n := range s.Nodes {
 			ok, err := path.Match(pattern, n.Name)
 			if err != nil {
 				return nil, fmt.Errorf("bad target pattern %q: %v", pattern, err)
 			}
 			if ok {
-				out = append(out, n.Name)
+				out = append(out, i)
 			}
 		}
 	}
@@ -298,20 +300,20 @@ func (s *Scenario) matchNodes(pattern string) ([]string, error) {
 }
 
 // matchLink resolves an "a->b" link target against the scenario's links
-// (either direction), returning the link as declared: its endpoints in
-// declaration order and the figures degrade-link scales.
-func (s *Scenario) matchLink(target string) (LinkJSON, error) {
+// (either direction), returning the index of the first link declared
+// between the two.
+func (s *Scenario) matchLink(target string) (int, error) {
 	a, b, ok := strings.Cut(target, "->")
 	if !ok {
-		return LinkJSON{}, fmt.Errorf("link target %q is not \"a->b\"", target)
+		return 0, fmt.Errorf("link target %q is not \"a->b\"", target)
 	}
 	a, b = strings.TrimSpace(a), strings.TrimSpace(b)
-	for _, l := range s.Links {
+	for i, l := range s.Links {
 		if (l.A == a && l.B == b) || (l.A == b && l.B == a) {
-			return l, nil
+			return i, nil
 		}
 	}
-	return LinkJSON{}, fmt.Errorf("link %q is not defined", target)
+	return 0, fmt.Errorf("link %q is not defined", target)
 }
 
 // phases extracts the workload rate schedule from a compiled timeline

@@ -37,7 +37,7 @@ func TestCompileFailWithAutoRecover(t *testing.T) {
 	if len(ops) != 2 {
 		t.Fatalf("got %d ops, want fail+repair", len(ops))
 	}
-	if ops[0].kind != opFail || ops[0].at != 5 || ops[0].node != "fog" {
+	if ops[0].kind != opFail || ops[0].at != 5 || s.Nodes[ops[0].node].Name != "fog" {
 		t.Fatalf("fail op: %+v", ops[0])
 	}
 	if ops[1].kind != opRepair || ops[1].at != 8 {
@@ -111,7 +111,7 @@ func TestCompileLinkAndWorkloadOps(t *testing.T) {
 	if ops[0].kind != opWorkload || ops[0].at != 1 || ops[0].factor != 2.5 {
 		t.Fatalf("ops not time-sorted or workload wrong: %+v", ops[0])
 	}
-	if ops[1].kind != opLink || ops[1].factor != 10 || ops[1].link.A != "fog" || ops[1].link.B != "cloud" {
+	if ops[1].kind != opLink || ops[1].factor != 10 || s.Links[ops[1].link].A != "fog" || s.Links[ops[1].link].B != "cloud" {
 		t.Fatalf("degrade op: %+v", ops[1])
 	}
 	if ops[2].kind != opLink || ops[2].factor != 1 {
@@ -137,7 +137,7 @@ func TestCompileLeaveJoin(t *testing.T) {
 	if len(ops) != 3 {
 		t.Fatalf("got %d ops, want leave+join+join", len(ops))
 	}
-	if ops[0].kind != opLeave || ops[0].at != 2 || ops[0].node != "gw1" {
+	if ops[0].kind != opLeave || ops[0].at != 2 || s.Nodes[ops[0].node].Name != "gw1" {
 		t.Fatalf("leave op: %+v", ops[0])
 	}
 	if ops[1].kind != opJoin || ops[1].at != 5 {

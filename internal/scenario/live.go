@@ -24,11 +24,13 @@ import (
 // from flags), a wire.ReliableClient with retries, failover, and
 // circuit breakers drives the whole fleet, and the compiled event
 // timeline is replayed in wall-clock time: failed nodes drop every
-// request (and stop generating load), chaos events install real
-// fault.Chaos injectors via Server.SetChaos, link degradation becomes
-// injected delay at the endpoints. The claim the e2e gate asserts is
-// the chaos-test claim generalized to whole scenarios: zero lost
-// requests, no matter what the script does to the fleet.
+// request (and stop generating load), chaos events install the
+// fault.Chaos injector the sim draws from — the same streams, on the
+// scenario clock scaled to wall time — via Server.SetChaos, link
+// degradation becomes injected delay at the endpoints. The claim the
+// e2e gate asserts is the chaos-test claim generalized to whole
+// scenarios: zero lost requests, no matter what the script does to the
+// fleet.
 
 // The live fleet's shape: each node is an endpoint with liveCapacity
 // concurrent container slots, and a scenario of more than liveMaxNodes
@@ -179,7 +181,7 @@ func (p *Plan) RunLive(opts LiveOptions) (*Report, error) {
 	}
 	scale, fn := opts.TimeScale, opts.function()
 
-	fleet := make(map[string]*liveNode, len(s.Nodes))
+	fleet := make([]*liveNode, 0, len(s.Nodes)) // indexed like s.Nodes
 	var addrs []string
 	var rt *federation.Router
 	var rtSrv *wire.Server
@@ -204,7 +206,7 @@ func (p *Plan) RunLive(opts LiveOptions) (*Report, error) {
 			shutdown()
 			return nil, err
 		}
-		fleet[nj.Name] = ln
+		fleet = append(fleet, ln)
 		addrs = append(addrs, ln.addr)
 	}
 	defer shutdown()
@@ -288,13 +290,16 @@ func (p *Plan) RunLive(opts LiveOptions) (*Report, error) {
 		return start.Add(time.Duration(at * scale * float64(time.Second)))
 	}
 
-	// Event replay: one goroutine walks the compiled timeline in order.
+	// Event replay: one goroutine walks the compiled timeline in order,
+	// its chaos drawing from the sim's streams.
+	events, work := p.streams()
+	chaos := p.chaosStreams(events)
 	stopReplay := make(chan struct{})
 	var replayDone sync.WaitGroup
 	replayDone.Add(1)
 	go func() {
 		defer replayDone.Done()
-		replayOps(fleet, p.ops, scale, wall, stopReplay)
+		p.replay(fleet, chaos, wall, scale, stopReplay)
 	}()
 
 	// Load: one generator per origin, submitting at the origin's arrival
@@ -303,10 +308,9 @@ func (p *Plan) RunLive(opts LiveOptions) (*Report, error) {
 	// retry storm never delays subsequent arrivals.
 	lat := metrics.NewHistogram()
 	var completed, lost, suppressed atomic.Int64
-	_, work := p.streams()
 	var gens, calls sync.WaitGroup
 	for i, origin := range s.Stream.Origins {
-		ln := fleet[origin]
+		ln := fleet[p.index[origin]]
 		// The origin's scripted priority rides every request's context, so
 		// it crosses the wire to the fleet's admission controllers exactly
 		// as a real client's would.
@@ -344,8 +348,8 @@ func (p *Plan) RunLive(opts LiveOptions) (*Report, error) {
 	replayDone.Wait()
 
 	perNode := make(map[string]int64, len(fleet))
-	for name, ln := range fleet {
-		perNode[name] = ln.ep.Invocations()
+	for _, ln := range fleet {
+		perNode[ln.name] = ln.ep.Invocations()
 	}
 	kind := "live/"
 	if opts.Router {
@@ -366,15 +370,16 @@ func (p *Plan) RunLive(opts LiveOptions) (*Report, error) {
 	}, nil
 }
 
-// replayOps applies the compiled timeline to the fleet at scaled
-// wall-clock times. Node failure is modeled as a drop-everything chaos
-// injector plus a paused generator — the TCP listener stays up, exactly
-// like a wedged-but-reachable endpoint, which is the harder failure for
-// a client to survive (the chaos e2e kills the listener instead; both
-// paths must end in zero losses).
-func replayOps(fleet map[string]*liveNode, ops []op, scale float64,
-	wall func(float64) time.Time, stop <-chan struct{}) {
-	for _, o := range ops {
+// replay applies the compiled timeline to the fleet (indexed like the
+// scenario's nodes) at the wall-clock times wall gives, scale wall
+// seconds per scenario second, chaos-on op i drawing from chaos[i]. Node failure is modeled as a drop-everything
+// chaos injector plus a paused generator — the TCP listener stays up,
+// exactly like a wedged-but-reachable endpoint, which is the harder
+// failure for a client to survive (the chaos e2e kills the listener
+// instead; both paths must end in zero losses).
+func (p *Plan) replay(fleet []*liveNode, chaos []chaosStream,
+	wall func(float64) time.Time, scale float64, stop <-chan struct{}) {
+	for i, o := range p.ops {
 		timer := time.NewTimer(time.Until(wall(o.at)))
 		select {
 		case <-stop:
@@ -395,7 +400,8 @@ func replayOps(fleet map[string]*liveNode, ops []op, scale float64,
 			ln.paused.Store(false)
 		case opChaosOn:
 			ln := fleet[o.node]
-			ln.chaos = fault.NewChaos(scaleChaos(o.chaos, scale))
+			// The sim's draws and phases, on the scenario clock.
+			ln.chaos = fault.NewChaosOn(o.chaos, chaos[i].draws, chaos[i].phases, wall(0), scale)
 			ln.inject()
 		case opChaosOff:
 			ln := fleet[o.node]
@@ -444,9 +450,10 @@ func replayOps(fleet map[string]*liveNode, ops []op, scale float64,
 			// endpoint servers — the wire has no simulated topology to slow
 			// down. The added delay is the extra one-way latency the sim
 			// backend would see on that link.
-			extra := o.link.Latency * (o.factor - 1)
-			for _, name := range []string{o.link.A, o.link.B} {
-				ln := fleet[name]
+			l := p.Scenario.Links[o.link]
+			extra := l.Latency * (o.factor - 1)
+			for _, name := range []string{l.A, l.B} {
+				ln := fleet[p.index[name]]
 				ln.linkDelay = nil
 				if o.factor != 1 && extra > 0 {
 					ln.linkDelay = fault.NewChaos(fault.ChaosSpec{
@@ -461,14 +468,4 @@ func replayOps(fleet map[string]*liveNode, ops []op, scale float64,
 			// Already compiled into the generators' phase schedule.
 		}
 	}
-}
-
-// scaleChaos converts a chaos spec from scenario time to wall time:
-// phase lengths and delay means stretch by the time scale; per-request
-// probabilities and the seed are time-free and pass through.
-func scaleChaos(spec fault.ChaosSpec, scale float64) fault.ChaosSpec {
-	spec.MeanUp *= scale
-	spec.MeanDown *= scale
-	spec.DelayMean = time.Duration(float64(spec.DelayMean) * scale)
-	return spec
 }

@@ -10,6 +10,7 @@ import (
 	"continuum/internal/fault"
 	"continuum/internal/trace"
 	"continuum/internal/wire"
+	"continuum/internal/workload"
 )
 
 // liveScenario is a small evented stream scenario sized for fast
@@ -310,10 +311,15 @@ func TestReplayKeepsScriptedFaultState(t *testing.T) {
 	}
 	defer ln.ep.Close()
 	defer ln.srv.Close()
-	fleet := map[string]*liveNode{"fog0": ln}
+	p := &Plan{Scenario: &Scenario{Nodes: []NodeJSON{{Name: "fog0"}}}}
 	replay := func(ops ...op) {
 		// Every op is already due: the replay applies them in order now.
-		replayOps(fleet, ops, 1, func(float64) time.Time { return time.Time{} }, make(chan struct{}))
+		p.ops = ops
+		chaos := make([]chaosStream, len(ops))
+		for i := range chaos {
+			chaos[i].draws = workload.NewRNG(uint64(i))
+		}
+		p.replay([]*liveNode{ln}, chaos, func(float64) time.Time { return time.Time{} }, 1, make(chan struct{}))
 	}
 	invoke := func() error {
 		c, err := wire.Dial(ln.addr)
@@ -329,24 +335,24 @@ func TestReplayKeepsScriptedFaultState(t *testing.T) {
 	errAll := fault.ChaosSpec{ErrProb: 1, Seed: 1}
 
 	// cascading-failure's fog0: chaos from 5 to 13, failed from 8 to 16.
-	replay(op{at: 5, kind: opChaosOn, node: "fog0", chaos: errAll},
-		op{at: 8, kind: opFail, node: "fog0"},
-		op{at: 13, kind: opChaosOff, node: "fog0"})
+	replay(op{at: 5, kind: opChaosOn, node: 0, chaos: errAll},
+		op{at: 8, kind: opFail, node: 0},
+		op{at: 13, kind: opChaosOff, node: 0})
 	if err := invoke(); err == nil || strings.Contains(err.Error(), "injected") {
 		t.Fatalf("after chaos-off on a failed node: invoke gave %v, want the failed node's dropped connection", err)
 	}
 	if !ln.paused.Load() {
 		t.Fatal("the failed origin generates again")
 	}
-	replay(op{at: 16, kind: opRepair, node: "fog0"})
+	replay(op{at: 16, kind: opRepair, node: 0})
 	if err := invoke(); err != nil {
 		t.Fatalf("after the repair: %v", err)
 	}
 
 	// A repair inside a chaos window.
-	replay(op{at: 20, kind: opChaosOn, node: "fog0", chaos: errAll},
-		op{at: 21, kind: opFail, node: "fog0"},
-		op{at: 22, kind: opRepair, node: "fog0"})
+	replay(op{at: 20, kind: opChaosOn, node: 0, chaos: errAll},
+		op{at: 21, kind: opFail, node: 0},
+		op{at: 22, kind: opRepair, node: 0})
 	if err := invoke(); err == nil || !strings.Contains(err.Error(), "injected") {
 		t.Fatalf("after a repair inside a chaos window: invoke gave %v, want the chaos's injected error", err)
 	}

@@ -159,6 +159,7 @@ func Parse(b []byte) (*Plan, error) {
 // Scenario it was compiled from must not change either.
 type Plan struct {
 	Scenario *Scenario        // the description
+	index    map[string]int   // node name → index into Scenario.Nodes
 	ops      []op             // the time-sorted event timeline
 	phases   []workload.Phase // the stream's arrival rate schedule
 	accel    node.AccelKind   // the stream tasks' accelerator kind
@@ -184,7 +185,7 @@ func (s *Scenario) Compile() (*Plan, error) {
 	if len(s.Nodes) == 0 {
 		return fail("no nodes")
 	}
-	names := make(map[string]int, len(s.Nodes)) // name → first index, for duplicate reporting
+	names := make(map[string]int, len(s.Nodes))
 	for i, n := range s.Nodes {
 		if n.Name == "" {
 			return fail("nodes[%d]: empty name", i)
@@ -280,7 +281,7 @@ func (s *Scenario) Compile() (*Plan, error) {
 	if p.ops, err = s.compile(rng.Split()); err != nil {
 		return nil, err
 	}
-	p.phases, p.rng = phases(p.ops), *rng
+	p.index, p.phases, p.rng = names, phases(p.ops), *rng
 	return p, nil
 }
 

@@ -3,6 +3,7 @@ package scenario
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"continuum/internal/core"
 	"continuum/internal/faas"
@@ -94,6 +95,31 @@ func (p *Plan) arrivals(rng *workload.RNG, submit func(at float64)) {
 	}
 }
 
+// chaosStream is what one chaos-on op draws from: its request stream,
+// and its up/down phases when its spec cycles (nil otherwise).
+type chaosStream struct {
+	draws  *workload.RNG
+	phases *fault.Phases
+}
+
+// chaosStreams splits each chaos-on op's streams off a run's event
+// stream in timeline order, its request stream and then, when its spec
+// cycles, its phases' (bounded by chaosStop), indexed like p.ops. Both
+// backends take them from here, so a node's chaos draws alike on either.
+func (p *Plan) chaosStreams(events *workload.RNG) []chaosStream {
+	streams := make([]chaosStream, len(p.ops))
+	for i, o := range p.ops {
+		if o.kind != opChaosOn {
+			continue
+		}
+		streams[i].draws = events.Split()
+		if o.chaos.MeanUp > 0 {
+			streams[i].phases = fault.NewPhases(o.chaos.Spec, o.at, p.chaosStop(o), events.Split())
+		}
+	}
+	return streams
+}
+
 // run is the simulator backend with tr (nil for none) as the engine's
 // tracer.
 func (p *Plan) run(tr *trace.Tracer, workers int) (*Report, error) {
@@ -103,178 +129,148 @@ func (p *Plan) run(tr *trace.Tracer, workers int) (*Report, error) {
 	// storage goes to the store the next run's searches take from.
 	defer c.Net.DropRoutes()
 	c.Tracer = tr
-	byName := make(map[string]*node.Node)
-	for _, nj := range s.Nodes {
+	// The nodes are the network's first vertices, so node i's ID is i.
+	nodes := make([]*node.Node, len(s.Nodes))
+	for i, nj := range s.Nodes {
 		spec, err := nj.spec()
 		if err != nil {
 			return nil, err // unreachable after Compile
 		}
-		byName[nj.Name] = c.AddNode(spec)
+		nodes[i] = c.AddNode(spec)
 	}
-	links := make(map[LinkJSON][2]*netsim.Link)
-	for _, lj := range s.Links {
-		ab, ba := c.Connect(byName[lj.A].ID, byName[lj.B].ID, lj.Latency, lj.Capacity)
-		links[lj] = [2]*netsim.Link{ab, ba}
+	links := make([][2]*netsim.Link, len(s.Links))
+	for i, lj := range s.Links {
+		ab, ba := c.Connect(p.index[lj.A], p.index[lj.B], lj.Latency, lj.Capacity)
+		links[i] = [2]*netsim.Link{ab, ba}
 	}
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
 
 	opts := core.ReliableOptions{MaxRetries: s.retries()}
-	horizon := 0.0
 	if s.Stream != nil {
-		horizon = s.Stream.Horizon
 		opts.Admission = s.Stream.Admission
 	}
 	events, work := p.streams()
-	s.installEvents(c, byName, links, p.ops, events, horizon, &opts)
+	p.installEvents(c, nodes, links, events, &opts)
 
 	if s.Stream != nil {
-		return p.runStream(c, byName, work, opts, workers)
+		return p.runStream(c, work, opts, workers)
 	}
 	return p.runDAG(c, work, opts)
 }
 
-// simChaos is one node's active per-request injection state on the sim
-// backend. Drop and err draws both mean "attempt lost" — the simulator
-// has no response channel to answer an injected error on, and both are
-// retryable failures to the engine — while delay draws defer the
-// attempt's entry into the pipeline, mirroring the live server sleeping
-// before dispatch.
-type simChaos struct {
-	active  bool
-	cycling bool // an up/down phase machine currently drives the fault target
-	spec    fault.ChaosSpec
-	rng     *workload.RNG
-}
-
 // installEvents wires the compiled timeline into the kernel and the
 // engine options: scripted fail/repair flips on fault targets, chaos
-// state machines (per-request draws via the Disturb hook, up/down
-// cycling via scheduled exponential flips), link retunes, cordon holds
-// (via the Cordoned hook), and origin silencing while an origin is down
-// or drained. Workload ops are not scheduled here — they become the
-// arrival processes' phase schedule.
-func (s *Scenario) installEvents(c *core.Continuum, byName map[string]*node.Node,
-	links map[LinkJSON][2]*netsim.Link, ops []op, rng *workload.RNG,
-	horizon float64, opts *core.ReliableOptions) {
-	if len(ops) == 0 {
+// (injectors asked per attempt by the Disturb hook, up/down phases
+// flipping fault targets through fault.Cycle), link retunes, cordon
+// holds (via the Cordoned hook), and origin silencing while an origin is
+// down or drained. Workload ops are not scheduled here — they become the
+// arrival processes' phase schedule. Slices are indexed by node ID.
+func (p *Plan) installEvents(c *core.Continuum, nodes []*node.Node,
+	links [][2]*netsim.Link, events *workload.RNG, opts *core.ReliableOptions) {
+	s := p.Scenario
+	if len(p.ops) == 0 {
 		return
 	}
-	targets := make(map[string]*fault.Target)
-	target := func(name string) *fault.Target {
-		t, ok := targets[name]
-		if !ok {
-			t = fault.NewTarget(name)
-			targets[name] = t
+	targets := make([]*fault.Target, len(nodes))
+	target := func(i int) *fault.Target {
+		if targets[i] == nil {
+			targets[i] = fault.NewTarget(nodes[i].Name)
 			if opts.Faults == nil {
 				opts.Faults = make(map[int]*fault.Target)
 			}
-			opts.Faults[byName[name].ID] = t
+			opts.Faults[i] = targets[i]
 		}
-		return t
+		return targets[i]
 	}
-	// Cordon state: mutated only inside kernel callbacks and read only by
-	// engine hooks, which also run on the (single-threaded) kernel.
-	cordoned := make(map[int]bool)
-	drained := make(map[int]bool)
-	hasCordon := false
-	for _, o := range ops {
-		if o.kind == opCordon {
-			hasCordon = true
-			break
-		}
-	}
-	chaos := make(map[int]*simChaos)
-	chaosFor := func(name string) *simChaos {
-		id := byName[name].ID
-		sc, ok := chaos[id]
-		if !ok {
-			sc = &simChaos{}
-			chaos[id] = sc
-		}
-		return sc
-	}
-	for _, o := range ops {
-		o := o
+	// Cordon and chaos state: mutated only inside kernel callbacks and
+	// read only by engine hooks, which also run on the (single-threaded)
+	// kernel.
+	cordoned := make([]bool, len(nodes))
+	drained := make([]bool, len(nodes))
+	chaos := make([]*fault.Chaos, len(nodes)) // the open chaos window's injector
+	cycling := make([]bool, len(nodes))       // its phases flip the node's target
+	hasCordon, hasChaos := false, false
+	streams := p.chaosStreams(events)
+	for i, o := range p.ops {
+		n := o.node
+		name := s.Nodes[n].Name
 		switch o.kind {
 		case opFail:
-			t := target(o.node)
+			t := target(n)
 			c.K.At(o.at, func() {
-				c.Tracer.Record(o.at, o.at, trace.KindFailure, o.node, "scripted fail", 0)
+				c.Tracer.Record(o.at, o.at, trace.KindFailure, name, "scripted fail", 0)
 				t.Fail()
 			})
 		case opRepair:
-			t := target(o.node)
+			t := target(n)
 			c.K.At(o.at, func() {
-				c.Tracer.Record(o.at, o.at, trace.KindRepair, o.node, "scripted repair", 0)
+				c.Tracer.Record(o.at, o.at, trace.KindRepair, name, "scripted repair", 0)
 				t.Repair()
 			})
 		case opChaosOn:
-			sc := chaosFor(o.node)
-			srng := rng.Split()
-			cycling := o.chaos.MeanUp > 0
-			c.K.At(o.at, func() {
-				sc.active, sc.cycling, sc.spec, sc.rng = true, cycling, o.chaos, srng
-			})
-			if cycling {
-				stop := chaosStop(ops, o, horizon)
-				fault.Cycle(c.K, target(o.node), o.chaos.Spec, o.at, stop, rng.Split())
+			hasChaos = true
+			// The kernel walks the phases (fault.Cycle), so the injector
+			// itself has none: a down node takes no attempts.
+			inj := fault.NewChaosOn(o.chaos, streams[i].draws, nil, time.Time{}, 1)
+			ph := streams[i].phases
+			c.K.At(o.at, func() { chaos[n], cycling[n] = inj, ph != nil })
+			if ph != nil {
+				fault.Cycle(c.K, target(n), ph)
 			}
 		case opChaosOff:
-			sc := chaosFor(o.node)
-			t := target(o.node)
+			t := target(n)
 			c.K.At(o.at, func() {
 				// A cycling phase machine may have left the node down with
 				// its repair beyond the stop bound; chaos-off heals it.
-				if sc.cycling {
+				if cycling[n] {
 					t.Repair()
 				}
-				sc.active, sc.cycling = false, false
+				chaos[n], cycling[n] = nil, false
 			})
 		case opLink:
-			pair := links[o.link]
+			pair, l := links[o.link], s.Links[o.link]
 			c.K.At(o.at, func() {
-				for _, l := range pair {
-					c.Net.SetLinkParams(l, o.link.Latency*o.factor, o.link.Capacity/o.factor)
+				for _, half := range pair {
+					c.Net.SetLinkParams(half, l.Latency*o.factor, l.Capacity/o.factor)
 				}
 			})
 		case opCordon:
-			id, drain := byName[o.node].ID, o.drain
+			hasCordon = true
 			c.K.At(o.at, func() {
 				detail := "cordon"
-				if drain {
+				if o.drain {
 					detail = "drain"
 				}
-				c.Tracer.Record(o.at, o.at, trace.KindCordon, o.node, detail, 0)
-				cordoned[id] = true
-				if drain {
-					drained[id] = true
+				c.Tracer.Record(o.at, o.at, trace.KindCordon, name, detail, 0)
+				cordoned[n] = true
+				if o.drain {
+					drained[n] = true
 				}
 			})
 		case opUncordon:
-			id := byName[o.node].ID
 			c.K.At(o.at, func() {
-				c.Tracer.Record(o.at, o.at, trace.KindUncordon, o.node, "scripted uncordon", 0)
-				cordoned[id] = false
-				drained[id] = false
+				c.Tracer.Record(o.at, o.at, trace.KindUncordon, name, "scripted uncordon", 0)
+				cordoned[n] = false
+				drained[n] = false
 			})
 		case opLeave:
 			// The sim has no registry to deregister from: a graceful leave
 			// is the node's fault target failing (attempts divert elsewhere)
 			// with its own generator silenced.
-			t, id := target(o.node), byName[o.node].ID
+			t := target(n)
 			c.K.At(o.at, func() {
-				c.Tracer.Record(o.at, o.at, trace.KindFailure, o.node, "scripted leave", 0)
+				c.Tracer.Record(o.at, o.at, trace.KindFailure, name, "scripted leave", 0)
 				t.Fail()
-				drained[id] = true
+				drained[n] = true
 			})
 		case opJoin:
-			t, id := target(o.node), byName[o.node].ID
+			t := target(n)
 			c.K.At(o.at, func() {
-				c.Tracer.Record(o.at, o.at, trace.KindRepair, o.node, "scripted join", 0)
+				c.Tracer.Record(o.at, o.at, trace.KindRepair, name, "scripted join", 0)
 				t.Repair()
-				drained[id] = false
+				drained[n] = false
 			})
 		case opWorkload:
 			// Compiled into the arrival processes' phase schedule instead.
@@ -283,21 +279,17 @@ func (s *Scenario) installEvents(c *core.Continuum, byName map[string]*node.Node
 	if hasCordon {
 		opts.Cordoned = func(n *node.Node) bool { return cordoned[n.ID] }
 	}
-	if len(chaos) > 0 {
+	if hasChaos {
 		opts.Disturb = func(n *node.Node) (bool, float64) {
-			sc, ok := chaos[n.ID]
-			if !ok || !sc.active {
+			inj := chaos[n.ID]
+			if inj == nil {
 				return false, 0
 			}
-			var delay float64
-			if p := sc.spec.DelayProb; p > 0 && sc.spec.DelayMean > 0 && sc.rng.Float64() < p {
-				delay = sc.rng.Exp(1 / sc.spec.DelayMean.Seconds())
-			}
-			drop := false
-			if p := sc.spec.DropProb + sc.spec.ErrProb; p > 0 && sc.rng.Float64() < p {
-				drop = true
-			}
-			return drop, delay
+			// The sim has no response channel to answer an injected error
+			// on: a drop and an error both lose the attempt, and both are
+			// retryable failures to the engine.
+			act, delay := inj.Draw(c.K.Now())
+			return act != fault.ChaosNone, delay
 		}
 	}
 	if s.Stream != nil && (opts.Faults != nil || hasCordon) {
@@ -316,19 +308,19 @@ func (s *Scenario) installEvents(c *core.Continuum, byName map[string]*node.Node
 // scheduling: the node's next chaos-off if scripted, else the stream
 // horizon (DAG scenarios are validated to always have a bound — an
 // unbounded cycle would keep the kernel's queue nonempty forever).
-func chaosStop(ops []op, on op, horizon float64) float64 {
-	for _, o := range ops {
+func (p *Plan) chaosStop(on op) float64 {
+	for _, o := range p.ops {
 		if o.kind == opChaosOff && o.node == on.node && o.at >= on.at {
 			return o.at
 		}
 	}
-	if horizon > on.at {
-		return horizon
+	if st := p.Scenario.Stream; st != nil && st.Horizon > on.at {
+		return st.Horizon
 	}
 	return on.at
 }
 
-func (p *Plan) runStream(c *core.Continuum, byName map[string]*node.Node, work []*workload.RNG, opts core.ReliableOptions, workers int) (*Report, error) {
+func (p *Plan) runStream(c *core.Continuum, work []*workload.RNG, opts core.ReliableOptions, workers int) (*Report, error) {
 	s := p.Scenario
 	pol, err := parsePolicy(s.Stream.Policy, work[0])
 	if err != nil {
@@ -361,7 +353,7 @@ func (p *Plan) runStream(c *core.Continuum, byName map[string]*node.Node, work [
 	gen := func(i int) {
 		job := core.StreamJob{
 			Task:     tk,
-			Origin:   byName[origins[i]].ID,
+			Origin:   p.index[origins[i]],
 			Priority: faas.Priority(s.Stream.Priorities[origins[i]]),
 		}
 		out := jobs[start[i]:start[i]:start[i+1]]

@@ -545,7 +545,7 @@ func (s *Server) process(cc *countConn, t connTask) {
 	}
 	var resp *Response
 	if chaos := s.chaos.Load(); chaos != nil {
-		act, delay := chaos.Next()
+		act, delay := chaos.NextAt(start)
 		if delay > 0 {
 			s.countChaos("delay")
 			time.Sleep(delay)
