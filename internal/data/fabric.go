@@ -138,7 +138,7 @@ func (f *Fabric) Holds(nodeID int, name string) bool {
 // Locate returns the ids of all nodes holding name, in unspecified order.
 func (f *Fabric) Locate(name string) []int {
 	var out []int
-	for id, s := range f.stores {
+	for id, s := range f.stores { //det: unspecified order; NearestReplica breaks ties on id
 		if _, ok := s.entries[name]; ok {
 			out = append(out, id)
 		}
@@ -248,7 +248,7 @@ func (s *Store) evictOne(rng *workload.RNG) bool {
 	var victim *entry
 	switch s.Pol {
 	case LRU:
-		for _, e := range s.entries {
+		for _, e := range s.entries { //det: a minimum with ties broken by the unique name
 			if e.pinned {
 				continue
 			}
@@ -258,7 +258,7 @@ func (s *Store) evictOne(rng *workload.RNG) bool {
 			}
 		}
 	case LFU:
-		for _, e := range s.entries {
+		for _, e := range s.entries { //det: a minimum with ties broken by the unique name
 			if e.pinned {
 				continue
 			}
@@ -274,7 +274,7 @@ func (s *Store) evictOne(rng *workload.RNG) bool {
 		// ordered by name so the seeded draws pick the same victims on
 		// every run.
 		var pool []*entry
-		for _, e := range s.entries {
+		for _, e := range s.entries { //det: pool is sorted below
 			if !e.pinned {
 				pool = append(pool, e)
 			}

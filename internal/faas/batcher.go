@@ -1,6 +1,7 @@
 package faas
 
 import (
+	"sort"
 	"sync"
 	"time"
 )
@@ -91,14 +92,15 @@ func (b *Batcher) Flush(fn string) {
 	b.dispatch(fn, batch)
 }
 
-// FlushAll dispatches every pending batch.
+// FlushAll dispatches every pending batch, in function-name order.
 func (b *Batcher) FlushAll() {
 	b.mu.Lock()
 	fns := make([]string, 0, len(b.pending))
-	for fn := range b.pending {
+	for fn := range b.pending { //det: sorted below
 		fns = append(fns, fn)
 	}
 	b.mu.Unlock()
+	sort.Strings(fns)
 	for _, fn := range fns {
 		b.Flush(fn)
 	}

@@ -76,7 +76,7 @@ func (r *Registry) Names() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	out := make([]string, 0, len(r.fns))
-	for n := range r.fns {
+	for n := range r.fns { //det: a live listing; no simulated report reads it
 		out = append(out, n)
 	}
 	return out

@@ -81,17 +81,37 @@ func TestPanicReleasesCapacity(t *testing.T) {
 	}
 }
 
+// holdEndpoint returns an endpoint whose "hold" handler reports on held
+// that it has a slot and keeps it until release is closed, and whose
+// "echo" handler returns its payload.
+func holdEndpoint(cfg EndpointConfig) (ep *Endpoint, held, release chan struct{}) {
+	held, release = make(chan struct{}, 1), make(chan struct{})
+	reg := NewRegistry()
+	reg.Register("hold", func(p []byte) ([]byte, error) {
+		held <- struct{}{}
+		<-release
+		return p, nil
+	})
+	reg.Register("echo", func(p []byte) ([]byte, error) { return p, nil })
+	cfg.Name = "test"
+	return NewEndpoint(cfg, reg), held, release
+}
+
+// TestQueueWaitTimeout: with the only slot held, a call gives up after
+// its queue wait with ErrOverloaded, before the slot is released.
 func TestQueueWaitTimeout(t *testing.T) {
-	ep, _ := panicEndpoint(t, EndpointConfig{Capacity: 1, QueueWait: 20 * time.Millisecond})
-	var wg sync.WaitGroup
-	wg.Add(1)
+	ep, held, release := holdEndpoint(EndpointConfig{Capacity: 1, QueueWait: 20 * time.Millisecond})
+	holder := make(chan error, 1)
 	go func() {
-		defer wg.Done()
-		ep.Invoke("block", nil) // occupies the only slot ~100ms
+		_, err := ep.Invoke("hold", nil)
+		holder <- err
 	}()
-	time.Sleep(10 * time.Millisecond) // let the blocker take the slot
-	start := time.Now()
+	<-held
 	_, err := ep.Invoke("echo", nil)
+	if got := ep.Running(); got != 1 {
+		t.Fatalf("Running() = %d when the queued call returned, want the held slot", got)
+	}
+	close(release)
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("err = %v", err)
 	}
@@ -102,10 +122,9 @@ func TestQueueWaitTimeout(t *testing.T) {
 	if errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("queue-wait overload wraps context.DeadlineExceeded: %v", err)
 	}
-	if elapsed := time.Since(start); elapsed > 90*time.Millisecond {
-		t.Fatalf("queue timeout took %v", elapsed)
+	if err := <-holder; err != nil {
+		t.Fatalf("holder: %v", err)
 	}
-	wg.Wait()
 	// Slot freed: the endpoint serves again.
 	if _, err := ep.Invoke("echo", nil); err != nil {
 		t.Fatalf("endpoint wedged after queue timeout: %v", err)
@@ -132,15 +151,19 @@ func TestQueueWaitContextCancel(t *testing.T) {
 	wg.Wait()
 }
 
+// TestExecTimeout: a handler that outlives ExecTimeout is abandoned; the
+// caller gets DeadlineExceeded while the handler still holds its slot,
+// and the slot comes back once the handler returns.
 func TestExecTimeout(t *testing.T) {
-	ep, _ := panicEndpoint(t, EndpointConfig{Capacity: 1, ExecTimeout: 20 * time.Millisecond})
-	start := time.Now()
-	_, err := ep.Invoke("block", nil) // handler sleeps 100ms
+	ep, held, release := holdEndpoint(EndpointConfig{Capacity: 1, ExecTimeout: 20 * time.Millisecond})
+	_, err := ep.Invoke("hold", nil)
+	<-held
+	if got := ep.Running(); got != 1 {
+		t.Fatalf("Running() = %d when the call returned, want the held slot", got)
+	}
+	close(release)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > 90*time.Millisecond {
-		t.Fatalf("exec timeout returned after %v", elapsed)
 	}
 	// The abandoned handler holds the slot until it returns; afterwards
 	// capacity must be fully restored (no leak).

@@ -8,6 +8,7 @@ package metrics
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"sync"
@@ -192,15 +193,8 @@ func (h *Histogram) snapshot() histSnapshot {
 	defer h.mu.Unlock()
 	counts := make([]int64, len(h.counts))
 	copy(counts, h.counts)
-	var ex map[int]Exemplar
-	if h.exemplars != nil {
-		ex = make(map[int]Exemplar, len(h.exemplars))
-		for k, e := range h.exemplars {
-			ex[k] = e
-		}
-	}
 	return histSnapshot{
-		counts: counts, underflow: h.underflow, n: h.n, sum: h.sum, exemplars: ex,
+		counts: counts, underflow: h.underflow, n: h.n, sum: h.sum, exemplars: maps.Clone(h.exemplars),
 	}
 }
 
@@ -310,7 +304,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 // sortedKeys returns m's keys in sorted order.
 func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
-	for k := range m {
+	for k := range m { //det: sorted below
 		out = append(out, k)
 	}
 	sort.Strings(out)

@@ -126,7 +126,7 @@ func renderLabels(labels map[string]string, extraK, extraV string) string {
 		return ""
 	}
 	keys := make([]string, 0, len(labels))
-	for k := range labels {
+	for k := range labels { //det: sorted below
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)

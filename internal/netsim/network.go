@@ -72,9 +72,6 @@ type Network struct {
 	// link by link does not walk an all-empty cache V times (O(V²)).
 	spt     []search
 	started []int32
-	// boxes holds the empty carriers of storage this network took from
-	// the shared store, so handing storage back allocates nothing.
-	boxes []*search
 	// epoch counts route drops (see RouteEpoch).
 	epoch uint64
 
@@ -185,47 +182,52 @@ func (n *Network) SetLinkParams(l *Link, latency, capacity float64) {
 // gets the same entries bit for bit.
 func (n *Network) DropRoutes() {
 	n.epoch++
+	if len(n.started) == 0 {
+		return
+	}
+	store.Lock()
 	for _, src := range n.started {
 		s := &n.spt[src]
-		n.give(*s)
+		store.searches = append(store.searches, *s)
 		*s = search{}
 	}
+	store.Unlock()
 	n.started = n.started[:0]
 }
 
 // store holds the storage of dropped searches for the next searches on
-// any network to reuse: a hop slice, its settled order and its heap
-// travel together in one *search (any of them may be nil). Each
-// scenario run builds a network and throws it away, so without it every
-// run would allocate its searches afresh. Like the kernel's record
-// chains it is a sync.Pool: concurrent runs share it safely, and what a
-// collection finds idle there is freed.
-var store sync.Pool
-
-// give hands st's storage to the store in one of the network's empty
-// carriers.
-func (n *Network) give(st search) {
-	var b *search
-	if k := len(n.boxes); k > 0 {
-		b = n.boxes[k-1]
-		n.boxes = n.boxes[:k-1]
-	} else {
-		b = new(search)
-	}
-	*b = st
-	store.Put(b)
+// any network to reuse. Each scenario run builds a network and throws it
+// away, so without it every run would allocate its searches afresh.
+// searches holds hop slices with their settled orders, and with their
+// heaps unless the search ran out: an exhausted search hands its heap to
+// heaps at once, for another search of the same run to reuse, and take
+// pairs the two again. The lists sit under a mutex, not in a
+// sync.Pool: a pool drops what two collections find idle, and a Get
+// running on one P cannot reach a Put left in another P's private slot,
+// so a run could find it short and allocate a search's storage afresh.
+// The lists free nothing: they hold the storage of the most searches
+// that were live at once.
+var store struct {
+	sync.Mutex
+	searches []search
+	heaps    []nodeHeap
 }
 
-// take returns storage from the store (none when it is empty), keeping
-// its carrier for a later give.
-func (n *Network) take() search {
-	b, _ := store.Get().(*search)
-	if b == nil {
-		return search{}
+// take returns storage from the store: a dropped search's, with a heap
+// from an exhausted one if it has none of its own. It returns none when
+// the store is empty.
+func take() search {
+	store.Lock()
+	defer store.Unlock()
+	var st search
+	if k := len(store.searches); k > 0 {
+		st, store.searches[k-1] = store.searches[k-1], search{}
+		store.searches = store.searches[:k-1]
 	}
-	st := *b
-	*b = search{}
-	n.boxes = append(n.boxes, b)
+	if k := len(store.heaps); st.pq == nil && k > 0 {
+		st.pq, store.heaps[k-1] = store.heaps[k-1], nil
+		store.heaps = store.heaps[:k-1]
+	}
 	return st
 }
 
@@ -249,7 +251,7 @@ func (n *Network) search(src int) *search {
 	n.checkNode(src)
 	s := &n.spt[src]
 	if s.hops == nil {
-		*s = n.take()
+		*s = take()
 		if cap(s.hops) < len(n.adj) {
 			s.hops = make([]hop, len(n.adj))
 		}
@@ -289,7 +291,9 @@ func (n *Network) step(s *search) bool {
 		return true
 	}
 	if s.pq != nil {
-		n.give(search{pq: s.pq})
+		store.Lock()
+		store.heaps = append(store.heaps, s.pq)
+		store.Unlock()
 		s.pq = nil
 	}
 	return false

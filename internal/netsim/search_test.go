@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -243,33 +242,60 @@ func TestSearchExtendsOnlyAsFarAsAsked(t *testing.T) {
 
 // TestDroppedRoutesServeTheNextNetwork: once network a drops its routes,
 // the first search on a fresh network b of the same size runs in a's
-// storage, and searching and dropping again allocates nothing. The
-// store is a sync.Pool: a collection empties it, and under -race it
-// drops a quarter of its Puts at random, so the GC stays off and the
-// test passes if any of 20 rounds reuses a's storage allocation-free.
+// storage, and searching and dropping again allocates nothing.
 func TestDroppedRoutesServeTheNextNetwork(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	k := sim.NewKernel()
-	for round := 0; round < 20; round++ {
-		a, b := line(k, 100, 0.001, 1e9), line(k, 100, 0.001, 1e9)
-		a.Latency(0, 99)
-		prev := &a.spt[0].hops[0]
-		a.DropRoutes()
-		want := b.Latency(0, 99)
-		reused := &b.spt[0].hops[0] == prev
-		b.DropRoutes()
-		allocs := testing.AllocsPerRun(1, func() {
-			if got := b.Latency(0, 99); got != want {
-				t.Fatalf("Latency(0, 99) = %v after a drop, %v before", got, want)
-			}
-			b.DropRoutes()
-		})
-		if reused && allocs == 0 {
-			return
-		}
-		t.Logf("round %d: reused a's hops %v, %v allocations per search", round, reused, allocs)
+	a, b := line(k, 100, 0.001, 1e9), line(k, 100, 0.001, 1e9)
+	a.Latency(0, 99)
+	prev := &a.spt[0].hops[0]
+	a.DropRoutes()
+	want := b.Latency(0, 99)
+	if &b.spt[0].hops[0] != prev {
+		t.Fatal("b's first search did not run in a's dropped storage")
 	}
-	t.Fatal("no round searched a fresh network in a dropped network's storage without allocating")
+	b.DropRoutes()
+	if allocs := testing.AllocsPerRun(1, func() {
+		if got := b.Latency(0, 99); got != want {
+			t.Fatalf("Latency(0, 99) = %v after a drop, %v before", got, want)
+		}
+		b.DropRoutes()
+	}); allocs != 0 {
+		t.Fatalf("searching in dropped storage allocated %v times", allocs)
+	}
+}
+
+// TestSecondDropAndSearchCycleAllocatesNothing is a scenario run's use of
+// the store, twice over: build a network, search from a few sources until
+// each runs out (handing its heap back at once), drop the routes and
+// throw the network away. Every search reaches as far, so each needs the
+// same storage. The second, identical cycle searches wholly in the
+// first's: each search gets back hops, an order and a heap, so it
+// allocates nothing, with the collector on.
+func TestSecondDropAndSearchCycleAllocatesNothing(t *testing.T) {
+	k := sim.NewKernel()
+	star := func() *Network {
+		n := New(k, 65) // hub 0 and 64 leaves
+		for leaf := 1; leaf <= 64; leaf++ {
+			n.AddDuplexLink(0, leaf, 0.001*float64(leaf%4+1), 1e9)
+		}
+		n.started = make([]int32, 0, 4) // count only the searches' storage
+		return n
+	}
+	nets := []*Network{star(), star()}
+	cycle := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		n := nets[cycle]
+		cycle++
+		for _, src := range []int{0, 3, 7, 12} {
+			if _, _, _, ok := n.Nearest(src, 65); ok {
+				t.Fatalf("Nearest(%d, 65) on 65 vertices reported a vertex", src)
+			}
+		}
+		n.DropRoutes()
+	})
+	if allocs != 0 {
+		t.Fatalf("the second drop-and-search cycle allocated %v times", allocs)
+	}
 }
 
 // TestSharedStoreAcrossConcurrentNetworks: goroutines that each build,

@@ -52,6 +52,30 @@ func backlogged(env *Env) *Env {
 	return env
 }
 
+// busySiblings gives the lowest-ID half of every fog's gateways in a
+// stress-shaped fleet one running task each, and returns 64 of them.
+// From a busy gateway behind a backlogged fog, the best choice is an idle
+// sibling, and the nearest siblings are busy below the idle ones in ID.
+// stressEnv links gateway g to fog g mod fogs.
+func busySiblings(env *Env) []*node.Node {
+	var fogs, gws []*node.Node
+	for _, n := range env.Nodes {
+		switch n.Class {
+		case node.Fog:
+			fogs = append(fogs, n)
+		case node.Gateway:
+			gws = append(gws, n)
+		}
+	}
+	for g, gw := range gws {
+		f := g % len(fogs)
+		if perFog := (len(gws) - f + len(fogs) - 1) / len(fogs); g/len(fogs) < perFog/2 {
+			gw.Cores.Acquire(1, func() {})
+		}
+	}
+	return gws[:64]
+}
+
 // selected keeps the compiler from discarding the measured calls.
 var selected *node.Node
 
@@ -61,11 +85,16 @@ var selected *node.Node
 // seeded tenth of the fleet ineligible through Env.Eligible, as faults
 // and cordons do in a run. The backlogged case loads the cloud and the
 // fogs as a run's heavy phases do, so their parts run out of listed
-// members while their bounds are still below the best score.
+// members while their bounds are still below the best score. The
+// busy-siblings case adds busySiblings to the backlogged one and decides
+// from busy gateways, so an idle sibling wins among ties of ID-ordered
+// busy and idle ones, as in a run's gateway-heavy phases.
 func BenchmarkGreedyLatencySelect(b *testing.B) {
 	tk := &task.Task{ScalarWork: 5e9, OutputBytes: 1e4, Inputs: []task.DataRef{{Name: "in", Bytes: 2e5}}}
-	bench := func(env *Env) func(*testing.B) {
-		origins := env.Nodes[len(env.Nodes)-64:]
+	bench := func(env *Env, origins ...*node.Node) func(*testing.B) {
+		if origins == nil {
+			origins = env.Nodes[len(env.Nodes)-64:]
+		}
 		for _, o := range origins {
 			GreedyLatency{}.Select(env, Request{Task: tk, Origin: o.ID})
 		}
@@ -86,5 +115,7 @@ func BenchmarkGreedyLatencySelect(b *testing.B) {
 	ineligible.Eligible = func(n *node.Node) bool { return !down[n.ID] }
 	b.Run("1000nodes-10pct-ineligible", bench(ineligible))
 	b.Run("1000nodes-backlogged", bench(backlogged(stressEnv(1000))))
+	siblings := backlogged(stressEnv(1000))
+	b.Run("1000nodes-busy-siblings", bench(siblings, busySiblings(siblings)...))
 	b.Run("10000nodes", bench(stressEnv(10000)))
 }

@@ -41,7 +41,9 @@ type Env struct {
 	// Eligible, when set, reports whether a candidate may take new work
 	// right now (up, not cordoned). Policies choose among eligible
 	// candidates only, and Select returns nil when none is. Nil means
-	// every candidate is eligible.
+	// every candidate is eligible. It must be pure: a policy may ask it
+	// of some candidates only, in any order (GreedyLatency asks it only
+	// of a candidate that would beat its best so far).
 	Eligible func(*node.Node) bool
 
 	// state is what policies derive from the candidates, allocated on
@@ -272,20 +274,29 @@ func (r *RoundRobin) Select(env *Env, req Request) *node.Node {
 // ignoring data replicas (it ships inputs from the origin).
 //
 // It scores from its own index rather than through EstimateLatency: a
-// candidate's list entry holds the latency and bottleneck capacity of its
-// path from the origin, and its part holds its exec time, so a score is
-// move + wait + exec from those and the node's occupancy. It must equal
-// EstimateLatency's value (with no fabric) bit for bit: score makes the
-// same float operations in the same order.
+// candidate's list entry holds its vertex ID and the latency and
+// bottleneck capacity of its path from the origin, and its part holds its
+// exec time, so a score is move + wait + exec from those and the node's
+// occupancy. It must equal EstimateLatency's value (with no fabric) bit
+// for bit: it makes the same float operations in the same order.
 //
 // It scores only the candidates that can win. With inputs shipped from
-// the origin, move ≥ Latency(origin, n) and wait ≥ 0, and rounding is
-// monotone, so fl(Latency(origin, n) + exec) is a lower bound on n's
-// score. Candidates whose specs give the same exec are scanned nearest
-// first, and a part's scan stops once the bound is strictly greater than
+// the origin, wait ≥ 0 and rounding is monotone, so fl(move + exec) is a
+// lower bound on n's score, and so is fl(Latency(origin, n) + exec).
+// Candidates whose specs give the same exec are scanned nearest first,
+// and a part's scan stops once the latency bound is strictly greater than
 // the best score so far, or once it has passed every member of the part.
-// Every candidate whose bound equals the best is still scored, so the
-// choice is the same (score, ID) minimum a full scan returns.
+// A candidate whose move bound is above the best score, or equal to it
+// with an ID no lower than the best's, is skipped from its entry alone,
+// without reading the node: it cannot beat the best on (score, ID). So
+// that a run of equally near candidates (a gateway's siblings behind one
+// fog) settles at its lowest idle ID and skips the rest, each part's list
+// keeps such a run in ID order. The search settles a run in heap order,
+// so the run is sorted once no scan is inside it: when the origin's
+// search lists a farther member of the part, or when a scan has passed
+// every member. Of a candidate that would beat the best, Eligible is
+// asked last. The choice is the same (score, ID) minimum a full scan
+// returns.
 type GreedyLatency struct{}
 
 // Name implements Policy.
@@ -303,9 +314,10 @@ func (GreedyLatency) Select(env *Env, req Request) *node.Node {
 		exec := env.Nodes[rep].ExecTime(tk.ScalarWork, tk.TensorWork, tk.Accel)
 	scan:
 		for k := 0; ; k++ {
-			for k == len(o.parts[p]) {
+			for k == len(o.parts[p].near) {
 				if k == int(ix.size[p]) {
-					break scan // every member is listed and scanned
+					o.parts[p].endRun() // every member is listed and scanned
+					break scan
 				}
 				// The part's list is used up: settle the origin's next
 				// vertex. Every vertex settled after it is at least as far.
@@ -314,24 +326,33 @@ func (GreedyLatency) Select(env *Env, req Request) *node.Node {
 					break scan
 				}
 			}
-			c := &o.parts[p][k]
+			c := &o.parts[p].near[k]
 			if c.lat+exec > bestScore {
 				break // the rest of the part is bounded at least this high
 			}
-			n := env.Nodes[c.pos]
-			if env.Eligible != nil && !env.Eligible(n) {
+			// move is MessageTime(origin, n.ID, ib) when ib > 0 (0 at the
+			// origin itself) and Latency(origin, n.ID) otherwise.
+			move := c.lat
+			if ib > 0 && int(c.id) != req.Origin {
+				move = c.lat + ib/c.bn
+			}
+			if b := move + exec; b > bestScore || (b == bestScore && best != nil && int(c.id) >= best.ID) {
 				continue
 			}
-			s := c.score(n, req.Origin, ib, exec)
-			if best == nil || s < bestScore || (s == bestScore && n.ID < best.ID) {
+			n := env.Nodes[c.pos]
+			backlog := float64(n.Cores.InUse()) + float64(n.Cores.QueueLen())
+			wait := backlog * exec / float64(n.Spec.Cores)
+			s := move + wait + exec
+			if (best == nil || s < bestScore || (s == bestScore && n.ID < best.ID)) &&
+				(env.Eligible == nil || env.Eligible(n)) {
 				best, bestScore = n, s
 			}
 		}
 	}
 	if math.IsInf(bestScore, 1) {
-		// Nothing scored below +Inf, so no part stopped early: the scan
-		// skipped only unreachable candidates, which score +Inf too, and
-		// a full scan breaks that tie on the lowest ID.
+		// No eligible candidate scored below +Inf, so no part stopped
+		// early: each is unreachable or scores +Inf, and a full scan
+		// breaks that tie on the lowest ID.
 		for _, n := range env.Nodes {
 			if (env.Eligible == nil || env.Eligible(n)) && (best == nil || n.ID < best.ID) {
 				best = n
@@ -365,28 +386,32 @@ type nearIndex struct {
 type nearLists struct {
 	epoch   uint64
 	settled int
-	parts   [][]near
+	parts   []nearList
+}
+
+// nearList is one part's listed candidates in nondecreasing latency.
+// Each run of equal latency but the trailing one, which starts at run,
+// is in ascending ID.
+type nearList struct {
+	near []near
+	run  int
+}
+
+// endRun sorts the list's trailing run by ID and starts a new one. No
+// scan may be inside the run.
+func (l *nearList) endRun() {
+	if len(l.near)-l.run > 1 {
+		slices.SortStableFunc(l.near[l.run:], func(a, b near) int { return cmp.Compare(a.id, b.id) })
+	}
+	l.run = len(l.near)
 }
 
 // near is one listed candidate: the latency and bottleneck capacity of
-// the origin's path to its vertex, and its position in the candidates.
+// the origin's path to its vertex, its position in the candidates and
+// its vertex (the node's ID).
 type near struct {
 	lat, bn float64
-	pos     int32
-}
-
-// score is EstimateLatency's value with no fabric for n, listed at c
-// from origin, given the task's input bytes ib and its exec on n. move is
-// MessageTime(origin, n.ID, ib) when ib > 0 (0 at the origin itself) and
-// Latency(origin, n.ID) otherwise.
-func (c *near) score(n *node.Node, origin int, ib, exec float64) float64 {
-	move := c.lat
-	if ib > 0 && n.ID != origin {
-		move = c.lat + ib/c.bn
-	}
-	backlog := float64(n.Cores.InUse()) + float64(n.Cores.QueueLen())
-	wait := backlog * exec / float64(n.Spec.Cores)
-	return move + wait + exec
+	pos, id int32
 }
 
 // execKey is what ExecTime reads from a spec.
@@ -414,10 +439,10 @@ func (ix *nearIndex) origin(env *Env, origin int) *nearLists {
 	o := &ix.origins[origin]
 	if epoch := env.Net.RouteEpoch(); o.parts == nil || o.epoch != epoch {
 		if o.parts == nil {
-			o.parts = make([][]near, len(ix.parts))
+			o.parts = make([]nearList, len(ix.parts))
 		}
 		for p := range o.parts {
-			o.parts[p] = o.parts[p][:0]
+			o.parts[p] = nearList{near: o.parts[p].near[:0]}
 		}
 		o.epoch, o.settled = epoch, 0
 	}
@@ -426,7 +451,11 @@ func (ix *nearIndex) origin(env *Env, origin int) *nearLists {
 
 // extend appends the candidates at the origin's next settled vertex to
 // their parts' lists and returns that vertex's latency, or ok false once
-// every vertex reachable from the origin is settled.
+// every vertex reachable from the origin is settled. A vertex farther
+// than a part's trailing run ends that run, so extend sorts it by ID. No
+// scan is inside it: a scan extends only once it has used up its own
+// part's list, and the other parts' scans of the decision have ended or
+// not begun.
 func (ix *nearIndex) extend(o *nearLists, origin int) (lat float64, ok bool) {
 	v, lat, bn, ok := ix.net.Nearest(origin, o.settled)
 	if !ok {
@@ -434,8 +463,11 @@ func (ix *nearIndex) extend(o *nearLists, origin int) (lat float64, ok bool) {
 	}
 	o.settled++
 	for i := ix.at[v]; i >= 0; i = ix.next[i] {
-		p := ix.partOf[i]
-		o.parts[p] = append(o.parts[p], near{lat, bn, i})
+		l := &o.parts[ix.partOf[i]]
+		if l.run < len(l.near) && l.near[l.run].lat < lat {
+			l.endRun()
+		}
+		l.near = append(l.near, near{lat, bn, i, int32(v)})
 	}
 	return lat, true
 }

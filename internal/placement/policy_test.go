@@ -400,19 +400,79 @@ func randomContinuum(rng *workload.RNG) (*Env, []*netsim.Link) {
 	return env, links
 }
 
+// tieStar builds a star of 16–64 leaves hung off a hub (the first node)
+// on links of one dyadic latency, so the leaves tie on latency and, idle
+// and of one spec, on score. The links are added in an order shuffled
+// against the leaves' IDs, so a search settles the run of leaves out of
+// ID order. Up to three outer leaves hang one link farther out, beyond
+// an inner leaf, so a scan that reaches one ends the run. The leaves have
+// one or two specs, and about half of them carry busy cores.
+func tieStar(rng *workload.RNG) (*Env, []*netsim.Link) {
+	k := sim.NewKernel()
+	net := netsim.New(k, 0)
+	env := &Env{Net: net}
+	add := func(spec node.Spec, busy int) {
+		nd := node.New(k, net.AddNode(), spec)
+		for ; busy > 0; busy-- {
+			nd.Cores.Acquire(1, func() {})
+		}
+		env.Nodes = append(env.Nodes, nd)
+	}
+	add(node.Spec{Name: "hub", Cores: 2, CoreFlops: pick(rng, 2e9, 4e9)}, rng.Intn(5))
+	specs := []node.Spec{{Cores: 1, CoreFlops: 2e9}, {Cores: pick(rng, 1, 2), CoreFlops: pick(rng, 1e9, 2e9)}}
+	leaves := 16 + rng.Intn(49)
+	for i := 0; i < leaves; i++ {
+		spec := specs[rng.Intn(len(specs))]
+		spec.Name = fmt.Sprintf("leaf%d", i)
+		busy := 0
+		if rng.Intn(2) == 0 {
+			busy = 1 + rng.Intn(spec.Cores+2)
+		}
+		add(spec, busy)
+	}
+	lat, outer := pick(rng, 0.125, 0.25, 0.5), rng.Intn(4)
+	var links []*netsim.Link
+	perm := rng.Perm(leaves)
+	for j, i := range perm {
+		to := env.Nodes[0] // the hub
+		if j >= leaves-outer {
+			to = env.Nodes[1+perm[0]] // the first inner leaf linked
+		}
+		ab, ba := net.AddDuplexLink(env.Nodes[1+i].ID, to.ID, lat, pick(rng, 1e6, 2e6))
+		links = append(links, ab, ba)
+	}
+	return env, links
+}
+
 // TestGreedyLatencyPrunedMatchesFullScan is the exactness property of the
-// bounded scan and of scoring from the index: on 200 random continua with
-// equal-latency ties, unreachable nodes, busy cores, random eligibility
-// masks (all-ineligible included), tasks with no, zero-byte, one or two
-// inputs, and link retunes between decisions, GreedyLatency picks the node
-// a full scan over EstimateLatency picks, every time.
+// bounded scan, of the (score, ID) skip and of scoring from the index: on
+// 200 random continua with equal-latency ties, unreachable nodes, busy
+// cores, random eligibility masks (all-ineligible included), tasks with
+// no, zero-byte, one or two inputs, and link retunes between decisions,
+// and on 100 tie-heavy stars whose leaves also fill up between
+// decisions, GreedyLatency picks the node a full scan over
+// EstimateLatency picks, every time.
 func TestGreedyLatencyPrunedMatchesFullScan(t *testing.T) {
 	rng := workload.NewRNG(2019)
 	var decisions, nils int
-	for c := 0; c < 200; c++ {
-		env, links := randomContinuum(rng)
+	for c := 0; c < 300; c++ {
+		star := c >= 200
+		gen := randomContinuum
+		if star {
+			gen = tieStar
+		}
+		env, links := gen(rng)
 		for d := 0; d < 20; d++ {
-			if len(links) > 0 && rng.Intn(3) == 0 {
+			if star {
+				// Rarer retunes keep the lists, and their sorted runs,
+				// across decisions; a leaf taking work moves the winner.
+				if rng.Intn(8) == 0 {
+					env.Net.SetLinkParams(links[rng.Intn(len(links))], pick(rng, 0.125, 0.25, 0.5), pick(rng, 1e6, 2e6))
+				}
+				if rng.Intn(2) == 0 {
+					env.Nodes[rng.Intn(len(env.Nodes))].Cores.Acquire(1, func() {})
+				}
+			} else if len(links) > 0 && rng.Intn(3) == 0 {
 				l := links[rng.Intn(len(links))]
 				env.Net.SetLinkParams(l, pick(rng, 0, 0.125, 0.25, 0.5, 1, 2), pick(rng, 1e6, 2e6))
 			}
@@ -448,7 +508,7 @@ func TestGreedyLatencyPrunedMatchesFullScan(t *testing.T) {
 			req := Request{Task: tk, Origin: env.Nodes[rng.Intn(len(env.Nodes))].ID}
 			got, want := GreedyLatency{}.Select(view, req), fullScanGreedyLatency(view, req)
 			if got != want {
-				t.Fatalf("continuum %d decision %d: bounded scan chose %s, full scan %s", c, d, nameOf(got), nameOf(want))
+				t.Fatalf("continuum %d (star %v) decision %d: bounded scan chose %s, full scan %s", c, star, d, nameOf(got), nameOf(want))
 			}
 			decisions++
 			if want == nil {
@@ -458,6 +518,56 @@ func TestGreedyLatencyPrunedMatchesFullScan(t *testing.T) {
 	}
 	if nils == 0 || nils == decisions {
 		t.Fatalf("%d of %d decisions had nothing eligible: the masks do not cover both cases", nils, decisions)
+	}
+}
+
+// TestGreedyLatencyAsksEligibleOfWinnersOnly: from a router behind a
+// loaded hub with 64 idle leaves of one spec, every leaf ties on score,
+// and the lowest ID wins. Once the first decision has listed the leaves
+// and settled the farther leaf beyond them, their run is in ID order, so
+// a decision asks Eligible twice: of the hub, which sets the first best,
+// and of the lowest-ID leaf, which beats it. Every other leaf ties the
+// best's bound with a higher ID and is skipped without reading the node.
+// Asking Eligible of every candidate scanned asks it 65 times.
+func TestGreedyLatencyAsksEligibleOfWinnersOnly(t *testing.T) {
+	k := sim.NewKernel()
+	net := netsim.New(k, 1) // vertex 0 is the router the requests come from
+	env := &Env{Net: net}
+	add := func(spec node.Spec) *node.Node {
+		nd := node.New(k, net.AddNode(), spec)
+		env.Nodes = append(env.Nodes, nd)
+		return nd
+	}
+	hub := add(node.Spec{Name: "hub", Cores: 1, CoreFlops: 4e9})
+	for c := 0; c < 3; c++ {
+		hub.Cores.Acquire(1, func() {})
+	}
+	net.AddDuplexLink(0, hub.ID, 0.125, 1e6)
+	leaf := node.Spec{Cores: 2, CoreFlops: 2e9}
+	for i := 0; i < 64; i++ {
+		leaf.Name = fmt.Sprintf("leaf%02d", i)
+		add(leaf)
+	}
+	rng := workload.NewRNG(5)
+	for _, i := range rng.Perm(64) {
+		net.AddDuplexLink(hub.ID, env.Nodes[1+i].ID, 0.25, 1e6)
+	}
+	leaf.Name = "far"
+	net.AddDuplexLink(env.Nodes[1].ID, add(leaf).ID, 0.5, 1e6)
+
+	asked := 0
+	env.Eligible = func(*node.Node) bool { asked++; return true }
+	req := Request{Task: &task.Task{ScalarWork: 1e9}, Origin: 0}
+	GreedyLatency{}.Select(env, req)
+	for d := 0; d < 10; d++ {
+		asked = 0
+		got := GreedyLatency{}.Select(env, req)
+		if asked > 2 {
+			t.Fatalf("decision %d asked Eligible %d times, want at most 2", d, asked)
+		}
+		if want := fullScanGreedyLatency(env, req); got != want || got.Name != "leaf00" {
+			t.Fatalf("decision %d: chose %s, full scan %s, want leaf00", d, nameOf(got), nameOf(want))
+		}
 	}
 }
 

@@ -171,13 +171,14 @@ func (s *Scenario) compile(rng *workload.RNG) ([]op, error) {
 				if err != nil {
 					return nil, evFail(i, "%v", err)
 				}
-				if spec.Seed == 0 {
-					// Neither backend reads this seed: both draw a chaos
-					// op's fates from the run's event stream (see
-					// Plan.chaosStreams). The draw stays so that the
-					// cascades compiled after it keep their victims.
-					spec.Seed = int64(rng.Uint64()>>1) | 1
+				if hasSeedKey(ev.Spec) {
+					return nil, fmt.Errorf("scenario %q: events[%d].spec: seed= does not apply here: a scenario's chaos draws from the scenario seed", s.Name, i)
 				}
+				// Neither backend reads this seed: both draw a chaos op's
+				// fates from the run's event stream (see
+				// Plan.chaosStreams). The draw stays so that the cascades
+				// compiled after it keep their victims.
+				spec.Seed = int64(rng.Uint64()>>1) | 1
 				if spec.MeanUp > 0 && s.DAG != nil && ev.For <= 0 && !hasLaterChaosOff(s.Events, i) {
 					return nil, evFail(i, "cycling chaos (up/down) in a DAG scenario needs \"for\" or a later chaos-off (no horizon bounds it)")
 				}
@@ -326,4 +327,15 @@ func phases(ops []op) []workload.Phase {
 		}
 	}
 	return ph
+}
+
+// hasSeedKey reports whether a chaos spec that fault.ParseChaos accepted
+// sets seed=.
+func hasSeedKey(spec string) bool {
+	for _, kv := range strings.Split(spec, ",") {
+		if k, _, _ := strings.Cut(strings.TrimSpace(kv), "="); k == "seed" {
+			return true
+		}
+	}
+	return false
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"continuum/internal/fault"
 	"continuum/internal/workload"
 )
 
@@ -169,6 +170,7 @@ func TestEventValidationErrors(t *testing.T) {
 		{"negative spacing", EventJSON{At: 1, Kind: "cascade", Target: "gw*", Spacing: -1}, "spacing"},
 		{"chaos no spec", EventJSON{At: 1, Kind: "chaos", Target: "fog"}, "needs a spec"},
 		{"chaos bad spec", EventJSON{At: 1, Kind: "chaos", Target: "fog", Spec: "frob=1"}, "unknown key"},
+		{"chaos seed", EventJSON{At: 1, Kind: "chaos", Target: "fog", Spec: "drop=0.1, seed=0"}, "events[0].spec: seed="},
 		{"bad link target", EventJSON{At: 1, Kind: "degrade-link", Target: "fog", Factor: 2}, `not "a->b"`},
 		{"unknown link", EventJSON{At: 1, Kind: "degrade-link", Target: "gw0->cloud", Factor: 2}, "not defined"},
 		{"degrade no factor", EventJSON{At: 1, Kind: "degrade-link", Target: "fog->cloud"}, "factor > 0"},
@@ -194,6 +196,22 @@ func TestEventValidationErrors(t *testing.T) {
 				t.Fatalf("error %q is not positional", err)
 			}
 		})
+	}
+}
+
+// TestChaosSeedKeyOnlyOnTheCommandLine: the chaos grammar's seed= fixes
+// continuumd -chaos's draws, so fault.ParseChaos accepts it. A
+// scenario's chaos draws from the scenario seed, so a scenario spec
+// that sets seed= is refused rather than silently ignored.
+func TestChaosSeedKeyOnlyOnTheCommandLine(t *testing.T) {
+	const spec = "err=0.1,seed=7"
+	if c, err := fault.ParseChaos(spec); err != nil || c.Seed != 7 {
+		t.Fatalf("ParseChaos(%q) = %+v, %v", spec, c, err)
+	}
+	s := eventScenario()
+	s.Events = []EventJSON{{At: 1, Kind: "chaos", Target: "fog", Spec: spec}}
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "events[0].spec") {
+		t.Fatalf("scenario chaos spec %q: %v", spec, err)
 	}
 }
 

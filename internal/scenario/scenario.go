@@ -249,7 +249,7 @@ func (s *Scenario) Compile() (*Plan, error) {
 			origins[o] = true
 		}
 		prioOrigins := make([]string, 0, len(s.Stream.Priorities))
-		for o := range s.Stream.Priorities {
+		for o := range s.Stream.Priorities { //det: sorted below
 			prioOrigins = append(prioOrigins, o)
 		}
 		sort.Strings(prioOrigins) // deterministic first-error reporting
@@ -458,7 +458,7 @@ func (r *Report) Table() *metrics.Table {
 		t.AddRow("egress", metrics.FormatBytes(r.EgressB))
 	}
 	names := make([]string, 0, len(r.PerNode))
-	for name := range r.PerNode {
+	for name := range r.PerNode { //det: sorted below
 		names = append(names, name)
 	}
 	sort.Strings(names)

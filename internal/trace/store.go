@@ -299,7 +299,7 @@ func Summarize(spans []*Span) []TraceSummary {
 		}
 	}
 	out := make([]TraceSummary, 0, len(traces))
-	for id, a := range traces {
+	for id, a := range traces { //det: out is sorted below, ties broken by the unique TraceID
 		out = append(out, TraceSummary{
 			TraceID: id, Root: a.root, Services: len(a.svcs), Spans: a.n,
 			Start: a.start, Duration: time.Duration(a.end - a.start), Err: a.err,

@@ -95,7 +95,7 @@ func (t *Tracer) Entities() []string {
 		seen[t.at(i).Service] = true
 	}
 	out := make([]string, 0, len(seen))
-	for n := range seen {
+	for n := range seen { //det: sorted below
 		out = append(out, n)
 	}
 	sort.Strings(out)

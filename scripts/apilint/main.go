@@ -25,6 +25,13 @@
 //     composite-literal element, or outside its own package by an
 //     assignment or ++/-- through a selector or by taking its address.
 //     A knob no caller sets is a constant in disguise.
+//   - det: in each package directory named by -det, no for statement
+//     ranges over a map unless a //det: comment on its line or the line
+//     above gives the reason its order cannot reach the output. Go
+//     randomizes map order, so a loop that feeds a report, a trace or a
+//     random draw must range over sorted keys instead. scripts/check.sh
+//     runs it over the packages a simulated report or trace is computed
+//     in, whose outputs are pinned bit for bit.
 //
 // An unreachable declaration or an unset field may stay only as an entry
 // in the -allow file: one line per finding, its name (pkgpath.Name,
@@ -36,6 +43,7 @@
 // Usage:
 //
 //	go run ./scripts/apilint -doc ./internal/federation,./internal/wire \
+//	    -det ./internal/core,./internal/scenario \
 //	    -allow scripts/apilint/allowlist.txt . benchmark
 //
 // The arguments are module directories (default "."). Findings print one
@@ -63,17 +71,20 @@ import (
 
 func main() {
 	doc := flag.String("doc", "", "comma-separated package directories for the doc check")
+	det := flag.String("det", "", "comma-separated package directories for the det check")
 	allow := flag.String("allow", "", "allowlist file for the dead and field checks")
 	flag.Parse()
 	modules := flag.Args()
 	if len(modules) == 0 {
 		modules = []string{"."}
 	}
-	var docDirs []string
-	if *doc != "" {
-		docDirs = strings.Split(*doc, ",")
+	split := func(dirs string) []string {
+		if dirs == "" {
+			return nil
+		}
+		return strings.Split(dirs, ",")
 	}
-	findings, err := run(modules, docDirs, *allow)
+	findings, err := run(modules, split(*doc), split(*det), *allow)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "apilint:", err)
 		os.Exit(2)
@@ -88,7 +99,7 @@ func main() {
 }
 
 // run loads the modules and returns the sorted findings of every check.
-func run(modules, docDirs []string, allowFile string) ([]string, error) {
+func run(modules, docDirs, detDirs []string, allowFile string) ([]string, error) {
 	prog, err := load(modules)
 	if err != nil {
 		return nil, err
@@ -97,6 +108,11 @@ func run(modules, docDirs []string, allowFile string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
+	detFindings, err := prog.detCheck(detDirs)
+	if err != nil {
+		return nil, err
+	}
+	findings = append(findings, detFindings...)
 	allow, err := readAllowlist(allowFile)
 	if err != nil {
 		return nil, err
@@ -499,22 +515,61 @@ func readAllowlist(file string) (map[string]bool, error) {
 	return allow, nil
 }
 
+// pkgAt returns the loaded package in dir, which the flag named check
+// was given.
+func (prog *program) pkgAt(check, dir string) (*pkg, error) {
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range prog.pkgs {
+		if p.dir == abs {
+			return p, nil
+		}
+	}
+	return nil, fmt.Errorf("-%s %s: no loaded package in that directory", check, dir)
+}
+
+// detCheck runs the det check over the given package directories.
+func (prog *program) detCheck(dirs []string) ([]string, error) {
+	var findings []string
+	for _, dir := range dirs {
+		p, err := prog.pkgAt("det", dir)
+		if err != nil {
+			return nil, err
+		}
+		for _, f := range p.files {
+			reasons := map[int]bool{} // lines holding a //det: reason
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					if r, ok := strings.CutPrefix(c.Text, "//det:"); ok && strings.TrimSpace(r) != "" {
+						reasons[prog.fset.Position(c.Pos()).Line] = true
+					}
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				rs, ok := n.(*ast.RangeStmt)
+				if !ok {
+					return true
+				}
+				_, isMap := p.info.TypeOf(rs.X).Underlying().(*types.Map)
+				if line := prog.fset.Position(rs.For).Line; isMap && !reasons[line] && !reasons[line-1] {
+					findings = append(findings, fmt.Sprintf("%s: range over a map: range over sorted keys, or give a //det: reason", prog.position(rs.For)))
+				}
+				return true
+			})
+		}
+	}
+	return findings, nil
+}
+
 // docCheck runs the doc check over the given package directories.
 func (prog *program) docCheck(dirs []string) ([]string, error) {
 	var findings []string
 	for _, dir := range dirs {
-		abs, err := filepath.Abs(dir)
+		p, err := prog.pkgAt("doc", dir)
 		if err != nil {
 			return nil, err
-		}
-		var p *pkg
-		for _, q := range prog.pkgs {
-			if q.dir == abs {
-				p = q
-			}
-		}
-		if p == nil {
-			return nil, fmt.Errorf("-doc %s: no loaded package in that directory", dir)
 		}
 		report := func(pos token.Pos, format string, args ...any) {
 			findings = append(findings, prog.position(pos)+": "+fmt.Sprintf(format, args...))

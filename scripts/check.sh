@@ -40,8 +40,12 @@ echo "== api lint =="
 # internal/ is reachable from a command, example, script or the
 # benchmark module. Field check: every exported field of an internal/
 # *Config or *Options struct is set by some code outside its package.
-# scripts/apilint/allowlist.txt says why each exception stays.
+# scripts/apilint/allowlist.txt says why each exception stays. Det check:
+# in the packages a simulated report, trace or experiment table is
+# computed in, every range over a map ranges over sorted keys or gives a
+# //det: reason why its order cannot reach the output.
 go run ./scripts/apilint -doc ./internal/federation,./internal/wire,./internal/faas \
+    -det ./internal/sim,./internal/netsim,./internal/workload,./internal/data,./internal/trace,./internal/fault,./internal/energy,./internal/node,./internal/task,./internal/placement,./internal/retry,./internal/core,./internal/scenario,./internal/metrics,./internal/faas,./internal/experiments \
     -allow scripts/apilint/allowlist.txt . benchmark
 
 # The end-to-end gates are written down once, as Makefile targets (each
