@@ -23,13 +23,15 @@ bench-check:
 
 # End-to-end reliability smoke: chaos injection + endpoint kill, the one
 # chaos injector's own tests (draw rule, phases, Cycle's flips, the
-# grammar), and the check that a scenario's chaos draws the same on the
-# sim and live backends, all under the race detector (also part of
-# `make check`).
+# grammar), the check that a scenario's chaos draws the same on the sim
+# and live backends, and the circuit breaker's tests (its reference
+# model, and the one-probe rule under late outcomes), all under the race
+# detector (also part of `make check`).
 chaos-smoke:
 	go test -race -count=1 -run 'TestE2EChaosNoRequestLost|TestDeadlineParitySimAndLive' .
 	go test -race -count=1 ./internal/fault
 	go test -race -count=1 -run 'TestChaosSameDrawsOnBothBackends' ./internal/scenario
+	go test -race -count=1 -run 'TestBreaker' ./internal/retry
 
 # Speculation smoke: engine speculation properties plus the hedged
 # zero-loss end-to-end gate under the race detector (also in `make check`).

@@ -33,7 +33,7 @@ type fedDaemon struct {
 	agent *federation.Agent
 }
 
-func startFedDaemon(t *testing.T, name, routerAddr string, interval time.Duration) *fedDaemon {
+func startFedDaemon(t *testing.T, name, routerAddr string) *fedDaemon {
 	t.Helper()
 	reg := faas.NewRegistry()
 	reg.Register("echo", func(p []byte) ([]byte, error) { return p, nil })
@@ -48,7 +48,7 @@ func startFedDaemon(t *testing.T, name, routerAddr string, interval time.Duratio
 	d := &fedDaemon{name: name, addr: lis.Addr().String(), ep: ep, srv: srv}
 	d.agent = federation.NewAgent(federation.AgentConfig{
 		RouterAddr: routerAddr, Name: name, Advertise: d.addr,
-		Endpoint: ep, Interval: interval,
+		Endpoint: ep,
 	})
 	d.agent.Start()
 	t.Cleanup(d.agent.Stop)
@@ -104,9 +104,9 @@ func TestE2EFederationChurnNoRequestLost(t *testing.T) {
 	t.Cleanup(rtSrv.Close)
 	routerAddr := rlis.Addr().String()
 
-	d1 := startFedDaemon(t, "d1", routerAddr, interval)
-	d2 := startFedDaemon(t, "d2", routerAddr, interval)
-	d3 := startFedDaemon(t, "d3", routerAddr, interval)
+	d1 := startFedDaemon(t, "d1", routerAddr)
+	d2 := startFedDaemon(t, "d2", routerAddr)
+	d3 := startFedDaemon(t, "d3", routerAddr)
 	_ = d1
 
 	admin, err := wire.Dial(routerAddr)

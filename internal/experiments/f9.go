@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"continuum/internal/faas"
 	"continuum/internal/federation"
 	"continuum/internal/metrics"
 	"continuum/internal/netsim"
@@ -19,23 +20,25 @@ const (
 )
 
 // f9Endpoint is a function-serving site on the simulated network:
-// invocations queue for capacity slots and pay a cold start unless a warm
-// container is idle.
+// invocations queue for capacity slots and pay a cold start unless
+// faas's warm pool, kept in kernel seconds, has a container idle.
 type f9Endpoint struct {
 	vertex int
 	slots  *sim.Resource
-	warm   []float64 // idle-since times of warm containers, newest last
+	warm   *faas.WarmPool
 
 	// pending counts invocations the router has dispatched toward this
 	// endpoint that have not yet arrived; without it, load-aware pickers
 	// would route on stale zeros while requests are in flight.
 	pending int64
-
-	coldStarts, warmHits, invocations int64
 }
 
 func newF9Endpoint(k *sim.Kernel, vertex, capacity int) *f9Endpoint {
-	return &f9Endpoint{vertex: vertex, slots: sim.NewResource(k, "slots", int64(capacity))}
+	return &f9Endpoint{
+		vertex: vertex,
+		slots:  sim.NewResource(k, "slots", int64(capacity)),
+		warm:   faas.NewWarmPool(f9WarmTTL, capacity),
+	}
 }
 
 // backlog counts running, queued and in-flight invocations.
@@ -43,33 +46,17 @@ func (ep *f9Endpoint) backlog() int64 {
 	return ep.slots.InUse() + int64(ep.slots.QueueLen()) + ep.pending
 }
 
-// takeWarm pops the newest warm container, discarding expired ones.
-func (ep *f9Endpoint) takeWarm(now float64) bool {
-	for len(ep.warm) > 0 {
-		idleSince := ep.warm[len(ep.warm)-1]
-		ep.warm = ep.warm[:len(ep.warm)-1]
-		if now-idleSince <= f9WarmTTL {
-			return true
-		}
-	}
-	return false
-}
-
 // invoke runs one invocation of the given service time; done fires in
 // virtual time when it finishes.
 func (ep *f9Endpoint) invoke(k *sim.Kernel, service float64, done func()) {
 	ep.slots.Acquire(1, func() {
 		d := service
-		if ep.takeWarm(k.Now()) {
-			ep.warmHits++
-		} else {
-			ep.coldStarts++
+		if !ep.warm.Take(k.Now()) {
 			d += f9Cold
 		}
 		k.After(d, func() {
-			ep.warm = append(ep.warm, k.Now())
+			ep.warm.Put(k.Now())
 			ep.slots.Release(1)
-			ep.invocations++
 			done()
 		})
 	})
@@ -112,13 +99,13 @@ func (r *f9Router) pick(origin int) *f9Endpoint {
 	return r.eps[i]
 }
 
-// invoke routes one invocation from origin: the request travels to the
-// chosen endpoint, executes, and the response returns to the origin.
-// done receives the end-to-end latency in virtual seconds.
-func (r *f9Router) invoke(origin int, service float64, done func(latency float64)) {
+// invoke runs one invocation from origin on ep, the endpoint r.pick
+// chose for it: the request travels to ep, executes, and the response
+// returns to the origin. done receives the end-to-end latency in
+// virtual seconds.
+func (r *f9Router) invoke(ep *f9Endpoint, origin int, service float64, done func(latency float64)) {
 	k := r.net.Kernel()
 	start := k.Now()
-	ep := r.pick(origin)
 	ep.pending++
 	r.net.Message(origin, ep.vertex, f9MsgBytes, func() {
 		ep.pending--
@@ -188,7 +175,7 @@ func F9Routing(size Size) *Result {
 			if rng.Float64() >= hotFrac {
 				origin = clients[1+rng.Intn(regions-1)]
 			}
-			k.At(at, func() { r.invoke(origin, 0.050, lat.Add) })
+			k.At(at, func() { r.invoke(r.pick(origin), origin, 0.050, lat.Add) })
 		}
 		k.Run()
 		return cell{lat.Mean(), lat.P99()}

@@ -20,6 +20,16 @@ func twoSiteRouter(policy string, nearCap, farCap int) (*sim.Kernel, *f9Router) 
 	return k, &f9Router{net: net, eps: eps, policy: policy}
 }
 
+// invokeCounted routes one invocation from origin as F9 does and counts
+// in served, per endpoint, the invocations that complete.
+func invokeCounted(r *f9Router, served map[*f9Endpoint]int, origin int, service float64, done func(latency float64)) {
+	ep := r.pick(origin)
+	r.invoke(ep, origin, service, func(latency float64) {
+		served[ep]++
+		done(latency)
+	})
+}
+
 func TestF9EndpointColdThenWarm(t *testing.T) {
 	k := sim.NewKernel()
 	ep := newF9Endpoint(k, 0, 2)
@@ -32,10 +42,7 @@ func TestF9EndpointColdThenWarm(t *testing.T) {
 	ep.invoke(k, 0.2, func() { t2 = k.Now() })
 	k.Run()
 	if want := t1 + 0.2; math.Abs(t2-want) > 1e-9 {
-		t.Fatalf("warm finish = %v, want %v", t2, want)
-	}
-	if ep.coldStarts != 1 || ep.warmHits != 1 {
-		t.Fatalf("cold/warm = %d/%d", ep.coldStarts, ep.warmHits)
+		t.Fatalf("warm finish = %v, want %v (a cold start is %v more)", t2, want, f9Cold)
 	}
 }
 
@@ -44,16 +51,18 @@ func TestF9EndpointWarmTTLExpires(t *testing.T) {
 	ep := newF9Endpoint(k, 0, 1)
 	ep.invoke(k, 0.1, func() {})
 	k.Run()
-	k.At(k.Now()+f9WarmTTL+1, func() { ep.invoke(k, 0.1, func() {}) })
+	start := k.Now() + f9WarmTTL + 1
+	var finish float64
+	k.At(start, func() { ep.invoke(k, 0.1, func() { finish = k.Now() }) })
 	k.Run()
-	if ep.coldStarts != 2 {
-		t.Fatalf("coldStarts = %d, want 2 (TTL expiry)", ep.coldStarts)
+	if want := start + f9Cold + 0.1; math.Abs(finish-want) > 1e-9 {
+		t.Fatalf("finish after the TTL = %v, want %v (a cold start)", finish, want)
 	}
 }
 
 // TestF9EndpointCapacityQueues also pins that a finishing invocation
-// parks its container before releasing the slot, so the queued one
-// behind it starts warm.
+// parks its container before releasing the slot, so the queued ones
+// behind it start warm: only the first finish includes f9Cold.
 func TestF9EndpointCapacityQueues(t *testing.T) {
 	k := sim.NewKernel()
 	ep := newF9Endpoint(k, 0, 1)
@@ -68,17 +77,18 @@ func TestF9EndpointCapacityQueues(t *testing.T) {
 			t.Fatalf("done = %v, want %v", done, want)
 		}
 	}
-	if ep.coldStarts != 1 || ep.backlog() != 0 {
-		t.Fatalf("coldStarts = %d, backlog = %d after drain", ep.coldStarts, ep.backlog())
+	if ep.backlog() != 0 {
+		t.Fatalf("backlog = %d after drain", ep.backlog())
 	}
 }
 
 func TestF9NearestPicksNearEndpoint(t *testing.T) {
 	k, r := twoSiteRouter("nearest", 4, 4)
+	served := map[*f9Endpoint]int{}
 	var lat float64
-	r.invoke(0, 0.01, func(l float64) { lat = l })
+	invokeCounted(r, served, 0, 0.01, func(l float64) { lat = l })
 	k.Run()
-	if r.eps[0].invocations != 1 || r.eps[1].invocations != 0 {
+	if served[r.eps[0]] != 1 || served[r.eps[1]] != 0 {
 		t.Fatal("nearest did not pick the near endpoint")
 	}
 	// 2x 1ms + cold start + 10ms service (+ tiny transmission).
@@ -89,11 +99,12 @@ func TestF9NearestPicksNearEndpoint(t *testing.T) {
 
 func TestF9LeastLoadedAvoidsBacklog(t *testing.T) {
 	k, r := twoSiteRouter("least-loaded", 1, 1)
+	served := map[*f9Endpoint]int{}
 	for i := 0; i < 4; i++ {
-		r.invoke(0, 1.0, func(float64) {})
+		invokeCounted(r, served, 0, 1.0, func(float64) {})
 	}
 	k.Run()
-	if near, far := r.eps[0].invocations, r.eps[1].invocations; near != 2 || far != 2 {
+	if near, far := served[r.eps[0]], served[r.eps[1]]; near != 2 || far != 2 {
 		t.Fatalf("least-loaded spread near=%d far=%d, want 2/2", near, far)
 	}
 }
@@ -126,12 +137,13 @@ func TestF9TwoChoicesSpreads(t *testing.T) {
 		net.AddDuplexLink(0, i+1, 0.001, 1e9)
 		r.eps = append(r.eps, newF9Endpoint(k, i+1, 2))
 	}
+	served := map[*f9Endpoint]int{}
 	for i := 0; i < 200; i++ {
-		r.invoke(0, 0.5, func(float64) {})
+		invokeCounted(r, served, 0, 0.5, func(float64) {})
 	}
 	k.Run()
 	for i, ep := range r.eps {
-		if ep.invocations == 0 {
+		if served[ep] == 0 {
 			t.Fatalf("endpoint %d starved", i)
 		}
 	}
@@ -139,14 +151,15 @@ func TestF9TwoChoicesSpreads(t *testing.T) {
 
 func TestF9NearestSpillFallsBack(t *testing.T) {
 	k, r := twoSiteRouter("nearest-spill", 1, 8)
+	served := map[*f9Endpoint]int{}
 	for i := 0; i < 10; i++ {
-		r.invoke(0, 1.0, func(float64) {})
+		invokeCounted(r, served, 0, 1.0, func(float64) {})
 	}
 	k.Run()
-	if r.eps[1].invocations == 0 {
+	if served[r.eps[1]] == 0 {
 		t.Fatal("spill policy never spilled")
 	}
-	if r.eps[0].invocations == 0 {
+	if served[r.eps[0]] == 0 {
 		t.Fatal("spill policy never used the near endpoint")
 	}
 }
@@ -170,19 +183,20 @@ func TestF9RouterScale(t *testing.T) {
 	net.AddDuplexLink(client, hub, 0.001, 1.25e9)
 
 	done := 0
+	served := map[*f9Endpoint]int{}
 	arr := workload.NewPoisson(rng.Split(), 2000)
 	at := 0.0
 	for i := 0; i < calls; i++ {
 		at += arr.Next()
-		k.At(at, func() { r.invoke(client, 0.01, func(float64) { done++ }) })
+		k.At(at, func() { invokeCounted(r, served, client, 0.01, func(float64) { done++ }) })
 	}
 	k.Run()
 	if done != calls {
 		t.Fatalf("completed %d of %d", done, calls)
 	}
-	total := int64(0)
+	total := 0
 	for _, ep := range r.eps {
-		total += ep.invocations
+		total += served[ep]
 	}
 	if total != calls {
 		t.Fatalf("endpoint invocations %d != %d", total, calls)

@@ -138,10 +138,6 @@ type EndpointConfig struct {
 	PreemptAbandoned bool
 }
 
-type container struct {
-	idleFrom time.Time
-}
-
 // Endpoint executes functions in containers with a warm pool.
 type Endpoint struct {
 	cfg EndpointConfig
@@ -154,7 +150,8 @@ type Endpoint struct {
 	cordoned atomic.Bool
 
 	mu     sync.Mutex
-	warm   map[string][]container // by value: a warm release allocates nothing
+	warm   map[string]*WarmPool // per function; a warm release allocates nothing
+	born   time.Time            // time zero of the warm pools' clock
 	closed bool
 
 	// Stats (atomic): cold starts, warm hits, completed invocations.
@@ -243,7 +240,8 @@ func NewEndpoint(cfg EndpointConfig, reg *Registry) *Endpoint {
 		cfg:  cfg,
 		reg:  reg,
 		adm:  newAdmitter(cfg.Admission, cfg.Capacity),
-		warm: make(map[string][]container),
+		warm: make(map[string]*WarmPool),
+		born: time.Now(),
 	}
 }
 
@@ -344,40 +342,31 @@ func (ep *Endpoint) Close() {
 	ep.closed = true
 }
 
-// acquire takes a warm container for fn if one is fresh, else signals a
-// cold start. Expired containers are discarded here (lazy TTL).
+// acquire takes a warm container from fn's pool if one is fresh, else
+// signals a cold start.
 func (ep *Endpoint) acquire(fn string) (warm bool, err error) {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
 	if ep.closed {
 		return false, ErrClosed
 	}
-	pool := ep.warm[fn]
-	now := time.Now()
-	for len(pool) > 0 {
-		c := pool[len(pool)-1]
-		pool = pool[:len(pool)-1]
-		if ep.cfg.WarmTTL == 0 || now.Sub(c.idleFrom) <= ep.cfg.WarmTTL {
-			ep.warm[fn] = pool
-			return true, nil
-		}
-		// expired; drop and keep scanning
-	}
-	ep.warm[fn] = pool
-	return false, nil
+	p := ep.warm[fn]
+	return p != nil && p.Take(time.Since(ep.born).Seconds()), nil
 }
 
-// release returns a container to fn's warm pool (bounded).
+// release returns a container to fn's warm pool.
 func (ep *Endpoint) release(fn string) {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
 	if ep.closed {
 		return
 	}
-	pool := ep.warm[fn]
-	if len(pool) < ep.cfg.Capacity {
-		ep.warm[fn] = append(pool, container{idleFrom: time.Now()})
+	p := ep.warm[fn]
+	if p == nil {
+		p = NewWarmPool(ep.cfg.WarmTTL.Seconds(), ep.cfg.Capacity)
+		ep.warm[fn] = p
 	}
+	p.Put(time.Since(ep.born).Seconds())
 }
 
 // Invoke executes fn with payload, blocking for a capacity slot. The

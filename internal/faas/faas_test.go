@@ -28,7 +28,10 @@ func (c *countingTarget) InvokeBatch(fn string, payloads [][]byte) ([][]byte, er
 func warmCount(ep *Endpoint, fn string) int {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	return len(ep.warm[fn])
+	if p := ep.warm[fn]; p != nil {
+		return len(p.idle)
+	}
+	return 0
 }
 
 func echoRegistry() *Registry {
@@ -115,8 +118,8 @@ func TestColdThenWarm(t *testing.T) {
 }
 
 // TestWarmInvokeAllocatesNothing: with no metrics and no spans, a warm
-// Invoke allocates nothing — the warm pool holds containers by value and
-// the inline execute path builds no closure.
+// Invoke allocates nothing — the warm pool parks idle times in a slice it
+// reuses and the inline execute path builds no closure.
 func TestWarmInvokeAllocatesNothing(t *testing.T) {
 	ep := newTestEndpoint(1, 0)
 	payload := []byte("x")

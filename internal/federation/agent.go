@@ -27,9 +27,6 @@ type AgentConfig struct {
 	// Functions lists the function names this daemon serves; empty means
 	// "everything".
 	Functions []string
-	// Interval overrides the heartbeat cadence the router asked for
-	// (0 = honor the router). Tests shrink it; production should not.
-	Interval time.Duration
 	// Logger, when set, logs registration transitions and errors.
 	Logger *slog.Logger
 }
@@ -152,19 +149,12 @@ func (a *Agent) run() {
 			if a.cfg.Logger != nil {
 				a.cfg.Logger.Warn("router registration failed; will retry", "err", err)
 			}
-			retry := a.cfg.Interval
-			if retry <= 0 {
-				retry = registerRetry
-			}
 			select {
 			case <-a.stop:
 				return
-			case <-time.After(retry):
+			case <-time.After(registerRetry):
 			}
 			continue
-		}
-		if a.cfg.Interval > 0 {
-			interval = a.cfg.Interval
 		}
 		if interval <= 0 {
 			interval = DefaultHeartbeatInterval

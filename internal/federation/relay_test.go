@@ -69,7 +69,7 @@ func relayFleet(tb testing.TB, hedge time.Duration, chaos ...string) (string, *m
 			}
 			srv.SetChaos(fault.NewChaos(cs))
 		}
-		a := NewAgent(AgentConfig{RouterAddr: addr, Name: name, Advertise: serve(tb, srv), Endpoint: ep, Interval: interval})
+		a := NewAgent(AgentConfig{RouterAddr: addr, Name: name, Advertise: serve(tb, srv), Endpoint: ep})
 		a.Start()
 		tb.Cleanup(func() { a.Leave(false) })
 	}

@@ -29,11 +29,11 @@ type daemonT struct {
 
 // startDaemon boots an in-process daemon serving "who" (returns its own
 // name) and "slow" (sleeps, then echoes) and joins it to the router at
-// routerAddr with a fast heartbeat.
-func startDaemon(t *testing.T, name, routerAddr string, interval time.Duration) *daemonT {
+// routerAddr; it heartbeats at the cadence the router grants.
+func startDaemon(t *testing.T, name, routerAddr string) *daemonT {
 	t.Helper()
 	d := serveDaemon(t, name)
-	d.join(t, routerAddr, interval)
+	d.join(t, routerAddr)
 	return d
 }
 
@@ -58,13 +58,12 @@ func serveDaemon(t *testing.T, name string) *daemonT {
 }
 
 // join starts the daemon's agent against the router at routerAddr.
-func (d *daemonT) join(t *testing.T, routerAddr string, interval time.Duration) {
+func (d *daemonT) join(t *testing.T, routerAddr string) {
 	d.agent = NewAgent(AgentConfig{
 		RouterAddr: routerAddr,
 		Name:       d.name,
 		Advertise:  d.addr,
 		Endpoint:   d.ep,
-		Interval:   interval,
 	})
 	d.agent.Start()
 	t.Cleanup(func() { d.agent.Leave(false) })
@@ -115,8 +114,8 @@ func waitMembers(t *testing.T, rt *Router, want int) {
 func TestRouterRoutesAcrossFleet(t *testing.T) {
 	const interval = 50 * time.Millisecond
 	rt, routerAddr := startRouter(t, LeastLoadedPolicy{}, interval)
-	startDaemon(t, "d1", routerAddr, interval)
-	startDaemon(t, "d2", routerAddr, interval)
+	startDaemon(t, "d1", routerAddr)
+	startDaemon(t, "d2", routerAddr)
 	waitMembers(t, rt, 2)
 
 	c, err := wire.Dial(routerAddr)
@@ -170,9 +169,9 @@ func TestRouterRoutesAcrossFleet(t *testing.T) {
 func TestRouterHashAffinity(t *testing.T) {
 	const interval = 50 * time.Millisecond
 	rt, routerAddr := startRouter(t, HashPolicy{}, interval)
-	startDaemon(t, "d1", routerAddr, interval)
-	startDaemon(t, "d2", routerAddr, interval)
-	startDaemon(t, "d3", routerAddr, interval)
+	startDaemon(t, "d1", routerAddr)
+	startDaemon(t, "d2", routerAddr)
+	startDaemon(t, "d3", routerAddr)
 	waitMembers(t, rt, 3)
 
 	c, err := wire.Dial(routerAddr)
@@ -199,8 +198,8 @@ func TestRouterHashAffinity(t *testing.T) {
 func TestDrainRacesInFlightRoute(t *testing.T) {
 	const interval = 50 * time.Millisecond
 	rt, routerAddr := startRouter(t, LeastLoadedPolicy{}, interval)
-	d1 := startDaemon(t, "d1", routerAddr, interval)
-	startDaemon(t, "d2", routerAddr, interval)
+	d1 := startDaemon(t, "d1", routerAddr)
+	startDaemon(t, "d2", routerAddr)
 	waitMembers(t, rt, 2)
 
 	c, err := wire.Dial(routerAddr)
@@ -249,7 +248,7 @@ var errInvokeCorrupt = &wire.RemoteError{Msg: "corrupt echo"}
 func TestAgentReregistersAfterExpiry(t *testing.T) {
 	const interval = 30 * time.Millisecond
 	rt, routerAddr := startRouter(t, LeastLoadedPolicy{}, interval)
-	startDaemon(t, "d1", routerAddr, interval)
+	startDaemon(t, "d1", routerAddr)
 	waitMembers(t, rt, 1)
 	gen1 := rt.Registry().Snapshot()[0].Generation
 
@@ -304,7 +303,7 @@ func TestRouterCloseLeavesNoGoroutines(t *testing.T) {
 	served := make(chan error, 1)
 	go func() { served <- rtSrv.Serve(lis) }()
 	for _, d := range daemons {
-		d.join(t, lis.Addr().String(), interval)
+		d.join(t, lis.Addr().String())
 	}
 	waitMembers(t, rt, 2)
 

@@ -50,8 +50,6 @@ type BreakerConfig struct {
 	// Cooldown is how long the breaker stays open before admitting a
 	// half-open probe (<= 0 means DefaultCooldown).
 	Cooldown time.Duration
-	// Now is the clock (nil means time.Now). Inject in tests.
-	Now func() time.Time
 	// OnStateChange, when set, runs on every transition with the breaker
 	// lock held — keep it fast and do not call back into the breaker.
 	OnStateChange func(from, to State)
@@ -71,17 +69,20 @@ func (c BreakerConfig) cooldown() time.Duration {
 	return c.Cooldown
 }
 
-func (c BreakerConfig) now() time.Time {
-	if c.Now != nil {
-		return c.Now()
-	}
-	return time.Now()
+// Ticket is what Allow hands an admitted call; the call's outcome report
+// passes it back. Only the half-open probe's ticket can move a half-open
+// breaker, so a call admitted before the breaker last opened cannot
+// close it or free the probe slot when it reports late.
+type Ticket struct {
+	probe bool
 }
 
 // Breaker is a circuit breaker: closed → (failures) → open → (cooldown)
 // → half-open → (probe success) → closed, or → (probe failure) → open.
 // Callers ask Allow before attempting and report the outcome with
-// Success/Failure. All methods are safe for concurrent use.
+// Success, Failure or Cancel, passing back the Ticket Allow gave. It
+// reads no clock: the methods that need the time take it from the
+// caller. All methods are safe for concurrent use.
 type Breaker struct {
 	cfg BreakerConfig
 
@@ -97,44 +98,44 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 	return &Breaker{cfg: cfg}
 }
 
-// State returns the current state, applying any due open → half-open
+// State returns the state at now, applying any due open → half-open
 // transition first.
-func (b *Breaker) State() State {
+func (b *Breaker) State(now time.Time) State {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.maybeHalfOpen()
+	b.maybeHalfOpen(now)
 	return b.state
 }
 
-// Allow reports whether a call may proceed now. In half-open it admits
-// one probe at a time; every admitted call must be concluded with
-// Success, Failure or Cancel.
-func (b *Breaker) Allow() bool {
+// Allow reports whether a call may proceed at now. In half-open it
+// admits one probe at a time; every admitted call must be concluded with
+// Success, Failure or Cancel, given the returned Ticket.
+func (b *Breaker) Allow(now time.Time) (Ticket, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.maybeHalfOpen()
+	b.maybeHalfOpen(now)
 	switch b.state {
 	case Closed:
-		return true
+		return Ticket{}, true
 	case HalfOpen:
 		if b.probing {
-			return false
+			return Ticket{}, false
 		}
 		b.probing = true
-		return true
+		return Ticket{probe: true}, true
 	default:
-		return false
+		return Ticket{}, false
 	}
 }
 
 // Success reports a completed call that succeeded.
-func (b *Breaker) Success() {
+func (b *Breaker) Success(t Ticket) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	switch b.state {
-	case Closed:
+	switch {
+	case b.state == Closed:
 		b.consecutive = 0
-	case HalfOpen:
+	case b.state == HalfOpen && t.probe:
 		b.probing = false
 		b.transition(Closed)
 	}
@@ -143,43 +144,43 @@ func (b *Breaker) Success() {
 // Cancel reports an admitted call that was abandoned without an outcome
 // — typically a hedged request cancelled because its sibling arm won the
 // race. The endpoint is not at fault, so nothing is recorded against the
-// failure counters; in half-open the admitted probe slot is returned so
-// an abandoned hedge cannot wedge the breaker's recovery.
-func (b *Breaker) Cancel() {
+// failure counters; a cancelled half-open probe returns its slot so an
+// abandoned hedge cannot wedge the breaker's recovery.
+func (b *Breaker) Cancel(t Ticket) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == HalfOpen {
+	if b.state == HalfOpen && t.probe {
 		b.probing = false
 	}
 }
 
-// Failure reports a completed call that failed.
-func (b *Breaker) Failure() {
+// Failure reports a call that failed at now.
+func (b *Breaker) Failure(now time.Time, t Ticket) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	switch b.state {
-	case Closed:
+	switch {
+	case b.state == Closed:
 		b.consecutive++
 		if b.consecutive >= b.cfg.failureThreshold() {
-			b.trip()
+			b.trip(now)
 		}
-	case HalfOpen:
-		b.trip() // the probe failed: back to open, cooldown restarts
+	case b.state == HalfOpen && t.probe:
+		b.trip(now) // the probe failed: back to open, cooldown restarts
 	}
 }
 
-// trip opens the breaker and resets the counting state.
-func (b *Breaker) trip() {
-	b.openedAt = b.cfg.now()
+// trip opens the breaker at now and resets the counting state.
+func (b *Breaker) trip(now time.Time) {
+	b.openedAt = now
 	b.consecutive = 0
 	b.probing = false
 	b.transition(Open)
 }
 
-// maybeHalfOpen moves open → half-open once the cooldown has elapsed.
-// Callers hold b.mu.
-func (b *Breaker) maybeHalfOpen() {
-	if b.state == Open && b.cfg.now().Sub(b.openedAt) >= b.cfg.cooldown() {
+// maybeHalfOpen moves open → half-open once the cooldown has elapsed at
+// now. Callers hold b.mu.
+func (b *Breaker) maybeHalfOpen(now time.Time) {
+	if b.state == Open && now.Sub(b.openedAt) >= b.cfg.cooldown() {
 		b.transition(HalfOpen)
 	}
 }

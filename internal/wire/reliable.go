@@ -248,16 +248,8 @@ func NewReliableClient(cfg ReliableConfig) (*ReliableClient, error) {
 		r.hedgesC = cfg.Metrics.Counter("wire_hedges_total")
 		r.hedgeWinsC = cfg.Metrics.Counter("wire_hedge_wins_total")
 	}
-	set := &epSet{byAddr: make(map[string]*repEndpoint, len(cfg.Addrs))}
-	for _, addr := range cfg.Addrs {
-		if _, dup := set.byAddr[addr]; dup {
-			continue
-		}
-		ep := r.newEndpoint(addr)
-		set.list = append(set.list, ep)
-		set.byAddr[addr] = ep
-	}
-	r.set.Store(set)
+	r.set.Store(&epSet{})
+	r.SetEndpoints(cfg.Addrs)
 	return r, nil
 }
 
@@ -395,21 +387,24 @@ func (r *ReliableClient) policy() retry.Policy {
 
 // pick selects the next endpoint other than avoid (nil avoids none)
 // whose breaker admits traffic, rotating round-robin so consecutive
-// attempts (and concurrent calls) spread across the federation. Returns
-// nil when no such endpoint admits traffic; for a plain pick,
-// noEndpointsErr tells an empty set from one whose breakers all refuse.
-func (r *ReliableClient) pick(avoid *repEndpoint) *repEndpoint {
+// attempts (and concurrent calls) spread across the federation, and
+// returns the breaker's ticket for the call. Returns nil when no such
+// endpoint admits traffic.
+func (r *ReliableClient) pick(avoid *repEndpoint) (*repEndpoint, retry.Ticket) {
 	eps := r.snapshot().list
 	r.mu.Lock()
 	start := r.next
 	r.next++
 	r.mu.Unlock()
+	now := time.Now()
 	for i := range eps {
-		if ep := eps[(start+i)%len(eps)]; ep != avoid && ep.breaker.Allow() {
-			return ep
+		if ep := eps[(start+i)%len(eps)]; ep != avoid {
+			if tk, ok := ep.breaker.Allow(now); ok {
+				return ep, tk
+			}
 		}
 	}
-	return nil
+	return nil, retry.Ticket{}
 }
 
 // pickPreferred walks a preference-ordered address list (a routing
@@ -419,43 +414,42 @@ func (r *ReliableClient) pick(avoid *repEndpoint) *repEndpoint {
 // preference was computed — or refused by their breaker are skipped.
 // Returns nil when the list is exhausted; the caller falls back to
 // pick().
-func (r *ReliableClient) pickPreferred(prefer []string, idx *int) *repEndpoint {
+func (r *ReliableClient) pickPreferred(prefer []string, idx *int) (*repEndpoint, retry.Ticket) {
+	if *idx >= len(prefer) {
+		return nil, retry.Ticket{}
+	}
 	set := r.snapshot()
+	now := time.Now()
 	for *idx < len(prefer) {
 		addr := prefer[*idx]
 		*idx++
-		if ep := set.byAddr[addr]; ep != nil && ep.breaker.Allow() {
-			return ep
+		if ep := set.byAddr[addr]; ep != nil {
+			if tk, ok := ep.breaker.Allow(now); ok {
+				return ep, tk
+			}
 		}
 	}
-	return nil
+	return nil, retry.Ticket{}
 }
 
-// noEndpointsErr maps a nil pick to the right verdict: an empty set is
-// ErrNoEndpoints (membership may arrive), a populated one with no
-// admitting breaker is ErrAllBreakersOpen.
-func (r *ReliableClient) noEndpointsErr() error {
-	if len(r.snapshot().list) == 0 {
-		return ErrNoEndpoints
-	}
-	return ErrAllBreakersOpen
-}
-
-// settle reports an attempt's outcome to the endpoint's breaker and
-// connection pool. A cancelled arm (the hedge race was decided elsewhere)
-// reports no verdict: the endpoint was not at fault, so the breaker sees
-// Cancel — which only returns an admitted half-open probe slot — and the
-// connection stays pooled (multiplexing cleans up the abandoned call).
-func settle(ep *repEndpoint, c *Client, err error) {
+// settle reports an attempt's outcome to the endpoint's breaker, with
+// the ticket its Allow gave, and to its connection pool. A cancelled arm
+// (the hedge race was decided elsewhere) reports no verdict: the
+// endpoint was not at fault, so the breaker sees Cancel — which only
+// returns the slot of a half-open probe — and the connection stays
+// pooled (multiplexing cleans up the abandoned call). The ticket keeps a
+// call admitted before the breaker last opened from moving it out of
+// half-open.
+func settle(ep *repEndpoint, tk retry.Ticket, c *Client, err error) {
 	if err == nil {
-		ep.breaker.Success()
+		ep.breaker.Success(tk)
 		return
 	}
 	if errors.Is(err, context.Canceled) {
-		ep.breaker.Cancel()
+		ep.breaker.Cancel(tk)
 		return
 	}
-	ep.breaker.Failure()
+	ep.breaker.Failure(time.Now(), tk)
 	var re *RemoteError
 	if c != nil && !errors.As(err, &re) {
 		// Transport-level failure: the connection is suspect.
@@ -463,34 +457,49 @@ func settle(ep *repEndpoint, c *Client, err error) {
 	}
 }
 
-// do runs op against successive endpoints under the retry policy.
-func (r *ReliableClient) do(ctx context.Context, op func(*Client) error) error {
+// attempts runs attempt on successive endpoints under the retry policy.
+// Each attempt takes the next endpoint down prefer that its breaker
+// admits, else the next round-robin, and is told whether it failed over
+// from the previous attempt's endpoint. Finding none fails the attempt
+// with ErrNoEndpoints, or with ErrAllBreakersOpen after recording a
+// breaker-open skip; both retry.
+func (r *ReliableClient) attempts(ctx context.Context, prefer []string, attempt func(ep *repEndpoint, tk retry.Ticket, n int, failover bool) error) error {
 	var last *repEndpoint
-	return r.policy().Do(ctx, func(attempt int) error {
-		ep := r.pick(nil)
+	preferIdx := 0
+	return r.policy().Do(ctx, func(n int) error {
+		ep, tk := r.pickPreferred(prefer, &preferIdx)
 		if ep == nil {
-			return r.noEndpointsErr()
+			ep, tk = r.pick(nil)
 		}
-		if attempt > 0 {
-			if r.retries != nil {
-				r.retries.Inc()
+		if ep == nil {
+			if len(r.snapshot().list) == 0 {
+				return ErrNoEndpoints // membership may arrive
 			}
-			if last != nil && ep != last && r.failovers != nil {
-				r.failovers.Inc()
-			}
+			r.skipSpan(ctx, n)
+			return ErrAllBreakersOpen
+		}
+		failover := n > 0 && last != nil && ep != last
+		if n > 0 && r.retries != nil {
+			r.retries.Inc()
+		}
+		if failover && r.failovers != nil {
+			r.failovers.Inc()
 		}
 		last = ep
+		return attempt(ep, tk, n, failover)
+	})
+}
+
+// do runs op on a pooled connection of successive endpoints under the
+// retry policy.
+func (r *ReliableClient) do(ctx context.Context, op func(*Client) error) error {
+	return r.attempts(ctx, nil, func(ep *repEndpoint, tk retry.Ticket, _ int, _ bool) error {
 		c, err := ep.get(ctx, r.cfg.CallTimeout)
-		if err != nil {
-			settle(ep, nil, err)
-			return err
+		if err == nil {
+			err = op(c)
 		}
-		if err := op(c); err != nil {
-			settle(ep, c, err)
-			return err
-		}
-		ep.breaker.Success()
-		return nil
+		settle(ep, tk, c, err)
+		return err
 	})
 }
 
@@ -538,35 +547,9 @@ func (r *ReliableClient) invoke(ctx context.Context, fn string, payload []byte, 
 	}
 	var out []byte
 	var body *frameBody
-	var last *repEndpoint
-	preferIdx := 0
 	clean := true
-	err := r.policy().Do(ctx, func(attempt int) error {
-		ep := r.pickPreferred(prefer, &preferIdx)
-		if ep == nil {
-			ep = r.pick(nil)
-		}
-		if ep == nil {
-			if err := r.noEndpointsErr(); errors.Is(err, ErrNoEndpoints) {
-				return err
-			}
-			r.skipSpan(ctx, attempt)
-			return ErrAllBreakersOpen
-		}
-		failover := false
-		if attempt > 0 {
-			if r.retries != nil {
-				r.retries.Inc()
-			}
-			if last != nil && ep != last {
-				failover = true
-				if r.failovers != nil {
-					r.failovers.Inc()
-				}
-			}
-		}
-		last = ep
-		res, b, hedged, err := r.invokeAttempt(ctx, ep, fn, payload, attempt, failover)
+	err := r.attempts(ctx, prefer, func(ep *repEndpoint, tk retry.Ticket, attempt int, failover bool) error {
+		res, b, hedged, err := r.invokeAttempt(ctx, ep, tk, fn, payload, attempt, failover)
 		var re *RemoteError
 		if hedged || (err != nil && !errors.As(err, &re)) {
 			clean = false
@@ -590,27 +573,27 @@ func (r *ReliableClient) invoke(ctx context.Context, fn string, payload []byte, 
 
 // attemptOn runs one call arm against one endpoint and settles its
 // breaker/pool outcome. The breaker Allow for ep has already been spent
-// (by pick or pickPreferred). Traced calls record an attempt span, which
-// becomes the parent of the connection's send span (and, transitively,
-// the server's spans); a cancelled arm — the hedge race was decided
-// elsewhere — is marked cancelled rather than failed-by-endpoint. It
-// also returns the buffer the result points into, if it has one of its
-// own.
-func (r *ReliableClient) attemptOn(ctx context.Context, ep *repEndpoint, fn string, payload []byte, attempt int, arm string, failover bool) ([]byte, *frameBody, error) {
+// (by pick or pickPreferred) and gave tk. Traced calls record an attempt
+// span, which becomes the parent of the connection's send span (and,
+// transitively, the server's spans); a cancelled arm — the hedge race
+// was decided elsewhere — is marked cancelled rather than
+// failed-by-endpoint. It also returns the buffer the result points
+// into, if it has one of its own.
+func (r *ReliableClient) attemptOn(ctx context.Context, ep *repEndpoint, tk retry.Ticket, fn string, payload []byte, attempt int, arm string, failover bool) ([]byte, *frameBody, error) {
 	sp := r.armSpan(ctx, ep, attempt, arm, failover)
 	if sp != nil {
 		ctx = trace.NewContext(ctx, sp.Context())
 	}
 	c, err := ep.get(ctx, r.cfg.CallTimeout)
 	if err != nil {
-		settle(ep, nil, err)
+		settle(ep, tk, nil, err)
 		sp.SetErr(err)
 		sp.End()
 		return nil, nil, err
 	}
 	start := time.Now()
 	resp, body, err := c.call(ctx, &Request{Op: OpInvoke, Fn: fn, Payload: payload})
-	settle(ep, c, err)
+	settle(ep, tk, c, err)
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			sp.SetAttr("cancelled", "true")
@@ -640,21 +623,21 @@ type armResult struct {
 // both arms and which one won. hedged reports whether a second arm was
 // launched: the loser may still be reading the payload after the
 // attempt returns.
-func (r *ReliableClient) invokeAttempt(ctx context.Context, ep *repEndpoint, fn string, payload []byte, attempt int, failover bool) (out []byte, body *frameBody, hedged bool, err error) {
+func (r *ReliableClient) invokeAttempt(ctx context.Context, ep *repEndpoint, tk retry.Ticket, fn string, payload []byte, attempt int, failover bool) (out []byte, body *frameBody, hedged bool, err error) {
 	delay, ok := r.hedgeDelay()
 	if !ok {
-		out, body, err = r.attemptOn(ctx, ep, fn, payload, attempt, "", failover)
+		out, body, err = r.attemptOn(ctx, ep, tk, fn, payload, attempt, "", failover)
 		return out, body, false, err
 	}
 
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	results := make(chan armResult, 2)
-	arm := func(ep *repEndpoint, label string, failedOver bool) {
-		out, body, err := r.attemptOn(actx, ep, fn, payload, attempt, label, failedOver)
+	arm := func(ep *repEndpoint, tk retry.Ticket, label string, failedOver bool) {
+		out, body, err := r.attemptOn(actx, ep, tk, fn, payload, attempt, label, failedOver)
 		results <- armResult{ep: ep, out: out, body: body, err: err}
 	}
-	go arm(ep, "primary", failover)
+	go arm(ep, tk, "primary", failover)
 
 	timer := time.NewTimer(delay)
 	defer timer.Stop()
@@ -669,7 +652,7 @@ func (r *ReliableClient) invokeAttempt(ctx context.Context, ep *repEndpoint, fn 
 				continue
 			}
 			launched = true
-			backup := r.pick(ep)
+			backup, btk := r.pick(ep)
 			if backup == nil {
 				continue // no second endpoint admits traffic; race stays 1-arm
 			}
@@ -679,7 +662,7 @@ func (r *ReliableClient) invokeAttempt(ctx context.Context, ep *repEndpoint, fn 
 			}
 			pending++
 			hedged = true
-			go arm(backup, "hedge", false)
+			go arm(backup, btk, "hedge", false)
 		case res := <-results:
 			pending--
 			if res.err == nil {
@@ -750,8 +733,9 @@ func (r *ReliableClient) List() ([]string, error) {
 func (r *ReliableClient) BreakerStates() map[string]retry.State {
 	eps := r.snapshot().list
 	out := make(map[string]retry.State, len(eps))
+	now := time.Now()
 	for _, ep := range eps {
-		out[ep.addr] = ep.breaker.State()
+		out[ep.addr] = ep.breaker.State(now)
 	}
 	return out
 }
