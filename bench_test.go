@@ -124,11 +124,8 @@ func BenchmarkMinMin50(b *testing.B) {
 // BenchmarkEngineOverhead guards the cost of the unified execution
 // engine (internal/core/engine.go) on the event hot path: each iteration
 // drives 200 stream jobs through the full stage→execute→account→deliver
-// pipeline on a two-node continuum. The reliable-nofault variant runs the
-// identical workload through RunStreamReliable with zero-value options,
-// so the delta between the two sub-benchmarks is exactly what the fault
-// hook costs when disarmed. Compare against the seed's BENCH_*.json rows
-// before accepting regressions here — this is the dispatch loop every
+// pipeline on a two-node continuum, with zero Options: the fault hooks
+// are disarmed, so what it measures is the dispatch loop every
 // experiment's inner iteration pays.
 func BenchmarkEngineOverhead(b *testing.B) {
 	cat := node.Catalog()
@@ -154,16 +151,7 @@ func BenchmarkEngineOverhead(b *testing.B) {
 	b.Run("stream", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			c, jobs := mk()
-			if st := c.RunStream(placement.GreedyLatency{}, jobs, nil); st.Completed != 200 {
-				b.Fatal("jobs lost")
-			}
-		}
-	})
-	b.Run("stream-reliable-nofault", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c, jobs := mk()
-			st := c.RunStreamReliable(placement.GreedyLatency{}, jobs, nil, core.ReliableOptions{})
-			if st.Completed != 200 {
+			if st := c.RunStream(placement.GreedyLatency{}, jobs, nil, core.Options{}); st.Completed != 200 {
 				b.Fatal("jobs lost")
 			}
 		}

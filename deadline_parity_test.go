@@ -16,7 +16,7 @@ import (
 )
 
 // TestDeadlineParitySimAndLive asserts the one-semantics claim for
-// per-task deadlines: the simulated engine (ReliableOptions.TaskDeadline,
+// per-task deadlines: the simulated engine (Options.TaskDeadline,
 // virtual time) and the live faas path (EndpointConfig.ExecTimeout, wall
 // clock) both cut off an overrunning task, attribute the miss, and keep
 // serving afterwards.
@@ -33,8 +33,8 @@ func TestDeadlineParitySimAndLive(t *testing.T) {
 		Task:   &task.Task{Name: "overrun", ScalarWork: 2.5e8, OutputBytes: 10},
 		Origin: c.Nodes[0].ID,
 	}}
-	st := c.RunStreamReliable(placement.GreedyLatency{}, jobs, nil,
-		core.ReliableOptions{MaxRetries: 1, TaskDeadline: 0.001})
+	st := c.RunStream(placement.GreedyLatency{}, jobs, nil,
+		core.Options{MaxRetries: 1, TaskDeadline: 0.001})
 	if st.Completed != 0 || st.DeadlineMisses == 0 {
 		t.Fatalf("sim: completed=%d misses=%d, want 0 completed with misses",
 			st.Completed, st.DeadlineMisses)

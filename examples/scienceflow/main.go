@@ -70,7 +70,7 @@ func main() {
 		c := buildContinuum()
 		env := c.Env()
 		sched := s.make(env)
-		st, err := c.RunDAG(dag, sched, env)
+		st, err := c.RunDAG(dag, sched, env, core.Options{})
 		if err != nil {
 			panic(err)
 		}

@@ -47,7 +47,7 @@ func TestIntegrationTracedWorkflow(t *testing.T) {
 		MeanWork: 1e10, WorkSigma: 0.5, MeanBytes: 1e6, BytesSigma: 0.5,
 	})
 	env := c.Env()
-	st, err := c.RunDAG(d, placement.HEFT(env, d), env)
+	st, err := c.RunDAG(d, placement.HEFT(env, d), env, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestIntegrationFabricWorkflow(t *testing.T) {
 	for i := 0; i < d.N(); i++ {
 		assign[task.ID(i)] = 0
 	}
-	st, err := c.RunDAG(d, placement.Schedule{Algorithm: "pin", Assign: assign}, c.Env())
+	st, err := c.RunDAG(d, placement.Schedule{Algorithm: "pin", Assign: assign}, c.Env(), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestIntegrationFaultsPlusAdaptive(t *testing.T) {
 			Submit: float64(i) * 0.2,
 		})
 	}
-	st := c.RunStreamReliable(placement.NewAdaptive(0.05), jobs, nil, core.ReliableOptions{
+	st := c.RunStream(placement.NewAdaptive(0.05), jobs, nil, core.Options{
 		Faults:     map[int]*fault.Target{ids[0]: gwFault},
 		MaxRetries: 10,
 	})

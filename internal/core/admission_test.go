@@ -1,6 +1,6 @@
 package core
 
-// Tests for the engine's admission gate (ReliableOptions.Admission, the
+// Tests for the engine's admission gate (Options.Admission, the
 // live endpoint's faas.Gate in kernel time) and the cordon hook — the
 // simulator halves of the live path's faas admitter and
 // faas.Endpoint.SetCordon.
@@ -41,8 +41,8 @@ func priorityJobs(c *Continuum, count int) []StreamJob {
 func TestAdmissionShedsLowestFirst(t *testing.T) {
 	c := miniContinuum()
 	const triples = 30
-	st := c.RunStreamReliable(placement.GreedyLatency{}, priorityJobs(c, triples), nil,
-		ReliableOptions{Admission: 9})
+	st := c.RunStream(placement.GreedyLatency{}, priorityJobs(c, triples), nil,
+		Options{Admission: 9})
 
 	total := int64(3 * triples)
 	if st.Completed+st.Shed != total {
@@ -76,8 +76,8 @@ func TestAdmissionShedsLowestFirst(t *testing.T) {
 // queued job starts once a completion frees its slot.
 func TestAdmissionQueuesBurstOverCapacity(t *testing.T) {
 	c := miniContinuum()
-	st := c.RunStreamReliable(placement.GreedyLatency{}, reliableJobs(c, 9, 0), nil,
-		ReliableOptions{Admission: 3})
+	st := c.RunStream(placement.GreedyLatency{}, reliableJobs(c, 9, 0), nil,
+		Options{Admission: 3})
 	if st.Shed != 0 || st.Completed != 9 || st.Lost != 0 {
 		t.Fatalf("burst of 9 at capacity 3: %d completed, %d shed, %d lost; want 9/0/0",
 			st.Completed, st.Shed, st.Lost)
@@ -106,7 +106,7 @@ func TestAdmissionEvictsLowerClass(t *testing.T) {
 			})
 		}
 	}
-	st := c.RunStreamReliable(placement.GreedyLatency{}, jobs, nil, ReliableOptions{Admission: 3})
+	st := c.RunStream(placement.GreedyLatency{}, jobs, nil, Options{Admission: 3})
 	if st.ShedByClass != [faas.NumPriorities]int64{1, 0, 0} || st.Shed != 1 {
 		t.Fatalf("ShedByClass = %v (Shed %d), want the one evicted low job", st.ShedByClass, st.Shed)
 	}
@@ -120,8 +120,8 @@ func TestAdmissionEvictsLowerClass(t *testing.T) {
 // — proving completions release their admission slot.
 func TestAdmissionReleasesOnCompletion(t *testing.T) {
 	c := miniContinuum()
-	st := c.RunStreamReliable(placement.GreedyLatency{}, reliableJobs(c, 10, 5.0), nil,
-		ReliableOptions{Admission: 3})
+	st := c.RunStream(placement.GreedyLatency{}, reliableJobs(c, 10, 5.0), nil,
+		Options{Admission: 3})
 	if st.Shed != 0 {
 		t.Fatalf("spaced jobs shed %d times; admission slots leaked", st.Shed)
 	}
@@ -136,26 +136,23 @@ func TestAdmissionReleasesOnCompletion(t *testing.T) {
 // turn and are lost the same way.
 func TestAdmissionReleasesOnLoss(t *testing.T) {
 	c := miniContinuum()
-	st := c.RunStreamReliable(placement.GreedyLatency{}, reliableJobs(c, 3, 0), nil,
-		ReliableOptions{Admission: 1, MaxRetries: 1, Cordoned: func(*node.Node) bool { return true }})
+	st := c.RunStream(placement.GreedyLatency{}, reliableJobs(c, 3, 0), nil,
+		Options{Admission: 1, MaxRetries: 1, Cordoned: func(*node.Node) bool { return true }})
 	if st.Lost != 3 || st.Retries != 3 || st.Shed != 0 {
 		t.Fatalf("Lost/Retries/Shed = %d/%d/%d; want every queued job started and lost (3/3/0)",
 			st.Lost, st.Retries, st.Shed)
 	}
 }
 
-// TestAdmissionDisabledIsZeroCost: the zero value admits everything and
-// reproduces the plain run exactly (the engine's equivalence property
-// extends to the new hook).
+// TestAdmissionDisabledIsZeroCost: the zero value admits everything,
+// so it matches, field for field, a gate too wide to ever queue or shed
+// (the engine's equivalence property extends to the new hook).
 func TestAdmissionDisabledIsZeroCost(t *testing.T) {
 	c1 := miniContinuum()
-	plain := c1.RunStream(placement.GreedyLatency{}, reliableJobs(c1, 20, 0.1), nil)
+	plain := c1.RunStream(placement.GreedyLatency{}, reliableJobs(c1, 20, 0.1), nil, Options{})
 	c2 := miniContinuum()
-	rel := c2.RunStreamReliable(placement.GreedyLatency{}, reliableJobs(c2, 20, 0.1), nil,
-		ReliableOptions{})
-	if rel.Shed != 0 || rel.Completed != plain.Completed || rel.Latency.Mean() != plain.Latency.Mean() {
-		t.Fatalf("zero-value admission diverged: %+v vs %d completed", rel, plain.Completed)
-	}
+	wide := c2.RunStream(placement.GreedyLatency{}, reliableJobs(c2, 20, 0.1), nil, Options{Admission: 20})
+	statsEqual(t, "admission", plain, wide)
 }
 
 // TestCordonedNodeGetsNoNewWork: a cordon hook must steer every
@@ -163,8 +160,8 @@ func TestAdmissionDisabledIsZeroCost(t *testing.T) {
 func TestCordonedNodeGetsNoNewWork(t *testing.T) {
 	c := miniContinuum()
 	gw := c.Nodes[0] // miniContinuum adds the gateway first
-	st := c.RunStreamReliable(placement.GreedyLatency{}, reliableJobs(c, 20, 0.2), nil,
-		ReliableOptions{Cordoned: func(n *node.Node) bool { return n == gw }})
+	st := c.RunStream(placement.GreedyLatency{}, reliableJobs(c, 20, 0.2), nil,
+		Options{Cordoned: func(n *node.Node) bool { return n == gw }})
 	if st.Completed != 20 || st.Lost != 0 {
 		t.Fatalf("cordon run: %d completed, %d lost", st.Completed, st.Lost)
 	}
@@ -181,8 +178,8 @@ func TestCordonedNodeGetsNoNewWork(t *testing.T) {
 // drops or wedges the run.
 func TestCordonAllRetriesThenLoses(t *testing.T) {
 	c := miniContinuum()
-	st := c.RunStreamReliable(placement.GreedyLatency{}, reliableJobs(c, 5, 0.2), nil,
-		ReliableOptions{MaxRetries: 2, Cordoned: func(*node.Node) bool { return true }})
+	st := c.RunStream(placement.GreedyLatency{}, reliableJobs(c, 5, 0.2), nil,
+		Options{MaxRetries: 2, Cordoned: func(*node.Node) bool { return true }})
 	if st.Lost != 5 {
 		t.Fatalf("Lost = %d, want 5 with everything cordoned", st.Lost)
 	}

@@ -4,20 +4,19 @@
 // static DAG schedules — while collecting the latency/energy/cost metrics
 // every experiment reports.
 //
-// Reliability is opt-in via RunStreamReliable and ReliableOptions:
-// injected faults, bounded retries, per-node circuit breaking, and —
-// through SpeculateOptions — hedged execution, where a task in flight
-// past the observed latency quantile (or a multiple of its expected
-// runtime) gets a backup replica on a different node; the first finisher
-// wins and the loser is preempted on delivery with its node time still
-// billed, so wasted work shows up in the stats instead of hiding.
+// Reliability is opt-in through the runners' Options: injected faults,
+// bounded retries, per-node circuit breaking, and — through
+// SpeculateOptions — hedged execution, where a task in flight past the
+// observed latency quantile (or a multiple of its expected runtime) gets
+// a backup replica on a different node; the first finisher wins and the
+// loser is preempted on delivery with its node time still billed, so
+// wasted work shows up in the stats instead of hiding.
 package core
 
 import (
 	"fmt"
 
 	"continuum/internal/data"
-	"continuum/internal/metrics"
 	"continuum/internal/netsim"
 	"continuum/internal/node"
 	"continuum/internal/placement"
@@ -31,7 +30,6 @@ type Continuum struct {
 	Net    *netsim.Network
 	Nodes  []*node.Node
 	Fabric *data.Fabric
-	Reg    *metrics.Registry
 	// Tracer, when set, records task and transfer events for post-hoc
 	// timelines (see internal/trace). Nil tracers cost nothing.
 	Tracer *trace.Tracer
@@ -40,11 +38,7 @@ type Continuum struct {
 // New creates an empty continuum with a fresh kernel and network.
 func New() *Continuum {
 	k := sim.NewKernel()
-	return &Continuum{
-		K:   k,
-		Net: netsim.New(k, 0),
-		Reg: metrics.NewRegistry(),
-	}
+	return &Continuum{K: k, Net: netsim.New(k, 0)}
 }
 
 // AddNode creates a topology vertex, instantiates spec on it, and returns
@@ -79,31 +73,6 @@ func (c *Continuum) TotalJoules() float64 {
 		sum += n.Meter.Joules()
 	}
 	return sum
-}
-
-// Validate checks that every node vertex is reachable from every other
-// (experiments assume a connected continuum). Reachability is transitive,
-// so that holds exactly when every node reaches the first node and is
-// reached from it: two O(V+E) searches, paths through pure vertices
-// included.
-func (c *Continuum) Validate() error {
-	if len(c.Nodes) == 0 {
-		return nil
-	}
-	r := c.Nodes[0]
-	from, to := c.Net.Reachable(r.ID, false), c.Net.Reachable(r.ID, true)
-	unreachable := func(a, b *node.Node) error {
-		return fmt.Errorf("core: %s cannot reach %s: %w", a.Name, b.Name, &netsim.UnreachableError{From: a.ID, To: b.ID})
-	}
-	for _, v := range c.Nodes[1:] {
-		if !from[v.ID] {
-			return unreachable(r, v)
-		}
-		if !to[v.ID] {
-			return unreachable(v, r)
-		}
-	}
-	return nil
 }
 
 // ThreeTierParams configures the canonical sensors→gateways→cloud

@@ -40,26 +40,9 @@ func TestBuilderBasics(t *testing.T) {
 	if len(c.Nodes) != 2 {
 		t.Fatalf("nodes = %d", len(c.Nodes))
 	}
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	env := c.Env()
 	if env.Net != c.Net || len(env.Nodes) != 2 {
 		t.Fatal("Env mismatch")
-	}
-}
-
-func TestValidateDetectsPartition(t *testing.T) {
-	c := New()
-	cat := node.Catalog()
-	g1 := cat["gateway"]
-	g1.Name = "a"
-	g2 := cat["gateway"]
-	g2.Name = "b"
-	c.AddNode(g1)
-	c.AddNode(g2) // never connected
-	if c.Validate() == nil {
-		t.Fatal("partition not detected")
 	}
 }
 
@@ -68,8 +51,10 @@ func TestBuildThreeTierShape(t *testing.T) {
 	if len(tt.Gateways) != 3 || len(tt.Sensors) != 3 || len(tt.Sensors[0]) != 4 {
 		t.Fatal("three-tier shape wrong")
 	}
-	if err := tt.Validate(); err != nil {
-		t.Fatal(err)
+	for _, n := range tt.Nodes {
+		if math.IsInf(tt.Net.Latency(tt.Cloud.ID, n.ID), 1) || math.IsInf(tt.Net.Latency(n.ID, tt.Cloud.ID), 1) {
+			t.Fatalf("%s and the cloud do not reach each other", n.Name)
+		}
 	}
 	// Sensor to cloud latency: 5 + 2 + 20 ms.
 	lat := tt.Net.Latency(tt.Sensors[0][0].ID, tt.Cloud.ID)
@@ -92,7 +77,7 @@ func TestRunStreamBasic(t *testing.T) {
 			Submit: float64(i) * 0.1,
 		})
 	}
-	st := c.RunStream(placement.GreedyLatency{}, jobs, nil)
+	st := c.RunStream(placement.GreedyLatency{}, jobs, nil, Options{})
 	if st.Completed != 20 {
 		t.Fatalf("Completed = %d", st.Completed)
 	}
@@ -126,9 +111,9 @@ func TestRunStreamEdgeVsCloudLatency(t *testing.T) {
 		return c, jobs
 	}
 	c1, j1 := mk()
-	edge := c1.RunStream(placement.EdgeOnly{}, j1, nil)
+	edge := c1.RunStream(placement.EdgeOnly{}, j1, nil, Options{})
 	c2, j2 := mk()
-	cloud := c2.RunStream(placement.CloudOnly{}, j2, nil)
+	cloud := c2.RunStream(placement.CloudOnly{}, j2, nil, Options{})
 	if edge.Latency.Mean() >= cloud.Latency.Mean() {
 		t.Fatalf("edge mean %v not below cloud %v for tiny tasks",
 			edge.Latency.Mean(), cloud.Latency.Mean())
@@ -149,7 +134,7 @@ func TestRunStreamWithFabricStaging(t *testing.T) {
 		Origin: c.Nodes[0].ID,
 		Submit: 0,
 	}}
-	st := c.RunStream(placement.DataAware{}, jobs, nil)
+	st := c.RunStream(placement.DataAware{}, jobs, nil, Options{})
 	if st.Completed != 1 {
 		t.Fatalf("Completed = %d", st.Completed)
 	}
@@ -171,7 +156,7 @@ func TestRunDAGChainSingleNode(t *testing.T) {
 		Assign:    map[task.ID]int{0: 0, 1: 0},
 		EstFinish: map[task.ID]float64{},
 	}
-	st, err := c.RunDAG(d, sched, c.Env())
+	st, err := c.RunDAG(d, sched, c.Env(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +175,7 @@ func TestRunDAGCrossNodeTransfer(t *testing.T) {
 		Algorithm: "manual",
 		Assign:    map[task.ID]int{0: 0, 1: 1},
 	}
-	st, err := c.RunDAG(d, sched, c.Env())
+	st, err := c.RunDAG(d, sched, c.Env(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +192,7 @@ func TestRunDAGParallelismExploited(t *testing.T) {
 	d := task.FanOutIn(rng, 8, task.GenSpec{MeanWork: 2.5e9, MeanBytes: 1e3})
 	env := c.Env()
 	heft := placement.HEFT(env, d)
-	st, err := c.RunDAG(d, heft, env)
+	st, err := c.RunDAG(d, heft, env, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +216,7 @@ func TestRunDAGHEFTNoWorseThanRandom(t *testing.T) {
 		{
 			c := miniContinuum()
 			env := c.Env()
-			st, err := c.RunDAG(d, placement.HEFT(env, d), env)
+			st, err := c.RunDAG(d, placement.HEFT(env, d), env, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -240,7 +225,7 @@ func TestRunDAGHEFTNoWorseThanRandom(t *testing.T) {
 		{
 			c := miniContinuum()
 			env := c.Env()
-			st, err := c.RunDAG(d, placement.ListRandom(env, d, rng.Split()), env)
+			st, err := c.RunDAG(d, placement.ListRandom(env, d, rng.Split()), env, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -256,7 +241,7 @@ func TestRunDAGRejectsIncompleteSchedule(t *testing.T) {
 	c := miniContinuum()
 	d := task.NewDAG("x")
 	d.AddTask("a", 1e9, 0)
-	_, err := c.RunDAG(d, placement.Schedule{Assign: map[task.ID]int{}}, c.Env())
+	_, err := c.RunDAG(d, placement.Schedule{Assign: map[task.ID]int{}}, c.Env(), Options{})
 	if err == nil {
 		t.Fatal("incomplete schedule accepted")
 	}
@@ -273,7 +258,7 @@ func TestRunDAGWithFabricInputs(t *testing.T) {
 		Inputs: []task.DataRef{{Name: "raw", Bytes: ds.Bytes}},
 	})
 	sched := placement.Schedule{Assign: map[task.ID]int{0: 0}} // on gateway
-	st, err := c.RunDAG(d, sched, c.Env())
+	st, err := c.RunDAG(d, sched, c.Env(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

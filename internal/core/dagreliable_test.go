@@ -33,12 +33,12 @@ func gwSchedule(d *task.DAG) placement.Schedule {
 func TestDAGReliableNoFaultsMatchesPlain(t *testing.T) {
 	d := reliableDAG()
 	c1 := miniContinuum()
-	plain, err := c1.RunDAG(d, gwSchedule(d), c1.Env())
+	plain, err := c1.RunDAG(d, gwSchedule(d), c1.Env(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c2 := miniContinuum()
-	rel, err := c2.RunDAGReliable(d, gwSchedule(d), c2.Env(), ReliableOptions{MaxRetries: 3})
+	rel, err := c2.RunDAG(d, gwSchedule(d), c2.Env(), Options{MaxRetries: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +52,11 @@ func TestDAGReliableRetriesAndFinishes(t *testing.T) {
 	d := reliableDAG()
 	c := miniContinuum()
 	gwFault := fault.Attach(c.K, "gw", fault.Spec{MeanUp: 1.0, MeanDown: 0.5}, 1e4, workload.NewRNG(5))
-	opts := ReliableOptions{
+	opts := Options{
 		Faults:     map[int]*fault.Target{c.Nodes[0].ID: gwFault},
 		MaxRetries: 100,
 	}
-	st, err := c.RunDAGReliable(d, gwSchedule(d), c.Env(), opts)
+	st, err := c.RunDAG(d, gwSchedule(d), c.Env(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +77,11 @@ func TestDAGReliableAbortsOnExhaustion(t *testing.T) {
 	c := miniContinuum()
 	// Down nearly always: with 0 retries the first loss aborts.
 	gwFault := fault.Attach(c.K, "gw", fault.Spec{MeanUp: 0.05, MeanDown: 50}, 1e4, workload.NewRNG(6))
-	opts := ReliableOptions{
+	opts := Options{
 		Faults:     map[int]*fault.Target{c.Nodes[0].ID: gwFault},
 		MaxRetries: 0,
 	}
-	_, err := c.RunDAGReliable(d, gwSchedule(d), c.Env(), opts)
+	_, err := c.RunDAG(d, gwSchedule(d), c.Env(), opts)
 	if err == nil {
 		t.Fatal("exhausted DAG did not error")
 	}
@@ -90,8 +90,8 @@ func TestDAGReliableAbortsOnExhaustion(t *testing.T) {
 func TestDAGReliableRejectsIncompleteSchedule(t *testing.T) {
 	d := reliableDAG()
 	c := miniContinuum()
-	_, err := c.RunDAGReliable(d, placement.Schedule{Assign: map[task.ID]int{}}, c.Env(),
-		ReliableOptions{})
+	_, err := c.RunDAG(d, placement.Schedule{Assign: map[task.ID]int{}}, c.Env(),
+		Options{})
 	if err == nil {
 		t.Fatal("incomplete schedule accepted")
 	}
@@ -107,8 +107,8 @@ func TestDAGReliableCrossNodeStillWorks(t *testing.T) {
 		assign[task.ID(i)] = i % 2
 	}
 	gwFault := fault.Attach(c.K, "gw", fault.Spec{MeanUp: 2, MeanDown: 0.5}, 1e4, workload.NewRNG(7))
-	st, err := c.RunDAGReliable(d, placement.Schedule{Algorithm: "alt", Assign: assign},
-		c.Env(), ReliableOptions{
+	st, err := c.RunDAG(d, placement.Schedule{Algorithm: "alt", Assign: assign},
+		c.Env(), Options{
 			Faults:     map[int]*fault.Target{c.Nodes[0].ID: gwFault},
 			MaxRetries: 100,
 		})

@@ -13,9 +13,9 @@ func TestStreamDeadlineMissCountsAndTraces(t *testing.T) {
 	// The gateway needs ~0.1s for 2.5e8 scalar ops; a 1µs deadline can
 	// never be met, so every attempt misses and each job is eventually
 	// lost after the retry budget.
-	st := c.RunStreamReliable(placement.GreedyLatency{},
+	st := c.RunStream(placement.GreedyLatency{},
 		reliableJobs(c, 5, 1.0), c.Nodes[:1],
-		ReliableOptions{MaxRetries: 2, TaskDeadline: 1e-6})
+		Options{MaxRetries: 2, TaskDeadline: 1e-6})
 	if st.Completed != 0 || st.Lost != 5 {
 		t.Fatalf("completed=%d lost=%d, want 0/5", st.Completed, st.Lost)
 	}
@@ -47,10 +47,10 @@ func TestStreamDeadlineMissCountsAndTraces(t *testing.T) {
 
 func TestStreamDeadlineGenerousIsNoOp(t *testing.T) {
 	c1 := miniContinuum()
-	plain := c1.RunStream(placement.GreedyLatency{}, reliableJobs(c1, 20, 0.2), nil)
+	plain := c1.RunStream(placement.GreedyLatency{}, reliableJobs(c1, 20, 0.2), nil, Options{})
 	c2 := miniContinuum()
-	rel := c2.RunStreamReliable(placement.GreedyLatency{}, reliableJobs(c2, 20, 0.2), nil,
-		ReliableOptions{MaxRetries: 3, TaskDeadline: 1e6})
+	rel := c2.RunStream(placement.GreedyLatency{}, reliableJobs(c2, 20, 0.2), nil,
+		Options{MaxRetries: 3, TaskDeadline: 1e6})
 	if rel.Completed != plain.Completed || rel.DeadlineMisses != 0 || rel.Lost != 0 {
 		t.Fatalf("generous deadline diverged: %+v vs %d completed", rel, plain.Completed)
 	}
@@ -63,8 +63,8 @@ func TestDAGDeadlineAbortsRun(t *testing.T) {
 	d := reliableDAG() // six ~0.5s tasks pinned to the gateway
 	c := miniContinuum()
 	c.Tracer = trace.New(0)
-	st, err := c.RunDAGReliable(d, gwSchedule(d), c.Env(),
-		ReliableOptions{MaxRetries: 1, TaskDeadline: 0.01})
+	st, err := c.RunDAG(d, gwSchedule(d), c.Env(),
+		Options{MaxRetries: 1, TaskDeadline: 0.01})
 	if err == nil {
 		t.Fatal("DAG met an impossible deadline")
 	}
@@ -86,13 +86,13 @@ func TestDAGDeadlineAbortsRun(t *testing.T) {
 func TestDAGDeadlineGenerousMatchesPlain(t *testing.T) {
 	d := reliableDAG()
 	c1 := miniContinuum()
-	plain, err := c1.RunDAG(d, gwSchedule(d), c1.Env())
+	plain, err := c1.RunDAG(d, gwSchedule(d), c1.Env(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c2 := miniContinuum()
-	rel, err := c2.RunDAGReliable(d, gwSchedule(d), c2.Env(),
-		ReliableOptions{MaxRetries: 3, TaskDeadline: 1e6})
+	rel, err := c2.RunDAG(d, gwSchedule(d), c2.Env(),
+		Options{MaxRetries: 3, TaskDeadline: 1e6})
 	if err != nil {
 		t.Fatal(err)
 	}

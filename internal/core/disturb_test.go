@@ -13,13 +13,13 @@ import (
 func TestDisturbDropConsumesRetries(t *testing.T) {
 	c := miniContinuum()
 	gwID := c.Nodes[0].ID
-	opts := ReliableOptions{
+	opts := Options{
 		MaxRetries: 5,
 		Disturb: func(n *node.Node) (bool, float64) {
 			return n.ID == gwID, 0
 		},
 	}
-	st := c.RunStreamReliable(&placement.RoundRobin{}, reliableJobs(c, 30, 0.2), nil, opts)
+	st := c.RunStream(&placement.RoundRobin{}, reliableJobs(c, 30, 0.2), nil, opts)
 	if st.ChaosDrops == 0 {
 		t.Fatal("no chaos drops recorded")
 	}
@@ -38,12 +38,12 @@ func TestDisturbDropConsumesRetries(t *testing.T) {
 // but must show up in measured latency.
 func TestDisturbDelayAddsLatency(t *testing.T) {
 	base := miniContinuum()
-	plain := base.RunStreamReliable(placement.GreedyLatency{}, reliableJobs(base, 20, 0.3), nil,
-		ReliableOptions{MaxRetries: 3})
+	plain := base.RunStream(placement.GreedyLatency{}, reliableJobs(base, 20, 0.3), nil,
+		Options{MaxRetries: 3})
 
 	slow := miniContinuum()
-	st := slow.RunStreamReliable(placement.GreedyLatency{}, reliableJobs(slow, 20, 0.3), nil,
-		ReliableOptions{
+	st := slow.RunStream(placement.GreedyLatency{}, reliableJobs(slow, 20, 0.3), nil,
+		Options{
 			MaxRetries: 3,
 			Disturb:    func(*node.Node) (bool, float64) { return false, 0.05 },
 		})
@@ -73,13 +73,13 @@ func TestDropSubmitSuppresses(t *testing.T) {
 			noted++
 		}
 	}
-	opts := ReliableOptions{
+	opts := Options{
 		MaxRetries: 3,
 		DropSubmit: func(origin int) bool {
 			return origin == gwID && down(c.K.Now())
 		},
 	}
-	st := c.RunStreamReliable(placement.GreedyLatency{}, jobs, nil, opts)
+	st := c.RunStream(placement.GreedyLatency{}, jobs, nil, opts)
 	if st.Suppressed != int64(noted) {
 		t.Fatalf("suppressed %d, want %d", st.Suppressed, noted)
 	}
@@ -94,12 +94,12 @@ func TestDropSubmitSuppresses(t *testing.T) {
 // TestDisturbZeroOptionsUnchanged: leaving the hooks nil must be
 // byte-for-byte the pre-hook engine.
 func TestDisturbZeroOptionsUnchanged(t *testing.T) {
-	run := func(opts ReliableOptions) *ReliableStats {
+	run := func(opts Options) *Stats {
 		c := miniContinuum()
-		return c.RunStreamReliable(placement.GreedyLatency{}, reliableJobs(c, 25, 0.2), nil, opts)
+		return c.RunStream(placement.GreedyLatency{}, reliableJobs(c, 25, 0.2), nil, opts)
 	}
-	a := run(ReliableOptions{MaxRetries: 3})
-	b := run(ReliableOptions{
+	a := run(Options{MaxRetries: 3})
+	b := run(Options{
 		MaxRetries: 3,
 		Disturb:    func(*node.Node) (bool, float64) { return false, 0 },
 		DropSubmit: func(int) bool { return false },

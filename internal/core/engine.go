@@ -17,26 +17,25 @@ import (
 	"continuum/internal/trace"
 )
 
-// engine is the single execution loop behind all four public runners
-// (RunStream, RunStreamReliable, RunDAG, RunDAGReliable). Every unit of
-// work — an online stream job or one DAG task — flows through the same
-// pipeline:
+// engine is the single execution loop behind both public runners
+// (RunStream and RunDAG). Every unit of work — an online stream job or
+// one DAG task — flows through the same pipeline:
 //
 //	stage inputs → epoch-check → execute → epoch-check →
 //	    account cost/egress → deliver outputs → feedback/trace
 //
-// Fault-awareness is not a separate runner: it is the ReliableOptions
-// hook. With the zero value (no Faults) every epoch-check is a no-op, no
-// retry can ever fire, and no backup replica is ever launched, so a
-// reliable run without faults is the same computation as a base run —
-// the equivalence property engine_test.go asserts. Deadlines
-// (TaskDeadline) and speculation/preemption (Speculate) are likewise
-// hooks on this shared pipeline, so all four entry points inherit them
+// Fault-awareness is not a separate runner: it is the Options hook.
+// With the zero value (no Faults) every epoch-check is a no-op, no retry
+// can ever fire, and no backup replica is ever launched, so a run given
+// a retry budget but no faults is the same computation as a run with
+// zero Options — the equivalence property engine_test.go asserts.
+// Deadlines (TaskDeadline) and speculation/preemption (Speculate) are
+// likewise hooks on this shared pipeline, so both workloads inherit them
 // at once.
 type engine struct {
 	c    *Continuum
-	st   *ReliableStats
-	opts ReliableOptions
+	st   *Stats
+	opts Options
 	// fb receives measured latencies when the policy implements
 	// placement.FeedbackPolicy (stream runs only).
 	fb placement.FeedbackPolicy
@@ -47,15 +46,15 @@ type engine struct {
 	faults []*fault.Target
 }
 
-// defaultRetryBackoff paces re-dispatch when ReliableOptions leaves
-// RetryBackoff unset.
+// defaultRetryBackoff paces re-dispatch when Options leaves RetryBackoff
+// unset.
 const defaultRetryBackoff = 0.1
 
-func newEngine(c *Continuum, opts ReliableOptions) *engine {
+func newEngine(c *Continuum, opts Options) *engine {
 	if opts.RetryBackoff <= 0 {
 		opts.RetryBackoff = defaultRetryBackoff
 	}
-	e := &engine{c: c, st: &ReliableStats{Stats: newStats()}, opts: opts}
+	e := &engine{c: c, st: newStats(), opts: opts}
 	for id, t := range opts.Faults { //det: fills a slice by key
 		if id >= len(e.faults) {
 			e.faults = append(e.faults, make([]*fault.Target, id+1-len(e.faults))...)
@@ -258,7 +257,7 @@ func (e *engine) traceFailure(u unit, why string, execStart float64) {
 
 // stage makes the unit's inputs resident on its node, then calls next.
 // With a fabric enabled every input stages through it (cache hits and
-// transfer coalescing apply — for reliable runs too). Otherwise stream
+// transfer coalescing apply — with or without faults). Otherwise stream
 // jobs ship their input bytes from the origin vertex in one message, and
 // DAG tasks' external inputs are modeled as already resident
 // (predecessor edges move intermediate data explicitly).
@@ -458,10 +457,9 @@ func (e *engine) retry(retriesLeft int, again, exhausted func()) {
 	e.c.K.After(e.opts.RetryBackoff, again)
 }
 
-// streamRun is the engine configuration shared by RunStream and
-// RunStreamReliable: per-job placement at submit time, inputs staged to
-// the chosen node, reply shipped back to the origin, latency measured
-// submit→reply (including any retries).
+// streamRun is RunStream's engine configuration: per-job placement at
+// submit time, inputs staged to the chosen node, reply shipped back to
+// the origin, latency measured submit→reply (including any retries).
 type streamRun struct {
 	e   *engine
 	pol placement.Policy
@@ -487,8 +485,18 @@ type streamJob struct {
 	seq         int
 }
 
-// runStream runs jobs as one streamRun, each job owning its attempts.
-func (c *Continuum) runStream(pol placement.Policy, jobs []StreamJob, candidates []*node.Node, opts ReliableOptions) *ReliableStats {
+// RunStream executes jobs under pol: each job's inputs move to the
+// selected node (via the fabric when enabled, else shipped from the
+// origin), the task executes, and the result returns to the origin. The
+// returned stats measure submit→reply latency, including retry backoff
+// and re-dispatch. Candidates defaults to all nodes when nil.
+//
+// Under opts, placement only considers candidates that are up and not
+// cordoned, and work whose host fails mid-flight (epoch change between
+// dispatch and completion) is lost and re-dispatched up to MaxRetries
+// times. RunStream owns the kernel: it schedules all submissions and
+// runs the simulation to completion.
+func (c *Continuum) RunStream(pol placement.Policy, jobs []StreamJob, candidates []*node.Node, opts Options) *Stats {
 	if len(candidates) == 0 {
 		candidates = c.Nodes
 	}
@@ -599,12 +607,11 @@ func (a *streamJob) delivered(u unit) {
 
 func (a *streamJob) lost() { a.r.retry(a) }
 
-// dagRun is the engine configuration shared by RunDAG and RunDAGReliable:
-// tasks start when their last prerequisite edge arrives, completed
-// outputs are durable (cross-node successor edges are bulk transfers),
-// and latency is measured per task ready→finish. Retries wait for the
-// assigned node (static schedules pin tasks); exhausting a task's retry
-// budget aborts the run.
+// dagRun is RunDAG's engine configuration: tasks start when their last
+// prerequisite edge arrives, completed outputs are durable (cross-node
+// successor edges are bulk transfers), and latency is measured per task
+// ready→finish. Retries wait for the assigned node (static schedules pin
+// tasks); exhausting a task's retry budget aborts the run.
 type dagRun struct {
 	e       *engine
 	d       *task.DAG
@@ -628,8 +635,20 @@ type dagTask struct {
 	retriesLeft, seq int
 }
 
-// runDAG runs schedule sched of d as one dagRun.
-func (c *Continuum) runDAG(d *task.DAG, sched placement.Schedule, env *placement.Env, opts ReliableOptions) (*ReliableStats, error) {
+// RunDAG executes schedule sched of d under the full contention model:
+// a task starts once every predecessor's edge data has arrived (bulk
+// Transfer for cross-node edges) and its external inputs are staged
+// (through the fabric when enabled). Makespan is the headline number for
+// the F2 experiment.
+//
+// Under opts, a completed task's outputs are durable (checkpointed), but
+// a task whose host fails mid-execution is lost and re-executed once the
+// host repairs — up to MaxRetries times per task, after which the run
+// aborts. Retries wait for the assigned node; RetryBackoff paces the
+// re-check while it is down. RunDAG owns the kernel: it runs the
+// simulation to completion and errors, with the stats so far, if the run
+// aborted or any task never became runnable (a malformed schedule).
+func (c *Continuum) RunDAG(d *task.DAG, sched placement.Schedule, env *placement.Env, opts Options) (*Stats, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"maps"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -47,48 +49,26 @@ func traceSpans(t *testing.T, tr *trace.Tracer) []*trace.Span {
 	return out
 }
 
-// statsEqual compares two Stats field-for-field, reporting the first
+// statsEqual compares two Stats field for field, reporting the first
 // mismatch through t.Errorf.
 func statsEqual(t *testing.T, label string, a, b *Stats) bool {
 	t.Helper()
-	ok := true
-	if a.Completed != b.Completed {
-		t.Errorf("%s: Completed %d vs %d", label, a.Completed, b.Completed)
-		ok = false
-	}
 	if !sameHist(a.Latency, b.Latency) {
 		t.Errorf("%s: Latency histograms differ (mean %v vs %v, n %d vs %d)",
 			label, a.Latency.Mean(), b.Latency.Mean(), a.Latency.Count(), b.Latency.Count())
-		ok = false
+		return false
 	}
-	if a.Joules != b.Joules {
-		t.Errorf("%s: Joules %v vs %v", label, a.Joules, b.Joules)
-		ok = false
-	}
-	if a.Dollars != b.Dollars {
-		t.Errorf("%s: Dollars %v vs %v", label, a.Dollars, b.Dollars)
-		ok = false
-	}
-	if a.EgressB != b.EgressB {
-		t.Errorf("%s: EgressB %v vs %v", label, a.EgressB, b.EgressB)
-		ok = false
-	}
-	if a.Makespan != b.Makespan {
-		t.Errorf("%s: Makespan %v vs %v", label, a.Makespan, b.Makespan)
-		ok = false
-	}
-	if len(a.PerNode) != len(b.PerNode) {
+	if !maps.Equal(a.PerNode, b.PerNode) {
 		t.Errorf("%s: PerNode %v vs %v", label, a.PerNode, b.PerNode)
-		ok = false
-	} else {
-		for name, n := range a.PerNode {
-			if b.PerNode[name] != n {
-				t.Errorf("%s: PerNode[%s] %d vs %d", label, name, n, b.PerNode[name])
-				ok = false
-			}
-		}
+		return false
 	}
-	return ok
+	ac, bc := *a, *b
+	ac.Latency, ac.PerNode, bc.Latency, bc.PerNode = nil, nil, nil, nil
+	if !reflect.DeepEqual(ac, bc) {
+		t.Errorf("%s: %+v vs %+v", label, ac, bc)
+		return false
+	}
+	return true
 }
 
 // seededJobs derives a random stream workload from one seed: job count,
@@ -115,22 +95,16 @@ func seededJobs(c *Continuum, seed uint64, withInputs bool) []StreamJob {
 }
 
 // TestZeroFaultStreamEquivalence is the invariant the unified engine
-// buys: a reliable stream run with zero-value ReliableOptions produces
-// Stats identical, field-for-field, to the base runner on the same seed.
+// buys: with no faults, a stream run given a retry budget produces Stats
+// identical, field for field, to a run with zero Options on the same
+// seed — the budget is never spent, and nothing else moves.
 func TestZeroFaultStreamEquivalence(t *testing.T) {
 	prop := func(seed uint64) bool {
 		c1 := miniContinuum()
-		base := c1.RunStream(placement.GreedyLatency{}, seededJobs(c1, seed, false), nil)
-
+		base := c1.RunStream(placement.GreedyLatency{}, seededJobs(c1, seed, false), nil, Options{})
 		c2 := miniContinuum()
-		rel := c2.RunStreamReliable(placement.GreedyLatency{}, seededJobs(c2, seed, false), nil,
-			ReliableOptions{})
-
-		if rel.Retries != 0 || rel.Lost != 0 {
-			t.Errorf("seed %d: zero-fault run retried (%d) or lost (%d)", seed, rel.Retries, rel.Lost)
-			return false
-		}
-		return statsEqual(t, "stream", base, rel.Stats)
+		rel := c2.RunStream(placement.GreedyLatency{}, seededJobs(c2, seed, false), nil, Options{MaxRetries: 3})
+		return statsEqual(t, "stream", base, rel)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 12}); err != nil {
 		t.Fatal(err)
@@ -138,9 +112,9 @@ func TestZeroFaultStreamEquivalence(t *testing.T) {
 }
 
 // TestZeroFaultStreamEquivalenceWithFabric covers the staging branch of
-// the pipeline: with a fabric enabled and inputs attached, base and
-// zero-fault reliable runs must still match exactly (this is the drift
-// the engine removed — the old reliable runner bypassed the fabric).
+// the pipeline: with a fabric enabled and inputs attached, runs with and
+// without a retry budget must still match exactly (this is the drift the
+// engine removed — the old reliable runner bypassed the fabric).
 func TestZeroFaultStreamEquivalenceWithFabric(t *testing.T) {
 	prop := func(seed uint64) bool {
 		mk := func() *Continuum {
@@ -150,15 +124,11 @@ func TestZeroFaultStreamEquivalenceWithFabric(t *testing.T) {
 			return c
 		}
 		c1 := mk()
-		base := c1.RunStream(placement.GreedyLatency{}, seededJobs(c1, seed, true), nil)
+		base := c1.RunStream(placement.GreedyLatency{}, seededJobs(c1, seed, true), nil, Options{})
 		c2 := mk()
-		rel := c2.RunStreamReliable(placement.GreedyLatency{}, seededJobs(c2, seed, true), nil,
-			ReliableOptions{MaxRetries: 3})
-		if rel.Retries != 0 || rel.Lost != 0 {
-			t.Errorf("seed %d: zero-fault fabric run retried or lost", seed)
-			return false
-		}
-		return statsEqual(t, "stream+fabric", base, rel.Stats)
+		rel := c2.RunStream(placement.GreedyLatency{}, seededJobs(c2, seed, true), nil,
+			Options{MaxRetries: 3})
+		return statsEqual(t, "stream+fabric", base, rel)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 8}); err != nil {
 		t.Fatal(err)
@@ -166,7 +136,8 @@ func TestZeroFaultStreamEquivalenceWithFabric(t *testing.T) {
 }
 
 // TestZeroFaultDAGEquivalence asserts the same invariant on the DAG
-// path: RunDAGReliable with empty Faults reproduces RunDAG field-for-field.
+// path: with no faults, a retry budget leaves every Stats field as a
+// run with zero Options has it.
 func TestZeroFaultDAGEquivalence(t *testing.T) {
 	prop := func(seed uint64) bool {
 		rng := workload.NewRNG(seed)
@@ -176,23 +147,19 @@ func TestZeroFaultDAGEquivalence(t *testing.T) {
 
 		c1 := miniContinuum()
 		env1 := c1.Env()
-		base, err := c1.RunDAG(d, placement.HEFT(env1, d), env1)
+		base, err := c1.RunDAG(d, placement.HEFT(env1, d), env1, Options{})
 		if err != nil {
 			t.Errorf("seed %d: base DAG: %v", seed, err)
 			return false
 		}
 		c2 := miniContinuum()
 		env2 := c2.Env()
-		rel, err := c2.RunDAGReliable(d, placement.HEFT(env2, d), env2, ReliableOptions{})
+		rel, err := c2.RunDAG(d, placement.HEFT(env2, d), env2, Options{MaxRetries: 3})
 		if err != nil {
-			t.Errorf("seed %d: reliable DAG: %v", seed, err)
+			t.Errorf("seed %d: DAG with a retry budget: %v", seed, err)
 			return false
 		}
-		if rel.Retries != 0 || rel.Lost != 0 {
-			t.Errorf("seed %d: zero-fault DAG retried or lost", seed)
-			return false
-		}
-		return statsEqual(t, "dag", base, rel.Stats)
+		return statsEqual(t, "dag", base, rel)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
@@ -200,10 +167,10 @@ func TestZeroFaultDAGEquivalence(t *testing.T) {
 }
 
 // TestReliableStreamStagesThroughFabric is the regression test for the
-// pre-engine bug: RunStreamReliable ignored c.Fabric and always shipped
-// inputs from the origin, so edge caching had no effect on reliability
-// runs. With the engine, a fabric hit at the executing node must remove
-// the input transfer from the reliable run's latency.
+// pre-engine bug: the old reliable stream runner ignored c.Fabric and
+// always shipped inputs from the origin, so edge caching had no effect
+// on reliability runs. With the engine, a fabric hit at the executing
+// node must remove the input transfer from the reliable run's latency.
 func TestReliableStreamStagesThroughFabric(t *testing.T) {
 	const inputBytes = 1.25e9 // ~1s over the 10 Gbit WAN link
 	mkJobs := func(c *Continuum) []StreamJob {
@@ -219,8 +186,8 @@ func TestReliableStreamStagesThroughFabric(t *testing.T) {
 
 	// Without a fabric, the input ships gateway→cloud over the WAN.
 	c1 := miniContinuum()
-	shipped := c1.RunStreamReliable(placement.CloudOnly{}, mkJobs(c1), nil,
-		ReliableOptions{MaxRetries: 2})
+	shipped := c1.RunStream(placement.CloudOnly{}, mkJobs(c1), nil,
+		Options{MaxRetries: 2})
 	if shipped.Completed != 1 {
 		t.Fatalf("shipped run completed %d", shipped.Completed)
 	}
@@ -230,8 +197,8 @@ func TestReliableStreamStagesThroughFabric(t *testing.T) {
 	c2 := miniContinuum()
 	stores := enableFabric(c2, workload.NewRNG(1), 2e9, data.LRU)
 	c2.Fabric.Pin(data.Dataset{Name: "model", Bytes: inputBytes}, c2.Nodes[1].ID)
-	cached := c2.RunStreamReliable(placement.CloudOnly{}, mkJobs(c2), nil,
-		ReliableOptions{MaxRetries: 2})
+	cached := c2.RunStream(placement.CloudOnly{}, mkJobs(c2), nil,
+		Options{MaxRetries: 2})
 	if cached.Completed != 1 {
 		t.Fatalf("cached run completed %d", cached.Completed)
 	}
@@ -259,11 +226,11 @@ func TestReliableTraceParity(t *testing.T) {
 	// Stream: one task span per job.
 	c1 := miniContinuum()
 	c1.Tracer = trace.New(0)
-	c1.RunStream(placement.GreedyLatency{}, seededJobs(c1, 11, false), nil)
+	c1.RunStream(placement.GreedyLatency{}, seededJobs(c1, 11, false), nil, Options{})
 	c2 := miniContinuum()
 	c2.Tracer = trace.New(0)
-	c2.RunStreamReliable(placement.GreedyLatency{}, seededJobs(c2, 11, false), nil,
-		ReliableOptions{MaxRetries: 3})
+	c2.RunStream(placement.GreedyLatency{}, seededJobs(c2, 11, false), nil,
+		Options{MaxRetries: 3})
 	base, rel := kindCounts(c1.Tracer), kindCounts(c2.Tracer)
 	if len(base) == 0 || base[trace.KindTask] == 0 {
 		t.Fatal("base stream run recorded no task spans")
@@ -282,12 +249,12 @@ func TestReliableTraceParity(t *testing.T) {
 	sched := placement.Schedule{Algorithm: "manual", Assign: map[task.ID]int{0: 0, 1: 1}}
 	c3 := miniContinuum()
 	c3.Tracer = trace.New(0)
-	if _, err := c3.RunDAG(d, sched, c3.Env()); err != nil {
+	if _, err := c3.RunDAG(d, sched, c3.Env(), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	c4 := miniContinuum()
 	c4.Tracer = trace.New(0)
-	if _, err := c4.RunDAGReliable(d, sched, c4.Env(), ReliableOptions{MaxRetries: 3}); err != nil {
+	if _, err := c4.RunDAG(d, sched, c4.Env(), Options{MaxRetries: 3}); err != nil {
 		t.Fatal(err)
 	}
 	base, rel = kindCounts(c3.Tracer), kindCounts(c4.Tracer)
@@ -313,7 +280,7 @@ func TestDAGLatencyIsReadyToFinish(t *testing.T) {
 	d.AddTask("b", 2.5e9, 1e3)
 	d.Connect(0, 1, -1)
 	sched := placement.Schedule{Algorithm: "manual", Assign: map[task.ID]int{0: 0, 1: 0}}
-	st, err := c.RunDAG(d, sched, c.Env())
+	st, err := c.RunDAG(d, sched, c.Env(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +325,7 @@ func TestDAGTaskAllocations(t *testing.T) {
 			a := c.AddNode(cat["gateway"])
 			c.AddNode(cat["cloud"])
 			c.Connect(a.ID, a.ID+1, 0.020, 1.25e9)
-			st, err := c.RunDAG(d, sched, c.Env())
+			st, err := c.RunDAG(d, sched, c.Env(), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -401,7 +368,7 @@ func TestStreamJobAllocations(t *testing.T) {
 					Submit: float64(i) * 0.01,
 				}
 			}
-			if st := c.RunStream(placement.GreedyLatency{}, js, nil); st.Completed != int64(jobs) {
+			if st := c.RunStream(placement.GreedyLatency{}, js, nil, Options{}); st.Completed != int64(jobs) {
 				t.Fatalf("%d of %d jobs completed", st.Completed, jobs)
 			}
 		}

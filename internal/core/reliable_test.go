@@ -23,11 +23,11 @@ func reliableJobs(c *Continuum, n int, gap float64) []StreamJob {
 
 func TestReliableNoFaultsMatchesPlain(t *testing.T) {
 	c1 := miniContinuum()
-	plain := c1.RunStream(placement.GreedyLatency{}, reliableJobs(c1, 30, 0.2), nil)
+	plain := c1.RunStream(placement.GreedyLatency{}, reliableJobs(c1, 30, 0.2), nil, Options{})
 
 	c2 := miniContinuum()
-	rel := c2.RunStreamReliable(placement.GreedyLatency{}, reliableJobs(c2, 30, 0.2), nil,
-		ReliableOptions{MaxRetries: 3})
+	rel := c2.RunStream(placement.GreedyLatency{}, reliableJobs(c2, 30, 0.2), nil,
+		Options{MaxRetries: 3})
 
 	if rel.Completed != plain.Completed || rel.Retries != 0 || rel.Lost != 0 {
 		t.Fatalf("fault-free reliable run diverged: %+v vs %d completed", rel, plain.Completed)
@@ -44,11 +44,11 @@ func TestReliableAvoidsDownNodes(t *testing.T) {
 	c := miniContinuum()
 	// The gateway flaps constantly; the cloud never fails.
 	gwFault := fault.Attach(c.K, "gw", fault.Spec{MeanUp: 0.5, MeanDown: 0.5}, 1e4, workload.NewRNG(1))
-	opts := ReliableOptions{
+	opts := Options{
 		Faults:     map[int]*fault.Target{c.Nodes[0].ID: gwFault},
 		MaxRetries: 5,
 	}
-	st := c.RunStreamReliable(placement.GreedyLatency{}, reliableJobs(c, 50, 0.2), nil, opts)
+	st := c.RunStream(placement.GreedyLatency{}, reliableJobs(c, 50, 0.2), nil, opts)
 	if st.Completed+st.Lost != 50 {
 		t.Fatalf("accounting: %d completed + %d lost != 50", st.Completed, st.Lost)
 	}
@@ -67,12 +67,12 @@ func TestReliableRetriesOnLoss(t *testing.T) {
 	// up window, but retries must be visible.
 	c := miniContinuum()
 	gwFault := fault.Attach(c.K, "gw", fault.Spec{MeanUp: 0.3, MeanDown: 0.2}, 1e4, workload.NewRNG(2))
-	opts := ReliableOptions{
+	opts := Options{
 		Faults:     map[int]*fault.Target{c.Nodes[0].ID: gwFault},
 		MaxRetries: 50,
 	}
 	// Only the gateway as candidate.
-	st := c.RunStreamReliable(placement.GreedyLatency{},
+	st := c.RunStream(placement.GreedyLatency{},
 		reliableJobs(c, 20, 0.5), c.Nodes[:1], opts)
 	if st.Retries == 0 {
 		t.Fatal("no retries despite constant flapping on the only candidate")
@@ -86,11 +86,11 @@ func TestReliableExhaustionCountsLost(t *testing.T) {
 	c := miniContinuum()
 	// Down almost always; zero retries.
 	gwFault := fault.Attach(c.K, "gw", fault.Spec{MeanUp: 0.01, MeanDown: 100}, 1e4, workload.NewRNG(3))
-	opts := ReliableOptions{
+	opts := Options{
 		Faults:     map[int]*fault.Target{c.Nodes[0].ID: gwFault},
 		MaxRetries: 0,
 	}
-	st := c.RunStreamReliable(placement.GreedyLatency{},
+	st := c.RunStream(placement.GreedyLatency{},
 		reliableJobs(c, 10, 1.0), c.Nodes[:1], opts)
 	if st.Lost == 0 {
 		t.Fatal("no losses with an almost-always-down sole candidate and 0 retries")
@@ -105,15 +105,15 @@ func TestReliableLatencyIncludesRetries(t *testing.T) {
 	// baseline.
 	base := func() float64 {
 		c := miniContinuum()
-		st := c.RunStreamReliable(placement.GreedyLatency{},
-			reliableJobs(c, 30, 0.5), c.Nodes[:1], ReliableOptions{MaxRetries: 3})
+		st := c.RunStream(placement.GreedyLatency{},
+			reliableJobs(c, 30, 0.5), c.Nodes[:1], Options{MaxRetries: 3})
 		return st.Latency.Mean()
 	}()
 	c := miniContinuum()
 	gwFault := fault.Attach(c.K, "gw", fault.Spec{MeanUp: 0.4, MeanDown: 0.3}, 1e4, workload.NewRNG(4))
-	st := c.RunStreamReliable(placement.GreedyLatency{},
+	st := c.RunStream(placement.GreedyLatency{},
 		reliableJobs(c, 30, 0.5), c.Nodes[:1],
-		ReliableOptions{Faults: map[int]*fault.Target{c.Nodes[0].ID: gwFault}, MaxRetries: 50})
+		Options{Faults: map[int]*fault.Target{c.Nodes[0].ID: gwFault}, MaxRetries: 50})
 	if st.Retries == 0 {
 		t.Skip("no retries occurred; cannot compare")
 	}

@@ -56,7 +56,7 @@ func specJobs(c *Continuum) []StreamJob {
 // delivery — with every stat consistent and no double-completion.
 func TestSpeculationRescuesQueuedStraggler(t *testing.T) {
 	base := specContinuum()
-	bst := base.RunStreamReliable(pinFirst{}, specJobs(base), nil, ReliableOptions{MaxRetries: 1})
+	bst := base.RunStream(pinFirst{}, specJobs(base), nil, Options{MaxRetries: 1})
 	if bst.Completed != 2 {
 		t.Fatalf("baseline completed %d, want 2", bst.Completed)
 	}
@@ -65,7 +65,7 @@ func TestSpeculationRescuesQueuedStraggler(t *testing.T) {
 	}
 
 	c := specContinuum()
-	st := c.RunStreamReliable(pinFirst{}, specJobs(c), nil, ReliableOptions{
+	st := c.RunStream(pinFirst{}, specJobs(c), nil, Options{
 		MaxRetries: 1,
 		Speculate:  SpeculateOptions{Multiple: 2},
 	})
@@ -103,9 +103,9 @@ func TestSpeculationNoBackupCandidate(t *testing.T) {
 		return c
 	}
 	c1 := mk()
-	base := c1.RunStreamReliable(pinFirst{}, specJobs(c1), nil, ReliableOptions{MaxRetries: 1})
+	base := c1.RunStream(pinFirst{}, specJobs(c1), nil, Options{MaxRetries: 1})
 	c2 := mk()
-	spec := c2.RunStreamReliable(pinFirst{}, specJobs(c2), nil, ReliableOptions{
+	spec := c2.RunStream(pinFirst{}, specJobs(c2), nil, Options{
 		MaxRetries: 1,
 		Speculate:  SpeculateOptions{Multiple: 2},
 	})
@@ -113,7 +113,7 @@ func TestSpeculationNoBackupCandidate(t *testing.T) {
 		t.Fatalf("single-node run speculated: launches/wins/preempted = %d/%d/%d",
 			spec.SpeculativeLaunches, spec.SpeculativeWins, spec.PreemptedTasks)
 	}
-	statsEqual(t, "no-backup-candidate", base.Stats, spec.Stats)
+	statsEqual(t, "no-backup-candidate", base, spec)
 }
 
 // TestSpeculationQuantileTrigger exercises the latency-quantile hedge
@@ -143,7 +143,7 @@ func TestSpeculationQuantileTrigger(t *testing.T) {
 			Submit: float64(i) * 2, // spaced out: no queueing, pure node speed
 		})
 	}
-	st := c.RunStreamReliable(&placement.RoundRobin{}, jobs, nil, ReliableOptions{
+	st := c.RunStream(&placement.RoundRobin{}, jobs, nil, Options{
 		MaxRetries: 1,
 		Speculate:  SpeculateOptions{Quantile: 0.5},
 	})
@@ -170,7 +170,7 @@ func TestSpeculationDAG(t *testing.T) {
 	d.AddTask("whale", 12.5e9, 10)
 	d.AddTask("mouse", 2.5e8, 10)
 	sched := placement.Schedule{Algorithm: "manual", Assign: map[task.ID]int{0: 0, 1: 0}}
-	st, err := c.RunDAGReliable(d, sched, c.Env(), ReliableOptions{
+	st, err := c.RunDAG(d, sched, c.Env(), Options{
 		MaxRetries: 1,
 		Speculate:  SpeculateOptions{Multiple: 2},
 	})
@@ -196,7 +196,7 @@ func TestSpeculationDAG(t *testing.T) {
 func TestSpeculationTraceAttribution(t *testing.T) {
 	c := specContinuum()
 	c.Tracer = trace.New(0)
-	c.RunStreamReliable(pinFirst{}, specJobs(c), nil, ReliableOptions{
+	c.RunStream(pinFirst{}, specJobs(c), nil, Options{
 		MaxRetries: 1,
 		Speculate:  SpeculateOptions{Multiple: 2},
 	})

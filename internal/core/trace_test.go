@@ -18,7 +18,7 @@ func TestRunStreamRecordsTrace(t *testing.T) {
 		{Task: &task.Task{Name: "a", ScalarWork: 1e8, OutputBytes: 10}, Origin: c.Nodes[0].ID, Submit: 0},
 		{Task: &task.Task{Name: "b", ScalarWork: 1e8, OutputBytes: 10}, Origin: c.Nodes[0].ID, Submit: 1},
 	}
-	st := c.RunStream(placement.GreedyLatency{}, jobs, nil)
+	st := c.RunStream(placement.GreedyLatency{}, jobs, nil, Options{})
 	if st.Completed != 2 {
 		t.Fatalf("Completed = %d", st.Completed)
 	}
@@ -45,7 +45,7 @@ func TestEngineSpanAttribution(t *testing.T) {
 		{Task: &task.Task{Name: "a", ScalarWork: 1e8, OutputBytes: 10}, Origin: c.Nodes[0].ID, Submit: 0},
 		{Task: &task.Task{Name: "b", ScalarWork: 1e8, OutputBytes: 10}, Origin: c.Nodes[0].ID, Submit: 1},
 	}
-	if st := c.RunStream(placement.GreedyLatency{}, jobs, nil); st.Completed != 2 {
+	if st := c.RunStream(placement.GreedyLatency{}, jobs, nil, Options{}); st.Completed != 2 {
 		t.Fatalf("Completed = %d", st.Completed)
 	}
 	if got := len(c.Tracer.Filter(trace.KindDispatch)); got != 2 {
@@ -73,8 +73,8 @@ func TestEngineSpanAttribution(t *testing.T) {
 			Submit: float64(i) * 0.2,
 		})
 	}
-	st := c2.RunStreamReliable(placement.GreedyLatency{}, retryJobs,
-		[]*node.Node{c2.Nodes[0]}, ReliableOptions{
+	st := c2.RunStream(placement.GreedyLatency{}, retryJobs,
+		[]*node.Node{c2.Nodes[0]}, Options{
 			Faults:     map[int]*fault.Target{c2.Nodes[0].ID: gwFault},
 			MaxRetries: 50,
 		})
@@ -97,7 +97,7 @@ func TestRunStreamNilTracerSafe(t *testing.T) {
 	jobs := []StreamJob{
 		{Task: &task.Task{Name: "a", ScalarWork: 1e8}, Origin: c.Nodes[0].ID, Submit: 0},
 	}
-	if st := c.RunStream(placement.GreedyLatency{}, jobs, nil); st.Completed != 1 {
+	if st := c.RunStream(placement.GreedyLatency{}, jobs, nil, Options{}); st.Completed != 1 {
 		t.Fatal("nil tracer broke the runner")
 	}
 }

@@ -34,13 +34,13 @@ func F10Workflow(size Size) *Result {
 		MeanWork: 1e10, WorkSigma: 0.6, MeanBytes: 1e7, BytesSigma: 0.5,
 	})
 
-	run := func(mtbf float64) (*core.ReliableStats, error) {
+	run := func(mtbf float64) (*core.Stats, error) {
 		// Core-constrained heterogeneous cluster: HEFT must spread work,
 		// so every node's failures matter.
 		c := tightSchedContinuum()
 		env := c.Env()
 		sched := placement.HEFT(env, d)
-		opts := core.ReliableOptions{MaxRetries: 1000, RetryBackoff: 0.5}
+		opts := core.Options{MaxRetries: 1000, RetryBackoff: 0.5}
 		if mtbf < 1e8 {
 			rng := workload.NewRNG(31)
 			opts.Faults = map[int]*fault.Target{}
@@ -48,7 +48,7 @@ func F10Workflow(size Size) *Result {
 				opts.Faults[n.ID] = fault.Attach(c.K, n.Name, fault.Spec{MeanUp: mtbf, MeanDown: mttr}, 1e6, rng)
 			}
 		}
-		return c.RunDAGReliable(d, sched, env, opts)
+		return c.RunDAG(d, sched, env, opts)
 	}
 
 	base, err := run(1e9)

@@ -85,11 +85,11 @@ func F11Speculation(size Size) *Result {
 			// the observed latency distribution betrays it.
 			tt.Gateways[0].CoreFlops /= slow
 			jobs := f11Jobs(tt, workload.NewRNG(7), rate, horizon, sigma)
-			opts := core.ReliableOptions{MaxRetries: 2}
+			opts := core.Options{MaxRetries: 2}
 			if spec {
 				opts.Speculate = core.SpeculateOptions{Quantile: 0.80, Multiple: 2}
 			}
-			st := tt.RunStreamReliable(&placement.RoundRobin{}, jobs, tt.ComputeNodes(), opts)
+			st := tt.RunStream(&placement.RoundRobin{}, jobs, tt.ComputeNodes(), opts)
 
 			wasted := 0.0
 			if st.Completed+st.PreemptedTasks > 0 {

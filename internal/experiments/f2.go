@@ -53,7 +53,7 @@ func F2DAGSched(size Size) *Result {
 			c := buildF2Continuum()
 			env := c.Env()
 			sched := algo.run(env, d, workload.NewRNG(7))
-			st, err := c.RunDAG(d, sched, env)
+			st, err := c.RunDAG(d, sched, env, core.Options{})
 			if err != nil {
 				panic(fmt.Sprintf("experiments: F2 %s on %s: %v", algo.name, d.Name, err))
 			}

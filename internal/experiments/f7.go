@@ -52,7 +52,7 @@ func F7Reliability(size Size) *Result {
 				faults[gw.ID] = fault.Attach(tt.K, gw.Name, fault.Spec{MeanUp: mtbf, MeanDown: mttr}, horizon*3, rng)
 			}
 			jobs := t1Jobs(tt, workload.NewRNG(42), 5, horizon)
-			st := tt.RunStreamReliable(pol, jobs, tt.ComputeNodes(), core.ReliableOptions{
+			st := tt.RunStream(pol, jobs, tt.ComputeNodes(), core.Options{
 				Faults:     faults,
 				MaxRetries: 5,
 			})

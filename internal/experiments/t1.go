@@ -73,7 +73,7 @@ func T1Placement(size Size) *Result {
 		for _, pol := range t1Policies() {
 			tt := core.BuildThreeTier(core.DefaultThreeTierParams(gateways, sensorsPer))
 			jobs := t1Jobs(tt, workload.NewRNG(42), rate, horizon)
-			st := tt.RunStream(pol, jobs, tt.ComputeNodes())
+			st := tt.RunStream(pol, jobs, tt.ComputeNodes(), core.Options{})
 
 			cloudShare := float64(st.PerNode["cloud"]) / float64(st.Completed)
 			tbl.AddRow(

@@ -44,7 +44,7 @@ func T4Pareto(size Size) *Result {
 	for _, pol := range pols {
 		tt := core.BuildThreeTier(core.DefaultThreeTierParams(gateways, sensorsPer))
 		jobs := t1Jobs(tt, workload.NewRNG(77), rate, horizon)
-		st := tt.RunStream(pol, jobs, tt.ComputeNodes())
+		st := tt.RunStream(pol, jobs, tt.ComputeNodes(), core.Options{})
 		rows = append(rows, row{pol.Name(), st.Latency.Mean(), st.Joules, st.Dollars})
 		pts = append(pts, placement.Point{
 			Label: pol.Name(), Latency: st.Latency.Mean(),

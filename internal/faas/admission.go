@@ -12,8 +12,7 @@ package faas
 // internal/autoscale applies to simulated fleets). The decisions live in
 // Gate, a core that reads no clock and is told each queue wait: the
 // admitter drives it in wall time, and the simulator's engine in kernel
-// time (core.ReliableOptions.Admission), so both backends shed by one
-// rule.
+// time (core.Options.Admission), so both backends shed by one rule.
 
 import (
 	"context"

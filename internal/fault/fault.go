@@ -1,8 +1,8 @@
 // Package fault injects fail-stop failures: a target alternates
 // exponentially distributed up and down Phases (the classic MTBF/MTTR
 // model) and bumps an epoch counter as it fails, and executors (see
-// core.RunStreamReliable) treat work whose host changed epoch mid-flight
-// as lost and retry elsewhere. Chaos adds per-request faults on the same
+// core.Options) treat work whose host changed epoch mid-flight as lost
+// and retry elsewhere. Chaos adds per-request faults on the same
 // Phases, for the simulator and the live wire server alike. The
 // continuum's edge is flaky by nature — sensors die, gateways reboot,
 // links flap — and this package powers the F7 reliability experiment.

@@ -135,22 +135,6 @@ func TestTreeMetricsZeroAllocWarm(t *testing.T) {
 	}
 }
 
-func TestReachable(t *testing.T) {
-	// 0→1→2, 3→0, 4 isolated.
-	n := New(sim.NewKernel(), 5)
-	n.AddLink(0, 1, 0, 1)
-	n.AddLink(1, 2, 0, 1)
-	n.AddLink(3, 0, 0, 1)
-	fwd, rev := n.Reachable(0, false), n.Reachable(0, true)
-	wantF := []bool{true, true, true, false, false}
-	wantR := []bool{true, false, false, true, false}
-	for v := range wantF {
-		if fwd[v] != wantF[v] || rev[v] != wantR[v] {
-			t.Fatalf("vertex %d: forward %v reverse %v, want %v %v", v, fwd[v], rev[v], wantF[v], wantR[v])
-		}
-	}
-}
-
 func BenchmarkMessageTime(b *testing.B) {
 	n := line(sim.NewKernel(), 64, 0.001, 1e9)
 	n.MessageTime(0, 63, 1e6)

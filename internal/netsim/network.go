@@ -356,38 +356,6 @@ func (e *UnreachableError) Error() string {
 	return fmt.Sprintf("netsim: node %d unreachable from %d", e.To, e.From)
 }
 
-// Reachable reports, per vertex, whether a path leads to it from src — or,
-// with reverse, whether a path leads from it to src. It is one O(V+E)
-// search and touches no route cache.
-func (n *Network) Reachable(src int, reverse bool) []bool {
-	n.checkNode(src)
-	adj := n.adj
-	if reverse {
-		adj = make([][]*Link, len(n.adj))
-		for _, l := range n.links {
-			adj[l.To] = append(adj[l.To], l)
-		}
-	}
-	seen := make([]bool, len(n.adj))
-	seen[src] = true
-	stack := []int{src}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, l := range adj[v] {
-			w := l.To
-			if reverse {
-				w = l.From
-			}
-			if !seen[w] {
-				seen[w] = true
-				stack = append(stack, w)
-			}
-		}
-	}
-	return seen
-}
-
 // Latency returns the one-way minimum propagation latency from a to b, or
 // +Inf if unreachable.
 func (n *Network) Latency(a, b int) float64 {

@@ -1,10 +1,9 @@
 // Package retry provides the reliability primitives the live serving
 // path shares: retry with exponential backoff and full jitter, and a
 // per-endpoint circuit breaker. The simulator models failure with
-// internal/fault and the engine's ReliableOptions; this package gives the
-// real wire/faas stack the matching survival behavior, so "kill an
-// endpoint mid-run" degrades to retries and failover instead of hung or
-// lost requests.
+// internal/fault and core.Options; this package gives the real wire/faas
+// stack the matching survival behavior, so "kill an endpoint mid-run"
+// degrades to retries and failover instead of hung or lost requests.
 //
 // The breaker distinguishes failure from abandonment: Failure counts
 // toward tripping, while Cancel records neither success nor failure —

@@ -98,7 +98,7 @@ type StreamJSON struct {
 	// continuumd): under overload, low-priority origins shed first.
 	Priorities map[string]int `json:"priorities,omitempty"`
 	// Admission, when > 0, is the capacity of the admission gate the sim
-	// backend's jobs pass (core.ReliableOptions.Admission). Jobs over it
+	// backend's jobs pass (core.Options.Admission). Jobs over it
 	// queue; past the queue's class watermarks they are shed, lowest
 	// class first, and count in the report's Shed, not Lost. The live
 	// backend's endpoints run the plain gate and ignore it.
@@ -164,6 +164,13 @@ type Plan struct {
 	phases   []workload.Phase // the stream's arrival rate schedule
 	accel    node.AccelKind   // the stream tasks' accelerator kind
 	rng      workload.RNG     // the seed stream after the event compile's split
+
+	// The workload's constructors, each given the run's stream for it:
+	// the stream's placement policy (a stateful one is new per run), or
+	// the DAG's generator and scheduler.
+	policy   func(*workload.RNG) placement.Policy
+	dag      func(*workload.RNG) *task.DAG
+	schedule func(*placement.Env, *task.DAG, *workload.RNG) placement.Schedule
 }
 
 // Validate checks the whole description; it is Compile with the plan
@@ -175,7 +182,9 @@ func (s *Scenario) Validate() error {
 
 // Compile checks the whole description and reports the first problem
 // with a positional message (nodes[i], links[i], events[i]), so a bad
-// file fails before it runs — never as a panic mid-run.
+// file fails before it runs — never as a panic mid-run. A fleet whose
+// links leave some node with no path to nodes[0] is such a problem:
+// placement assumes every node reaches every other.
 func (s *Scenario) Compile() (*Plan, error) {
 	fail := func(format string, args ...any) (*Plan, error) {
 		return nil, fmt.Errorf("scenario %q: %s", s.Name, fmt.Sprintf(format, args...))
@@ -198,11 +207,29 @@ func (s *Scenario) Compile() (*Plan, error) {
 			return fail("nodes[%d] (%q): %v", i, n.Name, err)
 		}
 	}
+	// Links are duplex, so the fleet is connected exactly when one
+	// union-find set holds every node. parent[i] leads toward the root
+	// of node i's set; sets counts the sets left.
+	parent := make([]int, len(s.Nodes))
+	for i := range parent {
+		parent[i] = i
+	}
+	root := func(i int) int {
+		for parent[i] != i {
+			parent[i] = parent[parent[i]]
+			i = parent[i]
+		}
+		return i
+	}
+	sets := len(s.Nodes)
 	for i, l := range s.Links {
-		for _, end := range []string{l.A, l.B} {
-			if _, ok := names[end]; !ok {
+		var ends [2]int
+		for k, end := range [2]string{l.A, l.B} {
+			j, ok := names[end]
+			if !ok {
 				return fail("links[%d] (%s-%s): endpoint %q is not a defined node", i, l.A, l.B, end)
 			}
+			ends[k] = j
 		}
 		if l.A == l.B {
 			return fail("links[%d]: self-link %q", i, l.A)
@@ -213,6 +240,17 @@ func (s *Scenario) Compile() (*Plan, error) {
 		if l.Capacity <= 0 {
 			return fail("links[%d] (%s-%s): capacity %v must be positive", i, l.A, l.B, l.Capacity)
 		}
+		if a, b := root(ends[0]), root(ends[1]); a != b {
+			parent[a] = b
+			sets--
+		}
+	}
+	// With sets > 1 some node lies outside nodes[0]'s set, so the scan
+	// below returns before it runs out of nodes.
+	for i := 1; sets > 1; i++ {
+		if root(i) != root(0) {
+			return fail("nodes[%d] (%q): no path to nodes[0] (%q)", i, s.Nodes[i].Name, s.Nodes[0].Name)
+		}
 	}
 	if s.Stream == nil && s.DAG == nil {
 		return fail("no workload (stream or dag)")
@@ -221,7 +259,7 @@ func (s *Scenario) Compile() (*Plan, error) {
 		return fail("both stream and dag specified")
 	}
 	if s.Stream != nil {
-		if _, err := parsePolicy(s.Stream.Policy, workload.NewRNG(0)); err != nil {
+		if p.policy, err = parsePolicy(s.Stream.Policy); err != nil {
 			return fail("stream: %v", err)
 		}
 		if len(s.Stream.Origins) == 0 {
@@ -266,10 +304,10 @@ func (s *Scenario) Compile() (*Plan, error) {
 		if s.DAG.Size > maxDAGSize {
 			return fail("dag: size %d exceeds %d", s.DAG.Size, maxDAGSize)
 		}
-		if _, err := dagGen(s.DAG); err != nil {
+		if p.dag, err = dagGen(s.DAG); err != nil {
 			return fail("dag: %v", err)
 		}
-		if _, err := parseScheduler(s.DAG.Scheduler); err != nil {
+		if p.schedule, err = parseScheduler(s.DAG.Scheduler); err != nil {
 			return fail("dag: %v", err)
 		}
 	}
@@ -303,27 +341,29 @@ func parseAccelKind(s string) (node.AccelKind, error) {
 	return 0, fmt.Errorf("unknown accel kind %q", s)
 }
 
-func parsePolicy(name string, rng *workload.RNG) (placement.Policy, error) {
+func parsePolicy(name string) (func(*workload.RNG) placement.Policy, error) {
+	var pol placement.Policy // a stateless policy every run shares
 	switch name {
 	case "edge-only":
-		return placement.EdgeOnly{}, nil
+		pol = placement.EdgeOnly{}
 	case "cloud-only":
-		return placement.CloudOnly{}, nil
+		pol = placement.CloudOnly{}
 	case "greedy-latency":
-		return placement.GreedyLatency{}, nil
+		pol = placement.GreedyLatency{}
 	case "greedy-energy":
-		return placement.GreedyEnergy{}, nil
+		pol = placement.GreedyEnergy{}
 	case "greedy-cost":
-		return placement.GreedyCost{}, nil
+		pol = placement.GreedyCost{}
 	case "data-aware":
-		return placement.DataAware{}, nil
+		pol = placement.DataAware{}
 	case "round-robin":
-		return &placement.RoundRobin{}, nil
+		return func(*workload.RNG) placement.Policy { return &placement.RoundRobin{} }, nil
 	case "random":
-		return placement.Random{RNG: rng}, nil
+		return func(rng *workload.RNG) placement.Policy { return placement.Random{RNG: rng} }, nil
 	default:
 		return nil, fmt.Errorf("unknown policy %q", name)
 	}
+	return func(*workload.RNG) placement.Policy { return pol }, nil
 }
 
 func parseScheduler(name string) (func(*placement.Env, *task.DAG, *workload.RNG) placement.Schedule, error) {
@@ -357,8 +397,8 @@ func parseScheduler(name string) (func(*placement.Env, *task.DAG, *workload.RNG)
 // so a larger size would exhaust memory, or overflow, mid-run.
 const maxDAGSize = 1 << 16
 
-// dagGen returns the generator a DAG description names. A run calls it
-// with its seeded stream; Compile checks the name without building a DAG.
+// dagGen returns the generator a DAG description names. Compile keeps
+// it in the Plan; a run calls it with its seeded stream.
 func dagGen(dj *DAGJSON) (func(*workload.RNG) *task.DAG, error) {
 	spec := task.GenSpec{
 		MeanWork: dj.MeanWork, WorkSigma: 0.8,

@@ -130,6 +130,55 @@ func TestValidateCatchesErrors(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsDisconnectedFleet: a fleet some node of which has
+// no path to nodes[0] fails Compile with a positional message, so
+// `scenario validate` rejects it before any run; a chain that joins
+// every node, its links listed out of order, passes and runs.
+func TestValidateRejectsDisconnectedFleet(t *testing.T) {
+	fleet := func(names []string, links ...[2]string) *Scenario {
+		s := Example()
+		s.Events, s.Nodes, s.Links = nil, nil, nil
+		for _, name := range names {
+			n := Example().Nodes[0]
+			n.Name = name
+			s.Nodes = append(s.Nodes, n)
+		}
+		for _, l := range links {
+			s.Links = append(s.Links, LinkJSON{A: l[0], B: l[1], Latency: 0.002, Capacity: 1.25e8})
+		}
+		s.Stream.Origins = []string{"a"}
+		return s
+	}
+	cases := []struct {
+		name string
+		s    *Scenario
+		want string // "" for a connected fleet
+	}{
+		{"two nodes, no links", fleet([]string{"a", "b"}),
+			`nodes[1] ("b"): no path to nodes[0] ("a")`},
+		{"two islands", fleet([]string{"a", "b", "c", "d"}, [2]string{"a", "b"}, [2]string{"d", "c"}),
+			`nodes[2] ("c"): no path to nodes[0] ("a")`},
+		{"chain", fleet([]string{"a", "b", "c", "d"}, [2]string{"c", "d"}, [2]string{"b", "c"}, [2]string{"b", "a"}), ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.s.Validate()
+			if tc.want == "" {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r, err := tc.s.Run(); err != nil || r.Completed == 0 {
+					t.Fatalf("connected fleet: %v completed, err %v", r, err)
+				}
+				return
+			}
+			if err == nil || !strings.HasSuffix(err.Error(), tc.want) {
+				t.Fatalf("error %v, want one ending %q", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestDAGScenarioRuns(t *testing.T) {
 	s := Example()
 	s.Stream, s.Events = nil, nil

@@ -143,11 +143,8 @@ func (p *Plan) run(tr *trace.Tracer, workers int) (*Report, error) {
 		ab, ba := c.Connect(p.index[lj.A], p.index[lj.B], lj.Latency, lj.Capacity)
 		links[i] = [2]*netsim.Link{ab, ba}
 	}
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
 
-	opts := core.ReliableOptions{MaxRetries: s.retries()}
+	opts := core.Options{MaxRetries: s.retries()}
 	if s.Stream != nil {
 		opts.Admission = s.Stream.Admission
 	}
@@ -155,7 +152,7 @@ func (p *Plan) run(tr *trace.Tracer, workers int) (*Report, error) {
 	p.installEvents(c, nodes, links, events, &opts)
 
 	if s.Stream != nil {
-		return p.runStream(c, work, opts, workers)
+		return p.runStream(c, work, opts, workers), nil
 	}
 	return p.runDAG(c, work, opts)
 }
@@ -168,7 +165,7 @@ func (p *Plan) run(tr *trace.Tracer, workers int) (*Report, error) {
 // down or drained. Workload ops are not scheduled here — they become the
 // arrival processes' phase schedule. Slices are indexed by node ID.
 func (p *Plan) installEvents(c *core.Continuum, nodes []*node.Node,
-	links [][2]*netsim.Link, events *workload.RNG, opts *core.ReliableOptions) {
+	links [][2]*netsim.Link, events *workload.RNG, opts *core.Options) {
 	s := p.Scenario
 	if len(p.ops) == 0 {
 		return
@@ -320,12 +317,8 @@ func (p *Plan) chaosStop(on op) float64 {
 	return on.at
 }
 
-func (p *Plan) runStream(c *core.Continuum, work []*workload.RNG, opts core.ReliableOptions, workers int) (*Report, error) {
+func (p *Plan) runStream(c *core.Continuum, work []*workload.RNG, opts core.Options, workers int) *Report {
 	s := p.Scenario
-	pol, err := parsePolicy(s.Stream.Policy, work[0])
-	if err != nil {
-		return nil, err
-	}
 	// Every job runs the same task, so they share one.
 	tk := &task.Task{
 		Name:        "job",
@@ -384,30 +377,22 @@ func (p *Plan) runStream(c *core.Continuum, work []*workload.RNG, opts core.Reli
 		}
 		wg.Wait()
 	}
-	st := c.RunStreamReliable(pol, jobs, nil, opts)
-	return reportFromStats(s.Name, "stream/"+s.Stream.Policy, st), nil
+	st := c.RunStream(p.policy(work[0]), jobs, nil, opts)
+	return reportFromStats(s.Name, "stream/"+s.Stream.Policy, st)
 }
 
-func (p *Plan) runDAG(c *core.Continuum, work []*workload.RNG, opts core.ReliableOptions) (*Report, error) {
+func (p *Plan) runDAG(c *core.Continuum, work []*workload.RNG, opts core.Options) (*Report, error) {
 	s := p.Scenario
-	gen, err := dagGen(s.DAG)
-	if err != nil {
-		return nil, err
-	}
-	d := gen(work[0])
-	schedule, err := parseScheduler(s.DAG.Scheduler)
-	if err != nil {
-		return nil, err
-	}
+	d := p.dag(work[0])
 	env := c.Env()
-	st, err := c.RunDAGReliable(d, schedule(env, d, work[1]), env, opts)
+	st, err := c.RunDAG(d, p.schedule(env, d, work[1]), env, opts)
 	if err != nil {
 		return nil, err
 	}
 	return reportFromStats(s.Name, "dag/"+s.DAG.Generator+"/"+s.DAG.Scheduler, st), nil
 }
 
-func reportFromStats(name, workloadDesc string, st *core.ReliableStats) *Report {
+func reportFromStats(name, workloadDesc string, st *core.Stats) *Report {
 	return &Report{
 		Scenario:   name,
 		Backend:    "sim",

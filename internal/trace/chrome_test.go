@@ -152,7 +152,7 @@ func TestChromeTraceOverlappingTasksLastTheirExecTime(t *testing.T) {
 			Origin: n1.ID, Submit: 0.01 * float64(i),
 		})
 	}
-	if st := c.RunStream(pinFirst{}, jobs, nil); st.Completed != 4 {
+	if st := c.RunStream(pinFirst{}, jobs, nil, core.Options{}); st.Completed != 4 {
 		t.Fatalf("completed %d, want 4", st.Completed)
 	}
 	want := n1.ExecTime(2.5e8, 0, node.NoAccel) * 1e6
@@ -176,7 +176,7 @@ func TestChromeTraceAttemptAttribution(t *testing.T) {
 	ft := fault.NewTarget("n1")
 	c.K.At(0.05, ft.Fail)
 	jobs := []core.StreamJob{{Task: &task.Task{Name: "job", ScalarWork: 2.5e8, OutputBytes: 10}, Origin: n1.ID}}
-	st := c.RunStreamReliable(pinFirst{}, jobs, nil, core.ReliableOptions{
+	st := c.RunStream(pinFirst{}, jobs, nil, core.Options{
 		MaxRetries: 1, Faults: map[int]*fault.Target{n1.ID: ft},
 	})
 	if st.Completed != 1 || st.Retries != 1 {
@@ -206,7 +206,7 @@ func TestChromeTraceReplicaDurations(t *testing.T) {
 		{Task: &task.Task{Name: "whale", ScalarWork: 12.5e9, OutputBytes: 10}, Origin: n1.ID},
 		{Task: &task.Task{Name: "mouse", ScalarWork: 2.5e8, OutputBytes: 10}, Origin: n1.ID, Submit: 0.01},
 	}
-	st := c.RunStreamReliable(pinFirst{}, jobs, nil, core.ReliableOptions{
+	st := c.RunStream(pinFirst{}, jobs, nil, core.Options{
 		MaxRetries: 1, Speculate: core.SpeculateOptions{Multiple: 2},
 	})
 	if st.SpeculativeWins != 1 || st.PreemptedTasks != 1 {
@@ -247,7 +247,7 @@ func TestChromeTracePreemptInstant(t *testing.T) {
 		{Task: &task.Task{Name: "whale", ScalarWork: 12.5e9, OutputBytes: 10}, Origin: n1.ID},
 		{Task: &task.Task{Name: "mouse", ScalarWork: 2.5e8, OutputBytes: 10}, Origin: n1.ID, Submit: 0.01},
 	}
-	c.RunStreamReliable(pinFirst{}, jobs, nil, core.ReliableOptions{
+	c.RunStream(pinFirst{}, jobs, nil, core.Options{
 		MaxRetries: 1, Speculate: core.SpeculateOptions{Multiple: 2},
 	})
 	var preempts []chromeEvent
@@ -273,7 +273,7 @@ func TestChromeTraceLostAttemptEndsAtLoss(t *testing.T) {
 	ft := fault.NewTarget("n1")
 	c.K.At(0.05, ft.Fail)
 	jobs := []core.StreamJob{{Task: &task.Task{Name: "job", ScalarWork: 2.5e8, OutputBytes: 10}, Origin: n1.ID}}
-	c.RunStreamReliable(pinFirst{}, jobs, nil, core.ReliableOptions{
+	c.RunStream(pinFirst{}, jobs, nil, core.Options{
 		MaxRetries: 1, Faults: map[int]*fault.Target{n1.ID: ft},
 	})
 	doc := exportAndParse(t, c.Tracer)
@@ -303,7 +303,7 @@ func TestChromeTraceDeterministic(t *testing.T) {
 	c.RunStream(pinFirst{}, []core.StreamJob{
 		{Task: &task.Task{Name: "a", ScalarWork: 2.5e8, OutputBytes: 10}, Origin: c.Nodes[0].ID},
 		{Task: &task.Task{Name: "b", ScalarWork: 2.5e8, OutputBytes: 10}, Origin: c.Nodes[1].ID, Submit: 0.05},
-	}, nil)
+	}, nil, core.Options{})
 	var a, b bytes.Buffer
 	if err := c.Tracer.WriteChromeTrace(&a); err != nil {
 		t.Fatal(err)

@@ -31,7 +31,7 @@ echo "== bench smoke =="
 # and gc/op are the bytes and collections of one sim-stress run;
 # BenchmarkKernelFill's allocs/op and peak-heap-MB are those of the
 # sim-kernel set-up (fill 1 M events, fire a tenth).
-go test -run '^$' -bench 'BenchmarkWire|BenchmarkEndpointInvoke|BenchmarkHashPolicyOrder|BenchmarkLeastLoadedOrder|BenchmarkRegistryRoutable|BenchmarkRouterRelay64K|BenchmarkMessageTime|BenchmarkNetworkBuild|BenchmarkGreedyLatencySelect|BenchmarkContinuumValidate|BenchmarkEngineOverhead|BenchmarkStressScenarioRun|BenchmarkKernelFill' -benchtime=1x . ./internal/wire ./internal/faas ./internal/federation ./internal/netsim ./internal/placement ./internal/core
+go test -run '^$' -bench 'BenchmarkWire|BenchmarkEndpointInvoke|BenchmarkHashPolicyOrder|BenchmarkLeastLoadedOrder|BenchmarkRegistryRoutable|BenchmarkRouterRelay64K|BenchmarkMessageTime|BenchmarkNetworkBuild|BenchmarkGreedyLatencySelect|BenchmarkEngineOverhead|BenchmarkStressScenarioRun|BenchmarkKernelFill' -benchtime=1x . ./internal/wire ./internal/faas ./internal/federation ./internal/netsim ./internal/placement
 
 echo "== api lint =="
 # Doc check: every exported identifier in the operator-facing packages
